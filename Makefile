@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check cover bench bench-smoke bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-intranode bench-forensics bench-scale bench-aggtree bench-realtime fuzz examples tidy
+.PHONY: build test check cover bench bench-e2e bench-smoke bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-intranode bench-forensics bench-scale bench-aggtree bench-realtime fuzz examples tidy
 
 build:
 	go build ./...
@@ -10,11 +10,16 @@ test:
 	go test ./...
 
 # Full gate: build + vet + tests with the race detector (the parallel
-# simnet driver is exercised under -race by its determinism tests).
+# simnet driver is exercised under -race by its determinism tests), then
+# the benchmark, which is a module of its own that `./...` does not
+# descend into: an internal/ API change that breaks it must fail here,
+# not when the benchmark is next run.
 check:
 	go build ./...
 	go vet ./...
 	go test -race ./...
+	go vet -C benchmark ./...
+	go test -C benchmark ./...
 
 cover:
 	go test -cover ./internal/...
@@ -23,6 +28,13 @@ cover:
 # seeds per point, like the paper).
 bench:
 	go test -timeout 0 -bench=. -benchmem ./...
+
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md): four
+# fixed-work workloads measured in wall clock, CPU, allocations and live
+# heap, each checked against its oracle. About a minute; add
+# ARGS="-layers" for the traced per-layer run.
+bench-e2e:
+	bash benchmark/run.sh $(ARGS)
 
 # One Figure 6 point under both simnet drivers: prints wall-clock
 # speedup and cross-checks that results are bit-identical.

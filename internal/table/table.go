@@ -280,32 +280,20 @@ func (tb *Table) removeAt(h uint64, i int) {
 	tb.count--
 }
 
-// DeleteKey removes every row whose primary key equals sample's, without
-// scanning the table (used by the tracer's reference-counted flushes).
-func (tb *Table) DeleteKey(sample tuple.Tuple) []tuple.Tuple {
+// DeleteKey removes the row whose primary key equals sample's, without
+// scanning the table (used by the tracer's reference-counted flushes),
+// and reports whether there was one. Insert replaces on an equal key, so
+// at most one row can match.
+func (tb *Table) DeleteKey(sample tuple.Tuple) bool {
 	h := tb.keyOf(sample)
-	bucket := tb.rows[h]
-	var removed []tuple.Tuple
-	for i := 0; i < len(bucket); {
-		if tb.sameKey(bucket[i].t, sample) {
-			removed = append(removed, bucket[i].t)
-			delete(tb.seqs, bucket[i].seq)
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			tb.count--
-		} else {
-			i++
+	for i, r := range tb.rows[h] {
+		if tb.sameKey(r.t, sample) {
+			tb.removeAt(h, i)
+			tb.notify(OpDelete, r.t)
+			return true
 		}
 	}
-	if len(bucket) == 0 {
-		delete(tb.rows, h)
-	} else {
-		tb.rows[h] = bucket
-	}
-	for _, t := range removed {
-		tb.notify(OpDelete, t)
-	}
-	return removed
+	return false
 }
 
 // Delete removes every row unifiable with the pattern: fields in pattern

@@ -208,9 +208,7 @@ func (tr *Tracer) Register(id uint64, content tuple.Tuple, src string, srcID uin
 // TaskDone discards provenance for tuples that ended the task
 // unreferenced. Records persist across tasks (bounded per strand).
 func (tr *Tracer) TaskDone() {
-	if len(tr.pending) > 0 {
-		tr.pending = make(map[uint64]prov)
-	}
+	clear(tr.pending)
 }
 
 // Input observes a tuple entering a rule strand.

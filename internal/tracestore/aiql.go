@@ -13,7 +13,7 @@ import (
 //
 //	ancestors of <id> at <node> [depth <n>] [since <t>] [until <t>]
 //	descendants of <id> at <node> [depth <n>] [since <t>] [until <t>]
-//	flow of <id> at <node>
+//	flow of <id> at <node> [since <t>] [until <t>]
 //	execs at <node> [rule <r>] [since <t>] [until <t>] [limit <n>]
 //	events at <node> [op <o>] [name <nm>] [since <t>] [until <t>] [limit <n>]
 //
@@ -121,11 +121,12 @@ type Result struct {
 }
 
 // Run executes the query against a view. Queries with their own
-// `since` clause open a sub-view so whole windows before the horizon
-// stay undecoded.
+// `since` or `until` clause open a sub-view narrowed to it, so segments
+// outside the clause stay undecoded and a lineage walk neither reports
+// nor follows records outside it.
 func (q *Query) Run(v *View) (*Result, error) {
-	if q.Since > v.since {
-		v = NewView(v.stores, q.Since)
+	if since, until := v.window(q.Since, q.Until); since > v.since || until < v.until {
+		v = newView(v.stores, since, until)
 	}
 	res := &Result{Query: *q}
 	var err error

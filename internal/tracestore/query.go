@@ -1,49 +1,54 @@
 package tracestore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // View is a read-only investigation session over a set of node stores.
-// It lazily decodes each node's retained segments into transient
-// hash indexes (by producing ID, by consuming ID, by local tuple ID for
-// hops), so a multi-step lineage walk decodes each segment once — the
-// store itself stays compact, only the open View pays for random
-// access. A View is a snapshot: appends made after construction are not
-// guaranteed to be visible. Not safe for concurrent use.
+// Opening a node costs nothing but a list of handles on its segments
+// inside the time horizon. A lookup (node, tuple ID) decodes only the
+// segments whose recorded ID range contains that ID — each at most once
+// per view — and finds the rows by binary search, so a lineage walk
+// pays for the segments its edges live in, not for the horizon; scans
+// (Execs, Events, Hops) decode the horizon of the one node they read.
+// The store itself stays compact: only an open View holds decoded
+// records. A View is a snapshot: appends made after a node is first
+// read are not guaranteed to be visible. Not safe for concurrent use.
 type View struct {
-	stores map[string]*Store
-	since  float64
-	nodes  map[string]*nodeIndex
-	// fwd is the global forward hop index: producer address → producer
-	// tuple ID → consumers. Built on demand (Descendants/FlowChain),
-	// since it requires decoding every node.
-	fwd map[string]map[uint64][]fwdHop
+	stores       map[string]*Store
+	since, until float64
+	nodes        map[string][]segRef
+	// fwd is the global forward hop index: producer address → the hops
+	// its tuples took, sorted by producer tuple ID. Built on demand
+	// (Descendants/FlowChain), since it decodes every node.
+	fwd map[string][]fwdHop
+	// decoded counts segments decoded so far; tests pin the pruning
+	// with it.
+	decoded int
 }
 
 type fwdHop struct {
-	node string // consuming node
-	id   uint64 // tuple ID there
-	t    float64
-}
-
-type nodeIndex struct {
-	execs  []Exec
-	events []Event
-	byOut  map[uint64][]int
-	byIn   map[uint64][]int
-	hops   map[uint64]Hop
+	srcID uint64 // tuple ID on the producing node
+	node  string // consuming node
+	id    uint64 // tuple ID there
+	t     float64
 }
 
 // NewView opens an investigation session over the given stores, keyed
-// by node address. Records before `since` are invisible — and whole
-// windows before it are never decoded, which is what bounds query cost
-// by the time horizon rather than by retention (pass 0 to see
-// everything retained).
+// by node address. Records before `since` are invisible, and segments
+// that ended before it are never decoded: the horizon bounds which
+// segments are candidates, their ID ranges bound which of those a
+// lookup decodes (pass 0 to see everything retained).
 func NewView(stores map[string]*Store, since float64) *View {
-	return &View{stores: stores, since: since, nodes: make(map[string]*nodeIndex)}
+	return newView(stores, since, math.Inf(1))
+}
+
+func newView(stores map[string]*Store, since, until float64) *View {
+	return &View{stores: stores, since: since, until: until, nodes: make(map[string][]segRef)}
 }
 
 // Nodes lists the addresses the view can answer for, sorted.
@@ -56,70 +61,176 @@ func (v *View) Nodes() []string {
 	return out
 }
 
-func (v *View) node(addr string) (*nodeIndex, error) {
-	if ix, ok := v.nodes[addr]; ok {
-		return ix, nil
+// node returns the handles on addr's segments inside the horizon,
+// oldest first.
+func (v *View) node(addr string) ([]segRef, error) {
+	if refs, ok := v.nodes[addr]; ok {
+		return refs, nil
 	}
 	st := v.stores[addr]
 	if st == nil {
 		return nil, fmt.Errorf("tracestore: no store for node %q", addr)
 	}
-	segs, err := st.snapshot(v.since)
-	if err != nil {
-		return nil, err
-	}
-	ix := &nodeIndex{
-		byOut: make(map[uint64][]int),
-		byIn:  make(map[uint64][]int),
-		hops:  make(map[uint64]Hop),
-	}
-	for _, seg := range segs {
-		for _, e := range seg.execs {
-			if e.OutT < v.since {
-				continue
-			}
-			ix.byOut[e.OutID] = append(ix.byOut[e.OutID], len(ix.execs))
-			ix.byIn[e.InID] = append(ix.byIn[e.InID], len(ix.execs))
-			ix.execs = append(ix.execs, e)
-		}
-		for _, h := range seg.hops {
-			if h.T < v.since {
-				continue
-			}
-			ix.hops[h.ID] = h
-		}
-		for _, ev := range seg.events {
-			if ev.T < v.since {
-				continue
-			}
-			ix.events = append(ix.events, ev)
-		}
-	}
-	v.nodes[addr] = ix
-	return ix, nil
+	refs := st.refs(v.since, v.until)
+	v.nodes[addr] = refs
+	return refs, nil
 }
 
-func (v *View) forward() (map[string]map[uint64][]fwdHop, error) {
-	if v.fwd != nil {
-		return v.fwd, nil
-	}
-	fwd := make(map[string]map[uint64][]fwdHop)
-	for addr := range v.stores {
-		ix, err := v.node(addr)
+// records returns the segment's records, decoding them on first use.
+func (v *View) records(r *segRef) (*segment, error) {
+	if r.seg == nil {
+		seg, err := decodeSegment(r.data)
 		if err != nil {
 			return nil, err
 		}
-		for id, h := range ix.hops {
-			m := fwd[h.Src]
-			if m == nil {
-				m = make(map[uint64][]fwdHop)
-				fwd[h.Src] = m
+		r.seg = seg
+		v.decoded++
+	}
+	return r.seg, nil
+}
+
+// visible applies the view's time bounds to one record.
+func (v *View) visible(t float64) bool { return !(t < v.since || t > v.until) }
+
+// idIndex finds the rows of a decoded segment whose ID column holds a
+// given value. A column that is nondecreasing in append order — exec
+// OutID and hop ID within one incarnation of a node — is binary-searched
+// in place. Otherwise (exec InID always; the other two when a restart
+// inside the window re-issued IDs from 1) sorted holds the column as
+// (id, row) pairs ordered by both, so equal IDs stay in append order.
+type idIndex struct {
+	built  bool
+	sorted []idRow
+}
+
+type idRow struct {
+	id  uint64
+	row int32
+}
+
+// find returns the positions [lo, hi) of the n-row column col that hold
+// id; row maps a position to its row number.
+func (ix *idIndex) find(n int, col func(int) uint64, id uint64) (lo, hi int) {
+	if !ix.built {
+		ix.built = true
+		ix.sorted = sortedColumn(n, col)
+	}
+	if ix.sorted != nil {
+		col = func(i int) uint64 { return ix.sorted[i].id }
+	}
+	lo = sort.Search(n, func(i int) bool { return col(i) >= id })
+	for hi = lo; hi < n && col(hi) == id; hi++ {
+	}
+	return lo, hi
+}
+
+// sortedColumn returns nil for a column that is already nondecreasing,
+// else its (id, row) pairs sorted by both.
+func sortedColumn(n int, col func(int) uint64) []idRow {
+	inOrder := true
+	for i := 1; i < n && inOrder; i++ {
+		inOrder = col(i-1) <= col(i)
+	}
+	if inOrder {
+		return nil
+	}
+	rows := make([]idRow, n)
+	for i := range rows {
+		rows[i] = idRow{id: col(i), row: int32(i)}
+	}
+	slices.SortFunc(rows, func(a, b idRow) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	return rows
+}
+
+func (ix *idIndex) row(pos int) int {
+	if ix.sorted != nil {
+		return int(ix.sorted[pos].row)
+	}
+	return pos
+}
+
+// eachExec calls fn, oldest first, with every visible exec record whose
+// OutID (or, with byIn, InID) is id.
+func (v *View) eachExec(refs []segRef, id uint64, byIn bool, fn func(*Exec)) error {
+	for i := range refs {
+		r := &refs[i]
+		rng, ix := r.out, &r.outIx
+		if byIn {
+			rng, ix = r.in, &r.inIx
+		}
+		if !rng.has(id) {
+			continue
+		}
+		seg, err := v.records(r)
+		if err != nil {
+			return err
+		}
+		col := func(i int) uint64 { return seg.execs[i].OutID }
+		if byIn {
+			col = func(i int) uint64 { return seg.execs[i].InID }
+		}
+		lo, hi := ix.find(len(seg.execs), col, id)
+		for p := lo; p < hi; p++ {
+			if e := &seg.execs[ix.row(p)]; v.visible(e.OutT) {
+				fn(e)
 			}
-			m[h.SrcID] = append(m[h.SrcID], fwdHop{node: addr, id: id, t: h.T})
 		}
 	}
+	return nil
+}
+
+// arrival returns the newest visible hop record for local tuple id: on
+// a reused ID the latest registration wins, mirroring the tupleTable's
+// replace-on-key semantics.
+func (v *View) arrival(refs []segRef, id uint64) (Hop, bool, error) {
+	for i := len(refs) - 1; i >= 0; i-- {
+		r := &refs[i]
+		if !r.hop.has(id) {
+			continue
+		}
+		seg, err := v.records(r)
+		if err != nil {
+			return Hop{}, false, err
+		}
+		lo, hi := r.hopIx.find(len(seg.hops), func(i int) uint64 { return seg.hops[i].ID }, id)
+		for p := hi - 1; p >= lo; p-- {
+			if h := &seg.hops[r.hopIx.row(p)]; v.visible(h.T) {
+				return *h, true, nil
+			}
+		}
+	}
+	return Hop{}, false, nil
+}
+
+// forward builds the forward hop index from every node's deduplicated
+// arrivals. Hops from producers outside the view are dropped: a walk
+// never stands on such a node.
+func (v *View) forward() error {
+	if v.fwd != nil {
+		return nil
+	}
+	fwd := make(map[string][]fwdHop)
+	for _, addr := range v.Nodes() {
+		hops, err := v.Hops(addr)
+		if err != nil {
+			return err
+		}
+		for _, h := range hops {
+			if v.stores[h.Src] != nil {
+				fwd[h.Src] = append(fwd[h.Src], fwdHop{srcID: h.SrcID, node: addr, id: h.ID, t: h.T})
+			}
+		}
+	}
+	for _, hs := range fwd {
+		slices.SortStableFunc(hs, func(a, b fwdHop) int { return cmp.Compare(a.srcID, b.srcID) })
+	}
 	v.fwd = fwd
-	return fwd, nil
+	return nil
 }
 
 // Edge is one causal edge of a lineage answer: on Node, Rule consumed
@@ -133,6 +244,13 @@ type Edge struct {
 	InT, OutT float64
 	IsEvent   bool
 	Depth     int
+}
+
+func (e *Exec) edge(node string, depth int) Edge {
+	return Edge{
+		Node: node, Rule: e.Rule, InID: e.InID, OutID: e.OutID,
+		InT: e.InT, OutT: e.OutT, IsEvent: e.IsEvent, Depth: depth,
+	}
 }
 
 // HopStep is one cross-node link of a lineage answer: the tuple known
@@ -215,10 +333,8 @@ func (v *View) Descendants(node string, id uint64, maxDepth int) (*Lineage, erro
 }
 
 func (v *View) walk(node string, id uint64, maxDepth int, forward bool) (*Lineage, error) {
-	var fwd map[string]map[uint64][]fwdHop
 	if forward {
-		var err error
-		if fwd, err = v.forward(); err != nil {
+		if err := v.forward(); err != nil {
 			return nil, err
 		}
 	}
@@ -238,58 +354,52 @@ func (v *View) walk(node string, id uint64, maxDepth int, forward bool) (*Lineag
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
-		ix, err := v.node(it.node)
+		refs, err := v.node(it.node)
 		if err != nil {
 			// A hop may name a node outside the view (no store); the
 			// walk reports what it can reach.
-			if v.stores[it.node] == nil {
-				continue
-			}
-			return nil, err
+			continue
 		}
-		if !forward {
-			// The tuple may itself be a remote arrival: jump to its
-			// producer at the same depth (a hop is identity, not
-			// derivation).
-			if h, ok := ix.hops[it.id]; ok {
+		if forward {
+			// Hops this tuple took to other nodes, then local consumers.
+			hs := v.fwd[it.node]
+			i, _ := slices.BinarySearchFunc(hs, it.id, func(h fwdHop, id uint64) int { return cmp.Compare(h.srcID, id) })
+			for ; i < len(hs) && hs[i].srcID == it.id; i++ {
+				out.Hops = append(out.Hops, HopStep{
+					From: it.node, FromID: it.id, To: hs[i].node, ToID: hs[i].id,
+					T: hs[i].t, Depth: it.depth,
+				})
+				push(hs[i].node, hs[i].id, it.depth)
+			}
+		} else {
+			h, ok, err := v.arrival(refs, it.id)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				// The tuple is itself a remote arrival: jump to its
+				// producer at the same depth (a hop is identity, not
+				// derivation).
 				out.Hops = append(out.Hops, HopStep{
 					From: h.Src, FromID: h.SrcID, To: it.node, ToID: it.id,
 					T: h.T, Depth: it.depth,
 				})
 				push(h.Src, h.SrcID, it.depth)
 			}
-			if maxDepth > 0 && it.depth >= maxDepth {
-				continue
-			}
-			for _, i := range ix.byOut[it.id] {
-				e := ix.execs[i]
-				out.Edges = append(out.Edges, Edge{
-					Node: it.node, Rule: e.Rule, InID: e.InID, OutID: e.OutID,
-					InT: e.InT, OutT: e.OutT, IsEvent: e.IsEvent, Depth: it.depth + 1,
-				})
-				push(it.node, e.InID, it.depth+1)
-			}
-			continue
-		}
-		// Forward: hops this tuple took to other nodes, then local
-		// consumers.
-		for _, fh := range fwd[it.node][it.id] {
-			out.Hops = append(out.Hops, HopStep{
-				From: it.node, FromID: it.id, To: fh.node, ToID: fh.id,
-				T: fh.t, Depth: it.depth,
-			})
-			push(fh.node, fh.id, it.depth)
 		}
 		if maxDepth > 0 && it.depth >= maxDepth {
 			continue
 		}
-		for _, i := range ix.byIn[it.id] {
-			e := ix.execs[i]
-			out.Edges = append(out.Edges, Edge{
-				Node: it.node, Rule: e.Rule, InID: e.InID, OutID: e.OutID,
-				InT: e.InT, OutT: e.OutT, IsEvent: e.IsEvent, Depth: it.depth + 1,
-			})
-			push(it.node, e.OutID, it.depth+1)
+		err = v.eachExec(refs, it.id, forward, func(e *Exec) {
+			out.Edges = append(out.Edges, e.edge(it.node, it.depth+1))
+			if forward {
+				push(it.node, e.OutID, it.depth+1)
+			} else {
+				push(it.node, e.InID, it.depth+1)
+			}
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	out.sort()
@@ -326,15 +436,30 @@ func (v *View) FlowChain(node string, id uint64) ([]HopStep, error) {
 // local tuple ID (the newest record wins, mirroring the tupleTable's
 // replace-on-key semantics) and sorted by local ID.
 func (v *View) Hops(node string) ([]Hop, error) {
-	ix, err := v.node(node)
+	refs, err := v.node(node)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Hop, 0, len(ix.hops))
-	for _, h := range ix.hops {
-		out = append(out, h)
+	all := []Hop{}
+	for i := range refs {
+		seg, err := v.records(&refs[i])
+		if err != nil {
+			return nil, err
+		}
+		for _, h := range seg.hops {
+			if v.visible(h.T) {
+				all = append(all, h)
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	// Stable, so the last record of each run of equal IDs is the newest.
+	slices.SortStableFunc(all, func(a, b Hop) int { return cmp.Compare(a.ID, b.ID) })
+	out := all[:0]
+	for i, h := range all {
+		if i+1 == len(all) || all[i+1].ID != h.ID {
+			out = append(out, h)
+		}
+	}
 	return out, nil
 }
 
@@ -347,30 +472,41 @@ type ExecFilter struct {
 	Limit        int
 }
 
-// Execs scans one node's exec records in append (time) order.
-func (v *View) Execs(f ExecFilter) ([]Edge, error) {
-	ix, err := v.node(f.Node)
-	if err != nil {
-		return nil, err
-	}
-	until := f.Until
+// window intersects a filter's time bounds with the view's.
+func (v *View) window(since, until float64) (float64, float64) {
 	if until == 0 {
 		until = math.Inf(1)
 	}
+	return max(since, v.since), min(until, v.until)
+}
+
+// Execs scans one node's exec records in append (time) order.
+func (v *View) Execs(f ExecFilter) ([]Edge, error) {
+	refs, err := v.node(f.Node)
+	if err != nil {
+		return nil, err
+	}
+	since, until := v.window(f.Since, f.Until)
 	var out []Edge
-	for _, e := range ix.execs {
-		if e.OutT < f.Since || e.OutT > until {
+	for i := range refs {
+		if refs[i].outside(since, until) {
 			continue
 		}
-		if f.Rule != "" && e.Rule != f.Rule {
-			continue
+		seg, err := v.records(&refs[i])
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, Edge{
-			Node: f.Node, Rule: e.Rule, InID: e.InID, OutID: e.OutID,
-			InT: e.InT, OutT: e.OutT, IsEvent: e.IsEvent,
-		})
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
+		for _, e := range seg.execs {
+			if e.OutT < since || e.OutT > until {
+				continue
+			}
+			if f.Rule != "" && e.Rule != f.Rule {
+				continue
+			}
+			out = append(out, e.edge(f.Node, 0))
+			if f.Limit > 0 && len(out) >= f.Limit {
+				return out, nil
+			}
 		}
 	}
 	return out, nil
@@ -387,28 +523,34 @@ type EventFilter struct {
 
 // Events scans one node's system events in append (time) order.
 func (v *View) Events(f EventFilter) ([]Event, error) {
-	ix, err := v.node(f.Node)
+	refs, err := v.node(f.Node)
 	if err != nil {
 		return nil, err
 	}
-	until := f.Until
-	if until == 0 {
-		until = math.Inf(1)
-	}
+	since, until := v.window(f.Since, f.Until)
 	var out []Event
-	for _, ev := range ix.events {
-		if ev.T < f.Since || ev.T > until {
+	for i := range refs {
+		if refs[i].outside(since, until) {
 			continue
 		}
-		if f.Op != "" && ev.Op != f.Op {
-			continue
+		seg, err := v.records(&refs[i])
+		if err != nil {
+			return nil, err
 		}
-		if f.Name != "" && ev.Name != f.Name {
-			continue
-		}
-		out = append(out, ev)
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
+		for _, ev := range seg.events {
+			if ev.T < since || ev.T > until {
+				continue
+			}
+			if f.Op != "" && ev.Op != f.Op {
+				continue
+			}
+			if f.Name != "" && ev.Name != f.Name {
+				continue
+			}
+			out = append(out, ev)
+			if f.Limit > 0 && len(out) >= f.Limit {
+				return out, nil
+			}
 		}
 	}
 	return out, nil

@@ -154,6 +154,34 @@ func TestInvestigateSurface(t *testing.T) {
 		t.Fatalf("execs time filter = %+v", res.Edges)
 	}
 
+	// `until` bounds lineage walks too: edges emitted and hops
+	// registered after it are neither reported nor followed. Fixture
+	// times: rA 1.5, rB 11.5, hop 12.0, rC 12.5.
+	for _, tc := range []struct {
+		query       string
+		edges, hops int
+	}{
+		{"ancestors of 11 at n2 until 12.5", 3, 1}, // inclusive
+		{"ancestors of 11 at n2 until 12.2", 0, 0}, // rC itself is later
+		{"ancestors of 10 at n2 until 12.0", 2, 1},
+		{"ancestors of 10 at n2 until 11.9", 0, 0}, // the arrival is later: not followed
+		{"ancestors of 3 at n1 since 5 until 11.9", 1, 0},
+		{"descendants of 1 at n1 until 11.9", 2, 0}, // stops before the hop
+		{"descendants of 1 at n1 until 12.2", 2, 1}, // crosses it, rC is later
+		{"descendants of 2 at n1 since 5 until 12.2", 1, 1},
+		{"descendants of 1 at n1 since 5 until 12.2", 0, 0}, // rA is before since
+		{"flow of 3 at n1 until 11.9", 0, 0},
+		{"flow of 3 at n1 until 12", 0, 1},
+	} {
+		res, err := Investigate(tc.query, v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		if len(res.Edges) != tc.edges || len(res.Hops) != tc.hops {
+			t.Errorf("%s: %d edges, %d hops; want %d, %d\n%s", tc.query, len(res.Edges), len(res.Hops), tc.edges, tc.hops, res)
+		}
+	}
+
 	if _, err := Investigate("ancestors of x at n2", v); err == nil {
 		t.Fatal("bad tuple ID parsed without error")
 	}

@@ -69,6 +69,56 @@ func (s Stats) BytesPerRecord() float64 {
 	return float64(s.TotalEncodedBytes) / float64(s.SealedRecords)
 }
 
+// idRange is a closed interval of tuple IDs. Ranges start from
+// emptyRange, which contains nothing.
+type idRange struct{ min, max uint64 }
+
+var emptyRange = idRange{min: math.MaxUint64}
+
+func (r *idRange) add(id uint64) {
+	r.min = min(r.min, id)
+	r.max = max(r.max, id)
+}
+
+func (r idRange) has(id uint64) bool { return r.min <= id && id <= r.max }
+
+// segMeta is what a view needs to know about a segment to decide,
+// without decoding it, whether it can hold a record: the ID ranges of
+// the three columns lineage walks search, and the span of record times.
+// A node assigns tuple IDs from one counter, so the out and hop ranges
+// of a node's segments are near-disjoint (a restart, which re-issues
+// IDs from 1, is the exception) and a lookup decodes one or two
+// segments, not the horizon.
+type segMeta struct {
+	out, in, hop idRange // exec OutID, exec InID, hop ID
+	tmin, tmax   float64 // exec OutT, hop T, event T
+}
+
+func (s *segment) meta() segMeta {
+	m := segMeta{out: emptyRange, in: emptyRange, hop: emptyRange, tmin: math.Inf(1), tmax: math.Inf(-1)}
+	for i := range s.execs {
+		e := &s.execs[i]
+		m.out.add(e.OutID)
+		m.in.add(e.InID)
+		m.tmin, m.tmax = min(m.tmin, e.OutT), max(m.tmax, e.OutT)
+	}
+	for i := range s.hops {
+		h := &s.hops[i]
+		m.hop.add(h.ID)
+		m.tmin, m.tmax = min(m.tmin, h.T), max(m.tmax, h.T)
+	}
+	for i := range s.events {
+		t := s.events[i].T
+		m.tmin, m.tmax = min(m.tmin, t), max(m.tmax, t)
+	}
+	return m
+}
+
+// outside reports whether no record can fall inside [since, until].
+func (m *segMeta) outside(since, until float64) bool {
+	return m.tmax < since || m.tmin > until
+}
+
 // Sealed is one encoded, immutable segment.
 type Sealed struct {
 	// Window is the segment's window index: it covers virtual times
@@ -76,6 +126,7 @@ type Sealed struct {
 	Window int64
 	// Execs/Hops/Events are the record counts inside.
 	Execs, Hops, Events int
+	meta                segMeta
 	data                []byte
 }
 
@@ -153,7 +204,7 @@ func (st *Store) seal() int {
 	st.sealed = append(st.sealed, &Sealed{
 		Window: seg.window,
 		Execs:  len(seg.execs), Hops: len(seg.hops), Events: len(seg.events),
-		data: data,
+		meta: seg.meta(), data: data,
 	})
 	st.stats.Sealed++
 	st.stats.SealedRecords += int64(seg.records())
@@ -163,6 +214,7 @@ func (st *Store) seal() int {
 		(len(st.sealed) > st.cfg.MaxSegments || st.stats.EncodedBytes > st.cfg.MaxBytes) {
 		st.stats.EncodedBytes -= int64(len(st.sealed[0].data))
 		st.stats.Evicted++
+		st.sealed[0] = nil // or the backing array keeps the evicted bytes alive
 		st.sealed = st.sealed[1:]
 	}
 	return seg.records()
@@ -214,25 +266,39 @@ func (st *Store) Segments() []SegmentInfo {
 	return out
 }
 
-// snapshot returns the segments a View reads: decoded sealed segments
-// plus a shallow copy of the active one. Sealed data is immutable;
-// the active copy pins the slice headers so later appends to the store
-// do not invalidate an open View.
-func (st *Store) snapshot(since float64) ([]*segment, error) {
-	var segs []*segment
-	for _, s := range st.sealed {
-		if float64(s.Window+1)*st.cfg.WindowSeconds <= since {
-			continue // window entirely before the horizon
+// segRef is a view's handle on one retained segment: its pruning
+// metadata up front, its records decoded on first use, and one lookup
+// index per searched ID column built on first search.
+type segRef struct {
+	segMeta
+	data               []byte   // sealed encoding; nil for the active segment
+	seg                *segment // nil until a lookup or scan needs the records
+	outIx, inIx, hopIx idIndex
+}
+
+// refs returns handles on the segments that can hold a record inside
+// [since, until], oldest first, none of them decoded. Sealed data is
+// immutable; the active segment is a shallow copy, which pins the slice
+// headers so later appends to the store do not invalidate an open View.
+func (st *Store) refs(since, until float64) []segRef {
+	// Segments are sealed in time order, so the ones before the horizon
+	// are a prefix; skipping it sizes the list to the horizon, not to
+	// retention.
+	old := 0
+	for old < len(st.sealed) && st.sealed[old].meta.outside(since, until) {
+		old++
+	}
+	out := make([]segRef, 0, len(st.sealed)-old+1)
+	for _, s := range st.sealed[old:] {
+		if !s.meta.outside(since, until) {
+			out = append(out, segRef{segMeta: s.meta, data: s.data})
 		}
-		seg, err := decodeSegment(s.data)
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs, seg)
 	}
 	if st.active != nil && st.active.records() > 0 {
 		cp := *st.active
-		segs = append(segs, &cp)
+		if m := cp.meta(); !m.outside(since, until) {
+			out = append(out, segRef{segMeta: m, seg: &cp})
+		}
 	}
-	return segs, nil
+	return out
 }
