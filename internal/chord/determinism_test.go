@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"p2go/internal/trace"
+	"p2go/internal/tracestore"
 	"p2go/internal/tuple"
 )
 
@@ -72,5 +74,65 @@ func TestParallelDeterminism21(t *testing.T) {
 		lo := max(0, i-200)
 		t.Fatalf("sequential and parallel runs diverged at byte %d:\n...seq: %q\n...par: %q",
 			i, seq[lo:min(len(seq), i+200)], par[lo:min(len(par), i+200)])
+	}
+}
+
+// tracedStreams runs a traced 21-node ring with a trace store and
+// returns, per node, everything the store recorded, in record order.
+func tracedStreams(t *testing.T) []string {
+	t.Helper()
+	tcfg := trace.DefaultConfig()
+	scfg := tracestore.Config{Enabled: true, WindowSeconds: 5}
+	r, err := NewRing(RingConfig{N: 21, Seed: 42, Tracing: &tcfg, TraceStore: &scfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run(400)
+	stores := make(map[string]*tracestore.Store, len(r.Addrs))
+	for _, a := range r.Addrs {
+		if stores[a] = r.Node(a).TraceStore(); stores[a] == nil {
+			t.Skip("trace store disabled")
+		}
+	}
+	v := tracestore.NewView(stores, 0)
+	out := make([]string, len(r.Addrs))
+	for i, a := range r.Addrs {
+		execs, err1 := v.Execs(tracestore.ExecFilter{Node: a})
+		events, err2 := v.Events(tracestore.EventFilter{Node: a})
+		hops, err3 := v.Hops(a)
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatal(err1, err2, err3)
+		}
+		out[i] = fmt.Sprintf("execs %v\nevents %v\nhops %v", execs, events, hops)
+	}
+	return out
+}
+
+// TestTracedRunsRepeat: two identical-seed traced runs record identical
+// trace stores. The streams include the delete events of soft-state rows
+// expiring in one sweep, which a table reports through its listeners:
+// the order must be the rows' insertion order, not that of a Go map.
+// This is the only guard on listener order at system level (CI runs it
+// with -count=3).
+func TestTracedRunsRepeat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two traced 21-node 400s rings")
+	}
+	a, b := tracedStreams(t), tracedStreams(t)
+	for i := range a {
+		if a[i] == b[i] {
+			continue
+		}
+		la, lb := strings.Split(a[i], "\n"), strings.Split(b[i], "\n")
+		for k := range la {
+			if la[k] != lb[k] {
+				j := 0
+				for j < len(la[k]) && j < len(lb[k]) && la[k][j] == lb[k][j] {
+					j++
+				}
+				t.Fatalf("node n%d: identical runs diverged in %q at byte %d:\n...%q\n...%q", i+1,
+					la[k][:min(6, len(la[k]))], j, la[k][max(0, j-120):min(len(la[k]), j+120)], lb[k][max(0, j-120):min(len(lb[k]), j+120)])
+			}
+		}
 	}
 }

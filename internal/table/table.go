@@ -13,8 +13,10 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"p2go/internal/tuple"
@@ -94,6 +96,46 @@ type Table struct {
 	// allocation for nested scans from inside a Scan callback.
 	scanScratch bySeq
 	scanBusy    bool
+	// victims is the reusable buffer in which Delete and expiry collect
+	// the rows they remove before notifying listeners in seq order.
+	victims []row
+	// sync, when set, is the owner's callback that brings the rows up to
+	// date (see SetSync).
+	sync SyncFunc
+}
+
+// SyncOp says why a table calls its owner back (see SetSync).
+type SyncOp uint8
+
+const (
+	// SyncRead precedes a read of the rows at time now (-Inf when the
+	// read carries no clock, like Count): the owner ages its state to now
+	// and inserts the rows it has not built yet.
+	SyncRead SyncOp = iota
+	// SyncExpire precedes Expire(now): the owner ages its state to now
+	// and builds nothing.
+	SyncExpire
+	// SyncDeleted follows Delete, once per removed row t.
+	SyncDeleted
+)
+
+// SyncFunc is a table owner's callback; now is set for SyncRead and
+// SyncExpire, t for SyncDeleted.
+type SyncFunc func(op SyncOp, now float64, t tuple.Tuple)
+
+// SetSync makes the table a cache of state its owner keeps in a cheaper
+// form: fn runs before every read and expiry, so the owner can insert
+// the rows it has not materialised yet (Insert and DeleteKey do not call
+// back), and after every row an explicit Delete removes, so the owner
+// can forget it too. Readers see an ordinary table; a table nobody reads
+// costs its owner no tuples. The execution tracer owns its reflection
+// tables this way.
+func (tb *Table) SetSync(fn SyncFunc) { tb.sync = fn }
+
+func (tb *Table) syncRead(now float64) {
+	if tb.sync != nil {
+		tb.sync(SyncRead, now, tuple.Tuple{})
+	}
 }
 
 // bySeq sorts a row snapshot into insertion order. It implements
@@ -128,7 +170,10 @@ func (tb *Table) Name() string { return tb.spec.Name }
 
 // Count returns the number of live rows. Callers should Expire first if
 // they need the count at a particular instant.
-func (tb *Table) Count() int { return tb.count }
+func (tb *Table) Count() int {
+	tb.syncRead(math.Inf(-1))
+	return tb.count
+}
 
 // Subscribe registers a listener for subsequent changes and returns a
 // handle for Unsubscribe. Listeners fire in subscription order.
@@ -216,7 +261,7 @@ func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 	tb.indexInsert(t, tb.seq)
 	tb.count++
 	if tb.spec.MaxSize >= 0 && tb.count > tb.spec.MaxSize {
-		tb.evictOldest(t)
+		tb.evictOldest(tb.seq)
 	}
 	tb.notify(OpInsert, t)
 	return true, nil
@@ -238,8 +283,9 @@ func (tb *Table) trackSeq(seq, hash uint64) {
 	}
 }
 
-// evictOldest removes the FIFO-oldest row, never the just-inserted keep.
-func (tb *Table) evictOldest(keep tuple.Tuple) {
+// evictOldest removes the FIFO-oldest row, never the just-inserted one
+// (whose seq is keep).
+func (tb *Table) evictOldest(keep uint64) {
 	for len(tb.fifo) > 0 {
 		ref := tb.fifo[0]
 		if _, live := tb.seqs[ref.seq]; !live {
@@ -251,7 +297,7 @@ func (tb *Table) evictOldest(keep tuple.Tuple) {
 			if bucket[i].seq != ref.seq {
 				continue
 			}
-			if bucket[i].t.Equal(keep) {
+			if ref.seq == keep {
 				// The just-inserted row can only be the FIFO head
 				// when it is the sole live row (MaxSize 0); never
 				// evict it.
@@ -268,16 +314,7 @@ func (tb *Table) evictOldest(keep tuple.Tuple) {
 }
 
 func (tb *Table) removeAt(h uint64, i int) {
-	bucket := tb.rows[h]
-	delete(tb.seqs, bucket[i].seq)
-	bucket[i] = bucket[len(bucket)-1]
-	bucket = bucket[:len(bucket)-1]
-	if len(bucket) == 0 {
-		delete(tb.rows, h)
-	} else {
-		tb.rows[h] = bucket
-	}
-	tb.count--
+	tb.putBucket(h, tb.unlink(tb.rows[h], i))
 }
 
 // DeleteKey removes the row whose primary key equals sample's, without
@@ -300,30 +337,81 @@ func (tb *Table) DeleteKey(sample tuple.Tuple) bool {
 // that are non-nil must Equal the row's corresponding field; nil fields
 // are wildcards. It returns the removed tuples.
 func (tb *Table) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
+	tb.syncRead(now)
 	tb.expireLocked(now)
-	var removed []tuple.Tuple
+	victims := tb.takeVictims()
 	for h, bucket := range tb.rows {
 		for i := 0; i < len(bucket); {
 			if matchPattern(bucket[i].t, pattern) {
-				removed = append(removed, bucket[i].t)
-				delete(tb.seqs, bucket[i].seq)
-				bucket[i] = bucket[len(bucket)-1]
-				bucket = bucket[:len(bucket)-1]
-				tb.count--
+				victims = append(victims, bucket[i])
+				bucket = tb.unlink(bucket, i)
 			} else {
 				i++
 			}
 		}
-		if len(bucket) == 0 {
-			delete(tb.rows, h)
-		} else {
-			tb.rows[h] = bucket
+		tb.putBucket(h, bucket)
+	}
+	var removed []tuple.Tuple
+	if len(victims) > 0 {
+		removed = make([]tuple.Tuple, len(victims))
+	}
+	sortBySeq(victims)
+	for i, r := range victims {
+		removed[i] = r.t
+	}
+	tb.notifyRemoved(victims)
+	if tb.sync != nil {
+		for _, t := range removed {
+			tb.sync(SyncDeleted, now, t)
 		}
 	}
-	for _, t := range removed {
-		tb.notify(OpDelete, t)
-	}
 	return removed
+}
+
+// takeVictims hands out the table-owned buffer in which Delete and
+// expiry collect the rows they unlink. It is taken, not shared: a
+// listener that reads the table re-enters expiry.
+func (tb *Table) takeVictims() []row {
+	victims := tb.victims[:0]
+	tb.victims = nil
+	return victims
+}
+
+// unlink removes bucket[i] from its bucket and the live-row accounting
+// and returns the shortened bucket; putBucket stores it back.
+func (tb *Table) unlink(bucket []row, i int) []row {
+	delete(tb.seqs, bucket[i].seq)
+	bucket[i] = bucket[len(bucket)-1]
+	tb.count--
+	return bucket[:len(bucket)-1]
+}
+
+func (tb *Table) putBucket(h uint64, bucket []row) {
+	if len(bucket) == 0 {
+		delete(tb.rows, h)
+	} else {
+		tb.rows[h] = bucket
+	}
+}
+
+// sortBySeq puts unlinked rows into insertion order. Which rows go is
+// decided by content, but the order listeners hear about them must not
+// be Go's map iteration order, or identical-seed runs log same-instant
+// deletions differently.
+func sortBySeq(victims []row) {
+	if len(victims) > 1 {
+		slices.SortFunc(victims, func(a, b row) int { return cmp.Compare(a.seq, b.seq) })
+	}
+}
+
+// notifyRemoved fires the delete listeners for the (sorted) victims and
+// returns the buffer for reuse.
+func (tb *Table) notifyRemoved(victims []row) {
+	for _, r := range victims {
+		tb.notify(OpDelete, r.t)
+	}
+	clear(victims)
+	tb.victims = victims[:0]
 }
 
 func matchPattern(t, pattern tuple.Tuple) bool {
@@ -344,6 +432,7 @@ func matchPattern(t, pattern tuple.Tuple) bool {
 // Scan calls fn for every live row at time now. Iteration order is
 // deterministic (insertion order). fn must not mutate the table.
 func (tb *Table) Scan(now float64, fn func(tuple.Tuple)) {
+	tb.syncRead(now)
 	tb.expireLocked(now)
 	var rows bySeq
 	pooled := !tb.scanBusy
@@ -391,23 +480,26 @@ func (tb *Table) Match(now float64, positions []int, values []tuple.Value, fn fu
 	})
 }
 
-// Expire removes rows whose TTL elapsed by now, firing delete listeners.
-func (tb *Table) Expire(now float64) { tb.expireLocked(now) }
+// Expire removes rows whose TTL elapsed by now, firing delete listeners
+// in the rows' insertion order.
+func (tb *Table) Expire(now float64) {
+	if tb.sync != nil {
+		tb.sync(SyncExpire, now, tuple.Tuple{})
+	}
+	tb.expireLocked(now)
+}
 
 func (tb *Table) expireLocked(now float64) {
 	if tb.spec.Lifetime < 0 || now < tb.soonest {
 		return
 	}
 	next := math.Inf(1)
-	var expired []tuple.Tuple
+	victims := tb.takeVictims()
 	for h, bucket := range tb.rows {
 		for i := 0; i < len(bucket); {
 			if bucket[i].expiry <= now {
-				expired = append(expired, bucket[i].t)
-				delete(tb.seqs, bucket[i].seq)
-				bucket[i] = bucket[len(bucket)-1]
-				bucket = bucket[:len(bucket)-1]
-				tb.count--
+				victims = append(victims, bucket[i])
+				bucket = tb.unlink(bucket, i)
 			} else {
 				if bucket[i].expiry < next {
 					next = bucket[i].expiry
@@ -415,16 +507,11 @@ func (tb *Table) expireLocked(now float64) {
 				i++
 			}
 		}
-		if len(bucket) == 0 {
-			delete(tb.rows, h)
-		} else {
-			tb.rows[h] = bucket
-		}
+		tb.putBucket(h, bucket)
 	}
 	tb.soonest = next
-	for _, t := range expired {
-		tb.notify(OpDelete, t)
-	}
+	sortBySeq(victims)
+	tb.notifyRemoved(victims)
 }
 
 // Clear drops every row WITHOUT firing per-row delete listeners: it
@@ -460,12 +547,14 @@ func (tb *Table) SoonestExpiry() float64 {
 	if tb.spec.Lifetime < 0 {
 		return math.Inf(1)
 	}
+	tb.syncRead(math.Inf(-1))
 	return tb.soonest
 }
 
 // NextExpiry returns the earliest row expiry time, or +Inf when nothing
 // expires. The engine uses it to schedule expiry sweeps.
 func (tb *Table) NextExpiry() float64 {
+	tb.syncRead(math.Inf(-1))
 	next := math.Inf(1)
 	for _, bucket := range tb.rows {
 		for _, r := range bucket {
@@ -479,6 +568,7 @@ func (tb *Table) NextExpiry() float64 {
 
 // SizeBytes estimates the memory footprint of all live rows.
 func (tb *Table) SizeBytes() int {
+	tb.syncRead(math.Inf(-1))
 	n := 0
 	for _, bucket := range tb.rows {
 		for _, r := range bucket {
@@ -581,7 +671,7 @@ func (s *Store) Names() []string {
 func (s *Store) LiveTuples() int {
 	n := 0
 	for _, tb := range s.order {
-		n += tb.count
+		n += tb.Count()
 	}
 	return n
 }
@@ -707,6 +797,7 @@ func (tb *Table) indexInsert(t tuple.Tuple, seq uint64) {
 // is returned so callers can bill per-probe costs. Hash collisions are
 // filtered by the Equal checks.
 func (tb *Table) MatchIndexed(now float64, positions []int, values []tuple.Value, fn func(tuple.Tuple)) int {
+	tb.syncRead(now)
 	tb.expireLocked(now)
 	ix := tb.ensureIndex(positions)
 	k := tuple.HashValues(values)

@@ -3,6 +3,7 @@ package table
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +114,105 @@ func TestFIFOEviction(t *testing.T) {
 		if id != want[i] {
 			t.Fatalf("surviving ids = %v, want %v", ids, want)
 		}
+	}
+}
+
+// TestFIFOEvictionBoundZero: the row just inserted is never the victim,
+// so a bound of 0 holds the newest row (and evicts it on the next insert).
+func TestFIFOEvictionBoundZero(t *testing.T) {
+	tb := New(Spec{Name: "succ", Lifetime: Infinity, MaxSize: 0, Keys: []int{2}})
+	var deleted []uint64
+	tb.Subscribe(func(op Op, tp tuple.Tuple) {
+		if op == OpDelete {
+			deleted = append(deleted, tp.Field(1).AsID())
+		}
+	})
+	for i := uint64(1); i <= 3; i++ {
+		tb.Insert(succ("n1", i, "a"), 0)
+		var ids []uint64
+		tb.Scan(0, func(tp tuple.Tuple) { ids = append(ids, tp.Field(1).AsID()) })
+		if len(ids) != 1 || ids[0] != i {
+			t.Fatalf("after insert %d: rows = %v, want [%d]", i, ids, i)
+		}
+	}
+	// A replacement is not an eviction: same key, new content.
+	tb.Insert(succ("n1", 3, "b"), 0)
+	if want := []uint64{1, 2, 3}; !slices.Equal(deleted, want) {
+		t.Fatalf("deleted = %v, want %v", deleted, want)
+	}
+}
+
+// TestRemovalNotifiesInInsertionOrder: rows that leave in one sweep (or
+// one Delete) are reported to listeners oldest first, not in the order a
+// Go map happens to yield them — the order ends up in trace stores,
+// tupleLog and aggregate accumulators, and must repeat between runs.
+func TestRemovalNotifiesInInsertionOrder(t *testing.T) {
+	const n = 40
+	want := make([]uint64, n)
+	for i := range want {
+		want[i] = uint64(i + 1)
+	}
+	for rep := 0; rep < 20; rep++ {
+		for _, how := range []string{"expire", "delete"} {
+			tb := New(Spec{Name: "succ", Lifetime: 10, MaxSize: Infinity, Keys: []int{2}})
+			for _, id := range want {
+				tb.Insert(succ("n1", id, "a"), 0)
+			}
+			var got []uint64
+			tb.Subscribe(func(op Op, tp tuple.Tuple) {
+				if op == OpDelete {
+					got = append(got, tp.Field(1).AsID())
+				}
+			})
+			if how == "expire" {
+				tb.Expire(10)
+			} else {
+				removed := tb.Delete(tuple.New("succ", tuple.Nil, tuple.Nil, tuple.Str("a")), 1)
+				for i, tp := range removed {
+					if tp.Field(1).AsID() != want[i] {
+						t.Fatalf("rep %d: Delete returned row %d as #%d", rep, tp.Field(1).AsID(), i)
+					}
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("rep %d, %s: listeners heard %v, want insertion order", rep, how, got)
+			}
+		}
+	}
+}
+
+// TestSetSync: the owner's callback precedes every read and expiry and
+// follows every explicit delete; its own inserts do not call back.
+func TestSetSync(t *testing.T) {
+	tb := New(Spec{Name: "succ", Lifetime: 10, MaxSize: Infinity, Keys: []int{2}})
+	var ops []SyncOp
+	next := uint64(0)
+	tb.SetSync(func(op SyncOp, now float64, tp tuple.Tuple) {
+		ops = append(ops, op)
+		if op == SyncRead { // one more row materialised per read
+			next++
+			tb.Insert(succ("n1", next, "a"), 0)
+		}
+		if op == SyncDeleted && tp.Field(1).AsID() != 1 {
+			t.Errorf("SyncDeleted reported %v", tp)
+		}
+	})
+	if got := tb.Count(); got != 1 {
+		t.Fatalf("Count = %d, want 1 (built by the callback)", got)
+	}
+	n := 0
+	tb.Scan(1, func(tuple.Tuple) { n++ })
+	tb.MatchIndexed(1, []int{2}, []tuple.Value{tuple.Str("a")}, func(tuple.Tuple) { n++ })
+	if n != 2+3 {
+		t.Fatalf("Scan+MatchIndexed visited %d rows, want 2 then 3", n)
+	}
+	tb.SizeBytes()
+	tb.SoonestExpiry()
+	tb.Expire(2)
+	tb.Delete(succ("n1", 1, "a"), 2)
+	want := []SyncOp{SyncRead, SyncRead, SyncRead, SyncRead, SyncRead, SyncExpire, SyncRead, SyncDeleted}
+	if !slices.Equal(ops, want) {
+		t.Fatalf("callback ops = %v, want %v", ops, want)
 	}
 }
 

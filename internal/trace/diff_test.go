@@ -1,0 +1,591 @@
+package trace
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"p2go/internal/dataflow"
+	"p2go/internal/table"
+	"p2go/internal/tuple"
+)
+
+// eagerTracer is the reference the ring-backed Tracer is checked
+// against: the tracer as it was while ruleExec, tupleTable and tupleLog
+// were live tables — every record inserted as a row the moment it is
+// made, memo reference counts driven by ruleExec's delete listeners —
+// copied from that version with the store write-through (which the
+// rings do not touch) left out, and one marked fix.
+type eagerTracer struct {
+	local    string
+	cfg      Config
+	ruleExec *table.Table
+	tuples   *table.Table
+
+	// memo maps tuple IDs to their content and provenance while
+	// referenced from ruleExec.
+	memo map[uint64]*eagerMemo
+	// pending holds provenance for tuples seen during the current task
+	// that are not (yet) referenced.
+	pending map[uint64]prov
+
+	records map[*dataflow.Strand][]*record
+
+	// tupleLog buffers arrival/insert/delete events (nil = disabled).
+	tupleLog *table.Table
+	seq      uint64
+
+	// pool recycles records across restarts (Reset returns them here).
+	pool []*record
+}
+
+type eagerMemo struct {
+	prov
+	refs int
+}
+
+// New creates a tracer and materializes its reflection tables in store.
+func newEager(store *table.Store, localAddr string, cfg Config) (*eagerTracer, error) {
+	if cfg.RecordsPerStrand <= 0 {
+		cfg.RecordsPerStrand = 8
+	}
+	re, err := store.Materialize(table.Spec{
+		Name:     RuleExecTable,
+		Lifetime: cfg.RuleExecTTL,
+		MaxSize:  cfg.RuleExecMax,
+		// Key: rule, cause ID, effect ID, cause-was-event.
+		Keys: []int{2, 3, 4, 7},
+	})
+	if err != nil {
+		return nil, err
+	}
+	tt, err := store.Materialize(table.Spec{
+		Name:     TupleTable,
+		Lifetime: table.Infinity, // reference-counted, not TTL-driven
+		MaxSize:  table.Infinity,
+		Keys:     []int{2},
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr := &eagerTracer{
+		local:    localAddr,
+		cfg:      cfg,
+		ruleExec: re,
+		tuples:   tt,
+		memo:     make(map[uint64]*eagerMemo),
+		pending:  make(map[uint64]prov),
+		records:  make(map[*dataflow.Strand][]*record),
+	}
+	if cfg.TupleLogMax > 0 {
+		tl, err := store.Materialize(table.Spec{
+			Name:     TupleLogTable,
+			Lifetime: cfg.RuleExecTTL,
+			MaxSize:  cfg.TupleLogMax,
+			Keys:     []int{2, 3, 4, 5},
+		})
+		if err != nil {
+			return nil, err
+		}
+		tr.tupleLog = tl
+	}
+	// Reference counting: when a ruleExec row dies (TTL or eviction),
+	// release the tuples it referenced.
+	re.Subscribe(func(op table.Op, t tuple.Tuple) {
+		if op != table.OpDelete || t.Arity() < 7 {
+			return
+		}
+		tr.release(t.Field(2).AsID())
+		tr.release(t.Field(3).AsID())
+	})
+	return tr, nil
+}
+
+// Register records the provenance of a tuple the node just assigned an ID
+// to: where it came from (src/srcID; the node itself for local tuples)
+// and where it lives or is headed (dst). Content is memoized only if a
+// ruleExec row ends up referencing the ID. Remote arrivals additionally
+// append a hop record to the attached store — the durable cross-node
+// provenance edge lineage queries follow.
+func (tr *eagerTracer) Register(id uint64, content tuple.Tuple, src string, srcID uint64, dst string, now float64) {
+	if _, ok := tr.memo[id]; ok {
+		return
+	}
+	tr.pending[id] = prov{content: content, src: src, srcID: srcID, dst: dst}
+}
+
+// TaskDone discards provenance for tuples that ended the task
+// unreferenced. Records persist across tasks (bounded per strand).
+func (tr *eagerTracer) TaskDone() {
+	clear(tr.pending)
+}
+
+// Input observes a tuple entering a rule strand.
+func (tr *eagerTracer) Input(s *dataflow.Strand, t tuple.Tuple, now float64) {
+	r := tr.freeRecord(s)
+	r.active = true
+	r.inID = t.ID
+	r.inTime = now
+	for i := range r.pre {
+		r.pre[i] = precond{}
+	}
+	if s.Stages >= 1 {
+		r.first, r.last = 1, 1
+	} else {
+		r.first, r.last = 1, 0
+	}
+}
+
+func (tr *eagerTracer) freeRecord(s *dataflow.Strand) *record {
+	recs := tr.records[s]
+	// Prefer an inactive record.
+	for _, r := range recs {
+		if !r.active {
+			return r
+		}
+	}
+	if len(recs) < tr.cfg.RecordsPerStrand {
+		var r *record
+		if n := len(tr.pool); n > 0 {
+			r = tr.pool[n-1]
+			tr.pool[n-1] = nil
+			tr.pool = tr.pool[:n-1]
+			pre := r.pre
+			if cap(pre) >= s.Stages+1 {
+				pre = pre[:s.Stages+1]
+				for i := range pre {
+					pre[i] = precond{}
+				}
+			} else {
+				pre = make([]precond, s.Stages+1)
+			}
+			*r = record{pre: pre}
+		} else {
+			r = &record{pre: make([]precond, s.Stages+1)}
+		}
+		tr.records[s] = append(recs, r)
+		return r
+	}
+	// Recycle the record with the oldest input.
+	oldest := recs[0]
+	for _, r := range recs[1:] {
+		if r.inTime < oldest.inTime {
+			oldest = r
+		}
+	}
+	return oldest
+}
+
+// findByStage returns the record whose associated interval contains
+// stage, or nil.
+func (tr *eagerTracer) findByStage(s *dataflow.Strand, stage int) *record {
+	for _, r := range tr.records[s] {
+		if r.active && r.first <= stage && stage <= r.last {
+			return r
+		}
+	}
+	return nil
+}
+
+// latest returns the active record with the highest associated stage
+// (ties broken by most recent input).
+func (tr *eagerTracer) latest(s *dataflow.Strand) *record {
+	var best *record
+	for _, r := range tr.records[s] {
+		if !r.active {
+			continue
+		}
+		if best == nil || r.last > best.last ||
+			(r.last == best.last && r.inTime > best.inTime) {
+			best = r
+		}
+	}
+	return best
+}
+
+// Precond observes a precondition tuple fetched by the join at the given
+// stage. Fields to the right of the stage are flushed, per §2.1.1: a
+// precondition arriving "in the middle" of the strand invalidates
+// later-stage observations belonging to a previous iteration.
+func (tr *eagerTracer) Precond(s *dataflow.Strand, stage int, t tuple.Tuple, now float64) {
+	if stage < 1 || stage > s.Stages {
+		return
+	}
+	r := tr.findByStage(s, stage)
+	if r == nil {
+		// Extend the record with the latest associated stages.
+		r = tr.latest(s)
+		if r == nil {
+			return
+		}
+		if stage > r.last {
+			r.last = stage
+		} else {
+			r.first = stage
+		}
+	}
+	r.pre[stage] = precond{filled: true, id: t.ID, time: now}
+	for i := stage + 1; i <= s.Stages; i++ {
+		r.pre[i] = precond{}
+	}
+}
+
+// Output observes a head tuple produced by the strand and packages the
+// owning record into ruleExec rows: one causal link from the input event
+// and one from each recorded precondition.
+func (tr *eagerTracer) Output(s *dataflow.Strand, t tuple.Tuple, now float64) {
+	r := tr.latest(s)
+	if r == nil {
+		return
+	}
+	tr.emitRuleExec(s.RuleID, r.inID, t.ID, r.inTime, now, true)
+	for stage := 1; stage <= s.Stages; stage++ {
+		if r.pre[stage].filled {
+			tr.emitRuleExec(s.RuleID, r.pre[stage].id, t.ID, r.pre[stage].time, now, false)
+		}
+	}
+}
+
+// StageDone signals that the stateful element at the given stage seeks a
+// new input (§2.1.2). The record whose interval begins at the stage
+// abandons it; advancing past the final stage retires the record.
+func (tr *eagerTracer) StageDone(s *dataflow.Strand, stage int) {
+	if stage < 1 || stage > s.Stages {
+		// Strands without joins retire their record when the (virtual)
+		// stage 0 completes, i.e. at activation end.
+		if s.Stages == 0 {
+			if r := tr.latest(s); r != nil {
+				r.active = false
+			}
+		}
+		return
+	}
+	for _, r := range tr.records[s] {
+		if r.active && r.first == stage {
+			r.first = stage + 1
+			if r.first > s.Stages {
+				r.active = false
+			}
+			return
+		}
+	}
+	if r := tr.latest(s); r != nil && stage > r.last {
+		r.last = stage
+	}
+}
+
+// emitRuleExec inserts one ruleExec row and pins both referenced tuples
+// in tupleTable.
+func (tr *eagerTracer) emitRuleExec(ruleID string, inID, outID uint64, inT, outT float64, isEvent bool) {
+	tr.addRef(inID, outT)
+	tr.addRef(outID, outT)
+	row := tuple.New(RuleExecTable,
+		tuple.Str(tr.local),
+		tuple.Str(ruleID),
+		tuple.ID(inID),
+		tuple.ID(outID),
+		tuple.Float(inT),
+		tuple.Float(outT),
+		tuple.Bool(isEvent),
+	)
+	// Insert can evict/replace rows, whose delete notifications release
+	// references; that is exactly the paper's flushing behaviour.
+	changed, err := tr.ruleExec.Insert(row, outT)
+	if err != nil {
+		panic(fmt.Sprintf("trace: ruleExec insert: %v", err)) // impossible: name matches
+	}
+	if !changed {
+		// FIX, not in the copied version: the identical row was already
+		// there and holds its references; the pair just taken had no row
+		// to release it and leaked.
+		tr.release(inID)
+		tr.release(outID)
+	}
+}
+
+func (tr *eagerTracer) addRef(id uint64, now float64) {
+	if e, ok := tr.memo[id]; ok {
+		e.refs++
+		return
+	}
+	p, ok := tr.pending[id]
+	if !ok {
+		// Unregistered tuple (tracing enabled mid-flight): synthesize
+		// local provenance.
+		p = prov{src: tr.local, srcID: id, dst: tr.local}
+	}
+	tr.memo[id] = &eagerMemo{prov: p, refs: 1}
+	row := tuple.New(TupleTable,
+		tuple.Str(tr.local),
+		tuple.ID(id),
+		tuple.Str(p.src),
+		tuple.ID(p.srcID),
+		tuple.Str(p.dst),
+	)
+	if _, err := tr.tuples.Insert(row, now); err != nil {
+		panic(fmt.Sprintf("trace: tupleTable insert: %v", err))
+	}
+}
+
+func (tr *eagerTracer) release(id uint64) {
+	e, ok := tr.memo[id]
+	if !ok {
+		return
+	}
+	e.refs--
+	if e.refs > 0 {
+		return
+	}
+	delete(tr.memo, id)
+	sample := tuple.New(TupleTable, tuple.Str(tr.local), tuple.ID(id), tuple.Str(""), tuple.ID(0), tuple.Str(""))
+	tr.tuples.DeleteKey(sample)
+}
+
+// Content returns the memoized tuple for an ID, if still referenced.
+func (tr *eagerTracer) Content(id uint64) (tuple.Tuple, bool) {
+	if e, ok := tr.memo[id]; ok {
+		return e.content, true
+	}
+	return tuple.Tuple{}, false
+}
+
+// Reset drops every piece of in-memory trace state — memoized
+// provenance, pending registrations, strand records — AND purges the
+// trace reflection tables themselves. The engine calls it when a node
+// restarts with soft-state loss. Clearing the tables here (idempotent
+// if the caller already wiped the store) is load-bearing, not
+// cosmetic: a restarted node reuses tuple IDs from 1, so a stale
+// pre-crash ruleExec row that expired later would fire the release
+// subscription against a reused ID and evict a live post-restart memo
+// entry. Records return to the pool for reuse; the event-log sequence
+// restarts. The attached trace store is deliberately NOT cleared — it
+// is the forensic record that must survive the restart — but gets a
+// "restart" marker so investigations can see the discontinuity.
+func (tr *eagerTracer) Reset(now float64) {
+	tr.ruleExec.Clear()
+	tr.tuples.Clear()
+	if tr.tupleLog != nil {
+		tr.tupleLog.Clear()
+	}
+	tr.memo = make(map[uint64]*eagerMemo)
+	tr.pending = make(map[uint64]prov)
+	for _, recs := range tr.records {
+		tr.pool = append(tr.pool, recs...)
+	}
+	tr.records = make(map[*dataflow.Strand][]*record)
+	tr.seq = 0
+}
+
+// MemoSize reports how many tuples are currently memoized (live trace
+// tuples, part of the memory-overhead measurements).
+func (tr *eagerTracer) MemoSize() int { return len(tr.memo) }
+
+// LogEvent buffers one system event in tupleLog: op is "arrive",
+// "insert", or "delete"; name and id identify the tuple (§2.1's event
+// logging). The attached store gets the event even when the in-table
+// buffer is disabled — durable event history does not depend on the
+// soft-state budget.
+func (tr *eagerTracer) LogEvent(op, name string, id uint64, now float64) {
+	if !loggedName(name) {
+		return
+	}
+	if tr.tupleLog == nil {
+		return
+	}
+	tr.seq++
+	row := tuple.New(TupleLogTable,
+		tuple.Str(tr.local), tuple.ID(tr.seq), tuple.Str(op),
+		tuple.Str(name), tuple.ID(id), tuple.Float(now))
+	tr.tupleLog.Insert(row, now) //nolint:errcheck // name always matches
+}
+
+// ---- the differential test ----
+
+// tracerAPI is what the test drives on both implementations.
+type tracerAPI interface {
+	Register(id uint64, content tuple.Tuple, src string, srcID uint64, dst string, now float64)
+	TaskDone()
+	Input(s *dataflow.Strand, t tuple.Tuple, now float64)
+	Precond(s *dataflow.Strand, stage int, t tuple.Tuple, now float64)
+	Output(s *dataflow.Strand, t tuple.Tuple, now float64)
+	StageDone(s *dataflow.Strand, stage int)
+	LogEvent(op, name string, id uint64, now float64)
+	Reset(now float64)
+	MemoSize() int
+	Content(id uint64) (tuple.Tuple, bool)
+}
+
+// side is one implementation with its table store.
+type side struct {
+	tr    tracerAPI
+	store *table.Store
+}
+
+func dump(tb *table.Table, now float64) string {
+	var b strings.Builder
+	tb.Scan(now, func(t tuple.Tuple) { fmt.Fprintf(&b, "%v\n", t) })
+	return b.String()
+}
+
+// TestRingMatchesEagerTables drives the Tracer and the eager reference
+// through the same random interleaving of taps, registrations, events,
+// clock movement (backwards too), restarts and reads, and requires that
+// every read of every reflection table returns the same rows in the
+// same order, and that the memo agrees after every step. IDs come from a
+// small pool so that ruleExec keys repeat (replacement, identical
+// re-insert); bounds of 0 and 1, unbounded tables and immortal rows are
+// among the configurations.
+func TestRingMatchesEagerTables(t *testing.T) {
+	const pool = 24
+	strands := []*dataflow.Strand{
+		{Plan: &dataflow.Plan{RuleID: "r0", Stages: 0}},
+		{Plan: &dataflow.Plan{RuleID: "r1", Stages: 1}},
+		{Plan: &dataflow.Plan{RuleID: "r2", Stages: 2}},
+	}
+	trials := 300
+	if testing.Short() {
+		trials = 40
+	}
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		cfg := Config{
+			RuleExecTTL:      []float64{4, 30, 30, table.Infinity}[rng.Intn(4)],
+			RuleExecMax:      []int{0, 1, 3, 8, 8, table.Infinity}[rng.Intn(6)],
+			RecordsPerStrand: []int{1, 2, 8}[rng.Intn(3)],
+			TupleLogMax:      []int{0, 1, 4, 4}[rng.Intn(4)],
+		}
+		var sides [2]side
+		for i := range sides {
+			sides[i].store = table.NewStore()
+			var err error
+			if i == 0 {
+				sides[i].tr, err = New(sides[i].store, "n1", cfg)
+			} else {
+				sides[i].tr, err = newEager(sides[i].store, "n1", cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		tables := []string{RuleExecTable, TupleTable}
+		if cfg.TupleLogMax > 0 {
+			tables = append(tables, TupleLogTable)
+		}
+		now, stamp := 0.0, 0.0 // stamp: when a row was last made
+		tupleOf := func() tuple.Tuple {
+			id := uint64(1 + rng.Intn(pool))
+			return tuple.New("p", tuple.Str("n1"), tuple.ID(id)).WithID(id)
+		}
+		for step := 0; step < 400; step++ {
+			what := ""
+			// each calls f on both sides and compares what it returns.
+			each := func(f func(side) string) {
+				if a, b := f(sides[0]), f(sides[1]); a != b {
+					t.Fatalf("trial %d (cfg %+v) step %d, %s at t=%g:\nrings:\n%s\neager tables:\n%s", trial, cfg, step, what, now, a, b)
+				}
+			}
+			do := func(name string, f func(tracerAPI)) {
+				what = name
+				f(sides[0].tr)
+				f(sides[1].tr)
+			}
+			s := strands[rng.Intn(len(strands))]
+			tp := tupleOf()
+			stage := rng.Intn(4) // 0 and 3 are out of range for every strand
+			tbName := tables[rng.Intn(len(tables))]
+			switch op := rng.Intn(100); {
+			case op < 8:
+				now += rng.Float64() * 3
+			case op < 10:
+				if cfg.RuleExecTTL > 0 {
+					now = stamp + cfg.RuleExecTTL // the very instant a row is due
+				}
+			case op < 12:
+				now -= rng.Float64() // the realtime clock plus billed cost can step back
+			case op < 24:
+				src := []string{"n1", "n2"}[rng.Intn(2)]
+				do("Register", func(tr tracerAPI) { tr.Register(tp.ID, tp, src, tp.ID+100, "n1", now) })
+			case op < 36:
+				do("Input", func(tr tracerAPI) { tr.Input(s, tp, now) })
+			case op < 46:
+				do("Precond", func(tr tracerAPI) { tr.Precond(s, stage, tp, now) })
+			case op < 62:
+				do("Output", func(tr tracerAPI) { tr.Output(s, tp, now) })
+				stamp = now
+			case op < 68:
+				do("StageDone", func(tr tracerAPI) { tr.StageDone(s, stage) })
+			case op < 74:
+				do("TaskDone", func(tr tracerAPI) { tr.TaskDone() })
+			case op < 82:
+				name := []string{"succ", RuleExecTable}[rng.Intn(2)] // the latter is never logged
+				do("LogEvent", func(tr tracerAPI) { tr.LogEvent("insert", name, tp.ID, now) })
+				stamp = now
+			case op < 83:
+				do("Reset", func(tr tracerAPI) { tr.Reset(now) })
+			case op < 88:
+				what = "Scan " + tbName
+				each(func(sd side) string { return dump(sd.store.Get(tbName), now) })
+			case op < 91:
+				what = "Count " + tbName
+				each(func(sd side) string { return fmt.Sprint(sd.store.Get(tbName).Count()) })
+			case op < 93:
+				what = "MatchIndexed " + tbName
+				each(func(sd side) string {
+					var b strings.Builder
+					sd.store.Get(tbName).MatchIndexed(now, []int{0}, []tuple.Value{tuple.Str("n1")}, func(t tuple.Tuple) { fmt.Fprintf(&b, "%v\n", t) })
+					return b.String()
+				})
+			case op < 95:
+				what = "ExpireAll, LiveTuples, SizeBytes"
+				each(func(sd side) string {
+					sd.store.ExpireAll(now)
+					return fmt.Sprint(sd.store.LiveTuples(), sd.store.SizeBytes())
+				})
+			case op < 97:
+				what = "Expire " + tbName
+				each(func(sd side) string { sd.store.Get(tbName).Expire(now); return "" })
+			default:
+				// An OverLog delete rule: every row about this tuple.
+				what = "Delete " + tbName
+				shape := map[string][2]int{RuleExecTable: {7, 3}, TupleTable: {5, 1}, TupleLogTable: {6, 4}}[tbName]
+				fields := make([]tuple.Value, shape[0]) // arity; the zero Value is the wildcard
+				fields[shape[1]] = tuple.ID(tp.ID)
+				pattern := tuple.New(tbName, fields...)
+				each(func(sd side) string { return fmt.Sprint(sd.store.Get(tbName).Delete(pattern, now)) })
+			}
+			if trial%2 == 0 {
+				// Half the trials read constantly (rows are built one at a
+				// time and mostly die built), half rarely (most records
+				// die unbuilt). Count carries no clock: it must not age
+				// anything on either side.
+				what += ", then the counts"
+				each(func(sd side) string {
+					var b strings.Builder
+					for _, name := range tables {
+						fmt.Fprint(&b, " ", sd.store.Get(name).Count())
+					}
+					return b.String()
+				})
+			}
+			// The memo is visible without reading a table.
+			what += ", then the memo"
+			each(func(sd side) string {
+				var b strings.Builder
+				fmt.Fprintf(&b, "size %d:", sd.tr.MemoSize())
+				for id := uint64(1); id <= pool; id++ {
+					if c, ok := sd.tr.Content(id); ok {
+						fmt.Fprintf(&b, " %d=%v", id, c)
+					}
+				}
+				return b.String()
+			})
+		}
+		// Every table, in full, at the end.
+		for _, name := range tables {
+			if a, b := dump(sides[0].store.Get(name), now), dump(sides[1].store.Get(name), now); a != b {
+				t.Fatalf("trial %d (cfg %+v): final %s differs:\nrings:\n%s\neager tables:\n%s", trial, cfg, name, a, b)
+			}
+		}
+	}
+}

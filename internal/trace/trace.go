@@ -5,13 +5,18 @@
 // provenance, and reference counting that flushes memoized tuples when
 // their last ruleExec reference disappears.
 //
-// Both ruleExec and tupleTable are ordinary soft-state tables registered
-// in the node's store, so OverLog queries — like the execution profiler
-// of §3.2 — can read them like any other state.
+// ruleExec, tupleTable and tupleLog are ordinary soft-state tables
+// registered in the node's store, so OverLog queries — like the
+// execution profiler of §3.2 — can read them like any other state. They
+// are virtual, though: the tracer keeps the trace as typed records (ring)
+// and a tuple memo, and builds the rows a table is missing when the
+// table is read (table.SetSync). Tracing a node nobody queries builds no
+// tuple.
 package trace
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 
 	"p2go/internal/dataflow"
 	"p2go/internal/table"
@@ -51,31 +56,41 @@ func DefaultConfig() Config {
 // Tracer is the per-node tracing element. It is driven synchronously by
 // the node's dataflow taps and is not safe for concurrent use.
 type Tracer struct {
-	local    string
-	cfg      Config
-	ruleExec *table.Table
-	tuples   *table.Table
+	local string
+	cfg   Config
 
-	// memo maps tuple IDs to their content and provenance while
-	// referenced from ruleExec.
-	memo map[uint64]*memoEntry
+	// execs holds the ruleExec records; each holds one reference on the
+	// memo entries of its two tuples and releases them when it dies.
+	execs ring[execRec]
+	// log holds the tupleLog records (no table: event logging disabled).
+	log ring[logRec]
+
+	// memo maps the ID of every tuple a live ruleExec record references
+	// to its entry in slots: content and provenance, held by value and
+	// recycled through free. tupleTable shows the entries in creation
+	// order: born numbers them, and those up to tuplesBuilt have their row.
+	memo        map[uint64]uint32
+	slots       []memoEntry
+	free        []uint32
+	tuples      *table.Table
+	born        uint64
+	tuplesBuilt uint64
+	fresh       []uint32 // scratch for fillTuples
+
 	// pending holds provenance for tuples seen during the current task
-	// that are not (yet) referenced.
-	pending map[uint64]prov
+	// that are not (yet) referenced. A task's IDs come from one counter,
+	// so while pendingDense holds, ID i sits at pending[i-pending[0].id].
+	pending      []pendingProv
+	pendingDense bool
 
 	records map[*dataflow.Strand][]*record
-
-	// tupleLog buffers arrival/insert/delete events (nil = disabled).
-	tupleLog *table.Table
-	seq      uint64
 
 	// pool recycles records across restarts (Reset returns them here).
 	pool []*record
 
 	// store, when attached, receives every trace record as a durable
-	// append — the forensic log that outlives the bounded soft-state
-	// tables above. onStore reports append/seal work for cost
-	// accounting.
+	// append — the forensic log that outlives the bounded soft state
+	// above. onStore reports append/seal work for cost accounting.
 	store   *tracestore.Store
 	onStore func(appended, sealed int)
 }
@@ -87,9 +102,37 @@ type prov struct {
 	dst     string
 }
 
+type pendingProv struct {
+	id uint64
+	prov
+}
+
 type memoEntry struct {
 	prov
+	id   uint64
 	refs int
+	born uint64
+	// lastOut is the newest ruleExec record whose effect is this tuple;
+	// with execRec.prevOut it chains the records that can share a key.
+	lastOut uint64
+}
+
+// execRec is one ruleExec row in the making; the time it was appended at
+// is the row's OutT.
+type execRec struct {
+	rule        string
+	inID, outID uint64
+	inT         float64
+	isEvent     bool
+	in, out     uint32 // memo slots of inID and outID, one reference each
+	prevOut     uint64 // previous record with the same outID, 0 if none
+}
+
+// logRec is one tupleLog row in the making; its ring sequence number is
+// the row's Seq.
+type logRec struct {
+	op, name string
+	id       uint64
 }
 
 // record is one tracer record (Figure 2): the observed input, the last
@@ -135,14 +178,31 @@ func New(store *table.Store, localAddr string, cfg Config) (*Tracer, error) {
 		return nil, err
 	}
 	tr := &Tracer{
-		local:    localAddr,
-		cfg:      cfg,
-		ruleExec: re,
-		tuples:   tt,
-		memo:     make(map[uint64]*memoEntry),
-		pending:  make(map[uint64]prov),
-		records:  make(map[*dataflow.Strand][]*record),
+		local:        localAddr,
+		cfg:          cfg,
+		tuples:       tt,
+		memo:         make(map[uint64]uint32),
+		pendingDense: true,
+		records:      make(map[*dataflow.Strand][]*record),
 	}
+	// Reference counting: when a ruleExec record dies (TTL, eviction,
+	// replacement or delete), release the tuples it referenced.
+	tr.execs = newRing(re, tr.execRow, func(rec *execRec) {
+		tr.release(rec.in)
+		tr.release(rec.out)
+	})
+	re.SetSync(func(op table.SyncOp, now float64, t tuple.Tuple) {
+		if op == table.SyncDeleted {
+			tr.forgetExec(t)
+			return
+		}
+		tr.execs.sync(op, now)
+	})
+	tt.SetSync(func(op table.SyncOp, _ float64, _ tuple.Tuple) {
+		if op == table.SyncRead {
+			tr.fillTuples()
+		}
+	})
 	if cfg.TupleLogMax > 0 {
 		tl, err := store.Materialize(table.Spec{
 			Name:     TupleLogTable,
@@ -153,17 +213,17 @@ func New(store *table.Store, localAddr string, cfg Config) (*Tracer, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr.tupleLog = tl
+		tr.log = newRing(tl, tr.logRow, nil)
+		tl.SetSync(func(op table.SyncOp, now float64, t tuple.Tuple) {
+			if op == table.SyncDeleted {
+				if t.Arity() >= 2 {
+					tr.log.kill(t.Field(1).AsID())
+				}
+				return
+			}
+			tr.log.sync(op, now)
+		})
 	}
-	// Reference counting: when a ruleExec row dies (TTL or eviction),
-	// release the tuples it referenced.
-	re.Subscribe(func(op table.Op, t tuple.Tuple) {
-		if op != table.OpDelete || t.Arity() < 7 {
-			return
-		}
-		tr.release(t.Field(2).AsID())
-		tr.release(t.Field(3).AsID())
-	})
 	return tr, nil
 }
 
@@ -202,13 +262,36 @@ func (tr *Tracer) Register(id uint64, content tuple.Tuple, src string, srcID uin
 	if _, ok := tr.memo[id]; ok {
 		return
 	}
-	tr.pending[id] = prov{content: content, src: src, srcID: srcID, dst: dst}
+	if n := len(tr.pending); n > 0 && id != tr.pending[n-1].id+1 {
+		tr.pendingDense = false
+	}
+	tr.pending = append(tr.pending, pendingProv{id, prov{content: content, src: src, srcID: srcID, dst: dst}})
+}
+
+// findPending returns the provenance registered for id in this task.
+func (tr *Tracer) findPending(id uint64) (prov, bool) {
+	p := tr.pending
+	if tr.pendingDense {
+		if n := uint64(len(p)); n > 0 && id-p[0].id < n { // unsigned: also false below p[0].id
+			return p[id-p[0].id].prov, true
+		}
+		return prov{}, false
+	}
+	// Registered out of order, which the engine never does: the latest
+	// registration of an ID wins.
+	for i := len(p) - 1; i >= 0; i-- {
+		if p[i].id == id {
+			return p[i].prov, true
+		}
+	}
+	return prov{}, false
 }
 
 // TaskDone discards provenance for tuples that ended the task
 // unreferenced. Records persist across tasks (bounded per strand).
 func (tr *Tracer) TaskDone() {
 	clear(tr.pending)
+	tr.pending, tr.pendingDense = tr.pending[:0], true
 }
 
 // Input observes a tuple entering a rule strand.
@@ -365,24 +448,27 @@ func (tr *Tracer) StageDone(s *dataflow.Strand, stage int) {
 	}
 }
 
-// emitRuleExec inserts one ruleExec row and pins both referenced tuples
-// in tupleTable.
+// emitRuleExec appends one ruleExec record, which pins both referenced
+// tuples in the memo, with table.Insert's semantics on the ruleExec key
+// (rule, cause, effect, cause-was-event): expire, then replace a record
+// with the same key, else append and evict the oldest beyond the bound.
+// Killing records releases references; that is exactly the paper's
+// flushing behaviour.
 func (tr *Tracer) emitRuleExec(ruleID string, inID, outID uint64, inT, outT float64, isEvent bool) {
-	tr.addRef(inID, outT)
-	tr.addRef(outID, outT)
-	row := tuple.New(RuleExecTable,
-		tuple.Str(tr.local),
-		tuple.Str(ruleID),
-		tuple.ID(inID),
-		tuple.ID(outID),
-		tuple.Float(inT),
-		tuple.Float(outT),
-		tuple.Bool(isEvent),
-	)
-	// Insert can evict/replace rows, whose delete notifications release
-	// references; that is exactly the paper's flushing behaviour.
-	if _, err := tr.ruleExec.Insert(row, outT); err != nil {
-		panic(fmt.Sprintf("trace: ruleExec insert: %v", err)) // impossible: name matches
+	in, out := tr.addRef(inID), tr.addRef(outID)
+	tr.execs.expire(outT)
+	rec := execRec{rule: ruleID, inID: inID, outID: outID, inT: inT, isEvent: isEvent, in: in, out: out}
+	old := tr.findExec(&rec)
+	if s := tr.execs.slot(old); s != nil && s.rec.inT == inT && s.at == outT {
+		// The same row again: it keeps its place and (inserted at outT
+		// both times) its expiry, and takes no second pair of references.
+		tr.release(in)
+		tr.release(out)
+	} else {
+		tr.execs.kill(old) // same key, other times: the new row replaces it
+		rec.prevOut = tr.slots[out].lastOut
+		seq := tr.execs.push(outT, rec)
+		tr.slots[out].lastOut = seq
 	}
 	if tr.store != nil {
 		sealed := tr.store.AppendExec(tracestore.Exec{
@@ -392,77 +478,158 @@ func (tr *Tracer) emitRuleExec(ruleID string, inID, outID uint64, inT, outT floa
 	}
 }
 
-func (tr *Tracer) addRef(id uint64, now float64) {
-	if e, ok := tr.memo[id]; ok {
-		e.refs++
+// findExec returns the live record with rec's key, or 0. Records with
+// equal keys have equal effects, so only the chain hanging off the
+// effect's memo entry — the other causes of the same head tuple, a
+// handful — needs looking at.
+func (tr *Tracer) findExec(rec *execRec) uint64 {
+	seq := tr.slots[rec.out].lastOut
+	for {
+		s := tr.execs.slot(seq)
+		if s == nil {
+			return 0
+		}
+		if o := &s.rec; !s.dead && o.inID == rec.inID && o.isEvent == rec.isEvent && o.rule == rec.rule {
+			return seq
+		}
+		seq = s.rec.prevOut
+	}
+}
+
+// forgetExec follows an explicit delete of ruleExec row t (an OverLog
+// delete rule, say): the record behind it dies and releases its tuples.
+func (tr *Tracer) forgetExec(t tuple.Tuple) {
+	if t.Arity() < 7 {
 		return
 	}
-	p, ok := tr.pending[id]
+	rec := execRec{rule: t.Field(1).AsStr(), inID: t.Field(2).AsID(), outID: t.Field(3).AsID(), isEvent: t.Field(6).AsBool()}
+	var ok bool
+	if rec.out, ok = tr.memo[rec.outID]; ok {
+		tr.execs.kill(tr.findExec(&rec))
+	}
+}
+
+func (tr *Tracer) execRow(_ uint64, outT float64, r *execRec) tuple.Tuple {
+	return tuple.New(RuleExecTable,
+		tuple.Str(tr.local),
+		tuple.Str(r.rule),
+		tuple.ID(r.inID),
+		tuple.ID(r.outID),
+		tuple.Float(r.inT),
+		tuple.Float(outT),
+		tuple.Bool(r.isEvent),
+	)
+}
+
+// addRef takes one reference on tuple id, memoizing it on the first, and
+// returns its memo slot.
+func (tr *Tracer) addRef(id uint64) uint32 {
+	if i, ok := tr.memo[id]; ok {
+		tr.slots[i].refs++
+		return i
+	}
+	p, ok := tr.findPending(id)
 	if !ok {
 		// Unregistered tuple (tracing enabled mid-flight): synthesize
 		// local provenance.
 		p = prov{src: tr.local, srcID: id, dst: tr.local}
 	}
-	tr.memo[id] = &memoEntry{prov: p, refs: 1}
-	row := tuple.New(TupleTable,
-		tuple.Str(tr.local),
-		tuple.ID(id),
-		tuple.Str(p.src),
-		tuple.ID(p.srcID),
-		tuple.Str(p.dst),
-	)
-	if _, err := tr.tuples.Insert(row, now); err != nil {
-		panic(fmt.Sprintf("trace: tupleTable insert: %v", err))
+	var i uint32
+	if n := len(tr.free); n > 0 {
+		i, tr.free = tr.free[n-1], tr.free[:n-1]
+	} else {
+		i = uint32(len(tr.slots))
+		tr.slots = append(tr.slots, memoEntry{})
 	}
+	tr.born++
+	tr.slots[i] = memoEntry{prov: p, id: id, refs: 1, born: tr.born}
+	tr.memo[id] = i
+	return i
 }
 
-func (tr *Tracer) release(id uint64) {
-	e, ok := tr.memo[id]
-	if !ok {
+// release drops one reference on memo slot i; the last one flushes the
+// tuple from the memo and from tupleTable.
+func (tr *Tracer) release(i uint32) {
+	e := &tr.slots[i]
+	if e.refs--; e.refs > 0 {
 		return
 	}
-	e.refs--
-	if e.refs > 0 {
+	delete(tr.memo, e.id)
+	if e.born <= tr.tuplesBuilt {
+		tr.tuples.DeleteKey(tr.tupleRow(&memoEntry{id: e.id}))
+	}
+	*e = memoEntry{}
+	tr.free = append(tr.free, i)
+}
+
+func (tr *Tracer) tupleRow(e *memoEntry) tuple.Tuple {
+	return tuple.New(TupleTable,
+		tuple.Str(tr.local),
+		tuple.ID(e.id),
+		tuple.Str(e.src),
+		tuple.ID(e.srcID),
+		tuple.Str(e.dst),
+	)
+}
+
+// fillTuples inserts the tupleTable rows of the memo entries created
+// since the table was last read, oldest first (the order the eager
+// inserts of a tupleTable kept live would have had).
+func (tr *Tracer) fillTuples() {
+	if tr.born == tr.tuplesBuilt {
 		return
 	}
-	delete(tr.memo, id)
-	sample := tuple.New(TupleTable, tuple.Str(tr.local), tuple.ID(id), tuple.Str(""), tuple.ID(0), tuple.Str(""))
-	tr.tuples.DeleteKey(sample)
+	fresh := tr.fresh[:0]
+	for i := range tr.slots {
+		if e := &tr.slots[i]; e.refs > 0 && e.born > tr.tuplesBuilt {
+			fresh = append(fresh, uint32(i))
+		}
+	}
+	slices.SortFunc(fresh, func(a, b uint32) int { return cmp.Compare(tr.slots[a].born, tr.slots[b].born) })
+	tr.tuplesBuilt = tr.born
+	for _, i := range fresh {
+		tr.tuples.Insert(tr.tupleRow(&tr.slots[i]), 0) //nolint:errcheck // name always matches
+	}
+	tr.fresh = fresh[:0]
 }
 
 // Content returns the memoized tuple for an ID, if still referenced.
 func (tr *Tracer) Content(id uint64) (tuple.Tuple, bool) {
-	if e, ok := tr.memo[id]; ok {
-		return e.content, true
+	if i, ok := tr.memo[id]; ok {
+		return tr.slots[i].content, true
 	}
 	return tuple.Tuple{}, false
 }
 
-// Reset drops every piece of in-memory trace state — memoized
-// provenance, pending registrations, strand records — AND purges the
-// trace reflection tables themselves. The engine calls it when a node
-// restarts with soft-state loss. Clearing the tables here (idempotent
-// if the caller already wiped the store) is load-bearing, not
-// cosmetic: a restarted node reuses tuple IDs from 1, so a stale
-// pre-crash ruleExec row that expired later would fire the release
-// subscription against a reused ID and evict a live post-restart memo
-// entry. Records return to the pool for reuse; the event-log sequence
-// restarts. The attached trace store is deliberately NOT cleared — it
-// is the forensic record that must survive the restart — but gets a
-// "restart" marker so investigations can see the discontinuity.
+// Reset drops every piece of in-memory trace state — trace records,
+// memoized provenance, pending registrations, strand records — AND
+// purges the trace reflection tables themselves. The engine calls it
+// when a node restarts with soft-state loss. Forgetting the ruleExec
+// records here is load-bearing, not cosmetic: a restarted node reuses
+// tuple IDs from 1, so a stale pre-crash record that expired later would
+// release its references against a reused ID and evict a live
+// post-restart memo entry. Strand records return to the pool for reuse;
+// the event-log sequence restarts. The attached trace store is
+// deliberately NOT cleared — it is the forensic record that must survive
+// the restart — but gets a "restart" marker so investigations can see
+// the discontinuity.
 func (tr *Tracer) Reset(now float64) {
-	tr.ruleExec.Clear()
+	tr.execs.reset()
+	tr.execs.tb.Clear()
 	tr.tuples.Clear()
-	if tr.tupleLog != nil {
-		tr.tupleLog.Clear()
+	if tr.log.tb != nil {
+		tr.log.reset()
+		tr.log.tb.Clear()
 	}
-	tr.memo = make(map[uint64]*memoEntry)
-	tr.pending = make(map[uint64]prov)
+	clear(tr.memo)
+	clear(tr.slots)
+	tr.slots, tr.free = tr.slots[:0], tr.free[:0]
+	tr.born, tr.tuplesBuilt = 0, 0
+	tr.TaskDone()
 	for _, recs := range tr.records {
 		tr.pool = append(tr.pool, recs...)
 	}
 	tr.records = make(map[*dataflow.Strand][]*record)
-	tr.seq = 0
 	if tr.store != nil {
 		sealed := tr.store.AppendEvent(tracestore.Event{Op: "restart", Name: "", ID: 0, T: now})
 		tr.noteStore(1, sealed)
@@ -472,8 +639,8 @@ func (tr *Tracer) Reset(now float64) {
 // ForgetStrand drops the per-strand record state of an uninstalled
 // strand, so the tracer holds no reference to it. Already-emitted
 // ruleExec rows survive (they are execution history and age out by TTL);
-// memo references are owned by those rows, not by records, so nothing
-// leaks.
+// memo references are owned by those rows, not by strand records, so
+// nothing leaks.
 func (tr *Tracer) ForgetStrand(s *dataflow.Strand) {
 	delete(tr.records, s)
 }
@@ -508,12 +675,15 @@ func (tr *Tracer) LogEvent(op, name string, id uint64, now float64) {
 		sealed := tr.store.AppendEvent(tracestore.Event{Op: op, Name: name, ID: id, T: now})
 		tr.noteStore(1, sealed)
 	}
-	if tr.tupleLog == nil {
+	if tr.log.tb == nil {
 		return
 	}
-	tr.seq++
-	row := tuple.New(TupleLogTable,
-		tuple.Str(tr.local), tuple.ID(tr.seq), tuple.Str(op),
-		tuple.Str(name), tuple.ID(id), tuple.Float(now))
-	tr.tupleLog.Insert(row, now) //nolint:errcheck // name always matches
+	tr.log.expire(now)
+	tr.log.push(now, logRec{op: op, name: name, id: id})
+}
+
+func (tr *Tracer) logRow(seq uint64, at float64, r *logRec) tuple.Tuple {
+	return tuple.New(TupleLogTable,
+		tuple.Str(tr.local), tuple.ID(seq), tuple.Str(r.op),
+		tuple.Str(r.name), tuple.ID(r.id), tuple.Float(at))
 }

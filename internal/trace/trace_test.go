@@ -5,6 +5,7 @@ import (
 
 	"p2go/internal/dataflow"
 	"p2go/internal/table"
+	"p2go/internal/tracestore"
 	"p2go/internal/tuple"
 )
 
@@ -435,28 +436,114 @@ func TestResetPoolsRecords(t *testing.T) {
 	}
 }
 
-// TestWritePathAllocations pins two allocations the tracer's write path
-// used to make for nothing: a fresh pending map per task, and a slice of
-// removed rows per tupleTable flush that nobody read.
+// TestWritePathAllocations pins the write path's price: with a store
+// attached and nobody reading the reflection tables, tracing allocates
+// nothing in steady state — no tuple, no table row, no memo entry.
 func TestWritePathAllocations(t *testing.T) {
-	tr, _, _ := fixture(t, 0, DefaultConfig())
+	tr, _, s := fixture(t, 0, DefaultConfig())
 	noise := tup("noise", 42)
 	if n := testing.AllocsPerRun(200, func() {
 		register(tr, noise)
 		tr.TaskDone()
 	}); n != 0 {
-		t.Errorf("Register+TaskDone of an unreferenced tuple: %v allocs, want 0 (the pending map is reused)", n)
+		t.Errorf("Register+TaskDone of an unreferenced tuple: %v allocs, want 0 (the pending slice is reused)", n)
 	}
-	// One reference taken and dropped: the memo entry, the tupleTable
-	// row's fields and its hash bucket on the way in; nothing on the way
-	// out (the key sample the flush probes with stays on the stack).
+	// One reference taken and dropped: the memo slot is recycled.
 	if n := testing.AllocsPerRun(200, func() {
-		tr.addRef(7, 0)
-		tr.release(7)
-	}); n > 3 {
-		t.Errorf("addRef+release: %v allocs, want <= 3 (memo entry, row, bucket)", n)
+		tr.release(tr.addRef(7))
+	}); n > 1 {
+		t.Errorf("addRef+release: %v allocs, want <= 1", n)
 	}
 	if tr.MemoSize() != 0 || tr.tuples.Count() != 0 {
 		t.Errorf("cycle left %d memo entries, %d tupleTable rows", tr.MemoSize(), tr.tuples.Count())
+	}
+
+	// Steady state: rings full (both bounds reached), store segments
+	// rotating. A window's columns are sized from the window before, so
+	// only the sealed segment's encoding allocates; keep seals out of the
+	// measured runs with a window longer than they take.
+	tr.AttachStore(tracestore.New("n1", tracestore.Config{Enabled: true, WindowSeconds: 1e9, MaxSegments: 4}), nil)
+	id, now := uint64(100), 0.0
+	step := func() {
+		// Field-less tuples: building the tuples themselves must not count.
+		in, out := tuple.Tuple{Name: "ev", ID: id}, tuple.Tuple{Name: "head", ID: id + 1}
+		id += 2
+		now += 0.001
+		register(tr, in)
+		tr.LogEvent("arrive", "ev", in.ID, now)
+		tr.Input(s, in, now)
+		register(tr, out)
+		tr.Output(s, out, now)
+		tr.StageDone(s, 0)
+		tr.LogEvent("insert", "head", out.ID, now)
+		tr.TaskDone()
+	}
+	for i := 0; i < 3*DefaultConfig().RuleExecMax; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(2000, step); n != 0 {
+		t.Errorf("steady-state Output+LogEvent, store attached, no reader: %v allocs per task, want 0", n)
+	}
+	if got := tr.execs.tb.Count(); got != DefaultConfig().RuleExecMax {
+		t.Errorf("ruleExec rows on first read = %d, want the bound %d", got, DefaultConfig().RuleExecMax)
+	}
+}
+
+// TestReadBuildsOnlyNewRows pins what a read of a reflection table
+// costs: it builds the rows of the records appended since the previous
+// read — none for a second read in a row, and never more than the table
+// can hold however much was traced in between.
+func TestReadBuildsOnlyNewRows(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RuleExecMax, cfg.TupleLogMax = 50, 20
+	tr, store, s := fixture(t, 0, cfg)
+	built := map[string]int{}
+	for _, name := range []string{RuleExecTable, TupleTable, TupleLogTable} {
+		store.Get(name).Subscribe(func(op table.Op, tp tuple.Tuple) {
+			if op == table.OpInsert {
+				built[tp.Name]++
+			}
+		})
+	}
+	id, now := uint64(1), 0.0
+	trace := func(k int) {
+		for i := 0; i < k; i++ {
+			in, out := tup("ev", id), tup("head", id+1)
+			id += 2
+			now++
+			register(tr, in)
+			register(tr, out)
+			tr.Input(s, in, now)
+			tr.Output(s, out, now)
+			tr.StageDone(s, 0)
+			tr.LogEvent("insert", "head", out.ID, now)
+			tr.TaskDone()
+		}
+	}
+	read := func() {
+		for _, name := range []string{RuleExecTable, TupleTable, TupleLogTable} {
+			store.Get(name).Scan(now, func(tuple.Tuple) {})
+		}
+	}
+	for _, c := range []struct{ appends, execs, tuples, events int }{
+		{appends: 7, execs: 7, tuples: 14, events: 7},
+		{appends: 0},
+		{appends: 1, execs: 1, tuples: 2, events: 1},
+		{appends: 1000, execs: 50, tuples: 100, events: 20}, // the bounds, not the traffic
+		{appends: 0},
+	} {
+		clear(built)
+		trace(c.appends)
+		if len(built) != 0 {
+			t.Fatalf("tracing %d activations with nobody reading built rows: %v", c.appends, built)
+		}
+		read()
+		if built[RuleExecTable] != c.execs || built[TupleTable] != c.tuples || built[TupleLogTable] != c.events {
+			t.Errorf("read after %d activations built %v, want %d ruleExec, %d tupleTable, %d tupleLog rows",
+				c.appends, built, c.execs, c.tuples, c.events)
+		}
+	}
+	if got := store.Get(RuleExecTable).Count(); got != 50 {
+		t.Errorf("ruleExec holds %d rows, want the bound 50", got)
 	}
 }

@@ -187,8 +187,18 @@ func (st *Store) rotate(t float64) int {
 	if w <= st.active.window {
 		return 0
 	}
+	// Traffic changes little from one window to the next: start the new
+	// window's columns at the size the last ones reached instead of
+	// regrowing them by doubling. New arrays, not the old ones emptied:
+	// an open View may still read the sealed window's (refs).
+	prev := st.active
 	n := st.seal()
-	st.active = &segment{window: w}
+	st.active = &segment{
+		window: w,
+		execs:  make([]Exec, 0, len(prev.execs)),
+		hops:   make([]Hop, 0, len(prev.hops)),
+		events: make([]Event, 0, len(prev.events)),
+	}
 	return n
 }
 

@@ -36,6 +36,43 @@ func TestRotationOnWindowBoundary(t *testing.T) {
 	}
 }
 
+// TestRotationSizesNextWindow: a new window's columns start at the size
+// the last window's reached, so steady traffic appends without regrowing
+// them — in arrays of their own: a View opened on the old window while it
+// was active still reads the old ones.
+func TestRotationSizesNextWindow(t *testing.T) {
+	st := New("n1", Config{WindowSeconds: 60})
+	for i := 0; i < 100; i++ {
+		st.AppendExec(exec("r1", uint64(i), uint64(i+1), 1, 2, true))
+		st.AppendEvent(Event{Op: "insert", Name: "succ", ID: uint64(i), T: 2})
+	}
+	v := NewView(map[string]*Store{"n1": st}, 0)
+	before, err := v.Execs(ExecFilter{Node: "n1"})
+	if err != nil || len(before) != 100 {
+		t.Fatalf("view of the active window: %d edges, %v", len(before), err)
+	}
+	old := &st.active.execs[0]
+	st.AppendHop(Hop{ID: 7, Src: "n2", SrcID: 3, Dst: "n1", T: 61}) // rotates
+	a := st.active
+	if cap(a.execs) != 100 || cap(a.events) != 100 || cap(a.hops) != 1 || len(a.execs) != 0 {
+		t.Fatalf("fresh window: cap execs/events/hops = %d/%d/%d, len execs %d; want 100/100/1 (the hop just added), 0",
+			cap(a.execs), cap(a.events), cap(a.hops), len(a.execs))
+	}
+	for i := 0; i < 100; i++ {
+		st.AppendExec(exec("r2", 1, 2, 61, 62, false))
+	}
+	if cap(a.execs) != 100 {
+		t.Errorf("refilling the window to last window's size regrew the column to %d", cap(a.execs))
+	}
+	if &a.execs[0] == old {
+		t.Fatal("the new window reuses the sealed window's array")
+	}
+	after, err := v.Execs(ExecFilter{Node: "n1"})
+	if err != nil || !reflect.DeepEqual(before, after) {
+		t.Fatalf("open view changed under rotation: %d edges then %d, %v", len(before), len(after), err)
+	}
+}
+
 // TestRotationSkipsEmptyWindows: a long quiet gap produces no empty
 // sealed segments.
 func TestRotationSkipsEmptyWindows(t *testing.T) {
