@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check cover bench bench-e2e bench-smoke bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-intranode bench-forensics bench-scale bench-aggtree bench-realtime fuzz examples tidy
+.PHONY: build test check cover bench bench-e2e bench-smoke bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-forensics bench-scale bench-aggtree bench-realtime fuzz examples tidy
 
 build:
 	go build ./...
@@ -69,13 +69,6 @@ bench-profiler:
 # writes BENCH_agg.json.
 bench-agg:
 	go run ./cmd/p2bench -exp agg -json
-
-# Intra-node strand scheduling: ExecSingle vs ExecMulti over a worker
-# sweep on one wide fan-out node, fingerprint-checked against the
-# sequential run and composed with both simnet drivers; writes
-# BENCH_intranode.json.
-bench-intranode:
-	go run ./cmd/p2bench -exp intranode -json
 
 # Durable trace store forensics: traced churn with the store off vs on
 # (write overhead, bytes/record, restart markers), ancestor-query latency

@@ -16,7 +16,6 @@
 //	p2bench -exp scenario -scenario f.txt   # replay a fault scenario file
 //	p2bench -exp trace          # export a causal Chrome trace + Prometheus scrape
 //	p2bench -exp profiler       # stats-publication overhead on the churn run
-//	p2bench -exp intranode      # intra-node strand scheduler speedup sweep
 //	p2bench -exp forensics      # durable trace store: overhead + lineage queries
 //	p2bench -exp scale          # 100/1k/10k-host sweep: bytes/host + events/sec
 //	p2bench -exp aggtree        # in-network aggregation trees vs flat collection
@@ -44,13 +43,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, smoke, ablation, churn, lifecycle, scenario, trace, profiler, intranode, forensics, scale, aggtree, realtime, all")
+		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, smoke, ablation, churn, lifecycle, scenario, trace, profiler, forensics, scale, aggtree, realtime, all")
 		seed     = flag.Int64("seed", 42, "random seed")
 		parallel = flag.Bool("parallel", false, "run rings on the conservative parallel simnet driver")
 		workers  = flag.Int("workers", 0, "parallel worker pool size (0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "also write each experiment's result to BENCH_<exp>.json")
 		scenario = flag.String("scenario", "", "fault scenario file for -exp scenario (see internal/faults.Parse)")
-		quick    = flag.Bool("quick", false, "shrink -exp lifecycle/trace/intranode/forensics/scale/aggtree to a smoke-sized run (CI)")
+		quick    = flag.Bool("quick", false, "shrink -exp lifecycle/trace/forensics/scale/aggtree to a smoke-sized run (CI)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		rtRate   = flag.Int("rate", 0, "-exp realtime: offered events/sec (0 = experiment default)")
@@ -226,20 +225,6 @@ func main() {
 			}
 			if res.AccountingErr != "" {
 				log.Fatal("per-query accounting invariant violated")
-			}
-			payload = res
-		case "intranode":
-			res, err := bench.Intranode(*seed, *quick)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("Intra-node: conflict-free strand scheduling, one wide fan-out per tick")
-			fmt.Println(res)
-			if !res.FingerprintOK {
-				log.Fatal("determinism contract violated: ExecMulti diverged from ExecSingle")
-			}
-			if !res.RingMatch {
-				log.Fatal("determinism contract violated: (ExecMode x simnet driver) rings disagree")
 			}
 			payload = res
 		case "forensics":

@@ -41,10 +41,6 @@ type ChurnConfig struct {
 	// Parallel/Workers select and size the parallel simnet driver.
 	Parallel bool
 	Workers  int
-	// ExecMode/NodeWorkers select and size each node's intra-node
-	// strand execution (engine.ExecMode); composes with Parallel.
-	ExecMode    engine.ExecMode
-	NodeWorkers int
 	// Detectors are monitoring programs installed on every node
 	// (typically monitor.RingProbeProgram and monitor.OscillationProgram);
 	// the harness installs them as queries "extra1", "extra2", ...
@@ -167,7 +163,6 @@ func RunChurn(cfg ChurnConfig) (*Ring, ChurnResult, error) {
 	r, err := NewRing(RingConfig{
 		N: cfg.N, Seed: cfg.Seed, LossProb: cfg.LossProb,
 		Parallel: cfg.Parallel, Workers: cfg.Workers,
-		ExecMode: cfg.ExecMode, NodeWorkers: cfg.NodeWorkers,
 		ExtraPrograms: cfg.Detectors,
 		StatsPeriod:   cfg.StatsPeriod,
 		Tracing:       cfg.Tracing,

@@ -91,7 +91,7 @@ func tracedStreams(t *testing.T) []string {
 	stores := make(map[string]*tracestore.Store, len(r.Addrs))
 	for _, a := range r.Addrs {
 		if stores[a] = r.Node(a).TraceStore(); stores[a] == nil {
-			t.Skip("trace store disabled")
+			t.Fatalf("%s: trace store configured but not attached", a)
 		}
 	}
 	v := tracestore.NewView(stores, 0)

@@ -38,13 +38,6 @@ type RingConfig struct {
 	Parallel bool
 	// Workers bounds the parallel worker pool (0 = GOMAXPROCS).
 	Workers int
-	// ExecMode selects each node's intra-node strand execution strategy
-	// (engine.ExecAuto/ExecSingle/ExecMulti); composes with Parallel,
-	// with bit-identical results across all combinations.
-	ExecMode engine.ExecMode
-	// NodeWorkers bounds each node's intra-node worker pool
-	// (0 = GOMAXPROCS).
-	NodeWorkers int
 	// OnWatch receives watched tuples (in addition to Ring.Watched).
 	OnWatch func(now float64, node string, t tuple.Tuple)
 	// ExtraPrograms are installed on every node after Chord (monitoring
@@ -173,16 +166,14 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	}
 	r := &Ring{Sim: simnet.NewSim(), noChord: cfg.NoChord}
 	r.Net = simnet.NewNetwork(r.Sim, simnet.Config{
-		Seed:        cfg.Seed,
-		LossProb:    cfg.LossProb,
-		MinDelay:    cfg.MinDelay,
-		MaxDelay:    cfg.MaxDelay,
-		Mode:        mode,
-		Workers:     cfg.Workers,
-		ExecMode:    cfg.ExecMode,
-		NodeWorkers: cfg.NodeWorkers,
-		Tracing:     cfg.Tracing,
-		TraceStore:  cfg.TraceStore,
+		Seed:       cfg.Seed,
+		LossProb:   cfg.LossProb,
+		MinDelay:   cfg.MinDelay,
+		MaxDelay:   cfg.MaxDelay,
+		Mode:       mode,
+		Workers:    cfg.Workers,
+		Tracing:    cfg.Tracing,
+		TraceStore: cfg.TraceStore,
 		OnWatch: func(now float64, node string, t tuple.Tuple) {
 			r.Watched = append(r.Watched, WatchedTuple{At: now, Node: node, T: t})
 			if cfg.OnWatch != nil {

@@ -13,30 +13,27 @@ import (
 func planSignature(n *engine.Node) string {
 	var b strings.Builder
 	for _, p := range n.Plans() {
-		fmt.Fprintf(&b, "%s|%s|%s/%d|ops=%d|vars=%d|%s|del=%v|stages=%d|fp=%+v\n",
+		fmt.Fprintf(&b, "%s|%s|%s/%d|ops=%d|vars=%d|%s|del=%v|stages=%d\n",
 			p.RuleID, p.Source, p.HeadName, len(p.HeadArgs), len(p.Ops),
-			p.NumVars, strings.Join(p.VarNames, ","), p.IsDelete, p.Stages, p.Footprint)
+			p.NumVars, strings.Join(p.VarNames, ","), p.IsDelete, p.Stages)
 	}
 	return b.String()
 }
 
 // TestSharedPlanIsolation drives one ring hard and asymmetrically —
-// intra-node parallel execution, the parallel simnet driver, a late
-// join, lookups on one node, a crash — and asserts that (a) every node
-// runs off the same shared *Plan pointers, (b) the shared plans'
-// contents never change while per-node strand state churns, and (c)
-// emissions are bit-identical to a ring planned privately per node
-// (P2GO_DISABLE_SHARED_PLANS path). Run under -race this also makes
-// the workers' concurrent reads of the shared plans checkable.
+// the parallel simnet driver, a late join, lookups on one node, a
+// crash — and asserts that (a) every node runs off the same shared
+// *Plan pointers, (b) the shared plans' contents never change while
+// per-node strand state churns, and (c) emissions are bit-identical to
+// a ring planned privately per node (engine.DisableSharedPlans). Run
+// under -race this also makes the workers' concurrent reads of the
+// shared plans checkable.
 func TestSharedPlanIsolation(t *testing.T) {
 	build := func(private bool) (*Ring, error) {
 		saved := engine.DisableSharedPlans
 		engine.DisableSharedPlans = private
 		defer func() { engine.DisableSharedPlans = saved }()
-		r, err := NewRing(RingConfig{
-			N: 8, Seed: 11, Parallel: true, Workers: 4,
-			ExecMode: engine.ExecMulti, NodeWorkers: 4,
-		})
+		r, err := NewRing(RingConfig{N: 8, Seed: 11, Parallel: true, Workers: 4})
 		if err != nil {
 			return nil, err
 		}

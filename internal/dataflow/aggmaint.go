@@ -12,7 +12,6 @@ package dataflow
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"p2go/internal/table"
@@ -22,17 +21,10 @@ import (
 // DisableIncrementalAggs forces every aggregate strand back to the
 // per-activation rescan path, mirroring DisableIndexedJoins. It exists
 // for the ablation benchmark quantifying what incremental maintenance
-// buys (bench -exp agg) and for the CI job that keeps the rescan path
-// green; production code never sets it. Not safe to flip while nodes
-// run. The environment variable P2GO_DISABLE_INCREMENTAL_AGGS sets it at
-// process start (used by CI).
+// buys (bench -exp agg) and for the differential tests that use the
+// rescan path as their reference; production code never sets it. Not
+// safe to flip while nodes run.
 var DisableIncrementalAggs bool
-
-func init() {
-	if os.Getenv("P2GO_DISABLE_INCREMENTAL_AGGS") != "" {
-		DisableIncrementalAggs = true
-	}
-}
 
 // contrib is one pipeline completion contributed by a primary-table row:
 // seq orders rows by arrival (matching the table's scan order), ord

@@ -83,12 +83,6 @@ func runBoth(t *testing.T, ctx *aggCtx, s *Strand, trig tuple.Tuple) []tuple.Tup
 
 func newAggCtx(t *testing.T, s *Strand, lifetime float64) (*aggCtx, *table.Table) {
 	t.Helper()
-	// These tests exercise the incremental machinery itself; pin the
-	// kill switch off so they stay meaningful under the CI job that
-	// sets P2GO_DISABLE_INCREMENTAL_AGGS for the rest of the suite.
-	prev := DisableIncrementalAggs
-	DisableIncrementalAggs = false
-	t.Cleanup(func() { DisableIncrementalAggs = prev })
 	store := table.NewStore()
 	tb, err := store.Materialize(table.Spec{Name: "tab", Lifetime: lifetime,
 		MaxSize: table.Infinity, Keys: []int{1, 2}})

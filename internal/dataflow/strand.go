@@ -178,10 +178,6 @@ type Plan struct {
 	// AggPlan is non-nil when the planner proved the aggregate eligible
 	// for incremental maintenance (see planner's analyzeAggMaint).
 	AggPlan *AggPlan
-	// Footprint is the static read/write table footprint (see
-	// footprint.go); the engine's intra-node scheduler consults it to
-	// run non-conflicting strands of one fan-out concurrently.
-	Footprint Footprint
 	// Stages is the number of stateful (join) stages.
 	Stages int
 }

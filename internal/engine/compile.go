@@ -2,9 +2,9 @@
 // identical nodes. At ring scale (1k-10k simulated hosts running the
 // same Chord program) per-node planning dominated install time and
 // per-node plans dominated steady-state memory — every node held its own
-// parsed rule ASTs, op pipelines, and footprints. CompileQuery produces
-// one immutable set of dataflow.Plans; InstallCompiledQuery wraps each
-// in a lightweight per-node Strand (scratch state only).
+// parsed rule ASTs and op pipelines. CompileQuery produces one immutable
+// set of dataflow.Plans; InstallCompiledQuery wraps each in a
+// lightweight per-node Strand (scratch state only).
 //
 // Correctness contract: a shared install must be bit-identical to a
 // private install. Compilation depends on exactly two node-local inputs:
@@ -12,14 +12,11 @@
 // the generated-label counter. CompileQuery records every environment
 // answer it observed and the number of labels it consumed;
 // InstallCompiledQuery re-derives both on the target node and silently
-// falls back to private planning on any mismatch. The
-// P2GO_DISABLE_SHARED_PLANS kill switch (mirroring
-// P2GO_DISABLE_INCREMENTAL_AGGS) forces the private path everywhere.
+// falls back to private planning on any mismatch.
 package engine
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"p2go/internal/dataflow"
@@ -30,17 +27,10 @@ import (
 
 // DisableSharedPlans forces InstallCompiledQuery back to per-node
 // private planning, mirroring DisableIncrementalAggs. It exists for the
-// scale benchmark's private-plan baseline and for the CI job that keeps
-// the fallback path green; production code never sets it. Not safe to
-// flip while nodes run. The environment variable
-// P2GO_DISABLE_SHARED_PLANS sets it at process start (used by CI).
+// scale benchmark's private-plan baseline and the differential tests
+// that use private planning as their reference; production code never
+// sets it. Not safe to flip while nodes run.
 var DisableSharedPlans bool
-
-func init() {
-	if os.Getenv("P2GO_DISABLE_SHARED_PLANS") != "" {
-		DisableSharedPlans = true
-	}
-}
 
 // envCheck is one materialization answer the compile-time environment
 // gave the planner. A target node replays these against its own store

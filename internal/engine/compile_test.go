@@ -34,20 +34,9 @@ materialize(stateT, infinity, infinity, keys(1,2)).
 s1 out@X(V) :- in@X(V), stateT@X(V).
 `
 
-// enableSharing pins the kill switch off for tests that assert the
-// sharing fast path, so they stay meaningful under the
-// P2GO_DISABLE_SHARED_PLANS CI job (which exercises the fallback).
-func enableSharing(t *testing.T) {
-	t.Helper()
-	saved := engine.DisableSharedPlans
-	engine.DisableSharedPlans = false
-	t.Cleanup(func() { engine.DisableSharedPlans = saved })
-}
-
 // TestInstallCompiledShares checks the fast path: a compatible node
 // installs the compiled query's plans by reference.
 func TestInstallCompiledShares(t *testing.T) {
-	enableSharing(t)
 	cq := mustCompile(t, sharedProg)
 	n := newBareNode(t)
 	if _, err := n.InstallCompiledQuery("q", cq); err != nil {
@@ -64,8 +53,8 @@ func TestInstallCompiledShares(t *testing.T) {
 	}
 }
 
-// TestInstallCompiledKillSwitch checks P2GO_DISABLE_SHARED_PLANS's
-// variable: with sharing disabled the node plans privately.
+// TestInstallCompiledKillSwitch checks engine.DisableSharedPlans: with
+// sharing disabled the node plans privately.
 func TestInstallCompiledKillSwitch(t *testing.T) {
 	saved := engine.DisableSharedPlans
 	engine.DisableSharedPlans = true
@@ -91,7 +80,6 @@ func TestInstallCompiledKillSwitch(t *testing.T) {
 // node where ext is a table must plan privately (there the rule joins
 // the table) rather than accept the mismatched shared plans.
 func TestInstallCompiledEnvMismatchFallsBack(t *testing.T) {
-	enableSharing(t)
 	// With ext an event this plans as an event-triggered strand; with
 	// ext a table it plans as a delta rule. Same source, different plan.
 	src := `e1 out@X(V) :- ext@X(V).`
@@ -136,7 +124,6 @@ func TestInstallCompiledEnvMismatchFallsBack(t *testing.T) {
 // must not share onto a node whose label counter has already advanced
 // (the generated IDs would differ from private planning's).
 func TestInstallCompiledLabelCounterFallsBack(t *testing.T) {
-	enableSharing(t)
 	unlabeled := `out@X(V) :- in@X(V).`
 	cq := mustCompile(t, unlabeled)
 
@@ -163,7 +150,6 @@ func TestInstallCompiledLabelCounterFallsBack(t *testing.T) {
 // consumes the same label numbers private planning would, so later
 // private installs continue the sequence without collisions.
 func TestInstallCompiledLabelCounterAdvances(t *testing.T) {
-	enableSharing(t)
 	cq := mustCompile(t, `out@X(V) :- in@X(V).`)
 	n := newBareNode(t)
 	if _, err := n.InstallCompiledQuery("first", cq); err != nil {

@@ -20,7 +20,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"math/rand"
@@ -156,20 +155,9 @@ type Config struct {
 	// OnNewPeriodic is invoked when installing a program registers a
 	// new periodic trigger, so the driver can schedule it.
 	OnNewPeriodic func(p *Periodic)
-	// ExecMode selects the intra-node strand execution strategy (see
-	// parallel.go). The zero value ExecAuto batches wide fan-outs onto
-	// the worker pool and may be overridden process-wide by the
-	// P2GO_EXEC_MODE environment variable; an explicit ExecSingle or
-	// ExecMulti always wins over the environment.
-	ExecMode ExecMode
-	// Workers bounds the intra-node worker pool used for fan-out
-	// batching; 0 means GOMAXPROCS. Results are bit-identical to
-	// sequential execution regardless of the worker count.
-	Workers int
 	// TraceStore, when non-nil and Enabled, gives the tracer a durable
 	// append-only trace store (forensic log); it has no effect unless
-	// tracing is enabled too. The P2GO_DISABLE_TRACESTORE environment
-	// variable force-disables it process-wide (kill switch).
+	// tracing is enabled too.
 	TraceStore *tracestore.Config
 	// ExtraObs, when non-nil, contributes driver-owned counters appended
 	// to ObsCounters — the realtime transport publishes its datagram and
@@ -264,11 +252,6 @@ type Node struct {
 	queue   []queued
 	qhead   int
 	scratch []byte // reusable marshal buffer for the send postamble
-	// deltaPlans/eventPlans cache the per-trigger fan-out conflict
-	// analysis (parallel.go); invalidated on install/uninstall.
-	deltaPlans  map[string]*fanoutPlan
-	eventPlans  map[string]*fanoutPlan
-	fanoutStats FanoutStats
 	// preamble holds the seed tuples injected via SeedLocal, in order;
 	// Rejoin replays them after a restart with soft-state loss (the
 	// bootstrap a real process re-runs when it comes back up).
@@ -287,9 +270,6 @@ func NewNode(cfg Config) *Node {
 	if cfg.Clock == nil {
 		cfg.Clock = func() float64 { return 0 }
 	}
-	if cfg.ExecMode == ExecAuto {
-		cfg.ExecMode = envExecMode
-	}
 	n := &Node{
 		cfg:          cfg,
 		store:        table.NewStore(),
@@ -302,8 +282,6 @@ func NewNode(cfg Config) *Node {
 		logSubs:      make(map[string]bool),
 		aggMaints:    make(map[*dataflow.Strand]*aggEntry),
 		perQuery:     make(map[string]*metrics.Query),
-		deltaPlans:   make(map[string]*fanoutPlan),
-		eventPlans:   make(map[string]*fanoutPlan),
 	}
 	n.sysStats = n.queryStats(SystemQuery)
 	n.curStats = n.sysStats
@@ -440,10 +418,6 @@ func (n *Node) HasQuery(id string) bool {
 	return ok
 }
 
-// traceStoreKilled reports the process-wide trace-store kill switch,
-// read once at startup like the other P2GO_* overrides.
-var traceStoreKilled = os.Getenv("P2GO_DISABLE_TRACESTORE") != ""
-
 // EnableTracing turns on execution logging: every strand's taps feed the
 // tracer, and ruleExec/tupleTable appear in the store. When
 // Config.TraceStore is set and enabled, the tracer additionally writes
@@ -460,7 +434,7 @@ func (n *Node) EnableTracing(cfg trace.Config) error {
 		return err
 	}
 	n.tracer = tr
-	if sc := n.cfg.TraceStore; sc != nil && sc.Enabled && !traceStoreKilled {
+	if sc := n.cfg.TraceStore; sc != nil && sc.Enabled {
 		st := tracestore.New(n.cfg.Addr, *sc)
 		tr.AttachStore(st, func(appended, sealed int) {
 			n.billOffline(float64(appended)*dataflow.CostStoreAppend +
@@ -565,26 +539,20 @@ func (n *Node) publishStats() {
 }
 
 // ObsCounters returns the observability extras published alongside the
-// metrics.Node counters: the intra-node scheduler's speculation
-// outcomes (FanoutStats) and the trace store's append/seal totals.
-// They deliberately live outside metrics.Node — FanoutStats differ
-// between ExecSingle and ExecMulti and the store counters between
-// store-on and store-off runs, so keeping them out of the node counters
-// (and the stats tables out of emissions fingerprints) preserves the
-// bit-identical determinism contract across those modes. The row set is
-// fixed regardless of configuration (zeros when a feature is off), so
-// publication itself is mode-invariant. All values are monotone.
+// metrics.Node counters: the trace store's append/seal totals. They
+// deliberately live outside metrics.Node — the store counters differ
+// between store-on and store-off runs, so keeping them out of the node
+// counters (and the stats tables out of emissions fingerprints)
+// preserves the bit-identical determinism contract across those modes.
+// The row set is fixed regardless of configuration (zeros when the store
+// is off), so publication itself is mode-invariant. All values are
+// monotone.
 func (n *Node) ObsCounters() []metrics.Counter {
-	fs := n.fanoutStats
 	var ss tracestore.Stats
 	if st := n.TraceStore(); st != nil {
 		ss = st.Stats()
 	}
 	cs := []metrics.Counter{
-		{Name: "FanoutCommitted", Prom: "fanout_committed", I: fs.Committed},
-		{Name: "FanoutAborted", Prom: "fanout_aborted", I: fs.Aborted},
-		{Name: "FanoutSeqSeconds", Prom: "fanout_seq_seconds", IsFloat: true, F: fs.SeqSeconds},
-		{Name: "FanoutParSeconds", Prom: "fanout_par_seconds", IsFloat: true, F: fs.ParSeconds},
 		{Name: "StoreAppends", Prom: "store_appends", I: ss.Appended()},
 		{Name: "StoreSealedSegments", Prom: "store_sealed_segments", I: ss.Sealed},
 		{Name: "StoreSealedRecords", Prom: "store_sealed_records", I: ss.SealedRecords},
@@ -785,7 +753,6 @@ func (n *Node) UninstallQuery(id string) error {
 	if !ok {
 		return fmt.Errorf("engine: query %q is not installed", id)
 	}
-	n.invalidateFanoutPlans()
 	for _, s := range q.strands {
 		switch s.Trigger.Kind {
 		case dataflow.TriggerEvent:
@@ -882,7 +849,6 @@ func (n *Node) genLabel() string {
 }
 
 func (n *Node) installStrand(s *dataflow.Strand, q *query) {
-	n.invalidateFanoutPlans()
 	switch s.Trigger.Kind {
 	case dataflow.TriggerEvent:
 		n.eventStrands[s.Trigger.Name] = append(n.eventStrands[s.Trigger.Name], s)
@@ -1128,11 +1094,15 @@ func (n *Node) processOne(q queued) {
 			return
 		}
 		if changed {
-			n.runStrands(fanoutDelta, t.Name, n.deltaStrands[t.Name], t)
+			for _, s := range n.deltaStrands[t.Name] {
+				n.runStrand(s, t)
+			}
 		}
 		return
 	}
-	n.runStrands(fanoutEvent, t.Name, n.eventStrands[t.Name], t)
+	for _, s := range n.eventStrands[t.Name] {
+		n.runStrand(s, t)
+	}
 }
 
 // runStrand runs one strand activation with its query's bucket receiving

@@ -18,8 +18,8 @@ import (
 //
 // extras are additional monotone counters rendered exactly like the
 // node counters, in slice order after them — the engine passes its
-// observability extras (engine.Node.ObsCounters: speculation and
-// trace-store totals) here, so the /metrics surface exposes counters
+// observability extras (engine.Node.ObsCounters: trace-store and
+// transport totals) here, so the /metrics surface exposes counters
 // that deliberately live outside metrics.Node.
 //
 // The realtime driver serves this from an HTTP /metrics endpoint (see

@@ -16,9 +16,9 @@ import (
 // along the chord tree overlay instead of funneling O(N) rows into one
 // collector. A query the split cannot take (group-by, multi-location
 // bodies) still deploys — as raw flat collection — with the
-// ineligibility reason logged, and planner.DisableAggTree
-// (P2GO_DISABLE_AGGTREE) forces every cluster query onto the flat
-// path for A/B debugging.
+// ineligibility reason logged, and planner.DisableAggTree forces every
+// cluster query onto the flat path as the reference tree mode is
+// checked against.
 
 // ClusterSpec is one cluster-wide aggregate monitoring query.
 type ClusterSpec struct {
@@ -101,7 +101,7 @@ func BuildCluster(spec ClusterSpec) (ClusterQuery, error) {
 			return ClusterQuery{}, fmt.Errorf("monitor: cluster %s: not splittable (%s) and not collectable: %w", spec.Name, aerr, err)
 		}
 	case planner.DisableAggTree:
-		q.Mode, q.Reason = ClusterFlat, "P2GO_DISABLE_AGGTREE is set"
+		q.Mode, q.Reason = ClusterFlat, "planner.DisableAggTree is set"
 		if src, err = a.Rewrite(cfg); err != nil {
 			return ClusterQuery{}, fmt.Errorf("monitor: cluster %s: %w", spec.Name, err)
 		}

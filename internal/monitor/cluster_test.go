@@ -9,18 +9,7 @@ import (
 	"p2go/internal/tuple"
 )
 
-// skipIfAggTreeDisabled skips tests that assert tree-mode planning when
-// the P2GO_DISABLE_AGGTREE kill switch is set (the CI aggtree-disabled
-// job): under the switch those queries legitimately deploy flat.
-func skipIfAggTreeDisabled(t *testing.T) {
-	t.Helper()
-	if planner.DisableAggTree {
-		t.Skip("P2GO_DISABLE_AGGTREE is set")
-	}
-}
-
 func TestBuildClusterModes(t *testing.T) {
-	skipIfAggTreeDisabled(t)
 	spec := ClusterSpec{Name: "livecount", Period: 3, Root: "n1", Source: `
 r1 clusterLive@M(count<*>) :- nodeStats@N(Ep, C, V), C == "BusySeconds".`}
 
@@ -46,7 +35,7 @@ r1 clusterLive@M(count<*>) :- nodeStats@N(Ep, C, V), C == "BusySeconds".`}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Mode != ClusterFlat || !strings.Contains(q.Reason, "P2GO_DISABLE_AGGTREE") {
+	if q.Mode != ClusterFlat || !strings.Contains(q.Reason, "DisableAggTree") {
 		t.Errorf("kill-switch mode = %s (%q), want flat", q.Mode, q.Reason)
 	}
 	if strings.Contains(q.Source, planner.TreeParentTable) {
@@ -95,7 +84,6 @@ func deployClusterEverywhere(t *testing.T, r *chord.Ring, q ClusterQuery) {
 // member count at the tree root, survives a member crash (the dead
 // subtree ages out of the aggregate) and recovers on rejoin.
 func TestClusterQueryOverTree(t *testing.T) {
-	skipIfAggTreeDisabled(t)
 	const n, period = 7, 3.0
 	r, err := chord.NewRing(chord.RingConfig{
 		N: n, Seed: 19, StatsPeriod: 2,
@@ -175,7 +163,6 @@ r1 clusterLive@M(count<*>) :- nodeStats@N(Ep, C, V), C == "BusySeconds".`})
 // TestClusterSuiteDeploys: the stock suite builds in tree mode and its
 // sum/max queries deliver plausible values at the root.
 func TestClusterSuiteDeploys(t *testing.T) {
-	skipIfAggTreeDisabled(t)
 	const n = 5
 	r, err := chord.NewRing(chord.RingConfig{
 		N: n, Seed: 29, StatsPeriod: 2,

@@ -50,8 +50,8 @@ func TestStatsProfilerMatchesEngineMetrics(t *testing.T) {
 	}
 
 	// The published counter set is the node counters plus the
-	// observability extras (FanoutStats, trace-store totals); all are
-	// monotone, so the same snapshot-window bound applies.
+	// observability extras (trace-store totals); all are monotone, so
+	// the same snapshot-window bound applies.
 	lowNode := make(map[string]float64)
 	highNode := make(map[string]float64)
 	for _, c := range snapA.Counters() {

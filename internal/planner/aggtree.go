@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -37,14 +36,13 @@ import (
 // the child's nodeEpoch incarnation so forensic queries can tell a
 // fresh-epoch row from a stale pre-crash one.
 
-// DisableAggTree is the aggregation-tree kill switch, set from the
-// P2GO_DISABLE_AGGTREE environment variable at process start. When set,
+// DisableAggTree is the aggregation-tree kill switch. When set,
 // planners and deployers fall back to flat collection (every node sends
-// its leaf partial straight to the collector) so operators can rule the
-// tree overlay in or out while debugging a monitoring discrepancy.
-// Tests and benchmarks toggle it directly, like
+// its leaf partial straight to the collector); the differential tests
+// and the aggtree benchmark use that as the reference the tree is
+// checked against. Production code never sets it, like
 // dataflow.DisableIncrementalAggs.
-var DisableAggTree = os.Getenv("P2GO_DISABLE_AGGTREE") != ""
+var DisableAggTree bool
 
 const (
 	// NodeEpochTable is the engine-owned incarnation table

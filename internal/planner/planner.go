@@ -20,7 +20,6 @@ package planner
 
 import (
 	"fmt"
-	"sort"
 
 	"p2go/internal/dataflow"
 	"p2go/internal/overlog"
@@ -366,44 +365,7 @@ func buildStrand(r *overlog.Rule, label string, env Env, preds []*overlog.Functo
 	if aggDelta && s.Agg != nil {
 		s.AggPlan = analyzeAggMaint(s, headAll, aggIdx)
 	}
-	s.Footprint = analyzeFootprint(s)
 	return s, nil
-}
-
-// analyzeFootprint computes a strand's static read/write table
-// footprint (see dataflow.Footprint): the tables its joins probe, the
-// table (or event) its head writes, and whether any expression calls an
-// impure builtin — in which case the engine pins the strand to
-// sequential execution, because f_now reads the micro-clock and
-// f_rand/f_randID advance the node's RNG cursor, both of which depend
-// on the exact sequential interleaving.
-func analyzeFootprint(s *dataflow.Plan) dataflow.Footprint {
-	fp := dataflow.Footprint{Write: s.HeadName}
-	seen := map[string]bool{}
-	for _, op := range s.Ops {
-		switch o := op.(type) {
-		case *dataflow.JoinOp:
-			if !seen[o.Table] {
-				seen[o.Table] = true
-				fp.Reads = append(fp.Reads, o.Table)
-			}
-		case *dataflow.CondOp:
-			if !pureExpr(o.Expr) {
-				fp.Impure = true
-			}
-		case *dataflow.AssignOp:
-			if !pureExpr(o.Expr) {
-				fp.Impure = true
-			}
-		}
-	}
-	for _, a := range s.HeadArgs {
-		if !pureExpr(a) {
-			fp.Impure = true
-		}
-	}
-	sort.Strings(fp.Reads)
-	return fp
 }
 
 // analyzeAggMaint decides whether an aggregate delta strand is eligible

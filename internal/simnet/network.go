@@ -48,14 +48,6 @@ type Config struct {
 	// Workers bounds the Parallel driver's worker pool; 0 means
 	// GOMAXPROCS. Ignored in Sequential mode.
 	Workers int
-	// ExecMode selects each node's intra-node strand execution strategy
-	// (engine.ExecAuto/ExecSingle/ExecMulti). Orthogonal to Mode: the
-	// two parallelism layers compose, and results are bit-identical
-	// across all four combinations.
-	ExecMode engine.ExecMode
-	// NodeWorkers bounds each node's intra-node worker pool; 0 means
-	// GOMAXPROCS.
-	NodeWorkers int
 	// Tracing, when non-nil, enables execution logging on every node.
 	Tracing *trace.Config
 	// TraceStore, when non-nil and Enabled, gives every traced node a
@@ -244,8 +236,6 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	cfg := engine.Config{
 		Addr:       addr,
 		Seed:       n.rng.Int63(),
-		ExecMode:   n.cfg.ExecMode,
-		Workers:    n.cfg.NodeWorkers,
 		TraceStore: n.cfg.TraceStore,
 		Clock:      func() float64 { return n.hostClock(h) },
 		Send: func(dst string, env engine.Envelope, at float64) {

@@ -535,22 +535,6 @@ func (tb *Table) Clear() {
 	tb.notify(OpClear, tuple.Tuple{Name: tb.spec.Name})
 }
 
-// SoonestExpiry returns the table's conservative lower bound on the
-// earliest row expiry, or +Inf when nothing can expire. Probing the
-// table at any time strictly before this bound is guaranteed not to
-// evict rows or fire delete listeners (the early return in
-// expireLocked) — the invariant the engine's speculative intra-node
-// scheduler relies on. Unlike NextExpiry it is O(1): the bound is
-// maintained incrementally and may be stale low (never high) after
-// TTL-refreshing re-inserts.
-func (tb *Table) SoonestExpiry() float64 {
-	if tb.spec.Lifetime < 0 {
-		return math.Inf(1)
-	}
-	tb.syncRead(math.Inf(-1))
-	return tb.soonest
-}
-
 // NextExpiry returns the earliest row expiry time, or +Inf when nothing
 // expires. The engine uses it to schedule expiry sweeps.
 func (tb *Table) NextExpiry() float64 {

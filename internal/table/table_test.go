@@ -207,10 +207,9 @@ func TestSetSync(t *testing.T) {
 		t.Fatalf("Scan+MatchIndexed visited %d rows, want 2 then 3", n)
 	}
 	tb.SizeBytes()
-	tb.SoonestExpiry()
 	tb.Expire(2)
 	tb.Delete(succ("n1", 1, "a"), 2)
-	want := []SyncOp{SyncRead, SyncRead, SyncRead, SyncRead, SyncRead, SyncExpire, SyncRead, SyncDeleted}
+	want := []SyncOp{SyncRead, SyncRead, SyncRead, SyncRead, SyncExpire, SyncRead, SyncDeleted}
 	if !slices.Equal(ops, want) {
 		t.Fatalf("callback ops = %v, want %v", ops, want)
 	}

@@ -103,8 +103,7 @@ func DefaultTraceConfig() TraceConfig { return trace.DefaultConfig() }
 // TraceStoreConfig tunes the durable trace store: the append-only,
 // window-partitioned log the tracer writes through, so causal lineage
 // survives table eviction and node restarts (set it on
-// NetworkConfig/ChordRingConfig; tracing must be enabled too). The
-// P2GO_DISABLE_TRACESTORE environment variable force-disables it.
+// NetworkConfig/ChordRingConfig; tracing must be enabled too).
 type TraceStoreConfig = tracestore.Config
 
 // DefaultTraceStoreConfig returns the store's default rotation and
