@@ -51,7 +51,7 @@ func main() {
 		scenario = flag.String("scenario", "", "fault scenario file for -exp scenario (see internal/faults.Parse)")
 		quick    = flag.Bool("quick", false, "shrink -exp lifecycle/trace/forensics/scale/aggtree to a smoke-sized run (CI)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		memProf  = flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
 		rtRate   = flag.Int("rate", 0, "-exp realtime: offered events/sec (0 = experiment default)")
 		rtPay    = flag.Int("payload", 0, "-exp realtime: payload bytes per event (0 = default 16)")
 		rtConns  = flag.Int("conns", 0, "-exp realtime: generator connections (0 = default 2)")
@@ -78,8 +78,10 @@ func main() {
 				log.Fatal(err)
 			}
 			defer f.Close()
-			runtime.GC() // settle live objects before the heap snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			runtime.GC() // publish the last cycle's samples
+			// The "allocs" profile holds the heap profile's samples but
+			// opens on everything allocated, not on what is live at exit.
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 				log.Fatal(err)
 			}
 		}()

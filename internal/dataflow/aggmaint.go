@@ -81,6 +81,10 @@ type AggMaint struct {
 	nextSeq    uint64
 	groups     map[uint64]*maintGroup
 	rows       map[uint64][]aggRow // primary-row content hash -> entries
+	// evalBuf receives each completion's group values; only a new
+	// group's are copied out. Nothing re-enters between the evaluation
+	// and that copy, so one buffer per accumulator is enough.
+	evalBuf []tuple.Value
 }
 
 // NewAggMaint creates an (invalid, empty) accumulator for s; the first
@@ -135,14 +139,15 @@ type aggCollector struct {
 
 func (c *aggCollector) complete(s *Strand, ctx Context, b Binding) {
 	ctx.Bill(CostEval) // parity with the rescan path's accumulate
-	groupVals, key, ok := s.evalGroup(ctx, b)
+	am := c.am
+	groupVals, key, ok := s.evalGroup(ctx, b, am.evalBuf)
+	am.evalBuf = groupVals
 	if !ok {
 		return
 	}
-	am := c.am
 	g := am.groups[key]
 	if g == nil {
-		g = &maintGroup{vals: groupVals, sumOK: true}
+		g = &maintGroup{vals: append([]tuple.Value(nil), groupVals...), sumOK: true}
 		am.groups[key] = g
 	}
 	rec := contrib{seq: c.seq, ord: len(c.keys)}
@@ -295,9 +300,10 @@ func (g *maintGroup) refold() {
 // runTrigger is the maintained replacement for the rescan: discover TTL
 // expiry at the trigger instant (streamed into the accumulator by the
 // listeners), rebuild by a single rescan if invalidated, then filter and
-// emit the maintained groups. Called from Strand.run with the trigger
-// binding b and the pre-evaluated EmitZero group (nil otherwise).
-func (am *AggMaint) runTrigger(ctx Context, b Binding, zero []tuple.Value) {
+// emit the maintained groups. Called from Strand.runAgg with the trigger
+// binding b and the activation's empty aggregation state, which carries
+// the pre-evaluated EmitZero group and serves the rescan fallback.
+func (am *AggMaint) runTrigger(ctx Context, b Binding, agg *aggState) {
 	s := am.s
 	ctx.Bill(CostAggEmit)
 	primary := ctx.Table(s.AggPlan.Primary)
@@ -318,13 +324,11 @@ func (am *AggMaint) runTrigger(ctx Context, b Binding, zero []tuple.Value) {
 	if !am.valid {
 		// Pathological churn kept invalidating the rebuild: fall back
 		// to a plain rescan for this activation.
-		agg := newAggState(s)
-		agg.zeroGroup = zero
 		s.exec(ctx, b, 0, agg)
 		s.flushAgg(ctx, agg)
 		return
 	}
-	am.emitGroups(ctx, b, zero)
+	am.emitGroups(ctx, b, agg.zeroGroup)
 }
 
 // rebuild reconstructs the accumulator with one rescan of the primary

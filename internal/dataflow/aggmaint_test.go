@@ -282,3 +282,63 @@ func BenchmarkStrandActivationIndexed(b *testing.B) {
 		s.Run(ctx, trig)
 	}
 }
+
+// clusterStrand: cluster@N(A, count<*>) :- probe@N(), tab@N(A, B), a
+// rescan aggregate (no AggPlan) with one group per distinct A.
+func clusterStrand() *Strand {
+	return &Strand{Plan: &Plan{
+		RuleID:  "a1",
+		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
+		NumVars: 3, VarNames: []string{"N", "A", "B"},
+		Ops: []Op{
+			&JoinOp{Table: "tab", Stage: 1, FieldSlots: []int{0, 1, 2}, FieldConsts: make([]tuple.Value, 3)},
+		},
+		HeadName: "cluster",
+		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "A"}, &overlog.Agg{Op: "count"}},
+		Agg:      &AggSpec{Op: "count", Slot: -1, ArgIndex: 2},
+		Stages:   1,
+	}}
+}
+
+// nestingCtx re-activates the strand from inside its first head
+// emission, the way a table-listener cascade re-enters a strand.
+type nestingCtx struct {
+	nullCtx
+	trig   tuple.Tuple
+	nested bool
+	heads  []tuple.Tuple
+}
+
+func (c *nestingCtx) EmitHead(s *Strand, t tuple.Tuple, _ bool) {
+	c.heads = append(c.heads, t)
+	if !c.nested {
+		c.nested = true
+		s.Run(c, c.trig)
+	}
+}
+
+// TestAggRescanNested: an activation nested inside another of the same
+// strand takes an aggregation state of its own, so both group correctly
+// and the outer one resumes undisturbed.
+func TestAggRescanNested(t *testing.T) {
+	ctx, _, _ := benchSetup(t, false) // tab: 64 rows, A = 0..7, 8 rows each
+	trig := tuple.New("probe", tuple.Str("n1"))
+	s := clusterStrand()
+	flat := &nestingCtx{nullCtx: nullCtx{store: ctx.store}, nested: true}
+	s.Run(flat, trig)
+	if len(flat.heads) != 8 || !flat.heads[3].Equal(tuple.New("cluster", tuple.Str("n1"), tuple.Int(3), tuple.Int(8))) {
+		t.Fatalf("flat activation emitted %v", flat.heads)
+	}
+	nest := &nestingCtx{nullCtx: nullCtx{store: ctx.store}, trig: trig}
+	s.Run(nest, trig)
+	// Outer group 0, the whole inner activation, then the outer's rest.
+	want := append(append([]tuple.Tuple{flat.heads[0]}, flat.heads...), flat.heads[1:]...)
+	if len(nest.heads) != len(want) {
+		t.Fatalf("nested run emitted %d heads, want %d: %v", len(nest.heads), len(want), nest.heads)
+	}
+	for i := range want {
+		if !nest.heads[i].Equal(want[i]) {
+			t.Errorf("nested run, head %d = %v, want %v", i, nest.heads[i], want[i])
+		}
+	}
+}

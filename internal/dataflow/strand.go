@@ -12,6 +12,7 @@ package dataflow
 
 import (
 	"fmt"
+	"sync"
 
 	"p2go/internal/overlog"
 	"p2go/internal/table"
@@ -330,51 +331,14 @@ func (s *Strand) run(ctx Context, trig tuple.Tuple, b Binding) {
 	}
 	ctx.TraceInput(s, trig)
 
-	var agg *aggState
-	var am *AggMaint
-	var zero []tuple.Value
-	if s.Agg != nil {
-		if s.AggPlan != nil && !DisableIncrementalAggs {
-			am = ctx.AggState(s)
-		}
-		if am == nil {
-			agg = newAggState(s)
-		}
-		if s.Agg.EmitZero {
-			// Pre-evaluate the group-by values from the trigger
-			// binding so an empty activation can emit count 0.
-			lookup := s.lookupFor(b)
-			zero = make([]tuple.Value, 0, len(s.HeadArgs)-1)
-			for i, e := range s.HeadArgs {
-				if i == s.Agg.ArgIndex {
-					continue
-				}
-				v, err := overlog.Eval(e, lookup, ctx)
-				if err != nil {
-					ctx.RuleError(s.RuleID, err)
-					return
-				}
-				zero = append(zero, v)
-			}
-			if agg != nil {
-				agg.zeroGroup = zero
-			}
-		}
-	}
-	if am != nil {
-		// Incremental path: no rescan; emit from the maintained
-		// accumulator (O(groups), not O(rows)).
-		am.runTrigger(ctx, b, zero)
+	if s.Agg == nil {
+		s.exec(ctx, b, 0, nil)
 	} else {
-		var done completion
-		if agg != nil {
-			done = agg
-		}
-		s.exec(ctx, b, 0, done)
-		// Aggregates emit before the completion signals: the output tap
-		// must observe them while the tracer record is still associated.
-		if agg != nil {
-			s.flushAgg(ctx, agg)
+		agg := aggPool.Get().(*aggState)
+		ok := s.runAgg(ctx, b, agg)
+		agg.release()
+		if !ok {
+			return
 		}
 	}
 	// Signal stage completions in pull order: the first stateful
@@ -384,6 +348,35 @@ func (s *Strand) run(ctx Context, trig tuple.Tuple, b Binding) {
 	for st := 1; st <= s.Stages; st++ {
 		ctx.TraceStageDone(s, st)
 	}
+}
+
+// runAgg is the aggregate half of an activation: fold the completed
+// bindings into groups (or read the maintained accumulator) and emit one
+// head per group. ok=false means evaluating the count-0 group failed and
+// the activation is abandoned.
+func (s *Strand) runAgg(ctx Context, b Binding, agg *aggState) (ok bool) {
+	var am *AggMaint
+	if s.AggPlan != nil && !DisableIncrementalAggs {
+		am = ctx.AggState(s)
+	}
+	if s.Agg.EmitZero {
+		// Pre-evaluate the group-by values from the trigger binding so
+		// an empty activation can emit count 0.
+		if agg.zeroGroup, ok = s.evalGroupVals(ctx, b, agg.zeroGroup[:0]); !ok {
+			return false
+		}
+	}
+	if am != nil {
+		// Incremental path: no rescan; emit from the maintained
+		// accumulator (O(groups), not O(rows)).
+		am.runTrigger(ctx, b, agg)
+		return true
+	}
+	s.exec(ctx, b, 0, agg)
+	// Aggregates emit before the completion signals: the output tap
+	// must observe them while the tracer record is still associated.
+	s.flushAgg(ctx, agg)
+	return true
 }
 
 // acquireProbe returns the index-probe value buffer for op i, reusing
@@ -613,30 +606,58 @@ func (s *Strand) emit(ctx Context, b Binding) {
 }
 
 // aggState accumulates per-group aggregate values for one activation.
+// Groups live by value in first-encounter order and their group-by
+// values back to back in one slice, so a recycled state folds and
+// flushes without allocating.
 type aggState struct {
-	groups    map[uint64]*aggGroup
-	order     []uint64
+	index     map[uint64]int // grouping key -> position in groups; made by the first group
+	groups    []aggGroup
+	vals      []tuple.Value // group i's values are vals[i*w:(i+1)*w], w = len(HeadArgs)-1
+	evalBuf   []tuple.Value // the binding being folded, before its group is known
 	zeroGroup []tuple.Value // group values for the count-0 emission
 }
 
 type aggGroup struct {
-	groupVals []tuple.Value // head args except the aggregate position
-	count     int64
-	minV      tuple.Value
-	maxV      tuple.Value
-	sum       float64
+	count int64
+	minV  tuple.Value
+	maxV  tuple.Value
+	sum   float64
 }
 
-func newAggState(*Strand) *aggState {
-	return &aggState{groups: make(map[uint64]*aggGroup)}
+// aggPool recycles aggregation states across every strand in the
+// process: an activation takes one and returns it emptied, so a nested
+// activation of the same strand simply takes another. Keeping a state on
+// each strand instead measured +4.3 MB live on the 1000-host join (some
+// seven aggregate strands a host, ~650 B each), for states that are idle
+// almost always.
+var aggPool = sync.Pool{New: func() any { return new(aggState) }}
+
+// aggPoolMaxGroups bounds what goes back to the pool: a state that grew
+// past it is left to the collector, so one wide activation neither pins
+// its arrays nor leaves a large map for every later release to clear.
+const aggPoolMaxGroups = 64
+
+func (a *aggState) release() {
+	if len(a.groups) > aggPoolMaxGroups {
+		return
+	}
+	clear(a.index)
+	a.groups = a.groups[:0]
+	a.vals = a.vals[:0]
+	aggPool.Put(a)
 }
 
-// evalGroup evaluates the group-by values (head args minus the aggregate
-// position) for a completed binding, with their grouping key. ok=false
-// means an evaluation error was reported and the binding is dropped.
-func (s *Strand) evalGroup(ctx Context, b Binding) (groupVals []tuple.Value, key uint64, ok bool) {
+// groupVals returns the group-by values of group i.
+func (a *aggState) groupVals(s *Strand, i int) []tuple.Value {
+	w := len(s.HeadArgs) - 1
+	return a.vals[i*w : (i+1)*w]
+}
+
+// evalGroupVals appends the group-by values (head args minus the
+// aggregate position) under binding b to buf. ok=false means an
+// evaluation error was reported.
+func (s *Strand) evalGroupVals(ctx Context, b Binding, buf []tuple.Value) (vals []tuple.Value, ok bool) {
 	lookup := s.lookupFor(b)
-	groupVals = make([]tuple.Value, 0, len(s.HeadArgs)-1)
 	for i, e := range s.HeadArgs {
 		if i == s.Agg.ArgIndex {
 			continue
@@ -644,9 +665,20 @@ func (s *Strand) evalGroup(ctx Context, b Binding) (groupVals []tuple.Value, key
 		v, err := overlog.Eval(e, lookup, ctx)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
-			return nil, 0, false
+			return buf, false
 		}
-		groupVals = append(groupVals, v)
+		buf = append(buf, v)
+	}
+	return buf, true
+}
+
+// evalGroup evaluates the group-by values for a completed binding into
+// buf, with their grouping key. The values alias buf: a caller that
+// keeps them (a new group) copies. ok=false means the binding is dropped.
+func (s *Strand) evalGroup(ctx Context, b Binding, buf []tuple.Value) (groupVals []tuple.Value, key uint64, ok bool) {
+	groupVals, ok = s.evalGroupVals(ctx, b, buf[:0])
+	if !ok {
+		return groupVals, 0, false
 	}
 	return groupVals, tuple.New("", groupVals...).Hash(), true
 }
@@ -654,16 +686,22 @@ func (s *Strand) evalGroup(ctx Context, b Binding) (groupVals []tuple.Value, key
 // accumulate folds one completed binding into its group.
 func (s *Strand) accumulate(ctx Context, b Binding, agg *aggState) {
 	ctx.Bill(CostEval)
-	groupVals, key, ok := s.evalGroup(ctx, b)
+	groupVals, key, ok := s.evalGroup(ctx, b, agg.evalBuf)
+	agg.evalBuf = groupVals
 	if !ok {
 		return
 	}
-	g, ok := agg.groups[key]
+	i, ok := agg.index[key]
 	if !ok {
-		g = &aggGroup{groupVals: groupVals}
-		agg.groups[key] = g
-		agg.order = append(agg.order, key)
+		if agg.index == nil {
+			agg.index = make(map[uint64]int)
+		}
+		i = len(agg.groups)
+		agg.index[key] = i
+		agg.groups = append(agg.groups, aggGroup{})
+		agg.vals = append(agg.vals, groupVals...)
 	}
+	g := &agg.groups[i]
 	g.count++
 	var av tuple.Value
 	if s.Agg.Slot >= 0 {
@@ -704,14 +742,14 @@ func avFloat(v tuple.Value) float64 {
 
 // flushAgg emits one head tuple per group at the end of the activation.
 func (s *Strand) flushAgg(ctx Context, agg *aggState) {
-	if len(agg.order) == 0 && s.Agg.EmitZero && s.Agg.Op == "count" {
+	if len(agg.groups) == 0 && s.Agg.EmitZero && s.Agg.Op == "count" {
 		// All group variables were bound by the trigger: emit count 0
 		// for that single group (snapshot rule sr9 relies on this).
 		s.emitAggGroup(ctx, agg.zeroGroup, tuple.Int(0))
 		return
 	}
-	for _, key := range agg.order {
-		g := agg.groups[key]
+	for i := range agg.groups {
+		g := &agg.groups[i]
 		var v tuple.Value
 		switch s.Agg.Op {
 		case "count":
@@ -728,7 +766,7 @@ func (s *Strand) flushAgg(ctx Context, agg *aggState) {
 		if v.IsNil() {
 			continue
 		}
-		s.emitAggGroup(ctx, g.groupVals, v)
+		s.emitAggGroup(ctx, agg.groupVals(s, i), v)
 	}
 }
 

@@ -226,3 +226,122 @@ func TestRejoinLosesSoftState(t *testing.T) {
 		t.Errorf("fault totals = %+v", ft)
 	}
 }
+
+// TestCrashBetweenArrivalAndTask: messages whose arrival event has run
+// but whose task is still queued die with the crashed host's queue
+// (uncounted, as TestCrashDiscardsQueuedTasks expects), messages still in
+// flight are dropped and counted on arrival, and the message records the
+// crash releases or abandons are never seen again through a stale
+// reference: the traffic that reuses them arrives intact and the revived
+// host processes nothing from before the crash.
+func TestCrashBetweenArrivalAndTask(t *testing.T) {
+	net, seen := buildHosts(t, Config{Seed: 4}, "a", "b", "c")
+	b := net.hosts["b"]
+	for i := int64(0); i < 50; i++ {
+		send(t, net, "a", "b", i)
+	}
+	// Stop once some messages have arrived and are waiting for b's CPU
+	// while others are still on the wire.
+	for len(b.queue)-b.qhead < 3 {
+		if !net.Sim().Step() {
+			t.Fatal("b never queued three tasks")
+		}
+	}
+	queued := len(b.queue) - b.qhead
+	handled := net.Node("b").Metrics().MsgsRecv
+	inFlight := 50 - int(handled) - queued
+	if handled == 0 || inFlight == 0 {
+		t.Fatalf("want a crash mid-burst: %d handled, %d queued, %d in flight", handled, queued, inFlight)
+	}
+	net.Crash("b")
+	// Traffic that takes over the records the crash frees: a floods c
+	// while b's in-flight messages land on a dead host.
+	for i := int64(100); i < 150; i++ {
+		send(t, net, "a", "c", i)
+	}
+	net.RunFor(5)
+	if got := net.Dropped(); got != int64(inFlight) {
+		t.Errorf("dropped = %d, want the %d messages in flight at the crash", got, inFlight)
+	}
+	if got := net.Node("b").Metrics().MsgsRecv; got != handled {
+		t.Errorf("crashed host handled messages: MsgsRecv %d -> %d", handled, got)
+	}
+	got := seen("c")
+	if len(got) != 50 {
+		t.Fatalf("c saw %d of its 50 tokens: %v", len(got), got)
+	}
+	for i, v := range got {
+		if v != int64(100+i) {
+			t.Fatalf("c's token %d = %d: a recycled record leaked another message", i, v)
+		}
+	}
+	net.Revive("b")
+	send(t, net, "a", "b", 999)
+	net.RunFor(5)
+	after := seen("b")
+	if len(after) != int(handled)+1 || after[len(after)-1] != 999 {
+		t.Fatalf("revived b saw %v, want its %d pre-crash tokens then 999", after, handled)
+	}
+	for i, v := range after[:handled] {
+		if v != int64(i) {
+			t.Errorf("b's pre-crash token %d = %d, want the FIFO prefix", i, v)
+		}
+	}
+}
+
+// TestCrashWithKickRetryPending: a crash while the host waits for its CPU
+// leaves the retry event in the heap. It must fire into an empty queue
+// without running anything, and neither the revived host's traffic nor
+// its timers may be doubled or lost because of it.
+func TestCrashWithKickRetryPending(t *testing.T) {
+	sim := NewSim()
+	net := NewNetwork(sim, Config{Seed: 13})
+	n, err := net.AddNode("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.InstallProgram(overlog.MustParse(tickProgram + forwardProgram)); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(3.5)
+	a := net.hosts["a"]
+	token := func(seq int64) {
+		t.Helper()
+		if err := net.Inject("a", tuple.New("token", tuple.Str("a"), tuple.Int(seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 20; i++ {
+		token(i) // the first runs at once and makes the CPU busy; the rest wait
+	}
+	if a.kickAt < 0 || len(a.queue)-a.qhead != 19 {
+		t.Fatalf("want a pending kick retry over 19 queued tasks, got kickAt=%v queue=%d", a.kickAt, len(a.queue)-a.qhead)
+	}
+	retryAt := a.kickAt
+	ticks := countTicks(net, "a")
+	work := n.Metrics().TuplesProcessed
+	net.Crash("a")
+	net.Run(retryAt + 1) // the orphaned retry and the dead timer chain both come due
+	if got := n.Metrics().TuplesProcessed; got != work {
+		t.Errorf("crashed host ran tasks: TuplesProcessed %d -> %d", work, got)
+	}
+	if a.kickAt >= 0 {
+		t.Errorf("retry did not fire: kickAt = %v", a.kickAt)
+	}
+	net.Revive("a")
+	token(77)
+	net.RunFor(10)
+	seen := 0
+	n.Store().Get("seen").Scan(sim.Now(), func(tp tuple.Tuple) {
+		if v := tp.Field(1).AsInt(); v != 0 && v != 77 {
+			t.Errorf("token %d ran: it was queued when the host crashed", v)
+		}
+		seen++
+	})
+	if seen != 2 {
+		t.Errorf("seen %d tokens, want 0 (ran before the crash) and 77", seen)
+	}
+	if rate := countTicks(net, "a") - ticks; rate < 8 || rate > 11 {
+		t.Errorf("revived host ticked %d times in 10s, want ~10", rate)
+	}
+}

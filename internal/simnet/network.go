@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"p2go/internal/engine"
 	"p2go/internal/metrics"
@@ -81,11 +82,12 @@ type link struct {
 }
 
 type host struct {
-	idx       int32 // position in Network.byIdx; tags this host's events
+	net       *Network
+	idx       int32 // position in Network.byIdx; the canonical host order
 	node      *engine.Node
 	addr      string
 	queue     []simTask
-	qhead     int // ring head: queue[:qhead] is consumed (and nil'd)
+	qhead     int // ring head: queue[:qhead] is consumed (and zeroed)
 	busyUntil float64
 	kickAt    float64 // time of the scheduled kick; <0 when none
 	down      bool
@@ -199,16 +201,16 @@ func subSeed(seed int64, parts ...string) int64 {
 	return int64(h.Sum64())
 }
 
-// schedule plans fn at absolute virtual time t on target's timeline.
+// schedule plans do at absolute virtual time t on target's timeline.
 // issuer is the host whose execution requested it (nil from driver
 // context); inside a parallel window the request is buffered on the
 // issuing worker and merged deterministically at the window barrier.
-func (n *Network) schedule(issuer, target *host, t float64, fn func()) {
+func (n *Network) schedule(issuer, target *host, t float64, do action) {
 	if issuer != nil && issuer.exec != nil {
-		issuer.exec.schedule(target, t, fn)
+		issuer.exec.schedule(target, t, do)
 		return
 	}
-	n.sim.at(t, target.idx, fn)
+	n.sim.at(t, target, do)
 }
 
 // hostClock is the node-facing clock: the time of the host's current
@@ -227,6 +229,7 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 		return nil, fmt.Errorf("simnet: node %s already exists", addr)
 	}
 	h := &host{
+		net:    n,
 		idx:    int32(len(n.byIdx)),
 		addr:   addr,
 		kickAt: -1,
@@ -270,17 +273,7 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	n.hosts[addr] = h
 	n.byIdx = append(n.byIdx, h)
 	n.addrsCache = nil
-	// Periodic soft-state sweeps.
-	var sweep func(at float64)
-	sweep = func(at float64) {
-		if !h.down {
-			n.enqueue(h, h.node.Sweep, at)
-		}
-		next := at + n.cfg.SweepInterval
-		n.schedule(h, h, next, func() { sweep(next) })
-	}
-	first := n.sim.Now() + n.cfg.SweepInterval
-	n.schedule(nil, h, first, func() { sweep(first) })
+	n.schedule(nil, h, n.sim.Now()+n.cfg.SweepInterval, sweep{})
 	return h.node, nil
 }
 
@@ -377,6 +370,9 @@ func (n *Network) GetLinkFault(src, dst string) LinkFault {
 // destinations short-circuit before touching the link stream — the
 // sender's OS would fail those sends without network activity.)
 func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64) {
+	if env.Src != src.addr {
+		panic(fmt.Sprintf("simnet: node %s sent an envelope stamped %q", src.addr, env.Src))
+	}
 	h, ok := n.hosts[dst]
 	if !ok || h.down || n.blocked[[2]string{src.addr, dst}] {
 		src.dropped++
@@ -432,58 +428,142 @@ func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64
 			}
 			lk.lastArrival = arrival
 		}
-		arr := arrival
-		sent := at
-		n.schedule(src, h, arr, func() {
-			if h.down {
-				h.dropped++
-				return
-			}
-			// The receiver observes the hop as the message lands: pure
-			// receiver-owned measurement, safe under the parallel driver
-			// and invisible to billing and determinism.
-			h.node.ObserveHop(arr - sent)
-			n.enqueue(h, func() float64 { return h.node.HandleMessage(env) }, arr)
-		})
+		m := messagePool.Get().(*message)
+		*m = message{src: src, id: env.SrcTupleID, raw: env.Raw, sent: at}
+		n.schedule(src, h, arrival, m)
 	}
 }
+
+// task is what a host's CPU runs: one engine transition. Like action,
+// every kind is a type of its own that fits the interface's two words.
+type task interface {
+	// run executes the task on h and returns its simulated CPU cost.
+	run(h *host) float64
+}
+
+// message is one envelope on its way to a host: the arrival event and
+// the CPU task it becomes point at the same record, so neither copies
+// the envelope. Records are recycled through messagePool: the sender's
+// execution takes one, the receiver's returns it once the engine has
+// handled the envelope (or the arrival found the host down). A record
+// discarded with a crashed host's queue is left to the collector.
+//
+// A stalled host queues these by the hundred thousand, so the size class
+// matters: the envelope's Src is kept as the sending host (deliver checks
+// it is that host's address, as the engine stamps it), 8 bytes for 16,
+// which makes the record 48 bytes where envelope plus send time is 64.
+type message struct {
+	src  *host
+	id   uint64  // Envelope.SrcTupleID
+	raw  []byte  // Envelope.Raw
+	sent float64 // node-local send time, for the hop-latency observation
+}
+
+// messagePool is shared by every network in the process: under the
+// parallel driver a record is taken on one worker and returned on
+// another, which an unsynchronised free list cannot do, and a sync.Pool
+// gives a burst's high-water mark back to the collector.
+var messagePool = sync.Pool{New: func() any { return new(message) }}
+
+func (m *message) release() {
+	*m = message{}
+	messagePool.Put(m)
+}
+
+func (m *message) fire(h *host, at float64) {
+	if h.down {
+		h.dropped++
+		m.release()
+		return
+	}
+	// The receiver observes the hop as the message lands: pure
+	// receiver-owned measurement, safe under the parallel driver and
+	// invisible to billing and determinism.
+	h.node.ObserveHop(at - m.sent)
+	h.net.enqueue(h, m, at)
+}
+
+func (m *message) run(h *host) float64 {
+	cost := h.node.HandleMessage(engine.Envelope{Src: m.src.addr, SrcTupleID: m.id, Raw: m.raw})
+	m.release()
+	return cost
+}
+
+// sweep is a host's soft-state expiry: the event re-arms itself every
+// SweepInterval for the life of the network (a down host skips the
+// work, not the chain) and queues itself as the task.
+type sweep struct{}
+
+func (s sweep) fire(h *host, at float64) {
+	n := h.net
+	if !h.down {
+		n.enqueue(h, s, at)
+	}
+	n.schedule(h, h, at+n.cfg.SweepInterval, s)
+}
+
+func (sweep) run(h *host) float64 { return h.node.Sweep() }
 
 // simTask is one queued CPU task plus the virtual time it entered the
 // queue, so task start can observe how long it waited (QueueWait).
 type simTask struct {
-	run func() float64
-	at  float64
+	at float64
+	do task
 }
 
 // enqueue adds a CPU task to the host's run queue and kicks the server.
 // now is the virtual time of the stimulus (the executing event's time).
-func (n *Network) enqueue(h *host, task func() float64, now float64) {
-	h.queue = append(h.queue, simTask{run: task, at: now})
+func (n *Network) enqueue(h *host, do task, now float64) {
+	h.queue = append(h.queue, simTask{at: now, do: do})
 	n.kick(h, now)
 }
 
-// takeTask pops the queue head. Consumed slots are nil'd and reclaimed
+// Run-queue housekeeping thresholds: the consumed prefix is compacted
+// away once it is queueCompactAt slots and at least as long as the live
+// rest, and a compaction or drain that leaves the live tasks under a
+// quarter of the capacity moves them to an array of twice their number
+// (queueMinCap at least) instead, so a join burst's high-water mark goes
+// back to the collector.
+const (
+	queueCompactAt = 64
+	queueMinCap    = 64
+)
+
+// takeTask pops the queue head. Consumed slots are zeroed and reclaimed
 // (head index plus compaction) rather than re-sliced away — a plain
-// h.queue = h.queue[1:] would pin every processed task closure in the
+// h.queue = h.queue[1:] would pin every processed task's record in the
 // backing array for the host's lifetime.
 func (h *host) takeTask() simTask {
 	task := h.queue[h.qhead]
 	h.queue[h.qhead] = simTask{}
 	h.qhead++
-	if h.qhead == len(h.queue) {
-		h.queue = h.queue[:0]
-		h.qhead = 0
-	} else if h.qhead >= 64 && h.qhead*2 >= len(h.queue) {
-		m := copy(h.queue, h.queue[h.qhead:])
-		h.queue = h.queue[:m]
-		h.qhead = 0
+	live := len(h.queue) - h.qhead
+	if live > 0 && (h.qhead < queueCompactAt || h.qhead < live) {
+		return task
 	}
+	if c := cap(h.queue); c > queueMinCap && live < c/4 {
+		h.queue = append(make([]simTask, 0, max(queueMinCap, 2*live)), h.queue[h.qhead:]...)
+	} else {
+		copy(h.queue, h.queue[h.qhead:])
+		clear(h.queue[h.qhead:]) // where the moved tasks were; the prefix was zeroed as it was consumed
+		h.queue = h.queue[:live]
+	}
+	h.qhead = 0
 	return task
 }
 
 func (h *host) clearQueue() {
 	h.queue = nil
 	h.qhead = 0
+}
+
+// kickRetry is the event that resumes a busy host's queue when its CPU
+// frees up.
+type kickRetry struct{}
+
+func (kickRetry) fire(h *host, at float64) {
+	h.kickAt = -1
+	h.net.kick(h, at)
 }
 
 // kick runs queued tasks if the host CPU is free, else schedules a retry
@@ -493,11 +573,7 @@ func (n *Network) kick(h *host, now float64) {
 	if h.busyUntil > now {
 		if h.kickAt < 0 || h.kickAt > h.busyUntil {
 			h.kickAt = h.busyUntil
-			at := h.busyUntil
-			n.schedule(h, h, at, func() {
-				h.kickAt = -1
-				n.kick(h, at)
-			})
+			n.schedule(h, h, h.busyUntil, kickRetry{})
 		}
 		return
 	}
@@ -516,7 +592,7 @@ func (n *Network) kick(h *host, now float64) {
 			wait = 0
 		}
 		h.node.ObserveQueueWait(wait, depth)
-		cost := task.run()
+		cost := task.do.run(h)
 		h.busyUntil = now + cost
 		if h.busyUntil > now && h.qhead < len(h.queue) {
 			// Still busy: resume when the CPU frees up.
@@ -533,19 +609,27 @@ func (n *Network) kick(h *host, now float64) {
 // incarnation: a crash bumps the epoch, so chains armed before it die
 // at their next firing and a revived host re-arms fresh ones.
 func (n *Network) schedulePeriodic(h *host, p *engine.Periodic) {
-	epoch := h.epoch
 	first := n.hostClock(h) + p.Period()*(0.05+0.95*h.rng.Float64())
-	var fire func(at float64)
-	fire = func(at float64) {
-		if h.down || h.epoch != epoch || p.Done() {
-			return
-		}
-		n.enqueue(h, func() float64 { return h.node.HandleTimer(p) }, at)
-		next := at + p.Period()
-		n.schedule(h, h, next, func() { fire(next) })
-	}
-	n.schedule(h, h, first, func() { fire(first) })
+	n.schedule(h, h, first, &periodicChain{p: p, epoch: h.epoch})
 }
+
+// periodicChain is one armed timer chain: allocated once when armed,
+// then every firing's event and timer task point at it.
+type periodicChain struct {
+	p     *engine.Periodic
+	epoch uint64 // the host incarnation the chain was armed for
+}
+
+func (c *periodicChain) fire(h *host, at float64) {
+	if h.down || h.epoch != c.epoch || c.p.Done() {
+		return
+	}
+	n := h.net
+	n.enqueue(h, c, at)
+	n.schedule(h, h, at+c.p.Period(), c)
+}
+
+func (c *periodicChain) run(h *host) float64 { return h.node.HandleTimer(c.p) }
 
 // rearmPeriodics arms a fresh timer chain for every live periodic
 // trigger of a revived host (the old chains died with the previous
@@ -565,9 +649,21 @@ func (n *Network) Inject(addr string, t tuple.Tuple) error {
 	if !ok {
 		return fmt.Errorf("simnet: no node %s", addr)
 	}
-	n.enqueue(h, func() float64 { return h.node.HandleLocal(t) }, n.sim.Now())
+	n.enqueue(h, &localTuple{t}, n.sim.Now())
 	return nil
 }
+
+// localTuple is a tuple injected at a node as a local event: InjectAt's
+// event and the task both point at it.
+type localTuple struct{ t tuple.Tuple }
+
+func (l *localTuple) fire(h *host, at float64) {
+	if !h.down {
+		h.net.enqueue(h, l, at)
+	}
+}
+
+func (l *localTuple) run(h *host) float64 { return h.node.HandleLocal(l.t) }
 
 // InjectAt schedules a local tuple delivery at absolute virtual time at.
 func (n *Network) InjectAt(at float64, addr string, t tuple.Tuple) error {
@@ -578,11 +674,7 @@ func (n *Network) InjectAt(at float64, addr string, t tuple.Tuple) error {
 	if at < n.sim.Now() {
 		at = n.sim.Now()
 	}
-	n.schedule(nil, h, at, func() {
-		if !h.down {
-			n.enqueue(h, func() float64 { return h.node.HandleLocal(t) }, at)
-		}
-	})
+	n.schedule(nil, h, at, &localTuple{t})
 	return nil
 }
 
@@ -620,10 +712,15 @@ func (n *Network) Rejoin(addr string) {
 	if h, ok := n.hosts[addr]; ok && h.down {
 		n.faultTotals.Rejoins++
 		h.down = false
-		n.enqueue(h, h.node.Rejoin, n.sim.Now())
+		n.enqueue(h, rejoin{}, n.sim.Now())
 		n.rearmPeriodics(h)
 	}
 }
+
+// rejoin is the task that replays a rejoining node's preamble.
+type rejoin struct{}
+
+func (rejoin) run(h *host) float64 { return h.node.Rejoin() }
 
 // Partition severs both directions between a and b; Heal restores them.
 func (n *Network) Partition(a, b string) {

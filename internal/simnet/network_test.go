@@ -17,12 +17,17 @@ f1 seen@N(Seq) :- token@N(Seq).
 
 func buildPair(t *testing.T, cfg Config) (*Network, func(addr string) []int64) {
 	t.Helper()
+	return buildHosts(t, cfg, "a", "b")
+}
+
+func buildHosts(t *testing.T, cfg Config, addrs ...string) (*Network, func(addr string) []int64) {
+	t.Helper()
 	sim := NewSim()
 	net := NewNetwork(sim, cfg)
 	prog := overlog.MustParse(forwardProgram + `
 f2 token@Dst(Seq) :- send@N(Dst, Seq).
 `)
-	for _, a := range []string{"a", "b"} {
+	for _, a := range addrs {
 		n, err := net.AddNode(a)
 		if err != nil {
 			t.Fatal(err)
@@ -241,6 +246,41 @@ func TestCrashDiscardsQueuedTasks(t *testing.T) {
 	for _, v := range seen("b") {
 		if v == 99 {
 			t.Error("InjectAt delivered to a crashed node")
+		}
+	}
+}
+
+// TestRunQueueGivesCapacityBack: a burst's run-queue array does not
+// outlive the burst. The queue shrinks as it drains, ends at the floor,
+// and the tasks still run in FIFO order.
+func TestRunQueueGivesCapacityBack(t *testing.T) {
+	net, seen := buildPair(t, Config{Seed: 4})
+	b := net.hosts["b"]
+	const burst = 3000
+	for i := int64(0); i < burst; i++ {
+		send(t, net, "a", "b", i)
+	}
+	peak := 0
+	for net.Sim().NextAt() < 600 && net.Sim().Step() {
+		live, c := len(b.queue)-b.qhead, cap(b.queue)
+		peak = max(peak, c)
+		if b.qhead == 0 && c > queueMinCap && live < c/4 {
+			t.Fatalf("queue holds %d tasks in %d slots after a compaction", live, c)
+		}
+	}
+	if peak < burst/2 {
+		t.Fatalf("burst never queued up: peak capacity %d", peak)
+	}
+	if c := cap(b.queue); c > queueMinCap {
+		t.Errorf("drained queue keeps %d slots, want at most %d", c, queueMinCap)
+	}
+	got := seen("b")
+	if len(got) != burst {
+		t.Fatalf("delivered %d of %d", len(got), burst)
+	}
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("FIFO violated at %d: %d", i, v)
 		}
 	}
 }

@@ -40,7 +40,6 @@ package simnet
 // a window reaching one is truncated so no host runs past it.
 
 import (
-	"container/heap"
 	"runtime"
 	"sort"
 	"sync"
@@ -48,33 +47,6 @@ import (
 
 	"p2go/internal/tuple"
 )
-
-// windowItem is one event on a host's window agenda.
-type windowItem struct {
-	at  float64
-	ord uint64
-	fn  func()
-}
-
-// windowHeap orders a host's agenda by (time, tie-order).
-type windowHeap []windowItem
-
-func (h windowHeap) Len() int { return len(h) }
-func (h windowHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].ord < h[j].ord
-}
-func (h windowHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *windowHeap) Push(x any)   { *h = append(*h, x.(windowItem)) }
-func (h *windowHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
 
 // spawnOrdBase orders events a host schedules for itself mid-window
 // after every event already pending when the window opened, matching the
@@ -85,8 +57,8 @@ const spawnOrdBase = uint64(1) << 32
 // deferredEvent is a scheduling request buffered during a window.
 type deferredEvent struct {
 	at     float64
-	host   int32 // target host index
-	fn     func()
+	h      *host // target host
+	do     action
 	srcIdx int32 // issuing host (canonical merge key)
 	srcOrd int   // issue order within the issuing host's window
 }
@@ -107,7 +79,9 @@ type hostExec struct {
 	h      *host
 	cutoff float64 // self-scheduled events below this run in-window...
 	until  float64 // ...but never past the Run horizon
-	agenda windowHeap
+	// agenda holds the window's events for this host, ordered like the
+	// global heap with the window-local tie-order in seq.
+	agenda eventHeap
 
 	nextOrd  uint64 // tie-order for events popped off the global heap
 	spawnOrd uint64 // tie-order for in-window self-scheduled events
@@ -122,14 +96,14 @@ type hostExec struct {
 // schedule buffers a request issued by this host's window execution.
 // Requests for the host itself that fall before the cutoff join the
 // window agenda; everything else waits for the barrier merge.
-func (ex *hostExec) schedule(target *host, t float64, fn func()) {
+func (ex *hostExec) schedule(target *host, t float64, do action) {
 	if target == ex.h && t < ex.cutoff && t <= ex.until {
-		heap.Push(&ex.agenda, windowItem{at: t, ord: spawnOrdBase + ex.spawnOrd, fn: fn})
+		ex.agenda.push(event{at: t, seq: spawnOrdBase + ex.spawnOrd, h: target, do: do})
 		ex.spawnOrd++
 		return
 	}
 	ex.deferred = append(ex.deferred, deferredEvent{
-		at: t, host: target.idx, fn: fn,
+		at: t, h: target, do: do,
 		srcIdx: ex.h.idx, srcOrd: len(ex.deferred),
 	})
 }
@@ -137,12 +111,12 @@ func (ex *hostExec) schedule(target *host, t float64, fn func()) {
 // run drains the host's agenda in (time, tie-order) sequence.
 func (ex *hostExec) run() {
 	for len(ex.agenda) > 0 {
-		it := heap.Pop(&ex.agenda).(windowItem)
-		if it.at > ex.maxAt {
-			ex.maxAt = it.at
+		e := ex.agenda.pop()
+		if e.at > ex.maxAt {
+			ex.maxAt = e.at
 		}
 		ex.execd++
-		it.fn()
+		e.do.fire(e.h, e.at)
 	}
 }
 
@@ -211,23 +185,24 @@ func (n *Network) runParallel(until float64) {
 	s := n.sim
 	active := n.activeBuf[:0]
 	for len(s.pq) > 0 && s.pq[0].at <= until {
-		if s.pq[0].host < 0 {
+		if s.pq[0].h == nil {
 			// Unattributed event: a barrier between windows.
 			s.Step()
 			continue
 		}
 		cutoff := s.pq[0].at + lookahead
 		active = active[:0]
-		for len(s.pq) > 0 && s.pq[0].at <= until && s.pq[0].at < cutoff && s.pq[0].host >= 0 {
-			e := heap.Pop(&s.pq).(event)
-			h := n.byIdx[e.host]
+		for len(s.pq) > 0 && s.pq[0].at <= until && s.pq[0].at < cutoff && s.pq[0].h != nil {
+			e := s.pq.pop()
+			h := e.h
 			ex := h.exec
 			if ex == nil {
 				ex = n.getExec(h, until)
 				h.exec = ex
 				active = append(active, h)
 			}
-			heap.Push(&ex.agenda, windowItem{at: e.at, ord: ex.nextOrd, fn: e.fn})
+			e.seq = ex.nextOrd
+			ex.agenda.push(e)
 			ex.nextOrd++
 			n.parStats.Events++
 		}
@@ -236,7 +211,7 @@ func (n *Network) runParallel(until float64) {
 		// An unattributed event inside the window caps how far hosts may
 		// run ahead locally: anything at or after it must be merged into
 		// the global heap and ordered against it.
-		if len(s.pq) > 0 && s.pq[0].host < 0 && s.pq[0].at < cutoff {
+		if len(s.pq) > 0 && s.pq[0].h == nil && s.pq[0].at < cutoff {
 			cutoff = s.pq[0].at
 		}
 		for _, h := range active {

@@ -10,39 +10,95 @@
 // (§3.3).
 package simnet
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
-// event is one scheduled callback. host attributes the event to the
-// simulated host whose state it touches (an index into Network.byIdx),
-// or -1 for unattributed events; the parallel driver may only run
-// host-attributed events concurrently.
-type event struct {
-	at   float64
-	seq  uint64 // tie-break: FIFO among simultaneous events
-	host int32
-	fn   func()
+// action is what a scheduled event does when its time comes. Every kind
+// of event is a type of its own (network.go: a message arrival, a kick
+// retry, a periodic firing, a sweep, an injection; here: a caller's
+// func), and each is pointer-shaped or empty, so an event carries it in
+// the interface's two words and scheduling one allocates nothing.
+type action interface {
+	// fire runs the event on h's timeline (nil for an unattributed
+	// event) at virtual time at.
+	fire(h *host, at float64)
 }
 
+// funcAction is the event behind the public Sim.At/After.
+type funcAction func()
+
+func (f funcAction) fire(*host, float64) { f() }
+
+// event is one scheduled action. h attributes the event to the simulated
+// host whose state it touches, or is nil for unattributed events; the
+// parallel driver may only run host-attributed events concurrently.
+type event struct {
+	at  float64
+	seq uint64 // tie-break: FIFO among simultaneous events
+	h   *host
+	do  action
+}
+
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events by (at, seq). seq is unique
+// within a heap, so the order is total and the pop sequence does not
+// depend on how the heap was built (push by push or init in bulk).
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
+
+func (h *eventHeap) pop() event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+	n := len(old) - 1
+	e := old[0]
+	old[0] = old[n]
+	old[n] = event{} // drop the references the vacated slot held
+	*h = old[:n]
+	h.down(0)
 	return e
+}
+
+// init establishes the heap order over arbitrary contents in O(n).
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h eventHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (h eventHeap) down(i int) {
+	for {
+		least := 2*i + 1
+		if least >= len(h) {
+			return
+		}
+		if r := least + 1; r < len(h) && h[r].before(&h[least]) {
+			least = r
+		}
+		if !h[least].before(&h[i]) {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // Sim is a discrete-event scheduler with a virtual clock in seconds.
@@ -60,15 +116,20 @@ func NewSim() *Sim { return &Sim{} }
 func (s *Sim) Now() float64 { return s.now }
 
 // At schedules fn at absolute virtual time t (clamped to now).
-func (s *Sim) At(t float64, fn func()) { s.at(t, -1, fn) }
+func (s *Sim) At(t float64, fn func()) { s.at(t, nil, funcAction(fn)) }
 
-// at schedules a host-attributed event (host < 0 means unattributed).
-func (s *Sim) at(t float64, host int32, fn func()) {
+// at schedules a host-attributed event (nil h means unattributed).
+func (s *Sim) at(t float64, h *host, do action) {
+	s.pq.push(s.stamp(t, h, do))
+}
+
+// stamp clamps t to now and assigns the next tie-break seq.
+func (s *Sim) stamp(t float64, h *host, do action) event {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	heap.Push(&s.pq, event{at: t, seq: s.seq, host: host, fn: fn})
+	return event{at: t, seq: s.seq, h: h, do: do}
 }
 
 // atBatch schedules a window's deferred events in one heap rebuild
@@ -84,19 +145,14 @@ func (s *Sim) atBatch(defs []deferredEvent) {
 	const rebuildThreshold = 32
 	if len(defs) < rebuildThreshold {
 		for _, d := range defs {
-			s.at(d.at, d.host, d.fn)
+			s.at(d.at, d.h, d.do)
 		}
 		return
 	}
 	for _, d := range defs {
-		t := d.at
-		if t < s.now {
-			t = s.now
-		}
-		s.seq++
-		s.pq = append(s.pq, event{at: t, seq: s.seq, host: d.host, fn: d.fn})
+		s.pq = append(s.pq, s.stamp(d.at, d.h, d.do))
 	}
-	heap.Init(&s.pq)
+	s.pq.init()
 }
 
 // After schedules fn d seconds from now.
@@ -107,10 +163,10 @@ func (s *Sim) Step() bool {
 	if len(s.pq) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.pq).(event)
+	e := s.pq.pop()
 	s.now = e.at
 	s.executed++
-	e.fn()
+	e.do.fire(e.h, e.at)
 	return true
 }
 

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -96,5 +97,74 @@ func TestRunUntilIdle(t *testing.T) {
 	}
 	if !math.IsInf(NewSim().NextAt(), 1) {
 		t.Error("empty sim NextAt must be +Inf")
+	}
+}
+
+// TestEventHeapOrder drives the scheduler with a seeded random mix of
+// single pushes, bulk loads on both sides of atBatch's rebuild threshold
+// and pops, on a coarse time grid so equal-at runs are common, and checks
+// every pop against a reference model: exactly (at, seq) order.
+func TestEventHeapOrder(t *testing.T) {
+	type pending struct {
+		at  float64
+		seq uint64
+	}
+	rng := rand.New(rand.NewSource(20))
+	s := NewSim()
+	var model []pending
+	var fired pending
+	var seq uint64
+	record := func(at float64) action {
+		if at < s.now {
+			at = s.now
+		}
+		seq++
+		p := pending{at, seq}
+		model = append(model, p)
+		return funcAction(func() { fired = p })
+	}
+	when := func() float64 { return s.now + float64(rng.Intn(4))*0.25 - 0.25 } // sometimes in the past: clamped
+	pops, bulk := 0, 0
+	for op := 0; op < 4000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 4:
+			at := when()
+			s.at(at, nil, record(at))
+		case r < 5:
+			defs := make([]deferredEvent, 1+rng.Intn(100))
+			for i := range defs {
+				at := when()
+				defs[i] = deferredEvent{at: at, do: record(at)}
+			}
+			if len(defs) >= 32 {
+				bulk++
+			}
+			s.atBatch(defs)
+		default:
+			if len(model) == 0 {
+				if s.Step() {
+					t.Fatal("Step ran an event the model does not hold")
+				}
+				continue
+			}
+			min := 0
+			for i, p := range model {
+				if p.at < model[min].at || p.at == model[min].at && p.seq < model[min].seq {
+					min = i
+				}
+			}
+			want := model[min]
+			model = append(model[:min], model[min+1:]...)
+			if !s.Step() || fired != want || s.now != want.at {
+				t.Fatalf("op %d: popped %+v at now=%v, want %+v", op, fired, s.now, want)
+			}
+			pops++
+		}
+		if s.Pending() != len(model) {
+			t.Fatalf("op %d: %d pending, model holds %d", op, s.Pending(), len(model))
+		}
+	}
+	if pops < 1000 || bulk < 100 {
+		t.Fatalf("weak run: %d pops, %d bulk rebuilds", pops, bulk)
 	}
 }

@@ -721,13 +721,7 @@ func samePositions(a, b []int) bool {
 }
 
 func (ix *index) keyOfRow(t tuple.Tuple) uint64 {
-	vals := make([]tuple.Value, len(ix.positions))
-	for i, p := range ix.positions {
-		if p < len(t.Fields) {
-			vals[i] = t.Fields[p]
-		}
-	}
-	return tuple.HashValues(vals)
+	return tuple.HashFieldsAt(t.Fields, ix.positions)
 }
 
 // EnsureIndex creates (or returns) a secondary index over the given

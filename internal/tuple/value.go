@@ -500,3 +500,18 @@ func HashValues(vs []Value) uint64 {
 	}
 	return h
 }
+
+// HashFieldsAt hashes the fields at the given 0-based positions, a
+// position past the end as Nil: HashValues of that projection without
+// building it.
+func HashFieldsAt(fields []Value, positions []int) uint64 {
+	h := uint64(FnvOffset64)
+	for _, p := range positions {
+		if p < len(fields) {
+			h = fields[p].hashFold(h)
+		} else {
+			h = Nil.hashFold(h)
+		}
+	}
+	return h
+}

@@ -80,6 +80,24 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	}
 }
 
+// TestHashFieldsAtMatchesProjection: an index bucket key computed from a
+// row (HashFieldsAt) must be the key a probe computes from the projected
+// values (HashValues), including a position past the row's arity.
+func TestHashFieldsAtMatchesProjection(t *testing.T) {
+	fields := []Value{Str("n1"), Int(7), Float(2.5), List(ID(9), Str("x"))}
+	for _, positions := range [][]int{{}, {0}, {3, 1}, {2, 2, 0}, {1, 4}, {9}} {
+		proj := make([]Value, len(positions))
+		for i, p := range positions {
+			if p < len(fields) {
+				proj[i] = fields[p]
+			}
+		}
+		if got, want := HashFieldsAt(fields, positions), HashValues(proj); got != want {
+			t.Errorf("positions %v: HashFieldsAt = %#x, HashValues of the projection = %#x", positions, got, want)
+		}
+	}
+}
+
 func TestCompareOrdering(t *testing.T) {
 	if Int(1).Compare(Int(2)) >= 0 {
 		t.Error("1 < 2")
