@@ -13,11 +13,14 @@ test:
 # simnet driver is exercised under -race by its determinism tests), then
 # the benchmark, which is a module of its own that `./...` does not
 # descend into: an internal/ API change that breaks it must fail here,
-# not when the benchmark is next run.
+# not when the benchmark is next run. The allocation gates assert what a
+# recycled sync.Pool entry saves, which the race build's pools cannot
+# show (their files are `//go:build !race`), so they get a run without it.
 check:
 	go build ./...
 	go vet ./...
 	go test -race ./...
+	go test -run 'Allocs' ./internal/...
 	go vet -C benchmark ./...
 	go test -C benchmark ./...
 

@@ -11,7 +11,9 @@
 package dataflow
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"p2go/internal/table"
@@ -83,8 +85,12 @@ type AggMaint struct {
 	rows       map[uint64][]aggRow // primary-row content hash -> entries
 	// evalBuf receives each completion's group values; only a new
 	// group's are copied out. Nothing re-enters between the evaluation
-	// and that copy, so one buffer per accumulator is enough.
+	// and that copy, so one buffer per accumulator is enough; likewise
+	// keys (the row applyInsert is expanding: its pipeline emits nothing)
+	// and sel (emitGroups' selection: EmitHead runs no strand).
 	evalBuf []tuple.Value
+	keys    []uint64
+	sel     []*maintGroup
 }
 
 // NewAggMaint creates an (invalid, empty) accumulator for s; the first
@@ -129,17 +135,10 @@ func (am *AggMaint) Apply(ctx Context, op table.Op, t tuple.Tuple) {
 	}
 }
 
-// aggCollector receives pipeline completions during applyInsert and the
-// rebuild scan, recording each as a contribution of row seq.
-type aggCollector struct {
-	am   *AggMaint
-	seq  uint64
-	keys []uint64
-}
-
-func (c *aggCollector) complete(s *Strand, ctx Context, b Binding) {
+// complete receives pipeline completions during applyInsert and the
+// rebuild scan, recording each as a contribution of row nextSeq.
+func (am *AggMaint) complete(s *Strand, ctx Context, b Binding) {
 	ctx.Bill(CostEval) // parity with the rescan path's accumulate
-	am := c.am
 	groupVals, key, ok := s.evalGroup(ctx, b, am.evalBuf)
 	am.evalBuf = groupVals
 	if !ok {
@@ -150,8 +149,8 @@ func (c *aggCollector) complete(s *Strand, ctx Context, b Binding) {
 		g = &maintGroup{vals: append([]tuple.Value(nil), groupVals...), sumOK: true}
 		am.groups[key] = g
 	}
-	rec := contrib{seq: c.seq, ord: len(c.keys)}
-	c.keys = append(c.keys, key)
+	rec := contrib{seq: am.nextSeq, ord: len(am.keys)}
+	am.keys = append(am.keys, key)
 	av := tuple.Nil
 	if s.Agg.Slot >= 0 {
 		av = b[s.Agg.Slot]
@@ -188,11 +187,11 @@ func (am *AggMaint) applyInsert(ctx Context, t tuple.Tuple) {
 	b, pooled := s.acquireBinding()
 	if bindFields(b, t, op0.FieldSlots, op0.FieldConsts, nil) {
 		am.nextSeq++
-		col := &aggCollector{am: am, seq: am.nextSeq}
-		s.exec(ctx, b, 1, col)
-		if len(col.keys) > 0 {
+		am.keys = nil // the last row's keys are that row's to keep
+		s.exec(ctx, b, 1, am)
+		if len(am.keys) > 0 {
 			h := t.Hash()
-			am.rows[h] = append(am.rows[h], aggRow{t: t, seq: col.seq, groups: col.keys})
+			am.rows[h] = append(am.rows[h], aggRow{t: t, seq: am.nextSeq, groups: am.keys})
 		}
 	}
 	if pooled {
@@ -407,7 +406,7 @@ func (am *AggMaint) valueOf(g *maintGroup) tuple.Value {
 // first-encounter order (ascending first live contribution).
 func (am *AggMaint) emitGroups(ctx Context, b Binding, zero []tuple.Value) {
 	s := am.s
-	var sel []*maintGroup
+	sel := am.sel[:0]
 	for _, g := range am.groups {
 		if am.passes(g, b) {
 			sel = append(sel, g)
@@ -419,12 +418,10 @@ func (am *AggMaint) emitGroups(ctx Context, b Binding, zero []tuple.Value) {
 		}
 		return
 	}
-	sort.Slice(sel, func(i, j int) bool {
-		a, b := sel[i].recs[0], sel[j].recs[0]
-		if a.seq != b.seq {
-			return a.seq < b.seq
-		}
-		return a.ord < b.ord
+	// A contribution belongs to one group, so (seq, ord) is a total order.
+	slices.SortFunc(sel, func(x, y *maintGroup) int {
+		a, b := x.recs[0], y.recs[0]
+		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.ord, b.ord))
 	})
 	for _, g := range sel {
 		v := am.valueOf(g)
@@ -433,4 +430,6 @@ func (am *AggMaint) emitGroups(ctx Context, b Binding, zero []tuple.Value) {
 		}
 		s.emitAggGroup(ctx, g.vals, v)
 	}
+	clear(sel) // a group deleted later must not stay pinned here
+	am.sel = sel[:0]
 }

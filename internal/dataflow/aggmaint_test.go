@@ -211,6 +211,7 @@ func TestAggMaintClearInvalidates(t *testing.T) {
 
 // nullCtx is an allocation-free Context for the activation benchmarks.
 type nullCtx struct {
+	headScratch
 	store *table.Store
 	heads int
 }
@@ -310,7 +311,7 @@ type nestingCtx struct {
 }
 
 func (c *nestingCtx) EmitHead(s *Strand, t tuple.Tuple, _ bool) {
-	c.heads = append(c.heads, t)
+	c.heads = append(c.heads, kept(t))
 	if !c.nested {
 		c.nested = true
 		s.Run(c, c.trig)

@@ -35,6 +35,12 @@ type Context interface {
 	// Bill charges cost seconds of simulated CPU work to the node.
 	Bill(seconds float64)
 
+	// HeadFields returns n zeroed values for a head tuple under
+	// construction. The storage is the context's and lives until the
+	// node's task ends: the strand fills it, hands the tuple to EmitHead
+	// and keeps nothing, and an EmitHead that keeps the tuple copies it.
+	HeadFields(n int) []tuple.Value
+
 	// AggState returns the persistent incremental accumulator for a
 	// strand the planner marked maintainable (s.AggPlan != nil), or nil
 	// to force the per-activation rescan path. The engine owns the
@@ -286,7 +292,7 @@ const (
 
 // completion receives each fully bound pipeline result: nil means emit a
 // head per binding; aggState folds bindings into per-activation groups;
-// aggCollector (aggmaint.go) records contributions into the persistent
+// AggMaint (aggmaint.go) records contributions into the persistent
 // accumulator.
 type completion interface {
 	complete(s *Strand, ctx Context, b Binding)
@@ -580,7 +586,7 @@ func unbind(b Binding, undo []int) {
 // emit builds and routes the head tuple for a completed binding.
 func (s *Strand) emit(ctx Context, b Binding) {
 	ctx.Bill(CostHead)
-	fields := make([]tuple.Value, len(s.HeadArgs))
+	fields := ctx.HeadFields(len(s.HeadArgs))
 	lookup := s.lookupFor(b)
 	for i, e := range s.HeadArgs {
 		if s.IsDelete {
@@ -601,8 +607,7 @@ func (s *Strand) emit(ctx Context, b Binding) {
 		}
 		fields[i] = v
 	}
-	t := tuple.New(s.HeadName, fields...)
-	ctx.EmitHead(s, t, s.IsDelete)
+	ctx.EmitHead(s, tuple.Tuple{Name: s.HeadName, Fields: fields}, s.IsDelete)
 }
 
 // aggState accumulates per-group aggregate values for one activation.
@@ -774,7 +779,7 @@ func (s *Strand) flushAgg(ctx Context, agg *aggState) {
 // aggregate result.
 func (s *Strand) emitAggGroup(ctx Context, groupVals []tuple.Value, av tuple.Value) {
 	ctx.Bill(CostHead)
-	fields := make([]tuple.Value, len(s.HeadArgs))
+	fields := ctx.HeadFields(len(s.HeadArgs))
 	j := 0
 	for i := range s.HeadArgs {
 		if i == s.Agg.ArgIndex {
@@ -784,6 +789,5 @@ func (s *Strand) emitAggGroup(ctx Context, groupVals []tuple.Value, av tuple.Val
 		fields[i] = groupVals[j]
 		j++
 	}
-	t := tuple.New(s.HeadName, fields...)
-	ctx.EmitHead(s, t, s.IsDelete)
+	ctx.EmitHead(s, tuple.Tuple{Name: s.HeadName, Fields: fields}, s.IsDelete)
 }

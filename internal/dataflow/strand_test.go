@@ -8,8 +8,25 @@ import (
 	"p2go/internal/tuple"
 )
 
+// headScratch is the fakes' head storage: one buffer every head is built
+// in, overwritten by the next — a shorter loan than the engine's
+// task-long one, so a strand that kept a head past EmitHead would show.
+type headScratch []tuple.Value
+
+func (h *headScratch) HeadFields(n int) []tuple.Value {
+	*h = append((*h)[:0], make([]tuple.Value, n)...)
+	return *h
+}
+
+// kept is what an EmitHead that keeps its tuple stores.
+func kept(t tuple.Tuple) tuple.Tuple {
+	t.Fields = append([]tuple.Value(nil), t.Fields...)
+	return t
+}
+
 // fakeCtx is a minimal Context for exercising strands directly.
 type fakeCtx struct {
+	headScratch
 	store  *table.Store
 	heads  []tuple.Tuple
 	dels   []tuple.Tuple
@@ -28,9 +45,9 @@ func (c *fakeCtx) Bill(float64)                   {}
 func (c *fakeCtx) AggState(*Strand) *AggMaint     { return nil }
 func (c *fakeCtx) EmitHead(s *Strand, t tuple.Tuple, isDelete bool) {
 	if isDelete {
-		c.dels = append(c.dels, t)
+		c.dels = append(c.dels, kept(t))
 	} else {
-		c.heads = append(c.heads, t)
+		c.heads = append(c.heads, kept(t))
 	}
 }
 func (c *fakeCtx) TraceInput(s *Strand, t tuple.Tuple)              { c.inputs = append(c.inputs, t) }

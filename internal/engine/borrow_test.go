@@ -1,0 +1,139 @@
+package engine_test
+
+import (
+	"fmt"
+	"testing"
+
+	"p2go/internal/engine"
+	"p2go/internal/overlog"
+	"p2go/internal/table"
+	"p2go/internal/trace"
+	"p2go/internal/tuple"
+)
+
+const borrowProgram = `
+materialize(item, infinity, infinity, keys(1,2)).
+materialize(low, infinity, infinity, keys(1)).
+watch(item).
+watch(low).
+i1 item@N(K, V) :- put@N(K, V).
+a1 low@N(min<V>) :- item@N(K, V).
+c1 noise@N(K, V) :- churn@N(K, V).
+`
+
+// held is a tuple some keeper got hold of, with a deep copy of what it
+// said at the time.
+type held struct {
+	via  string
+	t    tuple.Tuple
+	want tuple.Tuple
+}
+
+func hold(via string, t tuple.Tuple) held {
+	return held{via, t, tuple.Tuple{Name: t.Name, ID: t.ID, Fields: append([]tuple.Value(nil), t.Fields...)}}
+}
+
+// TestBorrowedTuplesAreCopied: every tuple a task builds lives in an
+// arena that is cleared when the task ends, so whatever outlives the
+// task — a watcher's tuple, a stored row, a listener's view of it, the
+// tracer's memo, an aggregate accumulator's rows — must be a copy. Tuples
+// captured through each of those doors still say what they said after a
+// thousand later tasks have reused the arena.
+func TestBorrowedTuplesAreCopied(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			var kept []held
+			n := engine.NewNode(engine.Config{Addr: "a", Seed: 1,
+				OnWatch:     func(_ float64, tp tuple.Tuple) { kept = append(kept, hold("OnWatch", tp)) },
+				OnRuleError: func(_ float64, rule string, err error) { t.Errorf("rule %s: %v", rule, err) },
+			})
+			if traced { // the rescan path; untraced, a1 is maintained incrementally
+				if err := n.EnableTracing(trace.Config{RuleExecTTL: 1e9, RuleExecMax: 1 << 20, RecordsPerStrand: 8}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.InstallProgram(overlog.MustParse(borrowProgram)); err != nil {
+				t.Fatal(err)
+			}
+			items := n.Store().Get("item")
+			items.Subscribe(func(op table.Op, tp tuple.Tuple) { kept = append(kept, hold("Subscribe", tp)) })
+
+			put := func(k int, v string) tuple.Tuple {
+				return tuple.New("put", tuple.Str("a"), tuple.Int(int64(k)), tuple.Str(v))
+			}
+			for k := 0; k < 8; k++ {
+				// Half arrive off the wire (decoded into the arena), half locally.
+				if k%2 == 0 {
+					n.HandleMessage(engine.Envelope{Src: "b", SrcTupleID: uint64(k + 1), Raw: tuple.Marshal(nil, put(k, fmt.Sprint("v", k)))})
+				} else {
+					n.HandleLocal(put(k, fmt.Sprint("v", k)))
+				}
+			}
+			n.HandleLocal(put(3, "replaced")) // a replacement: delete + insert notifications
+			items.Scan(0, func(tp tuple.Tuple) { kept = append(kept, hold("Scan", tp)) })
+			if traced {
+				memo := 0
+				for _, h := range kept {
+					if tp, ok := n.Tracer().Content(h.t.ID); ok && h.via == "OnWatch" {
+						if !tp.Equal(h.want) { // its task is over: the memo is on its own already
+							t.Errorf("tracer memo of tuple %d reads %v, the watcher saw %v", h.t.ID, tp, h.want)
+						}
+						kept = append(kept, hold("Tracer.Content", tp))
+						memo++
+					}
+				}
+				if memo == 0 {
+					t.Fatal("the tracer memoised none of the watched tuples")
+				}
+			}
+			doors := map[string]int{}
+			for _, h := range kept {
+				doors[h.via]++
+			}
+			if doors["OnWatch"] < 9 || doors["Subscribe"] < 10 || doors["Scan"] != 8 {
+				t.Errorf("captured %v, want every door used", doors)
+			}
+
+			for i := 0; i < 1000; i++ {
+				n.HandleLocal(tuple.New("churn", tuple.Str("a"), tuple.Int(int64(i)), tuple.Str("overwritten")))
+			}
+			for _, h := range kept {
+				if !h.t.Equal(h.want) {
+					t.Errorf("tuple kept through %s now reads %v, was %v", h.via, h.t, h.want)
+				}
+			}
+			// The accumulator (or the rescan) still sees the stored rows.
+			n.HandleLocal(put(9, "a-first"))
+			var low []tuple.Tuple
+			n.Store().Get("low").Scan(0, func(tp tuple.Tuple) { low = append(low, tp) })
+			if len(low) != 1 || !low[0].Equal(tuple.New("low", tuple.Str("a"), tuple.Str("a-first"))) {
+				t.Errorf("low = %v, want the minimum over the stored rows", low)
+			}
+		})
+	}
+}
+
+// TestBorrowedTupleNotCopiedReadsNil is the negative twin: a keeper that
+// holds on to task storage without copying finds it cleared when the task
+// has ended, and a Send that keeps env.Raw finds the next message in it.
+func TestBorrowedTupleNotCopiedReadsNil(t *testing.T) {
+	var raws [][]byte
+	n := engine.NewNode(engine.Config{Addr: "a", Seed: 1,
+		Send: func(_ string, env engine.Envelope, _ float64) { raws = append(raws, env.Raw) },
+	})
+	if err := n.InstallProgram(overlog.MustParse(`s1 out@Other(N, K) :- in@N(Other, K).`)); err != nil {
+		t.Fatal(err)
+	}
+	fields := n.HeadFields(2) // what a strand builds a head in
+	fields[0], fields[1] = tuple.Str("a"), tuple.Str("kept without a copy")
+	for k := int64(1); k <= 2; k++ {
+		n.HandleLocal(tuple.New("in", tuple.Str("a"), tuple.Str("b"), tuple.Int(k)))
+	}
+	if !fields[0].IsNil() || !fields[1].IsNil() {
+		t.Errorf("task storage survived the task: %v", fields)
+	}
+	first, _, err := tuple.Unmarshal(raws[0])
+	if err != nil || first.Field(2).AsInt() != 2 {
+		t.Errorf("the first send's Raw, kept without a copy, decodes to %v (%v); want the second message", first, err)
+	}
+}

@@ -20,9 +20,9 @@ package engine
 
 import (
 	"fmt"
-	"sort"
-
 	"math/rand"
+	"slices"
+	"sort"
 
 	"p2go/internal/dataflow"
 	"p2go/internal/metrics"
@@ -105,12 +105,17 @@ type Envelope struct {
 	Src string
 	// SrcTupleID is the tuple's node-unique ID at the sender.
 	SrcTupleID uint64
-	// Raw is the wire encoding of the tuple.
+	// Raw is the wire encoding of the tuple. It is borrowed: a sender's
+	// Raw is the node's marshal scratch, valid only until Send returns,
+	// and HandleMessage keeps nothing of the Raw it is given.
 	Raw []byte
 }
 
 // SendFunc transmits an envelope toward dst. at is the node-local virtual
-// time of the send (task start plus accumulated processing cost).
+// time of the send (task start plus accumulated processing cost). env.Raw
+// is borrowed for the duration of the call: a transport that holds the
+// bytes past its return copies them, one that drops the message copies
+// nothing.
 type SendFunc func(dst string, env Envelope, at float64)
 
 // Periodic is a registered periodic trigger; the driver owns scheduling.
@@ -148,7 +153,8 @@ type Config struct {
 	// Clock returns the current base virtual time in seconds. The
 	// driver sets it; defaults to a clock stuck at zero.
 	Clock func() float64
-	// OnWatch receives tuples of watched predicates.
+	// OnWatch receives tuples of watched predicates. The tuple is the
+	// callback's own copy: it may be kept past the task.
 	OnWatch func(now float64, t tuple.Tuple)
 	// OnRuleError receives runtime rule errors.
 	OnRuleError func(now float64, ruleID string, err error)
@@ -247,6 +253,7 @@ type Node struct {
 	queryCounter int
 	micro        float64 // cost accumulated within the current task
 	inTask       bool    // a Handle* task is on the stack
+	arena        *arena  // the current task's tuples; nil between tasks (arena.go)
 	// queue is the cascade queue, consumed as a ring: queue[:qhead] is
 	// already processed (and zeroed), the tail is pending. See drain.
 	queue   []queued
@@ -518,11 +525,11 @@ func (n *Node) publishStats() {
 	addr := tuple.Str(n.cfg.Addr)
 	epoch := tuple.Int(n.epoch)
 	for _, c := range n.met.Snapshot().Counters() {
-		n.reflect(tuple.New(NodeStatsTableName,
+		n.reflect(n.taskTuple(NodeStatsTableName,
 			addr, epoch, tuple.Str(c.Name), counterValue(c)), false)
 	}
 	for _, c := range n.ObsCounters() {
-		n.reflect(tuple.New(NodeStatsTableName,
+		n.reflect(n.taskTuple(NodeStatsTableName,
 			addr, epoch, tuple.Str(c.Name), counterValue(c)), false)
 	}
 	ids := make([]string, 0, len(n.perQuery))
@@ -532,7 +539,7 @@ func (n *Node) publishStats() {
 	sort.Strings(ids)
 	for _, id := range ids {
 		for _, c := range n.perQuery[id].Snapshot().Counters() {
-			n.reflect(tuple.New(QueryStatsTableName,
+			n.reflect(n.taskTuple(QueryStatsTableName,
 				addr, epoch, tuple.Str(id), tuple.Str(c.Name), counterValue(c)), false)
 		}
 	}
@@ -884,10 +891,23 @@ func (n *Node) runReflectTask() {
 	n.inTask = true
 	n.micro = 0
 	n.drain()
+	n.endTask()
+}
+
+// endTask is the one epilogue of every task: the tracer drops the
+// provenance nothing referenced, and the tuples the task built go back
+// with its arena — nothing may hold a borrowed tuple past this point.
+func (n *Node) endTask() {
 	if n.tracer != nil {
 		n.tracer.TaskDone()
 	}
+	n.releaseArena()
 	n.inTask = false
+}
+
+// taskTuple builds a tuple in the task's arena.
+func (n *Node) taskTuple(name string, fields ...tuple.Value) tuple.Tuple {
+	return tuple.Tuple{Name: name, Fields: append(n.HeadFields(len(fields))[:0], fields...)}
 }
 
 // ---- Driver entry points. Each runs one task and returns its cost. ----
@@ -896,8 +916,9 @@ func (n *Node) runReflectTask() {
 func (n *Node) HandleMessage(env Envelope) float64 {
 	n.met.MsgsRecv++
 	n.met.BytesRecv += int64(len(env.Raw))
-	t, _, err := tuple.Unmarshal(env.Raw)
+	t, err := n.taskArena().decode(env.Raw)
 	if err != nil {
+		n.releaseArena()
 		n.ruleError("net", fmt.Errorf("dropping undecodable message from %s: %w", env.Src, err))
 		return dataflow.CostMarshal
 	}
@@ -922,23 +943,20 @@ func (n *Node) HandleTimer(p *Periodic) float64 {
 	n.assignID(&trig, n.cfg.Addr, 0)
 	n.runStrand(p.Strand, trig)
 	n.drain()
-	if n.tracer != nil {
-		n.tracer.TaskDone()
-	}
-	n.inTask = false
+	n.endTask()
 	return n.micro
 }
 
 func (n *Node) periodicTuple(p *Periodic) tuple.Tuple {
 	trig := p.Strand.Trigger
-	fields := make([]tuple.Value, len(trig.FieldSlots))
+	fields := n.HeadFields(len(trig.FieldSlots))
 	fields[0] = tuple.Str(n.cfg.Addr)
 	fields[1] = tuple.ID(n.rng.Uint64())
 	fields[2] = tuple.Float(trig.Period)
 	if len(fields) >= 4 {
 		fields[3] = tuple.Int(int64(trig.Count))
 	}
-	return tuple.New("periodic", fields...)
+	return tuple.Tuple{Name: "periodic", Fields: fields}
 }
 
 // HandleLocal injects a tuple as if produced locally: seed state (node,
@@ -992,10 +1010,7 @@ func (n *Node) Rejoin() float64 {
 		n.queue = append(n.queue, queued{t: t.WithID(0), src: n.cfg.Addr})
 	}
 	n.drain()
-	if n.tracer != nil {
-		n.tracer.TaskDone()
-	}
-	n.inTask = false
+	n.endTask()
 	return n.micro
 }
 
@@ -1015,10 +1030,7 @@ func (n *Node) runTask(seed queued, startCost float64) float64 {
 	n.bill(startCost)
 	n.queue = append(n.queue, seed)
 	n.drain()
-	if n.tracer != nil {
-		n.tracer.TaskDone()
-	}
-	n.inTask = false
+	n.endTask()
 	return n.micro
 }
 
@@ -1042,6 +1054,7 @@ func (n *Node) drain() {
 			n.queue, n.qhead = n.queue[:0], 0
 		} else if n.qhead >= 64 && n.qhead*2 >= len(n.queue) {
 			m := copy(n.queue, n.queue[n.qhead:])
+			clear(n.queue[m:]) // where the moved tuples were: stale slots would pin them
 			n.queue, n.qhead = n.queue[:m], 0
 		}
 		n.processOne(q)
@@ -1069,7 +1082,9 @@ func (n *Node) processOne(q queued) {
 		// Delivering a watched tuple is CPU like any table op; between
 		// strands the bill lands in the system bucket.
 		n.bill(dataflow.CostWatch)
-		n.cfg.OnWatch(now, t)
+		w := t
+		w.Fields = slices.Clone(t.Fields) // the observer may keep it
+		n.cfg.OnWatch(now, w)
 	}
 	if n.tracer != nil {
 		n.tracer.LogEvent("arrive", t.Name, t.ID, now)
@@ -1398,8 +1413,8 @@ func (n *Node) EmitHead(s *dataflow.Strand, t tuple.Tuple, isDelete bool) {
 	}
 	// Network postamble: marshal into the node's scratch buffer (sized
 	// from the exact encoded size, so it never grows mid-append after
-	// warmup), then hand the envelope its own exact-size copy — the
-	// transport holds Raw beyond this task, so it cannot alias scratch.
+	// warmup) and lend it to Send: the transport copies what it holds
+	// beyond the call, so a message it drops is never copied at all.
 	// The marshal bills to the current bucket: during a strand run that
 	// is the emitting query, so the traffic a monitoring query generates
 	// (e.g. aggregation-tree partials) shows up in its own bill rather
@@ -1411,13 +1426,12 @@ func (n *Node) EmitHead(s *dataflow.Strand, t tuple.Tuple, isDelete bool) {
 		n.scratch = make([]byte, 0, sz)
 	}
 	n.scratch = tuple.Marshal(n.scratch[:0], t)
-	raw := append(make([]byte, 0, len(n.scratch)), n.scratch...)
 	n.met.MsgsSent++
-	n.met.BytesSent += int64(len(raw))
+	n.met.BytesSent += int64(len(n.scratch))
 	if n.cfg.Send == nil {
 		return
 	}
-	n.cfg.Send(dst, Envelope{Src: n.cfg.Addr, SrcTupleID: id, Raw: raw}, n.Now())
+	n.cfg.Send(dst, Envelope{Src: n.cfg.Addr, SrcTupleID: id, Raw: n.scratch}, n.Now())
 }
 
 // NumStrands returns the number of installed rule strands (the size of

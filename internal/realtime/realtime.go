@@ -23,6 +23,7 @@
 package realtime
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -169,6 +170,7 @@ func (n *Network) deliver(dst string, env engine.Envelope) {
 	if !ok {
 		return
 	}
+	env.Raw = bytes.Clone(env.Raw) // the sender's scratch; the queued task outlives Send
 	sentNanos := time.Now().UnixNano()
 	send := func() {
 		h.stats.datagramsRecv.Add(1)

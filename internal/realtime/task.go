@@ -18,8 +18,8 @@ import (
 //     closure per datagram);
 //   - receive buffers are pooled (*[]byte in a sync.Pool) and recycled
 //     by the executor after the engine has decoded the tuple out of
-//     them (tuple.Unmarshal copies/interns every byte it keeps, so the
-//     buffer is dead the moment HandleMessage returns);
+//     them (it decodes into its task arena and interns every string, so
+//     the buffer is dead the moment HandleMessage returns);
 //   - the executor drains up to taskBatch tasks per channel operation,
 //     reading the wall clock once per batch instead of once per task.
 //

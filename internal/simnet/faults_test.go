@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"p2go/internal/dataflow"
 	"p2go/internal/metrics"
 	"p2go/internal/overlog"
 	"p2go/internal/tuple"
@@ -24,6 +25,19 @@ func TestDroppedMessagesBillSendCPU(t *testing.T) {
 		for i := int64(0); i < 40; i++ {
 			send(t, net, "a", "b", i)
 		}
+		// A dropped send takes no record (and so copies no bytes): part
+		// way through the sends, before any arrival, records are in flight
+		// only if messages will be delivered.
+		net.Run(0.004)
+		inFlight := 0
+		for _, e := range net.sim.pq {
+			if _, ok := e.do.(*message); ok {
+				inFlight++
+			}
+		}
+		if dropping := loss > 0 || partitioned; (inFlight == 0) != dropping {
+			t.Errorf("loss=%v partitioned=%v: %d message records in flight", loss, partitioned, inFlight)
+		}
 		net.Run(10)
 		got := ""
 		for _, v := range seen("b") {
@@ -37,6 +51,9 @@ func TestDroppedMessagesBillSendCPU(t *testing.T) {
 	if len(seenAll) != 40 || seenNone != "" || seenCut != "" {
 		t.Fatalf("delivery sanity: %d delivered, %q lost, %q partitioned",
 			len(seenAll), seenNone, seenCut)
+	}
+	if delivered.MsgsSent != 40 || delivered.BusySeconds < 40*dataflow.CostMarshal {
+		t.Errorf("sender billed %+v for 40 sends, want CostMarshal each", delivered)
 	}
 	for _, m := range []metrics.Node{lost, cut} {
 		if m.BusySeconds != delivered.BusySeconds ||
@@ -80,6 +97,37 @@ func TestLinkFaultDuplicate(t *testing.T) {
 	net.SetLinkFault("a", "b", LinkFault{DupProb: 1})
 	for i := int64(0); i < 10; i++ {
 		send(t, net, "a", "b", i)
+	}
+	// All ten sends have run (the sender's marshal scratch has been reused
+	// nine times) and nothing has arrived yet: each in-flight record must
+	// own its bytes, the duplicate included.
+	net.Run(0.004)
+	copies := make(map[uint64][]*message)
+	for _, e := range net.sim.pq {
+		if m, ok := e.do.(*message); ok {
+			copies[m.id] = append(copies[m.id], m)
+		}
+	}
+	if len(copies) != 10 {
+		t.Fatalf("%d distinct messages in flight, want 10", len(copies))
+	}
+	tokens := make(map[int64]bool)
+	for id, ms := range copies {
+		if len(ms) != 2 {
+			t.Fatalf("message %d: %d copies in flight, want 2", id, len(ms))
+		}
+		if &ms[0].raw[0] == &ms[1].raw[0] {
+			t.Errorf("message %d: the duplicate shares the original's bytes", id)
+		}
+		a, _, errA := tuple.Unmarshal(ms[0].raw)
+		b, _, errB := tuple.Unmarshal(ms[1].raw)
+		if errA != nil || errB != nil || !a.Equal(b) || a.Name != "token" {
+			t.Fatalf("message %d: copies decode to %v (%v) and %v (%v)", id, a, errA, b, errB)
+		}
+		tokens[a.Field(1).AsInt()] = true
+	}
+	if len(tokens) != 10 {
+		t.Errorf("in-flight copies carry %d distinct tokens, want 10: a reused scratch leaked into them", len(tokens))
 	}
 	net.Run(5)
 	if got := len(seen("b")); got != 10 {

@@ -369,6 +369,10 @@ func (n *Network) GetLinkFault(src, dst string) LinkFault {
 // both properties. (Messages to dead, unknown, or partitioned
 // destinations short-circuit before touching the link stream — the
 // sender's OS would fail those sends without network activity.)
+//
+// env.Raw is the sender's marshal scratch, borrowed for this call: each
+// copy that is scheduled takes its bytes into its own message record, a
+// drop takes no record and copies nothing.
 func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64) {
 	if env.Src != src.addr {
 		panic(fmt.Sprintf("simnet: node %s sent an envelope stamped %q", src.addr, env.Src))
@@ -429,7 +433,7 @@ func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64
 			lk.lastArrival = arrival
 		}
 		m := messagePool.Get().(*message)
-		*m = message{src: src, id: env.SrcTupleID, raw: env.Raw, sent: at}
+		*m = message{src: src, id: env.SrcTupleID, raw: append(m.raw, env.Raw...), sent: at}
 		n.schedule(src, h, arrival, m)
 	}
 }
@@ -446,7 +450,11 @@ type task interface {
 // the envelope. Records are recycled through messagePool: the sender's
 // execution takes one, the receiver's returns it once the engine has
 // handled the envelope (or the arrival found the host down). A record
-// discarded with a crashed host's queue is left to the collector.
+// discarded with a crashed host's queue is left to the collector. The
+// record owns raw: deliver copies the sender's bytes into it, and release
+// keeps the buffer with the record for the next message unless it grew
+// past maxPooledRaw (frames are 60-120 B; a stalled ring queues half a
+// million records, so buffer slack is live heap).
 //
 // A stalled host queues these by the hundred thousand, so the size class
 // matters: the envelope's Src is kept as the sending host (deliver checks
@@ -465,8 +473,14 @@ type message struct {
 // gives a burst's high-water mark back to the collector.
 var messagePool = sync.Pool{New: func() any { return new(message) }}
 
+const maxPooledRaw = 256
+
 func (m *message) release() {
-	*m = message{}
+	raw := m.raw[:0]
+	if cap(raw) > maxPooledRaw {
+		raw = nil
+	}
+	*m = message{raw: raw}
 	messagePool.Put(m)
 }
 

@@ -59,7 +59,9 @@ const (
 )
 
 // Listener observes table changes. Listeners run synchronously inside the
-// mutation; they must not mutate the table reentrantly.
+// mutation; they must not mutate the table reentrantly. The tuple is the
+// table's stored row (never the caller's argument to Insert), so a
+// listener may keep it.
 type Listener func(op Op, t tuple.Tuple)
 
 type listenerEnt struct {
@@ -222,6 +224,9 @@ func (tb *Table) sameKey(a, b tuple.Tuple) bool {
 // Insert adds t at virtual time now (seconds). It returns true if the
 // table changed (new row or replacement), false if an identical row merely
 // had its TTL refreshed. Name mismatches are rejected with an error.
+// t is borrowed: a new or replacing row stores a copy of t.Fields (and
+// listeners see that copy), a refresh copies nothing, so the caller may
+// reuse the fields' storage once Insert returns.
 func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 	if t.Name != tb.spec.Name {
 		return false, fmt.Errorf("table %s: cannot insert %s tuple", tb.spec.Name, t.Name)
@@ -246,6 +251,7 @@ func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 			return false, nil
 		}
 		old := bucket[i].t
+		t.Fields = slices.Clone(t.Fields)
 		delete(tb.seqs, bucket[i].seq)
 		tb.seq++
 		bucket[i] = row{t: t, expiry: expiry, seq: tb.seq}
@@ -255,6 +261,7 @@ func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 		tb.notify(OpInsert, t)
 		return true, nil
 	}
+	t.Fields = slices.Clone(t.Fields)
 	tb.seq++
 	tb.rows[h] = append(bucket, row{t: t, expiry: expiry, seq: tb.seq})
 	tb.trackSeq(tb.seq, h)

@@ -250,8 +250,9 @@ func (tr *Tracer) noteStore(appended, sealed int) {
 
 // Register records the provenance of a tuple the node just assigned an ID
 // to: where it came from (src/srcID; the node itself for local tuples)
-// and where it lives or is headed (dst). Content is memoized only if a
-// ruleExec row ends up referencing the ID. Remote arrivals additionally
+// and where it lives or is headed (dst). Content is borrowed until
+// TaskDone and memoized (copied) only if a ruleExec row ends up
+// referencing the ID. Remote arrivals additionally
 // append a hop record to the attached store — the durable cross-node
 // provenance edge lineage queries follow.
 func (tr *Tracer) Register(id uint64, content tuple.Tuple, src string, srcID uint64, dst string, now float64) {
@@ -534,6 +535,8 @@ func (tr *Tracer) addRef(id uint64) uint32 {
 		// local provenance.
 		p = prov{src: tr.local, srcID: id, dst: tr.local}
 	}
+	// Registered content is borrowed until TaskDone: the memo copies.
+	p.content.Fields = slices.Clone(p.content.Fields)
 	var i uint32
 	if n := len(tr.free); n > 0 {
 		i, tr.free = tr.free[n-1], tr.free[:n-1]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The wire format used by the network postamble/preamble:
@@ -108,34 +109,46 @@ func varintLen(x int64) int {
 }
 
 // Unmarshal decodes one tuple from b, returning the tuple and the number
-// of bytes consumed.
+// of bytes consumed. The tuple's fields are a fresh heap slice.
 func Unmarshal(b []byte) (Tuple, int, error) {
+	t, _, n, err := UnmarshalAppend(nil, b)
+	return t, n, err
+}
+
+// UnmarshalAppend is Unmarshal into caller-owned storage: the decoded
+// fields are appended to dst, the grown slice is returned, and the
+// tuple's Fields are its tail past len(dst), capped there so appending
+// to them cannot reach what dst receives next. On error dst comes back
+// as it was. List values are always built on the heap, so a copy of a
+// decoded Value never points into dst.
+func UnmarshalAppend(dst []Value, b []byte) (Tuple, []Value, int, error) {
 	pos := 0
 	nameLen, n := binary.Uvarint(b[pos:])
 	if n <= 0 || nameLen > uint64(len(b)) || pos+n+int(nameLen) > len(b) {
-		return Tuple{}, 0, fmt.Errorf("tuple: short buffer decoding name")
+		return Tuple{}, dst, 0, fmt.Errorf("tuple: short buffer decoding name")
 	}
 	pos += n
 	name := internBytes(b[pos : pos+int(nameLen)])
 	pos += int(nameLen)
 	count, n := binary.Uvarint(b[pos:])
 	if n <= 0 {
-		return Tuple{}, 0, fmt.Errorf("tuple: short buffer decoding arity")
+		return Tuple{}, dst, 0, fmt.Errorf("tuple: short buffer decoding arity")
 	}
 	if count > uint64(len(b)) {
-		return Tuple{}, 0, fmt.Errorf("tuple: implausible arity %d", count)
+		return Tuple{}, dst, 0, fmt.Errorf("tuple: implausible arity %d", count)
 	}
 	pos += n
-	fields := make([]Value, 0, count)
+	out := slices.Grow(dst, int(count))
 	for i := uint64(0); i < count; i++ {
 		v, n, err := decodeValue(b[pos:])
 		if err != nil {
-			return Tuple{}, 0, fmt.Errorf("tuple: field %d: %w", i, err)
+			clear(out[len(dst):])
+			return Tuple{}, dst, 0, fmt.Errorf("tuple: field %d: %w", i, err)
 		}
 		pos += n
-		fields = append(fields, v)
+		out = append(out, v)
 	}
-	return Tuple{Name: name, Fields: fields}, pos, nil
+	return Tuple{Name: name, Fields: out[len(dst):len(out):len(out)]}, out, pos, nil
 }
 
 func decodeValue(b []byte) (Value, int, error) {
