@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check cover bench bench-e2e bench-smoke bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-forensics bench-scale bench-aggtree bench-realtime fuzz examples tidy
+.PHONY: build test check cover bench bench-e2e bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-forensics bench-scale bench-aggtree bench-realtime fuzz examples tidy
 
 build:
 	go build ./...
@@ -9,13 +9,15 @@ build:
 test:
 	go test ./...
 
-# Full gate: build + vet + tests with the race detector (the parallel
-# simnet driver is exercised under -race by its determinism tests), then
-# the benchmark, which is a module of its own that `./...` does not
-# descend into: an internal/ API change that breaks it must fail here,
-# not when the benchmark is next run. The allocation gates assert what a
-# recycled sync.Pool entry saves, which the race build's pools cannot
-# show (their files are `//go:build !race`), so they get a run without it.
+# Full gate: build + vet + tests with the race detector, then the
+# benchmark, which is a module of its own that `./...` does not descend
+# into: an internal/ API change that breaks it must fail here, not when
+# the benchmark is next run. The allocation gates assert what a recycled
+# sync.Pool entry saves, which the race build's pools cannot show (their
+# files are `//go:build !race`), so they get a run without it.
+# TestWorkloadsRepeat/chord21-monitored in the benchmark's tests stays
+# red until beginPhase's two reads are reordered, which is a
+# benchmark-only PR of its own (ROADMAP).
 check:
 	go build ./...
 	go vet ./...
@@ -38,11 +40,6 @@ bench:
 # ARGS="-layers" for the traced per-layer run.
 bench-e2e:
 	bash benchmark/run.sh $(ARGS)
-
-# One Figure 6 point under both simnet drivers: prints wall-clock
-# speedup and cross-checks that results are bit-identical.
-bench-smoke:
-	go run ./cmd/p2bench -exp smoke
 
 # The churn experiment: crash/rejoin a 21-node ring with the §3.1
 # detectors deployed; prints the repair/detection table and writes
@@ -68,21 +65,22 @@ bench-profiler:
 	go run ./cmd/p2bench -exp profiler -json
 
 # Incremental aggregate maintenance: per-delta rescans vs O(delta)
-# accumulators over a churning table, plus the 4-way determinism matrix;
+# accumulators over a churning table, plus the incremental|rescan
+# determinism check;
 # writes BENCH_agg.json.
 bench-agg:
 	go run ./cmd/p2bench -exp agg -json
 
 # Durable trace store forensics: traced churn with the store off vs on
 # (write overhead, bytes/record, restart markers), ancestor-query latency
-# at 1/10/100-window horizons, and the (store)x(driver) determinism
-# matrix; writes BENCH_forensics.json.
+# at 1/10/100-window horizons, and the store off|on determinism check;
+# writes BENCH_forensics.json.
 bench-forensics:
 	go run ./cmd/p2bench -exp forensics -json
 
 # The scale wall: 100/1k/10k-host Chord sweep with bytes-per-host and
 # events/sec curves, the shared-vs-private plan memory gate, and the
-# (shared|private)x(seq|par) fingerprint check; writes BENCH_scale.json.
+# shared|private fingerprint check; writes BENCH_scale.json.
 bench-scale:
 	go run ./cmd/p2bench -exp scale -json
 

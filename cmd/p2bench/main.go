@@ -10,7 +10,6 @@
 //	p2bench -exp fig5           # piggybacked rules
 //	p2bench -exp fig6           # proactive consistency probes
 //	p2bench -exp fig7           # consistent snapshots
-//	p2bench -exp smoke          # one fig6 point in both drivers + speedup
 //	p2bench -exp churn          # crash/rejoin churn with §3.1 detectors
 //	p2bench -exp lifecycle      # install/measure/uninstall each §3.1 detector
 //	p2bench -exp scenario -scenario f.txt   # replay a fault scenario file
@@ -21,12 +20,9 @@
 //	p2bench -exp aggtree        # in-network aggregation trees vs flat collection
 //	p2bench -exp realtime       # wall-clock UDP ingest: 100k+ events/sec over loopback
 //
-// -parallel runs every ring on simnet's conservative parallel driver
-// (same virtual-time results, different wall clock); -workers bounds its
-// worker pool (0 = GOMAXPROCS). -json additionally writes each
-// experiment's result to BENCH_<exp>.json. -cpuprofile/-memprofile write
-// pprof profiles covering the selected experiment(s) (see EXPERIMENTS.md
-// for the workflow).
+// -json additionally writes each experiment's result to
+// BENCH_<exp>.json. -cpuprofile/-memprofile write pprof profiles covering
+// the selected experiment(s) (see EXPERIMENTS.md for the workflow).
 package main
 
 import (
@@ -43,10 +39,8 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, smoke, ablation, churn, lifecycle, scenario, trace, profiler, forensics, scale, aggtree, realtime, all")
+		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, ablation, churn, lifecycle, scenario, trace, profiler, forensics, scale, aggtree, realtime, all")
 		seed     = flag.Int64("seed", 42, "random seed")
-		parallel = flag.Bool("parallel", false, "run rings on the conservative parallel simnet driver")
-		workers  = flag.Int("workers", 0, "parallel worker pool size (0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "also write each experiment's result to BENCH_<exp>.json")
 		scenario = flag.String("scenario", "", "fault scenario file for -exp scenario (see internal/faults.Parse)")
 		quick    = flag.Bool("quick", false, "shrink -exp lifecycle/trace/forensics/scale/aggtree to a smoke-sized run (CI)")
@@ -57,8 +51,6 @@ func main() {
 		rtConns  = flag.Int("conns", 0, "-exp realtime: generator connections (0 = default 2)")
 	)
 	flag.Parse()
-	bench.Parallel = *parallel
-	bench.Workers = *workers
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -135,22 +127,6 @@ func main() {
 			fmt.Print(bench.FormatTable(
 				"Figure 7: consistent snapshots at increasing rates (1/s)", s))
 			payload = s
-		case "smoke":
-			res, err := bench.SpeedupSmoke(*seed, *workers)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("Smoke: Figure 6 point (consistency probes at 1/4 Hz), sequential vs parallel driver")
-			fmt.Printf("  sequential: wall=%8.2fs  %v\n", res.SeqWall.Seconds(), res.Seq)
-			fmt.Printf("  parallel  : wall=%8.2fs  %v\n", res.ParWall.Seconds(), res.Par)
-			fmt.Printf("  speedup: %.2fx on %d CPU(s); results identical: %v\n",
-				res.Speedup(), runtime.NumCPU(), res.Match)
-			fmt.Printf("  windows: %d, mean runnable hosts/window: %.1f (available concurrency)\n",
-				res.Stats.Windows, res.Occupancy())
-			if !res.Match {
-				log.Fatal("determinism contract violated: drivers disagree")
-			}
-			payload = res
 		case "ablation":
 			idx, scan, err := bench.AblationIndexedJoins(*seed)
 			if err != nil {
@@ -220,7 +196,7 @@ func main() {
 			}
 			fmt.Print(bench.FormatAgg(res))
 			if !res.EmissionsIdentical {
-				log.Fatalf("agg contract violated: %s", res.Divergence)
+				log.Fatal("agg contract violated: rescan emissions diverge from incremental")
 			}
 			if res.Speedup < 2 {
 				log.Fatalf("agg contract violated: incremental maintenance only %.2fx faster than rescans, want >=2x", res.Speedup)
@@ -255,7 +231,7 @@ func main() {
 			}
 			fmt.Print(bench.FormatScale(res))
 			if !res.FingerprintOK {
-				log.Fatal("determinism contract violated: (shared|private plans) x (seq|par driver) rings disagree")
+				log.Fatal("determinism contract violated: shared|private plan rings disagree")
 			}
 			if !res.ReductionOK {
 				log.Fatalf("scale contract violated: shared plans reduce install bytes/host only %.2fx, want >= %.0fx",
@@ -282,8 +258,8 @@ func main() {
 				log.Fatalf("aggtree contract violated: tree fan-in %d (bound %d), reduction %.1fx (want >= %.0fx)",
 					res.Tree.MaxFanIn, res.FanInBound, res.FanInReduction, bench.AggTreeMinFanInReduction)
 			}
-			if !res.TreeFPIdentical || !res.FlatFPIdentical || !res.ResultFPEqual {
-				log.Fatal("determinism contract violated: (tree|flat) x (seq|par) cells disagree")
+			if !res.ResultFPEqual {
+				log.Fatal("determinism contract violated: tree|flat cells disagree")
 			}
 			if res.Tree.BilledBusy <= 0 {
 				log.Fatal("aggtree contract violated: no busy-time billed to the monitoring query")

@@ -11,8 +11,8 @@ import (
 )
 
 // AggResult is the -exp agg table: the cost of aggregate strands under
-// per-delta rescans versus incremental maintenance, plus the 4-way
-// determinism check (incremental|rescan) x (sequential|parallel).
+// per-delta rescans versus incremental maintenance, plus the
+// incremental|rescan determinism check.
 type AggResult struct {
 	// Rows is the feeder's key domain (the backing table converges to
 	// roughly this many live rows, the N each rescan pays).
@@ -28,11 +28,9 @@ type AggResult struct {
 	// measured node during the incremental run (0 would mean the
 	// eligibility analysis silently regressed).
 	AggApplies int64
-	// EmissionsIdentical reports whether all four runs produced
-	// byte-identical watched-emission streams; Divergence names the
-	// first differing pair when they did not.
+	// EmissionsIdentical reports whether the incremental and the rescan
+	// run produced byte-identical watched-emission streams.
 	EmissionsIdentical bool
-	Divergence         string
 	// Emissions is the per-run watched-tuple count (identical runs
 	// agree on it).
 	Emissions int
@@ -76,9 +74,8 @@ ag5 loadMax@N(max<V>) :- load@N(K, G, V).
 // AggMaintenance measures the tentpole: for an aggregate query over a
 // churning table, incremental accumulator maintenance must cut the
 // query's BusySeconds by well over 2x relative to per-delta rescans
-// while emitting a bit-identical stream — across both the sequential
-// and the conservative parallel simnet driver. quick shrinks the
-// domain and windows for CI smoke use.
+// while emitting a bit-identical stream. quick shrinks the domain and
+// windows for CI smoke use.
 func AggMaintenance(seed int64, quick bool) (AggResult, error) {
 	rows, nNodes := 400, 5
 	warm, win := 40.0, 90.0
@@ -105,11 +102,10 @@ func AggMaintenance(seed int64, quick bool) (AggResult, error) {
 	prev := dataflow.DisableIncrementalAggs
 	defer func() { dataflow.DisableIncrementalAggs = prev }()
 
-	run := func(incremental, parallel bool) (runOut, error) {
+	run := func(incremental bool) (runOut, error) {
 		dataflow.DisableIncrementalAggs = !incremental
 		r, err := chord.NewRing(chord.RingConfig{
 			N: nNodes, Seed: seed,
-			Parallel: parallel, Workers: Workers,
 			ExtraPrograms: []*overlog.Program{feeder, aggs},
 		})
 		if err != nil {
@@ -152,38 +148,23 @@ func AggMaintenance(seed int64, quick bool) (AggResult, error) {
 		return runOut{busy: q.BusySeconds, applies: applies, fp: b.String(), count: len(r.Watched)}, nil
 	}
 
-	type cell struct {
-		name                  string
-		incremental, parallel bool
+	incr, err := run(true)
+	if err != nil {
+		return res, err
 	}
-	cells := []cell{
-		{"incremental/sequential", true, false},
-		{"incremental/parallel", true, true},
-		{"rescan/sequential", false, false},
-		{"rescan/parallel", false, true},
-	}
-	outs := make([]runOut, len(cells))
-	for i, c := range cells {
-		if outs[i], err = run(c.incremental, c.parallel); err != nil {
-			return res, err
-		}
+	rescan, err := run(false)
+	if err != nil {
+		return res, err
 	}
 
-	res.IncrBusy = outs[0].busy
-	res.RescanBusy = outs[2].busy
+	res.IncrBusy = incr.busy
+	res.RescanBusy = rescan.busy
 	if res.IncrBusy > 0 {
 		res.Speedup = res.RescanBusy / res.IncrBusy
 	}
-	res.AggApplies = outs[0].applies
-	res.Emissions = outs[0].count
-	res.EmissionsIdentical = true
-	for i := 1; i < len(outs); i++ {
-		if outs[i].fp != outs[0].fp {
-			res.EmissionsIdentical = false
-			res.Divergence = fmt.Sprintf("%s diverges from %s", cells[i].name, cells[0].name)
-			break
-		}
-	}
+	res.AggApplies = incr.applies
+	res.Emissions = incr.count
+	res.EmissionsIdentical = incr.fp == rescan.fp
 	return res, nil
 }
 
@@ -196,9 +177,9 @@ func FormatAgg(res AggResult) string {
 	fmt.Fprintf(&b, "  %-28s %14.4f  (applies=%d)\n", "incremental maintenance", res.IncrBusy, res.AggApplies)
 	fmt.Fprintf(&b, "  speedup: %.1fx\n", res.Speedup)
 	if res.EmissionsIdentical {
-		fmt.Fprintf(&b, "  emissions: %d tuples, bit-identical across (incremental|rescan) x (sequential|parallel)\n", res.Emissions)
+		fmt.Fprintf(&b, "  emissions: %d tuples, bit-identical across incremental|rescan\n", res.Emissions)
 	} else {
-		fmt.Fprintf(&b, "  EMISSION DIVERGENCE: %s\n", res.Divergence)
+		fmt.Fprintf(&b, "  EMISSION DIVERGENCE: rescan diverges from incremental\n")
 	}
 	if res.AccountingErr != "" {
 		fmt.Fprintf(&b, "  ACCOUNTING VIOLATION: %s\n", res.AccountingErr)

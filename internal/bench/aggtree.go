@@ -26,11 +26,9 @@ import (
 //   - fan-in: max inbound partials at any tree node <= fanout + 1,
 //     versus ~N at the flat collector, at least
 //     AggTreeMinFanInReduction times smaller;
-//   - determinism: at AggTreeFPHosts the emissions fingerprint is
-//     byte-identical across (sequential|parallel driver) within each
-//     mode, and the converged results are identical across
-//     (tree|flat) x (seq|par). Full-table identity across modes is not
-//     a goal — routing partials along the tree necessarily consumes
+//   - determinism: at AggTreeFPHosts the converged results are
+//     identical across tree|flat. Full-table identity across modes is
+//     not a goal — routing partials along the tree necessarily consumes
 //     different per-link RNG streams than flat collection;
 //   - accounting: the tree's forwarding work is billed to the
 //     monitoring query (interior nodes show busy-time under
@@ -77,10 +75,8 @@ type AggTreeResult struct {
 	FanInOK        bool
 	FanInReduction float64
 	// Determinism cells.
-	FPHosts         int
-	TreeFPIdentical bool
-	FlatFPIdentical bool
-	ResultFPEqual   bool
+	FPHosts       int
+	ResultFPEqual bool
 	// AccountingErr records a violated per-query accounting invariant
 	// at the collector or an interior node ("" = bills still sum).
 	AccountingErr string
@@ -139,10 +135,9 @@ func aggTreeValue(r *chord.Ring, addr, tab string) (float64, bool) {
 }
 
 // runAggTree deploys the four cluster queries on an h-host ring in one
-// mode and measures converged values, fan-in and billing. It returns
-// the run, the ring's emissions fingerprint and the converged-result
-// fingerprint. accErr receives the first accounting violation.
-func runAggTree(seed int64, h int, tree, parallel bool, simSecs, period float64, accErr *string) (AggTreeRun, string, string, error) {
+// mode and measures converged values, fan-in and billing. accErr
+// receives the first accounting violation.
+func runAggTree(seed int64, h int, tree bool, simSecs, period float64, accErr *string) (AggTreeRun, error) {
 	saved := planner.DisableAggTree
 	planner.DisableAggTree = !tree
 	defer func() { planner.DisableAggTree = saved }()
@@ -157,7 +152,6 @@ func runAggTree(seed int64, h int, tree, parallel bool, simSecs, period float64,
 	// not need Chord.
 	cfg := chord.RingConfig{
 		N: h, Seed: seed, StatsPeriod: 2, NoChord: true,
-		Parallel: parallel, Workers: Workers,
 		ExtraPrograms: []*overlog.Program{overlog.MustParse(aggTreeWeightProgram)},
 	}
 	if tree {
@@ -167,7 +161,7 @@ func runAggTree(seed int64, h int, tree, parallel bool, simSecs, period float64,
 	}
 	r, err := chord.NewRing(cfg)
 	if err != nil {
-		return run, "", "", err
+		return run, err
 	}
 
 	// Build once, shared-compile once, instantiate everywhere.
@@ -175,18 +169,18 @@ func runAggTree(seed int64, h int, tree, parallel bool, simSecs, period float64,
 	for _, spec := range aggTreeSpecs(period) {
 		q, err := monitor.BuildCluster(spec)
 		if err != nil {
-			return run, "", "", err
+			return run, err
 		}
 		if q.Mode != wantMode {
-			return run, "", "", fmt.Errorf("bench: aggtree query %s planned as %s, want %s", spec.Name, q.Mode, wantMode)
+			return run, fmt.Errorf("bench: aggtree query %s planned as %s, want %s", spec.Name, q.Mode, wantMode)
 		}
 		cq, err := monitor.CompileCluster(q, spec.Tables...)
 		if err != nil {
-			return run, "", "", err
+			return run, err
 		}
 		for _, a := range r.Addrs {
 			if _, err := r.Node(a).InstallCompiledQuery(q.Detector.QueryID(), cq); err != nil {
-				return run, "", "", fmt.Errorf("bench: aggtree deploy %s on %s: %w", spec.Name, a, err)
+				return run, fmt.Errorf("bench: aggtree deploy %s on %s: %w", spec.Name, a, err)
 			}
 		}
 		tags = append(tags, spec.Name)
@@ -196,14 +190,14 @@ func runAggTree(seed int64, h int, tree, parallel bool, simSecs, period float64,
 	}
 	r.Run(simSecs)
 	if len(r.Errors) > 0 {
-		return run, "", "", fmt.Errorf("bench: aggtree %s run raised rule errors: %s", run.Mode, r.Errors[0])
+		return run, fmt.Errorf("bench: aggtree %s run raised rule errors: %s", run.Mode, r.Errors[0])
 	}
 
 	var vals [4]float64
 	for i, tag := range []string{"livecount", "wsum", "wmin", "wmax"} {
 		v, ok := aggTreeValue(r, "n1", aggTreeHeads[tag])
 		if !ok {
-			return run, "", "", fmt.Errorf("bench: aggtree %s: no %s row at the collector", run.Mode, aggTreeHeads[tag])
+			return run, fmt.Errorf("bench: aggtree %s: no %s row at the collector", run.Mode, aggTreeHeads[tag])
 		}
 		vals[i] = v
 	}
@@ -234,8 +228,7 @@ func runAggTree(seed int64, h int, tree, parallel bool, simSecs, period float64,
 			*accErr = fmt.Sprintf("%s (%s): %s", a, run.Mode, err)
 		}
 	}
-	resultFP := fmt.Sprintf("count=%v sum=%v min=%v max=%v", vals[0], vals[1], vals[2], vals[3])
-	return run, emissionsFP(r), resultFP, nil
+	return run, nil
 }
 
 // AggTree runs the experiment. quick shrinks the rings to CI smoke
@@ -266,10 +259,10 @@ func AggTree(seed int64, quick bool) (*AggTreeResult, error) {
 	}
 
 	var err error
-	if res.Tree, _, _, err = runAggTree(seed, hosts, true, Parallel, simSecs, period, &res.AccountingErr); err != nil {
+	if res.Tree, err = runAggTree(seed, hosts, true, simSecs, period, &res.AccountingErr); err != nil {
 		return nil, err
 	}
-	if res.Flat, _, _, err = runAggTree(seed, hosts, false, Parallel, simSecs, period, &res.AccountingErr); err != nil {
+	if res.Flat, err = runAggTree(seed, hosts, false, simSecs, period, &res.AccountingErr); err != nil {
 		return nil, err
 	}
 
@@ -284,30 +277,17 @@ func AggTree(seed int64, quick bool) (*AggTreeResult, error) {
 	res.FanInOK = res.Tree.MaxFanIn <= res.FanInBound &&
 		res.FanInReduction >= AggTreeMinFanInReduction
 
-	// Determinism cells: (tree|flat) x (seq|par) at fpHosts.
-	type cell struct {
-		em, result string
+	// Determinism cells: tree|flat at fpHosts.
+	tree, err := runAggTree(seed, fpHosts, true, fpSecs, period, &res.AccountingErr)
+	if err != nil {
+		return nil, fmt.Errorf("tree cell: %w", err)
 	}
-	cells := map[string]cell{}
-	for _, c := range []struct {
-		name     string
-		tree     bool
-		parallel bool
-	}{
-		{"tree/seq", true, false}, {"tree/par", true, true},
-		{"flat/seq", false, false}, {"flat/par", false, true},
-	} {
-		_, em, result, err := runAggTree(seed, fpHosts, c.tree, c.parallel, fpSecs, period, &res.AccountingErr)
-		if err != nil {
-			return nil, fmt.Errorf("%s cell: %w", c.name, err)
-		}
-		cells[c.name] = cell{em, result}
+	flat, err := runAggTree(seed, fpHosts, false, fpSecs, period, &res.AccountingErr)
+	if err != nil {
+		return nil, fmt.Errorf("flat cell: %w", err)
 	}
-	res.TreeFPIdentical = cells["tree/seq"].em == cells["tree/par"].em
-	res.FlatFPIdentical = cells["flat/seq"].em == cells["flat/par"].em
-	res.ResultFPEqual = cells["tree/seq"].result == cells["tree/par"].result &&
-		cells["tree/seq"].result == cells["flat/seq"].result &&
-		cells["tree/seq"].result == cells["flat/par"].result
+	res.ResultFPEqual = tree.Count == flat.Count && tree.Sum == flat.Sum &&
+		tree.Min == flat.Min && tree.Max == flat.Max
 	return res, nil
 }
 
@@ -326,8 +306,8 @@ func FormatAggTree(res *AggTreeResult) string {
 	fmt.Fprintf(&b, "  fan-in: tree %d <= bound %d, flat %d (%.0fx reduction, gate >= %.0fx): %v\n",
 		res.Tree.MaxFanIn, res.FanInBound, res.Flat.MaxFanIn,
 		res.FanInReduction, AggTreeMinFanInReduction, res.FanInOK)
-	fmt.Fprintf(&b, "  %d-host determinism: emissions seq==par tree=%v flat=%v; results equal across modes=%v\n",
-		res.FPHosts, res.TreeFPIdentical, res.FlatFPIdentical, res.ResultFPEqual)
+	fmt.Fprintf(&b, "  %d-host determinism: results equal across tree|flat=%v\n",
+		res.FPHosts, res.ResultFPEqual)
 	fmt.Fprintf(&b, "  per-query accounting: %s\n", formatAccounting(res.AccountingErr))
 	return b.String()
 }

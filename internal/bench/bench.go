@@ -26,16 +26,6 @@ import (
 	"p2go/internal/tuple"
 )
 
-// Parallel, when true, runs every benchmark ring on simnet's
-// conservative parallel driver (cmd/p2bench's -parallel flag sets it);
-// measured virtual-time results are identical to the sequential driver,
-// only wall-clock time changes. Workers bounds the worker pool
-// (0 = GOMAXPROCS).
-var (
-	Parallel bool
-	Workers  int
-)
-
 // Paper-matching deployment constants.
 const (
 	// Nodes is the network size (§4: "a population of 21 virtual
@@ -98,7 +88,6 @@ func (s Sample) String() string {
 func buildRing(seed int64, tracing *trace.Config) (*chord.Ring, error) {
 	r, err := chord.NewRing(chord.RingConfig{
 		N: Nodes, Seed: seed, Tracing: tracing,
-		Parallel: Parallel, Workers: Workers,
 	})
 	if err != nil {
 		return nil, err

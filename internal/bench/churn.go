@@ -39,7 +39,6 @@ var churnAlarms = []string{
 func Churn(seed int64) (chord.ChurnResult, error) {
 	_, res, err := chord.RunChurn(chord.ChurnConfig{
 		N: Nodes, Seed: seed, Converge: ConvergeTime, End: 480,
-		Parallel: Parallel, Workers: Workers,
 		Detectors:  churnDetectors(),
 		AlarmNames: churnAlarms,
 	})

@@ -63,11 +63,11 @@ type ForensicsResult struct {
 	// investigation surface for the same question ("ancestors of ID at
 	// node"), exercising parse → run → render end to end.
 	InvestigateLines int
-	// FingerprintOK reports the 4-way determinism check: a traced ring
-	// run under (store off|on) x (sequential|parallel simnet driver)
-	// produced byte-identical emissions fingerprints — the store's CPU
-	// bill is visible in the metrics but never perturbs virtual time,
-	// tuple IDs, table contents, or the watch stream.
+	// FingerprintOK reports the determinism check: a traced ring run
+	// with the store off and on produced byte-identical emissions
+	// fingerprints — the store's CPU bill is visible in the metrics but
+	// never perturbs virtual time, tuple IDs, table contents, or the
+	// watch stream.
 	FingerprintOK bool
 	// AccountingErr records a violated per-query accounting invariant on
 	// the measured node of the store-on run ("" = bills still sum).
@@ -126,9 +126,9 @@ func emissionsFP(r *chord.Ring) string {
 // walk of the newest traced tuple on the measured node at 1-, 10- and
 // 100-window horizons (wall-clock timed — forensic reads are offline),
 // plus the same question through the textual query surface. Finally it
-// re-runs a small traced ring under (store off|on) x (seq|par driver)
-// and demands byte-identical emissions fingerprints, and checks
-// per-query accounting still sums on the store-on churn run.
+// re-runs a small traced ring with the store off and on and demands
+// byte-identical emissions fingerprints, and checks per-query accounting
+// still sums on the store-on churn run.
 func Forensics(seed int64, quick bool) (*ForensicsResult, error) {
 	n, converge, end := Nodes, float64(ConvergeTime), 480.0
 	window := 5.0
@@ -152,7 +152,6 @@ func Forensics(seed int64, quick bool) (*ForensicsResult, error) {
 		r, _, err := chord.RunChurn(chord.ChurnConfig{
 			N: n, Seed: seed, Victims: victims,
 			Converge: converge, End: end,
-			Parallel: Parallel, Workers: Workers,
 			Detectors:  churnDetectors(),
 			AlarmNames: churnAlarms,
 			Tracing:    &tcfg,
@@ -254,25 +253,13 @@ func Forensics(seed int64, quick bool) (*ForensicsResult, error) {
 		res.AccountingErr = err.Error()
 	}
 
-	// 4-way determinism: (store off|on) x (seq|par simnet driver) on a
-	// small traced ring with cross-node lookups.
+	// Determinism: store off|on on a small traced ring with cross-node
+	// lookups.
 	fpN, fpRun := 5, 45.0
-	combos := []struct {
-		store bool
-		par   bool
-	}{{false, false}, {false, true}, {true, false}, {true, true}}
-	var first string
-	res.FingerprintOK = true
-	for i, c := range combos {
-		var sc *tracestore.Config
-		if c.store {
-			cfg := tracestore.DefaultConfig()
-			cfg.WindowSeconds = window
-			sc = &cfg
-		}
+	var fps [2]string
+	for i, sc := range []*tracestore.Config{nil, &scfg} {
 		fr, err := chord.NewRing(chord.RingConfig{
 			N: fpN, Seed: seed, Tracing: &tcfg, TraceStore: sc,
-			Parallel: c.par, Workers: 4,
 		})
 		if err != nil {
 			return nil, err
@@ -284,13 +271,9 @@ func Forensics(seed int64, quick bool) (*ForensicsResult, error) {
 			}
 		}
 		fr.Run(15)
-		fp := emissionsFP(fr)
-		if i == 0 {
-			first = fp
-		} else if fp != first {
-			res.FingerprintOK = false
-		}
+		fps[i] = emissionsFP(fr)
 	}
+	res.FingerprintOK = fps[0] == fps[1]
 	if len(r.Errors) > 0 {
 		return nil, fmt.Errorf("bench: forensics run raised rule errors: %s", r.Errors[0])
 	}
@@ -315,7 +298,7 @@ func FormatForensics(res *ForensicsResult) string {
 	}
 	fmt.Fprintf(&b, "  query surface         : %q -> %d lines\n",
 		fmt.Sprintf("ancestors of %d at %s", res.RootID, res.RootNode), res.InvestigateLines)
-	fmt.Fprintf(&b, "  4-way (store off|on)x(seq|par): emissions identical=%v\n", res.FingerprintOK)
+	fmt.Fprintf(&b, "  store off|on          : emissions identical=%v\n", res.FingerprintOK)
 	fmt.Fprintf(&b, "  accounting            : %s\n", formatAccounting(res.AccountingErr))
 	return b.String()
 }

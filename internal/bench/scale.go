@@ -21,9 +21,8 @@ import (
 // Two hard gates ride along: instantiation bytes-per-host under shared
 // plans must beat the private-plan baseline by ScaleMinPlanReduction,
 // and steady-state bytes-per-host at >= 1k hosts must stay under
-// ScaleBudgetBytes. A 4-way fingerprint check
-// ((shared|private plans) x (sequential|parallel driver) at 100 hosts)
-// guards the determinism contract the sharing must preserve.
+// ScaleBudgetBytes. A fingerprint check (shared|private plans at 100
+// hosts) guards the determinism contract the sharing must preserve.
 
 const (
 	// ScaleInstallBudgetBytes is the hard per-host budget for the fixed
@@ -88,7 +87,7 @@ type ScaleResult struct {
 	// ratio here is diluted; reported for context, not gated.
 	SharedInstallBytesPerHost  int64
 	PrivateInstallBytesPerHost int64
-	// FingerprintOK reports the 4-way determinism check at
+	// FingerprintOK reports the shared|private determinism check at
 	// FingerprintHosts hosts.
 	FingerprintHosts int
 	FingerprintOK    bool
@@ -185,16 +184,13 @@ func planBytesPerHost(m int, private bool) (int64, error) {
 	return delta / int64(m), nil
 }
 
-// scaleFingerprint runs an h-host ring for simSecs under one
-// (private-plans, parallel-driver) combination and fingerprints its
-// emissions.
-func scaleFingerprint(seed int64, h int, simSecs float64, private, parallel bool) (string, error) {
+// scaleFingerprint runs an h-host ring for simSecs with shared or
+// private plans and fingerprints its emissions.
+func scaleFingerprint(seed int64, h int, simSecs float64, private bool) (string, error) {
 	saved := engine.DisableSharedPlans
 	engine.DisableSharedPlans = private
 	defer func() { engine.DisableSharedPlans = saved }()
-	r, err := chord.NewRing(chord.RingConfig{
-		N: h, Seed: seed, Parallel: parallel, Workers: Workers,
-	})
+	r, err := chord.NewRing(chord.RingConfig{N: h, Seed: seed})
 	if err != nil {
 		return "", err
 	}
@@ -244,22 +240,16 @@ func Scale(seed int64, quick bool) (*ScaleResult, error) {
 	}
 	res.InstallBudgetOK = res.SharedInstallBytesPerHost <= ScaleInstallBudgetBytes
 
-	// Gate 2: the 4-way determinism fingerprint.
-	first := ""
-	res.FingerprintOK = true
-	for _, c := range []struct{ private, parallel bool }{
-		{false, false}, {false, true}, {true, false}, {true, true},
-	} {
-		fp, err := scaleFingerprint(seed, fpHosts, fpSecs, c.private, c.parallel)
-		if err != nil {
-			return nil, err
-		}
-		if first == "" {
-			first = fp
-		} else if fp != first {
-			res.FingerprintOK = false
-		}
+	// Gate 2: the shared|private determinism fingerprint.
+	sharedFP, err := scaleFingerprint(seed, fpHosts, fpSecs, false)
+	if err != nil {
+		return nil, err
 	}
+	privateFP, err := scaleFingerprint(seed, fpHosts, fpSecs, true)
+	if err != nil {
+		return nil, err
+	}
+	res.FingerprintOK = sharedFP == privateFP
 
 	// The throughput/memory sweep. Steady bytes-per-host includes
 	// workload soft state on top of the install footprint, so it gets
@@ -267,9 +257,7 @@ func Scale(seed int64, quick bool) (*ScaleResult, error) {
 	for _, h := range hosts {
 		base := heapAlloc()
 		start := time.Now()
-		r, err := chord.NewRing(chord.RingConfig{
-			N: h, Seed: seed, Parallel: Parallel, Workers: Workers,
-		})
+		r, err := chord.NewRing(chord.RingConfig{N: h, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -307,7 +295,7 @@ func FormatScale(r *ScaleResult) string {
 	fmt.Fprintf(&b, "  full-install bytes/host: shared=%d private=%d (tables/wiring are common to both; budget %d, ok: %v)\n",
 		r.SharedInstallBytesPerHost, r.PrivateInstallBytesPerHost,
 		r.InstallBudgetBytes, r.InstallBudgetOK)
-	fmt.Fprintf(&b, "  4-way fingerprint (shared|private)x(seq|par) at %d hosts: %v\n",
+	fmt.Fprintf(&b, "  fingerprint shared|private at %d hosts: %v\n",
 		r.FingerprintHosts, r.FingerprintOK)
 	fmt.Fprintf(&b, "  %-7s %10s %10s %14s %14s %16s\n",
 		"hosts", "build s", "run s", "events", "events/sec", "steady B/host")

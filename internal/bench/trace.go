@@ -56,7 +56,6 @@ func TraceExport(seed int64, quick bool, outDir string) (TraceResult, error) {
 
 	r, err := chord.NewRing(chord.RingConfig{
 		N: n, Seed: seed, Tracing: &tcfg,
-		Parallel: Parallel, Workers: Workers,
 		StatsPeriod: 5,
 	})
 	if err != nil {
@@ -173,7 +172,6 @@ func StatsOverhead(seed int64) (StatsOverheadResult, error) {
 	run := func(statsPeriod float64) (*chord.Ring, float64, error) {
 		r, _, err := chord.RunChurn(chord.ChurnConfig{
 			N: Nodes, Seed: seed, Converge: ConvergeTime, End: 480,
-			Parallel: Parallel, Workers: Workers,
 			Detectors:   churnDetectors(),
 			AlarmNames:  churnAlarms,
 			StatsPeriod: statsPeriod,

@@ -38,9 +38,6 @@ type ChurnConfig struct {
 	QuietWindow float64
 	// LossProb adds base message loss.
 	LossProb float64
-	// Parallel/Workers select and size the parallel simnet driver.
-	Parallel bool
-	Workers  int
 	// Detectors are monitoring programs installed on every node
 	// (typically monitor.RingProbeProgram and monitor.OscillationProgram);
 	// the harness installs them as queries "extra1", "extra2", ...
@@ -162,7 +159,6 @@ func RunChurn(cfg ChurnConfig) (*Ring, ChurnResult, error) {
 	cfg = cfg.withDefaults()
 	r, err := NewRing(RingConfig{
 		N: cfg.N, Seed: cfg.Seed, LossProb: cfg.LossProb,
-		Parallel: cfg.Parallel, Workers: cfg.Workers,
 		ExtraPrograms: cfg.Detectors,
 		StatsPeriod:   cfg.StatsPeriod,
 		Tracing:       cfg.Tracing,
@@ -210,7 +206,7 @@ func RunChurn(cfg ChurnConfig) (*Ring, ChurnResult, error) {
 	survivors := r.Alive(dead)
 
 	// Step the clock 1 s at a time, polling the ring oracle between
-	// steps (driver context, identical under both drivers).
+	// steps (driver context).
 	end := base + cfg.End
 	for r.Sim.Now() < end {
 		r.Run(math.Min(1, end-r.Sim.Now()))

@@ -10,41 +10,30 @@ import (
 // TestChurnDeterminism21 is the PR's acceptance gate: the 21-node churn
 // scenario (crash 3 nodes at +60 s, rejoin at +120 s) produces
 // bit-identical results — every repair latency, every metrics counter,
-// every table row — under the sequential and the parallel driver for
-// the same seed. Fault events are window barriers, so injury does not
-// cost the simulation its reproducibility.
+// every table row — on two runs at the same seed: injury does not cost
+// the simulation its reproducibility.
 func TestChurnDeterminism21(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 21-node 600s rings")
 	}
-	build := func(parallel bool) (ChurnResult, string) {
-		r, res, err := RunChurn(ChurnConfig{
-			Seed: 42, LossProb: 0.02, Parallel: parallel, Workers: 8,
-		})
+	build := func() (ChurnResult, string) {
+		r, res, err := RunChurn(ChurnConfig{Seed: 42, LossProb: 0.02})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, fmt.Sprintf("%+v\n", res) + ringFingerprint(r)
 	}
-	seqRes, seq := build(false)
-	_, par := build(true)
-	if seq != par {
-		i := 0
-		for i < len(seq) && i < len(par) && seq[i] == par[i] {
-			i++
-		}
-		lo := max(0, i-200)
-		t.Fatalf("sequential and parallel churn runs diverged at byte %d:\n...seq: %q\n...par: %q",
-			i, seq[lo:min(len(seq), i+200)], par[lo:min(len(par), i+200)])
-	}
+	res, first := build()
+	_, second := build()
+	requireSameRun(t, "churn", first, second)
 	// The churn actually happened and the ring actually healed — twice.
-	if seqRes.Faults.Crashes != 3 || seqRes.Faults.Rejoins != 3 {
-		t.Errorf("faults = %+v, want 3 crashes and 3 rejoins", seqRes.Faults)
+	if res.Faults.Crashes != 3 || res.Faults.Rejoins != 3 {
+		t.Errorf("faults = %+v, want 3 crashes and 3 rejoins", res.Faults)
 	}
-	if seqRes.SurvivorRepair < 0 {
+	if res.SurvivorRepair < 0 {
 		t.Error("survivors never repaired the ring around the crashed nodes")
 	}
-	if seqRes.RejoinRepair < 0 {
+	if res.RejoinRepair < 0 {
 		t.Error("full ring never re-converged after the rejoin")
 	}
 }
@@ -54,8 +43,8 @@ func TestChurnDeterminism21(t *testing.T) {
 // passive bestSucc logger) ride the standard 21-node churn scenario and
 // are retired mid-run — after the crashed nodes have rejoined but while
 // ring repair is still in flight — through the higher-order
-// uninstallProgram event. The run must stay bit-identical between the
-// sequential and the parallel driver, and afterwards every node
+// uninstallProgram event. Two runs at the same seed must be
+// bit-identical, and afterwards every node
 // (victims included) must be back to the exact chord-only dataflow
 // shape: no leaked strands, timers, watches, tables or log taps.
 func TestUninstallUnderChurnDeterminism21(t *testing.T) {
@@ -76,9 +65,9 @@ y1 succLog@N(SAddr) :- bestSucc@N(SID, SAddr).
 `),
 		}
 	}
-	build := func(parallel bool) (*Ring, ChurnResult, string) {
+	build := func() (*Ring, ChurnResult, string) {
 		r, res, err := RunChurn(ChurnConfig{
-			Seed: 42, LossProb: 0.02, Parallel: parallel, Workers: 8,
+			Seed: 42, LossProb: 0.02,
 			Detectors: extras(),
 			Uninstall: []string{ExtraQueryID(0), ExtraQueryID(1)},
 			// Rejoin is at +120: by +150 every node is up again to
@@ -90,21 +79,13 @@ y1 succLog@N(SAddr) :- bestSucc@N(SID, SAddr).
 		}
 		return r, res, fmt.Sprintf("%+v\n", res) + ringFingerprint(r)
 	}
-	seqRing, seqRes, seq := build(false)
-	_, _, par := build(true)
-	if seq != par {
-		i := 0
-		for i < len(seq) && i < len(par) && seq[i] == par[i] {
-			i++
-		}
-		lo := max(0, i-200)
-		t.Fatalf("sequential and parallel uninstall-under-churn runs diverged at byte %d:\n...seq: %q\n...par: %q",
-			i, seq[lo:min(len(seq), i+200)], par[lo:min(len(par), i+200)])
-	}
+	ring, res, first := build()
+	_, _, second := build()
+	requireSameRun(t, "uninstall-under-churn", first, second)
 
 	// The queries did real work before being retired.
 	ticks := 0
-	for _, w := range seqRing.Watched {
+	for _, w := range ring.Watched {
 		if w.T.Name == "probeTick" {
 			ticks++
 		}
@@ -112,10 +93,10 @@ y1 succLog@N(SAddr) :- bestSucc@N(SID, SAddr).
 	if ticks == 0 {
 		t.Error("probe query never fired before its uninstall")
 	}
-	if seqRes.Faults.Crashes != 3 || seqRes.Faults.Rejoins != 3 {
-		t.Errorf("faults = %+v, want 3 crashes and 3 rejoins", seqRes.Faults)
+	if res.Faults.Crashes != 3 || res.Faults.Rejoins != 3 {
+		t.Errorf("faults = %+v, want 3 crashes and 3 rejoins", res.Faults)
 	}
-	if seqRes.RejoinRepair < 0 {
+	if res.RejoinRepair < 0 {
 		t.Error("full ring never re-converged after the rejoin")
 	}
 
@@ -127,8 +108,8 @@ y1 succLog@N(SAddr) :- bestSucc@N(SID, SAddr).
 		t.Fatal(err)
 	}
 	want := ref.Node("n1")
-	for _, a := range seqRing.Addrs {
-		n := seqRing.Node(a)
+	for _, a := range ring.Addrs {
+		n := ring.Node(a)
 		if qs := n.Queries(); len(qs) != 1 || qs[0] != QueryID {
 			t.Errorf("%s: queries = %v, want [%s]", a, qs, QueryID)
 		}

@@ -38,43 +38,44 @@ func ringFingerprint(r *Ring) string {
 	return b.String()
 }
 
-// TestParallelDeterminism21 is the PR's correctness spine: the paper's
-// 21-node Chord convergence workload (the TestConvergence21 scenario,
-// plus message loss to exercise the per-link RNG streams) must produce
-// bit-identical metrics, drop counts, and final table contents on every
-// node under the sequential and the parallel driver.
+// requireSameRun fails the test unless two runs of one scenario at one
+// seed left byte-identical fingerprints, showing where they part.
+func requireSameRun(t *testing.T, what, first, second string) {
+	t.Helper()
+	if first == second {
+		return
+	}
+	i := 0
+	for i < len(first) && i < len(second) && first[i] == second[i] {
+		i++
+	}
+	lo := max(0, i-200)
+	t.Fatalf("two %s runs at one seed diverged at byte %d:\n...first:  %q\n...second: %q",
+		what, i, first[lo:min(len(first), i+200)], second[lo:min(len(second), i+200)])
+}
+
+// TestParallelDeterminism21 is the correctness spine: a run is a pure
+// function of its seed. The paper's 21-node Chord convergence workload
+// (the TestConvergence21 scenario, plus message loss to exercise the
+// per-link RNG streams) run twice must produce bit-identical metrics,
+// drop counts, and final table contents on every node. (It keeps the
+// name it had when the second run was the parallel driver's.)
 func TestParallelDeterminism21(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 21-node 300s rings")
 	}
-	build := func(parallel bool) string {
-		r, err := NewRing(RingConfig{
-			N: 21, Seed: 42, LossProb: 0.02,
-			Parallel: parallel, Workers: 8,
-		})
+	build := func() string {
+		r, err := NewRing(RingConfig{N: 21, Seed: 42, LossProb: 0.02})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.Run(300)
-		if parallel {
-			// The parallel driver must also leave the ring converged.
-			if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
-				t.Errorf("parallel ring not converged after 300s: %v", bad)
-			}
+		if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
+			t.Errorf("ring not converged after 300s: %v", bad)
 		}
 		return ringFingerprint(r)
 	}
-	seq := build(false)
-	par := build(true)
-	if seq != par {
-		i := 0
-		for i < len(seq) && i < len(par) && seq[i] == par[i] {
-			i++
-		}
-		lo := max(0, i-200)
-		t.Fatalf("sequential and parallel runs diverged at byte %d:\n...seq: %q\n...par: %q",
-			i, seq[lo:min(len(seq), i+200)], par[lo:min(len(par), i+200)])
-	}
+	requireSameRun(t, "convergence", build(), build())
 }
 
 // tracedStreams runs a traced 21-node ring with a trace store and

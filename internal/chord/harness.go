@@ -33,11 +33,6 @@ type RingConfig struct {
 	// MinDelay/MaxDelay override the simulated one-way message latency
 	// bounds (defaults 5-25 ms).
 	MinDelay, MaxDelay float64
-	// Parallel runs the ring on simnet's conservative parallel driver;
-	// results are identical to the sequential driver for the same seed.
-	Parallel bool
-	// Workers bounds the parallel worker pool (0 = GOMAXPROCS).
-	Workers int
 	// OnWatch receives watched tuples (in addition to Ring.Watched).
 	OnWatch func(now float64, node string, t tuple.Tuple)
 	// ExtraPrograms are installed on every node after Chord (monitoring
@@ -160,18 +155,12 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("chord: ring needs at least one node")
 	}
-	mode := simnet.Sequential
-	if cfg.Parallel {
-		mode = simnet.Parallel
-	}
 	r := &Ring{Sim: simnet.NewSim(), noChord: cfg.NoChord}
 	r.Net = simnet.NewNetwork(r.Sim, simnet.Config{
 		Seed:       cfg.Seed,
 		LossProb:   cfg.LossProb,
 		MinDelay:   cfg.MinDelay,
 		MaxDelay:   cfg.MaxDelay,
-		Mode:       mode,
-		Workers:    cfg.Workers,
 		Tracing:    cfg.Tracing,
 		TraceStore: cfg.TraceStore,
 		OnWatch: func(now float64, node string, t tuple.Tuple) {

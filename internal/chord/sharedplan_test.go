@@ -20,20 +20,19 @@ func planSignature(n *engine.Node) string {
 	return b.String()
 }
 
-// TestSharedPlanIsolation drives one ring hard and asymmetrically —
-// the parallel simnet driver, a late join, lookups on one node, a
-// crash — and asserts that (a) every node runs off the same shared
-// *Plan pointers, (b) the shared plans' contents never change while
-// per-node strand state churns, and (c) emissions are bit-identical to
-// a ring planned privately per node (engine.DisableSharedPlans). Run
-// under -race this also makes the workers' concurrent reads of the
-// shared plans checkable.
+// TestSharedPlanIsolation drives one ring hard and asymmetrically — a
+// late join, lookups on one node, a crash — and asserts that (a) every
+// node runs off the same shared *Plan pointers, (b) the shared plans'
+// contents never change while per-node strand state churns, and (c)
+// emissions are bit-identical to a ring planned privately per node
+// (engine.DisableSharedPlans). Concurrent nodes reading one plan set
+// are realtime.TestSharedPlansConcurrentNodes' to check under -race.
 func TestSharedPlanIsolation(t *testing.T) {
 	build := func(private bool) (*Ring, error) {
 		saved := engine.DisableSharedPlans
 		engine.DisableSharedPlans = private
 		defer func() { engine.DisableSharedPlans = saved }()
-		r, err := NewRing(RingConfig{N: 8, Seed: 11, Parallel: true, Workers: 4})
+		r, err := NewRing(RingConfig{N: 8, Seed: 11})
 		if err != nil {
 			return nil, err
 		}

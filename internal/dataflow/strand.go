@@ -158,7 +158,7 @@ type AggSpec struct {
 // A Plan carries no execution state, is never written after the planner
 // returns it, and may therefore be shared by every node running the same
 // program ("plan once, instantiate N times") — including nodes running
-// concurrently under the parallel drivers, since concurrent readers of
+// concurrently under realtime.Network, since concurrent readers of
 // immutable data race with nobody.
 type Plan struct {
 	// RuleID is the rule label (possibly planner-generated).

@@ -203,7 +203,7 @@ type query struct {
 // Node is one P2 node. Not safe for concurrent use: the driver serializes
 // Handle* calls on each node. Distinct nodes share no mutable state (each
 // owns its store, RNG, tracer, counters, and scratch buffers; Send and
-// the On* callbacks are the only ways out), so a parallel driver may run
+// the On* callbacks are the only ways out), so realtime.Network runs
 // different nodes on different goroutines concurrently.
 type Node struct {
 	cfg   Config

@@ -7,13 +7,12 @@
 // The paper's monitors (§3.1) exist to catch a misbehaving overlay;
 // this package is what makes the overlay misbehave, on purpose and
 // reproducibly. Every fault event is armed as an UNATTRIBUTED scheduler
-// event, which the parallel driver treats as a window barrier: the
-// fault mutates shared network state (down flags, partition table, link
-// faults) only while no worker is running, and the per-message fault
-// randomness comes from the sender-owned link RNG streams. A faulty run
-// is therefore bit-identical under the Sequential and Parallel drivers
-// for the same seed — the determinism contract of the healthy network
-// extends to injured ones (enforced by TestScenarioDeterminism here and
+// event: the fault mutates shared network state (down flags, partition
+// table, link faults) between two hosts' events, never inside one, and
+// the per-message fault randomness comes from the sender-owned link RNG
+// streams. A faulty run is therefore a pure function of its seed — the
+// determinism contract of the healthy network extends to injured ones
+// (enforced by TestScenarioDeterminism here and
 // chord.TestChurnDeterminism21).
 //
 // Scenarios are plain Go values (Scenario/Event) or a tiny text format
@@ -159,9 +158,8 @@ type Injector struct {
 
 // Arm validates the scenario and schedules every event (plus the
 // automatic reversion of events with a Duration) on the network's
-// scheduler as unattributed events — window barriers under the parallel
-// driver. Call before Run; events in the past are clamped to now by the
-// scheduler.
+// scheduler as unattributed events. Call before Run; events in the past
+// are clamped to now by the scheduler.
 func Arm(net *simnet.Network, sc Scenario) (*Injector, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err

@@ -49,15 +49,13 @@ at 20 crash n2
 at 50 rejoin n2
 `
 
-// TestScenarioDeterminism: an injured run is bit-identical under the
-// sequential and parallel drivers — fault events act as window barriers
-// and all fault randomness comes from the seeded link streams.
+// TestScenarioDeterminism: an injured run is a pure function of its
+// seed — two runs are bit-identical, because all fault randomness comes
+// from the seeded link streams.
 func TestScenarioDeterminism(t *testing.T) {
 	sc := faults.MustParse(kitchenSink)
-	build := func(parallel bool) string {
-		r, err := chord.NewRing(chord.RingConfig{
-			N: 7, Seed: 17, LossProb: 0.01, Parallel: parallel, Workers: 4,
-		})
+	build := func() string {
+		r, err := chord.NewRing(chord.RingConfig{N: 7, Seed: 17, LossProb: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +67,11 @@ func TestScenarioDeterminism(t *testing.T) {
 		r.Run(240)
 		stats := inj.Stats()
 		if stats.Injected != 12 { // 7 events + 5 auto-reversions
-			t.Errorf("injected = %d, want 12 (parallel=%v)", stats.Injected, parallel)
+			t.Errorf("injected = %d, want 12", stats.Injected)
 		}
 		if stats.Crashes != 1 || stats.Rejoins != 1 ||
 			stats.Partitions != 1 || stats.Heals != 1 {
-			t.Errorf("stats = %+v (parallel=%v)", stats, parallel)
+			t.Errorf("stats = %+v", stats)
 		}
 		var log []string
 		for _, e := range inj.Log() {
@@ -81,16 +79,15 @@ func TestScenarioDeterminism(t *testing.T) {
 		}
 		return strings.Join(log, "\n") + "\n" + fingerprint(r)
 	}
-	seq := build(false)
-	par := build(true)
-	if seq != par {
+	first, second := build(), build()
+	if first != second {
 		i := 0
-		for i < len(seq) && i < len(par) && seq[i] == par[i] {
+		for i < len(first) && i < len(second) && first[i] == second[i] {
 			i++
 		}
 		lo := max(0, i-200)
-		t.Fatalf("sequential and parallel faulty runs diverged at byte %d:\n...seq: %q\n...par: %q",
-			i, seq[lo:min(len(seq), i+200)], par[lo:min(len(par), i+200)])
+		t.Fatalf("two faulty runs at one seed diverged at byte %d:\n...first:  %q\n...second: %q",
+			i, first[lo:min(len(first), i+200)], second[lo:min(len(second), i+200)])
 	}
 }
 

@@ -49,6 +49,13 @@ type batchReader struct {
 	bufs [ioBatch]*[]byte
 	iovs [ioBatch]syscall.Iovec
 	hdrs [ioBatch]mmsghdr
+	// recv is br.recvmmsg bound once: a closure built per read would be
+	// three allocations a syscall, and how many datagrams a syscall
+	// returns is the kernel's choice, so allocations per datagram would
+	// vary from run to run. cnt and errno carry its result out.
+	recv  func(fd uintptr) bool
+	cnt   int
+	errno syscall.Errno
 }
 
 func newBatchReader(conn *net.UDPConn, pool *bufPool) *batchReader {
@@ -56,7 +63,26 @@ func newBatchReader(conn *net.UDPConn, pool *bufPool) *batchReader {
 	if err != nil {
 		return nil
 	}
-	return &batchReader{rc: rc, pool: pool}
+	br := &batchReader{rc: rc, pool: pool}
+	br.recv = br.recvmmsg
+	return br
+}
+
+// recvmmsg is the RawConn.Read callback: false parks the goroutine on
+// the poller until the socket is readable.
+func (br *batchReader) recvmmsg(fd uintptr) bool {
+	for {
+		n, e := recvmmsg(fd, br.hdrs[:], uintptr(syscall.MSG_DONTWAIT))
+		switch e {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		default:
+			br.cnt, br.errno = n, e
+			return true
+		}
+	}
 }
 
 // read blocks until at least one datagram arrives (or the socket
@@ -72,25 +98,11 @@ func (br *batchReader) read() (cnt int, ok bool) {
 		br.hdrs[i].hdr = syscall.Msghdr{Iov: &br.iovs[i], Iovlen: 1}
 		br.hdrs[i].len = 0
 	}
-	var errno syscall.Errno
-	err := br.rc.Read(func(fd uintptr) bool {
-		for {
-			n, e := recvmmsg(fd, br.hdrs[:], uintptr(syscall.MSG_DONTWAIT))
-			switch e {
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // park on the poller until readable
-			default:
-				cnt, errno = n, e
-				return true
-			}
-		}
-	})
-	if err != nil || errno != 0 {
+	br.cnt, br.errno = 0, 0
+	if err := br.rc.Read(br.recv); err != nil || br.errno != 0 {
 		return 0, false
 	}
-	return cnt, true
+	return br.cnt, true
 }
 
 // take transfers slot i's buffer to the caller, reporting the datagram
@@ -107,6 +119,12 @@ type batchSender struct {
 	rc   syscall.RawConn
 	iovs [ioBatch]syscall.Iovec
 	hdrs [ioBatch]mmsghdr
+	// write is bs.sendmmsg bound once, like batchReader.recv: k is how
+	// many of hdrs it sends, cnt and errno carry its result out.
+	write func(fd uintptr) bool
+	k     int
+	cnt   int
+	errno syscall.Errno
 }
 
 func newBatchSender(conn *net.UDPConn) *batchSender {
@@ -114,7 +132,25 @@ func newBatchSender(conn *net.UDPConn) *batchSender {
 	if err != nil {
 		return nil
 	}
-	return &batchSender{rc: rc}
+	bs := &batchSender{rc: rc}
+	bs.write = bs.sendmmsg
+	return bs
+}
+
+// sendmmsg is the RawConn.Write callback: false waits for writability.
+func (bs *batchSender) sendmmsg(fd uintptr) bool {
+	for {
+		n, e := sendmmsg(fd, bs.hdrs[:bs.k], uintptr(syscall.MSG_DONTWAIT))
+		switch e {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		default:
+			bs.cnt, bs.errno = n, e
+			return true
+		}
+	}
 }
 
 // send writes all frames (in ioBatch-sized syscalls), returning the
@@ -133,32 +169,17 @@ func (bs *batchSender) send(frames [][]byte) (int, error) {
 			bs.hdrs[i].hdr = syscall.Msghdr{Iov: &bs.iovs[i], Iovlen: 1}
 			bs.hdrs[i].len = 0
 		}
-		var n int
-		var errno syscall.Errno
-		err := bs.rc.Write(func(fd uintptr) bool {
-			for {
-				c, e := sendmmsg(fd, bs.hdrs[:k], uintptr(syscall.MSG_DONTWAIT))
-				switch e {
-				case syscall.EINTR:
-					continue
-				case syscall.EAGAIN:
-					return false // wait for writability
-				default:
-					n, errno = c, e
-					return true
-				}
-			}
-		})
-		if err != nil {
+		bs.k, bs.cnt, bs.errno = k, 0, 0
+		if err := bs.rc.Write(bs.write); err != nil {
 			return sent, err
 		}
-		if errno != 0 {
-			return sent, errno
+		if bs.errno != 0 {
+			return sent, bs.errno
 		}
-		if n <= 0 {
+		if bs.cnt <= 0 {
 			return sent, syscall.EIO
 		}
-		sent += n
+		sent += bs.cnt
 	}
 	return sent, nil
 }

@@ -15,40 +15,19 @@ import (
 	"p2go/internal/tuple"
 )
 
-// Mode selects the execution driver for Network.Run.
-type Mode int
-
-const (
-	// Sequential executes every event on the calling goroutine in
-	// global virtual-time order (the classic discrete-event loop).
-	Sequential Mode = iota
-	// Parallel executes independent hosts concurrently inside
-	// conservative lookahead windows (see parallel.go). Virtual-time
-	// behavior is identical to Sequential: same per-node metrics,
-	// traces, drop counts, and final table contents for the same seed.
-	Parallel
-)
-
 // Config configures a simulated network.
 type Config struct {
 	// Seed drives every random choice (delays, loss, node RNGs), making
 	// runs reproducible.
 	Seed int64
 	// MinDelay and MaxDelay bound the uniformly sampled one-way message
-	// latency in seconds. Defaults: 5-25 ms. MinDelay also serves as
-	// the conservative lookahead of the Parallel driver: no message
-	// sent inside a window of that length can also arrive in it.
+	// latency in seconds. Defaults: 5-25 ms.
 	MinDelay, MaxDelay float64
 	// LossProb drops each message independently with this probability.
 	LossProb float64
 	// SweepInterval is how often each node expires soft state; default
 	// 1 s of virtual time.
 	SweepInterval float64
-	// Mode selects the execution driver (default Sequential).
-	Mode Mode
-	// Workers bounds the Parallel driver's worker pool; 0 means
-	// GOMAXPROCS. Ignored in Sequential mode.
-	Workers int
 	// Tracing, when non-nil, enables execution logging on every node.
 	Tracing *trace.Config
 	// TraceStore, when non-nil and Enabled, gives every traced node a
@@ -56,9 +35,7 @@ type Config struct {
 	// engine.Config.TraceStore).
 	TraceStore *tracestore.Config
 	// OnWatch and OnRuleError hook watched tuples and rule errors; the
-	// node address is prepended. In Parallel mode they are buffered
-	// during a window and replayed in virtual-time order at the window
-	// barrier, so implementations need not be goroutine-safe.
+	// node address is prepended.
 	OnWatch     func(now float64, node string, t tuple.Tuple)
 	OnRuleError func(now float64, node string, ruleID string, err error)
 }
@@ -75,7 +52,7 @@ func (c Config) withDefaults() Config {
 
 // link is the sender-owned state of one directed link: its private
 // delay/loss RNG stream and the FIFO high-water mark. Only the source
-// host's execution touches it, so links never need locking.
+// host's execution touches it.
 type link struct {
 	rng         *rand.Rand
 	lastArrival float64
@@ -83,7 +60,6 @@ type link struct {
 
 type host struct {
 	net       *Network
-	idx       int32 // position in Network.byIdx; the canonical host order
 	node      *engine.Node
 	addr      string
 	queue     []simTask
@@ -91,10 +67,6 @@ type host struct {
 	busyUntil float64
 	kickAt    float64 // time of the scheduled kick; <0 when none
 	down      bool
-	// now is the virtual time of the task currently (or most recently)
-	// executing on this host; the node's clock reads it so that worker
-	// goroutines never consult the global clock mid-window.
-	now float64
 	// rng staggers this host's periodic triggers. Deriving it from the
 	// host address (not a shared stream) keeps draws independent of the
 	// order hosts execute in.
@@ -107,16 +79,12 @@ type host struct {
 	dropped int64
 	// faultMsgs counts message-level fault effects (targeted drops,
 	// duplication, reordering, delay jitter) this host's execution
-	// applied on its outgoing links. Host-owned like dropped, so
-	// parallel workers never contend on it.
+	// applied on its outgoing links. Host-owned like dropped.
 	faultMsgs metrics.Faults
 	// epoch counts process incarnations. Crash bumps it, orphaning
 	// every timer chain armed for the previous incarnation; Revive and
 	// Rejoin re-arm fresh chains. Only driver-context code writes it.
 	epoch uint64
-	// exec is this host's window context while a parallel window is
-	// running, else nil (see parallel.go).
-	exec *hostExec
 }
 
 // LinkFault is message-level fault state for one directed link (or a
@@ -126,7 +94,7 @@ type host struct {
 // it may overtake or be overtaken), and delayed by an extra uniform
 // [0, ExtraDelay) seconds when ExtraDelay > 0. All randomness comes
 // from the sender-owned link RNG stream, so faulty runs stay
-// bit-reproducible under both drivers.
+// bit-reproducible.
 type LinkFault struct {
 	DropProb    float64
 	DupProb     float64
@@ -148,21 +116,11 @@ type Network struct {
 	blocked map[[2]string]bool
 	// linkFaults holds message-level fault state per directed link;
 	// either endpoint may be the wildcard "*". Mutated only in driver
-	// context (window barriers), read by workers inside windows — the
-	// same discipline as blocked.
+	// context, like blocked.
 	linkFaults map[[2]string]LinkFault
 	// faultTotals accumulates node/link fault-injection counters
 	// (driver-context only; message-level counters live on hosts).
 	faultTotals metrics.Faults
-
-	// Parallel-driver scratch state (coordinator-only, never touched by
-	// workers): recycled window contexts and merge buffers, plus run
-	// statistics. See parallel.go.
-	execPool  []*hostExec
-	activeBuf []*host
-	defsBuf   []deferredEvent
-	recsBuf   []callbackRec
-	parStats  ParStats
 
 	// addrsCache holds the sorted address list; AddNode invalidates it,
 	// so Addrs is O(copy) instead of O(n log n) between topology changes.
@@ -201,28 +159,6 @@ func subSeed(seed int64, parts ...string) int64 {
 	return int64(h.Sum64())
 }
 
-// schedule plans do at absolute virtual time t on target's timeline.
-// issuer is the host whose execution requested it (nil from driver
-// context); inside a parallel window the request is buffered on the
-// issuing worker and merged deterministically at the window barrier.
-func (n *Network) schedule(issuer, target *host, t float64, do action) {
-	if issuer != nil && issuer.exec != nil {
-		issuer.exec.schedule(target, t, do)
-		return
-	}
-	n.sim.at(t, target, do)
-}
-
-// hostClock is the node-facing clock: the time of the host's current
-// task when one is running ahead of the global clock (as workers do
-// mid-window), else the global clock (driver context).
-func (n *Network) hostClock(h *host) float64 {
-	if h.now > n.sim.now {
-		return h.now
-	}
-	return n.sim.now
-}
-
 // AddNode creates and wires a node. Programs are installed by the caller.
 func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	if _, ok := n.hosts[addr]; ok {
@@ -230,7 +166,6 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	}
 	h := &host{
 		net:    n,
-		idx:    int32(len(n.byIdx)),
 		addr:   addr,
 		kickAt: -1,
 		rng:    rand.New(rand.NewSource(subSeed(n.cfg.Seed, "host", addr))),
@@ -240,27 +175,17 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 		Addr:       addr,
 		Seed:       n.rng.Int63(),
 		TraceStore: n.cfg.TraceStore,
-		Clock:      func() float64 { return n.hostClock(h) },
+		Clock:      n.sim.Now,
 		Send: func(dst string, env engine.Envelope, at float64) {
 			n.deliver(h, dst, env, at)
 		},
 		OnNewPeriodic: func(p *engine.Periodic) { n.schedulePeriodic(h, p) },
 	}
 	if n.cfg.OnWatch != nil {
-		cfg.OnWatch = func(now float64, t tuple.Tuple) {
-			if ex := h.exec; ex != nil {
-				ex.watches = append(ex.watches, watchRec{at: now, t: t})
-				return
-			}
-			n.cfg.OnWatch(now, addr, t)
-		}
+		cfg.OnWatch = func(now float64, t tuple.Tuple) { n.cfg.OnWatch(now, addr, t) }
 	}
 	if n.cfg.OnRuleError != nil {
 		cfg.OnRuleError = func(now float64, ruleID string, err error) {
-			if ex := h.exec; ex != nil {
-				ex.errors = append(ex.errors, errRec{at: now, ruleID: ruleID, err: err})
-				return
-			}
 			n.cfg.OnRuleError(now, addr, ruleID, err)
 		}
 	}
@@ -273,7 +198,7 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	n.hosts[addr] = h
 	n.byIdx = append(n.byIdx, h)
 	n.addrsCache = nil
-	n.schedule(nil, h, n.sim.Now()+n.cfg.SweepInterval, sweep{})
+	n.sim.at(n.sim.Now()+n.cfg.SweepInterval, h, sweep{})
 	return h.node, nil
 }
 
@@ -302,8 +227,7 @@ func (n *Network) Addrs() []string {
 }
 
 // Dropped reports messages lost to sampling, partitions, or dead nodes,
-// summed over the per-host counters (each host owns its counter so
-// parallel workers never contend on it).
+// summed over the per-host counters.
 func (n *Network) Dropped() int64 {
 	var total int64
 	for _, h := range n.byIdx {
@@ -340,8 +264,7 @@ func (n *Network) linkFault(src, dst string) LinkFault {
 // SetLinkFault installs (or replaces) message-level fault state on the
 // directed link src->dst; either endpoint may be "*". A zero fault
 // clears the entry. Must be called from driver context (between Run
-// calls, or from an unattributed scheduled event — fault injections act
-// as window barriers under the parallel driver).
+// calls, or from an unattributed scheduled event).
 func (n *Network) SetLinkFault(src, dst string, f LinkFault) {
 	n.faultTotals.LinkFaults++
 	if f.IsZero() {
@@ -434,7 +357,7 @@ func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64
 		}
 		m := messagePool.Get().(*message)
 		*m = message{src: src, id: env.SrcTupleID, raw: append(m.raw, env.Raw...), sent: at}
-		n.schedule(src, h, arrival, m)
+		n.sim.at(arrival, h, m)
 	}
 }
 
@@ -467,9 +390,7 @@ type message struct {
 	sent float64 // node-local send time, for the hop-latency observation
 }
 
-// messagePool is shared by every network in the process: under the
-// parallel driver a record is taken on one worker and returned on
-// another, which an unsynchronised free list cannot do, and a sync.Pool
+// messagePool is shared by every network in the process: a sync.Pool
 // gives a burst's high-water mark back to the collector.
 var messagePool = sync.Pool{New: func() any { return new(message) }}
 
@@ -491,8 +412,7 @@ func (m *message) fire(h *host, at float64) {
 		return
 	}
 	// The receiver observes the hop as the message lands: pure
-	// receiver-owned measurement, safe under the parallel driver and
-	// invisible to billing and determinism.
+	// receiver-owned measurement, invisible to billing and determinism.
 	h.node.ObserveHop(at - m.sent)
 	h.net.enqueue(h, m, at)
 }
@@ -513,7 +433,7 @@ func (s sweep) fire(h *host, at float64) {
 	if !h.down {
 		n.enqueue(h, s, at)
 	}
-	n.schedule(h, h, at+n.cfg.SweepInterval, s)
+	n.sim.at(at+n.cfg.SweepInterval, h, s)
 }
 
 func (sweep) run(h *host) float64 { return h.node.Sweep() }
@@ -587,11 +507,10 @@ func (n *Network) kick(h *host, now float64) {
 	if h.busyUntil > now {
 		if h.kickAt < 0 || h.kickAt > h.busyUntil {
 			h.kickAt = h.busyUntil
-			n.schedule(h, h, h.busyUntil, kickRetry{})
+			n.sim.at(h.busyUntil, h, kickRetry{})
 		}
 		return
 	}
-	h.now = now
 	for h.qhead < len(h.queue) {
 		if h.down {
 			h.clearQueue()
@@ -623,8 +542,8 @@ func (n *Network) kick(h *host, now float64) {
 // incarnation: a crash bumps the epoch, so chains armed before it die
 // at their next firing and a revived host re-arms fresh ones.
 func (n *Network) schedulePeriodic(h *host, p *engine.Periodic) {
-	first := n.hostClock(h) + p.Period()*(0.05+0.95*h.rng.Float64())
-	n.schedule(h, h, first, &periodicChain{p: p, epoch: h.epoch})
+	first := n.sim.Now() + p.Period()*(0.05+0.95*h.rng.Float64())
+	n.sim.at(first, h, &periodicChain{p: p, epoch: h.epoch})
 }
 
 // periodicChain is one armed timer chain: allocated once when armed,
@@ -640,7 +559,7 @@ func (c *periodicChain) fire(h *host, at float64) {
 	}
 	n := h.net
 	n.enqueue(h, c, at)
-	n.schedule(h, h, at+c.p.Period(), c)
+	n.sim.at(at+c.p.Period(), h, c)
 }
 
 func (c *periodicChain) run(h *host) float64 { return h.node.HandleTimer(c.p) }
@@ -688,7 +607,7 @@ func (n *Network) InjectAt(at float64, addr string, t tuple.Tuple) error {
 	if at < n.sim.Now() {
 		at = n.sim.Now()
 	}
-	n.schedule(nil, h, at, &localTuple{t})
+	n.sim.at(at, h, &localTuple{t})
 	return nil
 }
 
@@ -720,8 +639,7 @@ func (n *Network) Revive(addr string) {
 // is gone (no delete events fire — the state of a dead process simply
 // vanishes), the engine replays the node's preamble so it bootstraps
 // exactly as it did at install time, and periodic timers are re-armed.
-// Must be called from driver context; the faults injector schedules it
-// as a window barrier, so both drivers execute it identically.
+// Must be called from driver context.
 func (n *Network) Rejoin(addr string) {
 	if h, ok := n.hosts[addr]; ok && h.down {
 		n.faultTotals.Rejoins++
@@ -762,15 +680,8 @@ func (n *Network) FaultTotals() metrics.Faults {
 	return total
 }
 
-// Run advances the simulation to absolute virtual time t using the
-// configured driver.
-func (n *Network) Run(t float64) {
-	if n.cfg.Mode == Parallel {
-		n.runParallel(t)
-		return
-	}
-	n.sim.Run(t)
-}
+// Run advances the simulation to absolute virtual time t.
+func (n *Network) Run(t float64) { n.sim.Run(t) }
 
 // RunFor advances the simulation by d seconds.
 func (n *Network) RunFor(d float64) { n.Run(n.sim.Now() + d) }

@@ -29,8 +29,7 @@ type funcAction func()
 func (f funcAction) fire(*host, float64) { f() }
 
 // event is one scheduled action. h attributes the event to the simulated
-// host whose state it touches, or is nil for unattributed events; the
-// parallel driver may only run host-attributed events concurrently.
+// host whose state it touches, or is nil for unattributed events.
 type event struct {
 	at  float64
 	seq uint64 // tie-break: FIFO among simultaneous events
@@ -46,8 +45,7 @@ func (e *event) before(o *event) bool {
 }
 
 // eventHeap is a binary min-heap of events by (at, seq). seq is unique
-// within a heap, so the order is total and the pop sequence does not
-// depend on how the heap was built (push by push or init in bulk).
+// within a heap, so the order is total.
 type eventHeap []event
 
 func (h *eventHeap) push(e event) {
@@ -64,13 +62,6 @@ func (h *eventHeap) pop() event {
 	*h = old[:n]
 	h.down(0)
 	return e
-}
-
-// init establishes the heap order over arbitrary contents in O(n).
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
 }
 
 func (h eventHeap) up(i int) {
@@ -118,41 +109,14 @@ func (s *Sim) Now() float64 { return s.now }
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Sim) At(t float64, fn func()) { s.at(t, nil, funcAction(fn)) }
 
-// at schedules a host-attributed event (nil h means unattributed).
+// at schedules a host-attributed event (nil h means unattributed) at
+// absolute virtual time t, clamped to now, with the next tie-break seq.
 func (s *Sim) at(t float64, h *host, do action) {
-	s.pq.push(s.stamp(t, h, do))
-}
-
-// stamp clamps t to now and assigns the next tie-break seq.
-func (s *Sim) stamp(t float64, h *host, do action) event {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	return event{at: t, seq: s.seq, h: h, do: do}
-}
-
-// atBatch schedules a window's deferred events in one heap rebuild
-// instead of len(defs) sifts — at 1k-10k hosts the per-window merge is
-// the scheduler's hottest path. The caller guarantees the slice is in
-// the canonical delivery order for simultaneous events: seq numbers are
-// assigned in slice order, so (at, seq) pop order — the only order the
-// simulation observes — is exactly what len(defs) individual at() calls
-// would have produced. For the small batches that dominate small-ring
-// convergence the per-event push is cheaper than an O(pending) rebuild,
-// so batching kicks in only past a size threshold.
-func (s *Sim) atBatch(defs []deferredEvent) {
-	const rebuildThreshold = 32
-	if len(defs) < rebuildThreshold {
-		for _, d := range defs {
-			s.at(d.at, d.h, d.do)
-		}
-		return
-	}
-	for _, d := range defs {
-		s.pq = append(s.pq, s.stamp(d.at, d.h, d.do))
-	}
-	s.pq.init()
+	s.pq.push(event{at: t, seq: s.seq, h: h, do: do})
 }
 
 // After schedules fn d seconds from now.

@@ -101,8 +101,8 @@ func TestRunUntilIdle(t *testing.T) {
 }
 
 // TestEventHeapOrder drives the scheduler with a seeded random mix of
-// single pushes, bulk loads on both sides of atBatch's rebuild threshold
-// and pops, on a coarse time grid so equal-at runs are common, and checks
+// single pushes, bursts of up to 100 pushes and pops, on a coarse time
+// grid so equal-at runs are common, and checks
 // every pop against a reference model: exactly (at, seq) order.
 func TestEventHeapOrder(t *testing.T) {
 	type pending struct {
@@ -124,22 +124,17 @@ func TestEventHeapOrder(t *testing.T) {
 		return funcAction(func() { fired = p })
 	}
 	when := func() float64 { return s.now + float64(rng.Intn(4))*0.25 - 0.25 } // sometimes in the past: clamped
-	pops, bulk := 0, 0
+	pops := 0
 	for op := 0; op < 4000; op++ {
 		switch r := rng.Intn(10); {
 		case r < 4:
 			at := when()
 			s.at(at, nil, record(at))
 		case r < 5:
-			defs := make([]deferredEvent, 1+rng.Intn(100))
-			for i := range defs {
+			for i := 1 + rng.Intn(100); i > 0; i-- {
 				at := when()
-				defs[i] = deferredEvent{at: at, do: record(at)}
+				s.at(at, nil, record(at))
 			}
-			if len(defs) >= 32 {
-				bulk++
-			}
-			s.atBatch(defs)
 		default:
 			if len(model) == 0 {
 				if s.Step() {
@@ -164,7 +159,7 @@ func TestEventHeapOrder(t *testing.T) {
 			t.Fatalf("op %d: %d pending, model holds %d", op, s.Pending(), len(model))
 		}
 	}
-	if pops < 1000 || bulk < 100 {
-		t.Fatalf("weak run: %d pops, %d bulk rebuilds", pops, bulk)
+	if pops < 1000 {
+		t.Fatalf("weak run: %d pops", pops)
 	}
 }

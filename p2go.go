@@ -145,16 +145,6 @@ type Network = simnet.Network
 // NetworkConfig configures delays, loss, tracing, and hooks.
 type NetworkConfig = simnet.Config
 
-// SimMode selects the simulation driver: Sequential (single-threaded,
-// the default) or Parallel (windowed-lookahead PDES on a worker pool;
-// bit-identical virtual-time results for the same seed).
-type SimMode = simnet.Mode
-
-const (
-	Sequential SimMode = simnet.Sequential
-	Parallel   SimMode = simnet.Parallel
-)
-
 // NewNetwork creates a network on the simulator.
 func NewNetwork(s *Sim, cfg NetworkConfig) *Network { return simnet.NewNetwork(s, cfg) }
 
