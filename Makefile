@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check cover bench bench-e2e bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-forensics bench-scale bench-aggtree bench-realtime fuzz examples tidy
+.PHONY: build test check cover bench bench-e2e bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-forensics bench-scale bench-aggtree fuzz examples tidy
 
 build:
 	go build ./...
@@ -90,18 +90,12 @@ bench-scale:
 bench-aggtree:
 	go run ./cmd/p2bench -exp aggtree -json
 
-# Wall-clock UDP ingest: a paced open-loop generator against one UDP
-# node over loopback, gated at >=100k events/sec sustained with exact
-# overload accounting and a <=1 alloc/datagram reader hot path; writes
-# BENCH_realtime.json. (-rate/-payload/-conns override the load shape.)
-bench-realtime:
-	go run ./cmd/p2bench -exp realtime -json
-
 fuzz:
 	go test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/tuple/
 	go test -run '^$$' -fuzz FuzzValueCodec -fuzztime 30s ./internal/tuple/
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/overlog/
 	go test -run '^$$' -fuzz FuzzSegmentRoundTrip -fuzztime 30s ./internal/tracestore/
+	go test -run '^$$' -fuzz FuzzDatagram -fuzztime 30s ./internal/realtime/
 
 examples:
 	go run ./examples/quickstart

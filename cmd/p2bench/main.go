@@ -18,7 +18,6 @@
 //	p2bench -exp forensics      # durable trace store: overhead + lineage queries
 //	p2bench -exp scale          # 100/1k/10k-host sweep: bytes/host + events/sec
 //	p2bench -exp aggtree        # in-network aggregation trees vs flat collection
-//	p2bench -exp realtime       # wall-clock UDP ingest: 100k+ events/sec over loopback
 //
 // -json additionally writes each experiment's result to
 // BENCH_<exp>.json. -cpuprofile/-memprofile write pprof profiles covering
@@ -39,16 +38,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, ablation, churn, lifecycle, scenario, trace, profiler, forensics, scale, aggtree, realtime, all")
+		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, ablation, churn, lifecycle, scenario, trace, profiler, forensics, scale, aggtree, all")
 		seed     = flag.Int64("seed", 42, "random seed")
 		jsonOut  = flag.Bool("json", false, "also write each experiment's result to BENCH_<exp>.json")
 		scenario = flag.String("scenario", "", "fault scenario file for -exp scenario (see internal/faults.Parse)")
 		quick    = flag.Bool("quick", false, "shrink -exp lifecycle/trace/forensics/scale/aggtree to a smoke-sized run (CI)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
-		rtRate   = flag.Int("rate", 0, "-exp realtime: offered events/sec (0 = experiment default)")
-		rtPay    = flag.Int("payload", 0, "-exp realtime: payload bytes per event (0 = default 16)")
-		rtConns  = flag.Int("conns", 0, "-exp realtime: generator connections (0 = default 2)")
 	)
 	flag.Parse()
 
@@ -266,27 +262,6 @@ func main() {
 			}
 			if res.AccountingErr != "" {
 				log.Fatal("per-query accounting invariant violated")
-			}
-			payload = res
-		case "realtime":
-			res, err := bench.Realtime(*seed, *quick, *rtRate, *rtPay, *rtConns)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Print(bench.FormatRealtime(res))
-			if !res.SustainedOK {
-				log.Fatalf("realtime contract violated: sustained %.0f events/sec, want >= %.0f",
-					res.Drop.EventsPerSec, res.MinEventsPerSec)
-			}
-			if !res.Drop.InvariantOK || !res.Block.InvariantOK {
-				log.Fatal("realtime contract violated: drop accounting does not balance (received != processed + dropDecode + dropOverload + dropShutdown)")
-			}
-			if !res.ReaderAllocsOK {
-				log.Fatalf("realtime contract violated: reader hot path %.2f allocs/datagram, want <= %.1f",
-					res.ReaderAllocsPerEvent, float64(bench.RealtimeMaxReaderAllocs))
-			}
-			if !res.BlockNoDrops {
-				log.Fatalf("realtime contract violated: backpressure mode shed %d events", res.Block.Transport.DropOverload)
 			}
 			payload = res
 		case "scenario":

@@ -8,18 +8,17 @@ import (
 	"unsafe"
 )
 
-// Batched UDP I/O via recvmmsg/sendmmsg, driven through the runtime
-// poller (RawConn.Read/Write keep the goroutine parked until the socket
-// is ready, so this composes with net.UDPConn deadlines and Close).
-// One syscall moves up to ioBatch datagrams in either direction, which
-// is the difference between ~100k syscalls/sec and ~3k at the bench's
-// target rate. The stdlib syscall package has Msghdr and Iovec but not
-// the mmsghdr wrapper, so that one struct is defined here; the build
-// tag pins the architectures whose Msghdr field types match the
-// assignments below. Other platforms fall back to per-datagram reads
-// (udp.go readPortable, gen.go single sends).
+// Batched UDP receive via recvmmsg, driven through the runtime poller
+// (RawConn.Read keeps the goroutine parked until the socket is ready, so
+// this composes with net.UDPConn deadlines and Close). One syscall moves
+// up to ioBatch datagrams, which is the difference between ~100k
+// syscalls/sec and ~3k at 100k datagrams/sec. The stdlib syscall package
+// has Msghdr and Iovec but not the mmsghdr wrapper, so that one struct
+// is defined here; the build tag pins the architectures whose Msghdr
+// field types match the assignments below. Other platforms fall back to
+// per-datagram reads (udp.go readPortable).
 
-// ioBatch is the number of datagrams moved per recvmmsg/sendmmsg call.
+// ioBatch is the number of datagrams moved per recvmmsg call.
 const ioBatch = 32
 
 // mmsghdr mirrors struct mmsghdr from <sys/socket.h>.
@@ -31,12 +30,6 @@ type mmsghdr struct {
 
 func recvmmsg(fd uintptr, hdrs []mmsghdr, flags uintptr) (int, syscall.Errno) {
 	n, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-		uintptr(unsafe.Pointer(&hdrs[0])), uintptr(len(hdrs)), flags, 0, 0)
-	return int(n), e
-}
-
-func sendmmsg(fd uintptr, hdrs []mmsghdr, flags uintptr) (int, syscall.Errno) {
-	n, _, e := syscall.Syscall6(sysSendmmsg, fd,
 		uintptr(unsafe.Pointer(&hdrs[0])), uintptr(len(hdrs)), flags, 0, 0)
 	return int(n), e
 }
@@ -111,75 +104,4 @@ func (br *batchReader) take(i int) (buf *[]byte, n int, trunc bool) {
 	buf = br.bufs[i]
 	br.bufs[i] = nil
 	return buf, int(br.hdrs[i].len), br.hdrs[i].hdr.Flags&syscall.MSG_TRUNC != 0
-}
-
-// batchSender writes multiple frames per sendmmsg call on a connected
-// UDP socket (the traffic generator's send path). Not goroutine-safe.
-type batchSender struct {
-	rc   syscall.RawConn
-	iovs [ioBatch]syscall.Iovec
-	hdrs [ioBatch]mmsghdr
-	// write is bs.sendmmsg bound once, like batchReader.recv: k is how
-	// many of hdrs it sends, cnt and errno carry its result out.
-	write func(fd uintptr) bool
-	k     int
-	cnt   int
-	errno syscall.Errno
-}
-
-func newBatchSender(conn *net.UDPConn) *batchSender {
-	rc, err := conn.SyscallConn()
-	if err != nil {
-		return nil
-	}
-	bs := &batchSender{rc: rc}
-	bs.write = bs.sendmmsg
-	return bs
-}
-
-// sendmmsg is the RawConn.Write callback: false waits for writability.
-func (bs *batchSender) sendmmsg(fd uintptr) bool {
-	for {
-		n, e := sendmmsg(fd, bs.hdrs[:bs.k], uintptr(syscall.MSG_DONTWAIT))
-		switch e {
-		case syscall.EINTR:
-			continue
-		case syscall.EAGAIN:
-			return false
-		default:
-			bs.cnt, bs.errno = n, e
-			return true
-		}
-	}
-}
-
-// send writes all frames (in ioBatch-sized syscalls), returning the
-// number fully handed to the kernel and the first hard error.
-func (bs *batchSender) send(frames [][]byte) (int, error) {
-	sent := 0
-	for sent < len(frames) {
-		k := len(frames) - sent
-		if k > ioBatch {
-			k = ioBatch
-		}
-		for i := 0; i < k; i++ {
-			f := frames[sent+i]
-			bs.iovs[i].Base = &f[0]
-			bs.iovs[i].SetLen(len(f))
-			bs.hdrs[i].hdr = syscall.Msghdr{Iov: &bs.iovs[i], Iovlen: 1}
-			bs.hdrs[i].len = 0
-		}
-		bs.k, bs.cnt, bs.errno = k, 0, 0
-		if err := bs.rc.Write(bs.write); err != nil {
-			return sent, err
-		}
-		if bs.errno != 0 {
-			return sent, bs.errno
-		}
-		if bs.cnt <= 0 {
-			return sent, syscall.EIO
-		}
-		sent += bs.cnt
-	}
-	return sent, nil
 }

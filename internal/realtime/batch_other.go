@@ -2,17 +2,12 @@
 
 package realtime
 
-import (
-	"net"
-	"syscall"
-)
+import "net"
 
-// Portable stubs: platforms without recvmmsg/sendmmsg (or whose Msghdr
-// layout the linux build file does not cover) return nil constructors,
-// and the callers fall back to per-datagram ReadFromUDP/Write paths —
-// slower per event, but with identical semantics and accounting.
-// UDPNodeConfig.Readers > 1 recovers some of the lost throughput by
-// letting several readers share the socket.
+// Portable stub: platforms without recvmmsg (or whose Msghdr layout the
+// linux build file does not cover) get a nil reader, and UDPNode falls
+// back to per-datagram ReadFromUDP — slower per event, but with
+// identical semantics and accounting.
 
 type batchReader struct{}
 
@@ -21,9 +16,3 @@ func newBatchReader(conn *net.UDPConn, pool *bufPool) *batchReader { return nil 
 func (br *batchReader) read() (int, bool) { return 0, false }
 
 func (br *batchReader) take(i int) (*[]byte, int, bool) { return nil, 0, false }
-
-type batchSender struct{}
-
-func newBatchSender(conn *net.UDPConn) *batchSender { return nil }
-
-func (bs *batchSender) send(frames [][]byte) (int, error) { return 0, syscall.ENOSYS }

@@ -15,93 +15,73 @@ import (
 )
 
 // Paced open-loop UDP traffic generator: the load source for
-// `p2bench -exp realtime`. Open-loop means the send schedule is fixed
-// by the target rate, not by receiver progress — the receiver being
-// slow does not slow the generator down, which is what makes measured
-// overload (and the drop accounting) meaningful. The pacing loop is
-// deficit-based: each wake-up sends however many events the schedule
-// says are due, with the catch-up burst capped so a scheduler stall
-// turns into a bounded burst rather than a megaburst.
+// TestDropAccountingUnderOverload. Open-loop means the send schedule is
+// fixed by the target rate, not by receiver progress — the receiver
+// being slow does not slow the generator down, which is what makes
+// measured overload (and the drop accounting) meaningful. The pacing
+// loop is deficit-based: each wake-up sends however many events the
+// schedule says are due, with the catch-up burst capped so a scheduler
+// stall turns into a bounded burst rather than a megaburst.
 //
-// The hot path sends pre-framed datagrams: the wire frame is built once
-// per connection and each send patches only the two fixed-width fields
-// that change — the sender wall-clock stamp (at a fixed frame offset)
-// and the event's sequence ID (located once via a sentinel value). With
-// sendmmsg (batch_linux.go) a whole burst goes to the kernel in one
-// syscall.
+// It sends a pre-framed datagram: the wire frame is built once per
+// connection and each send patches only the two fixed-width fields that
+// change — the sender wall-clock stamp (at a fixed frame offset) and the
+// event's sequence ID (located once via a sentinel value).
 
 // GenConfig configures the traffic generator.
 type GenConfig struct {
 	// Target is the receiver's UDP address.
 	Target string
 	// Dst is the receiver's P2 address: the location field of every
-	// generated event.
+	// generated event, ev(Dst, Seq, Payload).
 	Dst string
-	// Src is the envelope source address (default "gen").
-	Src string
-	// Event is the event predicate name (default "ev"). Generated
-	// events have the shape Event(Dst, Seq, Payload).
-	Event string
 	// Rate is the target aggregate events/sec across all connections.
 	Rate int
 	// Conns is the number of sender sockets, each with its own pacing
 	// goroutine (default 1).
 	Conns int
-	// Payload is the opaque payload string length per event (default 16).
-	Payload int
 	// Duration is how long to generate.
 	Duration time.Duration
 }
 
 // GenStats reports what the generator offered to the kernel.
 type GenStats struct {
-	// Sent counts datagrams handed to the kernel; Bytes their framed
-	// bytes; Errors datagrams lost to send errors (not counted in Sent).
-	Sent, Bytes, Errors int64
-	// Elapsed is the generator's wall-clock run in seconds, and
-	// OfferedRate is Sent/Elapsed.
-	Elapsed     float64
-	OfferedRate float64
+	// Sent counts datagrams handed to the kernel; Errors datagrams lost
+	// to send errors (not counted in Sent).
+	Sent, Errors int64
+}
+
+// genSrc is the envelope source address of generated (and probe) events.
+const genSrc = "gen"
+
+// eventFrame frames one generated event ev(dst, seq, 16-byte payload).
+func eventFrame(dst string, seq uint64, sentNanos int64) []byte {
+	raw := tuple.Marshal(nil, tuple.New("ev", tuple.Str(dst), tuple.ID(seq), tuple.Str("xxxxxxxxxxxxxxxx")))
+	return appendDatagram(nil, engine.Envelope{Src: genSrc, SrcTupleID: 1, Raw: raw}, sentNanos)
 }
 
 // seqSentinel marks the sequence field in the frame template so the
 // generator can locate its fixed-width encoding once per connection.
 const seqSentinel = uint64(0x5eedfeedbeefcafe)
 
-// genBatch is the number of frames patched and sent per burst (matches
-// the sendmmsg batch on linux).
-const genBatch = 32
-
 // maxCatchup caps the pacing deficit one wake-up may repay, bounding
 // the burst after a scheduler stall.
-const maxCatchup = 4 * genBatch
+const maxCatchup = 128
 
 // GenerateTraffic runs the generator to completion and reports what was
 // offered. It returns an error only for setup problems; send errors
 // during the run are counted, not fatal.
 func GenerateTraffic(cfg GenConfig) (GenStats, error) {
-	if cfg.Src == "" {
-		cfg.Src = "gen"
-	}
-	if cfg.Event == "" {
-		cfg.Event = "ev"
-	}
 	if cfg.Conns <= 0 {
 		cfg.Conns = 1
-	}
-	if cfg.Payload <= 0 {
-		cfg.Payload = 16
 	}
 	if cfg.Rate <= 0 {
 		return GenStats{}, fmt.Errorf("realtime: generator rate must be positive")
 	}
 
 	// Build the frame template and locate the two patch points.
-	payload := bytes.Repeat([]byte{'x'}, cfg.Payload)
-	raw := tuple.Marshal(nil, tuple.New(cfg.Event,
-		tuple.Str(cfg.Dst), tuple.ID(seqSentinel), tuple.Str(string(payload))))
-	tmpl := appendDatagram(nil, engine.Envelope{Src: cfg.Src, SrcTupleID: 1, Raw: raw}, 0)
-	sentOff := len(binary.AppendUvarint(nil, uint64(len(cfg.Src)))) + len(cfg.Src)
+	tmpl := eventFrame(cfg.Dst, seqSentinel, 0)
+	sentOff := len(binary.AppendUvarint(nil, uint64(len(genSrc)))) + len(genSrc)
 	var sentinel [8]byte
 	binary.LittleEndian.PutUint64(sentinel[:], seqSentinel)
 	seqOff := bytes.Index(tmpl, sentinel[:])
@@ -112,9 +92,8 @@ func GenerateTraffic(cfg GenConfig) (GenStats, error) {
 		return GenStats{}, fmt.Errorf("realtime: generator template does not decode: %w", err)
 	}
 
-	var sent, sentBytes, errs atomic.Int64
+	var sent, errs atomic.Int64
 	var wg sync.WaitGroup
-	start := time.Now()
 	for ci := 0; ci < cfg.Conns; ci++ {
 		// Spread the aggregate rate over connections, remainder to the
 		// first.
@@ -131,11 +110,7 @@ func GenerateTraffic(cfg GenConfig) (GenStats, error) {
 		go func(ci, target int) {
 			defer wg.Done()
 			defer uconn.Close()
-			bs := newBatchSender(uconn)
-			frames := make([][]byte, genBatch)
-			for i := range frames {
-				frames[i] = append([]byte(nil), tmpl...)
-			}
+			frame := bytes.Clone(tmpl)
 			seq := uint64(ci+1) << 48 // per-connection sequence space
 			var paced int64           // events the schedule has consumed
 			begin := time.Now()
@@ -149,47 +124,22 @@ func GenerateTraffic(cfg GenConfig) (GenStats, error) {
 					time.Sleep(200 * time.Microsecond)
 					continue
 				}
-				burst := min(due-paced, maxCatchup)
-				for burst > 0 {
-					k := int(min(burst, genBatch))
-					nowN := time.Now().UnixNano()
-					for i := 0; i < k; i++ {
-						f := frames[i]
-						binary.LittleEndian.PutUint64(f[sentOff:], uint64(nowN))
-						binary.LittleEndian.PutUint64(f[seqOff:], seq)
-						seq++
-					}
-					ok := 0
-					if bs != nil {
-						ok, _ = bs.send(frames[:k])
+				binary.LittleEndian.PutUint64(frame[sentOff:], uint64(time.Now().UnixNano()))
+				for burst := min(due-paced, maxCatchup); burst > 0; burst-- {
+					binary.LittleEndian.PutUint64(frame[seqOff:], seq)
+					seq++
+					if _, err := uconn.Write(frame); err == nil {
+						sent.Add(1)
 					} else {
-						for i := 0; i < k; i++ {
-							if _, err := uconn.Write(frames[i]); err == nil {
-								ok++
-							}
-						}
+						errs.Add(1)
 					}
-					sent.Add(int64(ok))
-					sentBytes.Add(int64(ok * len(tmpl)))
-					errs.Add(int64(k - ok))
-					paced += int64(k)
-					burst -= int64(k)
+					paced++
 				}
 			}
 		}(ci, target)
 	}
 	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	s := GenStats{
-		Sent:    sent.Load(),
-		Bytes:   sentBytes.Load(),
-		Errors:  errs.Load(),
-		Elapsed: elapsed,
-	}
-	if elapsed > 0 {
-		s.OfferedRate = float64(s.Sent) / elapsed
-	}
-	return s, nil
+	return GenStats{Sent: sent.Load(), Errors: errs.Load()}, nil
 }
 
 // MeasureReaderAllocs reports the average heap allocations per datagram
@@ -206,19 +156,15 @@ func MeasureReaderAllocs(n int) (float64, error) {
 		return 0, err
 	}
 	defer u.conn.Close()
-	raw := tuple.Marshal(nil, tuple.New("ev",
-		tuple.Str("allocprobe"), tuple.ID(1), tuple.Str("xxxxxxxxxxxxxxxx")))
-	frame := appendDatagram(nil, engine.Envelope{Src: "gen", SrcTupleID: 1, Raw: raw}, 1)
+	frame := eventFrame("allocprobe", 1, 1)
 	at := time.Now()
 	push := func() {
-		b := u.pool.get()
+		b := u.exec.pool.get()
 		copy(*b, frame)
-		u.dispatch(b, len(frame), at)
+		u.dispatch(b, len(frame), at, false)
 		select {
-		case t := <-u.tasks:
-			if t.buf != nil {
-				u.pool.put(t.buf)
-			}
+		case t := <-u.exec.tasks:
+			u.exec.pool.put(t.buf)
 		default:
 		}
 	}

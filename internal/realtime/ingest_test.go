@@ -2,13 +2,10 @@ package realtime
 
 import (
 	"errors"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"p2go/internal/engine"
 	"p2go/internal/overlog"
 	"p2go/internal/tuple"
 )
@@ -18,143 +15,120 @@ import (
 // drop — deterministically, on an unstarted node whose queue nothing
 // drains.
 func TestInjectOverloadDrop(t *testing.T) {
-	u, err := NewUDPNode(UDPNodeConfig{Addr: "a", Listen: "127.0.0.1:0", Seed: 1, QueueDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Stop()
-	ev := tuple.New("ev", tuple.Str("a"), tuple.Int(1))
-	for i := 0; i < 2; i++ {
-		if err := u.Inject(ev); err != nil {
-			t.Fatalf("inject %d into empty queue: %v", i, err)
-		}
-	}
-	if err := u.Inject(ev); !errors.Is(err, ErrOverload) {
-		t.Fatalf("inject into full queue = %v, want ErrOverload", err)
-	}
-	if s := u.TransportStats(); s.DropInject != 1 {
-		t.Errorf("DropInject = %d, want 1", s.DropInject)
+	for _, l := range links {
+		t.Run(l.name, func(t *testing.T) {
+			p := l.open(t, "", linkOpts{depth: 2})
+			ev := tuple.New("ev", tuple.Str("a"), tuple.Int(1))
+			for i := 0; i < 2; i++ {
+				if err := p.inject("a", ev); err != nil {
+					t.Fatalf("inject %d into empty queue: %v", i, err)
+				}
+			}
+			if err := p.inject("a", ev); !errors.Is(err, ErrOverload) {
+				t.Fatalf("inject into full queue = %v, want ErrOverload", err)
+			}
+			if s := p.stats("a"); s.DropInject != 1 {
+				t.Errorf("DropInject = %d, want 1", s.DropInject)
+			}
+		})
 	}
 }
 
 // TestInjectOverloadBlock: under OverloadBlock a full queue makes
 // Inject wait — and complete as soon as the executor drains.
 func TestInjectOverloadBlock(t *testing.T) {
-	u, err := NewUDPNode(UDPNodeConfig{
-		Addr: "a", Listen: "127.0.0.1:0", Seed: 1, QueueDepth: 1, Overload: OverloadBlock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Stop()
-	ev := tuple.New("ev", tuple.Str("a"), tuple.Int(1))
-	if err := u.Inject(ev); err != nil {
-		t.Fatal(err)
-	}
-	unblocked := make(chan error, 1)
-	go func() { unblocked <- u.Inject(ev) }()
-	select {
-	case err := <-unblocked:
-		t.Fatalf("Inject returned %v while the queue was full; want blocked", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	u.Start() // executor drains the queue, releasing the blocked call
-	select {
-	case err := <-unblocked:
-		if err != nil {
-			t.Fatalf("blocked Inject = %v after drain, want nil", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Inject still blocked after the executor started")
-	}
-	if s := u.TransportStats(); s.DropInject != 0 {
-		t.Errorf("DropInject = %d under backpressure, want 0", s.DropInject)
-	}
-}
-
-// TestNetworkInjectOverload: the channel-transport Network honors the
-// same policy surface — with the executor wedged and the queue full,
-// Inject sheds with ErrOverload and the drop is counted.
-func TestNetworkInjectOverload(t *testing.T) {
-	n := NewNetwork(Config{Seed: 1, QueueDepth: 2})
-	if _, err := n.AddNode("a"); err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Stop()
-	release := make(chan struct{})
-	defer close(release)
-	n.hosts["a"].tasks <- task{at: time.Now(), kind: taskFunc, fn: func() { <-release }}
-	ev := tuple.New("ev", tuple.Str("a"), tuple.Int(1))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := n.Inject("a", ev)
-		if errors.Is(err, ErrOverload) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Inject = %v, want nil or ErrOverload", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled behind the wedged executor")
-		}
-	}
-	s, err := n.TransportStats("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.DropInject == 0 {
-		t.Error("DropInject = 0 after a shed Inject")
+	for _, l := range links {
+		t.Run(l.name, func(t *testing.T) {
+			p := l.open(t, "", linkOpts{depth: 1, overload: OverloadBlock})
+			ev := tuple.New("ev", tuple.Str("a"), tuple.Int(1))
+			if err := p.inject("a", ev); err != nil {
+				t.Fatal(err)
+			}
+			unblocked := make(chan error, 1)
+			go func() { unblocked <- p.inject("a", ev) }()
+			select {
+			case err := <-unblocked:
+				t.Fatalf("Inject returned %v while the queue was full; want blocked", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			p.start() // executor drains the queue, releasing the blocked call
+			select {
+			case err := <-unblocked:
+				if err != nil {
+					t.Fatalf("blocked Inject = %v after drain, want nil", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Inject still blocked after the executor started")
+			}
+			if s := p.stats("a"); s.DropInject != 0 {
+				t.Errorf("DropInject = %d under backpressure, want 0", s.DropInject)
+			}
+		})
 	}
 }
 
 // TestDropAccountingUnderOverload hammers a tiny queue with real UDP
 // traffic while the executor is wedged, then releases it and checks the
 // conservation law: every received datagram is processed or accounted
-// to exactly one drop reason. Run under -race in CI (the reader,
-// executor, generator and this goroutine all touch the counters).
+// to exactly one drop reason. OverloadDrop must shed and count;
+// OverloadBlock must shed nothing (what it cannot queue stays in the
+// kernel). Run under -race in CI (the reader, executor, generator and
+// this goroutine all touch the counters).
 func TestDropAccountingUnderOverload(t *testing.T) {
-	u, err := NewUDPNode(UDPNodeConfig{
-		Addr: "rt", Listen: "127.0.0.1:0", Seed: 1, QueueDepth: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Stop()
-	prog := overlog.MustParse("r1 seen@N(S) :- ev@N(S, P).\n")
-	if err := u.Node().InstallProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	u.Start()
-	release := make(chan struct{})
-	u.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() { <-release }}
+	for _, tc := range []struct {
+		name     string
+		overload OverloadPolicy
+	}{{"drop", OverloadDrop}, {"block", OverloadBlock}} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, err := NewUDPNode(UDPNodeConfig{
+				Addr: "rt", Listen: "127.0.0.1:0", Seed: 1, QueueDepth: 8, Overload: tc.overload,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Stop()
+			prog := overlog.MustParse("r1 seen@N(S) :- ev@N(S, P).\n")
+			if err := u.Node().InstallProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			u.Start()
+			release := make(chan struct{})
+			u.exec.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() { <-release }}
 
-	gs, err := GenerateTraffic(GenConfig{
-		Target: u.LocalAddr(), Dst: "rt", Rate: 20000, Conns: 2, Duration: 300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(release)
+			gs, err := GenerateTraffic(GenConfig{
+				Target: u.LocalAddr(), Dst: "rt", Rate: 20000, Conns: 2, Duration: 300 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			close(release)
 
-	deadline := time.Now().Add(5 * time.Second)
-	var s TransportStats
-	for time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-		prev := s
-		s = u.TransportStats()
-		if s == prev && s.DatagramsRecv == s.DatagramsProcessed+s.DropDecode+s.DropOverload+s.DropShutdown {
-			break
-		}
-	}
-	if s.DatagramsRecv != s.DatagramsProcessed+s.DropDecode+s.DropOverload+s.DropShutdown {
-		t.Fatalf("accounting does not balance: %+v", s)
-	}
-	if s.DropOverload == 0 {
-		t.Errorf("no overload drops despite queue depth 8 against %d offered datagrams", gs.Sent)
-	}
-	if s.DatagramsRecv == 0 {
-		t.Error("no datagrams received")
+			balanced := func(s TransportStats) bool {
+				return s.DatagramsRecv == s.DatagramsProcessed+s.DropDecode+s.DropOverload+s.DropShutdown
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			var s TransportStats
+			for time.Now().Before(deadline) {
+				time.Sleep(20 * time.Millisecond)
+				prev := s
+				s = u.TransportStats()
+				if s == prev && balanced(s) {
+					break
+				}
+			}
+			if !balanced(s) {
+				t.Fatalf("accounting does not balance: %+v", s)
+			}
+			if tc.overload == OverloadDrop && s.DropOverload == 0 {
+				t.Errorf("no overload drops despite queue depth 8 against %d offered datagrams", gs.Sent)
+			}
+			if tc.overload == OverloadBlock && s.DropOverload != 0 {
+				t.Errorf("backpressure shed %d datagrams, want 0", s.DropOverload)
+			}
+			if s.DatagramsRecv == 0 {
+				t.Error("no datagrams received")
+			}
+		})
 	}
 }
 
@@ -182,20 +156,17 @@ func BenchmarkReaderHotPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer u.conn.Close()
-	raw := tuple.Marshal(nil, tuple.New("ev", tuple.Str("benchrt"), tuple.ID(7), tuple.Str("xxxxxxxxxxxxxxxx")))
-	frame := appendDatagram(nil, engine.Envelope{Src: "gen", SrcTupleID: 1, Raw: raw}, 1)
+	frame := eventFrame("benchrt", 7, 1)
 	at := time.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := u.pool.get()
+		buf := u.exec.pool.get()
 		copy(*buf, frame)
-		u.dispatch(buf, len(frame), at)
+		u.dispatch(buf, len(frame), at, false)
 		select {
-		case tk := <-u.tasks:
-			if tk.buf != nil {
-				u.pool.put(tk.buf)
-			}
+		case tk := <-u.exec.tasks:
+			u.exec.pool.put(tk.buf)
 		default:
 		}
 	}
@@ -268,9 +239,9 @@ func TestTransportStatsPublished(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		res := make(chan bool, 1)
 		select {
-		case u.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() {
+		case u.exec.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() {
 			ok := false
-			if tbl := u.node.Store().Get("nodeStats"); tbl != nil {
+			if tbl := u.exec.node.Store().Get("nodeStats"); tbl != nil {
 				tbl.Scan(1e12, func(row tuple.Tuple) {
 					if row.Arity() >= 3 && row.Field(2).AsStr() == "TransportDatagramsRecv" {
 						ok = true
@@ -280,7 +251,7 @@ func TestTransportStatsPublished(t *testing.T) {
 			res <- ok
 		}}:
 			published = <-res
-		case <-u.stopped:
+		case <-u.exec.stopped:
 			t.Fatal("node stopped")
 		}
 	}
@@ -289,16 +260,7 @@ func TestTransportStatsPublished(t *testing.T) {
 	}
 
 	// The Prometheus exposition includes the transport series.
-	resp, err := http.Get("http://" + metricsAddr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "transport_datagrams_recv") {
+	if body := scrape(t, metricsAddr); !strings.Contains(body, "transport_datagrams_recv") {
 		t.Errorf("scrape lacks transport_datagrams_recv:\n%s", body)
 	}
 }

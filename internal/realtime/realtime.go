@@ -1,16 +1,17 @@
 // Package realtime drives P2 nodes with goroutines and wall-clock time
 // instead of the discrete-event simulator: one goroutine per node
-// serializes that node's tasks, links are buffered channels with optional
-// delay, and periodic rules fire off time.Timer. The engine is identical
-// — only the driver differs — so any program developed against simnet
-// runs unmodified in real time.
+// serializes that node's tasks (executor.go), and periodic rules fire
+// off time.Timer. A node's messages arrive over one of two links: the
+// in-process Network (buffered channels with optional delay) or a UDP
+// socket (UDPNode). The engine is identical — only the driver differs —
+// so any program developed against simnet runs unmodified in real time.
 //
-// The simulator remains the right tool for benchmarks and reproducible
-// tests; this driver exists for interactive use (cmd/p2node -realtime)
-// and as the deployment shape a real P2 system would have. The hot path
-// (task.go, udp.go, batch_linux.go) is engineered for sustained 100k+
-// events/sec; docs/REALTIME.md describes the pipeline and its knobs,
-// and internal/bench/realtime.go measures it.
+// The simulator remains the right tool for reproducible tests; this
+// driver exists for interactive use (cmd/p2node -realtime) and as the
+// deployment shape a real P2 system would have. The hot path
+// (executor.go, udp.go, batch_linux.go) is engineered for sustained
+// 100k+ events/sec; docs/REALTIME.md describes the pipeline and its
+// knobs, and the benchmark's udp-collector workload measures it.
 //
 // Concurrency invariant: every engine.Node has exactly one writer — the
 // goroutine serializing its tasks. The node's counters and histograms
@@ -27,13 +28,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
 
 	"p2go/internal/engine"
-	"p2go/internal/metrics"
 	"p2go/internal/overlog"
 	"p2go/internal/tuple"
 )
@@ -57,24 +56,9 @@ type Config struct {
 	OnRuleError func(now float64, node, ruleID string, err error)
 }
 
-type host struct {
-	node  *engine.Node
-	tasks chan task
-	done  chan struct{}
-	// stopped is closed by the node goroutine as it exits, making
-	// "goroutine no longer touching the node" an observable event —
-	// after it, direct reads of the node are safe.
-	stopped chan struct{}
-	// stats counts transport-level outcomes for this host's inbound
-	// queue. The channel transport has no wire, so only the receive-side
-	// counters are populated (DatagramsRecv counts messages offered to
-	// the host, bytes are payload bytes); send-side traffic is already
-	// counted by the engine's own MsgsSent/BytesSent.
-	stats transportCounters
-}
-
-// Network runs nodes in real time. Create it, AddNode + InstallProgram
-// while stopped, then Start; Stop shuts every node goroutine down.
+// Network runs nodes in real time: one executor per node, linked by
+// delayed in-process delivery. Create it, AddNode + InstallProgram while
+// stopped, then Start; Stop shuts every node goroutine down.
 type Network struct {
 	cfg   Config
 	start time.Time
@@ -82,21 +66,17 @@ type Network struct {
 	rngMu sync.Mutex
 
 	mu      sync.Mutex
-	hosts   map[string]*host
+	nodes   map[string]*executor
 	started bool
-	wg      sync.WaitGroup
 	metrics net.Listener
 }
 
 // NewNetwork creates a stopped real-time network.
 func NewNetwork(cfg Config) *Network {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
 	return &Network{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		hosts: make(map[string]*host),
+		nodes: make(map[string]*executor),
 	}
 }
 
@@ -117,6 +97,28 @@ func (n *Network) randDelay() time.Duration {
 	return n.cfg.MinDelay + time.Duration(n.rng.Int63n(int64(n.cfg.MaxDelay-n.cfg.MinDelay)+1))
 }
 
+// lookup finds a node's executor.
+func (n *Network) lookup(addr string) (*executor, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if e, ok := n.nodes[addr]; ok {
+		return e, nil
+	}
+	return nil, fmt.Errorf("realtime: no node %s", addr)
+}
+
+// executors lists every node's executor in address order.
+func (n *Network) executors() []*executor {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	all := make([]*executor, 0, len(n.nodes))
+	for _, e := range n.nodes {
+		all = append(all, e)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].node.Addr() < all[j].node.Addr() })
+	return all
+}
+
 // AddNode creates a node; must be called before Start.
 func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	n.mu.Lock()
@@ -124,14 +126,10 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	if n.started {
 		return nil, fmt.Errorf("realtime: AddNode after Start")
 	}
-	if _, ok := n.hosts[addr]; ok {
+	if _, ok := n.nodes[addr]; ok {
 		return nil, fmt.Errorf("realtime: node %s already exists", addr)
 	}
-	h := &host{
-		tasks:   make(chan task, n.cfg.QueueDepth),
-		done:    make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
+	e := newExecutor(n.cfg.QueueDepth, n.cfg.Overload, nil)
 	n.rngMu.Lock()
 	seed := n.rng.Int63()
 	n.rngMu.Unlock()
@@ -142,8 +140,8 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 		Send: func(dst string, env engine.Envelope, _ float64) {
 			n.deliver(dst, env)
 		},
-		OnNewPeriodic: func(p *engine.Periodic) { n.armTimer(h, p) },
-		ExtraObs:      h.stats.obs,
+		OnNewPeriodic: func(p *engine.Periodic) { n.armTimer(e, p) },
+		ExtraObs:      e.stats.obs,
 	}
 	if n.cfg.OnWatch != nil {
 		cfg.OnWatch = func(now float64, t tuple.Tuple) { n.cfg.OnWatch(now, addr, t) }
@@ -153,35 +151,25 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 			n.cfg.OnRuleError(now, addr, ruleID, err)
 		}
 	}
-	h.node = engine.NewNode(cfg)
-	n.hosts[addr] = h
-	return h.node, nil
+	e.node = engine.NewNode(cfg)
+	n.nodes[addr] = e
+	return e.node, nil
 }
 
-// deliver enqueues a message task on the destination's goroutine after
-// the sampled link delay, applying the network's overload policy.
-// Messages to unknown nodes are dropped silently (as on a real datagram
-// network); messages shed on a full queue are counted in the
-// destination's DropOverload.
+// deliver is the channel link: it hands a message to the destination's
+// executor after the sampled link delay. Messages to unknown nodes are
+// dropped silently (as on a real datagram network); messages shed on a
+// full queue are counted in the destination's DropOverload, and ones
+// whose delay outlives Stop in its DropShutdown.
 func (n *Network) deliver(dst string, env engine.Envelope) {
-	n.mu.Lock()
-	h, ok := n.hosts[dst]
-	n.mu.Unlock()
-	if !ok {
+	e, err := n.lookup(dst)
+	if err != nil {
 		return
 	}
 	env.Raw = bytes.Clone(env.Raw) // the sender's scratch; the queued task outlives Send
 	sentNanos := time.Now().UnixNano()
 	send := func() {
-		h.stats.datagramsRecv.Add(1)
-		h.stats.bytesRecv.Add(int64(len(env.Raw)))
-		dropped, stopped := enqueue(h.tasks, h.done, n.cfg.Overload,
-			task{at: time.Now(), sent: sentNanos, kind: taskMsg, env: env})
-		if dropped {
-			h.stats.dropOverload.Add(1)
-		} else if stopped {
-			h.stats.dropShutdown.Add(1)
-		}
+		e.receive(task{at: time.Now(), sent: sentNanos, kind: taskMsg, env: env}, len(env.Raw))
 	}
 	if d := n.randDelay(); d > 0 {
 		time.AfterFunc(d, send)
@@ -190,39 +178,26 @@ func (n *Network) deliver(dst string, env engine.Envelope) {
 	}
 }
 
-// armTimer schedules a periodic trigger with jittered phase on a single
-// resettable timer (see armPeriodic).
-func (n *Network) armTimer(h *host, p *engine.Periodic) {
-	period := time.Duration(p.Period() * float64(time.Second))
+// armTimer schedules a periodic trigger with jittered phase.
+func (n *Network) armTimer(e *executor, p *engine.Periodic) {
 	n.rngMu.Lock()
-	first := time.Duration(float64(period) * (0.05 + 0.95*n.rng.Float64()))
+	jitter := 0.05 + 0.95*n.rng.Float64()
 	n.rngMu.Unlock()
-	armPeriodic(h.tasks, h.done, p, first)
+	e.arm(p, time.Duration(p.Period()*jitter*float64(time.Second)))
 }
 
 // Inject hands a tuple to a node as a local event, honoring the
 // network's overload policy: under OverloadDrop a full queue sheds the
 // event (counted in the node's DropInject) and returns ErrOverload;
-// under OverloadBlock the call waits for queue space.
+// under OverloadBlock the call waits for queue space. An event injected
+// before Start waits for it; after Stop the error is ErrStopped.
 func (n *Network) Inject(addr string, t tuple.Tuple) error {
-	n.mu.Lock()
-	h, ok := n.hosts[addr]
-	running := n.started
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("realtime: no node %s", addr)
+	e, err := n.lookup(addr)
+	if err != nil {
+		return err
 	}
-	if !running {
-		return fmt.Errorf("realtime: network not running")
-	}
-	dropped, stopped := enqueue(h.tasks, h.done, n.cfg.Overload,
-		task{at: time.Now(), kind: taskLocal, tup: t})
-	if stopped {
-		return fmt.Errorf("realtime: node %s: %w", addr, ErrStopped)
-	}
-	if dropped {
-		h.stats.dropInject.Add(1)
-		return fmt.Errorf("realtime: node %s: %w", addr, ErrOverload)
+	if err := e.inject(t); err != nil {
+		return fmt.Errorf("realtime: node %s: %w", addr, err)
 	}
 	return nil
 }
@@ -231,65 +206,23 @@ func (n *Network) Inject(addr string, t tuple.Tuple) error {
 // deliveries, overload drops, inject drops); safe against a running
 // network.
 func (n *Network) TransportStats(addr string) (TransportStats, error) {
-	n.mu.Lock()
-	h, ok := n.hosts[addr]
-	n.mu.Unlock()
-	if !ok {
-		return TransportStats{}, fmt.Errorf("realtime: no node %s", addr)
+	e, err := n.lookup(addr)
+	if err != nil {
+		return TransportStats{}, err
 	}
-	return h.stats.snapshot(), nil
-}
-
-// Stats is one consistent snapshot of a node's counters, per-query
-// bills, histograms and observability extras (engine.Node.ObsCounters),
-// taken on the node's own goroutine.
-type Stats struct {
-	Node    metrics.Node
-	Queries map[string]metrics.Query
-	Hists   metrics.NodeHists
-	Extras  []metrics.Counter
+	return e.stats.snapshot(), nil
 }
 
 // MetricsSnapshot returns a consistent stats snapshot for a node, safe
-// to call concurrently with a running network. The engine's counters
-// have a single writer — the node goroutine — so the snapshot is taken
-// as a task on that goroutine and handed back over a channel; while the
-// network is stopped (no goroutine touching the node) it reads
-// directly. This is the supported way to inspect a live realtime node;
+// to call concurrently with a running network (see executor.snapshot).
+// This is the supported way to inspect a live realtime node;
 // Network.Node remains stopped-only.
 func (n *Network) MetricsSnapshot(addr string) (Stats, error) {
-	n.mu.Lock()
-	h, ok := n.hosts[addr]
-	running := n.started
-	n.mu.Unlock()
-	if !ok {
-		return Stats{}, fmt.Errorf("realtime: no node %s", addr)
+	e, err := n.lookup(addr)
+	if err != nil {
+		return Stats{}, err
 	}
-	read := func() Stats {
-		return Stats{
-			Node:    h.node.Metrics(),
-			Queries: h.node.QueryMetrics(),
-			Hists:   h.node.Hists(),
-			Extras:  h.node.ObsCounters(),
-		}
-	}
-	if !running {
-		return read(), nil
-	}
-	ch := make(chan Stats, 1)
-	select {
-	case h.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() { ch <- read() }}:
-	case <-h.stopped:
-		return read(), nil // goroutine gone: direct read is safe
-	}
-	select {
-	case s := <-ch:
-		return s, nil
-	case <-h.stopped:
-		// Stopped before the snapshot task ran; the goroutine has fully
-		// exited, so a direct read is safe now.
-		return read(), nil
-	}
+	return e.snapshot(), nil
 }
 
 // ServeMetrics exposes every node's counters, per-query bills and
@@ -299,32 +232,10 @@ func (n *Network) MetricsSnapshot(addr string) (Stats, error) {
 // The returned address is the bound listen address (useful with port
 // 0); the listener is closed by Stop.
 func (n *Network) ServeMetrics(listen string) (string, error) {
-	ln, err := net.Listen("tcp", listen)
+	ln, err := serveMetrics(listen, n.executors)
 	if err != nil {
-		return "", fmt.Errorf("realtime: metrics listener: %w", err)
+		return "", err
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		n.mu.Lock()
-		addrs := make([]string, 0, len(n.hosts))
-		for a := range n.hosts {
-			addrs = append(addrs, a)
-		}
-		n.mu.Unlock()
-		sort.Strings(addrs)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		for _, a := range addrs {
-			s, err := n.MetricsSnapshot(a)
-			if err != nil {
-				continue
-			}
-			if err := metrics.WritePrometheus(w, a, s.Node, s.Queries, &s.Hists, s.Extras...); err != nil {
-				return
-			}
-		}
-	})
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln) //nolint:errcheck // closed listener on Stop ends Serve
 	n.mu.Lock()
 	n.metrics = ln
 	n.mu.Unlock()
@@ -334,10 +245,8 @@ func (n *Network) ServeMetrics(listen string) (string, error) {
 // Node returns a node by address. The returned node must only be
 // inspected while the network is stopped (nodes are not thread-safe).
 func (n *Network) Node(addr string) *engine.Node {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if h, ok := n.hosts[addr]; ok {
-		return h.node
+	if e, err := n.lookup(addr); err == nil {
+		return e.node
 	}
 	return nil
 }
@@ -351,33 +260,15 @@ func (n *Network) Start() {
 	}
 	n.started = true
 	n.start = time.Now()
-	for _, h := range n.hosts {
-		h := h
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer close(h.stopped)
-			// Sweep soft state about once per second.
-			sweep := time.NewTicker(time.Second)
-			defer sweep.Stop()
-			processed := func(t *task) { h.stats.datagramsProcessed.Add(1) }
-			for {
-				select {
-				case <-h.done:
-					return
-				case t := <-h.tasks:
-					drainBatch(h.node, h.tasks, t, processed)
-				case <-sweep.C:
-					h.node.Sweep()
-				}
-			}
-		}()
+	for _, e := range n.nodes {
+		e.start()
 	}
 }
 
-// Stop shuts all node goroutines down, waits for them, then accounts
-// any message tasks still queued (DropShutdown) so the conservation law
-// over TransportStats holds exactly even for an abrupt stop.
+// Stop shuts all node goroutines down and waits for them; what is still
+// queued, or still in a delay timer, is booked to DropShutdown, so the
+// conservation law over TransportStats holds exactly even for an abrupt
+// stop (TestStopUnderLoad).
 func (n *Network) Stop() {
 	n.mu.Lock()
 	if !n.started {
@@ -385,30 +276,19 @@ func (n *Network) Stop() {
 		return
 	}
 	n.started = false
-	for _, h := range n.hosts {
-		close(h.done)
-	}
 	ln := n.metrics
 	n.metrics = nil
 	n.mu.Unlock()
 	if ln != nil {
 		ln.Close()
 	}
-	n.wg.Wait()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, h := range n.hosts {
-	drain:
-		for {
-			select {
-			case t := <-h.tasks:
-				if t.kind == taskMsg {
-					h.stats.dropShutdown.Add(1)
-				}
-			default:
-				break drain
-			}
-		}
+	// Not under mu: a node finishing its last batch may still send.
+	nodes := n.executors()
+	for _, e := range nodes {
+		e.halt()
+	}
+	for _, e := range nodes {
+		e.wait()
 	}
 }
 
@@ -419,8 +299,8 @@ func (n *Network) InstallAll(prog *overlog.Program) error {
 	if n.started {
 		return fmt.Errorf("realtime: InstallAll after Start")
 	}
-	for _, h := range n.hosts {
-		if err := h.node.InstallProgram(prog); err != nil {
+	for _, e := range n.nodes {
+		if err := e.node.InstallProgram(prog); err != nil {
 			return err
 		}
 	}

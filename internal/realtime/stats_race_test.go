@@ -106,137 +106,77 @@ func TestMetricsSnapshotUnderLoad(t *testing.T) {
 	}
 }
 
-// TestNetworkServeMetrics scrapes the in-process network's aggregated
-// /metrics endpoint (the cmd/p2node -metrics-addr path): one exposition
-// covering every node, served safely while the network runs.
-func TestNetworkServeMetrics(t *testing.T) {
-	net := NewNetwork(Config{Seed: 3})
-	prog := overlog.MustParse(chatterProgram)
-	for _, a := range []string{"ma", "mb"} {
-		n, err := net.AddNode(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.InstallProgram(prog); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net.Node("ma").SeedLocal(tuple.New("peer", tuple.Str("ma"), tuple.Str("mb")))
-	net.Node("mb").SeedLocal(tuple.New("peer", tuple.Str("mb"), tuple.Str("ma")))
-	addr, err := net.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Start()
-	defer net.Stop()
+// TestServeMetrics lets two nodes chatter and scrapes the Prometheus
+// endpoint while they are live (the cmd/p2node -metrics-addr path): one
+// exposition covering every node the endpoint serves, with cross-node
+// traffic visible, served race-free (exercised under -race) and gone
+// after Stop.
+func TestServeMetrics(t *testing.T) {
+	for _, l := range links {
+		t.Run(l.name, func(t *testing.T) {
+			p := l.open(t, chatterProgram, linkOpts{})
+			p.a.node.SeedLocal(tuple.New("peer", tuple.Str("a"), tuple.Str("b")))
+			p.b.node.SeedLocal(tuple.New("peer", tuple.Str("b"), tuple.Str("a")))
+			addr, err := p.serve("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.start()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		time.Sleep(50 * time.Millisecond)
-		resp, err := http.Get("http://" + addr + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := string(raw)
-		if strings.Contains(body, `p2_timer_fires_total{node="ma"}`) &&
-			strings.Contains(body, `p2_timer_fires_total{node="mb"}`) &&
-			strings.Contains(body, "# TYPE p2_queue_wait_seconds histogram") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("aggregated scrape incomplete before deadline:\n%s", body)
-		}
-	}
-	net.Stop()
-	// The listener dies with the network (drop the kept-alive connection
-	// first so the client has to dial again).
-	http.DefaultClient.CloseIdleConnections()
-	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
-		t.Error("metrics endpoint still up after Stop")
+			want := []string{
+				"# TYPE p2_busy_seconds_total counter",
+				"# TYPE p2_queue_wait_seconds histogram",
+				`p2_queue_wait_seconds_count{node="b"}`,
+			}
+			for _, node := range p.scraped {
+				want = append(want, `p2_timer_fires_total{node="`+node+`"}`)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				time.Sleep(50 * time.Millisecond)
+				body := scrape(t, addr)
+				missing := ""
+				for _, w := range want {
+					if !strings.Contains(body, w) {
+						missing = w
+					}
+				}
+				// b has processed cross-node traffic.
+				if missing == "" && strings.Contains(body, `p2_msgs_recv_total{node="b"}`) &&
+					!strings.Contains(body, `p2_msgs_recv_total{node="b"} 0`) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("scrape incomplete before deadline (missing %q):\n%s", missing, body)
+				}
+			}
+			// Direct concurrent snapshots: counters only grow.
+			s1, s2 := p.b.snapshot(), p.b.snapshot()
+			if s2.Node.TuplesProcessed < s1.Node.TuplesProcessed {
+				t.Errorf("TuplesProcessed went backwards: %d then %d",
+					s1.Node.TuplesProcessed, s2.Node.TuplesProcessed)
+			}
+			p.stop()
+			// The listener dies with the node (drop the kept-alive
+			// connection first so the client has to dial again).
+			http.DefaultClient.CloseIdleConnections()
+			if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
+				t.Error("metrics endpoint still up after Stop")
+			}
+		})
 	}
 }
 
-// TestUDPServeMetrics starts two UDP nodes, lets them chatter, and
-// scrapes the Prometheus endpoint while the node is live: the scrape
-// must parse as text exposition with this node's counters, and the
-// snapshot path must be race-free (exercised under -race).
-func TestUDPServeMetrics(t *testing.T) {
-	a, err := NewUDPNode(UDPNodeConfig{Addr: "ua", Listen: "127.0.0.1:0", Seed: 1})
+func scrape(t *testing.T, addr string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Stop()
-	b, err := NewUDPNode(UDPNodeConfig{Addr: "ub", Listen: "127.0.0.1:0", Seed: 2})
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Stop()
-	if err := a.AddPeer("ub", b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPeer("ua", a.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	prog := overlog.MustParse(chatterProgram)
-	if err := a.Node().InstallProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Node().InstallProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	a.Node().SeedLocal(tuple.New("peer", tuple.Str("ua"), tuple.Str("ub")))
-	b.Node().SeedLocal(tuple.New("peer", tuple.Str("ub"), tuple.Str("ua")))
-
-	addr, err := b.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
-	b.Start()
-
-	deadline := time.Now().Add(5 * time.Second)
-	var body string
-	for {
-		time.Sleep(100 * time.Millisecond)
-		resp, err := http.Get("http://" + addr + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		body = string(raw)
-		if strings.Contains(body, `p2_msgs_recv_total{node="ub"}`) &&
-			!strings.Contains(body, `p2_msgs_recv_total{node="ub"} 0`) {
-			break // node has processed cross-node traffic
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no traffic visible in scrape before deadline:\n%s", body)
-		}
-	}
-	for _, want := range []string{
-		"# TYPE p2_busy_seconds_total counter",
-		`p2_timer_fires_total{node="ub"}`,
-		"# TYPE p2_queue_wait_seconds histogram",
-		`p2_queue_wait_seconds_count{node="ub"}`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("scrape missing %q", want)
-		}
-	}
-	// A direct concurrent snapshot agrees with the idea that counters
-	// only grow.
-	s1 := b.MetricsSnapshot()
-	s2 := b.MetricsSnapshot()
-	if s2.Node.TuplesProcessed < s1.Node.TuplesProcessed {
-		t.Errorf("TuplesProcessed went backwards: %d then %d",
-			s1.Node.TuplesProcessed, s2.Node.TuplesProcessed)
-	}
+	return string(raw)
 }

@@ -106,123 +106,3 @@ func (p *bufPool) put(b *[]byte) {
 	*b = (*b)[:p.size]
 	p.pool.Put(b)
 }
-
-// runOne executes a single task against its node. now/nowNanos are the
-// batch timestamp: queue wait and hop latency are measured against one
-// clock read per batch, not one per task (the amortization is worth
-// ~2x time.Now() per datagram at 100k/sec; the skew within a batch is
-// bounded by the batch's own service time). depth is the observed queue
-// depth for this task. done, when non-nil, is invoked after a taskMsg
-// completes so the owner can recycle the buffer and count the datagram
-// as processed.
-func runOne(n *engine.Node, t *task, now time.Time, nowNanos int64, depth int, done func(*task)) {
-	n.ObserveQueueWait(now.Sub(t.at).Seconds(), depth)
-	switch t.kind {
-	case taskMsg:
-		if t.sent != 0 {
-			// End-to-end ingest latency: sender stamp to execution start,
-			// wall clock (same-host loopback in the bench; across real
-			// hosts this inherits clock skew, like any one-way measure).
-			d := float64(nowNanos-t.sent) / 1e9
-			if d < 0 {
-				d = 0
-			}
-			n.ObserveHop(d)
-		}
-		n.HandleMessage(t.env)
-		if done != nil {
-			done(t)
-		}
-	case taskLocal:
-		n.HandleLocal(t.tup)
-	case taskTimer:
-		n.HandleTimer(t.p)
-	case taskFunc:
-		t.fn()
-	}
-}
-
-// drainBatch runs first plus up to taskBatch-1 already-queued tasks,
-// with one wall-clock read for the whole batch. pending is measured
-// once at batch start; later tasks report a slightly stale depth, which
-// is the price of not re-reading channel length per task.
-func drainBatch(n *engine.Node, tasks chan task, first task, done func(*task)) {
-	now := time.Now()
-	nowNanos := now.UnixNano()
-	pending := len(tasks)
-	runOne(n, &first, now, nowNanos, pending+1, done)
-	k := pending
-	if k > taskBatch-1 {
-		k = taskBatch - 1
-	}
-	for i := 0; i < k; i++ {
-		select {
-		case t := <-tasks:
-			runOne(n, &t, now, nowNanos, pending-i, done)
-		default:
-			return
-		}
-	}
-}
-
-// enqueue applies the overload policy to a data-plane task. It returns
-// dropped=true when the policy shed the task and stopped=true when the
-// node is shutting down (the task was not enqueued).
-func enqueue(tasks chan task, done <-chan struct{}, policy OverloadPolicy, t task) (dropped, stopped bool) {
-	if policy == OverloadBlock {
-		select {
-		case tasks <- t:
-			return false, false
-		case <-done:
-			return false, true
-		}
-	}
-	select {
-	case tasks <- t:
-		return false, false
-	case <-done:
-		return false, true
-	default:
-		return true, false
-	}
-}
-
-// enqueueControl is a blocking send for control-plane tasks (timers,
-// metric snapshots): they are never shed by the overload policy.
-func enqueueControl(tasks chan task, done <-chan struct{}, t task) (stopped bool) {
-	select {
-	case tasks <- t:
-		return false
-	case <-done:
-		return true
-	}
-}
-
-// armPeriodic schedules a periodic trigger on a single resettable
-// time.Timer: the firing callback re-arms the same timer instead of
-// allocating a fresh one per firing (the old time.AfterFunc re-arm
-// cascade cost one runtime timer allocation per firing). first is the
-// initial delay; subsequent firings use the periodic's own period. The
-// armed channel closes after tm is assigned, so the first firing cannot
-// race the assignment.
-func armPeriodic(tasks chan task, done <-chan struct{}, p *engine.Periodic, first time.Duration) {
-	period := time.Duration(p.Period() * float64(time.Second))
-	armed := make(chan struct{})
-	var tm *time.Timer
-	fire := func() {
-		<-armed
-		select {
-		case <-done:
-			return
-		default:
-		}
-		if enqueueControl(tasks, done, task{at: time.Now(), kind: taskTimer, p: p}) {
-			return
-		}
-		if !p.Done() {
-			tm.Reset(period)
-		}
-	}
-	tm = time.AfterFunc(first, fire)
-	close(armed)
-}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,9 +30,9 @@ import (
 //
 // The receive path is built for sustained 100k+ datagrams/sec: pooled
 // receive buffers, batched socket reads (recvmmsg where the platform
-// has it, with a portable multi-reader fallback), allocation-free task
-// dispatch, and a batched executor dequeue. See task.go and
-// docs/REALTIME.md.
+// has it, one datagram a syscall where it does not), allocation-free
+// task dispatch, and a batched executor dequeue. See task.go,
+// executor.go and docs/REALTIME.md.
 
 // UDPNodeConfig configures a single-process UDP node.
 type UDPNodeConfig struct {
@@ -54,10 +53,6 @@ type UDPNodeConfig struct {
 	// this are truncated by the kernel, fail to decode, and count in
 	// DropDecode.
 	MaxDatagram int
-	// Readers is the number of socket-reader goroutines (default 1).
-	// More readers help on multi-core hosts, and are the batching
-	// fallback on platforms without recvmmsg.
-	Readers int
 	// SocketBuf, when positive, requests this SO_RCVBUF size so the
 	// kernel absorbs bursts the executor has not yet drained.
 	SocketBuf int
@@ -72,26 +67,16 @@ type UDPNodeConfig struct {
 	OnRuleError func(now float64, ruleID string, err error)
 }
 
-// UDPNode runs one engine node on a UDP socket with a dedicated
-// goroutine serializing its tasks.
+// UDPNode runs one engine node on a UDP socket: an executor plus the
+// socket link (one reader goroutine in, marshal-and-write out).
 type UDPNode struct {
-	node     *engine.Node
-	conn     *net.UDPConn
-	peers    map[string]*net.UDPAddr
-	tasks    chan task
-	done     chan struct{}
-	overload OverloadPolicy
-	readers  int
-	pool     *bufPool
-	sendBuf  []byte // marshal scratch, touched only by the executor goroutine
-	// stopped is closed by the executor goroutine as it exits; after it,
-	// direct reads of the node are safe (see the package doc's
-	// single-writer invariant).
-	stopped chan struct{}
-	wg      sync.WaitGroup
+	exec    *executor
+	conn    *net.UDPConn
+	peers   map[string]*net.UDPAddr
+	sendBuf []byte // marshal scratch, touched only by the executor goroutine
+	reader  sync.WaitGroup
 	start   time.Time
 	mu      sync.Mutex
-	stats   transportCounters
 	metrics net.Listener // optional /metrics HTTP listener
 }
 
@@ -174,7 +159,7 @@ func (c *transportCounters) obs() []metrics.Counter {
 
 // TransportStats snapshots the datagram-level counters; safe to call
 // concurrently with a running node.
-func (u *UDPNode) TransportStats() TransportStats { return u.stats.snapshot() }
+func (u *UDPNode) TransportStats() TransportStats { return u.exec.stats.snapshot() }
 
 // sentNanosLen is the fixed width of the wall-clock send stamp in the
 // datagram frame. Fixed-width (not varint) so traffic generators can
@@ -197,7 +182,9 @@ func appendDatagram(dst []byte, env engine.Envelope, sentNanos int64) []byte {
 // backing buffer is recyclable as soon as HandleMessage returns.
 func decodeDatagram(b []byte) (engine.Envelope, int64, error) {
 	srcLen, n := binary.Uvarint(b)
-	if n <= 0 || int(srcLen) > len(b)-n {
+	// Compared as uint64: the length is the sender's claim, and 2^64-1
+	// converted to int first is -1, which passes.
+	if n <= 0 || srcLen > uint64(len(b)-n) {
 		return engine.Envelope{}, 0, fmt.Errorf("realtime: bad datagram src")
 	}
 	src := tuple.InternBytes(b[n : n+int(srcLen)])
@@ -216,14 +203,8 @@ func decodeDatagram(b []byte) (engine.Envelope, int64, error) {
 
 // NewUDPNode binds the socket and builds the node (stopped; call Start).
 func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
 	if cfg.MaxDatagram <= 0 {
 		cfg.MaxDatagram = 64 << 10
-	}
-	if cfg.Readers <= 0 {
-		cfg.Readers = 1
 	}
 	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
 	if err != nil {
@@ -237,51 +218,32 @@ func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
 		conn.SetReadBuffer(cfg.SocketBuf) //nolint:errcheck // kernel caps silently; best effort
 	}
 	u := &UDPNode{
-		conn:     conn,
-		peers:    make(map[string]*net.UDPAddr),
-		tasks:    make(chan task, cfg.QueueDepth),
-		done:     make(chan struct{}),
-		stopped:  make(chan struct{}),
-		overload: cfg.Overload,
-		readers:  cfg.Readers,
-		pool:     newBufPool(cfg.MaxDatagram),
+		exec:  newExecutor(cfg.QueueDepth, cfg.Overload, newBufPool(cfg.MaxDatagram)),
+		conn:  conn,
+		peers: make(map[string]*net.UDPAddr),
 	}
 	for p2addr, udpAddr := range cfg.Peers {
-		ra, err := net.ResolveUDPAddr("udp", udpAddr)
-		if err != nil {
+		if err := u.AddPeer(p2addr, udpAddr); err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("realtime: peer %s: %w", p2addr, err)
 		}
-		u.peers[p2addr] = ra
 	}
 	u.start = time.Now()
-	u.node = engine.NewNode(engine.Config{
-		Addr:  cfg.Addr,
-		Seed:  cfg.Seed,
-		Clock: func() float64 { return time.Since(u.start).Seconds() },
-		Send: func(dst string, env engine.Envelope, _ float64) {
-			ra, ok := u.peers[dst]
-			if !ok {
-				u.stats.dropUnknownPeer.Add(1)
-				return
-			}
-			// Send runs on the executor goroutine (the node's single
-			// writer), so the marshal scratch is reused send to send.
-			u.sendBuf = appendDatagram(u.sendBuf[:0], env, time.Now().UnixNano())
-			u.stats.datagramsSent.Add(1)
-			u.stats.bytesSent.Add(int64(len(u.sendBuf)))
-			u.conn.WriteToUDP(u.sendBuf, ra) //nolint:errcheck // datagram loss is expected
-		},
+	u.exec.node = engine.NewNode(engine.Config{
+		Addr:          cfg.Addr,
+		Seed:          cfg.Seed,
+		Clock:         func() float64 { return time.Since(u.start).Seconds() },
+		Send:          u.send,
 		OnWatch:       cfg.OnWatch,
 		OnRuleError:   cfg.OnRuleError,
-		OnNewPeriodic: func(p *engine.Periodic) { u.armTimer(p) },
-		ExtraObs:      u.stats.obs,
+		OnNewPeriodic: func(p *engine.Periodic) { u.exec.arm(p, time.Duration(p.Period()*float64(time.Second))) },
+		ExtraObs:      u.exec.stats.obs,
 	})
 	return u, nil
 }
 
 // Node returns the engine node for program installation before Start.
-func (u *UDPNode) Node() *engine.Node { return u.node }
+func (u *UDPNode) Node() *engine.Node { return u.exec.node }
 
 // LocalAddr returns the bound UDP address (useful with port 0).
 func (u *UDPNode) LocalAddr() string { return u.conn.LocalAddr().String() }
@@ -298,52 +260,45 @@ func (u *UDPNode) AddPeer(p2addr, udpAddr string) error {
 	return nil
 }
 
-// armTimer schedules a periodic on a single resettable timer.
-func (u *UDPNode) armTimer(p *engine.Periodic) {
-	armPeriodic(u.tasks, u.done, p, time.Duration(p.Period()*float64(time.Second)))
+// send is the outbound half of the socket link. It runs on the executor
+// goroutine (the node's single writer), so the marshal scratch is reused
+// send to send.
+func (u *UDPNode) send(dst string, env engine.Envelope, _ float64) {
+	ra, ok := u.peers[dst]
+	if !ok {
+		u.exec.stats.dropUnknownPeer.Add(1)
+		return
+	}
+	u.sendBuf = appendDatagram(u.sendBuf[:0], env, time.Now().UnixNano())
+	u.exec.stats.datagramsSent.Add(1)
+	u.exec.stats.bytesSent.Add(int64(len(u.sendBuf)))
+	u.conn.WriteToUDP(u.sendBuf, ra) //nolint:errcheck // datagram loss is expected
 }
 
 // Inject hands a tuple to the node as a local event. It honors the
 // node's overload policy exactly like the socket reader: under
 // OverloadDrop a full queue sheds the event (counted in DropInject) and
 // returns ErrOverload; under OverloadBlock the call waits for space.
-func (u *UDPNode) Inject(t tuple.Tuple) error {
-	dropped, stopped := enqueue(u.tasks, u.done, u.overload,
-		task{at: time.Now(), kind: taskLocal, tup: t})
-	if stopped {
-		return ErrStopped
-	}
-	if dropped {
-		u.stats.dropInject.Add(1)
-		return ErrOverload
-	}
-	return nil
-}
+// After Stop it returns ErrStopped.
+func (u *UDPNode) Inject(t tuple.Tuple) error { return u.exec.inject(t) }
 
-// dispatch accounts one received datagram and routes it toward the
-// executor; buf is the pooled buffer backing the datagram bytes, whose
-// ownership transfers to the task on enqueue (and back to the pool on
-// any drop). at is the batch receive timestamp. This is the reader hot
+// dispatch is the inbound half of the socket link: it decodes one
+// datagram and hands it to the executor. buf is the pooled buffer
+// backing the datagram bytes, whose ownership transfers to the task (and
+// back to the pool on any drop); trunc says the kernel cut the datagram
+// to fit it. at is the batch receive timestamp. This is the reader hot
 // path: at most one allocation per datagram (an interning miss on a
 // brand-new source address), verified by TestReaderAllocsPerDatagram.
-func (u *UDPNode) dispatch(buf *[]byte, n int, at time.Time) {
-	u.stats.datagramsRecv.Add(1)
-	u.stats.bytesRecv.Add(int64(n))
+func (u *UDPNode) dispatch(buf *[]byte, n int, at time.Time, trunc bool) {
 	env, sent, err := decodeDatagram((*buf)[:n])
-	if err != nil {
-		u.stats.dropDecode.Add(1)
-		u.pool.put(buf)
+	if trunc || err != nil {
+		u.exec.stats.datagramsRecv.Add(1)
+		u.exec.stats.bytesRecv.Add(int64(n))
+		u.exec.stats.dropDecode.Add(1)
+		u.exec.pool.put(buf)
 		return
 	}
-	dropped, stopped := enqueue(u.tasks, u.done, u.overload,
-		task{at: at, sent: sent, kind: taskMsg, env: env, buf: buf})
-	if dropped {
-		u.stats.dropOverload.Add(1)
-		u.pool.put(buf)
-	} else if stopped {
-		u.stats.dropShutdown.Add(1)
-		u.pool.put(buf)
-	}
+	u.exec.receive(task{at: at, sent: sent, kind: taskMsg, env: env, buf: buf}, n)
 }
 
 // readBatched drains the socket via recvmmsg: one syscall and one clock
@@ -357,100 +312,44 @@ func (u *UDPNode) readBatched(br *batchReader) {
 		at := time.Now()
 		for i := 0; i < cnt; i++ {
 			buf, n, trunc := br.take(i)
-			if trunc {
-				u.stats.datagramsRecv.Add(1)
-				u.stats.bytesRecv.Add(int64(n))
-				u.stats.dropDecode.Add(1)
-				u.pool.put(buf)
-				continue
-			}
-			u.dispatch(buf, n, at)
+			u.dispatch(buf, n, at, trunc)
 		}
 	}
 }
 
-// readPortable is the per-datagram fallback; running several of these
-// readers concurrently (UDPNodeConfig.Readers) recovers most of the
-// batching win on platforms without recvmmsg.
+// readPortable is the only path on platforms without recvmmsg: one
+// datagram a syscall.
 func (u *UDPNode) readPortable() {
 	for {
-		buf := u.pool.get()
+		buf := u.exec.pool.get()
 		n, _, err := u.conn.ReadFromUDP(*buf)
 		if err != nil {
-			u.pool.put(buf)
+			u.exec.pool.put(buf)
 			return // socket closed by Stop
 		}
-		u.dispatch(buf, n, time.Now())
+		u.dispatch(buf, n, time.Now(), false)
 	}
 }
 
 // Start launches the reader and executor goroutines.
 func (u *UDPNode) Start() {
 	u.start = time.Now()
-	for i := 0; i < u.readers; i++ {
-		u.wg.Add(1)
-		go func() {
-			defer u.wg.Done()
-			if br := newBatchReader(u.conn, u.pool); br != nil {
-				u.readBatched(br)
-				return
-			}
-			u.readPortable()
-		}()
-	}
-	// Executor: drains tasks in batches (one channel wake-up and one
-	// clock read cover up to taskBatch tasks).
-	u.wg.Add(1)
+	u.reader.Add(1)
 	go func() {
-		defer u.wg.Done()
-		defer close(u.stopped)
-		sweep := time.NewTicker(time.Second)
-		defer sweep.Stop()
-		recycle := func(t *task) {
-			u.stats.datagramsProcessed.Add(1)
-			if t.buf != nil {
-				u.pool.put(t.buf)
-			}
+		defer u.reader.Done()
+		if br := newBatchReader(u.conn, u.exec.pool); br != nil {
+			u.readBatched(br)
+			return
 		}
-		for {
-			select {
-			case <-u.done:
-				return
-			case t := <-u.tasks:
-				drainBatch(u.node, u.tasks, t, recycle)
-			case <-sweep.C:
-				u.node.Sweep()
-			}
-		}
+		u.readPortable()
 	}()
+	u.exec.start()
 }
 
 // MetricsSnapshot returns a consistent snapshot of the node's counters,
 // per-query bills and histograms; safe to call concurrently with a
-// running node (the read runs as a task on the executor goroutine,
-// mirroring Network.MetricsSnapshot).
-func (u *UDPNode) MetricsSnapshot() Stats {
-	read := func() Stats {
-		return Stats{
-			Node:    u.node.Metrics(),
-			Queries: u.node.QueryMetrics(),
-			Hists:   u.node.Hists(),
-			Extras:  u.node.ObsCounters(),
-		}
-	}
-	ch := make(chan Stats, 1)
-	select {
-	case u.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() { ch <- read() }}:
-	case <-u.stopped:
-		return read()
-	}
-	select {
-	case s := <-ch:
-		return s
-	case <-u.stopped:
-		return read()
-	}
-}
+// running node (see executor.snapshot).
+func (u *UDPNode) MetricsSnapshot() Stats { return u.exec.snapshot() }
 
 // ServeMetrics starts an HTTP listener exposing the node's counters in
 // Prometheus text format at /metrics (cmd/p2node -metrics-addr). Each
@@ -458,52 +357,28 @@ func (u *UDPNode) MetricsSnapshot() Stats {
 // returned address is the bound listen address (useful with port 0);
 // Stop closes the listener.
 func (u *UDPNode) ServeMetrics(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := serveMetrics(addr, func() []*executor { return []*executor{u.exec} })
 	if err != nil {
-		return "", fmt.Errorf("realtime: metrics listener: %w", err)
+		return "", err
 	}
 	u.mu.Lock()
 	u.metrics = ln
 	u.mu.Unlock()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		s := u.MetricsSnapshot()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		metrics.WritePrometheus(w, u.node.Addr(), s.Node, s.Queries, &s.Hists, s.Extras...) //nolint:errcheck // client gone
-	})
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln) //nolint:errcheck // closed by Stop
 	return ln.Addr().String(), nil
 }
 
-// Stop closes the socket and waits for the goroutines, then accounts
-// any tasks still queued (DropShutdown), so the conservation law over
-// TransportStats holds exactly even for an abrupt stop.
+// Stop closes the socket and waits for the goroutines; what is still
+// queued is booked to DropShutdown, so the conservation law over
+// TransportStats holds exactly even for an abrupt stop
+// (TestStopUnderLoad).
 func (u *UDPNode) Stop() {
-	select {
-	case <-u.done:
-		return
-	default:
-	}
-	close(u.done)
+	u.exec.halt()
 	u.conn.Close()
 	u.mu.Lock()
 	if u.metrics != nil {
 		u.metrics.Close()
 	}
 	u.mu.Unlock()
-	u.wg.Wait()
-	for {
-		select {
-		case t := <-u.tasks:
-			if t.kind == taskMsg {
-				u.stats.dropShutdown.Add(1)
-				if t.buf != nil {
-					u.pool.put(t.buf)
-				}
-			}
-		default:
-			return
-		}
-	}
+	u.reader.Wait()
+	u.exec.wait()
 }

@@ -16,7 +16,7 @@ func engineMetrics(t *testing.T, u *UDPNode) metrics.Node {
 	t.Helper()
 	res := make(chan metrics.Node, 1)
 	select {
-	case u.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() { res <- u.node.Metrics() }}:
+	case u.exec.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() { res <- u.exec.node.Metrics() }}:
 	case <-time.After(time.Second):
 		t.Fatal("executor not accepting tasks")
 	}

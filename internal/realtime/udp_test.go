@@ -1,6 +1,8 @@
 package realtime
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -29,6 +31,39 @@ func TestDatagramRoundTrip(t *testing.T) {
 			t.Errorf("truncation to %d must fail", cut)
 		}
 	}
+	// A source length of 2^64-1 is -1 as an int: it must fail the bound,
+	// not pass it and slice out of range on the reader goroutine.
+	if _, _, err := decodeDatagram(hugeSrcLenDatagram); err == nil {
+		t.Error("source length 2^64-1 must fail")
+	}
+}
+
+// hugeSrcLenDatagram claims a 2^64-1 byte source address.
+var hugeSrcLenDatagram = append(binary.AppendUvarint(nil, ^uint64(0)), make([]byte, 32)...)
+
+// FuzzDatagram: the frame is bytes off the network, so decodeDatagram
+// never panics on arbitrary input and whatever it accepts re-frames to
+// the same envelope; and any envelope appendDatagram frames decodes back
+// to its Src, stamp, SrcTupleID and Raw.
+func FuzzDatagram(f *testing.F) {
+	f.Add(hugeSrcLenDatagram, "n2", int64(1), uint64(1))
+	f.Add(appendDatagram(nil, engine.Envelope{Src: "n2", SrcTupleID: 42, Raw: []byte("raw")}, 1234567890123456789),
+		"", int64(-1), ^uint64(0))
+	f.Add([]byte{}, "a longer source address than most", int64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, src string, stamp int64, id uint64) {
+		if env, sent, err := decodeDatagram(data); err == nil {
+			env2, sent2, err := decodeDatagram(appendDatagram(nil, env, sent))
+			if err != nil || env2.Src != env.Src || env2.SrcTupleID != env.SrcTupleID ||
+				sent2 != sent || !bytes.Equal(env2.Raw, env.Raw) {
+				t.Fatalf("accepted frame does not re-frame: %+v/%d then %+v/%d (%v)", env, sent, env2, sent2, err)
+			}
+		}
+		env := engine.Envelope{Src: src, SrcTupleID: id, Raw: data}
+		got, sent, err := decodeDatagram(appendDatagram(nil, env, stamp))
+		if err != nil || got.Src != src || got.SrcTupleID != id || sent != stamp || !bytes.Equal(got.Raw, data) {
+			t.Fatalf("round trip of %+v/%d = %+v/%d (%v)", env, stamp, got, sent, err)
+		}
+	})
 }
 
 // TestUDPPairPing: two nodes on real loopback UDP sockets exchange
@@ -87,13 +122,13 @@ func heardOnB(b *UDPNode) bool {
 	// The injection above serializes behind any pending work; now read
 	// through another task to stay on the executor goroutine.
 	select {
-	case b.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() {
+	case b.exec.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() {
 		n := 0
-		tb := b.node.Store().Get("heard")
+		tb := b.exec.node.Store().Get("heard")
 		tb.Scan(1e12, func(tuple.Tuple) { n++ })
 		res <- n > 0
 	}}:
-	case <-b.done:
+	case <-b.exec.done:
 		return false
 	}
 	select {
