@@ -1189,7 +1189,7 @@ func (n *Node) assignID(t *tuple.Tuple, src string, srcID uint64) uint64 {
 		if dst == "" {
 			dst = n.cfg.Addr
 		}
-		n.tracer.Register(id, *t, src, srcID, dst, n.Now())
+		n.tracer.Register(id, t.Name, src, srcID, dst, n.Now())
 	}
 	return id
 }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"p2go/internal/engine"
 	"p2go/internal/tuple"
@@ -88,7 +89,9 @@ func LineageSummary(origin *engine.Node, edges []LineageEdge) string {
 		byDepth[e.Depth] = append(byDepth[e.Depth], e)
 	}
 	sort.Slice(depths, func(i, j int) bool { return depths[i] < depths[j] })
-	out := ""
+	// A tuple ID is node-local: only the origin's own causes can be named.
+	tr, here := origin.Tracer(), origin.Addr()
+	var out strings.Builder
 	for _, d := range depths {
 		es := byDepth[d]
 		sort.Slice(es, func(i, j int) bool {
@@ -102,17 +105,16 @@ func LineageSummary(origin *engine.Node, edges []LineageEdge) string {
 			if e.IsEvent {
 				kind = "event"
 			}
-			name := ""
-			if tr := origin.Tracer(); tr != nil && e.Node == origin.Addr() {
-				if c, ok := tr.Content(e.Cause); ok {
-					name = " " + c.Name
+			out.WriteString(strings.Repeat("  ", int(d)))
+			fmt.Fprintf(&out, "%s: rule %s <- %s %d", e.Node, e.Rule, kind, e.Cause)
+			if tr != nil && e.Node == here {
+				if name, _ := tr.Name(e.Cause); name != "" {
+					out.WriteByte(' ')
+					out.WriteString(name)
 				}
 			}
-			for i := int64(0); i < d; i++ {
-				out += "  "
-			}
-			out += fmt.Sprintf("%s: rule %s <- %s %d%s\n", e.Node, e.Rule, kind, e.Cause, name)
+			out.WriteByte('\n')
 		}
 	}
-	return out
+	return out.String()
 }

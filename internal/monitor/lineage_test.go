@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"regexp"
+	"strings"
 	"testing"
 
 	"p2go/internal/chord"
@@ -93,8 +95,30 @@ func TestLineageOfConsistencyLookup(t *testing.T) {
 	if !sawRemote {
 		t.Error("lineage never crossed the network")
 	}
-	if s := LineageSummary(prober, edges); len(s) < 20 {
-		t.Errorf("summary too small: %q", s)
+	// The summary names a cause the origin memoised (cs4's triggering
+	// conLookup: the line ends in the predicate name) and leaves another
+	// node's as a bare ID: tuple IDs are node-local, so n6's memo says
+	// nothing about them.
+	summary := LineageSummary(prober, edges)
+	lines := strings.Split(strings.TrimSuffix(summary, "\n"), "\n")
+	if len(lines) != len(edges) {
+		t.Fatalf("summary has %d lines for %d edges:\n%s", len(lines), len(edges), summary)
+	}
+	bareID := regexp.MustCompile(`<- (event|precond) \d+$`)
+	named, bare := false, false
+	for _, line := range lines {
+		line = strings.TrimLeft(line, " ")
+		switch {
+		case strings.HasPrefix(line, "n6: "):
+			named = named || strings.HasSuffix(line, " conLookup")
+		case bareID.MatchString(line):
+			bare = true
+		default:
+			t.Errorf("remote cause resolved through the origin's memo: %q", line)
+		}
+	}
+	if !named || !bare {
+		t.Errorf("summary must name an origin cause (%v) and print a remote one bare (%v):\n%s", named, bare, summary)
 	}
 }
 

@@ -78,7 +78,7 @@ func FindTracedTuples(n *engine.Node, name string) []uint64 {
 	var ids []uint64
 	tb.Scan(n.Now(), func(row tuple.Tuple) {
 		id := row.Field(1).AsID()
-		if content, ok := tr.Content(id); ok && content.Name == name {
+		if got, ok := tr.Name(id); ok && got == name {
 			ids = append(ids, id)
 		}
 	})

@@ -23,8 +23,8 @@ type eagerTracer struct {
 	ruleExec *table.Table
 	tuples   *table.Table
 
-	// memo maps tuple IDs to their content and provenance while
-	// referenced from ruleExec.
+	// memo maps tuple IDs to their name and provenance while referenced
+	// from ruleExec.
 	memo map[uint64]*eagerMemo
 	// pending holds provenance for tuples seen during the current task
 	// that are not (yet) referenced.
@@ -104,15 +104,13 @@ func newEager(store *table.Store, localAddr string, cfg Config) (*eagerTracer, e
 
 // Register records the provenance of a tuple the node just assigned an ID
 // to: where it came from (src/srcID; the node itself for local tuples)
-// and where it lives or is headed (dst). Content is memoized only if a
-// ruleExec row ends up referencing the ID. Remote arrivals additionally
-// append a hop record to the attached store — the durable cross-node
-// provenance edge lineage queries follow.
-func (tr *eagerTracer) Register(id uint64, content tuple.Tuple, src string, srcID uint64, dst string, now float64) {
+// and where it lives or is headed (dst). The registration is memoized
+// only if a ruleExec row ends up referencing the ID.
+func (tr *eagerTracer) Register(id uint64, name, src string, srcID uint64, dst string, now float64) {
 	if _, ok := tr.memo[id]; ok {
 		return
 	}
-	tr.pending[id] = prov{content: content, src: src, srcID: srcID, dst: dst}
+	tr.pending[id] = prov{name: name, src: src, srcID: srcID, dst: dst}
 }
 
 // TaskDone discards provenance for tuples that ended the task
@@ -342,12 +340,12 @@ func (tr *eagerTracer) release(id uint64) {
 	tr.tuples.DeleteKey(sample)
 }
 
-// Content returns the memoized tuple for an ID, if still referenced.
-func (tr *eagerTracer) Content(id uint64) (tuple.Tuple, bool) {
+// Name returns the memoized tuple's predicate name, if still referenced.
+func (tr *eagerTracer) Name(id uint64) (string, bool) {
 	if e, ok := tr.memo[id]; ok {
-		return e.content, true
+		return e.name, true
 	}
-	return tuple.Tuple{}, false
+	return "", false
 }
 
 // Reset drops every piece of in-memory trace state — memoized
@@ -404,7 +402,7 @@ func (tr *eagerTracer) LogEvent(op, name string, id uint64, now float64) {
 
 // tracerAPI is what the test drives on both implementations.
 type tracerAPI interface {
-	Register(id uint64, content tuple.Tuple, src string, srcID uint64, dst string, now float64)
+	Register(id uint64, name, src string, srcID uint64, dst string, now float64)
 	TaskDone()
 	Input(s *dataflow.Strand, t tuple.Tuple, now float64)
 	Precond(s *dataflow.Strand, stage int, t tuple.Tuple, now float64)
@@ -413,7 +411,7 @@ type tracerAPI interface {
 	LogEvent(op, name string, id uint64, now float64)
 	Reset(now float64)
 	MemoSize() int
-	Content(id uint64) (tuple.Tuple, bool)
+	Name(id uint64) (string, bool)
 }
 
 // side is one implementation with its table store.
@@ -505,7 +503,7 @@ func TestRingMatchesEagerTables(t *testing.T) {
 				now -= rng.Float64() // the realtime clock plus billed cost can step back
 			case op < 24:
 				src := []string{"n1", "n2"}[rng.Intn(2)]
-				do("Register", func(tr tracerAPI) { tr.Register(tp.ID, tp, src, tp.ID+100, "n1", now) })
+				do("Register", func(tr tracerAPI) { tr.Register(tp.ID, tp.Name, src, tp.ID+100, "n1", now) })
 			case op < 36:
 				do("Input", func(tr tracerAPI) { tr.Input(s, tp, now) })
 			case op < 46:
@@ -574,8 +572,8 @@ func TestRingMatchesEagerTables(t *testing.T) {
 				var b strings.Builder
 				fmt.Fprintf(&b, "size %d:", sd.tr.MemoSize())
 				for id := uint64(1); id <= pool; id++ {
-					if c, ok := sd.tr.Content(id); ok {
-						fmt.Fprintf(&b, " %d=%v", id, c)
+					if name, ok := sd.tr.Name(id); ok {
+						fmt.Fprintf(&b, " %d=%s", id, name)
 					}
 				}
 				return b.String()

@@ -23,8 +23,8 @@ func TestExportChromeFlows(t *testing.T) {
 	sA := &dataflow.Strand{Plan: &dataflow.Plan{RuleID: "r1", Stages: 0}}
 	in := tuple.New("ev", tuple.Str("nA"), tuple.ID(1)).WithID(1)
 	out := tuple.New("msg", tuple.Str("nB"), tuple.ID(2)).WithID(2)
-	trA.Register(in.ID, in, "nA", 1, "nA", 10)
-	trA.Register(out.ID, out, "nA", 2, "nB", 10) // headed to nB
+	trA.Register(in.ID, in.Name, "nA", 1, "nA", 10)
+	trA.Register(out.ID, out.Name, "nA", 2, "nB", 10) // headed to nB
 	trA.Input(sA, in, 10)
 	trA.Output(sA, out, 10.5)
 	trA.StageDone(sA, 0)
@@ -39,8 +39,8 @@ func TestExportChromeFlows(t *testing.T) {
 	// nB assigned local ID 7 to the tuple nA sent as its ID 2.
 	arrived := tuple.New("msg", tuple.Str("nB"), tuple.ID(2)).WithID(7)
 	outB := tuple.New("done", tuple.Str("nB"), tuple.ID(3)).WithID(8)
-	trB.Register(arrived.ID, arrived, "nA", 2, "nB", 11)
-	trB.Register(outB.ID, outB, "nB", 8, "nB", 11)
+	trB.Register(arrived.ID, arrived.Name, "nA", 2, "nB", 11)
+	trB.Register(outB.ID, outB.Name, "nB", 8, "nB", 11)
 	trB.Input(sB, arrived, 11)
 	trB.Output(sB, outB, 11.25)
 	trB.StageDone(sB, 0)

@@ -66,9 +66,10 @@ type Tracer struct {
 	log ring[logRec]
 
 	// memo maps the ID of every tuple a live ruleExec record references
-	// to its entry in slots: content and provenance, held by value and
-	// recycled through free. tupleTable shows the entries in creation
-	// order: born numbers them, and those up to tuplesBuilt have their row.
+	// to its entry in slots: predicate name and provenance — no fields,
+	// like tupleTable — held by value and recycled through free.
+	// tupleTable shows the entries in creation order: born numbers them,
+	// and those up to tuplesBuilt have their row.
 	memo        map[uint64]uint32
 	slots       []memoEntry
 	free        []uint32
@@ -83,10 +84,9 @@ type Tracer struct {
 	pending      []pendingProv
 	pendingDense bool
 
-	records map[*dataflow.Strand][]*record
-
-	// pool recycles records across restarts (Reset returns them here).
-	pool []*record
+	// records holds each strand's tracer records in use: a prefix of the
+	// strand's block of RecordsPerStrand (freeRecord).
+	records map[*dataflow.Strand][]record
 
 	// store, when attached, receives every trace record as a durable
 	// append — the forensic log that outlives the bounded soft state
@@ -95,11 +95,14 @@ type Tracer struct {
 	onStore func(appended, sealed int)
 }
 
+// prov is what the tracer keeps of a tuple: its predicate name (the
+// string header the plan or the codec's intern table already holds) and
+// where it came from. Never its fields, which belong to the task's arena.
 type prov struct {
-	content tuple.Tuple
-	src     string
-	srcID   uint64
-	dst     string
+	name  string
+	src   string
+	srcID uint64
+	dst   string
 }
 
 type pendingProv struct {
@@ -110,7 +113,7 @@ type pendingProv struct {
 type memoEntry struct {
 	prov
 	id   uint64
-	refs int
+	refs int32
 	born uint64
 	// lastOut is the newest ruleExec record whose effect is this tuple;
 	// with execRec.prevOut it chains the records that can share a key.
@@ -183,7 +186,7 @@ func New(store *table.Store, localAddr string, cfg Config) (*Tracer, error) {
 		tuples:       tt,
 		memo:         make(map[uint64]uint32),
 		pendingDense: true,
-		records:      make(map[*dataflow.Strand][]*record),
+		records:      make(map[*dataflow.Strand][]record),
 	}
 	// Reference counting: when a ruleExec record dies (TTL, eviction,
 	// replacement or delete), release the tuples it referenced.
@@ -250,12 +253,12 @@ func (tr *Tracer) noteStore(appended, sealed int) {
 
 // Register records the provenance of a tuple the node just assigned an ID
 // to: where it came from (src/srcID; the node itself for local tuples)
-// and where it lives or is headed (dst). Content is borrowed until
-// TaskDone and memoized (copied) only if a ruleExec row ends up
-// referencing the ID. Remote arrivals additionally
-// append a hop record to the attached store — the durable cross-node
-// provenance edge lineage queries follow.
-func (tr *Tracer) Register(id uint64, content tuple.Tuple, src string, srcID uint64, dst string, now float64) {
+// and where it lives or is headed (dst). name is the tuple's predicate
+// name, all the tracer keeps of its content; the registration is memoized
+// only if a ruleExec row ends up referencing the ID. Remote arrivals
+// additionally append a hop record to the attached store — the durable
+// cross-node provenance edge lineage queries follow.
+func (tr *Tracer) Register(id uint64, name, src string, srcID uint64, dst string, now float64) {
 	if tr.store != nil && src != "" && src != tr.local {
 		sealed := tr.store.AppendHop(tracestore.Hop{ID: id, Src: src, SrcID: srcID, Dst: dst, T: now})
 		tr.noteStore(1, sealed)
@@ -266,7 +269,7 @@ func (tr *Tracer) Register(id uint64, content tuple.Tuple, src string, srcID uin
 	if n := len(tr.pending); n > 0 && id != tr.pending[n-1].id+1 {
 		tr.pendingDense = false
 	}
-	tr.pending = append(tr.pending, pendingProv{id, prov{content: content, src: src, srcID: srcID, dst: dst}})
+	tr.pending = append(tr.pending, pendingProv{id, prov{name: name, src: src, srcID: srcID, dst: dst}})
 }
 
 // findPending returns the provenance registered for id in this task.
@@ -311,40 +314,36 @@ func (tr *Tracer) Input(s *dataflow.Strand, t tuple.Tuple, now float64) {
 	}
 }
 
+// freeRecord returns the record the strand's next input goes into. A
+// strand's records and their precondition slots are one block each, made
+// on its first input: two allocations a strand however many records it
+// ends up using, and none after.
 func (tr *Tracer) freeRecord(s *dataflow.Strand) *record {
-	recs := tr.records[s]
+	recs, ok := tr.records[s]
+	if !ok {
+		n, w := tr.cfg.RecordsPerStrand, s.Stages+1
+		recs = make([]record, n)
+		pre := make([]precond, n*w)
+		for i := range recs {
+			recs[i].pre = pre[i*w : (i+1)*w : (i+1)*w]
+		}
+		recs = recs[:0]
+	}
 	// Prefer an inactive record.
-	for _, r := range recs {
-		if !r.active {
+	for i := range recs {
+		if r := &recs[i]; !r.active {
 			return r
 		}
 	}
-	if len(recs) < tr.cfg.RecordsPerStrand {
-		var r *record
-		if n := len(tr.pool); n > 0 {
-			r = tr.pool[n-1]
-			tr.pool[n-1] = nil
-			tr.pool = tr.pool[:n-1]
-			pre := r.pre
-			if cap(pre) >= s.Stages+1 {
-				pre = pre[:s.Stages+1]
-				for i := range pre {
-					pre[i] = precond{}
-				}
-			} else {
-				pre = make([]precond, s.Stages+1)
-			}
-			*r = record{pre: pre}
-		} else {
-			r = &record{pre: make([]precond, s.Stages+1)}
-		}
-		tr.records[s] = append(recs, r)
-		return r
+	if len(recs) < cap(recs) {
+		recs = recs[:len(recs)+1]
+		tr.records[s] = recs
+		return &recs[len(recs)-1]
 	}
 	// Recycle the record with the oldest input.
-	oldest := recs[0]
-	for _, r := range recs[1:] {
-		if r.inTime < oldest.inTime {
+	oldest := &recs[0]
+	for i := 1; i < len(recs); i++ {
+		if r := &recs[i]; r.inTime < oldest.inTime {
 			oldest = r
 		}
 	}
@@ -354,8 +353,9 @@ func (tr *Tracer) freeRecord(s *dataflow.Strand) *record {
 // findByStage returns the record whose associated interval contains
 // stage, or nil.
 func (tr *Tracer) findByStage(s *dataflow.Strand, stage int) *record {
-	for _, r := range tr.records[s] {
-		if r.active && r.first <= stage && stage <= r.last {
+	recs := tr.records[s]
+	for i := range recs {
+		if r := &recs[i]; r.active && r.first <= stage && stage <= r.last {
 			return r
 		}
 	}
@@ -366,7 +366,9 @@ func (tr *Tracer) findByStage(s *dataflow.Strand, stage int) *record {
 // (ties broken by most recent input).
 func (tr *Tracer) latest(s *dataflow.Strand) *record {
 	var best *record
-	for _, r := range tr.records[s] {
+	recs := tr.records[s]
+	for i := range recs {
+		r := &recs[i]
 		if !r.active {
 			continue
 		}
@@ -435,8 +437,9 @@ func (tr *Tracer) StageDone(s *dataflow.Strand, stage int) {
 		}
 		return
 	}
-	for _, r := range tr.records[s] {
-		if r.active && r.first == stage {
+	recs := tr.records[s]
+	for i := range recs {
+		if r := &recs[i]; r.active && r.first == stage {
 			r.first = stage + 1
 			if r.first > s.Stages {
 				r.active = false
@@ -535,8 +538,6 @@ func (tr *Tracer) addRef(id uint64) uint32 {
 		// local provenance.
 		p = prov{src: tr.local, srcID: id, dst: tr.local}
 	}
-	// Registered content is borrowed until TaskDone: the memo copies.
-	p.content.Fields = slices.Clone(p.content.Fields)
 	var i uint32
 	if n := len(tr.free); n > 0 {
 		i, tr.free = tr.free[n-1], tr.free[:n-1]
@@ -596,12 +597,13 @@ func (tr *Tracer) fillTuples() {
 	tr.fresh = fresh[:0]
 }
 
-// Content returns the memoized tuple for an ID, if still referenced.
-func (tr *Tracer) Content(id uint64) (tuple.Tuple, bool) {
+// Name returns the predicate name of the memoized tuple with an ID, if
+// still referenced ("" for one referenced without ever being registered).
+func (tr *Tracer) Name(id uint64) (string, bool) {
 	if i, ok := tr.memo[id]; ok {
-		return tr.slots[i].content, true
+		return tr.slots[i].name, true
 	}
-	return tuple.Tuple{}, false
+	return "", false
 }
 
 // Reset drops every piece of in-memory trace state — trace records,
@@ -611,11 +613,11 @@ func (tr *Tracer) Content(id uint64) (tuple.Tuple, bool) {
 // records here is load-bearing, not cosmetic: a restarted node reuses
 // tuple IDs from 1, so a stale pre-crash record that expired later would
 // release its references against a reused ID and evict a live
-// post-restart memo entry. Strand records return to the pool for reuse;
-// the event-log sequence restarts. The attached trace store is
-// deliberately NOT cleared — it is the forensic record that must survive
-// the restart — but gets a "restart" marker so investigations can see
-// the discontinuity.
+// post-restart memo entry. A strand's records are emptied in place (the
+// restarted node runs the same strands); the event-log sequence restarts.
+// The attached trace store is deliberately NOT cleared — it is the
+// forensic record that must survive the restart — but gets a "restart"
+// marker so investigations can see the discontinuity.
 func (tr *Tracer) Reset(now float64) {
 	tr.execs.reset()
 	tr.execs.tb.Clear()
@@ -629,10 +631,9 @@ func (tr *Tracer) Reset(now float64) {
 	tr.slots, tr.free = tr.slots[:0], tr.free[:0]
 	tr.born, tr.tuplesBuilt = 0, 0
 	tr.TaskDone()
-	for _, recs := range tr.records {
-		tr.pool = append(tr.pool, recs...)
+	for s, recs := range tr.records {
+		tr.records[s] = recs[:0]
 	}
-	tr.records = make(map[*dataflow.Strand][]*record)
 	if tr.store != nil {
 		sealed := tr.store.AppendEvent(tracestore.Event{Op: "restart", Name: "", ID: 0, T: now})
 		tr.noteStore(1, sealed)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"testing"
+	"unsafe"
 
 	"p2go/internal/dataflow"
 	"p2go/internal/table"
@@ -28,7 +29,7 @@ func tup(name string, id uint64) tuple.Tuple {
 
 // register tells the tracer about a locally created tuple.
 func register(tr *Tracer, t tuple.Tuple) {
-	tr.Register(t.ID, t, "n1", t.ID, "n1", 0)
+	tr.Register(t.ID, t.Name, "n1", t.ID, "n1", 0)
 }
 
 func rows(t *testing.T, store *table.Store) []tuple.Tuple {
@@ -80,8 +81,8 @@ func TestSingleRuleExecution(t *testing.T) {
 	if store.Get(TupleTable).Count() != 3 {
 		t.Errorf("tupleTable rows = %d, want 3", store.Get(TupleTable).Count())
 	}
-	if c, ok := tr.Content(1); !ok || c.Name != "event" {
-		t.Errorf("Content(1) = %v, %v", c, ok)
+	if name, ok := tr.Name(1); !ok || name != "event" {
+		t.Errorf("Name(1) = %q, %v", name, ok)
 	}
 }
 
@@ -208,7 +209,7 @@ func TestRecordCap(t *testing.T) {
 }
 
 // TestRefCountingFlushesTupleTable: when the last ruleExec row naming a
-// tuple dies, its tupleTable entry and memoized content disappear.
+// tuple dies, its tupleTable entry and memo entry disappear.
 func TestRefCountingFlushesTupleTable(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RuleExecTTL = 5
@@ -228,8 +229,8 @@ func TestRefCountingFlushesTupleTable(t *testing.T) {
 		t.Errorf("tupleTable=%d memo=%d after expiry, want 0/0",
 			store.Get(TupleTable).Count(), tr.MemoSize())
 	}
-	if _, ok := tr.Content(1); ok {
-		t.Error("content must be released with the last reference")
+	if _, ok := tr.Name(1); ok {
+		t.Error("the memo entry must be released with the last reference")
 	}
 }
 
@@ -251,10 +252,10 @@ func TestSharedReferenceSurvives(t *testing.T) {
 	if removed := store.Get(RuleExecTable).Delete(pattern, 100); len(removed) != 1 {
 		t.Fatalf("removed %d rows", len(removed))
 	}
-	if _, ok := tr.Content(1); !ok {
+	if _, ok := tr.Name(1); !ok {
 		t.Error("shared tuple released too early")
 	}
-	if _, ok := tr.Content(2); ok {
+	if _, ok := tr.Name(2); ok {
 		t.Error("out1 must be released")
 	}
 }
@@ -396,7 +397,7 @@ func TestResetNoResurrection(t *testing.T) {
 	if tr.MemoSize() != 2 {
 		t.Fatalf("sweep after restart released reused IDs: memo = %d, want 2", tr.MemoSize())
 	}
-	if _, ok := tr.Content(1); !ok {
+	if _, ok := tr.Name(1); !ok {
 		t.Fatal("restart resurrection: stale pre-crash refcount released live memo entry 1")
 	}
 	if got := store.Get(TupleTable).Count(); got != 2 {
@@ -407,52 +408,132 @@ func TestResetNoResurrection(t *testing.T) {
 	}
 }
 
-// TestResetPoolsRecords: strand records released by Reset are reused by
-// the next activation instead of reallocated.
+// TestResetPoolsRecords: a restarted node runs the same strands, so the
+// strand records Reset empties are reused by the next activation instead
+// of reallocated.
 func TestResetPoolsRecords(t *testing.T) {
 	tr, _, s := fixture(t, 2, DefaultConfig())
 	ev := tup("event", 1)
 	register(tr, ev)
 	tr.Input(s, ev, 1)
-	old := tr.records[s][0]
+	tr.Precond(s, 1, tup("p", 2), 1)
+	old := &tr.records[s][0]
 	tr.Reset(10)
-	if len(tr.pool) != 1 || tr.pool[0] != old {
-		t.Fatalf("pool after Reset = %v, want the released record", tr.pool)
+	if got := len(tr.records[s]); got != 0 {
+		t.Fatalf("records in use after Reset = %d, want 0", got)
+	}
+	if tr.findByStage(s, 1) != nil || tr.latest(s) != nil {
+		t.Fatal("a pre-restart record is still active after Reset")
 	}
 	ev2 := tup("event", 1)
 	register(tr, ev2)
-	tr.Input(s, ev2, 20)
-	if len(tr.pool) != 0 {
-		t.Fatal("new activation did not take the pooled record")
+	if n := testing.AllocsPerRun(1, func() { tr.Input(s, ev2, 20) }); n != 0 {
+		t.Fatalf("first activation after Reset: %v allocs, want 0", n)
 	}
-	got := tr.records[s][0]
+	got := &tr.records[s][0]
 	if got != old {
-		t.Fatal("new record was allocated instead of reusing the pool")
+		t.Fatal("new record was allocated instead of reusing the strand's block")
 	}
 	for i, p := range got.pre {
 		if p.filled || p.id != 0 || p.time != 0 {
-			t.Fatalf("pooled record pre[%d] = %+v, want zeroed", i, p)
+			t.Fatalf("reused record pre[%d] = %+v, want zeroed", i, p)
 		}
+	}
+}
+
+// TestStrandRecordsAreOneBlock: however many of its records a strand ends
+// up using, they and their precondition slots cost two allocations, on
+// the strand's first input.
+func TestStrandRecordsAreOneBlock(t *testing.T) {
+	tr, _, _ := fixture(t, 2, DefaultConfig())
+	// AllocsPerRun calls its function once to warm up (which also makes
+	// the records map's first bucket), then once measured: a strand each.
+	strands := []*dataflow.Strand{
+		{Plan: &dataflow.Plan{RuleID: "r1", Stages: 2}},
+		{Plan: &dataflow.Plan{RuleID: "r2", Stages: 2}},
+	}
+	ev, now, run := tup("event", 1), 0.0, 0
+	if n := testing.AllocsPerRun(1, func() {
+		// No StageDone: every input needs a record of its own, past the cap.
+		for i := 0; i < 3*DefaultConfig().RecordsPerStrand; i++ {
+			now++
+			tr.Input(strands[run], ev, now)
+		}
+		run++
+	}); n != 2 {
+		t.Errorf("%d inputs on a new strand: %v allocs, want 2 (its records, their preconditions)", 3*DefaultConfig().RecordsPerStrand, n)
+	}
+	s := strands[1]
+	recs := tr.records[s]
+	if len(recs) != DefaultConfig().RecordsPerStrand {
+		t.Fatalf("records = %d, want the cap %d", len(recs), DefaultConfig().RecordsPerStrand)
+	}
+	// Each record's slots are its own: filling one's last must not reach
+	// into the next one's first.
+	for i := range recs {
+		if len(recs[i].pre) != s.Stages+1 || cap(recs[i].pre) != s.Stages+1 {
+			t.Fatalf("record %d: len(pre)=%d cap=%d, want %d/%d", i, len(recs[i].pre), cap(recs[i].pre), s.Stages+1, s.Stages+1)
+		}
+		recs[i].pre[s.Stages].id = uint64(i + 1)
+	}
+	for i := range recs {
+		if recs[i].pre[s.Stages].id != uint64(i+1) || recs[i].pre[0].id != 0 {
+			t.Fatalf("record %d shares precondition slots with a neighbour: %+v", i, recs[i].pre)
+		}
+	}
+}
+
+// TestMemoEntrySize makes the next field added to the memo a decision:
+// the forensics workload keeps some 41 000 entries live.
+func TestMemoEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(memoEntry{}); got > 88 {
+		t.Errorf("memoEntry is %d bytes, want <= 88", got)
+	}
+	if got := unsafe.Sizeof(pendingProv{}); got > 64 {
+		t.Errorf("pendingProv is %d bytes, want <= 64", got)
 	}
 }
 
 // TestWritePathAllocations pins the write path's price: with a store
 // attached and nobody reading the reflection tables, tracing allocates
-// nothing in steady state — no tuple, no table row, no memo entry.
+// nothing in steady state — no tuple, no table row, no memo entry, no
+// copy of a memoised tuple's fields. The tuples are the engine's: five
+// fields aliasing one buffer that is overwritten when the task ends, as
+// the task arena's are.
 func TestWritePathAllocations(t *testing.T) {
 	tr, _, s := fixture(t, 0, DefaultConfig())
-	noise := tup("noise", 42)
-	if n := testing.AllocsPerRun(200, func() {
-		register(tr, noise)
+	arena := make([]tuple.Value, 10)
+	// build lays a 5-field tuple out in the arena's slot (0 or 1).
+	build := func(slot int, name string, id uint64) tuple.Tuple {
+		f := arena[5*slot : 5*slot+5 : 5*slot+5]
+		f[0], f[1], f[2], f[3], f[4] = tuple.Str("n1"), tuple.ID(id), tuple.Int(int64(id)), tuple.Str(name), tuple.Float(1.5)
+		return tuple.Tuple{Name: name, ID: id, Fields: f}
+	}
+	taskDone := func() {
 		tr.TaskDone()
+		for i := range arena {
+			arena[i] = tuple.Str("overwritten")
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		register(tr, build(0, "noise", 42))
+		taskDone()
 	}); n != 0 {
 		t.Errorf("Register+TaskDone of an unreferenced tuple: %v allocs, want 0 (the pending slice is reused)", n)
 	}
-	// One reference taken and dropped: the memo slot is recycled.
+	// One reference taken on a registered tuple and dropped: the pending
+	// registration is promoted by value, the memo slot is recycled.
+	tr.release(tr.addRef(7)) // the slot and the map's first bucket exist
 	if n := testing.AllocsPerRun(200, func() {
-		tr.release(tr.addRef(7))
-	}); n > 1 {
-		t.Errorf("addRef+release: %v allocs, want <= 1", n)
+		register(tr, build(0, "ev", 7))
+		i := tr.addRef(7)
+		taskDone()
+		if name, _ := tr.Name(7); name != "ev" {
+			t.Fatalf("memoised name after the task's buffer was overwritten = %q", name)
+		}
+		tr.release(i)
+	}); n != 0 {
+		t.Errorf("Register+addRef+release: %v allocs, want 0", n)
 	}
 	if tr.MemoSize() != 0 || tr.tuples.Count() != 0 {
 		t.Errorf("cycle left %d memo entries, %d tupleTable rows", tr.MemoSize(), tr.tuples.Count())
@@ -460,13 +541,12 @@ func TestWritePathAllocations(t *testing.T) {
 
 	// Steady state: rings full (both bounds reached), store segments
 	// rotating. A window's columns are sized from the window before, so
-	// only the sealed segment's encoding allocates; keep seals out of the
-	// measured runs with a window longer than they take.
+	// only a seal allocates (tracestore.TestSealAllocs counts that); keep
+	// seals out of the measured runs with a window longer than they take.
 	tr.AttachStore(tracestore.New("n1", tracestore.Config{Enabled: true, WindowSeconds: 1e9, MaxSegments: 4}), nil)
 	id, now := uint64(100), 0.0
 	step := func() {
-		// Field-less tuples: building the tuples themselves must not count.
-		in, out := tuple.Tuple{Name: "ev", ID: id}, tuple.Tuple{Name: "head", ID: id + 1}
+		in, out := build(0, "ev", id), build(1, "head", id+1)
 		id += 2
 		now += 0.001
 		register(tr, in)
@@ -476,13 +556,21 @@ func TestWritePathAllocations(t *testing.T) {
 		tr.Output(s, out, now)
 		tr.StageDone(s, 0)
 		tr.LogEvent("insert", "head", out.ID, now)
-		tr.TaskDone()
+		taskDone()
 	}
 	for i := 0; i < 3*DefaultConfig().RuleExecMax; i++ {
 		step()
 	}
 	if n := testing.AllocsPerRun(2000, step); n != 0 {
 		t.Errorf("steady-state Output+LogEvent, store attached, no reader: %v allocs per task, want 0", n)
+	}
+	for _, c := range []struct {
+		id   uint64
+		name string
+	}{{id - 2, "ev"}, {id - 1, "head"}} {
+		if name, ok := tr.Name(c.id); !ok || name != c.name {
+			t.Errorf("Name(%d) = %q, %v after its task ended, want %q", c.id, name, ok, c.name)
+		}
 	}
 	if got := tr.execs.tb.Count(); got != DefaultConfig().RuleExecMax {
 		t.Errorf("ruleExec rows on first read = %d, want the bound %d", got, DefaultConfig().RuleExecMax)

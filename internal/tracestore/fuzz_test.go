@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -61,15 +62,23 @@ func recordsFromSeed(seed []byte) *segment {
 }
 
 // FuzzSegmentRoundTrip: encode→decode→deep-equal for arbitrary record
-// mixes, and decode must never panic on the mutated encodings the
+// mixes, the same bytes from a scratch that has already encoded other
+// segments (every earlier input of this process, and this one) as from a
+// fresh one, and decode must never panic on the mutated encodings the
 // fuzzer derives.
 func FuzzSegmentRoundTrip(f *testing.F) {
+	var reused sealScratch
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 251, 252, 253, 254, 255})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
 	f.Fuzz(func(t *testing.T, seed []byte) {
 		seg := recordsFromSeed(seed)
-		enc := encodeSegment(seg)
+		enc := new(sealScratch).encodeSegment(seg)
+		for pass := 1; pass <= 2; pass++ {
+			if again := reused.encodeSegment(seg); !bytes.Equal(again, enc) {
+				t.Fatalf("pass %d through a reused scratch encodes\n %x\na fresh one\n %x", pass, again, enc)
+			}
+		}
 		dec, err := decodeSegment(enc)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)

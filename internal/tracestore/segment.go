@@ -76,6 +76,16 @@ type dict struct {
 	strs []string
 }
 
+// reset empties the dictionary, keeping its map and slice for the next
+// segment.
+func (d *dict) reset() {
+	if d.idx == nil {
+		d.idx = make(map[string]uint64)
+	}
+	clear(d.idx)
+	d.strs = d.strs[:0]
+}
+
 func (d *dict) id(s string) uint64 {
 	if i, ok := d.idx[s]; ok {
 		return i
@@ -84,6 +94,14 @@ func (d *dict) id(s string) uint64 {
 	d.idx[s] = i
 	d.strs = append(d.strs, s)
 	return i
+}
+
+// sealScratch is what a seal works with and nothing keeps: the segment's
+// dictionary and the buffer its encoding grows in. A Store owns one, so a
+// seal allocates neither (a run seals hundreds of segments a node).
+type sealScratch struct {
+	dict dict
+	buf  []byte
 }
 
 // encodeSegment serializes a segment into its sealed columnar form:
@@ -95,8 +113,13 @@ func (d *dict) id(s string) uint64 {
 // their bits XORed with the previous value's bits (adjacent virtual
 // times share high bits, so the XOR is small), booleans as a packed
 // bitset. Encoding is lossless — decodeSegment inverts it exactly.
-func encodeSegment(seg *segment) []byte {
-	d := dict{idx: make(map[string]uint64)}
+//
+// The encoding is built in the scratch, which every call empties first:
+// the result is only good until the next call, and a caller that keeps it
+// copies it (Store.seal). The zero sealScratch is ready to use.
+func (sc *sealScratch) encodeSegment(seg *segment) []byte {
+	d := &sc.dict
+	d.reset()
 	for i := range seg.execs {
 		d.id(seg.execs[i].Rule)
 	}
@@ -109,8 +132,7 @@ func encodeSegment(seg *segment) []byte {
 		d.id(seg.events[i].Name)
 	}
 
-	b := make([]byte, 0, 32+8*seg.records())
-	b = binary.AppendVarint(b, seg.window)
+	b := binary.AppendVarint(sc.buf[:0], seg.window)
 	b = binary.AppendUvarint(b, uint64(len(d.strs)))
 	for _, s := range d.strs {
 		b = binary.AppendUvarint(b, uint64(len(s)))
@@ -190,6 +212,7 @@ func encodeSegment(seg *segment) []byte {
 		b = binary.AppendUvarint(b, bits^prevBits)
 		prevBits = bits
 	}
+	sc.buf = b
 	return b
 }
 
@@ -245,17 +268,16 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return s, nil
 }
 
-// maxSegmentRecords bounds decoded record counts so a corrupt header
-// cannot provoke a huge allocation.
-const maxSegmentRecords = 1 << 28
-
+// count reads the number of strings or records that follow. Each takes
+// at least a byte of what is left, so a corrupt header cannot provoke an
+// allocation larger than a multiple of its own input.
 func (r *reader) count() (int, error) {
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > maxSegmentRecords {
-		return 0, fmt.Errorf("tracestore: implausible count %d", v)
+	if v > uint64(len(r.b)-r.off) {
+		return 0, fmt.Errorf("tracestore: implausible count %d with %d bytes left", v, len(r.b)-r.off)
 	}
 	return int(v), nil
 }

@@ -151,6 +151,7 @@ type Store struct {
 	active *segment
 	sealed []*Sealed
 	stats  Stats
+	enc    sealScratch
 }
 
 // New creates a store for a node. The config's zero bounds are
@@ -210,7 +211,11 @@ func (st *Store) seal() int {
 	if seg == nil || seg.records() == 0 {
 		return 0
 	}
-	data := encodeSegment(seg)
+	// The scratch is the next seal's too: the segment keeps an exact-size
+	// copy, with none of the slack append left behind it.
+	enc := st.enc.encodeSegment(seg)
+	data := make([]byte, len(enc))
+	copy(data, enc)
 	st.sealed = append(st.sealed, &Sealed{
 		Window: seg.window,
 		Execs:  len(seg.execs), Hops: len(seg.hops), Events: len(seg.events),

@@ -1,8 +1,12 @@
 package tracestore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -211,7 +215,7 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		hops:   []Hop{{ID: 2, Src: "n2", SrcID: 9, Dst: "n1", T: 1.5}},
 		events: []Event{{Op: "arrive", Name: "t", ID: 2, T: 1.5}},
 	}
-	good := encodeSegment(seg)
+	good := new(sealScratch).encodeSegment(seg)
 	if _, err := decodeSegment(good); err != nil {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -227,6 +231,21 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := decodeSegment([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0x7f}); err == nil {
 		t.Fatal("implausible dictionary count decoded without error")
 	}
+	// A record count the input is too short to hold is refused before it
+	// sizes an array (2^27 execs would be 6 GB): the fuzzer feeds decode
+	// arbitrary bytes.
+	huge := binary.AppendUvarint([]byte{0x00, 0x00}, 1<<27) // window 0, no strings, 2^27 execs
+	huge = append(huge, 0x00, 0x00)                         // no hops, no events
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeSegment(huge)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 2^27-record header over 8 bytes decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("decoding an 8-byte corrupt header allocated %d bytes", got)
+	}
 }
 
 // TestTimestampLossless: XOR-delta float encoding is bit-exact,
@@ -237,11 +256,96 @@ func TestTimestampLossless(t *testing.T) {
 	for i, tm := range times {
 		seg.events = append(seg.events, Event{Op: "arrive", Name: "x", ID: uint64(i + 1), T: tm})
 	}
-	dec, err := decodeSegment(encodeSegment(seg))
+	dec, err := decodeSegment(new(sealScratch).encodeSegment(seg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seg.events, dec.events) {
 		t.Fatalf("events round trip:\n got %+v\nwant %+v", dec.events, seg.events)
+	}
+}
+
+// TestSealScratchIsClean: a store seals every segment through one
+// dictionary and one buffer. Two different segments sealed back to back
+// must each be, byte for byte, what a fresh encoder makes of the same
+// records — the second has fewer strings and fewer bytes than the first,
+// so a dictionary entry or a buffer tail left over would show — and own
+// exactly their bytes. A View opened before a rotation keeps reading the
+// window it pinned.
+func TestSealScratchIsClean(t *testing.T) {
+	st := New("n1", Config{WindowSeconds: 10})
+	windows := []*segment{{window: 0}, {window: 1}, {window: 2}}
+	for i := 0; i < 40; i++ { // many strings, all three kinds
+		tm := float64(i) * 0.2
+		windows[0].execs = append(windows[0].execs, exec(fmt.Sprint("rule", i%13), uint64(i), uint64(i+100), tm, tm+0.01, i%3 == 0))
+		windows[0].hops = append(windows[0].hops, Hop{ID: uint64(i + 100), Src: fmt.Sprint("n", 2+i%5), SrcID: uint64(7 * i), Dst: "n1", T: tm})
+		windows[0].events = append(windows[0].events, Event{Op: "insert", Name: fmt.Sprint("tbl", i%7), ID: uint64(i), T: tm})
+	}
+	for i := 0; i < 5; i++ { // few, and strings the first never had
+		tm := 10 + float64(i)
+		windows[1].execs = append(windows[1].execs, exec("other", uint64(i+500), uint64(i+600), tm, tm, true))
+		windows[1].events = append(windows[1].events, Event{Op: "delete", Name: "tbl3", ID: uint64(i + 500), T: tm})
+	}
+	windows[2].execs = []Exec{exec("rule0", 900, 901, 20, 20.5, false)}
+
+	var pinned *View
+	for _, w := range windows {
+		if w.window == 1 {
+			// Opened, and n1 read (which is what pins), with window 0
+			// active and whole, before anything seals.
+			pinned = NewView(map[string]*Store{"n1": st}, 0)
+			if evs, err := pinned.Events(EventFilter{Node: "n1"}); err != nil || len(evs) != len(windows[0].events) {
+				t.Fatalf("view of the active window reads %d events (%v), want %d", len(evs), err, len(windows[0].events))
+			}
+		}
+		// A node's appends are in time order across the three kinds.
+		for i := range max(len(w.execs), len(w.hops), len(w.events)) {
+			if i < len(w.execs) {
+				st.AppendExec(w.execs[i])
+			}
+			if i < len(w.hops) {
+				st.AppendHop(w.hops[i])
+			}
+			if i < len(w.events) {
+				st.AppendEvent(w.events[i])
+			}
+		}
+	}
+	if len(st.sealed) != 2 {
+		t.Fatalf("sealed segments = %d, want 2", len(st.sealed))
+	}
+	for i, s := range st.sealed {
+		want := new(sealScratch).encodeSegment(windows[i])
+		if !bytes.Equal(s.data, want) {
+			t.Errorf("sealed window %d is not a fresh encoding of its records:\n got %x\nwant %x", i, s.data, want)
+		}
+		if cap(s.data) != len(s.data) {
+			t.Errorf("sealed window %d keeps %d bytes for %d of encoding", i, cap(s.data), len(s.data))
+		}
+		dec, err := decodeSegment(s.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dec, windows[i]) {
+			t.Errorf("sealed window %d decodes to\n %+v\nwant\n %+v", i, dec, windows[i])
+		}
+	}
+	if len(st.sealed[1].data) >= len(st.sealed[0].data) {
+		t.Fatalf("the second segment (%d B) must be smaller than the first (%d B) for a stale tail to show",
+			len(st.sealed[1].data), len(st.sealed[0].data))
+	}
+	// The pinned view has what window 0 held and nothing appended since,
+	// though its arrays' window has been sealed and the scratch reused twice.
+	got, err := pinned.Execs(ExecFilter{Node: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(windows[0].execs) {
+		t.Fatalf("pinned view reads %d execs, want window 0's %d", len(got), len(windows[0].execs))
+	}
+	for i, e := range got {
+		if w := windows[0].execs[i].edge("n1", 0); e != w {
+			t.Fatalf("pinned view exec[%d] = %+v, want %+v", i, e, w)
+		}
 	}
 }
