@@ -94,6 +94,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/tuple/
 	go test -run '^$$' -fuzz FuzzValueCodec -fuzztime 30s ./internal/tuple/
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/overlog/
+	go test -run '^$$' -fuzz FuzzCompile -fuzztime 30s ./internal/overlog/
 	go test -run '^$$' -fuzz FuzzSegmentRoundTrip -fuzztime 30s ./internal/tracestore/
 	go test -run '^$$' -fuzz FuzzDatagram -fuzztime 30s ./internal/realtime/
 

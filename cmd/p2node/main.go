@@ -205,8 +205,8 @@ func injectSeeds(net *p2go.Network, path string) error {
 }
 
 // parseSeed reuses the OverLog parser: the line is parsed as a rule
-// HEAD (which admits list literals and arithmetic) and evaluated with no
-// bindings.
+// HEAD (which admits list literals and arithmetic) and each argument is
+// compiled against an empty layout and evaluated.
 func parseSeed(line string) (p2go.Tuple, error) {
 	line = strings.TrimSuffix(strings.TrimSpace(line), ".")
 	prog, err := overlog.Parse(line + ` :- seedDummy@"x"().`)
@@ -220,10 +220,9 @@ func parseSeed(line string) (p2go.Tuple, error) {
 	f := &rules[0].Head
 	args := f.AllArgs()
 	fields := make([]tuple.Value, len(args))
+	noVars := func(string) int { return -1 }
 	for i, a := range args {
-		v, err := overlog.Eval(a, func(string) (tuple.Value, bool) {
-			return tuple.Nil, false
-		}, constCtx{})
+		v, err := overlog.Compile(a, noVars)(nil, constCtx{})
 		if err != nil {
 			return p2go.Tuple{}, err
 		}

@@ -30,7 +30,7 @@ func (c *aggCtx) AggState(*Strand) *AggMaint {
 // as a delta strand: the trigger binds only the group var N; Ops[0] is
 // the rescan join of tab itself.
 func countStrand() *Strand {
-	s := &Strand{Plan: &Plan{
+	s := strandOf(&Plan{
 		RuleID:  "agg1",
 		Trigger: Trigger{Kind: TriggerDelta, Name: "tab", FieldSlots: []int{0, -1, -1}, FieldConsts: make([]tuple.Value, 3)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -42,7 +42,7 @@ func countStrand() *Strand {
 		Agg:      &AggSpec{Op: "count", Slot: -1, ArgIndex: 1, EmitZero: true},
 		AggPlan:  &AggPlan{Primary: "tab", Filter: []AggFilterPos{{GroupIdx: 0, Slot: 0}}},
 		Stages:   1,
-	}}
+	})
 	return s
 }
 
@@ -51,6 +51,7 @@ func minStrand() *Strand {
 	s := countStrand()
 	s.HeadArgs = []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Agg{Op: "min", Var: "B"}}
 	s.Agg = &AggSpec{Op: "min", Slot: 2, ArgIndex: 1}
+	s.Compile()
 	return s
 }
 
@@ -244,6 +245,7 @@ func benchSetup(b testing.TB, indexed bool) (*nullCtx, *Strand, tuple.Tuple) {
 	}
 	s := joinStrand()
 	s.Ops[1] = &CondOp{Expr: &overlog.Binary{Op: "<", L: &overlog.Var{Name: "B"}, R: &overlog.Lit{Val: tuple.Int(0)}}}
+	s.Compile()
 	op := s.Ops[0].(*JoinOp)
 	if indexed {
 		op.IndexPositions = []int{0, 1}
@@ -287,7 +289,7 @@ func BenchmarkStrandActivationIndexed(b *testing.B) {
 // clusterStrand: cluster@N(A, count<*>) :- probe@N(), tab@N(A, B), a
 // rescan aggregate (no AggPlan) with one group per distinct A.
 func clusterStrand() *Strand {
-	return &Strand{Plan: &Plan{
+	return strandOf(&Plan{
 		RuleID:  "a1",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -298,7 +300,7 @@ func clusterStrand() *Strand {
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "A"}, &overlog.Agg{Op: "count"}},
 		Agg:      &AggSpec{Op: "count", Slot: -1, ArgIndex: 2},
 		Stages:   1,
-	}}
+	})
 }
 
 // nestingCtx re-activates the strand from inside its first head

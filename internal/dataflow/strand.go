@@ -12,6 +12,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"p2go/internal/overlog"
@@ -125,7 +126,10 @@ type JoinOp struct {
 func (*JoinOp) opNode() {}
 
 // CondOp filters bindings by a boolean expression (a selection element).
-type CondOp struct{ Expr overlog.Expr }
+type CondOp struct {
+	Expr overlog.Expr
+	eval overlog.Compiled // Expr by slot; set by Plan.Compile
+}
 
 func (*CondOp) opNode() {}
 
@@ -133,6 +137,7 @@ func (*CondOp) opNode() {}
 type AssignOp struct {
 	Slot int
 	Expr overlog.Expr
+	eval overlog.Compiled // Expr by slot; set by Plan.Compile
 }
 
 func (*AssignOp) opNode() {}
@@ -154,12 +159,14 @@ type AggSpec struct {
 }
 
 // Plan is the immutable, shareable compilation of one rule strand: the
-// element pipeline, trigger shape, head template, and static analyses.
-// A Plan carries no execution state, is never written after the planner
-// returns it, and may therefore be shared by every node running the same
-// program ("plan once, instantiate N times") — including nodes running
-// concurrently under realtime.Network, since concurrent readers of
-// immutable data race with nobody.
+// element pipeline, trigger shape, head template, static analyses, and
+// the evaluators of its expressions, compiled against its slot layout by
+// Compile. A Plan carries no execution state and no per-node state, is
+// never written after the planner returns it, and may therefore be
+// shared by every node running the same program ("plan once, instantiate
+// N times") — including nodes running concurrently under
+// realtime.Network, since concurrent readers of immutable data race with
+// nobody. One set of evaluators serves every strand of every node.
 type Plan struct {
 	// RuleID is the rule label (possibly planner-generated).
 	RuleID string
@@ -187,12 +194,57 @@ type Plan struct {
 	AggPlan *AggPlan
 	// Stages is the number of stateful (join) stages.
 	Stages int
+
+	// head evaluates HeadArgs by slot (nil at the aggregate's position).
+	// Compile always sets it, so a nil head is a plan never compiled.
+	head []overlog.Compiled
+}
+
+// Compile resolves the plan's expressions against its slot layout: each
+// CondOp and AssignOp expression and each head argument but the
+// aggregate becomes an overlog.Compiled that reads the binding by slot.
+// An unbound variable in a delete head is a wildcard (tuple.Nil), not an
+// error. The planner calls Compile as the last step of building a plan,
+// and a plan built by hand must too: Run panics on a plan that was never
+// compiled.
+func (p *Plan) Compile() {
+	slotOf := func(name string) int { return slices.Index(p.VarNames, name) }
+	for _, op := range p.Ops {
+		switch o := op.(type) {
+		case *CondOp:
+			o.eval = overlog.Compile(o.Expr, slotOf)
+		case *AssignOp:
+			o.eval = overlog.Compile(o.Expr, slotOf)
+		}
+	}
+	p.head = make([]overlog.Compiled, len(p.HeadArgs))
+	for i, e := range p.HeadArgs {
+		v, isVar := e.(*overlog.Var)
+		switch {
+		case p.Agg != nil && i == p.Agg.ArgIndex:
+			// Folded by the aggregate, never evaluated.
+		case p.IsDelete && isVar:
+			p.head[i] = wildcard(slotOf(v.Name))
+		default:
+			p.head[i] = overlog.Compile(e, slotOf)
+		}
+	}
+}
+
+// wildcard reads a delete head's variable: unbound, it matches anything.
+func wildcard(slot int) overlog.Compiled {
+	return func(env []tuple.Value, _ overlog.Context) (tuple.Value, error) {
+		if slot < 0 {
+			return tuple.Nil, nil
+		}
+		return env[slot], nil
+	}
 }
 
 // Instantiate wraps the plan in a fresh per-node executable strand. The
 // strand starts with empty scratch state; every per-node structure (the
-// binding frame, probe/undo buffers, the cached lookup closure) is
-// allocated lazily on first activation.
+// binding frame, probe/undo buffers) is allocated lazily on first
+// activation.
 func (p *Plan) Instantiate(queryID string) *Strand {
 	return &Strand{Plan: p, QueryID: queryID}
 }
@@ -216,7 +268,6 @@ type Strand struct {
 	// (a strand re-entered through a table-listener cascade).
 	bindScratch  Binding
 	bindBusy     bool
-	bindLookup   overlog.Lookup
 	probeScratch [][]tuple.Value
 	probeBusy    []bool
 	undoScratch  [][]int
@@ -309,8 +360,6 @@ func (s *Strand) acquireBinding() (b Binding, pooled bool) {
 	}
 	if cap(s.bindScratch) < s.NumVars {
 		s.bindScratch = make(Binding, s.NumVars)
-		scratch := s.bindScratch
-		s.bindLookup = scratch.lookup(s)
 	}
 	b = s.bindScratch[:s.NumVars]
 	for i := range b {
@@ -323,6 +372,9 @@ func (s *Strand) acquireBinding() (b Binding, pooled bool) {
 // Run executes one activation of the strand for the triggering tuple.
 // The caller (engine.Node) has already matched trig.Name.
 func (s *Strand) Run(ctx Context, trig tuple.Tuple) {
+	if s.head == nil {
+		panic(fmt.Sprintf("dataflow: rule %s runs a plan that was never compiled (Plan.Compile)", s.RuleID))
+	}
 	ctx.Bill(CostTupleHandoff)
 	b, pooled := s.acquireBinding()
 	s.run(ctx, trig, b)
@@ -498,7 +550,7 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 		ctx.Bill(float64(visited) * CostJoinProbe)
 	case *CondOp:
 		ctx.Bill(CostEval)
-		v, err := overlog.Eval(op.Expr, s.lookupFor(b), ctx)
+		v, err := op.eval(b, ctx)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return
@@ -508,7 +560,7 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 		}
 	case *AssignOp:
 		ctx.Bill(CostEval)
-		v, err := overlog.Eval(op.Expr, s.lookupFor(b), ctx)
+		v, err := op.eval(b, ctx)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return
@@ -517,29 +569,6 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 		b[op.Slot] = v
 		s.exec(ctx, b, i+1, done)
 		b[op.Slot] = old
-	}
-}
-
-// lookupFor returns the expression-evaluator view of b, reusing the
-// closure cached alongside the pooled scratch frame (per-evaluation
-// closure allocation is measurable on the join hot path).
-func (s *Strand) lookupFor(b Binding) overlog.Lookup {
-	if len(b) > 0 && len(s.bindScratch) > 0 && &b[0] == &s.bindScratch[0] {
-		return s.bindLookup
-	}
-	return b.lookup(s)
-}
-
-// lookup adapts a binding to the expression evaluator.
-func (b Binding) lookup(s *Strand) overlog.Lookup {
-	return func(name string) (tuple.Value, bool) {
-		for i, n := range s.VarNames {
-			if n == name {
-				v := b[i]
-				return v, !v.IsNil()
-			}
-		}
-		return tuple.Nil, false
 	}
 }
 
@@ -586,21 +615,9 @@ func unbind(b Binding, undo []int) {
 // emit builds and routes the head tuple for a completed binding.
 func (s *Strand) emit(ctx Context, b Binding) {
 	ctx.Bill(CostHead)
-	fields := ctx.HeadFields(len(s.HeadArgs))
-	lookup := s.lookupFor(b)
-	for i, e := range s.HeadArgs {
-		if s.IsDelete {
-			// Delete heads allow unbound variables as wildcards.
-			if v, ok := e.(*overlog.Var); ok {
-				if val, bound := lookup(v.Name); bound {
-					fields[i] = val
-				} else {
-					fields[i] = tuple.Nil
-				}
-				continue
-			}
-		}
-		v, err := overlog.Eval(e, lookup, ctx)
+	fields := ctx.HeadFields(len(s.head))
+	for i, eval := range s.head {
+		v, err := eval(b, ctx)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return
@@ -662,12 +679,11 @@ func (a *aggState) groupVals(s *Strand, i int) []tuple.Value {
 // aggregate position) under binding b to buf. ok=false means an
 // evaluation error was reported.
 func (s *Strand) evalGroupVals(ctx Context, b Binding, buf []tuple.Value) (vals []tuple.Value, ok bool) {
-	lookup := s.lookupFor(b)
-	for i, e := range s.HeadArgs {
+	for i, eval := range s.head {
 		if i == s.Agg.ArgIndex {
 			continue
 		}
-		v, err := overlog.Eval(e, lookup, ctx)
+		v, err := eval(b, ctx)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return buf, false

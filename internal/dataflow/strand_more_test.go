@@ -61,7 +61,7 @@ func TestIndexedJoinMatchesScanFallback(t *testing.T) {
 // TestMinMaxEmptyEmitsNothing: min/max over zero matches emit no head.
 func TestMinMaxEmptyEmitsNothing(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := &Strand{Plan: &Plan{
+	s := strandOf(&Plan{
 		RuleID:  "m",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 3, VarNames: []string{"N", "K", "V"},
@@ -72,7 +72,7 @@ func TestMinMaxEmptyEmitsNothing(t *testing.T) {
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Agg{Op: "min", Var: "V"}},
 		Agg:      &AggSpec{Op: "min", Slot: 2, ArgIndex: 1},
 		Stages:   1,
-	}}
+	})
 	s.Run(ctx, tuple.New("probe", tuple.Str("n1")))
 	if len(ctx.heads) != 0 {
 		t.Errorf("min over empty emitted %v", ctx.heads)
@@ -82,7 +82,7 @@ func TestMinMaxEmptyEmitsNothing(t *testing.T) {
 // TestCountZeroEmission at the dataflow level (EmitZero set).
 func TestCountZeroEmission(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := &Strand{Plan: &Plan{
+	s := strandOf(&Plan{
 		RuleID:  "c",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars: 3, VarNames: []string{"N", "G", "V"},
@@ -93,7 +93,7 @@ func TestCountZeroEmission(t *testing.T) {
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "G"}, &overlog.Agg{Op: "count"}},
 		Agg:      &AggSpec{Op: "count", Slot: -1, ArgIndex: 2, EmitZero: true},
 		Stages:   1,
-	}}
+	})
 	s.Run(ctx, tuple.New("probe", tuple.Str("n1"), tuple.Int(42)))
 	if len(ctx.heads) != 1 {
 		t.Fatalf("heads = %v", ctx.heads)
@@ -104,52 +104,122 @@ func TestCountZeroEmission(t *testing.T) {
 	}
 }
 
-// TestCondAndAssignErrorsReported: evaluation failures surface as rule
-// errors and drop the binding without aborting the activation.
+// Expression shorthands for the error-text tests.
+func lit(v tuple.Value) overlog.Expr                { return &overlog.Lit{Val: v} }
+func ref(name string) overlog.Expr                  { return &overlog.Var{Name: name} }
+func bin(op string, l, r overlog.Expr) overlog.Expr { return &overlog.Binary{Op: op, L: l, R: r} }
+
+// TestCondAndAssignErrorsReported: an evaluation failure surfaces as a
+// rule error with the evaluator's exact text and drops the binding
+// without aborting the activation. Where both operands of an expression
+// fail, the text also pins which one is evaluated first; Nope has no
+// slot in the layout.
 func TestCondAndAssignErrorsReported(t *testing.T) {
-	ctx := newFakeCtx(t)
-	tab := ctx.store.Get("tab")
-	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(2)), 0) //nolint:errcheck
-	bad := &overlog.Binary{Op: "+", L: &overlog.Lit{Val: tuple.Bool(true)}, R: &overlog.Lit{Val: tuple.Int(1)}}
-	s := joinStrand()
-	s.Ops = []Op{
-		s.Ops[0],
-		&CondOp{Expr: bad},
-	}
-	s.Run(ctx, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
-	if len(ctx.errs) == 0 {
-		t.Error("condition type error not reported")
-	}
-	ctx2 := newFakeCtx(t)
-	ctx2.store.Get("tab").Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(2)), 0) //nolint:errcheck
-	s2 := joinStrand()
-	s2.Ops = []Op{
-		s2.Ops[0],
-		&AssignOp{Slot: 2, Expr: bad},
-	}
-	s2.Run(ctx2, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
-	if len(ctx2.errs) == 0 {
-		t.Error("assignment type error not reported")
+	typeErr := bin("+", lit(tuple.Bool(true)), lit(tuple.Int(1)))
+	divZero := bin("/", ref("B"), lit(tuple.Int(0)))
+	for _, tc := range []struct {
+		name  string
+		op    Op
+		want  string // "" = no error
+		heads int
+	}{
+		{"cond type error", &CondOp{Expr: typeErr}, "cannot add bool and int", 0},
+		{"assign type error", &AssignOp{Slot: 2, Expr: typeErr}, "cannot add bool and int", 0},
+		{"left operand first", &CondOp{Expr: bin("<", divZero, ref("Nope"))}, "integer division by zero", 0},
+		{"left operand first, swapped", &AssignOp{Slot: 2, Expr: bin("-", ref("Nope"), divZero)}, "unbound variable Nope", 0},
+		{"range bound order", &CondOp{Expr: &overlog.RangeExpr{X: ref("B"), Lo: ref("Nope"), Hi: divZero}}, "unbound variable Nope", 0},
+		{"arguments before arity", &CondOp{Expr: &overlog.Call{Name: "f_now", Args: []overlog.Expr{divZero}}}, "integer division by zero", 0},
+		{"arity", &CondOp{Expr: &overlog.Call{Name: "f_now", Args: []overlog.Expr{ref("B")}}}, "f_now expects 0 argument(s), got 1", 0},
+		{"unknown builtin", &AssignOp{Slot: 2, Expr: &overlog.Call{Name: "f_nope"}}, "unknown builtin f_nope", 0},
+		{"&& short-circuits", &CondOp{Expr: bin("&&", bin("==", ref("B"), lit(tuple.Int(0))), divZero)}, "", 0},
+		{"|| short-circuits", &CondOp{Expr: bin("||", bin("==", ref("B"), lit(tuple.Int(2))), divZero)}, "", 1},
+	} {
+		ctx := newFakeCtx(t)
+		ctx.store.Get("tab").Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(2)), 0) //nolint:errcheck
+		s := joinStrand()
+		s.Ops = []Op{s.Ops[0], tc.op}
+		s.Compile()
+		s.Run(ctx, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
+		checkErrs(t, tc.name, ctx.errs, tc.want)
+		if len(ctx.heads) != tc.heads {
+			t.Errorf("%s: heads = %v, want %d", tc.name, ctx.heads, tc.heads)
+		}
 	}
 }
 
-// TestHeadEvalErrorReported: a head expression that cannot evaluate is a
-// rule error, not a panic.
-func TestHeadEvalErrorReported(t *testing.T) {
-	ctx := newFakeCtx(t)
-	s := &Strand{Plan: &Plan{
-		RuleID:   "h",
-		Trigger:  Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
-		NumVars:  1,
-		VarNames: []string{"N"},
-		HeadName: "out",
-		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"},
-			&overlog.Binary{Op: "/", L: &overlog.Lit{Val: tuple.Int(1)}, R: &overlog.Lit{Val: tuple.Int(0)}}},
-	}}
-	s.Run(ctx, tuple.New("ev", tuple.Str("n1")))
-	if len(ctx.errs) != 1 || len(ctx.heads) != 0 {
-		t.Errorf("errs=%v heads=%v", ctx.errs, ctx.heads)
+// checkErrs wants exactly one rule error reading want, or none for "".
+func checkErrs(t *testing.T, name string, errs []error, want string) {
+	t.Helper()
+	switch {
+	case want == "" && len(errs) != 0:
+		t.Errorf("%s: errors %v, want none", name, errs)
+	case want != "" && (len(errs) != 1 || errs[0].Error() != want):
+		t.Errorf("%s: errors %v, want exactly %q", name, errs, want)
 	}
+}
+
+// TestHeadEvalErrorReported: a head argument that cannot evaluate is a
+// rule error with the evaluator's text, not a panic, and arguments are
+// evaluated left to right — on the emit path and on a rescan
+// aggregate's group-by values.
+func TestHeadEvalErrorReported(t *testing.T) {
+	divZero := bin("/", lit(tuple.Int(1)), lit(tuple.Int(0)))
+	for _, tc := range []struct {
+		name string
+		args []overlog.Expr
+		want string
+	}{
+		{"division", []overlog.Expr{ref("N"), divZero}, "integer division by zero"},
+		{"left to right", []overlog.Expr{ref("N"), ref("Nope"), divZero}, "unbound variable Nope"},
+	} {
+		ctx := newFakeCtx(t)
+		s := strandOf(&Plan{
+			RuleID:   "h",
+			Trigger:  Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
+			NumVars:  1,
+			VarNames: []string{"N"},
+			HeadName: "out",
+			HeadArgs: tc.args,
+		})
+		s.Run(ctx, tuple.New("ev", tuple.Str("n1")))
+		checkErrs(t, tc.name, ctx.errs, tc.want)
+		if len(ctx.heads) != 0 {
+			t.Errorf("%s: heads = %v", tc.name, ctx.heads)
+		}
+	}
+
+	// Group-by values: one error per folded binding, no group, no head.
+	ctx := newFakeCtx(t)
+	ctx.store.Get("tab").Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(2)), 0) //nolint:errcheck
+	s := clusterStrand()
+	s.HeadArgs = []overlog.Expr{ref("N"), bin("%", ref("A"), lit(tuple.Int(0))), &overlog.Agg{Op: "count"}}
+	s.Compile()
+	s.Run(ctx, tuple.New("probe", tuple.Str("n1")))
+	checkErrs(t, "group-by value", ctx.errs, "modulo by zero")
+	if len(ctx.heads) != 0 {
+		t.Errorf("group-by value: heads = %v", ctx.heads)
+	}
+}
+
+// TestRebuildUnboundSlotReported: an accumulator rebuild runs the
+// pipeline without the trigger's binding, so a slot the plan binds from
+// the trigger is nil there (the case the indexed join falls back to a
+// scan for). Reading it is the "unbound variable" error, exactly as the
+// by-name lookup reported it, not a silent nil.
+func TestRebuildUnboundSlotReported(t *testing.T) {
+	s := countStrand()
+	s.NumVars, s.VarNames = 4, []string{"N", "A", "B", "T"}
+	s.Trigger.FieldSlots = []int{0, 3, -1} // T from the trigger only
+	s.Ops = []Op{s.Ops[0], &CondOp{Expr: bin(">", ref("T"), lit(tuple.Int(0)))}}
+	s.Compile()
+	ctx, tb := newAggCtx(t, s, table.Infinity)
+	tb.Insert(row("n1", 1, 10), 0) //nolint:errcheck
+
+	s.Run(ctx, row("n1", 5, 0)) // rescan: T is bound
+	checkErrs(t, "rescan", ctx.errs, "")
+	ctx.incremental = true
+	s.Run(ctx, row("n1", 5, 0)) // rebuild: T is not
+	checkErrs(t, "rebuild", ctx.errs, "unbound variable T")
 }
 
 var _ = table.Infinity

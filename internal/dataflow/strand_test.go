@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"p2go/internal/overlog"
@@ -55,10 +57,17 @@ func (c *fakeCtx) TracePrecond(s *Strand, stage int, t tuple.Tuple) { c.pres = a
 func (c *fakeCtx) TraceStageDone(s *Strand, stage int)              { c.dones = append(c.dones, stage) }
 func (c *fakeCtx) RuleError(ruleID string, err error)               { c.errs = append(c.errs, err) }
 
-// buildStrand compiles a single-strand rule with a hand-rolled pipeline.
+// strandOf finishes a hand-built plan the way the planner does and
+// instantiates it.
+func strandOf(p *Plan) *Strand {
+	p.Compile()
+	return p.Instantiate("")
+}
+
+// joinStrand is a single-strand rule with a hand-rolled pipeline.
 func joinStrand() *Strand {
 	// out@N(A, B) :- ev@N(A), tab@N(A, B), B != 0.
-	return &Strand{Plan: &Plan{
+	return strandOf(&Plan{
 		RuleID:  "r1",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -69,7 +78,7 @@ func joinStrand() *Strand {
 		HeadName: "out",
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "A"}, &overlog.Var{Name: "B"}},
 		Stages:   1,
-	}}
+	})
 }
 
 func newFakeCtx(t *testing.T) *fakeCtx {
@@ -81,6 +90,18 @@ func newFakeCtx(t *testing.T) *fakeCtx {
 		t.Fatal(err)
 	}
 	return &fakeCtx{store: store}
+}
+
+// TestRunUncompiledPlanPanics: a plan that skipped Plan.Compile has no
+// evaluators, and running it is a bug that names the rule.
+func TestRunUncompiledPlanPanics(t *testing.T) {
+	s := (&Plan{RuleID: "raw", NumVars: 1, VarNames: []string{"N"}}).Instantiate("")
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "rule raw") {
+			t.Errorf("recovered %v, want a panic naming rule raw", r)
+		}
+	}()
+	s.Run(newFakeCtx(t), tuple.New("ev", tuple.Str("n1")))
 }
 
 func TestStrandJoinAndSelect(t *testing.T) {
@@ -128,7 +149,7 @@ func TestStrandSelfUnification(t *testing.T) {
 	tab := ctx.store.Get("tab")
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(5), tuple.Int(5)), 0) //nolint:errcheck
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(5), tuple.Int(6)), 0) //nolint:errcheck
-	s := &Strand{Plan: &Plan{
+	s := strandOf(&Plan{
 		RuleID:  "r2",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 2, VarNames: []string{"N", "A"},
@@ -139,7 +160,7 @@ func TestStrandSelfUnification(t *testing.T) {
 		HeadName: "out",
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "A"}},
 		Stages:   1,
-	}}
+	})
 	s.Run(ctx, tuple.New("ev", tuple.Str("n1")))
 	if len(ctx.heads) != 1 || !ctx.heads[0].Field(1).Equal(tuple.Int(5)) {
 		t.Errorf("heads = %v, want single (5) match", ctx.heads)
@@ -182,7 +203,7 @@ func TestStrandArityMismatchIgnored(t *testing.T) {
 
 func TestDeleteHeadWildcard(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := &Strand{Plan: &Plan{
+	s := strandOf(&Plan{
 		RuleID:   "d1",
 		Trigger:  Trigger{Kind: TriggerEvent, Name: "drop", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars:  3,
@@ -190,7 +211,7 @@ func TestDeleteHeadWildcard(t *testing.T) {
 		HeadName: "tab",
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "K"}, &overlog.Var{Name: "V"}},
 		IsDelete: true,
-	}}
+	})
 	s.Run(ctx, tuple.New("drop", tuple.Str("n1"), tuple.Int(3)))
 	if len(ctx.dels) != 1 {
 		t.Fatalf("dels = %v", ctx.dels)
@@ -207,7 +228,7 @@ func TestAggregateGrouping(t *testing.T) {
 	for i, a := range []int64{1, 1, 2} {
 		tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(a), tuple.Int(int64(i))), 0) //nolint:errcheck
 	}
-	s := &Strand{Plan: &Plan{
+	s := strandOf(&Plan{
 		RuleID:  "a1",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -218,7 +239,7 @@ func TestAggregateGrouping(t *testing.T) {
 		HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Var{Name: "A"}, &overlog.Agg{Op: "count"}},
 		Agg:      &AggSpec{Op: "count", Slot: -1, ArgIndex: 2},
 		Stages:   1,
-	}}
+	})
 	s.Run(ctx, tuple.New("probe", tuple.Str("n1")))
 	counts := map[int64]int64{}
 	for _, h := range ctx.heads {
@@ -236,7 +257,7 @@ func TestAggregateSumAvg(t *testing.T) {
 		tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(int64(i)), tuple.Int(v)), 0) //nolint:errcheck
 	}
 	mk := func(op string) *Strand {
-		return &Strand{Plan: &Plan{
+		return strandOf(&Plan{
 			RuleID:  op,
 			Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 			NumVars: 3, VarNames: []string{"N", "K", "V"},
@@ -247,7 +268,7 @@ func TestAggregateSumAvg(t *testing.T) {
 			HeadArgs: []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Agg{Op: op, Var: "V"}},
 			Agg:      &AggSpec{Op: op, Slot: 2, ArgIndex: 1},
 			Stages:   1,
-		}}
+		})
 	}
 	for op, want := range map[string]float64{"sum": 12, "avg": 4} {
 		ctx.heads = nil

@@ -1,6 +1,7 @@
 package overlog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,7 +151,7 @@ func TestParseArithHeadAndPrecedence(t *testing.T) {
 	}
 	// Precedence: 1 + 2 * 3 == 7.
 	r = parseOne(t, `x@N(V) :- y@N(A), V := 1 + 2 * 3.`).(*Rule)
-	v, err := Eval(r.Body[1].(*Assign).Expr, func(string) (tuple.Value, bool) { return tuple.Nil, false }, testCtx{})
+	v, err := evalExpr(r.Body[1].(*Assign).Expr, nil)
 	if err != nil || v.AsInt() != 7 {
 		t.Errorf("1+2*3 = %v (%v)", v, err)
 	}
@@ -215,49 +216,91 @@ func (testCtx) Now() float64      { return 42.5 }
 func (testCtx) Rand64() uint64    { return 7 }
 func (testCtx) LocalAddr() string { return "n1" }
 
+// evalExpr compiles e against a layout holding vars and evaluates it:
+// how the expression tests read a value.
+func evalExpr(e Expr, vars map[string]tuple.Value) (tuple.Value, error) {
+	var names []string
+	var env []tuple.Value
+	for name, v := range vars {
+		names = append(names, name)
+		env = append(env, v)
+	}
+	return Compile(e, func(name string) int { return slices.Index(names, name) })(env, testCtx{})
+}
+
+// evalSrc holds a case's expression and value; the expression tests
+// and FuzzCompile's seed corpus share these tables.
+type evalSrc struct {
+	src  string
+	want tuple.Value
+}
+
+// evalCases are read with A=10, S="x", K=id 5 bound.
+var evalCases = []evalSrc{
+	{`A + 5`, tuple.Int(15)},
+	{`A - 3 * 2`, tuple.Int(4)},
+	{`S + "y"`, tuple.Str("xy")},
+	{`A == 10`, tuple.Bool(true)},
+	{`A != 10`, tuple.Bool(false)},
+	{`(A > 5) && (S == "x")`, tuple.Bool(true)},
+	{`(A < 5) || (S == "x")`, tuple.Bool(true)},
+	{`f_now()`, tuple.Float(42.5)},
+	{`f_rand()`, tuple.ID(7)},
+	{`f_localAddr()`, tuple.Str("n1")},
+	{`K in (3, 8]`, tuple.Bool(true)},
+	{`K in (5, 8]`, tuple.Bool(false)},
+	{`f_size([1, 2, 3])`, tuple.Int(3)},
+	{`f_first([9, 2])`, tuple.Int(9)},
+	{`f_last([9, 2])`, tuple.Int(2)},
+	{`f_member([9, 2], 2)`, tuple.Bool(true)},
+	{`-A`, tuple.Int(-10)},
+	{`1 << 4`, tuple.ID(16)},
+}
+
+var evalErrorCases = []string{
+	`Unbound + 1`,
+	`f_nope()`,
+	`f_now(1)`,
+	`f_now(1 / 0)`, // the argument's error, not the arity's
+	`f_first([])`,
+	`1 / 0`,
+}
+
+// moreEvalCases are read with L=[1, 2] bound.
+var moreEvalCases = []evalSrc{
+	{`f_tostr(7)`, tuple.Str("7")},
+	{`f_size("abc")`, tuple.Int(3)},
+	{`f_member(L, 3)`, tuple.Bool(false)},
+	{`f_hash("x") == f_hash("x")`, tuple.Bool(true)},
+	{`7 % 3`, tuple.Int(1)},
+	{`2 <= 2`, tuple.Bool(true)},
+	{`3 >= 4`, tuple.Bool(false)},
+	{`(1 < 2) && (2 < 1)`, tuple.Bool(false)},
+	{`(1 < 2) || (2 < 1)`, tuple.Bool(true)},
+}
+
+var moreEvalErrorCases = []string{
+	`7 % 0`,
+	`1 << "x"`,
+	`f_size(3)`,
+	`f_member(3, 3)`,
+	`f_last([])`,
+	`true - 1`,
+	`true * 2`,
+	`"a" / 2`,
+	`-"a"`,
+}
+
 func TestEval(t *testing.T) {
-	lookup := func(name string) (tuple.Value, bool) {
-		switch name {
-		case "A":
-			return tuple.Int(10), true
-		case "S":
-			return tuple.Str("x"), true
-		case "K":
-			return tuple.ID(5), true
-		}
-		return tuple.Nil, false
-	}
-	cases := []struct {
-		src  string
-		want tuple.Value
-	}{
-		{`A + 5`, tuple.Int(15)},
-		{`A - 3 * 2`, tuple.Int(4)},
-		{`S + "y"`, tuple.Str("xy")},
-		{`A == 10`, tuple.Bool(true)},
-		{`A != 10`, tuple.Bool(false)},
-		{`(A > 5) && (S == "x")`, tuple.Bool(true)},
-		{`(A < 5) || (S == "x")`, tuple.Bool(true)},
-		{`f_now()`, tuple.Float(42.5)},
-		{`f_rand()`, tuple.ID(7)},
-		{`f_localAddr()`, tuple.Str("n1")},
-		{`K in (3, 8]`, tuple.Bool(true)},
-		{`K in (5, 8]`, tuple.Bool(false)},
-		{`f_size([1, 2, 3])`, tuple.Int(3)},
-		{`f_first([9, 2])`, tuple.Int(9)},
-		{`f_last([9, 2])`, tuple.Int(2)},
-		{`f_member([9, 2], 2)`, tuple.Bool(true)},
-		{`-A`, tuple.Int(-10)},
-		{`1 << 4`, tuple.ID(16)},
-	}
-	for _, c := range cases {
+	vars := map[string]tuple.Value{"A": tuple.Int(10), "S": tuple.Str("x"), "K": tuple.ID(5)}
+	for _, c := range evalCases {
 		// Wrap in a rule so the expression parser is exercised as used.
 		prog, err := Parse(`x@N(V) :- y@N(A), V := ` + c.src + `.`)
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.src, err)
 		}
 		e := prog.Statements[0].(*Rule).Body[1].(*Assign).Expr
-		got, err := Eval(e, lookup, testCtx{})
+		got, err := evalExpr(e, vars)
 		if err != nil {
 			t.Errorf("Eval(%q): %v", c.src, err)
 			continue
@@ -269,21 +312,13 @@ func TestEval(t *testing.T) {
 }
 
 func TestEvalErrors(t *testing.T) {
-	bad := []string{
-		`Unbound + 1`,
-		`f_nope()`,
-		`f_now(1)`,
-		`f_first([])`,
-		`1 / 0`,
-	}
-	lookup := func(string) (tuple.Value, bool) { return tuple.Nil, false }
-	for _, src := range bad {
+	for _, src := range evalErrorCases {
 		prog, err := Parse(`x@N(V) :- y@N(A), V := ` + src + `.`)
 		if err != nil {
 			continue // parse error also acceptable for f_nope-style cases
 		}
 		e := prog.Statements[0].(*Rule).Body[1].(*Assign).Expr
-		if _, err := Eval(e, lookup, testCtx{}); err == nil {
+		if _, err := evalExpr(e, nil); err == nil {
 			t.Errorf("Eval(%q) must fail", src)
 		}
 	}
@@ -381,55 +416,25 @@ l3 lookup@FAddr(K, ReqAddr, E) :- node@NAddr(NID), bestLookupDist@NAddr(K, ReqAd
 }
 
 func TestEvalMoreBuiltinsAndErrors(t *testing.T) {
-	lookup := func(name string) (tuple.Value, bool) {
-		if name == "L" {
-			return tuple.List(tuple.Int(1), tuple.Int(2)), true
-		}
-		return tuple.Nil, false
-	}
-	good := []struct {
-		src  string
-		want tuple.Value
-	}{
-		{`f_tostr(7)`, tuple.Str("7")},
-		{`f_size("abc")`, tuple.Int(3)},
-		{`f_member(L, 3)`, tuple.Bool(false)},
-		{`f_hash("x") == f_hash("x")`, tuple.Bool(true)},
-		{`7 % 3`, tuple.Int(1)},
-		{`2 <= 2`, tuple.Bool(true)},
-		{`3 >= 4`, tuple.Bool(false)},
-		{`(1 < 2) && (2 < 1)`, tuple.Bool(false)},
-		{`(1 < 2) || (2 < 1)`, tuple.Bool(true)},
-	}
-	for _, c := range good {
+	vars := map[string]tuple.Value{"L": tuple.List(tuple.Int(1), tuple.Int(2))}
+	for _, c := range moreEvalCases {
 		prog, err := Parse(`x@N(V) :- y@N(A), V := ` + c.src + `.`)
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.src, err)
 		}
 		e := prog.Statements[0].(*Rule).Body[1].(*Assign).Expr
-		got, err := Eval(e, lookup, testCtx{})
+		got, err := evalExpr(e, vars)
 		if err != nil || !got.Equal(c.want) {
 			t.Errorf("Eval(%q) = %v (%v), want %v", c.src, got, err, c.want)
 		}
 	}
-	bad := []string{
-		`7 % 0`,
-		`1 << "x"`,
-		`f_size(3)`,
-		`f_member(3, 3)`,
-		`f_last([])`,
-		`true - 1`,
-		`true * 2`,
-		`"a" / 2`,
-		`-"a"`,
-	}
-	for _, src := range bad {
+	for _, src := range moreEvalErrorCases {
 		prog, err := Parse(`x@N(V) :- y@N(A), V := ` + src + `.`)
 		if err != nil {
 			continue
 		}
 		e := prog.Statements[0].(*Rule).Body[1].(*Assign).Expr
-		if _, err := Eval(e, lookup, testCtx{}); err == nil {
+		if _, err := evalExpr(e, vars); err == nil {
 			t.Errorf("Eval(%q) must fail", src)
 		}
 	}

@@ -365,6 +365,7 @@ func buildStrand(r *overlog.Rule, label string, env Env, preds []*overlog.Functo
 	if aggDelta && s.Agg != nil {
 		s.AggPlan = analyzeAggMaint(s, headAll, aggIdx)
 	}
+	s.Compile()
 	return s, nil
 }
 
