@@ -212,9 +212,8 @@ func (am *AggMaint) applyDelete(t tuple.Tuple) {
 	}
 	if idx < 0 {
 		// Either the row contributed nothing, or it died while the
-		// rebuild scan had not reached it yet (re-entrant expiry): the
-		// scan snapshot will still deliver it, so the rebuild must be
-		// redone.
+		// rebuild scan had not reached it yet (re-entrant expiry), so
+		// the rebuild is redone.
 		if am.rebuilding {
 			am.poisoned = true
 		}

@@ -245,12 +245,12 @@ func benchSetup(b testing.TB, indexed bool) (*nullCtx, *Strand, tuple.Tuple) {
 	}
 	s := joinStrand()
 	s.Ops[1] = &CondOp{Expr: &overlog.Binary{Op: "<", L: &overlog.Var{Name: "B"}, R: &overlog.Lit{Val: tuple.Int(0)}}}
-	s.Compile()
 	op := s.Ops[0].(*JoinOp)
 	if indexed {
 		op.IndexPositions = []int{0, 1}
 		tb.EnsureIndex(op.IndexPositions)
 	}
+	s.Compile()
 	return &nullCtx{store: store}, s, tuple.New("ev", tuple.Str("n1"), tuple.Int(3))
 }
 

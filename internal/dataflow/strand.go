@@ -121,9 +121,67 @@ type JoinOp struct {
 	// secondary index over these positions instead of scanning — the
 	// planner-created join indices of P2.
 	IndexPositions []int
+
+	rest residual // what an index probe still does per row; set by Plan.Compile
 }
 
 func (*JoinOp) opNode() {}
+
+// residual is a join's per-row work once the index has verified the
+// IndexPositions: each other position binds a fresh slot, or repeats a
+// fresh variable and must equal that variable's first position.
+type residual struct {
+	arity   int
+	fresh   []fieldSlot
+	repeats [][2]int // position pairs holding one variable
+}
+
+type fieldSlot struct{ pos, slot int }
+
+// residual fixes what the index probe of o leaves to do per row, given
+// the slots bound before o runs. The planner indexes every constant and
+// every variable bound before the join, so anything else is a plan bug.
+func (o *JoinOp) residual(ruleID string, bound []bool) residual {
+	r := residual{arity: len(o.FieldSlots)}
+	for pos, slot := range o.FieldSlots {
+		if slices.Contains(o.IndexPositions, pos) || slot < 0 && o.FieldConsts[pos].IsNil() {
+			continue
+		}
+		if !o.FieldConsts[pos].IsNil() || bound[slot] {
+			panic(fmt.Sprintf("dataflow: rule %s joins %s with bound position %d outside IndexPositions", ruleID, o.Table, pos))
+		}
+		if k := slices.IndexFunc(r.fresh, func(f fieldSlot) bool { return f.slot == slot }); k >= 0 {
+			r.repeats = append(r.repeats, [2]int{r.fresh[k].pos, pos})
+		} else {
+			r.fresh = append(r.fresh, fieldSlot{pos, slot})
+		}
+	}
+	return r
+}
+
+// bind binds row's fresh fields into b, or reports false when the row
+// has the wrong arity or breaks a repeat.
+func (r *residual) bind(b Binding, row tuple.Tuple) bool {
+	f := row.Fields
+	if len(f) != r.arity {
+		return false
+	}
+	for _, pq := range r.repeats {
+		if !f[pq[0]].Equal(f[pq[1]]) {
+			return false
+		}
+	}
+	for _, x := range r.fresh {
+		b[x.slot] = f[x.pos]
+	}
+	return true
+}
+
+func (r *residual) unbind(b Binding) {
+	for _, x := range r.fresh {
+		b[x.slot] = tuple.Nil
+	}
+}
 
 // CondOp filters bindings by a boolean expression (a selection element).
 type CondOp struct {
@@ -200,21 +258,37 @@ type Plan struct {
 	head []overlog.Compiled
 }
 
-// Compile resolves the plan's expressions against its slot layout: each
-// CondOp and AssignOp expression and each head argument but the
-// aggregate becomes an overlog.Compiled that reads the binding by slot.
-// An unbound variable in a delete head is a wildcard (tuple.Nil), not an
-// error. The planner calls Compile as the last step of building a plan,
-// and a plan built by hand must too: Run panics on a plan that was never
-// compiled.
+// Compile resolves the plan against its slot layout: each CondOp and
+// AssignOp expression and each head argument but the aggregate becomes
+// an overlog.Compiled that reads the binding by slot, and each indexed
+// JoinOp gets the per-row residual of its probe. An unbound variable in
+// a delete head is a wildcard (tuple.Nil), not an error. The planner
+// calls Compile as the last step of building a plan, and a plan built by
+// hand must too, after its last change: Run panics on a plan that was
+// never compiled.
 func (p *Plan) Compile() {
 	slotOf := func(name string) int { return slices.Index(p.VarNames, name) }
+	bound := make([]bool, p.NumVars)
+	bindAll := func(slots []int) {
+		for _, sl := range slots {
+			if sl >= 0 {
+				bound[sl] = true
+			}
+		}
+	}
+	bindAll(p.Trigger.FieldSlots)
 	for _, op := range p.Ops {
 		switch o := op.(type) {
+		case *JoinOp:
+			if len(o.IndexPositions) > 0 {
+				o.rest = o.residual(p.RuleID, bound)
+			}
+			bindAll(o.FieldSlots)
 		case *CondOp:
 			o.eval = overlog.Compile(o.Expr, slotOf)
 		case *AssignOp:
 			o.eval = overlog.Compile(o.Expr, slotOf)
+			bound[o.Slot] = true
 		}
 	}
 	p.head = make([]overlog.Compiled, len(p.HeadArgs))
@@ -491,63 +565,10 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 			return
 		}
 		ctx.Bill(CostJoinSetup)
-		undo, undoPooled := s.acquireUndo(i)
-		probe := func(row tuple.Tuple) {
-			undo = undo[:0]
-			if !bindFields(b, row, op.FieldSlots, op.FieldConsts, &undo) {
-				unbind(b, undo)
-				return
-			}
-			ctx.TracePrecond(s, op.Stage, row)
-			s.exec(ctx, b, i+1, done)
-			unbind(b, undo)
+		if len(op.IndexPositions) > 0 && !DisableIndexedJoins && s.probeJoin(ctx, tb, op, b, i, done) {
+			return
 		}
-		defer func() {
-			if undoPooled {
-				s.undoScratch[i] = undo[:0] // keep any growth
-				s.undoBusy[i] = false
-			}
-		}()
-		if len(op.IndexPositions) > 0 && !DisableIndexedJoins {
-			values, pooled := s.acquireProbe(i, len(op.IndexPositions))
-			ok := true
-			for k, p := range op.IndexPositions {
-				if c := op.FieldConsts[p]; !c.IsNil() {
-					values[k] = c
-					continue
-				}
-				v := b[op.FieldSlots[p]]
-				if v.IsNil() {
-					// A statically bound slot can be unbound at run
-					// time when the pipeline runs without its trigger
-					// binding (accumulator rebuilds); fall back to the
-					// scan path below.
-					ok = false
-					break
-				}
-				values[k] = v
-			}
-			if ok {
-				visited := tb.MatchIndexed(ctx.Now(), op.IndexPositions, values, probe)
-				ctx.Bill(float64(visited) * CostJoinProbe)
-				if pooled {
-					s.probeBusy[i] = false
-				}
-				return
-			}
-			if pooled {
-				s.probeBusy[i] = false
-			}
-		}
-		// Unindexed fallback: bill per-probe cost the same way the
-		// indexed path does — once for the visited count, after the
-		// scan.
-		visited := 0
-		tb.Scan(ctx.Now(), func(row tuple.Tuple) {
-			visited++
-			probe(row)
-		})
-		ctx.Bill(float64(visited) * CostJoinProbe)
+		s.scanJoin(ctx, tb, op, b, i, done)
 	case *CondOp:
 		ctx.Bill(CostEval)
 		v, err := op.eval(b, ctx)
@@ -569,6 +590,62 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 		b[op.Slot] = v
 		s.exec(ctx, b, i+1, done)
 		b[op.Slot] = old
+	}
+}
+
+// probeJoin runs join op i as an index probe: the index verifies the
+// IndexPositions, and each row only runs the residual Compile fixed. It
+// returns false, having done nothing, when a statically bound slot is
+// unbound at run time (an accumulator rebuild runs the pipeline without
+// its trigger binding); the caller then scans.
+func (s *Strand) probeJoin(ctx Context, tb *table.Table, op *JoinOp, b Binding, i int, done completion) bool {
+	values, pooled := s.acquireProbe(i, len(op.IndexPositions))
+	ok := true
+	for k, p := range op.IndexPositions {
+		if c := op.FieldConsts[p]; !c.IsNil() {
+			values[k] = c
+			continue
+		}
+		if values[k] = b[op.FieldSlots[p]]; values[k].IsNil() {
+			ok = false
+			break
+		}
+	}
+	if ok {
+		visited := tb.MatchIndexed(ctx.Now(), op.IndexPositions, values, func(row tuple.Tuple) {
+			if op.rest.bind(b, row) {
+				ctx.TracePrecond(s, op.Stage, row)
+				s.exec(ctx, b, i+1, done)
+			}
+		})
+		op.rest.unbind(b)
+		ctx.Bill(float64(visited) * CostJoinProbe)
+	}
+	if pooled {
+		s.probeBusy[i] = false
+	}
+	return ok
+}
+
+// scanJoin runs join op i over every row, unifying each in full; it
+// bills per-probe cost the way probeJoin does, once for the visited
+// count, after the scan.
+func (s *Strand) scanJoin(ctx Context, tb *table.Table, op *JoinOp, b Binding, i int, done completion) {
+	undo, pooled := s.acquireUndo(i)
+	visited := 0
+	tb.Scan(ctx.Now(), func(row tuple.Tuple) {
+		visited++
+		undo = undo[:0]
+		if bindFields(b, row, op.FieldSlots, op.FieldConsts, &undo) {
+			ctx.TracePrecond(s, op.Stage, row)
+			s.exec(ctx, b, i+1, done)
+		}
+		unbind(b, undo)
+	})
+	ctx.Bill(float64(visited) * CostJoinProbe)
+	if pooled {
+		s.undoScratch[i] = undo[:0] // keep any growth
+		s.undoBusy[i] = false
 	}
 }
 

@@ -17,8 +17,16 @@ func TestStrandString(t *testing.T) {
 
 // TestIndexedJoinMatchesScanFallback: with IndexPositions set, the
 // indexed path must produce the same matches as the scan path (also
-// exercising the DisableIndexedJoins ablation switch).
+// exercising the DisableIndexedJoins ablation switch), both for a join
+// indexed on a trigger-bound variable and for one whose fresh variable
+// repeats in the row, which the index does not check.
 func TestIndexedJoinMatchesScanFallback(t *testing.T) {
+	for _, repeat := range []bool{false, true} {
+		testIndexedJoinMatchesScan(t, repeat)
+	}
+}
+
+func testIndexedJoinMatchesScan(t *testing.T, repeat bool) {
 	build := func() (*fakeCtx, *Strand) {
 		ctx := newFakeCtx(t)
 		tab := ctx.store.Get("tab")
@@ -27,7 +35,15 @@ func TestIndexedJoinMatchesScanFallback(t *testing.T) {
 		}
 		s := joinStrand()
 		s.Ops = s.Ops[:1] // drop the condition; join only
-		s.Ops[0].(*JoinOp).IndexPositions = []int{0, 1}
+		op := s.Ops[0].(*JoinOp)
+		op.IndexPositions = []int{0, 1}
+		if repeat { // out@N(A, A, A) :- ev@N(_), tab@N(A, A).
+			s.Trigger.FieldSlots = []int{0, -1}
+			op.FieldSlots = []int{0, 1, 1}
+			op.IndexPositions = []int{0}
+			s.HeadArgs = []overlog.Expr{ref("N"), ref("A"), ref("A")}
+		}
+		s.Compile()
 		return ctx, s
 	}
 	run := func(disable bool) []tuple.Tuple {
@@ -39,7 +55,7 @@ func TestIndexedJoinMatchesScanFallback(t *testing.T) {
 	}
 	indexed, scanned := run(false), run(true)
 	if len(indexed) != len(scanned) || len(indexed) != 3 {
-		t.Fatalf("indexed=%d scanned=%d, want 3 each", len(indexed), len(scanned))
+		t.Fatalf("repeat=%v: indexed=%d scanned=%d, want 3 each", repeat, len(indexed), len(scanned))
 	}
 	// Join order is unspecified; compare as multisets.
 	asSet := func(ts []tuple.Tuple) map[uint64]int {

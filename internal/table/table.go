@@ -10,10 +10,28 @@
 // Tables expire rows lazily against a caller-supplied virtual clock and
 // evict the oldest row (FIFO) when the size bound is exceeded, matching
 // P2's behaviour.
+//
+// A table keeps its rows in one slab, in insertion order; a replacement
+// is a fresh insertion and goes to the end. Scan, expiry, Delete, index
+// backfill and FIFO eviction walk the slab, so the order readers and
+// listeners see comes from the structure, not from a sort. The
+// primary-key map and every secondary index hold slab positions. An
+// index maps the hash of its fields to a bucket, a list of positions in
+// slab order linked through per-position arrays, so a new row costs one
+// allocation (its copy of the fields) and a probe walks the bucket.
+//
+// A delete leaves a tombstone in the slab and unlinks the row from the
+// key map and the indexes at once. The unlinked row keeps its forward
+// link, so a read standing on a row that is deleted under it still
+// reaches the rest of its bucket. Once tombstones outnumber live rows,
+// the write that made them so compacts the slab, renumbering every
+// position, unless a read is walking it: the table counts the Scans and
+// MatchIndexed calls in progress (a tracer sync can insert and delete
+// rows from inside a nested read of the same table), and a deferred
+// compaction happens at the next expiry check with none in progress.
 package table
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -72,35 +90,33 @@ type listenerEnt struct {
 type row struct {
 	t      tuple.Tuple
 	expiry float64 // virtual seconds; +Inf = never
-	seq    uint64  // insertion order, for FIFO eviction
+	next   int32   // next live position with the same primary-key hash, or -1
+	dead   bool    // tombstone, until the slab compacts
 }
 
 // Table is a single soft-state table. Tables are not safe for concurrent
 // use; the engine serializes all access within a node's event loop.
 type Table struct {
-	spec       Spec
-	rows       map[uint64][]row // key hash -> rows with that hash
-	count      int
-	seq        uint64
+	spec Spec
+	// slab holds the rows in insertion order; no live row precedes
+	// slab[first].
+	slab  []row
+	first int
+	keys  map[uint64]int32 // primary-key hash -> a live position with it
+	count int
+	// reading counts the Scans and MatchIndexed walks in progress;
+	// compaction waits for zero.
+	reading    int
 	listeners  []listenerEnt
 	listenerID int
-	// fifo tracks insertion order for O(1) amortized eviction: seq ->
-	// key hash, lazily invalidated via seqs.
-	fifo []fifoRef
-	seqs map[uint64]uint64 // live row seq -> key hash
 	// soonest lower-bounds the earliest row expiry, letting expiry
-	// sweeps exit without touching any bucket.
+	// sweeps exit without walking the slab.
 	soonest float64
 	// indexes holds secondary join indexes (see EnsureIndex).
-	indexes map[uint64][]*index
-	// scanScratch is the reusable row-snapshot buffer for Scan (tables
-	// are single-threaded like their node); scanBusy falls back to
-	// allocation for nested scans from inside a Scan callback.
-	scanScratch bySeq
-	scanBusy    bool
+	indexes []*index
 	// victims is the reusable buffer in which Delete and expiry collect
-	// the rows they remove before notifying listeners in seq order.
-	victims []row
+	// the rows they remove before notifying listeners in slab order.
+	victims []tuple.Tuple
 	// sync, when set, is the owner's callback that brings the rows up to
 	// date (see SetSync).
 	sync SyncFunc
@@ -140,26 +156,11 @@ func (tb *Table) syncRead(now float64) {
 	}
 }
 
-// bySeq sorts a row snapshot into insertion order. It implements
-// sort.Interface on the pointer so Scan's sort of the pooled snapshot
-// converts to the interface without allocating.
-type bySeq []row
-
-func (r *bySeq) Len() int           { return len(*r) }
-func (r *bySeq) Less(i, j int) bool { return (*r)[i].seq < (*r)[j].seq }
-func (r *bySeq) Swap(i, j int)      { (*r)[i], (*r)[j] = (*r)[j], (*r)[i] }
-
-type fifoRef struct {
-	seq  uint64
-	hash uint64
-}
-
 // New creates an empty table from the given spec.
 func New(spec Spec) *Table {
 	return &Table{
 		spec:    spec,
-		rows:    make(map[uint64][]row),
-		seqs:    make(map[uint64]uint64),
+		keys:    make(map[uint64]int32),
 		soonest: math.Inf(1),
 	}
 }
@@ -221,6 +222,19 @@ func (tb *Table) sameKey(a, b tuple.Tuple) bool {
 	return a.KeyEqual(b, tb.spec.Keys)
 }
 
+// find returns the position of the live row whose primary key (hash h)
+// equals t's, or -1.
+func (tb *Table) find(t tuple.Tuple, h uint64) int32 {
+	p, ok := tb.keys[h]
+	for ok && p >= 0 {
+		if tb.sameKey(tb.slab[p].t, t) {
+			return p
+		}
+		p = tb.slab[p].next
+	}
+	return -1
+}
+
 // Insert adds t at virtual time now (seconds). It returns true if the
 // table changed (new row or replacement), false if an identical row merely
 // had its TTL refreshed. Name mismatches are rejected with an error.
@@ -240,88 +254,115 @@ func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 		}
 	}
 	h := tb.keyOf(t)
-	bucket := tb.rows[h]
-	for i := range bucket {
-		if !tb.sameKey(bucket[i].t, t) {
-			continue
-		}
-		if bucket[i].t.Equal(t) {
-			// Identical content: refresh TTL only.
-			bucket[i].expiry = expiry
-			return false, nil
-		}
-		old := bucket[i].t
-		t.Fields = slices.Clone(t.Fields)
-		delete(tb.seqs, bucket[i].seq)
-		tb.seq++
-		bucket[i] = row{t: t, expiry: expiry, seq: tb.seq}
-		tb.trackSeq(tb.seq, h)
-		tb.indexInsert(t, tb.seq)
-		tb.notify(OpDelete, old)
-		tb.notify(OpInsert, t)
-		return true, nil
+	p := tb.find(t, h)
+	if p >= 0 && tb.slab[p].t.Equal(t) {
+		tb.slab[p].expiry = expiry // identical content: refresh TTL only
+		return false, nil
 	}
 	t.Fields = slices.Clone(t.Fields)
-	tb.seq++
-	tb.rows[h] = append(bucket, row{t: t, expiry: expiry, seq: tb.seq})
-	tb.trackSeq(tb.seq, h)
-	tb.indexInsert(t, tb.seq)
-	tb.count++
-	if tb.spec.MaxSize >= 0 && tb.count > tb.spec.MaxSize {
-		tb.evictOldest(tb.seq)
+	var gone tuple.Tuple // the row this insert replaces or evicts
+	removed := p >= 0
+	if removed {
+		gone = tb.slab[p].t
+		tb.remove(p, h)
+	}
+	tb.add(t, h, expiry)
+	if !removed && tb.spec.MaxSize >= 0 && tb.count > tb.spec.MaxSize {
+		gone, removed = tb.evictOldest()
+	}
+	tb.compact()
+	if removed {
+		tb.notify(OpDelete, gone)
 	}
 	tb.notify(OpInsert, t)
 	return true, nil
 }
 
-// trackSeq records insertion order and occasionally compacts the lazily
-// invalidated FIFO index.
-func (tb *Table) trackSeq(seq, hash uint64) {
-	tb.seqs[seq] = hash
-	tb.fifo = append(tb.fifo, fifoRef{seq: seq, hash: hash})
-	if len(tb.fifo) > 64 && len(tb.fifo) > 4*len(tb.seqs) {
-		live := tb.fifo[:0]
-		for _, ref := range tb.fifo {
-			if _, ok := tb.seqs[ref.seq]; ok {
-				live = append(live, ref)
-			}
-		}
-		tb.fifo = live
+// add appends a live row at the end of the slab and links it into the
+// key map and every index.
+func (tb *Table) add(t tuple.Tuple, h uint64, expiry float64) {
+	tb.slab = append(tb.slab, row{t: t, expiry: expiry})
+	tb.linkKey(int32(len(tb.slab)-1), h)
+	tb.count++
+	for _, ix := range tb.indexes {
+		ix.push(t, true)
 	}
 }
 
-// evictOldest removes the FIFO-oldest row, never the just-inserted one
-// (whose seq is keep).
-func (tb *Table) evictOldest(keep uint64) {
-	for len(tb.fifo) > 0 {
-		ref := tb.fifo[0]
-		if _, live := tb.seqs[ref.seq]; !live {
-			tb.fifo = tb.fifo[1:]
-			continue
+// linkKey puts position p at the head of the chain for primary-key hash h.
+func (tb *Table) linkKey(p int32, h uint64) {
+	tb.slab[p].next = -1
+	if q, ok := tb.keys[h]; ok {
+		tb.slab[p].next = q
+	}
+	tb.keys[h] = p
+}
+
+// remove makes slab[p] (primary-key hash h) a tombstone and unlinks it
+// from the key map and every index.
+func (tb *Table) remove(p int32, h uint64) {
+	r := &tb.slab[p]
+	r.dead = true
+	tb.count--
+	if q := tb.keys[h]; q == p {
+		if r.next < 0 {
+			delete(tb.keys, h)
+		} else {
+			tb.keys[h] = r.next
 		}
-		bucket := tb.rows[ref.hash]
-		for i := range bucket {
-			if bucket[i].seq != ref.seq {
-				continue
-			}
-			if ref.seq == keep {
-				// The just-inserted row can only be the FIFO head
-				// when it is the sole live row (MaxSize 0); never
-				// evict it.
-				return
-			}
-			victim := bucket[i].t
-			tb.removeAt(ref.hash, i)
-			tb.notify(OpDelete, victim)
-			return
+	} else {
+		for tb.slab[q].next != p {
+			q = tb.slab[q].next
 		}
-		// Stale ref (row replaced); drop it.
-		tb.fifo = tb.fifo[1:]
+		tb.slab[q].next = r.next
+	}
+	for _, ix := range tb.indexes {
+		ix.unlink(p, r.t)
 	}
 }
 
-func (tb *Table) removeAt(h uint64, i int) {
-	tb.putBucket(h, tb.unlink(tb.rows[h], i))
+// evictOldest removes the FIFO-oldest row, the first live one in the
+// slab, and returns it; the just-inserted row (the last) stays, so when
+// it is the only live row (MaxSize 0) nothing goes.
+func (tb *Table) evictOldest() (tuple.Tuple, bool) {
+	for tb.slab[tb.first].dead {
+		tb.first++
+	}
+	if tb.first == len(tb.slab)-1 {
+		return tuple.Tuple{}, false
+	}
+	victim := tb.slab[tb.first].t
+	tb.remove(int32(tb.first), tb.keyOf(victim))
+	return victim, true
+}
+
+// compact squeezes the tombstones out of the slab once they outnumber
+// live rows, unless a read is walking it; a compaction a read deferred
+// happens at the next expiry check.
+func (tb *Table) compact() {
+	if tb.reading > 0 || len(tb.slab)-tb.count <= tb.count {
+		return
+	}
+	live := tb.slab[:0]
+	for _, r := range tb.slab {
+		if !r.dead {
+			live = append(live, r)
+		}
+	}
+	clear(tb.slab[len(live):])
+	tb.slab, tb.first = live, 0
+	tb.reindex()
+}
+
+// reindex rebuilds the key map and every index from the slab.
+func (tb *Table) reindex() {
+	clear(tb.keys)
+	for p := range tb.slab {
+		tb.linkKey(int32(p), tb.keyOf(tb.slab[p].t))
+	}
+	for _, ix := range tb.indexes {
+		ix.fill(tb.slab)
+	}
 }
 
 // DeleteKey removes the row whose primary key equals sample's, without
@@ -330,14 +371,15 @@ func (tb *Table) removeAt(h uint64, i int) {
 // at most one row can match.
 func (tb *Table) DeleteKey(sample tuple.Tuple) bool {
 	h := tb.keyOf(sample)
-	for i, r := range tb.rows[h] {
-		if tb.sameKey(r.t, sample) {
-			tb.removeAt(h, i)
-			tb.notify(OpDelete, r.t)
-			return true
-		}
+	p := tb.find(sample, h)
+	if p < 0 {
+		return false
 	}
-	return false
+	victim := tb.slab[p].t
+	tb.remove(p, h)
+	tb.compact()
+	tb.notify(OpDelete, victim)
+	return true
 }
 
 // Delete removes every row unifiable with the pattern: fields in pattern
@@ -346,25 +388,10 @@ func (tb *Table) DeleteKey(sample tuple.Tuple) bool {
 func (tb *Table) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
 	tb.syncRead(now)
 	tb.expireLocked(now)
-	victims := tb.takeVictims()
-	for h, bucket := range tb.rows {
-		for i := 0; i < len(bucket); {
-			if matchPattern(bucket[i].t, pattern) {
-				victims = append(victims, bucket[i])
-				bucket = tb.unlink(bucket, i)
-			} else {
-				i++
-			}
-		}
-		tb.putBucket(h, bucket)
-	}
+	victims := tb.sweep(func(r *row) bool { return matchPattern(r.t, pattern) })
 	var removed []tuple.Tuple
 	if len(victims) > 0 {
-		removed = make([]tuple.Tuple, len(victims))
-	}
-	sortBySeq(victims)
-	for i, r := range victims {
-		removed[i] = r.t
+		removed = slices.Clone(victims)
 	}
 	tb.notifyRemoved(victims)
 	if tb.sync != nil {
@@ -375,47 +402,28 @@ func (tb *Table) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
 	return removed
 }
 
-// takeVictims hands out the table-owned buffer in which Delete and
-// expiry collect the rows they unlink. It is taken, not shared: a
-// listener that reads the table re-enters expiry.
-func (tb *Table) takeVictims() []row {
+// sweep removes every live row doomed reports true for, compacts if
+// due, and returns the removed rows in slab order in the table-owned
+// buffer, which notifyRemoved hands back. The buffer is taken, not
+// shared: a listener that reads the table re-enters expiry.
+func (tb *Table) sweep(doomed func(*row) bool) []tuple.Tuple {
 	victims := tb.victims[:0]
 	tb.victims = nil
+	for p := tb.first; p < len(tb.slab); p++ {
+		if r := &tb.slab[p]; !r.dead && doomed(r) {
+			victims = append(victims, r.t)
+			tb.remove(int32(p), tb.keyOf(r.t))
+		}
+	}
+	tb.compact()
 	return victims
 }
 
-// unlink removes bucket[i] from its bucket and the live-row accounting
-// and returns the shortened bucket; putBucket stores it back.
-func (tb *Table) unlink(bucket []row, i int) []row {
-	delete(tb.seqs, bucket[i].seq)
-	bucket[i] = bucket[len(bucket)-1]
-	tb.count--
-	return bucket[:len(bucket)-1]
-}
-
-func (tb *Table) putBucket(h uint64, bucket []row) {
-	if len(bucket) == 0 {
-		delete(tb.rows, h)
-	} else {
-		tb.rows[h] = bucket
-	}
-}
-
-// sortBySeq puts unlinked rows into insertion order. Which rows go is
-// decided by content, but the order listeners hear about them must not
-// be Go's map iteration order, or identical-seed runs log same-instant
-// deletions differently.
-func sortBySeq(victims []row) {
-	if len(victims) > 1 {
-		slices.SortFunc(victims, func(a, b row) int { return cmp.Compare(a.seq, b.seq) })
-	}
-}
-
-// notifyRemoved fires the delete listeners for the (sorted) victims and
+// notifyRemoved fires the delete listeners for the swept victims and
 // returns the buffer for reuse.
-func (tb *Table) notifyRemoved(victims []row) {
-	for _, r := range victims {
-		tb.notify(OpDelete, r.t)
+func (tb *Table) notifyRemoved(victims []tuple.Tuple) {
+	for _, t := range victims {
+		tb.notify(OpDelete, t)
 	}
 	clear(victims)
 	tb.victims = victims[:0]
@@ -436,55 +444,20 @@ func matchPattern(t, pattern tuple.Tuple) bool {
 	return true
 }
 
-// Scan calls fn for every live row at time now. Iteration order is
-// deterministic (insertion order). fn must not mutate the table.
+// Scan calls fn for every live row at time now, in insertion order. It
+// walks the rows live when it began and skips those deleted before it
+// reaches them: fn may insert and delete rows (a nested read can run an
+// owner's sync), and a row inserted during the walk is not visited.
 func (tb *Table) Scan(now float64, fn func(tuple.Tuple)) {
 	tb.syncRead(now)
 	tb.expireLocked(now)
-	var rows bySeq
-	pooled := !tb.scanBusy
-	if pooled {
-		tb.scanBusy = true
-		if cap(tb.scanScratch) < tb.count {
-			tb.scanScratch = make(bySeq, 0, tb.count)
+	tb.reading++
+	for p, end := tb.first, len(tb.slab); p < end; p++ {
+		if r := &tb.slab[p]; !r.dead {
+			fn(r.t)
 		}
-		rows = tb.scanScratch[:0]
-	} else {
-		rows = make(bySeq, 0, tb.count)
 	}
-	for _, bucket := range tb.rows {
-		rows = append(rows, bucket...)
-	}
-	if pooled {
-		// Sorting through the table-owned field keeps the
-		// sort.Interface conversion allocation-free.
-		tb.scanScratch = rows
-		sort.Sort(&tb.scanScratch)
-		rows = tb.scanScratch
-	} else {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].seq < rows[j].seq })
-	}
-	for _, r := range rows {
-		fn(r.t)
-	}
-	if pooled {
-		tb.scanScratch = rows[:0] // keep any growth
-		tb.scanBusy = false
-	}
-}
-
-// Match calls fn for every live row whose fields at the given 0-based
-// positions Equal the corresponding values. It is the lookup primitive
-// used by join elements.
-func (tb *Table) Match(now float64, positions []int, values []tuple.Value, fn func(tuple.Tuple)) {
-	tb.Scan(now, func(t tuple.Tuple) {
-		for i, p := range positions {
-			if p >= len(t.Fields) || !t.Fields[p].Equal(values[i]) {
-				return
-			}
-		}
-		fn(t)
-	})
+	tb.reading--
 }
 
 // Expire removes rows whose TTL elapsed by now, firing delete listeners
@@ -497,27 +470,19 @@ func (tb *Table) Expire(now float64) {
 }
 
 func (tb *Table) expireLocked(now float64) {
+	tb.compact()
 	if tb.spec.Lifetime < 0 || now < tb.soonest {
 		return
 	}
 	next := math.Inf(1)
-	victims := tb.takeVictims()
-	for h, bucket := range tb.rows {
-		for i := 0; i < len(bucket); {
-			if bucket[i].expiry <= now {
-				victims = append(victims, bucket[i])
-				bucket = tb.unlink(bucket, i)
-			} else {
-				if bucket[i].expiry < next {
-					next = bucket[i].expiry
-				}
-				i++
-			}
+	victims := tb.sweep(func(r *row) bool {
+		if r.expiry <= now {
+			return true
 		}
-		tb.putBucket(h, bucket)
-	}
+		next = min(next, r.expiry)
+		return false
+	})
 	tb.soonest = next
-	sortBySeq(victims)
 	tb.notifyRemoved(victims)
 }
 
@@ -529,16 +494,10 @@ func (tb *Table) expireLocked(now float64) {
 // after the wipe so subscribers holding derived state (incremental
 // aggregate accumulators) can invalidate it.
 func (tb *Table) Clear() {
-	tb.rows = make(map[uint64][]row)
-	tb.seqs = make(map[uint64]uint64)
-	tb.fifo = tb.fifo[:0]
-	tb.count = 0
+	clear(tb.slab)
+	tb.slab, tb.first, tb.count = tb.slab[:0], 0, 0
 	tb.soonest = math.Inf(1)
-	for _, chain := range tb.indexes {
-		for _, ix := range chain {
-			ix.buckets = make(map[uint64][]uint64)
-		}
-	}
+	tb.reindex()
 	tb.notify(OpClear, tuple.Tuple{Name: tb.spec.Name})
 }
 
@@ -547,11 +506,9 @@ func (tb *Table) Clear() {
 func (tb *Table) NextExpiry() float64 {
 	tb.syncRead(math.Inf(-1))
 	next := math.Inf(1)
-	for _, bucket := range tb.rows {
-		for _, r := range bucket {
-			if r.expiry < next {
-				next = r.expiry
-			}
+	for p := tb.first; p < len(tb.slab); p++ {
+		if r := &tb.slab[p]; !r.dead {
+			next = min(next, r.expiry)
 		}
 	}
 	return next
@@ -561,8 +518,8 @@ func (tb *Table) NextExpiry() float64 {
 func (tb *Table) SizeBytes() int {
 	tb.syncRead(math.Inf(-1))
 	n := 0
-	for _, bucket := range tb.rows {
-		for _, r := range bucket {
+	for p := tb.first; p < len(tb.slab); p++ {
+		if r := &tb.slab[p]; !r.dead {
 			n += r.t.SizeBytes()
 		}
 	}
@@ -696,24 +653,16 @@ func (s *Store) NextExpiry() float64 {
 }
 
 // index is a secondary hash index over a set of 0-based field positions.
-// Buckets hold row seqs and are compacted lazily: dead seqs are skipped
-// and dropped during lookups.
+// A bucket holds the live rows whose indexed fields hash alike, in slab
+// order, as a list linked through next and prev, which have one entry per
+// slab position.
 type index struct {
-	positions []int
-	buckets   map[uint64][]uint64
+	positions  []int
+	buckets    map[uint64]bucket
+	next, prev []int32 // -1 ends a list
 }
 
-// indexKey hashes a positions slice for the index-map lookup. Lookups
-// verify the positions slice exactly, so a hash collision only costs a
-// chain walk, never a wrong index. A uint64 key (rather than a built
-// string) keeps the per-probe MatchIndexed path allocation-free.
-func indexKey(positions []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, p := range positions {
-		h = (h ^ uint64(p)) * 1099511628211
-	}
-	return h
-}
+type bucket struct{ first, last int32 }
 
 func samePositions(a, b []int) bool {
 	if len(a) != len(b) {
@@ -731,6 +680,63 @@ func (ix *index) keyOfRow(t tuple.Tuple) uint64 {
 	return tuple.HashFieldsAt(t.Fields, ix.positions)
 }
 
+// push gives the next slab position its links and, for a live row t,
+// appends it to the tail of its bucket.
+func (ix *index) push(t tuple.Tuple, live bool) {
+	p := int32(len(ix.next))
+	ix.next = append(ix.next, -1)
+	ix.prev = append(ix.prev, -1)
+	if !live {
+		return
+	}
+	k := ix.keyOfRow(t)
+	b, ok := ix.buckets[k]
+	if !ok {
+		ix.buckets[k] = bucket{p, p}
+		return
+	}
+	ix.next[b.last], ix.prev[p] = p, b.last
+	b.last = p
+	ix.buckets[k] = b
+}
+
+// unlink takes position p (row t) out of its bucket. next[p] is left as
+// it was, for a read standing on p.
+func (ix *index) unlink(p int32, t tuple.Tuple) {
+	prev, next := ix.prev[p], ix.next[p]
+	if prev >= 0 {
+		ix.next[prev] = next
+	}
+	if next >= 0 {
+		ix.prev[next] = prev
+	}
+	if prev >= 0 && next >= 0 {
+		return
+	}
+	k := ix.keyOfRow(t)
+	b := ix.buckets[k]
+	if prev < 0 {
+		b.first = next
+	}
+	if next < 0 {
+		b.last = prev
+	}
+	if b.first < 0 {
+		delete(ix.buckets, k)
+	} else {
+		ix.buckets[k] = b
+	}
+}
+
+// fill rebuilds the index from the slab.
+func (ix *index) fill(slab []row) {
+	clear(ix.buckets)
+	ix.next, ix.prev = ix.next[:0], ix.prev[:0]
+	for p := range slab {
+		ix.push(slab[p].t, !slab[p].dead)
+	}
+}
+
 // EnsureIndex creates (or returns) a secondary index over the given
 // 0-based field positions, backfilling it from live rows. The engine
 // calls it once per distinct join access path; joins then probe buckets
@@ -740,100 +746,52 @@ func (tb *Table) EnsureIndex(positions []int) {
 }
 
 func (tb *Table) ensureIndex(positions []int) *index {
-	key := indexKey(positions)
-	if tb.indexes == nil {
-		tb.indexes = make(map[uint64][]*index)
-	}
-	for _, ix := range tb.indexes[key] {
+	for _, ix := range tb.indexes {
 		if samePositions(ix.positions, positions) {
 			return ix
 		}
 	}
-	ix := &index{positions: positions, buckets: make(map[uint64][]uint64)}
-	// Backfill in seq (insertion) order so bucket enumeration order is
-	// deterministic and identical to Scan order — fresh inserts append
-	// monotonically increasing seqs, keeping that invariant.
-	backfill := make([]row, 0, tb.count)
-	for _, bucket := range tb.rows {
-		backfill = append(backfill, bucket...)
-	}
-	sort.Slice(backfill, func(i, j int) bool { return backfill[i].seq < backfill[j].seq })
-	for i := range backfill {
-		k := ix.keyOfRow(backfill[i].t)
-		ix.buckets[k] = append(ix.buckets[k], backfill[i].seq)
-	}
-	tb.indexes[key] = append(tb.indexes[key], ix)
+	ix := &index{positions: positions, buckets: make(map[uint64]bucket)}
+	ix.fill(tb.slab)
+	tb.indexes = append(tb.indexes, ix)
 	return ix
 }
 
-// indexInsert registers a fresh row in every secondary index.
-func (tb *Table) indexInsert(t tuple.Tuple, seq uint64) {
-	for _, chain := range tb.indexes {
-		for _, ix := range chain {
-			k := ix.keyOfRow(t)
-			ix.buckets[k] = append(ix.buckets[k], seq)
-		}
-	}
-}
-
 // MatchIndexed calls fn for every live row whose fields at the 0-based
-// positions Equal values, probing the secondary index for those
-// positions (created on first use). The number of candidate rows visited
-// is returned so callers can bill per-probe costs. Hash collisions are
-// filtered by the Equal checks.
+// positions Equal values, in insertion order, probing the secondary
+// index for those positions (created on first use). It returns the
+// number of live rows in the probed bucket, hash collisions included, so
+// callers can bill per-probe costs. Like Scan, it skips rows deleted
+// before it reaches them and does not visit rows inserted during the
+// walk.
 func (tb *Table) MatchIndexed(now float64, positions []int, values []tuple.Value, fn func(tuple.Tuple)) int {
 	tb.syncRead(now)
 	tb.expireLocked(now)
 	ix := tb.ensureIndex(positions)
-	k := tuple.HashValues(values)
-	bucket := ix.buckets[k]
-	if len(bucket) == 0 {
+	b, ok := ix.buckets[tuple.HashValues(values)]
+	if !ok {
 		return 0
 	}
 	visited := 0
-	// Compaction writes into a FRESH slice, never in place: fn may
-	// re-enter this table (a rule self-join probing the same bucket),
-	// and in-place filtering would alias the array being iterated.
-	var live []uint64
-	for i, seq := range bucket {
-		h, ok := tb.seqs[seq]
-		if !ok {
-			if live == nil {
-				live = append(make([]uint64, 0, len(bucket)-1), bucket[:i]...)
-			}
-			continue // dead row: compact away
-		}
-		if live != nil {
-			live = append(live, seq)
-		}
-		var row *tuple.Tuple
-		for j := range tb.rows[h] {
-			if tb.rows[h][j].seq == seq {
-				row = &tb.rows[h][j].t
-				break
-			}
-		}
-		if row == nil {
+	end := int32(len(tb.slab))
+	tb.reading++
+	for p := b.first; p >= 0 && p < end; p = ix.next[p] {
+		r := &tb.slab[p]
+		if r.dead {
 			continue
 		}
 		visited++
 		match := true
-		for j, p := range positions {
-			if p >= len(row.Fields) || !row.Fields[p].Equal(values[j]) {
+		for j, q := range positions {
+			if q >= len(r.t.Fields) || !r.t.Fields[q].Equal(values[j]) {
 				match = false
 				break
 			}
 		}
 		if match {
-			fn(*row)
+			fn(r.t)
 		}
 	}
-	if live != nil {
-		if len(live) == 0 {
-			delete(ix.buckets, k)
-		} else {
-			ix.buckets[k] = live
-		}
-	}
+	tb.reading--
 	return visited
 }
