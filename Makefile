@@ -80,7 +80,8 @@ bench-forensics:
 
 # The scale wall: 100/1k/10k-host Chord sweep with bytes-per-host and
 # events/sec curves, the shared-vs-private plan memory gate, and the
-# shared|private fingerprint check; writes BENCH_scale.json.
+# check that every host of a 100-host ring shares the Chord plans;
+# writes BENCH_scale.json.
 bench-scale:
 	go run ./cmd/p2bench -exp scale -json
 

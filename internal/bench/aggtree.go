@@ -174,9 +174,9 @@ func runAggTree(seed int64, h int, tree bool, simSecs, period float64, accErr *s
 		if q.Mode != wantMode {
 			return run, fmt.Errorf("bench: aggtree query %s planned as %s, want %s", spec.Name, q.Mode, wantMode)
 		}
-		cq, err := monitor.CompileCluster(q, spec.Tables...)
+		cq, err := r.Node(r.Addrs[0]).Compile(q.Detector.Program)
 		if err != nil {
-			return run, err
+			return run, fmt.Errorf("bench: aggtree compile %s: %w", spec.Name, err)
 		}
 		for _, a := range r.Addrs {
 			if _, err := r.Node(a).InstallCompiledQuery(q.Detector.QueryID(), cq); err != nil {

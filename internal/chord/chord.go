@@ -218,10 +218,9 @@ func BuggyProgram() *overlog.Program { return overlog.MustParse(Rules + BuggyAmn
 // The Chord programs are compile-time constants, so they are parsed and
 // planned exactly once per process and every ring node instantiates the
 // same immutable plans ("plan once, instantiate N times") — the memory
-// and install-time win that makes 1k-10k node rings viable. Nodes whose
-// environment differs from the compile-time reference (or runs with
-// shared plans disabled) transparently plan privately instead, with
-// bit-identical results.
+// and install-time win that makes 1k-10k node rings viable. A node whose
+// store or label counter differs from the fresh node the programs
+// compile on recompiles them itself, with bit-identical results.
 var (
 	compileOnce     sync.Once
 	compiledGood    *engine.CompiledQuery

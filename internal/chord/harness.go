@@ -6,7 +6,6 @@ import (
 
 	"p2go/internal/engine"
 	"p2go/internal/overlog"
-	"p2go/internal/planner"
 	"p2go/internal/simnet"
 	"p2go/internal/trace"
 	"p2go/internal/tracestore"
@@ -35,9 +34,10 @@ type RingConfig struct {
 	MinDelay, MaxDelay float64
 	// OnWatch receives watched tuples (in addition to Ring.Watched).
 	OnWatch func(now float64, node string, t tuple.Tuple)
-	// ExtraPrograms are installed on every node after Chord (monitoring
-	// queries, §3-style add-ons), as managed queries named "extra1",
-	// "extra2", ... in slice order — uninstallable by that ID.
+	// ExtraPrograms are installed on every node after Chord, late
+	// joiners included (monitoring queries, §3-style add-ons), as
+	// managed queries named "extra1", "extra2", ... in slice order —
+	// uninstallable by that ID.
 	ExtraPrograms []*overlog.Program
 	// StatsPeriod, when positive, turns on stats publication on every
 	// node (engine.EnableStatsPublication): the engine's counters become
@@ -61,70 +61,6 @@ type RingConfig struct {
 // (0-based) entry of RingConfig.ExtraPrograms under.
 func ExtraQueryID(i int) string { return fmt.Sprintf("extra%d", i+1) }
 
-// compileExtras compiles the extra programs once per ring so every node
-// instantiates shared plans instead of re-planning privately. Programs
-// install in slice order after Chord, so each compiles against the Chord
-// tables plus the declarations of the extras before it. A program that
-// fails to compile gets a nil entry and is installed privately per node,
-// which reports the original error (or succeeds, if the program depends
-// on node state the compile-time environment cannot see).
-func compileExtras(cfg RingConfig, tree *engine.CompiledQuery, progs []*overlog.Program) []*engine.CompiledQuery {
-	if len(progs) == 0 {
-		return nil
-	}
-	baseNames := make(map[string]bool)
-	if !cfg.NoChord {
-		chordCq, err := Compiled()
-		if cfg.Buggy {
-			chordCq, err = CompiledBuggy()
-		}
-		if err == nil {
-			for _, t := range chordCq.DeclaredTables() {
-				baseNames[t] = true
-			}
-		}
-	}
-	if tree != nil {
-		for _, t := range tree.DeclaredTables() {
-			baseNames[t] = true
-		}
-	}
-	// The engine's system tables (nodeEpoch, nodeStats, queryStats, ...)
-	// exist on every node, so extras joining them still get shared plans.
-	base := planner.EnvFunc(func(name string) bool {
-		return baseNames[name] || engine.IsSystemTable(name)
-	})
-	out := make([]*engine.CompiledQuery, len(progs))
-	for i, p := range progs {
-		c, err := engine.CompileQueryEnv(p, base)
-		if err != nil {
-			continue
-		}
-		out[i] = c
-		for _, t := range c.DeclaredTables() {
-			baseNames[t] = true
-		}
-	}
-	return out
-}
-
-// installExtras installs the extra programs on one node, using the
-// shared compilations where available.
-func installExtras(n *engine.Node, progs []*overlog.Program, compiled []*engine.CompiledQuery) error {
-	for i, p := range progs {
-		if c := compiled[i]; c != nil {
-			if _, err := n.InstallCompiledQuery(ExtraQueryID(i), c); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := n.InstallQuery(ExtraQueryID(i), p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Ring is a simulated Chord network: the harness tests, the monitoring
 // examples and the §4 benchmarks all run against it.
 type Ring struct {
@@ -136,10 +72,14 @@ type Ring struct {
 	Watched []WatchedTuple
 	// Errors collects rule errors (should stay empty in healthy runs).
 	Errors []string
-	// treeCfg/treeCompiled carry the overlay setup to late joiners.
-	treeCfg      *TreeConfig
-	treeCompiled *engine.CompiledQuery
-	noChord      bool
+	// cfg is what every node, late joiners included, installs; its
+	// Tree has its defaults filled in.
+	cfg RingConfig
+	// treeCompiled and extrasCompiled hold the overlay's and each extra
+	// program's compilation, made on the first node that installs it
+	// and shared with every later one.
+	treeCompiled   *engine.CompiledQuery
+	extrasCompiled []*engine.CompiledQuery
 }
 
 // WatchedTuple is one watched-tuple observation.
@@ -155,7 +95,8 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("chord: ring needs at least one node")
 	}
-	r := &Ring{Sim: simnet.NewSim(), noChord: cfg.NoChord}
+	r := &Ring{Sim: simnet.NewSim(), cfg: cfg,
+		extrasCompiled: make([]*engine.CompiledQuery, len(cfg.ExtraPrograms))}
 	r.Net = simnet.NewNetwork(r.Sim, simnet.Config{
 		Seed:       cfg.Seed,
 		LossProb:   cfg.LossProb,
@@ -173,47 +114,68 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 			r.Errors = append(r.Errors, fmt.Sprintf("t=%.2f %s/%s: %v", now, node, ruleID, err))
 		},
 	})
-	landmark := "n1"
 	if cfg.Tree != nil {
 		tc := cfg.Tree.withDefaults()
-		r.treeCfg = &tc
-		var err error
-		if r.treeCompiled, err = CompiledTree(tc); err != nil {
-			return nil, err
-		}
+		r.cfg.Tree = &tc
 	}
-	extras := compileExtras(cfg, r.treeCompiled, cfg.ExtraPrograms)
 	for i := 1; i <= cfg.N; i++ {
-		addr := fmt.Sprintf("n%d", i)
-		r.Addrs = append(r.Addrs, addr)
-		n, err := r.Net.AddNode(addr)
-		if err != nil {
+		if _, err := r.AddLateNode(fmt.Sprintf("n%d", i)); err != nil {
 			return nil, err
-		}
-		if !cfg.NoChord {
-			install := Install
-			if cfg.Buggy {
-				install = InstallBuggy
-			}
-			if err := install(n, landmark); err != nil {
-				return nil, err
-			}
-		}
-		if r.treeCfg != nil {
-			if err := InstallTree(n, *r.treeCfg, i, r.treeCompiled); err != nil {
-				return nil, err
-			}
-		}
-		if err := installExtras(n, cfg.ExtraPrograms, extras); err != nil {
-			return nil, err
-		}
-		if cfg.StatsPeriod > 0 {
-			if err := n.EnableStatsPublication(cfg.StatsPeriod); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return r, nil
+}
+
+// AddLateNode joins a node to the ring; NewRing builds the ring with it
+// too, and after NewRing it injects churn. The node installs, in order,
+// Chord (landmark n1), the tree overlay at the next rank, becoming a
+// leaf under the existing layout, and the extra programs, then turns
+// on stats publication. The overlay and each extra are compiled on the
+// first node that installs them, right after that node's earlier
+// installs, so the compilation sees the store every later node will
+// have.
+func (r *Ring) AddLateNode(addr string) (*engine.Node, error) {
+	n, err := r.Net.AddNode(addr)
+	if err != nil {
+		return nil, err
+	}
+	r.Addrs = append(r.Addrs, addr)
+	cfg := r.cfg
+	if !cfg.NoChord {
+		install := Install
+		if cfg.Buggy {
+			install = InstallBuggy
+		}
+		if err := install(n, "n1"); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Tree != nil {
+		if r.treeCompiled == nil {
+			if r.treeCompiled, err = n.Compile(TreeProgram(*cfg.Tree)); err != nil {
+				return nil, fmt.Errorf("chord: tree overlay: %w", err)
+			}
+		}
+		if err := InstallTree(n, *cfg.Tree, len(r.Addrs), r.treeCompiled); err != nil {
+			return nil, err
+		}
+	}
+	for i, p := range cfg.ExtraPrograms {
+		if r.extrasCompiled[i] == nil {
+			if r.extrasCompiled[i], err = n.Compile(p); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := n.InstallCompiledQuery(ExtraQueryID(i), r.extrasCompiled[i]); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.StatsPeriod > 0 {
+		if err := n.EnableStatsPublication(cfg.StatsPeriod); err != nil {
+			return nil, err
+		}
+	}
+	return n, nil
 }
 
 // Run advances virtual time by d seconds.
@@ -221,31 +183,6 @@ func (r *Ring) Run(d float64) { r.Net.RunFor(d) }
 
 // Node returns the node with the given address.
 func (r *Ring) Node(addr string) *engine.Node { return r.Net.Node(addr) }
-
-// AddLateNode joins a new node to the running ring (churn injection).
-// With the tree overlay on, the newcomer takes the next rank, becoming
-// a leaf under the existing layout.
-func (r *Ring) AddLateNode(addr string, extra ...*overlog.Program) (*engine.Node, error) {
-	n, err := r.Net.AddNode(addr)
-	if err != nil {
-		return nil, err
-	}
-	if !r.noChord {
-		if err := Install(n, "n1"); err != nil {
-			return nil, err
-		}
-	}
-	if r.treeCfg != nil {
-		if err := InstallTree(n, *r.treeCfg, len(r.Addrs)+1, r.treeCompiled); err != nil {
-			return nil, err
-		}
-	}
-	if err := installExtras(n, extra, compileExtras(RingConfig{NoChord: r.noChord}, r.treeCompiled, extra)); err != nil {
-		return nil, err
-	}
-	r.Addrs = append(r.Addrs, addr)
-	return n, nil
-}
 
 // Alive returns the addresses the harness still considers ring members.
 func (r *Ring) Alive(dead map[string]bool) []string {

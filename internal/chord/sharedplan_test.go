@@ -5,17 +5,40 @@ import (
 	"strings"
 	"testing"
 
+	"p2go/internal/dataflow"
 	"p2go/internal/engine"
 )
 
-// planSignature captures the observable content of a node's compiled
-// plans, enough to detect any mutation of the shared immutable Plan.
+// planSignature dumps the structure of a node's compiled plans: every
+// exported field of each plan and of each op in its pipeline, with
+// expressions in source form. Two compilations of one program in one
+// environment dump identically; any mutation of a shared Plan shows.
 func planSignature(n *engine.Node) string {
 	var b strings.Builder
 	for _, p := range n.Plans() {
-		fmt.Fprintf(&b, "%s|%s|%s/%d|ops=%d|vars=%d|%s|del=%v|stages=%d\n",
-			p.RuleID, p.Source, p.HeadName, len(p.HeadArgs), len(p.Ops),
-			p.NumVars, strings.Join(p.VarNames, ","), p.IsDelete, p.Stages)
+		fmt.Fprintf(&b, "%s|%s|%+v|vars=%d|%s|head=%s%v|del=%v|stages=%d",
+			p.RuleID, p.Source, p.Trigger, p.NumVars, strings.Join(p.VarNames, ","),
+			p.HeadName, p.HeadArgs, p.IsDelete, p.Stages)
+		if p.Agg != nil {
+			fmt.Fprintf(&b, "|agg=%+v", *p.Agg)
+		}
+		if p.AggPlan != nil {
+			fmt.Fprintf(&b, "|aggplan=%+v", *p.AggPlan)
+		}
+		for _, op := range p.Ops {
+			switch o := op.(type) {
+			case *dataflow.JoinOp:
+				fmt.Fprintf(&b, "|join %s stage=%d slots=%v consts=%v index=%v",
+					o.Table, o.Stage, o.FieldSlots, o.FieldConsts, o.IndexPositions)
+			case *dataflow.CondOp:
+				fmt.Fprintf(&b, "|cond %s", o.Expr)
+			case *dataflow.AssignOp:
+				fmt.Fprintf(&b, "|assign %d := %s", o.Slot, o.Expr)
+			default:
+				fmt.Fprintf(&b, "|%T", op)
+			}
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -24,42 +47,33 @@ func planSignature(n *engine.Node) string {
 // late join, lookups on one node, a crash — and asserts that (a) every
 // node runs off the same shared *Plan pointers, (b) the shared plans'
 // contents never change while per-node strand state churns, and (c)
-// emissions are bit-identical to a ring planned privately per node
-// (engine.DisableSharedPlans). Concurrent nodes reading one plan set
-// are realtime.TestSharedPlansConcurrentNodes' to check under -race.
+// the shared plans are structurally what a bare node compiles for
+// itself when it installs Program() with InstallQuery. Concurrent nodes
+// reading one plan set are realtime.TestSharedPlansConcurrentNodes' to
+// check under -race.
 func TestSharedPlanIsolation(t *testing.T) {
-	build := func(private bool) (*Ring, error) {
-		saved := engine.DisableSharedPlans
-		engine.DisableSharedPlans = private
-		defer func() { engine.DisableSharedPlans = saved }()
-		r, err := NewRing(RingConfig{N: 8, Seed: 11})
-		if err != nil {
-			return nil, err
-		}
-		r.Run(120)
-		if _, err := r.AddLateNode("n9"); err != nil {
-			return nil, err
-		}
-		r.Run(30)
-		for k := uint64(0); k < 5; k++ {
-			if err := r.Lookup("n2", k*1e17, k); err != nil {
-				return nil, err
-			}
-		}
-		r.Net.Crash("n3")
-		r.Run(60)
-		return r, nil
-	}
-
-	shared, err := build(false)
+	r, err := NewRing(RingConfig{N: 8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Run(120)
+	if _, err := r.AddLateNode("n9"); err != nil {
+		t.Fatal(err)
+	}
+	r.Run(30)
+	for k := uint64(0); k < 5; k++ {
+		if err := r.Lookup("n2", k*1e17, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Net.Crash("n3")
+	r.Run(60)
+
 	// (a) one shared plan set across all nodes, late joiner included.
-	ref := shared.Node("n1").Plans()
-	refSig := planSignature(shared.Node("n1"))
-	for _, a := range shared.Addrs {
-		ps := shared.Node(a).Plans()
+	ref := r.Node("n1").Plans()
+	refSig := planSignature(r.Node("n1"))
+	for _, a := range r.Addrs {
+		ps := r.Node(a).Plans()
 		if len(ps) != len(ref) {
 			t.Fatalf("%s has %d plans, n1 has %d", a, len(ps), len(ref))
 		}
@@ -70,27 +84,27 @@ func TestSharedPlanIsolation(t *testing.T) {
 		}
 	}
 	// (b) churn mutated strand state only, never the shared plans.
-	if sig := planSignature(shared.Node("n1")); sig != refSig {
+	if sig := planSignature(r.Node("n1")); sig != refSig {
 		t.Fatal("shared plan contents changed under churn")
 	}
-
-	private, err := build(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ps := 0, private.Node("n1").Plans(); i < len(ps) && i < len(ref); i++ {
-		if ps[i] == ref[i] {
-			t.Fatalf("private-plan run shares plan %d with the shared run", i)
+	// (c) each node's shared plans dump exactly like its bare twin's
+	// own compilation.
+	for _, a := range r.Addrs {
+		twin := engine.NewNode(engine.Config{Addr: a})
+		if _, err := twin.InstallQuery(QueryID, Program()); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// (c) bit-identical emissions either way.
-	if a, b := ringFingerprint(shared), ringFingerprint(private); a != b {
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
+		if twin.Plans()[0] == ref[0] {
+			t.Fatalf("%s twin shares plan 0; InstallQuery must compile on the node", a)
 		}
-		lo := max(0, i-150)
-		t.Fatalf("shared and private plan runs diverged at byte %d:\n...shared:  %q\n...private: %q",
-			i, a[lo:min(len(a), i+150)], b[lo:min(len(b), i+150)])
+		if got, want := planSignature(twin), planSignature(r.Node(a)); got != want {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			lo := max(0, i-150)
+			t.Fatalf("%s: twin and shared plans differ at byte %d:\n...twin:   %q\n...shared: %q",
+				a, i, got[lo:min(len(got), i+150)], want[lo:min(len(want), i+150)])
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"p2go/internal/engine"
 	"p2go/internal/overlog"
-	"p2go/internal/planner"
 	"p2go/internal/tuple"
 )
 
@@ -108,32 +107,14 @@ t6 treeParent@N(G) :- treeTick@N(E), treeCanon@N(P), treeGrand@N(G), treeHeard@N
 	return overlog.MustParse(src)
 }
 
-// CompiledTree compiles the overlay once for a whole deployment, so
-// every node instantiates the shared plan (the scale path). The
-// environment admits the engine's system tables: t3 joins nodeEpoch.
-func CompiledTree(cfg TreeConfig) (*engine.CompiledQuery, error) {
-	env := planner.EnvFunc(engine.IsSystemTable)
-	cq, err := engine.CompileQueryEnv(TreeProgram(cfg), env)
-	if err != nil {
-		return nil, fmt.Errorf("chord: tree overlay: %w", err)
-	}
-	return cq, nil
-}
-
 // InstallTree installs the overlay on one node as query TreeQueryID and
 // seeds its rank-derived facts. Seeds go through SeedLocal, so a
 // crash/rejoin replays them and the node reclaims its canonical place
-// in the tree. compiled may be nil (private compile).
+// in the tree. compiled is TreeProgram(cfg) compiled with Node.Compile.
 func InstallTree(n *engine.Node, cfg TreeConfig, rank int, compiled *engine.CompiledQuery) error {
 	cfg = cfg.withDefaults()
 	if rank < 1 {
 		return fmt.Errorf("chord: tree rank must be >= 1, got %d", rank)
-	}
-	if compiled == nil {
-		var err error
-		if compiled, err = CompiledTree(cfg); err != nil {
-			return err
-		}
 	}
 	if _, err := n.InstallCompiledQuery(TreeQueryID, compiled); err != nil {
 		return fmt.Errorf("chord: tree overlay: %w", err)

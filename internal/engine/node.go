@@ -482,8 +482,7 @@ func (n *Node) EnableStatsPublication(period float64) error {
 	if err != nil {
 		return fmt.Errorf("engine: stats publication: %w", err)
 	}
-	rules := prog.Rules()
-	ss, err := planner.PlanRule(SystemQuery, rules[0], planner.EnvFunc(func(name string) bool {
+	ps, err := planner.CompileRule(prog.Rules()[0], planner.EnvFunc(func(name string) bool {
 		return n.store.Get(name) != nil
 	}), n.genLabel)
 	if err != nil {
@@ -492,7 +491,7 @@ func (n *Node) EnableStatsPublication(period float64) error {
 	// The strand belongs to the reserved system query (InstallQuery
 	// refuses that ID precisely so only the engine can bill it), so
 	// runStrand and HandleTimer attribute its work to the system bucket.
-	s := ss[0]
+	s := ps[0].Instantiate(SystemQuery)
 	p := &Periodic{Strand: s, node: n}
 	n.periodics = append(n.periodics, p)
 	n.statsPub = p
@@ -629,18 +628,17 @@ func (n *Node) InstallProgram(prog *overlog.Program) error {
 // InstallQuery atomically installs prog as a managed query under the
 // given ID (empty = generate one) and returns the ID. The whole program
 // is validated first — table declarations checked for spec conflicts
-// against the store and each other, every rule planned against the union
-// of existing and declared tables — and only then committed, so an
-// invalid program installs nothing: no strand, table, watch or timer.
+// against the store and each other, every rule compiled on this node
+// against the union of existing and declared tables — and only then
+// committed, so an invalid program installs nothing: no strand, table,
+// watch or timer.
 func (n *Node) InstallQuery(id string, prog *overlog.Program) (string, error) {
 	return n.installQuery(id, prog, nil)
 }
 
-// installQuery is the shared install path. With cq == nil every rule is
-// planned privately on this node; with a compiled query (whose
-// environment checks the caller has already verified via
-// planCompatible) the immutable shared plans are wrapped in per-node
-// strands instead — "plan once, instantiate N times".
+// installQuery is the one install path: compile prog on this node
+// unless cq is a compilation planCompatible accepts here, then
+// instantiate the plans in per-node strands.
 func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery) (string, error) {
 	// ---- Phase 1: validate; no node state is touched on any error. ----
 	if id == SystemQuery {
@@ -651,68 +649,32 @@ func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery)
 	} else if _, dup := n.queries[id]; dup {
 		return "", fmt.Errorf("engine: query %q already installed", id)
 	}
-	declared := make(map[string]table.Spec)
-	var declOrder []string
-	for _, m := range prog.Materializations() {
-		spec := table.Spec{Name: m.Name, Lifetime: m.Lifetime, MaxSize: m.MaxSize, Keys: m.Keys}
-		if prev, ok := declared[m.Name]; ok {
-			// Duplicate declaration inside one program: identical is a
-			// no-op, conflicting rejects the whole program.
-			if err := prev.Conflicts(spec); err != nil {
-				return "", fmt.Errorf("engine: %w", err)
-			}
-			continue
+	if cq == nil || !n.planCompatible(cq) {
+		var err error
+		if cq, err = n.Compile(prog); err != nil {
+			return "", err
 		}
+	}
+	for _, spec := range cq.specs {
 		if err := n.store.Check(spec); err != nil {
 			return "", fmt.Errorf("engine: %w", err)
 		}
-		declared[m.Name] = spec
-		declOrder = append(declOrder, m.Name)
 	}
-	env := planner.EnvFunc(func(name string) bool {
-		if _, ok := declared[name]; ok {
-			return true
-		}
-		return n.store.Get(name) != nil
-	})
-	var strands []*dataflow.Strand
-	var watches []string
-	if cq != nil {
-		watches = cq.watches
-		strands = make([]*dataflow.Strand, len(cq.plans))
-		for i, p := range cq.plans {
-			strands[i] = p.Instantiate(id)
-		}
-	} else {
-		for _, st := range prog.Statements {
-			switch s := st.(type) {
-			case *overlog.Watch:
-				watches = append(watches, s.Name)
-			case *overlog.Rule:
-				ss, err := planner.PlanRule(id, s, env, n.genLabel)
-				if err != nil {
-					return "", err
-				}
-				strands = append(strands, ss...)
-			}
-		}
+	strands := make([]*dataflow.Strand, len(cq.plans))
+	for i, p := range cq.plans {
+		strands[i] = p.Instantiate(id)
 	}
 
 	// ---- Phase 2: commit; nothing below can fail. ----
-	if cq != nil {
-		// Account for the labels compilation generated so a later private
-		// install continues the sequence exactly where planning privately
-		// would have left it.
-		n.labelCounter += cq.labelsUsed
-	}
+	n.labelCounter += cq.labelsUsed
 	q := &query{
 		id:          id,
 		source:      prog.Source,
 		strands:     strands,
 		installedAt: n.cfg.Clock(),
 	}
-	for _, name := range declOrder {
-		spec := declared[name]
+	for _, spec := range cq.specs {
+		name := spec.Name
 		existed := n.store.Get(name) != nil
 		n.store.Materialize(spec) //nolint:errcheck // validated in phase 1
 		if !existed {
@@ -726,7 +688,7 @@ func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery)
 			tuple.Str(n.cfg.Addr), tuple.Str(name),
 			tuple.Float(spec.Lifetime), tuple.Int(int64(spec.MaxSize))), false)
 	}
-	for _, w := range watches {
+	for _, w := range cq.watches {
 		n.watchRefs[w]++
 		q.watches = append(q.watches, w)
 	}
@@ -852,8 +814,11 @@ func (n *Node) genQueryID() string {
 
 func (n *Node) genLabel() string {
 	n.labelCounter++
-	return fmt.Sprintf("rule_%d", n.labelCounter)
+	return ruleLabel(n.labelCounter)
 }
+
+// ruleLabel is the generated ID of the k-th unlabeled rule on a node.
+func ruleLabel(k int) string { return fmt.Sprintf("rule_%d", k) }
 
 func (n *Node) installStrand(s *dataflow.Strand, q *query) {
 	switch s.Trigger.Kind {

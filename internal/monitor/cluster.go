@@ -19,6 +19,9 @@ import (
 // ineligibility reason logged, and planner.DisableAggTree forces every
 // cluster query onto the flat path as the reference tree mode is
 // checked against.
+// To share one plan across a fleet, compile the detector program on a
+// member that already runs the overlay (engine.Node.Compile) and
+// install the result everywhere with InstallCompiledQuery.
 
 // ClusterSpec is one cluster-wide aggregate monitoring query.
 type ClusterSpec struct {
@@ -121,26 +124,6 @@ func BuildCluster(spec ClusterSpec) (ClusterQuery, error) {
 	q.Detector = Detector{Name: "cluster:" + spec.Name, Program: p}
 	q.Source = src
 	return q, nil
-}
-
-// CompileCluster compiles a built cluster query once for a whole fleet,
-// so deployers can instantiate the shared plan on every member instead
-// of compiling per node (the scale path, like the chord substrate and
-// tree overlay). extraTables mirror ClusterSpec.Tables; the overlay's
-// treeParent and the engine system tables are admitted automatically.
-func CompileCluster(q ClusterQuery, extraTables ...string) (*engine.CompiledQuery, error) {
-	extra := make(map[string]bool, len(extraTables))
-	for _, t := range extraTables {
-		extra[t] = true
-	}
-	env := planner.EnvFunc(func(name string) bool {
-		return extra[name] || name == planner.TreeParentTable || engine.IsSystemTable(name)
-	})
-	cq, err := engine.CompileQueryEnv(q.Detector.Program, env)
-	if err != nil {
-		return nil, fmt.Errorf("monitor: cluster %s: %w", q.Detector.Name, err)
-	}
-	return cq, nil
 }
 
 // ClusterSuite returns the stock cluster-wide stats queries over the

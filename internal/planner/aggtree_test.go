@@ -99,7 +99,7 @@ func planProgram(t *testing.T, src string) *overlog.Program {
 	n := 0
 	gen := func() string { n++; return "auto" + strings.Repeat("x", n) }
 	for _, r := range prog.Rules() {
-		if _, err := PlanRule("q", r, env, gen); err != nil {
+		if _, err := CompileRule(r, env, gen); err != nil {
 			t.Errorf("generated rule does not plan: %v\n%s", err, r)
 		}
 	}

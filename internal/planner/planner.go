@@ -38,26 +38,11 @@ type EnvFunc func(name string) bool
 // IsMaterialized implements Env.
 func (f EnvFunc) IsMaterialized(name string) bool { return f(name) }
 
-// PlanRule compiles one rule into its strands, tagging each with the
-// installing query's ID (the engine's unit of uninstallation and cost
-// attribution). labelGen supplies labels for unlabeled rules.
-func PlanRule(queryID string, r *overlog.Rule, env Env, labelGen func() string) ([]*dataflow.Strand, error) {
-	plans, err := CompileRule(r, env, labelGen)
-	if err != nil {
-		return nil, err
-	}
-	strands := make([]*dataflow.Strand, len(plans))
-	for i, p := range plans {
-		strands[i] = p.Instantiate(queryID)
-	}
-	return strands, nil
-}
-
 // CompileRule compiles one rule into its immutable shared plans. Plans
 // carry no query tag or execution state; callers instantiate them per
 // node with Plan.Instantiate ("plan once, instantiate N times"). Given
 // the same rule, environment answers, and label sequence, compilation is
-// deterministic, so a shared plan and a per-node private plan are
+// deterministic, so a shared plan and one compiled on the node itself are
 // structurally identical.
 func CompileRule(r *overlog.Rule, env Env, labelGen func() string) ([]*dataflow.Plan, error) {
 	label := r.Label

@@ -30,14 +30,13 @@ func plan(t *testing.T, src string, e Env) []*dataflow.Strand {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	strands, err := PlanRule("q", prog.Rules()[0], e, genLabel)
+	plans, err := CompileRule(prog.Rules()[0], e, genLabel)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	for _, s := range strands {
-		if s.QueryID != "q" {
-			t.Fatalf("strand %s: QueryID = %q, want %q", s, s.QueryID, "q")
-		}
+	strands := make([]*dataflow.Strand, len(plans))
+	for i, p := range plans {
+		strands[i] = p.Instantiate("q")
 	}
 	return strands
 }
@@ -48,7 +47,7 @@ func planErr(t *testing.T, src string, e Env) error {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	_, err = PlanRule("q", prog.Rules()[0], e, genLabel)
+	_, err = CompileRule(prog.Rules()[0], e, genLabel)
 	if err == nil {
 		t.Fatalf("plan of %q must fail", src)
 	}
