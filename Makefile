@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check cover bench bench-e2e bench-churn bench-lifecycle bench-trace bench-profiler bench-agg bench-forensics bench-scale bench-aggtree fuzz examples tidy
+.PHONY: build test check cover bench bench-e2e bench-churn bench-lifecycle bench-trace bench-profiler bench-forensics bench-scale bench-aggtree fuzz examples tidy
 
 build:
 	go build ./...
@@ -42,54 +42,43 @@ bench-e2e:
 	bash benchmark/run.sh $(ARGS)
 
 # The churn experiment: crash/rejoin a 21-node ring with the §3.1
-# detectors deployed; prints the repair/detection table and writes
-# BENCH_churn.json.
+# detectors deployed; prints the repair/detection table.
 bench-churn:
-	go run ./cmd/p2bench -exp churn -json
+	go run ./cmd/p2bench -exp churn
 
 # The query-lifecycle experiment: install, meter and uninstall each §3.1
-# detector on a converged 21-node ring; prints the marginal-cost table
-# and writes BENCH_lifecycle.json.
+# detector on a converged 21-node ring; prints the marginal-cost table.
 bench-lifecycle:
-	go run ./cmd/p2bench -exp lifecycle -json
+	go run ./cmd/p2bench -exp lifecycle
 
 # Causal trace export: runs a traced 21-node ring with lookups from the
 # measured node, writes TRACE_chrome.json (load into chrome://tracing or
-# Perfetto) and TRACE_metrics.prom, plus BENCH_trace.json.
+# Perfetto) and TRACE_metrics.prom.
 bench-trace:
-	go run ./cmd/p2bench -exp trace -json
+	go run ./cmd/p2bench -exp trace
 
 # Stats-publication overhead: the churn run with the nodeStats/queryStats
-# publication off vs on; writes BENCH_profiler.json.
+# publication off vs on.
 bench-profiler:
-	go run ./cmd/p2bench -exp profiler -json
-
-# Incremental aggregate maintenance: per-delta rescans vs O(delta)
-# accumulators over a churning table, plus the incremental|rescan
-# determinism check;
-# writes BENCH_agg.json.
-bench-agg:
-	go run ./cmd/p2bench -exp agg -json
+	go run ./cmd/p2bench -exp profiler
 
 # Durable trace store forensics: traced churn with the store off vs on
 # (write overhead, bytes/record, restart markers), ancestor-query latency
-# at 1/10/100-window horizons, and the store off|on determinism check;
-# writes BENCH_forensics.json.
+# at 1/10/100-window horizons, and the store off|on determinism check.
 bench-forensics:
-	go run ./cmd/p2bench -exp forensics -json
+	go run ./cmd/p2bench -exp forensics
 
 # The scale wall: 100/1k/10k-host Chord sweep with bytes-per-host and
 # events/sec curves, the shared-vs-private plan memory gate, and the
-# check that every host of a 100-host ring shares the Chord plans;
-# writes BENCH_scale.json.
+# check that every host of a 100-host ring shares the Chord plans.
 bench-scale:
-	go run ./cmd/p2bench -exp scale -json
+	go run ./cmd/p2bench -exp scale
 
-# Cluster queries over in-network aggregation trees: 1000-host tree vs
-# flat deployment with the exactness, fan-in (>=10x reduction), billing
-# and determinism gates; writes BENCH_aggtree.json.
+# Cluster queries over in-network aggregation trees: 1000-host tree
+# (fanout 8) vs flat collection (the fanout-N overlay) with the
+# exactness, fan-in (>=10x reduction), billing and determinism gates.
 bench-aggtree:
-	go run ./cmd/p2bench -exp aggtree -json
+	go run ./cmd/p2bench -exp aggtree
 
 fuzz:
 	go test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/tuple/
@@ -98,6 +87,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzCompile -fuzztime 30s ./internal/overlog/
 	go test -run '^$$' -fuzz FuzzSegmentRoundTrip -fuzztime 30s ./internal/tracestore/
 	go test -run '^$$' -fuzz FuzzDatagram -fuzztime 30s ./internal/realtime/
+	go test -run '^$$' -fuzz FuzzInstallUninstall -fuzztime 30s ./internal/engine/
 
 examples:
 	go run ./examples/quickstart

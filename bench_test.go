@@ -127,21 +127,6 @@ func runRateFigure(b *testing.B, figure func(int64) ([]bench.Sample, error)) {
 	}
 }
 
-// BenchmarkAblationIndexedJoins quantifies a design choice DESIGN.md
-// calls out: P2-style planner-created join indices versus full scans,
-// on the snapshot workload whose termination rules join a large
-// channelState table.
-func BenchmarkAblationIndexedJoins(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		indexed, scanned, err := bench.AblationIndexedJoins(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(indexed.CPUPercent, "cpu_pct_indexed")
-		b.ReportMetric(scanned.CPUPercent, "cpu_pct_scan")
-	}
-}
-
 // BenchmarkAblationDeadGuard quantifies §3.1.3's fix: the ring with the
 // dead-neighbor guard heals after crashes, the guard-free (buggy)
 // variant oscillates. Metrics: 1 = healed; oscillation-event counts.

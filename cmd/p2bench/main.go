@@ -19,9 +19,8 @@
 //	p2bench -exp scale          # 100/1k/10k-host sweep: bytes/host + events/sec
 //	p2bench -exp aggtree        # in-network aggregation trees vs flat collection
 //
-// -json additionally writes each experiment's result to
-// BENCH_<exp>.json. -cpuprofile/-memprofile write pprof profiles covering
-// the selected experiment(s) (see EXPERIMENTS.md for the workflow).
+// -cpuprofile/-memprofile write pprof profiles covering the selected
+// experiment(s) (see EXPERIMENTS.md for the workflow).
 package main
 
 import (
@@ -40,7 +39,6 @@ func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, ablation, churn, lifecycle, scenario, trace, profiler, forensics, scale, aggtree, all")
 		seed     = flag.Int64("seed", 42, "random seed")
-		jsonOut  = flag.Bool("json", false, "also write each experiment's result to BENCH_<exp>.json")
 		scenario = flag.String("scenario", "", "fault scenario file for -exp scenario (see internal/faults.Parse)")
 		quick    = flag.Bool("quick", false, "shrink -exp lifecycle/trace/forensics/scale/aggtree to a smoke-sized run (CI)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -77,7 +75,6 @@ func main() {
 
 	counts := []int{0, 50, 100, 150, 200, 250}
 	run := func(name string) {
-		var payload any
 		switch name {
 		case "logging":
 			off, on, err := bench.LoggingOverhead(*seed)
@@ -90,7 +87,6 @@ func main() {
 			fmt.Printf("  increase: CPU %+.0f%%, memory %+.0f%%\n",
 				100*(on.CPUPercent-off.CPUPercent)/off.CPUPercent,
 				100*(on.MemoryMB-off.MemoryMB)/off.MemoryMB)
-			payload = map[string]bench.Sample{"off": off, "on": on}
 		case "fig4":
 			s, err := bench.PeriodicRules(*seed, counts)
 			if err != nil {
@@ -98,7 +94,6 @@ func main() {
 			}
 			fmt.Print(bench.FormatTable(
 				"Figure 4: CPU and memory vs number of 1s periodic rules", s))
-			payload = s
 		case "fig5":
 			s, err := bench.PiggybackRules(*seed, counts)
 			if err != nil {
@@ -106,7 +101,6 @@ func main() {
 			}
 			fmt.Print(bench.FormatTable(
 				"Figure 5: CPU and memory vs number of piggybacked rules (one shared 1s timer, one state lookup each)", s))
-			payload = s
 		case "fig6":
 			s, err := bench.ConsistencyProbes(*seed)
 			if err != nil {
@@ -114,7 +108,6 @@ func main() {
 			}
 			fmt.Print(bench.FormatTable(
 				"Figure 6: proactive inconsistency detector at increasing rates (1/s)", s))
-			payload = s
 		case "fig7":
 			s, err := bench.Snapshots(*seed)
 			if err != nil {
@@ -122,14 +115,7 @@ func main() {
 			}
 			fmt.Print(bench.FormatTable(
 				"Figure 7: consistent snapshots at increasing rates (1/s)", s))
-			payload = s
 		case "ablation":
-			idx, scan, err := bench.AblationIndexedJoins(*seed)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("Ablation: indexed joins vs full scans (snapshot workload at 1/4 Hz)")
-			fmt.Printf("  indexed: %v\n  scans  : %v\n", idx, scan)
 			guard, buggy, err := bench.AblationDeadGuard(*seed)
 			if err != nil {
 				log.Fatal(err)
@@ -139,17 +125,12 @@ func main() {
 				guard.HealTime, guard.StaleSeconds, guard.Oscillations)
 			fmt.Printf("  without guard: healed at %+.0fs, stale-entry exposure %6.0f entry-seconds, %d oscillation events\n",
 				buggy.HealTime, buggy.StaleSeconds, buggy.Oscillations)
-			payload = map[string]any{
-				"indexedJoins": map[string]bench.Sample{"indexed": idx, "scans": scan},
-				"deadGuard":    map[string]bench.DeadGuardResult{"guard": guard, "buggy": buggy},
-			}
 		case "churn":
 			res, err := bench.Churn(*seed)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Print(bench.FormatChurn(res))
-			payload = res
 		case "lifecycle":
 			res, err := bench.Lifecycle(*seed, *quick)
 			if err != nil {
@@ -164,7 +145,6 @@ func main() {
 					log.Fatalf("lifecycle contract violated: %s did not restore the dataflow shape", s.Detector)
 				}
 			}
-			payload = res
 		case "trace":
 			res, err := bench.TraceExport(*seed, *quick, ".")
 			if err != nil {
@@ -174,7 +154,6 @@ func main() {
 			if len(res.Stats.FlowNodes) < 3 {
 				log.Fatalf("trace contract violated: flows span only %d nodes", len(res.Stats.FlowNodes))
 			}
-			payload = res
 		case "profiler":
 			res, err := bench.StatsOverhead(*seed)
 			if err != nil {
@@ -184,23 +163,6 @@ func main() {
 			if res.AccountingErr != "" {
 				log.Fatal("per-query accounting invariant violated")
 			}
-			payload = res
-		case "agg":
-			res, err := bench.AggMaintenance(*seed, *quick)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Print(bench.FormatAgg(res))
-			if !res.EmissionsIdentical {
-				log.Fatal("agg contract violated: rescan emissions diverge from incremental")
-			}
-			if res.Speedup < 2 {
-				log.Fatalf("agg contract violated: incremental maintenance only %.2fx faster than rescans, want >=2x", res.Speedup)
-			}
-			if res.AccountingErr != "" {
-				log.Fatal("per-query accounting invariant violated")
-			}
-			payload = res
 		case "forensics":
 			res, err := bench.Forensics(*seed, *quick)
 			if err != nil {
@@ -219,7 +181,6 @@ func main() {
 			if res.AccountingErr != "" {
 				log.Fatal("per-query accounting invariant violated")
 			}
-			payload = res
 		case "scale":
 			res, err := bench.Scale(*seed, *quick)
 			if err != nil {
@@ -240,7 +201,6 @@ func main() {
 			if !res.BudgetOK {
 				log.Fatalf("scale contract violated: steady-state bytes/host exceeds the %d-byte budget", res.BudgetBytes)
 			}
-			payload = res
 		case "aggtree":
 			res, err := bench.AggTree(*seed, *quick)
 			if err != nil {
@@ -263,7 +223,6 @@ func main() {
 			if res.AccountingErr != "" {
 				log.Fatal("per-query accounting invariant violated")
 			}
-			payload = res
 		case "scenario":
 			if *scenario == "" {
 				log.Fatal("-exp scenario needs -scenario <file>")
@@ -281,18 +240,10 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Print(bench.FormatScenario(res))
-			payload = res
 		default:
 			log.Fatalf("unknown experiment %q", name)
 		}
 		fmt.Println()
-		if *jsonOut && payload != nil {
-			path := fmt.Sprintf("BENCH_%s.json", name)
-			if err := bench.WriteJSON(path, name, *seed, payload); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
 	}
 
 	if *exp == "all" {

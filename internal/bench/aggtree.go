@@ -7,7 +7,6 @@ import (
 	"p2go/internal/chord"
 	"p2go/internal/monitor"
 	"p2go/internal/overlog"
-	"p2go/internal/planner"
 	"p2go/internal/tuple"
 )
 
@@ -16,9 +15,10 @@ import (
 // member" receives one tuple per member per refresh — O(N) fan-in at
 // one node. The tree split bounds every node's inbound monitoring
 // traffic by the overlay fanout while converging to the same value,
-// exactly, for the distributive aggregates. This experiment runs the
-// same four cluster queries both ways at AggTreeHosts members and
-// gates on:
+// exactly, for the distributive aggregates. Flat collection is the same
+// split over an overlay of fanout N, where every member's parent is the
+// root. This experiment runs the same four cluster queries both ways at
+// AggTreeHosts members and gates on:
 //
 //   - value equality: tree results == flat results == the closed-form
 //     oracle (count == N; sum/min/max over a seeded per-host weight
@@ -28,8 +28,8 @@ import (
 //     AggTreeMinFanInReduction times smaller;
 //   - determinism: at AggTreeFPHosts the converged results are
 //     identical across tree|flat. Full-table identity across modes is
-//     not a goal — routing partials along the tree necessarily consumes
-//     different per-link RNG streams than flat collection;
+//     not a goal — routing partials along a deeper tree necessarily
+//     consumes different per-link RNG streams than flat collection;
 //   - accounting: the tree's forwarding work is billed to the
 //     monitoring query (interior nodes show busy-time under
 //     mon:cluster:*), and per-query bills still sum to node totals.
@@ -45,7 +45,8 @@ const (
 	AggTreeFPHosts = 100
 )
 
-// AggTreeRun is one measured ring (tree or flat collection).
+// AggTreeRun is one measured ring (tree, or flat collection at fanout
+// N).
 type AggTreeRun struct {
 	Mode  string
 	Hosts int
@@ -134,32 +135,26 @@ func aggTreeValue(r *chord.Ring, addr, tab string) (float64, bool) {
 	return v, ok
 }
 
-// runAggTree deploys the four cluster queries on an h-host ring in one
-// mode and measures converged values, fan-in and billing. accErr
-// receives the first accounting violation.
-func runAggTree(seed int64, h int, tree bool, simSecs, period float64, accErr *string) (AggTreeRun, error) {
-	saved := planner.DisableAggTree
-	planner.DisableAggTree = !tree
-	defer func() { planner.DisableAggTree = saved }()
-
-	run := AggTreeRun{Mode: "flat", Hosts: h}
-	wantMode := monitor.ClusterFlat
+// runAggTree deploys the four cluster queries on an h-host ring whose
+// overlay has the given fanout (h for flat collection) and measures
+// converged values, fan-in and billing. accErr receives the first
+// accounting violation.
+func runAggTree(seed int64, h, fanout int, simSecs, period float64, accErr *string) (AggTreeRun, error) {
+	run := AggTreeRun{Mode: "tree", Hosts: h}
+	if fanout >= h-1 {
+		run.Mode = "flat"
+	}
 	// NoChord: the bench measures the monitoring stack's own traffic and
 	// exactness, so it runs on quiet hosts. At these ring sizes the Chord
 	// substrate enters its distressed regime (load-delayed pings read as
 	// failures → repair storm) and saturated hosts starve the monitoring
 	// strands queued behind it; the tree overlay is rank-based and does
 	// not need Chord.
-	cfg := chord.RingConfig{
+	r, err := chord.NewRing(chord.RingConfig{
 		N: h, Seed: seed, StatsPeriod: 2, NoChord: true,
+		Tree:          &chord.TreeConfig{Fanout: fanout, Heartbeat: 2},
 		ExtraPrograms: []*overlog.Program{overlog.MustParse(aggTreeWeightProgram)},
-	}
-	if tree {
-		run.Mode = "tree"
-		wantMode = monitor.ClusterTree
-		cfg.Tree = &chord.TreeConfig{Fanout: AggTreeFanout, Heartbeat: 2}
-	}
-	r, err := chord.NewRing(cfg)
+	})
 	if err != nil {
 		return run, err
 	}
@@ -171,8 +166,8 @@ func runAggTree(seed int64, h int, tree bool, simSecs, period float64, accErr *s
 		if err != nil {
 			return run, err
 		}
-		if q.Mode != wantMode {
-			return run, fmt.Errorf("bench: aggtree query %s planned as %s, want %s", spec.Name, q.Mode, wantMode)
+		if q.Mode != monitor.ClusterTree {
+			return run, fmt.Errorf("bench: aggtree query %s planned as %s, want %s", spec.Name, q.Mode, monitor.ClusterTree)
 		}
 		cq, err := r.Node(r.Addrs[0]).Compile(q.Detector.Program)
 		if err != nil {
@@ -259,10 +254,10 @@ func AggTree(seed int64, quick bool) (*AggTreeResult, error) {
 	}
 
 	var err error
-	if res.Tree, err = runAggTree(seed, hosts, true, simSecs, period, &res.AccountingErr); err != nil {
+	if res.Tree, err = runAggTree(seed, hosts, AggTreeFanout, simSecs, period, &res.AccountingErr); err != nil {
 		return nil, err
 	}
-	if res.Flat, err = runAggTree(seed, hosts, false, simSecs, period, &res.AccountingErr); err != nil {
+	if res.Flat, err = runAggTree(seed, hosts, hosts, simSecs, period, &res.AccountingErr); err != nil {
 		return nil, err
 	}
 
@@ -278,11 +273,11 @@ func AggTree(seed int64, quick bool) (*AggTreeResult, error) {
 		res.FanInReduction >= AggTreeMinFanInReduction
 
 	// Determinism cells: tree|flat at fpHosts.
-	tree, err := runAggTree(seed, fpHosts, true, fpSecs, period, &res.AccountingErr)
+	tree, err := runAggTree(seed, fpHosts, AggTreeFanout, fpSecs, period, &res.AccountingErr)
 	if err != nil {
 		return nil, fmt.Errorf("tree cell: %w", err)
 	}
-	flat, err := runAggTree(seed, fpHosts, false, fpSecs, period, &res.AccountingErr)
+	flat, err := runAggTree(seed, fpHosts, fpHosts, fpSecs, period, &res.AccountingErr)
 	if err != nil {
 		return nil, fmt.Errorf("flat cell: %w", err)
 	}

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"p2go/internal/chord"
-	"p2go/internal/dataflow"
 	"p2go/internal/engine"
 	"p2go/internal/metrics"
 	"p2go/internal/monitor"
@@ -74,9 +73,6 @@ type Sample struct {
 	TxMessages int64
 	// RuleFires is the number of strand activations during the window.
 	RuleFires int64
-	// Series holds the sub-window time series sampled while the
-	// measurement ran (SeriesWindow-second deltas, oldest first).
-	Series []metrics.SeriesPoint `json:"series,omitempty"`
 }
 
 func (s Sample) String() string {
@@ -96,43 +92,13 @@ func buildRing(seed int64, tracing *trace.Config) (*chord.Ring, error) {
 	return r, nil
 }
 
-// SeriesWindow is the sub-window length (seconds) at which measure
-// samples the measured node's time series, and SeriesCap bounds how
-// many points a sample retains (a full warm+window run fits).
-const (
-	SeriesWindow = 10.0
-	SeriesCap    = 32
-)
-
 // measure runs the warm-up and window phases and samples the measured
-// node. Both phases advance in SeriesWindow-second steps, recording a
-// windowed counter delta per step into a bounded ring; stepping Run
-// does not change the event order, so results are identical to a
-// single Run call.
+// node over the window.
 func measure(r *chord.Ring, label string, x float64) Sample {
 	n := r.Node(Measured)
-	ring := metrics.NewSeriesRing(SeriesCap)
-	prev := n.Metrics()
-	step := func(total float64) {
-		for done := 0.0; done < total-1e-9; done += SeriesWindow {
-			w := SeriesWindow
-			if rem := total - done; rem < w {
-				w = rem
-			}
-			r.Run(w)
-			cur := n.Metrics()
-			ring.Record(metrics.SeriesPoint{
-				T:          r.Sim.Now(),
-				Window:     w,
-				Node:       cur.Sub(prev),
-				LiveTuples: n.Store().LiveTuples(),
-			})
-			prev = cur
-		}
-	}
-	step(WarmTime)
+	r.Run(WarmTime)
 	before := n.Metrics()
-	step(WindowTime)
+	r.Run(WindowTime)
 	after := n.Metrics()
 	d := after.Sub(before)
 	return Sample{
@@ -143,7 +109,6 @@ func measure(r *chord.Ring, label string, x float64) Sample {
 		LiveTuples: n.Store().LiveTuples(),
 		TxMessages: d.MsgsSent,
 		RuleFires:  d.RuleFires,
-		Series:     ring.Points(),
 	}
 }
 
@@ -349,37 +314,6 @@ func FormatTable(title string, samples []Sample) string {
 			s.Label, s.CPUPercent, s.MemoryMB, s.LiveTuples, s.TxMessages)
 	}
 	return b.String()
-}
-
-// AblationIndexedJoins quantifies the design choice DESIGN.md calls out:
-// P2-style planner-created join indices versus full table scans. It runs
-// the snapshot workload (whose termination rules join the large
-// channelState table) at 1 snapshot per 4 s with and without indexes.
-func AblationIndexedJoins(seed int64) (indexed, scanned Sample, err error) {
-	run := func() (Sample, error) {
-		r, err := buildRing(seed, nil)
-		if err != nil {
-			return Sample{}, err
-		}
-		for _, a := range r.Addrs {
-			freq := 0.0
-			if a == Measured {
-				freq = 4
-			}
-			if err := monitor.InstallSnapshot(r.Node(a), freq); err != nil {
-				return Sample{}, err
-			}
-		}
-		return measure(r, "snap 1/4", 0.25), nil
-	}
-	indexed, err = run()
-	if err != nil {
-		return
-	}
-	dataflow.DisableIndexedJoins = true
-	defer func() { dataflow.DisableIndexedJoins = false }()
-	scanned, err = run()
-	return
 }
 
 // DeadGuardResult summarizes one dead-guard ablation run.

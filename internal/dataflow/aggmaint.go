@@ -20,14 +20,6 @@ import (
 	"p2go/internal/tuple"
 )
 
-// DisableIncrementalAggs forces every aggregate strand back to the
-// per-activation rescan path, mirroring DisableIndexedJoins. It exists
-// for the ablation benchmark quantifying what incremental maintenance
-// buys (bench -exp agg) and for the differential tests that use the
-// rescan path as their reference; production code never sets it. Not
-// safe to flip while nodes run.
-var DisableIncrementalAggs bool
-
 // contrib is one pipeline completion contributed by a primary-table row:
 // seq orders rows by arrival (matching the table's scan order), ord
 // orders the completions within one row's join expansion. val is the

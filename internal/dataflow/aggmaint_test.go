@@ -82,7 +82,7 @@ func runBoth(t *testing.T, ctx *aggCtx, s *Strand, trig tuple.Tuple) []tuple.Tup
 	return got
 }
 
-func newAggCtx(t *testing.T, s *Strand, lifetime float64) (*aggCtx, *table.Table) {
+func newAggCtx(t testing.TB, s *Strand, lifetime float64) (*aggCtx, *table.Table) {
 	t.Helper()
 	store := table.NewStore()
 	tb, err := store.Materialize(table.Spec{Name: "tab", Lifetime: lifetime,
@@ -343,5 +343,86 @@ func TestAggRescanNested(t *testing.T) {
 		if !nest.heads[i].Equal(want[i]) {
 			t.Errorf("nested run, head %d = %v, want %v", i, nest.heads[i], want[i])
 		}
+	}
+}
+
+// groupedStrand hand-rolls the planner's compiled form of
+//
+//	out@N(G, op<V>) :- tab@N(K, G, V).
+//
+// as a delta strand: the trigger binds the group variables N and G, and
+// Ops[0] is the rescan join of tab itself, probing an index on them.
+func groupedStrand(op string) *Strand {
+	slot := 3
+	if op == "count" {
+		slot = -1
+	}
+	return strandOf(&Plan{
+		RuleID:  "g1",
+		Trigger: Trigger{Kind: TriggerDelta, Name: "tab", FieldSlots: []int{0, -1, 1, -1}, FieldConsts: make([]tuple.Value, 4)},
+		NumVars: 4, VarNames: []string{"N", "G", "K", "V"},
+		Ops: []Op{
+			&JoinOp{Table: "tab", Stage: 1, FieldSlots: []int{0, 2, 1, 3}, FieldConsts: make([]tuple.Value, 4), IndexPositions: []int{0, 2}},
+		},
+		HeadName: "out",
+		HeadArgs: []overlog.Expr{ref("N"), ref("G"), &overlog.Agg{Op: op, Var: "V"}},
+		Agg:      &AggSpec{Op: op, Slot: slot, ArgIndex: 2, EmitZero: op == "count"},
+		AggPlan:  &AggPlan{Primary: "tab", Filter: []AggFilterPos{{GroupIdx: 0, Slot: 0}, {GroupIdx: 1, Slot: 1}}},
+		Stages:   1,
+	})
+}
+
+// aggMaintRows is the primary table's size: four groups of 100 rows.
+const aggMaintRows = 400
+
+// aggMaintRow is the i-th primary insert: key i mod 400 replaces that
+// key's row, so the table stays at 400 rows and every insert after the
+// first 400 also retracts one.
+func aggMaintRow(i int) tuple.Tuple {
+	k := int64(i % aggMaintRows)
+	return tuple.New("tab", tuple.Str("n1"), tuple.Int(k), tuple.Int(k%4), tuple.Int(int64(i*7919%1000)))
+}
+
+// BenchmarkAggMaint is one primary insert plus one trigger of a grouped
+// aggregate over a 400-row table, for each maintainable op: through
+// aggCtx, which maintains the accumulator from the table's listener and
+// emits from it, and through nullCtx, which rescans the trigger's group.
+func BenchmarkAggMaint(b *testing.B) {
+	for _, op := range []string{"count", "sum", "min", "max"} {
+		b.Run(op+"/incremental", func(b *testing.B) {
+			s := groupedStrand(op)
+			ctx, tb := newAggCtx(b, s, table.Infinity)
+			ctx.incremental = true
+			benchAggMaint(b, s, ctx, tb, func() { ctx.heads = ctx.heads[:0] })
+			if !ctx.am.Valid() {
+				b.Fatal("the accumulator was not maintained")
+			}
+		})
+		b.Run(op+"/rescan", func(b *testing.B) {
+			s := groupedStrand(op)
+			store := table.NewStore()
+			tb, err := store.Materialize(table.Spec{Name: "tab", Lifetime: table.Infinity,
+				MaxSize: table.Infinity, Keys: []int{1, 2}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchAggMaint(b, s, &nullCtx{store: store}, tb, func() {})
+		})
+	}
+}
+
+func benchAggMaint(b *testing.B, s *Strand, ctx Context, tb *table.Table, reset func()) {
+	tb.EnsureIndex([]int{0, 2})
+	for i := 0; i < aggMaintRows; i++ {
+		tb.Insert(aggMaintRow(i), 0) //nolint:errcheck
+	}
+	s.Run(ctx, aggMaintRow(0)) // an accumulator's first trigger rebuilds it
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		row := aggMaintRow(aggMaintRows + i)
+		tb.Insert(row, 0) //nolint:errcheck
+		s.Run(ctx, row)
+		reset()
 	}
 }

@@ -44,11 +44,13 @@ type Context interface {
 
 	// AggState returns the persistent incremental accumulator for a
 	// strand the planner marked maintainable (s.AggPlan != nil), or nil
-	// to force the per-activation rescan path. The engine owns the
-	// accumulator's lifecycle: it wires the table listeners that keep it
-	// current and tears it down on UninstallQuery. Contexts without
-	// accumulator support (tests, tracing-enabled nodes that need full
-	// precondition provenance) simply return nil.
+	// for the per-activation rescan. It is the only selector between the
+	// two paths: the strand asks it on every activation of such a strand
+	// and takes whichever it is given. The engine owns the accumulator's
+	// lifecycle: it wires the table listeners that keep it current and
+	// tears it down on UninstallQuery. A traced node returns nil, because
+	// the rescan is what gives the tracer full precondition provenance;
+	// test contexts choose for themselves.
 	AggState(s *Strand) *AggMaint
 
 	// Tracer taps (no-ops when execution logging is off). The output
@@ -387,12 +389,6 @@ func (s *Strand) String() string {
 // predicate arguments, so nil-as-unbound is unambiguous.)
 type Binding []tuple.Value
 
-// DisableIndexedJoins forces every join back to a full table scan. It
-// exists solely for the ablation benchmark quantifying what P2's
-// planner-created join indices buy (see bench.AblationIndexedJoins);
-// production code never sets it. Not safe to flip while nodes run.
-var DisableIndexedJoins bool
-
 // Cost model constants, in seconds of simulated CPU per operation. These
 // are the knobs DESIGN.md §4 describes: they stand in for the paper's
 // OS-measured CPU utilization. Calibrated so a 21-node Chord network
@@ -488,7 +484,7 @@ func (s *Strand) run(ctx Context, trig tuple.Tuple, b Binding) {
 // the activation is abandoned.
 func (s *Strand) runAgg(ctx Context, b Binding, agg *aggState) (ok bool) {
 	var am *AggMaint
-	if s.AggPlan != nil && !DisableIncrementalAggs {
+	if s.AggPlan != nil {
 		am = ctx.AggState(s)
 	}
 	if s.Agg.EmitZero {
@@ -565,7 +561,7 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 			return
 		}
 		ctx.Bill(CostJoinSetup)
-		if len(op.IndexPositions) > 0 && !DisableIndexedJoins && s.probeJoin(ctx, tb, op, b, i, done) {
+		if len(op.IndexPositions) > 0 && s.probeJoin(ctx, tb, op, b, i, done) {
 			return
 		}
 		s.scanJoin(ctx, tb, op, b, i, done)

@@ -16,10 +16,10 @@ func TestStrandString(t *testing.T) {
 }
 
 // TestIndexedJoinMatchesScanFallback: with IndexPositions set, the
-// indexed path must produce the same matches as the scan path (also
-// exercising the DisableIndexedJoins ablation switch), both for a join
-// indexed on a trigger-bound variable and for one whose fresh variable
-// repeats in the row, which the index does not check.
+// indexed path must produce the same matches as the same plan with
+// IndexPositions nil, which scans, both for a join indexed on a
+// trigger-bound variable and for one whose fresh variable repeats in
+// the row, which the index does not check.
 func TestIndexedJoinMatchesScanFallback(t *testing.T) {
 	for _, repeat := range []bool{false, true} {
 		testIndexedJoinMatchesScan(t, repeat)
@@ -27,7 +27,7 @@ func TestIndexedJoinMatchesScanFallback(t *testing.T) {
 }
 
 func testIndexedJoinMatchesScan(t *testing.T, repeat bool) {
-	build := func() (*fakeCtx, *Strand) {
+	run := func(indexed bool) []tuple.Tuple {
 		ctx := newFakeCtx(t)
 		tab := ctx.store.Get("tab")
 		for i := int64(0); i < 10; i++ {
@@ -43,17 +43,14 @@ func testIndexedJoinMatchesScan(t *testing.T, repeat bool) {
 			op.IndexPositions = []int{0}
 			s.HeadArgs = []overlog.Expr{ref("N"), ref("A"), ref("A")}
 		}
+		if !indexed {
+			op.IndexPositions = nil
+		}
 		s.Compile()
-		return ctx, s
-	}
-	run := func(disable bool) []tuple.Tuple {
-		DisableIndexedJoins = disable
-		defer func() { DisableIndexedJoins = false }()
-		ctx, s := build()
 		s.Run(ctx, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
 		return ctx.heads
 	}
-	indexed, scanned := run(false), run(true)
+	indexed, scanned := run(true), run(false)
 	if len(indexed) != len(scanned) || len(indexed) != 3 {
 		t.Fatalf("repeat=%v: indexed=%d scanned=%d, want 3 each", repeat, len(indexed), len(scanned))
 	}

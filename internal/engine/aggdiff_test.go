@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"p2go/internal/dataflow"
+	"p2go/internal/trace"
 	"p2go/internal/tuple"
 )
 
@@ -35,10 +35,16 @@ d1 delete val@N(K, G, V) :- drop@N(K), val@N(K, G, V).
 // runAggDiffScript replays one seeded interleaving of inserts,
 // key-deletes, and TTL expiry (clock advances past the 5s lifetime)
 // and returns the rendered emission stream in order plus the number of
-// incremental accumulator applications the run performed.
-func runAggDiffScript(t *testing.T, seed int64) ([]string, int64) {
+// incremental accumulator applications the run performed. A traced
+// node rescans every aggregate, so traced=true is the reference run.
+func runAggDiffScript(t *testing.T, seed int64, traced bool) ([]string, int64) {
 	t.Helper()
 	h := newHarness(t, aggDiffProgram, "n1")
+	if traced {
+		if err := h.net.Node("n1").EnableTracing(trace.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rng := rand.New(rand.NewSource(seed))
 	for step := 0; step < 150; step++ {
 		switch rng.Intn(12) {
@@ -74,20 +80,21 @@ func runAggDiffScript(t *testing.T, seed int64) ([]string, int64) {
 	return out, h.net.Node("n1").Metrics().AggApplies
 }
 
-// TestAggIncrementalDifferential is the kill-switch differential: for
-// several seeded interleavings, the emission stream with incremental
-// aggregate maintenance must be byte-identical to the per-delta rescan
-// path for count/sum/avg/min/max, including EmitZero count rules.
+// TestAggIncrementalDifferential: for several seeded interleavings, the
+// emission stream of an untraced node, which maintains its aggregates
+// incrementally, must be byte-identical to that of its traced twin,
+// which rescans, for count/sum/avg/min/max, including EmitZero count
+// rules. It also pins that tracing does not change what an aggregate
+// emits.
 func TestAggIncrementalDifferential(t *testing.T) {
-	prev := dataflow.DisableIncrementalAggs
-	defer func() { dataflow.DisableIncrementalAggs = prev }()
 	for seed := int64(1); seed <= 5; seed++ {
-		dataflow.DisableIncrementalAggs = true
-		rescan, _ := runAggDiffScript(t, seed)
-		dataflow.DisableIncrementalAggs = false
-		incr, applies := runAggDiffScript(t, seed)
+		rescan, rescanApplies := runAggDiffScript(t, seed, true)
+		incr, applies := runAggDiffScript(t, seed, false)
 		if len(rescan) == 0 {
 			t.Fatalf("seed %d: rescan run emitted nothing", seed)
+		}
+		if rescanApplies != 0 {
+			t.Fatalf("seed %d: the traced node applied %d deltas, want a rescan", seed, rescanApplies)
 		}
 		if applies == 0 {
 			// Guards against the differential passing vacuously

@@ -2,10 +2,13 @@ package engine_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"p2go/internal/chord"
 	"p2go/internal/engine"
+	"p2go/internal/monitor"
 	"p2go/internal/overlog"
 	"p2go/internal/simnet"
 	"p2go/internal/trace"
@@ -166,9 +169,32 @@ func TestSharedTableRefcount(t *testing.T) {
 	}
 }
 
-// TestAtomicInstallRejected: a program that fails validation — a
-// materialize conflicting with installed state, two conflicting
-// declarations within the program, or an unplannable rule — installs
+// rejectedInstalls are programs that fail validation on a node whose
+// one query declares tab: a materialize conflicting with installed
+// state, two conflicting declarations within the program, and an
+// unplannable rule.
+var rejectedInstalls = []struct {
+	name, prog, wantErr string
+}{
+	{"conflicting respec", `
+materialize(other, infinity, infinity, keys(1,2)).
+materialize(tab, 30, infinity, keys(1,2)).
+watch(w1).
+r1 out@N(X) :- evx@N(X), other@N(X).
+`, "already materialized"},
+	{"conflict within program", `
+materialize(x, 10, infinity, keys(1)).
+materialize(x, 20, infinity, keys(1)).
+`, "already materialized"},
+	{"unplannable rule", `
+materialize(other, infinity, infinity, keys(1,2)).
+watch(w2).
+r1 other@N(A) :- e1@N(A).
+r2 out@N(A, B) :- e1@N(A), e2@N(B).
+`, "events cannot be joined"},
+}
+
+// TestAtomicInstallRejected: a program that fails validation installs
 // NOTHING: no table, watch, strand, or reflection row.
 func TestAtomicInstallRejected(t *testing.T) {
 	h := newHarness(t, `materialize(tab, infinity, infinity, keys(1,2)).`, "n1")
@@ -176,27 +202,7 @@ func TestAtomicInstallRejected(t *testing.T) {
 	base := shapeOf(n)
 	baseRules := len(h.rows("n1", engine.RuleTableName))
 
-	cases := []struct {
-		name, prog, wantErr string
-	}{
-		{"conflicting respec", `
-materialize(other, infinity, infinity, keys(1,2)).
-materialize(tab, 30, infinity, keys(1,2)).
-watch(w1).
-r1 out@N(X) :- evx@N(X), other@N(X).
-`, "already materialized"},
-		{"conflict within program", `
-materialize(x, 10, infinity, keys(1)).
-materialize(x, 20, infinity, keys(1)).
-`, "already materialized"},
-		{"unplannable rule", `
-materialize(other, infinity, infinity, keys(1,2)).
-watch(w2).
-r1 other@N(A) :- e1@N(A).
-r2 out@N(A, B) :- e1@N(A), e2@N(B).
-`, "events cannot be joined"},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectedInstalls {
 		_, err := n.InstallQuery("bad", overlog.MustParse(tc.prog))
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
@@ -391,4 +397,49 @@ f1 foo@N(X) :- fev@N(X).
 	if got := n.Tracer().RecordStrands(); got != baseRecords {
 		t.Errorf("tracer records after uninstall = %d, want %d", got, baseRecords)
 	}
+}
+
+// FuzzInstallUninstall: on a node that already runs Chord, a program
+// that parses either fails to install and leaves the node's shape and
+// query list as they were, or installs and is uninstalled back to the
+// shape the node had before.
+func FuzzInstallUninstall(f *testing.F) {
+	f.Add(chord.Program().Source)
+	f.Add(chord.TreeProgram(chord.TreeConfig{}).Source)
+	for _, d := range monitor.Detectors(5, 10) {
+		f.Add(d.Program.Source)
+	}
+	f.Add(aggDiffProgram)
+	for _, tc := range rejectedInstalls {
+		f.Add(tc.prog)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := overlog.Parse(src)
+		if err != nil {
+			return
+		}
+		n, err := simnet.NewNetwork(simnet.NewSim(), simnet.Config{Seed: 1}).AddNode("n1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := chord.Install(n, "n1"); err != nil {
+			t.Fatal(err)
+		}
+		base, baseQueries := shapeOf(n), n.Queries()
+		if _, err := n.InstallQuery("fuzz", prog); err != nil {
+			if got := shapeOf(n); got != base {
+				t.Fatalf("rejected install (%v) changed the shape: %+v, was %+v", err, got, base)
+			}
+			if got := n.Queries(); !slices.Equal(got, baseQueries) {
+				t.Fatalf("rejected install (%v) changed the queries: %v, was %v", err, got, baseQueries)
+			}
+			return
+		}
+		if err := n.UninstallQuery("fuzz"); err != nil {
+			t.Fatal(err)
+		}
+		if got := shapeOf(n); got != base {
+			t.Fatalf("shape after uninstall = %+v, want %+v", got, base)
+		}
+	})
 }

@@ -351,9 +351,10 @@ func isSystemTable(name string) bool {
 }
 
 // IsSystemTable reports whether name is an engine- or tracer-owned
-// reflection table, present on every node without a declaration.
-// Shared compilation environments (chord harness, bench fleets) admit
-// these names when planning programs away from any concrete node.
+// reflection table, present on every node without a declaration. Code
+// that analyses a program without a node to compile it on, such as
+// monitor.BuildCluster deciding whether an aggregate splits, admits
+// these names as materialized.
 func IsSystemTable(name string) bool { return isSystemTable(name) }
 
 // Addr returns the node's address.

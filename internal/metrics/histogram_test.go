@@ -225,29 +225,6 @@ func TestNodeHistsMergeSub(t *testing.T) {
 	}
 }
 
-func TestSeriesRing(t *testing.T) {
-	r := NewSeriesRing(3)
-	if r.Cap() != 3 || r.Len() != 0 {
-		t.Fatalf("cap=%d len=%d", r.Cap(), r.Len())
-	}
-	for i := 1; i <= 5; i++ {
-		r.Record(SeriesPoint{T: float64(i), Window: 1})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
-	}
-	pts := r.Points()
-	if pts[0].T != 3 || pts[1].T != 4 || pts[2].T != 5 {
-		t.Errorf("points = %v, want oldest-first 3,4,5", []float64{pts[0].T, pts[1].T, pts[2].T})
-	}
-	// Degenerate capacity is clamped to 1.
-	r1 := NewSeriesRing(0)
-	r1.Record(SeriesPoint{T: 9})
-	if r1.Len() != 1 || r1.Points()[0].T != 9 {
-		t.Error("capacity-clamped ring broken")
-	}
-}
-
 func TestCountersEnumeration(t *testing.T) {
 	n := Node{BusySeconds: 1.25, MsgsSent: 3, TimerFires: 9}
 	cs := n.Counters()

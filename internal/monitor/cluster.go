@@ -16,9 +16,8 @@ import (
 // along the chord tree overlay instead of funneling O(N) rows into one
 // collector. A query the split cannot take (group-by, multi-location
 // bodies) still deploys — as raw flat collection — with the
-// ineligibility reason logged, and planner.DisableAggTree forces every
-// cluster query onto the flat path as the reference tree mode is
-// checked against.
+// ineligibility reason logged. Flat collection of partials is the tree
+// mode over an overlay whose fanout covers every member.
 // To share one plan across a fleet, compile the detector program on a
 // member that already runs the overlay (engine.Node.Compile) and
 // install the result everywhere with InstallCompiledQuery.
@@ -35,9 +34,9 @@ type ClusterSpec struct {
 	Source string
 	// Period is the refresh cadence in seconds.
 	Period float64
-	// Root is the collector address (the tree root's address in tree
-	// mode — rank 1 of the overlay — and the direct destination
-	// otherwise).
+	// Root is the collector address: the tree root's address in tree
+	// mode (rank 1 of the overlay), the mirror's destination in collect
+	// mode.
 	Root string
 	// Tables names non-system materialized tables the body reads
 	// (nodeStats/queryStats/nodeEpoch are admitted automatically).
@@ -50,9 +49,6 @@ type ClusterMode string
 const (
 	// ClusterTree: split into leaf partials merged up the tree overlay.
 	ClusterTree ClusterMode = "tree"
-	// ClusterFlat: split into leaf partials sent straight to the
-	// collector (the kill-switch path — same values, O(N) fan-in).
-	ClusterFlat ClusterMode = "flat"
 	// ClusterCollect: raw rows mirrored to the collector, original
 	// rule evaluated there (the non-splittable fallback).
 	ClusterCollect ClusterMode = "collect"
@@ -70,9 +66,8 @@ type ClusterQuery struct {
 }
 
 // BuildCluster analyzes and rewrites the spec into a deployable
-// detector. Fallbacks are logged, not fatal: an ineligible aggregate
-// becomes a flat raw collection, and the kill switch downgrades
-// eligible ones to flat partial collection.
+// detector. The fallback is logged, not fatal: an ineligible aggregate
+// becomes a flat raw collection.
 func BuildCluster(spec ClusterSpec) (ClusterQuery, error) {
 	if spec.Name == "" {
 		return ClusterQuery{}, fmt.Errorf("monitor: cluster query needs a name")
@@ -97,24 +92,15 @@ func BuildCluster(spec ClusterSpec) (ClusterQuery, error) {
 	q := ClusterQuery{Mode: ClusterTree}
 	var src string
 	a, aerr := planner.AnalyzeClusterAgg(rules[0], env)
-	switch {
-	case aerr != nil:
+	if aerr == nil {
+		if src, err = a.Rewrite(cfg); err != nil {
+			return ClusterQuery{}, fmt.Errorf("monitor: cluster %s: %w", spec.Name, err)
+		}
+	} else {
 		q.Mode, q.Reason = ClusterCollect, aerr.Error()
 		if src, err = planner.RewriteFlatCollect(rules[0], env, cfg); err != nil {
 			return ClusterQuery{}, fmt.Errorf("monitor: cluster %s: not splittable (%s) and not collectable: %w", spec.Name, aerr, err)
 		}
-	case planner.DisableAggTree:
-		q.Mode, q.Reason = ClusterFlat, "planner.DisableAggTree is set"
-		if src, err = a.Rewrite(cfg); err != nil {
-			return ClusterQuery{}, fmt.Errorf("monitor: cluster %s: %w", spec.Name, err)
-		}
-	default:
-		cfg.Tree = true
-		if src, err = a.Rewrite(cfg); err != nil {
-			return ClusterQuery{}, fmt.Errorf("monitor: cluster %s: %w", spec.Name, err)
-		}
-	}
-	if q.Mode != ClusterTree {
 		log.Printf("monitor: cluster query %s deploying as %s collection: %s", spec.Name, q.Mode, q.Reason)
 	}
 	p, err := overlog.Parse(src)

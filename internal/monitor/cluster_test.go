@@ -27,22 +27,6 @@ r1 clusterLive@M(count<*>) :- nodeStats@N(Ep, C, V), C == "BusySeconds".`}
 		t.Error("tree-mode program does not route on the overlay")
 	}
 
-	// The kill switch downgrades eligible queries to flat partials.
-	saved := planner.DisableAggTree
-	planner.DisableAggTree = true
-	defer func() { planner.DisableAggTree = saved }()
-	q, err = BuildCluster(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Mode != ClusterFlat || !strings.Contains(q.Reason, "DisableAggTree") {
-		t.Errorf("kill-switch mode = %s (%q), want flat", q.Mode, q.Reason)
-	}
-	if strings.Contains(q.Source, planner.TreeParentTable) {
-		t.Error("flat-mode program references the overlay")
-	}
-	planner.DisableAggTree = saved
-
 	// Group-by is not splittable: raw collection with the reason kept.
 	q, err = BuildCluster(ClusterSpec{Name: "percounter", Period: 3, Root: "n1", Source: `
 r1 peaks@M(C, max<V>) :- nodeStats@N(Ep, C, V).`})
@@ -131,32 +115,39 @@ r1 clusterLive@M(count<*>) :- nodeStats@N(Ep, C, V), C == "BusySeconds".`})
 	}
 }
 
-// TestClusterQueryFlatMatchesTree: with the kill switch on, the same
-// query deploys flat and converges to the same value.
+// TestClusterQueryFlatMatchesTree: flat collection is the tree overlay
+// at fanout N, where every member's parent is the root. From one seed,
+// the fanout-N ring and a fanout-2 ring (depth 2 at six members)
+// converge to the same value at the root.
 func TestClusterQueryFlatMatchesTree(t *testing.T) {
 	const n = 6
-	saved := planner.DisableAggTree
-	planner.DisableAggTree = true
-	defer func() { planner.DisableAggTree = saved }()
-	r, err := chord.NewRing(chord.RingConfig{N: n, Seed: 23, StatsPeriod: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := BuildCluster(ClusterSpec{Name: "livecount", Period: 3, Root: "n4", Source: `
+	q, err := BuildCluster(ClusterSpec{Name: "livecount", Period: 3, Root: "n1", Source: `
 r1 clusterLive@M(count<*>) :- nodeStats@N(Ep, C, V), C == "BusySeconds".`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Mode != ClusterFlat {
-		t.Fatalf("mode = %s, want flat", q.Mode)
+	var got []float64
+	for _, fanout := range []int{n, 2} {
+		r, err := chord.NewRing(chord.RingConfig{
+			N: n, Seed: 23, StatsPeriod: 2,
+			Tree: &chord.TreeConfig{Fanout: fanout, Heartbeat: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deployClusterEverywhere(t, r, q)
+		r.Run(30)
+		v, ok := clusterValue(r, "n1", "clusterLive")
+		if !ok {
+			t.Fatalf("fanout %d: no clusterLive row at n1", fanout)
+		}
+		if len(r.Errors) > 0 {
+			t.Fatalf("fanout %d: rule errors: %v", fanout, r.Errors[0])
+		}
+		got = append(got, v)
 	}
-	deployClusterEverywhere(t, r, q)
-	r.Run(30)
-	if v, ok := clusterValue(r, "n4", "clusterLive"); !ok || v != n {
-		t.Errorf("flat clusterLive = %v (present %v), want %d", v, ok, n)
-	}
-	if len(r.Errors) > 0 {
-		t.Fatalf("rule errors: %v", r.Errors[0])
+	if got[0] != n || got[1] != got[0] {
+		t.Errorf("clusterLive at fanout %d = %v, at fanout 2 = %v, want %d for both", n, got[0], got[1], n)
 	}
 }
 

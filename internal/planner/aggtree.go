@@ -16,9 +16,10 @@ import (
 // node; at scale that gives the collector O(N) inbound tuples per
 // refresh. The split keeps the aggregate's value while bounding fan-in:
 // each node maintains a local partial aggregate, periodically pushes it
-// one hop up an aggregation tree (or straight to the collector in flat
-// mode), and interior nodes merge child partials so no node ever
-// receives more than its tree fan-in per refresh.
+// one hop up an aggregation tree, and interior nodes merge child
+// partials so no node ever receives more than its tree fan-in per
+// refresh. Flat collection is the same program over a tree whose fanout
+// covers every member: each one's parent is the root.
 //
 // The split is exact for the distributive aggregates (count, sum, min,
 // max) and algebraic avg, which travels as a (sum, count) pair and is
@@ -35,14 +36,6 @@ import (
 // aggregate without any explicit retraction protocol. Rows also carry
 // the child's nodeEpoch incarnation so forensic queries can tell a
 // fresh-epoch row from a stale pre-crash one.
-
-// DisableAggTree is the aggregation-tree kill switch. When set,
-// planners and deployers fall back to flat collection (every node sends
-// its leaf partial straight to the collector); the differential tests
-// and the aggtree benchmark use that as the reference the tree is
-// checked against. Production code never sets it, like
-// dataflow.DisableIncrementalAggs.
-var DisableAggTree bool
 
 const (
 	// NodeEpochTable is the engine-owned incarnation table
@@ -181,14 +174,10 @@ type SplitConfig struct {
 	// Period is the refresh cadence in seconds: how often each node
 	// pushes its (re-merged) partial one hop up.
 	Period float64
-	// Root is the collector address. Flat mode sends every leaf partial
-	// straight to it; tree mode ignores it (the root is wherever the
-	// overlay's treeParent self-loop lands, by construction the same
-	// node).
+	// Root is the collector address RewriteFlatCollect mirrors rows to.
+	// Rewrite ignores it: its root is wherever the overlay's treeParent
+	// self-loop lands, by construction the same node.
 	Root string
-	// Tree routes partials along the treeParent overlay; false is the
-	// flat-collection fallback.
-	Tree bool
 }
 
 var tagRE = regexp.MustCompile(`^[A-Za-z0-9_]+$`)
@@ -216,9 +205,6 @@ func (a *ClusterAgg) Rewrite(cfg SplitConfig) (string, error) {
 	}
 	if cfg.Period <= 0 {
 		return "", fmt.Errorf("split period must be positive, got %g", cfg.Period)
-	}
-	if !cfg.Tree && cfg.Root == "" {
-		return "", fmt.Errorf("flat split needs a collector root address")
 	}
 	tag := cfg.Tag
 	selfW, selfC := "aggSelfW_"+tag, "aggSelfC_"+tag
@@ -256,37 +242,25 @@ func (a *ClusterAgg) Rewrite(cfg SplitConfig) (string, error) {
 	w("agg_%s_lc %s@%s(count<*>) :- %s.", tag, selfC, a.LocVar, a.Body)
 	// Refresh clock.
 	w("agg_%s_tk %s@AggN(AggE) :- periodic@AggN(AggE, %s).", tag, tick, period)
-	// Self partial into the local inbox (tree) or straight to the
-	// collector (flat).
-	if cfg.Tree {
-		w("agg_%s_sf %s@AggN(AggN, AggEp, AggW, AggC) :- %s@AggN(AggE), %s@AggN(AggW), %s@AggN(AggC), %s@AggN(AggEp).",
-			tag, part, tick, selfW, selfC, NodeEpochTable)
-	} else {
-		w("agg_%s_sf %s@%q(AggN, AggEp, AggW, AggC) :- %s@AggN(AggE), %s@AggN(AggW), %s@AggN(AggC), %s@AggN(AggEp).",
-			tag, part, cfg.Root, tick, selfW, selfC, NodeEpochTable)
-	}
+	// Self partial into the local inbox.
+	w("agg_%s_sf %s@AggN(AggN, AggEp, AggW, AggC) :- %s@AggN(AggE), %s@AggN(AggW), %s@AggN(AggC), %s@AggN(AggEp).",
+		tag, part, tick, selfW, selfC, NodeEpochTable)
 	// Subtree merge; count first so the weight strand's readers see a
 	// consistent pair (see the tick-pacing note above).
 	w("agg_%s_mc %s@AggN(sum<AggC>) :- %s@AggN(AggE), %s@AggN(AggChild, AggEp, AggW, AggC).",
 		tag, subC, tick, part)
 	w("agg_%s_mw %s@AggN(%s<AggW>) :- %s@AggN(AggE), %s@AggN(AggChild, AggEp, AggW, AggC).",
 		tag, subW, mergeOp[a.Op], tick, part)
-	// Upward push (tree only: flat leaves already sent to the root).
-	if cfg.Tree {
-		w("agg_%s_up %s@AggP(AggN, AggEp, AggW, AggC) :- %s@AggN(AggE), %s@AggN(AggW), %s@AggN(AggC), %s@AggN(AggEp), %s@AggN(AggP), AggP != AggN.",
-			tag, part, tick, subW, subC, NodeEpochTable, TreeParentTable)
-	}
+	// Upward push to the parent.
+	w("agg_%s_up %s@AggP(AggN, AggEp, AggW, AggC) :- %s@AggN(AggE), %s@AggN(AggW), %s@AggN(AggC), %s@AggN(AggEp), %s@AggN(AggP), AggP != AggN.",
+		tag, part, tick, subW, subC, NodeEpochTable, TreeParentTable)
 	// Root finalize: the whole-cluster merge becomes the original head.
-	rootGuard := fmt.Sprintf("AggN == %q", cfg.Root)
-	if cfg.Tree {
-		rootGuard = fmt.Sprintf("%s@AggN(AggP), AggP == AggN", TreeParentTable)
-	}
 	finalize := "AggVal := AggW"
 	if a.Op == "avg" {
 		finalize = "AggC > 0, AggVal := (1.0 * AggW) / AggC"
 	}
-	w("agg_%s_rt %s@AggN(AggVal) :- %s@AggN(AggE), %s@AggN(AggW), %s@AggN(AggC), %s, %s.",
-		tag, a.Head, tick, subW, subC, rootGuard, finalize)
+	w("agg_%s_rt %s@AggN(AggVal) :- %s@AggN(AggE), %s@AggN(AggW), %s@AggN(AggC), %s@AggN(AggP), AggP == AggN, %s.",
+		tag, a.Head, tick, subW, subC, TreeParentTable, finalize)
 	return b.String(), nil
 }
 

@@ -112,7 +112,7 @@ func TestRewriteTreeModePlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := a.Rewrite(SplitConfig{Tag: "busy", Period: 5, Tree: true})
+	src, err := a.Rewrite(SplitConfig{Tag: "busy", Period: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,29 +133,16 @@ func TestRewriteTreeModePlans(t *testing.T) {
 	if strings.Index(src, "agg_busy_mc") > strings.Index(src, "agg_busy_mw") {
 		t.Errorf("count merge must precede weight merge:\n%s", src)
 	}
-}
 
-func TestRewriteFlatModePlans(t *testing.T) {
-	a, err := AnalyzeClusterAgg(parseRule(t,
-		`r1 avgLoad@M(avg<L>) :- hostLoad@N(L).`), statsEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := a.Rewrite(SplitConfig{Tag: "load", Period: 2, Root: "n1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := planProgram(t, src)
-	if got := len(prog.Rules()); got != 7 {
-		t.Errorf("flat rewrite emitted %d rules, want 7\n%s", got, src)
-	}
-	if strings.Contains(src, TreeParentTable) {
-		t.Errorf("flat rewrite must not reference the overlay:\n%s", src)
-	}
-	if !strings.Contains(src, `aggPart_load@"n1"`) {
-		t.Errorf("flat rewrite must send partials to the collector:\n%s", src)
-	}
 	// avg finalizes as a guarded float division of the (sum, count) pair.
+	a, err = AnalyzeClusterAgg(parseRule(t, `r1 avgLoad@M(avg<L>) :- hostLoad@N(L).`), statsEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, err = a.Rewrite(SplitConfig{Tag: "load", Period: 2}); err != nil {
+		t.Fatal(err)
+	}
+	planProgram(t, src)
 	if !strings.Contains(src, "AggC > 0") || !strings.Contains(src, "1.0 * AggW") {
 		t.Errorf("avg finalize missing guard or division:\n%s", src)
 	}
@@ -195,9 +182,8 @@ func TestRewriteValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []SplitConfig{
-		{Tag: "x y", Period: 5, Tree: true},
-		{Tag: "ok", Period: 0, Tree: true},
-		{Tag: "ok", Period: 5, Tree: false}, // flat without root
+		{Tag: "x y", Period: 5},
+		{Tag: "ok", Period: 0},
 	}
 	for _, cfg := range bad {
 		if _, err := a.Rewrite(cfg); err == nil {
@@ -206,7 +192,7 @@ func TestRewriteValidation(t *testing.T) {
 	}
 	collide := *a
 	collide.Head = "aggPart_ok"
-	if _, err := collide.Rewrite(SplitConfig{Tag: "ok", Period: 5, Tree: true}); err == nil {
+	if _, err := collide.Rewrite(SplitConfig{Tag: "ok", Period: 5}); err == nil {
 		t.Error("head/table collision not rejected")
 	}
 }
