@@ -88,6 +88,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzSegmentRoundTrip -fuzztime 30s ./internal/tracestore/
 	go test -run '^$$' -fuzz FuzzDatagram -fuzztime 30s ./internal/realtime/
 	go test -run '^$$' -fuzz FuzzInstallUninstall -fuzztime 30s ./internal/engine/
+	go test -run '^$$' -fuzz FuzzStream -fuzztime 30s ./internal/rng/
 
 examples:
 	go run ./examples/quickstart

@@ -36,10 +36,9 @@ const (
 	// ScaleBudgetBytes is the hard per-host steady-state budget the
 	// sweep enforces at >= 1k hosts after the measured window. On top
 	// of the install footprint this includes workload soft state: table
-	// rows and, dominantly, per-link delay/loss RNG streams (~5.4 KB of
-	// math/rand state per active link, untouchable without changing
-	// every seeded golden). Measured ~324 KB at 1k hosts over a 30 s
-	// window.
+	// rows and per-link delay/loss RNG streams, whose state grows with
+	// the draws a link makes, up to 4.9 KB (internal/rng). Measured
+	// ~182 KB at 1k hosts over a 30 s window.
 	ScaleBudgetBytes = 512 << 10
 
 	// ScaleMinPlanReduction is the minimum ratio of private-plan to

@@ -20,7 +20,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -28,6 +27,7 @@ import (
 	"p2go/internal/metrics"
 	"p2go/internal/overlog"
 	"p2go/internal/planner"
+	"p2go/internal/rng"
 	"p2go/internal/table"
 	"p2go/internal/trace"
 	"p2go/internal/tracestore"
@@ -208,7 +208,7 @@ type query struct {
 type Node struct {
 	cfg   Config
 	store *table.Store
-	rng   *rand.Rand
+	rng   rng.Source
 
 	eventStrands map[string][]*dataflow.Strand
 	deltaStrands map[string][]*dataflow.Strand
@@ -280,7 +280,7 @@ func NewNode(cfg Config) *Node {
 	n := &Node{
 		cfg:          cfg,
 		store:        table.NewStore(),
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		rng:          rng.Make(cfg.Seed),
 		eventStrands: make(map[string][]*dataflow.Strand),
 		deltaStrands: make(map[string][]*dataflow.Strand),
 		queries:      make(map[string]*query),

@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 
 	"p2go/internal/engine"
 	"p2go/internal/metrics"
+	"p2go/internal/rng"
 	"p2go/internal/trace"
 	"p2go/internal/tracestore"
 	"p2go/internal/tuple"
@@ -52,9 +52,10 @@ func (c Config) withDefaults() Config {
 
 // link is the sender-owned state of one directed link: its private
 // delay/loss RNG stream and the FIFO high-water mark. Only the source
-// host's execution touches it.
+// host's execution touches it. The stream is held by value and grows
+// with its draws, so a new link is one small allocation.
 type link struct {
-	rng         *rand.Rand
+	rng         rng.Source
 	lastArrival float64
 }
 
@@ -70,7 +71,7 @@ type host struct {
 	// rng staggers this host's periodic triggers. Deriving it from the
 	// host address (not a shared stream) keeps draws independent of the
 	// order hosts execute in.
-	rng *rand.Rand
+	rng rng.Source
 	// links holds outgoing per-destination link state.
 	links map[string]*link
 	// dropped counts messages this host's execution observed as lost
@@ -109,7 +110,7 @@ func (f LinkFault) IsZero() bool { return f == LinkFault{} }
 type Network struct {
 	sim   *Sim
 	cfg   Config
-	rng   *rand.Rand // setup-time stream (node seeds); driver context only
+	rng   rng.Source // setup-time stream (node seeds); driver context only
 	hosts map[string]*host
 	byIdx []*host
 	// blocked holds severed directed links (partition injection).
@@ -133,7 +134,7 @@ func NewNetwork(sim *Sim, cfg Config) *Network {
 	return &Network{
 		sim:        sim,
 		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		rng:        rng.Make(cfg.Seed),
 		hosts:      make(map[string]*host),
 		blocked:    make(map[[2]string]bool),
 		linkFaults: make(map[[2]string]LinkFault),
@@ -168,7 +169,7 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 		net:    n,
 		addr:   addr,
 		kickAt: -1,
-		rng:    rand.New(rand.NewSource(subSeed(n.cfg.Seed, "host", addr))),
+		rng:    rng.Make(subSeed(n.cfg.Seed, "host", addr)),
 		links:  make(map[string]*link),
 	}
 	cfg := engine.Config{
@@ -240,7 +241,7 @@ func (n *Network) Dropped() int64 {
 func (n *Network) outLink(src *host, dst string) *link {
 	lk := src.links[dst]
 	if lk == nil {
-		lk = &link{rng: rand.New(rand.NewSource(subSeed(n.cfg.Seed, "link", src.addr, dst)))}
+		lk = &link{rng: rng.Make(subSeed(n.cfg.Seed, "link", src.addr, dst))}
 		src.links[dst] = lk
 	}
 	return lk

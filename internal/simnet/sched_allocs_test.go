@@ -6,10 +6,12 @@
 package simnet
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"p2go/internal/engine"
 	"p2go/internal/overlog"
 	"p2go/internal/tuple"
 )
@@ -82,4 +84,41 @@ func TestSchedulerAllocs(t *testing.T) {
 			t.Errorf("%v allocs over %v events carrying %v messages, want 0", total, events, msgs)
 		}
 	})
+}
+
+// TestNewLinkAllocs: a link's state is one record with its RNG stream
+// inside, and the stream allocates only when it first draws, so the
+// first send on a link costs at most two objects more than a send on a
+// link that exists. Averaged over 300 links as testing.AllocsPerRun
+// averages, which rounds the links map's occasional growth away.
+func TestNewLinkAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const links = 300
+	net := NewNetwork(NewSim(), Config{Seed: 5, SweepInterval: 1e9})
+	if _, err := net.AddNode("src"); err != nil {
+		t.Fatal(err)
+	}
+	dsts := make([]string, links)
+	for i := range dsts {
+		dsts[i] = fmt.Sprintf("d%d", i)
+		if _, err := net.AddNode(dsts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := net.hosts["src"]
+	env := engine.Envelope{Src: "src", SrcTupleID: 1, Raw: make([]byte, 64)}
+	next := 0
+	send := func() {
+		net.deliver(src, dsts[next%links], env, 0)
+		next++
+	}
+	// AllocsPerRun makes one warm-up call beyond its count.
+	fresh := testing.AllocsPerRun(links-1, send)
+	if len(src.links) != links {
+		t.Fatalf("%d links after the first pass, want %d", len(src.links), links)
+	}
+	existing := testing.AllocsPerRun(links-1, send)
+	if fresh > existing+2 {
+		t.Errorf("first send on a link: %v allocs, on an existing link %v; want at most 2 more", fresh, existing)
+	}
 }
