@@ -83,6 +83,7 @@ bench-aggtree:
 fuzz:
 	go test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/tuple/
 	go test -run '^$$' -fuzz FuzzValueCodec -fuzztime 30s ./internal/tuple/
+	go test -run '^$$' -fuzz FuzzValueOps -fuzztime 30s ./internal/tuple/
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/overlog/
 	go test -run '^$$' -fuzz FuzzCompile -fuzztime 30s ./internal/overlog/
 	go test -run '^$$' -fuzz FuzzSegmentRoundTrip -fuzztime 30s ./internal/tracestore/

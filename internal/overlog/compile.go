@@ -63,20 +63,19 @@ func Compile(e Expr, slotOf func(name string) int) Compiled {
 		k, lo, hi := compileOperand(x.X, slotOf), compileOperand(x.Lo, slotOf), compileOperand(x.Hi, slotOf)
 		loOpen, hiOpen := x.LoOpen, x.HiOpen
 		return func(env []tuple.Value, ctx Context) (tuple.Value, error) {
-			var kt, lt, ht tuple.Value
-			kv, err := k.read(env, ctx, &kt)
+			kv, err := k.value(env, ctx)
 			if err != nil {
 				return tuple.Nil, err
 			}
-			lv, err := lo.read(env, ctx, &lt)
+			lv, err := lo.value(env, ctx)
 			if err != nil {
 				return tuple.Nil, err
 			}
-			hv, err := hi.read(env, ctx, &ht)
+			hv, err := hi.value(env, ctx)
 			if err != nil {
 				return tuple.Nil, err
 			}
-			return tuple.Bool(tuple.InInterval(*kv, *lv, *hv, loOpen, hiOpen)), nil
+			return tuple.Bool(tuple.InInterval(kv, lv, hv, loOpen, hiOpen)), nil
 		}
 	case *Agg:
 		return fails(fmt.Errorf("aggregate %s evaluated outside head", x.String()))
@@ -119,32 +118,18 @@ func compileOperands(es []Expr, slotOf func(string) int) []operand {
 	return ops
 }
 
-// read evaluates the operand without copying a leaf: a variable's slot
-// or a literal is returned in place, a nested expression's result is
-// stored in *tmp. (A Value is 56 bytes; returning leaves by value made
-// `FID in (NID, K)` 1.8× slower.)
-func (o *operand) read(env []tuple.Value, ctx Context, tmp *tuple.Value) (*tuple.Value, error) {
+// value evaluates the operand: a variable's slot, the literal, or the
+// nested expression's result.
+func (o *operand) value(env []tuple.Value, ctx Context) (tuple.Value, error) {
 	switch {
 	case o.fn != nil:
-		v, err := o.fn(env, ctx)
-		*tmp = v
-		return tmp, err
+		return o.fn(env, ctx)
 	case o.slot < 0:
-		return &o.lit, nil
+		return o.lit, nil
 	case env[o.slot].IsNil():
-		return nil, unbound(o.name)
+		return tuple.Nil, unbound(o.name)
 	}
-	return &env[o.slot], nil
-}
-
-// value is read for a caller that wants the value itself.
-func (o *operand) value(env []tuple.Value, ctx Context) (tuple.Value, error) {
-	var tmp tuple.Value
-	v, err := o.read(env, ctx, &tmp)
-	if err != nil {
-		return tuple.Nil, err
-	}
-	return *v, nil
+	return env[o.slot], nil
 }
 
 func unbound(name string) error { return fmt.Errorf("unbound variable %s", name) }
@@ -205,16 +190,15 @@ func compileBinary(x *Binary, slotOf func(string) int) Compiled {
 		op = func(tuple.Value, tuple.Value) (tuple.Value, error) { return tuple.Nil, err }
 	}
 	return func(env []tuple.Value, ctx Context) (tuple.Value, error) {
-		var lt, rt tuple.Value
-		lv, err := l.read(env, ctx, &lt)
+		lv, err := l.value(env, ctx)
 		if err != nil {
 			return tuple.Nil, err
 		}
-		rv, err := r.read(env, ctx, &rt)
+		rv, err := r.value(env, ctx)
 		if err != nil {
 			return tuple.Nil, err
 		}
-		return op(*lv, *rv)
+		return op(lv, rv)
 	}
 }
 

@@ -40,27 +40,30 @@ func Marshal(dst []byte, t Tuple) []byte {
 }
 
 func appendValue(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.kind))
-	switch v.kind {
+	k := v.Kind()
+	dst = append(dst, byte(k))
+	switch k {
 	case KindNil:
 	case KindInt:
-		dst = binary.AppendVarint(dst, int64(v.num))
+		dst = binary.AppendVarint(dst, int64(v.n))
 	case KindID:
-		dst = binary.LittleEndian.AppendUint64(dst, v.num)
+		dst = binary.LittleEndian.AppendUint64(dst, v.n)
 	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, v.num)
+		dst = binary.LittleEndian.AppendUint64(dst, v.n)
 	case KindStr:
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		dst = append(dst, v.str...)
+		s := v.str()
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	case KindBool:
 		b := byte(0)
-		if v.num != 0 {
+		if v.n != 0 {
 			b = 1
 		}
 		dst = append(dst, b)
 	case KindList:
-		dst = binary.AppendUvarint(dst, uint64(len(v.list)))
-		for _, e := range v.list {
+		l := v.list()
+		dst = binary.AppendUvarint(dst, uint64(len(l)))
+		for _, e := range l {
 			dst = appendValue(dst, e)
 		}
 	}
@@ -79,18 +82,20 @@ func EncodedSize(t Tuple) int {
 }
 
 func valueSize(v Value) int {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return 1 + varintLen(int64(v.num))
+		return 1 + varintLen(int64(v.n))
 	case KindID, KindFloat:
 		return 1 + 8
 	case KindStr:
-		return 1 + uvarintLen(uint64(len(v.str))) + len(v.str)
+		s := v.str()
+		return 1 + uvarintLen(uint64(len(s))) + len(s)
 	case KindBool:
 		return 1 + 1
 	case KindList:
-		n := 1 + uvarintLen(uint64(len(v.list)))
-		for _, e := range v.list {
+		l := v.list()
+		n := 1 + uvarintLen(uint64(len(l)))
+		for _, e := range l {
 			n += valueSize(e)
 		}
 		return n

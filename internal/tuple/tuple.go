@@ -135,11 +135,11 @@ func (t Tuple) SizeBytes() int {
 
 func (v Value) sizeBytes() int {
 	n := 40
-	switch v.kind {
+	switch v.Kind() {
 	case KindStr:
-		n += len(v.str)
+		n += len(v.str())
 	case KindList:
-		for _, e := range v.list {
+		for _, e := range v.list() {
 			n += e.sizeBytes()
 		}
 	}

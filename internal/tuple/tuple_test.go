@@ -3,6 +3,7 @@ package tuple
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,28 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	if _, _, err := Unmarshal([]byte{1, 'x', 1, 99}); err == nil {
 		t.Error("unknown kind must fail")
+	}
+}
+
+// TestDecodedValuesOwnTheirBytes: a decoded Value holds a raw pointer to
+// its string bytes or list elements, so the decoder must never leave one
+// pointing into the wire buffer, which the realtime reader reuses for
+// the next datagram.
+func TestDecodedValuesOwnTheirBytes(t *testing.T) {
+	short := "n1"                             // interned
+	long := strings.Repeat("payload-", 10)    // past maxInternLen: copied
+	list := List(Str("a"), ID(9), Str(short)) // elements built on the heap
+	want := New("pred", Str(short), Str(long), list, Str(""))
+	buf := Marshal(nil, want)
+	got, _, n, err := UnmarshalAppend(make([]Value, 0, 8), buf)
+	if err != nil || n != len(buf) {
+		t.Fatalf("UnmarshalAppend: %d of %d bytes, %v", n, len(buf), err)
+	}
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	if !got.Equal(want) {
+		t.Fatalf("after overwriting the wire buffer: decoded %v, want %v", got, want)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic types an OverLog value can take.
@@ -62,27 +63,61 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed OverLog value. The zero Value is nil.
 // Values are immutable; all operations return new Values.
+//
+// A Value is two words, a pointer p and a payload n:
+//   - nil: p is nil and n is 0;
+//   - int, id, float, bool: p points at kindTags[kind] and n holds the
+//     int64 bits, the uint64 ID, the float64 bits, or 0/1;
+//   - str, list: p is the string's bytes or the list's elements and n is
+//     the length with the kind in its top byte. An empty one points at
+//     emptyData, so it is never mistaken for nil.
+//
+// p is read as string or element data only after the kind says it is
+// one. The zero-length func array makes == a compile error: it would
+// compare data pointers, not contents.
 type Value struct {
-	kind Kind
-	num  uint64 // int64 bits, uint64 ID, float64 bits, or bool (0/1)
-	str  string
-	list []Value
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
+
+const (
+	kindShift = 56
+	lenMask   = 1<<kindShift - 1
+)
+
+var (
+	// kindTags gives each scalar kind an address; a scalar's p points
+	// into it and its offset is the kind.
+	kindTags [KindList + 1]byte
+	// emptyData is what an empty string or list points at.
+	emptyData byte
+)
 
 // Nil is the nil value.
 var Nil = Value{}
 
+func scalar(k Kind, n uint64) Value { return Value{p: unsafe.Pointer(&kindTags[k]), n: n} }
+
+// sized is a string or list value over n elements starting at p.
+func sized(k Kind, p unsafe.Pointer, n int) Value {
+	if n == 0 {
+		p = unsafe.Pointer(&emptyData)
+	}
+	return Value{p: p, n: uint64(n) | uint64(k)<<kindShift}
+}
+
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
+func Int(v int64) Value { return scalar(KindInt, uint64(v)) }
 
 // ID returns a ring-identifier value.
-func ID(v uint64) Value { return Value{kind: KindID, num: v} }
+func ID(v uint64) Value { return scalar(KindID, v) }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, num: math.Float64bits(v)} }
+func Float(v float64) Value { return scalar(KindFloat, math.Float64bits(v)) }
 
 // Str returns a string value.
-func Str(v string) Value { return Value{kind: KindStr, str: v} }
+func Str(v string) Value { return sized(KindStr, unsafe.Pointer(unsafe.StringData(v)), len(v)) }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
@@ -90,112 +125,157 @@ func Bool(v bool) Value {
 	if v {
 		n = 1
 	}
-	return Value{kind: KindBool, num: n}
+	return scalar(KindBool, n)
 }
 
 // List returns a list value holding the given elements. The slice is not
 // copied; callers must not mutate it afterwards.
-func List(elems ...Value) Value { return Value{kind: KindList, list: elems} }
-
-// Kind reports the dynamic type of v.
-func (v Value) Kind() Kind { return v.kind }
-
-// IsNil reports whether v is the nil value.
-func (v Value) IsNil() bool { return v.kind == KindNil }
-
-// AsInt returns the integer payload; valid only for KindInt.
-func (v Value) AsInt() int64 { return int64(v.num) }
-
-// AsID returns the identifier payload; valid only for KindID.
-func (v Value) AsID() uint64 { return v.num }
-
-// AsFloat returns the float payload; valid only for KindFloat.
-func (v Value) AsFloat() float64 { return math.Float64frombits(v.num) }
-
-// AsStr returns the string payload; valid only for KindStr.
-func (v Value) AsStr() string { return v.str }
-
-// AsBool returns the boolean payload; valid only for KindBool.
-func (v Value) AsBool() bool { return v.num != 0 }
-
-// AsList returns the list payload; valid only for KindList. Callers must
-// not mutate the returned slice.
-func (v Value) AsList() []Value { return v.list }
-
-// Numeric reports whether v is int, ID, or float.
-func (v Value) Numeric() bool {
-	return v.kind == KindInt || v.kind == KindID || v.kind == KindFloat
+func List(elems ...Value) Value {
+	return sized(KindList, unsafe.Pointer(unsafe.SliceData(elems)), len(elems))
 }
 
-// toFloat converts any numeric value to float64.
-func (v Value) toFloat() float64 {
-	switch v.kind {
+// tag is p's offset into kindTags: a scalar's kind, and len(kindTags)
+// or more for anything else.
+func (v Value) tag() uintptr { return uintptr(v.p) - uintptr(unsafe.Pointer(&kindTags)) }
+
+// Kind reports the dynamic type of v.
+func (v Value) Kind() Kind {
+	if d := v.tag(); d < uintptr(len(kindTags)) {
+		return Kind(d)
+	}
+	return Kind(v.n >> kindShift)
+}
+
+// IsNil reports whether v is the nil value.
+func (v Value) IsNil() bool { return v.p == nil }
+
+// bits is a scalar's payload, and 0 for nil, strings and lists.
+func (v Value) bits() uint64 {
+	if v.tag() < uintptr(len(kindTags)) {
+		return v.n
+	}
+	return 0
+}
+
+// str is v's string; v must be a string.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), v.n&lenMask) }
+
+// list is v's elements; v must be a list. An empty list is nil: its p
+// is the one-byte emptyData, which must not be read as a *Value.
+func (v Value) list() []Value {
+	if n := v.n & lenMask; n != 0 {
+		return unsafe.Slice((*Value)(v.p), n)
+	}
+	return nil
+}
+
+// AsInt returns the integer payload; valid only for KindInt.
+func (v Value) AsInt() int64 { return int64(v.bits()) }
+
+// AsID returns the identifier payload; valid only for KindID.
+func (v Value) AsID() uint64 { return v.bits() }
+
+// AsFloat returns the float payload; valid only for KindFloat.
+func (v Value) AsFloat() float64 { return math.Float64frombits(v.bits()) }
+
+// AsStr returns the string payload, or "" if v is not a string.
+func (v Value) AsStr() string {
+	if v.Kind() != KindStr {
+		return ""
+	}
+	return v.str()
+}
+
+// AsBool returns the boolean payload; valid only for KindBool.
+func (v Value) AsBool() bool { return v.bits() != 0 }
+
+// AsList returns the list payload, or nil if v is not a list or is
+// empty. Callers must not mutate the returned slice.
+func (v Value) AsList() []Value {
+	if v.Kind() != KindList {
+		return nil
+	}
+	return v.list()
+}
+
+func numeric(k Kind) bool { return k == KindInt || k == KindID || k == KindFloat }
+
+// Numeric reports whether v is int, ID, or float.
+func (v Value) Numeric() bool { return numeric(v.Kind()) }
+
+// toFloat converts a numeric payload of kind k to float64.
+func toFloat(k Kind, n uint64) float64 {
+	switch k {
 	case KindInt:
-		return float64(int64(v.num))
+		return float64(int64(n))
 	case KindID:
-		return float64(v.num)
+		return float64(n)
 	case KindFloat:
-		return math.Float64frombits(v.num)
+		return math.Float64frombits(n)
 	}
 	return math.NaN()
 }
+
+// toFloat converts any numeric value to float64.
+func (v Value) toFloat() float64 { return toFloat(v.Kind(), v.n) }
 
 // Equal reports deep equality between two values. Numeric values of
 // different kinds compare by numeric value (so Int(3) equals ID(3)), which
 // matches OverLog's dynamically typed comparison semantics.
 func (v Value) Equal(o Value) bool {
-	if v.Numeric() && o.Numeric() {
-		if v.kind == KindFloat || o.kind == KindFloat {
-			return v.toFloat() == o.toFloat()
+	vk, ok := v.Kind(), o.Kind()
+	if numeric(vk) && numeric(ok) {
+		if vk == KindFloat || ok == KindFloat {
+			return toFloat(vk, v.n) == toFloat(ok, o.n)
 		}
 		// int vs id: compare as the unsigned bit pattern only when
 		// both are non-negative ints or ids.
-		if v.kind == KindInt && int64(v.num) < 0 && o.kind == KindID {
+		if vk == KindInt && int64(v.n) < 0 && ok == KindID {
 			return false
 		}
-		if o.kind == KindInt && int64(o.num) < 0 && v.kind == KindID {
+		if ok == KindInt && int64(o.n) < 0 && vk == KindID {
 			return false
 		}
-		return v.num == o.num
+		return v.n == o.n
 	}
-	if v.kind != o.kind {
+	if vk != ok {
 		return false
 	}
-	switch v.kind {
+	switch vk {
 	case KindNil:
 		return true
 	case KindStr:
-		return v.str == o.str
-	case KindBool:
-		return v.num == o.num
+		return v.n == o.n && (v.p == o.p || v.str() == o.str())
 	case KindList:
-		if len(v.list) != len(o.list) {
+		if v.n != o.n {
 			return false
 		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
+		ol := o.list()
+		for i, e := range v.list() {
+			if !e.Equal(ol[i]) {
 				return false
 			}
 		}
 		return true
 	}
-	return v.num == o.num
+	return v.n == o.n
 }
 
 // Compare orders two values: negative if v < o, zero if equal, positive if
 // v > o. Values of different kinds order by kind; numerics order by value.
 func (v Value) Compare(o Value) int {
-	if v.Numeric() && o.Numeric() {
-		if v.kind == KindID && o.kind == KindID {
+	vk, ok := v.Kind(), o.Kind()
+	if numeric(vk) && numeric(ok) {
+		if vk == KindID && ok == KindID {
 			switch {
-			case v.num < o.num:
+			case v.n < o.n:
 				return -1
-			case v.num > o.num:
+			case v.n > o.n:
 				return 1
 			}
 			return 0
 		}
-		a, b := v.toFloat(), o.toFloat()
+		a, b := toFloat(vk, v.n), toFloat(ok, o.n)
 		switch {
 		case a < b:
 			return -1
@@ -204,21 +284,22 @@ func (v Value) Compare(o Value) int {
 		}
 		return 0
 	}
-	if v.kind != o.kind {
-		return int(v.kind) - int(o.kind)
+	if vk != ok {
+		return int(vk) - int(ok)
 	}
-	switch v.kind {
+	switch vk {
 	case KindStr:
-		return strings.Compare(v.str, o.str)
+		return strings.Compare(v.str(), o.str())
 	case KindBool:
-		return int(v.num) - int(o.num)
+		return int(v.n) - int(o.n)
 	case KindList:
-		for i := 0; i < len(v.list) && i < len(o.list); i++ {
-			if c := v.list[i].Compare(o.list[i]); c != 0 {
+		vl, ol := v.list(), o.list()
+		for i := 0; i < len(vl) && i < len(ol); i++ {
+			if c := vl[i].Compare(ol[i]); c != 0 {
 				return c
 			}
 		}
-		return len(v.list) - len(o.list)
+		return len(vl) - len(ol)
 	}
 	return 0
 }
@@ -247,26 +328,27 @@ func fnvString(h uint64, s string) uint64 {
 }
 
 func (v Value) hashFold(h uint64) uint64 {
-	switch v.kind {
+	vk := v.Kind()
+	switch vk {
 	case KindStr:
-		h = fnvByte(h, byte(v.kind))
-		h = fnvString(h, v.str)
+		h = fnvByte(h, byte(vk))
+		h = fnvString(h, v.str())
 	case KindList:
-		h = fnvByte(h, byte(v.kind))
-		for _, e := range v.list {
+		h = fnvByte(h, byte(vk))
+		for _, e := range v.list() {
 			h = e.hashFold(h)
 		}
 	default:
-		k := byte(v.kind)
-		n := v.num
+		k := byte(vk)
+		n := v.n
 		// Normalize numerics so Equal values hash equally.
-		if v.kind == KindFloat {
-			f := v.toFloat()
+		if vk == KindFloat {
+			f := math.Float64frombits(n)
 			if f == math.Trunc(f) && f >= 0 && f < 1e18 {
 				n = uint64(f)
 				k = byte(KindID)
 			}
-		} else if v.kind == KindInt && int64(v.num) >= 0 {
+		} else if vk == KindInt && int64(n) >= 0 {
 			k = byte(KindID)
 		}
 		h = fnvByte(h, k)
@@ -279,26 +361,27 @@ func (v Value) hashFold(h uint64) uint64 {
 
 // String renders the value in OverLog literal syntax.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNil:
 		return "nil"
 	case KindInt:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindID:
 		// Hex literals parse back as ring IDs, so this round-trips.
-		return "0x" + strconv.FormatUint(v.num, 16)
+		return "0x" + strconv.FormatUint(v.n, 16)
 	case KindFloat:
-		return strconv.FormatFloat(v.toFloat(), 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindStr:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.str())
 	case KindBool:
-		if v.num != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		l := v.list()
+		parts := make([]string, len(l))
+		for i, e := range l {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
@@ -310,49 +393,48 @@ func (v Value) String() string {
 // either operand is a string (non-strings are stringified), and list
 // concatenation when either operand is a list.
 func Add(a, b Value) (Value, error) {
+	ak, bk := a.Kind(), b.Kind()
 	switch {
-	case a.kind == KindList || b.kind == KindList:
+	case ak == KindList || bk == KindList:
 		var out []Value
-		if a.kind == KindList {
-			out = append(out, a.list...)
+		if ak == KindList {
+			out = append(out, a.list()...)
 		} else {
 			out = append(out, a)
 		}
-		if b.kind == KindList {
-			out = append(out, b.list...)
+		if bk == KindList {
+			out = append(out, b.list()...)
 		} else {
 			out = append(out, b)
 		}
 		return List(out...), nil
-	case a.kind == KindStr || b.kind == KindStr:
+	case ak == KindStr || bk == KindStr:
 		return Str(a.plain() + b.plain()), nil
-	case a.kind == KindID || b.kind == KindID:
+	case ak == KindID || bk == KindID:
 		return ID(a.asRing() + b.asRing()), nil
-	case a.kind == KindFloat || b.kind == KindFloat:
+	case ak == KindFloat || bk == KindFloat:
 		return Float(a.toFloat() + b.toFloat()), nil
-	case a.kind == KindInt && b.kind == KindInt:
-		return Int(int64(a.num) + int64(b.num)), nil
+	case ak == KindInt && bk == KindInt:
+		return Int(int64(a.n) + int64(b.n)), nil
 	}
-	return Nil, fmt.Errorf("cannot add %s and %s", a.kind, b.kind)
+	return Nil, fmt.Errorf("cannot add %s and %s", ak, bk)
 }
 
 // plain renders the value without quoting, for string concatenation.
 func (v Value) plain() string {
-	if v.kind == KindStr {
-		return v.str
+	if v.Kind() == KindStr {
+		return v.str()
 	}
 	return v.String()
 }
 
 // asRing converts a numeric value to ring (uint64, wrapping) arithmetic.
 func (v Value) asRing() uint64 {
-	switch v.kind {
-	case KindID:
-		return v.num
-	case KindInt:
-		return uint64(int64(v.num))
+	switch v.Kind() {
+	case KindID, KindInt:
+		return v.n
 	case KindFloat:
-		return uint64(v.toFloat())
+		return uint64(math.Float64frombits(v.n))
 	}
 	return 0
 }
@@ -360,53 +442,56 @@ func (v Value) asRing() uint64 {
 // Sub implements OverLog "-". On IDs it is modular ring subtraction, the
 // operation Chord's distance computations (K - FID - 1) rely on.
 func Sub(a, b Value) (Value, error) {
+	ak, bk := a.Kind(), b.Kind()
 	switch {
-	case a.kind == KindID || b.kind == KindID:
+	case ak == KindID || bk == KindID:
 		return ID(a.asRing() - b.asRing()), nil
-	case a.kind == KindFloat || b.kind == KindFloat:
-		if !a.Numeric() || !b.Numeric() {
-			return Nil, fmt.Errorf("cannot subtract %s and %s", a.kind, b.kind)
+	case ak == KindFloat || bk == KindFloat:
+		if !numeric(ak) || !numeric(bk) {
+			return Nil, fmt.Errorf("cannot subtract %s and %s", ak, bk)
 		}
 		return Float(a.toFloat() - b.toFloat()), nil
-	case a.kind == KindInt && b.kind == KindInt:
-		return Int(int64(a.num) - int64(b.num)), nil
+	case ak == KindInt && bk == KindInt:
+		return Int(int64(a.n) - int64(b.n)), nil
 	}
-	return Nil, fmt.Errorf("cannot subtract %s and %s", a.kind, b.kind)
+	return Nil, fmt.Errorf("cannot subtract %s and %s", ak, bk)
 }
 
 // Mul implements OverLog "*".
 func Mul(a, b Value) (Value, error) {
+	ak, bk := a.Kind(), b.Kind()
 	switch {
-	case a.kind == KindID || b.kind == KindID:
+	case ak == KindID || bk == KindID:
 		return ID(a.asRing() * b.asRing()), nil
-	case a.kind == KindFloat || b.kind == KindFloat:
-		if !a.Numeric() || !b.Numeric() {
-			return Nil, fmt.Errorf("cannot multiply %s and %s", a.kind, b.kind)
+	case ak == KindFloat || bk == KindFloat:
+		if !numeric(ak) || !numeric(bk) {
+			return Nil, fmt.Errorf("cannot multiply %s and %s", ak, bk)
 		}
 		return Float(a.toFloat() * b.toFloat()), nil
-	case a.kind == KindInt && b.kind == KindInt:
-		return Int(int64(a.num) * int64(b.num)), nil
+	case ak == KindInt && bk == KindInt:
+		return Int(int64(a.n) * int64(b.n)), nil
 	}
-	return Nil, fmt.Errorf("cannot multiply %s and %s", a.kind, b.kind)
+	return Nil, fmt.Errorf("cannot multiply %s and %s", ak, bk)
 }
 
 // Div implements OverLog "/". Integer division on int/int; float otherwise.
 func Div(a, b Value) (Value, error) {
-	if !a.Numeric() || !b.Numeric() {
-		return Nil, fmt.Errorf("cannot divide %s and %s", a.kind, b.kind)
+	ak, bk := a.Kind(), b.Kind()
+	if !numeric(ak) || !numeric(bk) {
+		return Nil, fmt.Errorf("cannot divide %s and %s", ak, bk)
 	}
-	if a.kind == KindInt && b.kind == KindInt {
-		if b.num == 0 {
+	if ak == KindInt && bk == KindInt {
+		if b.n == 0 {
 			return Nil, fmt.Errorf("integer division by zero")
 		}
-		return Int(int64(a.num) / int64(b.num)), nil
+		return Int(int64(a.n) / int64(b.n)), nil
 	}
-	if a.kind == KindID && (b.kind == KindID || b.kind == KindInt) {
+	if ak == KindID && (bk == KindID || bk == KindInt) {
 		d := b.asRing()
 		if d == 0 {
 			return Nil, fmt.Errorf("id division by zero")
 		}
-		return ID(a.num / d), nil
+		return ID(a.n / d), nil
 	}
 	d := b.toFloat()
 	if d == 0 {
@@ -417,37 +502,37 @@ func Div(a, b Value) (Value, error) {
 
 // Mod implements OverLog "%".
 func Mod(a, b Value) (Value, error) {
+	ak, bk := a.Kind(), b.Kind()
 	switch {
-	case a.kind == KindID || b.kind == KindID:
+	case ak == KindID || bk == KindID:
 		d := b.asRing()
 		if d == 0 {
 			return Nil, fmt.Errorf("modulo by zero")
 		}
 		return ID(a.asRing() % d), nil
-	case a.kind == KindInt && b.kind == KindInt:
-		if b.num == 0 {
+	case ak == KindInt && bk == KindInt:
+		if b.n == 0 {
 			return Nil, fmt.Errorf("modulo by zero")
 		}
-		return Int(int64(a.num) % int64(b.num)), nil
+		return Int(int64(a.n) % int64(b.n)), nil
 	}
-	return Nil, fmt.Errorf("cannot take %s %% %s", a.kind, b.kind)
+	return Nil, fmt.Errorf("cannot take %s %% %s", ak, bk)
 }
 
 // Shl implements OverLog "<<" (used to compute finger targets 1 << I).
 func Shl(a, b Value) (Value, error) {
-	if !a.Numeric() || !b.Numeric() {
-		return Nil, fmt.Errorf("cannot shift %s by %s", a.kind, b.kind)
+	ak, bk := a.Kind(), b.Kind()
+	if !numeric(ak) || !numeric(bk) {
+		return Nil, fmt.Errorf("cannot shift %s by %s", ak, bk)
 	}
 	return ID(a.asRing() << (b.asRing() & 63)), nil
 }
 
 // InInterval reports whether k lies in the ring interval from lo to hi,
-// traversed clockwise, with the given endpoint openness. The interval
-// (a, a] covers the whole ring except... actually exactly: for lo == hi,
-// an open-low interval covers the entire ring minus nothing: Chord
-// defines (a, a] as the full ring (every key is "between" a and a going
-// clockwise). A closed-low interval [a, a) likewise covers the full ring,
-// and [a, a] covers only a itself while (a, a) covers everything but a.
+// traversed clockwise, with the given endpoint openness. Non-numeric
+// values sit at 0. When lo == hi, Chord's convention applies: a
+// half-open interval, (a, a] or [a, a), is the whole ring; [a, a] is a
+// alone; and (a, a) is everything but a.
 func InInterval(k, lo, hi Value, loOpen, hiOpen bool) bool {
 	kk, a, b := k.asRing(), lo.asRing(), hi.asRing()
 	if a == b {
@@ -477,9 +562,9 @@ func InInterval(k, lo, hi Value, loOpen, hiOpen bool) bool {
 
 // Truth reports whether a value is "true" in a condition context.
 func (v Value) Truth() bool {
-	switch v.kind {
+	switch v.Kind() {
 	case KindBool:
-		return v.num != 0
+		return v.n != 0
 	case KindNil:
 		return false
 	}

@@ -2,9 +2,32 @@ package tuple
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// TestValueLayout pins the two-word layout: 16 bytes, no ==, and the
+// empty string, the empty list and nil kept apart although none of them
+// has a payload.
+func TestValueLayout(t *testing.T) {
+	typ := reflect.TypeOf(Value{})
+	if typ.Size() != 16 {
+		t.Errorf("a Value is %d bytes, want 16", typ.Size())
+	}
+	if typ.Comparable() {
+		t.Error("Value is comparable: == would compare data pointers, not contents")
+	}
+	if Str("").Kind() != KindStr || List().Kind() != KindList || Nil.Kind() != KindNil {
+		t.Errorf(`kinds: Str("") %s, List() %s, Nil %s`, Str("").Kind(), List().Kind(), Nil.Kind())
+	}
+	if Str("").IsNil() || List().IsNil() || !Nil.IsNil() || !(Value{}).IsNil() {
+		t.Error(`only Nil may be nil; Str("") and List() are not`)
+	}
+	if Nil.p != nil || Nil.n != 0 {
+		t.Errorf("Nil is not the zero Value: %#v", Nil)
+	}
+}
 
 func TestValueKinds(t *testing.T) {
 	cases := []struct {
