@@ -14,7 +14,8 @@
 //
 // Under -realtime, -metrics-addr serves every node's counters and
 // latency histograms as a Prometheus /metrics endpoint while the
-// network runs (see docs/OBSERVABILITY.md).
+// network runs, and the Go runtime's profiles under /debug/pprof/ (see
+// docs/OBSERVABILITY.md).
 package main
 
 import (
@@ -41,7 +42,7 @@ func main() {
 		seed        = flag.Int64("rngseed", 1, "simulation random seed")
 		tracing     = flag.Bool("trace", false, "enable execution logging")
 		realTime    = flag.Bool("realtime", false, "run on wall-clock time (goroutine per node) instead of the simulator")
-		metricsAddr = flag.String("metrics-addr", "", "with -realtime: serve Prometheus metrics for every node on this address (e.g. 127.0.0.1:9090)")
+		metricsAddr = flag.String("metrics-addr", "", "with -realtime: serve Prometheus metrics for every node, and /debug/pprof/, on this address (e.g. 127.0.0.1:9090)")
 	)
 	flag.Parse()
 	if *programPath == "" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +30,14 @@ type executor struct {
 	// (bytes are payload bytes); its sends are already counted by the
 	// engine's own MsgsSent/BytesSent.
 	stats transportCounters
+	// batchEnd, when set, runs on the loop after every batch of tasks and
+	// every sweep, before the batch clock is cleared: the socket link
+	// writes there what the batch queued. Set before start.
+	batchEnd func()
+	// batchNanos is the batch clock: the one wall-clock read (unix nanos)
+	// that covers the batch or sweep the loop is running, 0 between them.
+	// Only the loop writes it; a link reads it from the engine's Send.
+	batchNanos int64
 
 	done     chan struct{} // closed by halt: producers and the loop stop
 	haltOnce sync.Once
@@ -67,11 +76,23 @@ func (e *executor) start() {
 				return
 			case t := <-e.tasks:
 				e.drainBatch(t)
+				e.endBatch()
 			case <-sweep.C:
+				e.batchNanos = time.Now().UnixNano()
 				e.node.Sweep()
+				e.endBatch()
 			}
 		}
 	}()
+}
+
+// endBatch closes a batch or sweep: the link's hook runs under the batch
+// clock, then the clock is cleared.
+func (e *executor) endBatch() {
+	if e.batchEnd != nil {
+		e.batchEnd()
+	}
+	e.batchNanos = 0
 }
 
 // halt tells producers and the loop to stop. A link then stops its own
@@ -140,12 +161,14 @@ func (e *executor) runOne(t *task, now time.Time, nowNanos int64, depth int) {
 }
 
 // drainBatch runs first plus up to taskBatch-1 already-queued tasks,
-// with one wall-clock read for the whole batch. pending is measured
+// with one wall-clock read for the whole batch, which it also sets as
+// the batch clock for the tasks' sends. pending is measured
 // once at batch start; later tasks report a slightly stale depth, which
 // is the price of not re-reading channel length per task.
 func (e *executor) drainBatch(first task) {
 	now := time.Now()
 	nowNanos := now.UnixNano()
+	e.batchNanos = nowNanos
 	pending := len(e.tasks)
 	e.runOne(&first, now, nowNanos, pending+1)
 	for i := 0; i < min(pending, taskBatch-1); i++ {
@@ -264,37 +287,55 @@ func (e *executor) read() Stats {
 	}
 }
 
-// snapshot returns a consistent Stats, safe against a running loop. The
-// engine's counters have a single writer — the loop — so the read runs
-// as a task on it and is handed back over a channel. With no loop
-// running (not started, or exited before the task ran) nothing else is
-// touching the node and it reads directly.
-func (e *executor) snapshot() Stats {
+// do runs fn as the node's single writer and returns once it has run:
+// as a control task on a running loop, or right here when no loop is
+// running (not started, or exited before the task ran), since then
+// nothing else touches the node. It must not be called from the loop.
+func (e *executor) do(fn func()) {
 	if e.started.Load() {
-		ch := make(chan Stats, 1)
+		ran := make(chan struct{})
 		select {
-		case e.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() { ch <- e.read() }}:
+		case e.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() { fn(); close(ran) }}:
+			select {
+			case <-ran:
+			case <-e.stopped:
+			}
 		case <-e.stopped:
 		}
+		// Once the loop has exited, a task it did not run never runs.
 		select {
-		case s := <-ch:
-			return s
-		case <-e.stopped:
+		case <-ran:
+			return
+		default:
 		}
 	}
-	return e.read()
+	fn()
+}
+
+// snapshot returns a consistent Stats, safe against a running loop: the
+// engine's counters have a single writer, so the read runs on it.
+func (e *executor) snapshot() (s Stats) {
+	e.do(func() { s = e.read() })
+	return s
 }
 
 // serveMetrics starts an HTTP listener whose /metrics is the Prometheus
 // text exposition of every executor nodes returns; each scrape takes
-// snapshots, so scraping live nodes is safe. The caller owns the
-// returned listener and closes it on Stop.
+// snapshots, so scraping live nodes is safe. The same listener serves
+// the Go runtime's profiles under /debug/pprof/, so an operator who opted
+// in to a metrics endpoint can also ask where the process's time goes.
+// The caller owns the returned listener and closes it on Stop.
 func serveMetrics(listen string, nodes func() []*executor) (net.Listener, error) {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return nil, fmt.Errorf("realtime: metrics listener: %w", err)
 	}
 	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		for _, e := range nodes() {

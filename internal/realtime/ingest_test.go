@@ -260,7 +260,10 @@ func TestTransportStatsPublished(t *testing.T) {
 	}
 
 	// The Prometheus exposition includes the transport series.
-	if body := scrape(t, metricsAddr); !strings.Contains(body, "transport_datagrams_recv") {
-		t.Errorf("scrape lacks transport_datagrams_recv:\n%s", body)
+	body := scrape(t, metricsAddr)
+	for _, series := range []string{"transport_datagrams_recv", "transport_send_calls"} {
+		if !strings.Contains(body, series) {
+			t.Errorf("scrape lacks %s:\n%s", series, body)
+		}
 	}
 }

@@ -227,7 +227,8 @@ func (n *Network) MetricsSnapshot(addr string) (Stats, error) {
 
 // ServeMetrics exposes every node's counters, per-query bills and
 // histograms as Prometheus text exposition on http://<addr>/metrics
-// (cmd/p2node -realtime -metrics-addr). Each scrape takes one
+// (cmd/p2node -realtime -metrics-addr), and the Go runtime's profiles
+// under /debug/pprof/. Each scrape takes one
 // MetricsSnapshot per node, so it is safe against a running network.
 // The returned address is the bound listen address (useful with port
 // 0); the listener is closed by Stop.

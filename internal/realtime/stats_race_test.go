@@ -167,6 +167,33 @@ func TestServeMetrics(t *testing.T) {
 	}
 }
 
+// TestServeMetricsPprof: the metrics listener also serves the Go
+// runtime's profile index, on both links.
+func TestServeMetricsPprof(t *testing.T) {
+	for _, l := range links {
+		t.Run(l.name, func(t *testing.T) {
+			p := l.open(t, "", linkOpts{})
+			addr, err := p.serve("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.start()
+			resp, err := http.Get("http://" + addr + "/debug/pprof/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+				t.Errorf("GET /debug/pprof/ = %s:\n%s", resp.Status, body)
+			}
+		})
+	}
+}
+
 func scrape(t *testing.T, addr string) string {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metrics")

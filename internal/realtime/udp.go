@@ -31,8 +31,11 @@ import (
 // The receive path is built for sustained 100k+ datagrams/sec: pooled
 // receive buffers, batched socket reads (recvmmsg where the platform
 // has it, one datagram a syscall where it does not), allocation-free
-// task dispatch, and a batched executor dequeue. See task.go,
-// executor.go and docs/REALTIME.md.
+// task dispatch, and a batched executor dequeue. The send path mirrors
+// it: a batch's datagrams are framed into one arena and written when the
+// batch ends (sendmmsg where the platform has it, WriteToUDP per
+// datagram where it does not). See task.go, executor.go and
+// docs/REALTIME.md.
 
 // UDPNodeConfig configures a single-process UDP node.
 type UDPNodeConfig struct {
@@ -68,16 +71,58 @@ type UDPNodeConfig struct {
 }
 
 // UDPNode runs one engine node on a UDP socket: an executor plus the
-// socket link (one reader goroutine in, marshal-and-write out).
+// socket link (one reader goroutine in, a batched writer out).
 type UDPNode struct {
-	exec    *executor
-	conn    *net.UDPConn
-	peers   map[string]*net.UDPAddr
-	sendBuf []byte // marshal scratch, touched only by the executor goroutine
+	exec *executor
+	conn *net.UDPConn
+	// peers and out belong to the executor: sends use them on the loop,
+	// and AddPeer runs there once the node has started.
+	peers   map[string]*udpPeer
+	out     sendQueue
+	bw      *batchWriter // nil where the platform has no sendmmsg
 	reader  sync.WaitGroup
 	start   time.Time
-	mu      sync.Mutex
+	mu      sync.Mutex   // guards metrics
 	metrics net.Listener // optional /metrics HTTP listener
+}
+
+// udpPeer is a peer's address in the two forms the writer uses: sa is
+// the raw sockaddr sendmmsg reads, built once (nil where the batched
+// writer cannot express the address), addr the one WriteToUDP takes.
+type udpPeer struct {
+	addr *net.UDPAddr
+	sa   []byte
+}
+
+// ioBatch is the number of datagrams one recvmmsg or sendmmsg call
+// moves, and so the number of frames the send queue holds.
+const ioBatch = 32
+
+// maxKeptArena bounds the arena capacity a flush keeps: 256 B a frame,
+// simnet's maxPooledRaw, four times a typical 60–120 B frame. A batch of
+// larger frames gives its arena back to the collector.
+const maxKeptArena = ioBatch * 256
+
+// sendQueue holds the datagrams sent since the last flush: frames back
+// to back in one arena, each with its peer.
+type sendQueue struct {
+	arena  []byte
+	frames [ioBatch]queuedFrame
+	n      int
+}
+
+type queuedFrame struct {
+	end int // the frame is arena[previous frame's end:end]
+	to  *udpPeer
+}
+
+// frame returns queued frame i.
+func (q *sendQueue) frame(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = q.frames[i-1].end
+	}
+	return q.arena[start:q.frames[i].end]
 }
 
 // TransportStats are the datagram-level counters of one UDP node: what
@@ -97,6 +142,10 @@ type UDPNode struct {
 type TransportStats struct {
 	// DatagramsSent/BytesSent count framed datagrams written to peers.
 	DatagramsSent, BytesSent int64
+	// SendCalls counts the write syscalls that carried them (sendmmsg
+	// calls, or WriteToUDP calls where a datagram goes alone), so
+	// DatagramsSent/SendCalls is datagrams per syscall.
+	SendCalls int64
 	// DatagramsRecv/BytesRecv count datagrams read off the socket
 	// (before decode).
 	DatagramsRecv, BytesRecv int64
@@ -117,7 +166,7 @@ type TransportStats struct {
 }
 
 type transportCounters struct {
-	datagramsSent, bytesSent                  atomic.Int64
+	datagramsSent, bytesSent, sendCalls       atomic.Int64
 	datagramsRecv, bytesRecv                  atomic.Int64
 	datagramsProcessed                        atomic.Int64
 	dropUnknownPeer, dropDecode, dropOverload atomic.Int64
@@ -128,6 +177,7 @@ func (c *transportCounters) snapshot() TransportStats {
 	return TransportStats{
 		DatagramsSent:      c.datagramsSent.Load(),
 		BytesSent:          c.bytesSent.Load(),
+		SendCalls:          c.sendCalls.Load(),
 		DatagramsRecv:      c.datagramsRecv.Load(),
 		BytesRecv:          c.bytesRecv.Load(),
 		DatagramsProcessed: c.datagramsProcessed.Load(),
@@ -146,6 +196,7 @@ func (c *transportCounters) obs() []metrics.Counter {
 	return []metrics.Counter{
 		{Name: "TransportDatagramsSent", Prom: "transport_datagrams_sent", I: s.DatagramsSent},
 		{Name: "TransportBytesSent", Prom: "transport_bytes_sent", I: s.BytesSent},
+		{Name: "TransportSendCalls", Prom: "transport_send_calls", I: s.SendCalls},
 		{Name: "TransportDatagramsRecv", Prom: "transport_datagrams_recv", I: s.DatagramsRecv},
 		{Name: "TransportBytesRecv", Prom: "transport_bytes_recv", I: s.BytesRecv},
 		{Name: "TransportDatagramsProcessed", Prom: "transport_datagrams_processed", I: s.DatagramsProcessed},
@@ -220,8 +271,10 @@ func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
 	u := &UDPNode{
 		exec:  newExecutor(cfg.QueueDepth, cfg.Overload, newBufPool(cfg.MaxDatagram)),
 		conn:  conn,
-		peers: make(map[string]*net.UDPAddr),
+		peers: make(map[string]*udpPeer),
+		bw:    newBatchWriter(conn),
 	}
+	u.exec.batchEnd = u.flush
 	for p2addr, udpAddr := range cfg.Peers {
 		if err := u.AddPeer(p2addr, udpAddr); err != nil {
 			conn.Close()
@@ -248,31 +301,78 @@ func (u *UDPNode) Node() *engine.Node { return u.exec.node }
 // LocalAddr returns the bound UDP address (useful with port 0).
 func (u *UDPNode) LocalAddr() string { return u.conn.LocalAddr().String() }
 
-// AddPeer registers (or updates) a peer mapping; safe before Start.
+// AddPeer registers (or updates) a peer mapping. The peer table belongs
+// to the executor: before Start the mapping applies here, after it the
+// update runs on the executor as a control task and AddPeer returns once
+// sends see it, so it must not be called from the node's own callbacks.
 func (u *UDPNode) AddPeer(p2addr, udpAddr string) error {
 	ra, err := net.ResolveUDPAddr("udp", udpAddr)
 	if err != nil {
 		return err
 	}
-	u.mu.Lock()
-	u.peers[p2addr] = ra
-	u.mu.Unlock()
+	p := &udpPeer{addr: ra}
+	if u.bw != nil {
+		p.sa = u.bw.sockaddr(ra)
+	}
+	u.exec.do(func() { u.peers[p2addr] = p })
 	return nil
 }
 
-// send is the outbound half of the socket link. It runs on the executor
-// goroutine (the node's single writer), so the marshal scratch is reused
-// send to send.
+// send is the outbound half of the socket link, run by the node's single
+// writer. It frames the envelope into the send queue, so Raw is consumed
+// before it returns, stamped with the batch clock: read before the batch
+// ran, so never later than the write, and HopLatency can only over-state
+// a hop. The queue is written when the batch ends, or as soon as it
+// holds ioBatch frames; a send from outside any batch (a caller's,
+// before Start) is written before it returns.
 func (u *UDPNode) send(dst string, env engine.Envelope, _ float64) {
-	ra, ok := u.peers[dst]
+	p, ok := u.peers[dst]
 	if !ok {
 		u.exec.stats.dropUnknownPeer.Add(1)
 		return
 	}
-	u.sendBuf = appendDatagram(u.sendBuf[:0], env, time.Now().UnixNano())
+	stamp := u.exec.batchNanos
+	if stamp == 0 {
+		stamp = time.Now().UnixNano()
+	}
+	q := &u.out
+	start := len(q.arena)
+	q.arena = appendDatagram(q.arena, env, stamp)
+	q.frames[q.n] = queuedFrame{end: len(q.arena), to: p}
+	q.n++
 	u.exec.stats.datagramsSent.Add(1)
-	u.exec.stats.bytesSent.Add(int64(len(u.sendBuf)))
-	u.conn.WriteToUDP(u.sendBuf, ra) //nolint:errcheck // datagram loss is expected
+	u.exec.stats.bytesSent.Add(int64(len(q.arena) - start))
+	if q.n == ioBatch || u.exec.batchNanos == 0 {
+		u.flush()
+	}
+}
+
+// flush writes the queued frames in order and empties the queue: the
+// batched writer takes each run of frames it can address, one sendmmsg
+// per call, and WriteToUDP writes the rest, or all of them where there
+// is no batched writer. A frame the kernel rejects is lost like any
+// datagram; it stays counted in DatagramsSent, and the frames behind it
+// still go.
+func (u *UDPNode) flush() {
+	q := &u.out
+	for i := 0; i < q.n; {
+		frames, calls := 0, 0
+		if u.bw != nil {
+			frames, calls = u.bw.write(q, i)
+		}
+		if frames == 0 {
+			u.conn.WriteToUDP(q.frame(i), q.frames[i].to.addr) //nolint:errcheck // datagram loss is expected
+			frames, calls = 1, 1
+		}
+		u.exec.stats.sendCalls.Add(int64(calls))
+		i += frames
+	}
+	clear(q.frames[:q.n])
+	q.n = 0
+	q.arena = q.arena[:0]
+	if cap(q.arena) > maxKeptArena {
+		q.arena = nil
+	}
 }
 
 // Inject hands a tuple to the node as a local event. It honors the
@@ -352,8 +452,9 @@ func (u *UDPNode) Start() {
 func (u *UDPNode) MetricsSnapshot() Stats { return u.exec.snapshot() }
 
 // ServeMetrics starts an HTTP listener exposing the node's counters in
-// Prometheus text format at /metrics (cmd/p2node -metrics-addr). Each
-// scrape takes a MetricsSnapshot, so scraping a live node is safe. The
+// Prometheus text format at /metrics (cmd/p2node -metrics-addr), and the
+// Go runtime's profiles at /debug/pprof/. Each scrape takes a
+// MetricsSnapshot, so scraping a live node is safe. The
 // returned address is the bound listen address (useful with port 0);
 // Stop closes the listener.
 func (u *UDPNode) ServeMetrics(addr string) (string, error) {

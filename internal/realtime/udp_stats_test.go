@@ -87,7 +87,8 @@ g2 heard@N(From, X) :- hello@N(From, X).
 		t.Errorf("engine send counters on a = %+v, want %d msgs", am, sent+1)
 	}
 	as := a.TransportStats()
-	if as.DatagramsSent != sent || as.DropUnknownPeer != 1 || as.BytesSent == 0 {
+	if as.DatagramsSent != sent || as.DropUnknownPeer != 1 || as.BytesSent == 0 ||
+		as.SendCalls == 0 || as.SendCalls > as.DatagramsSent {
 		t.Errorf("transport stats on a = %+v", as)
 	}
 	bs := b.TransportStats()
