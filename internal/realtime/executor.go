@@ -114,7 +114,7 @@ func (e *executor) drain() {
 	for {
 		select {
 		case t := <-e.tasks:
-			if t.kind == taskMsg {
+			if t.kind == taskMsg || t.kind == taskDatagram {
 				e.stats.dropShutdown.Add(1)
 				e.pool.put(t.buf)
 			}
@@ -137,27 +137,47 @@ const maxHopAge = time.Minute
 // task. t stays on the caller's stack: nothing here may retain it.
 func (e *executor) runOne(t *task, now time.Time, nowNanos int64, depth int) {
 	n := e.node
-	n.ObserveQueueWait(now.Sub(t.at).Seconds(), depth)
+	wait := now.Sub(t.at).Seconds()
 	switch t.kind {
 	case taskMsg:
-		// End-to-end ingest latency: sender stamp to execution start,
-		// wall clock (same-host loopback in the benchmark; across real
-		// hosts this inherits clock skew, like any one-way measure). A
-		// stamp slightly ahead of the batch clock is that skew and reads
-		// as zero; one further off than maxHopAge is not a measurement.
-		if d := time.Duration(nowNanos - t.sent); t.sent != 0 && d > -maxHopAge && d < maxHopAge {
-			n.ObserveHop(max(d, 0).Seconds())
+		e.handleMessage(t.env, t.sent, wait, nowNanos, depth)
+		e.stats.datagramsProcessed.Add(1)
+	case taskDatagram:
+		// The reader checked that the records tile the datagram. Each is
+		// observed and run as the envelope it would be on its own.
+		env := t.env
+		for recs := t.env.Raw; len(recs) > 0; {
+			env.SrcTupleID, env.Raw, recs, _ = nextRecord(recs)
+			e.handleMessage(env, t.sent, wait, nowNanos, depth)
 		}
-		n.HandleMessage(t.env)
 		e.stats.datagramsProcessed.Add(1)
 		e.pool.put(t.buf)
 	case taskLocal:
+		n.ObserveQueueWait(wait, depth)
 		n.HandleLocal(t.tup)
 	case taskTimer:
+		n.ObserveQueueWait(wait, depth)
 		n.HandleTimer(t.p)
 	case taskFunc:
+		n.ObserveQueueWait(wait, depth)
 		t.fn()
 	}
+}
+
+// handleMessage runs one received envelope through the engine, after
+// observing its queue wait and its end-to-end ingest latency: sender
+// stamp to execution start, wall clock (same-host loopback in the
+// benchmark; across real hosts this inherits clock skew, like any
+// one-way measure). A stamp slightly ahead of the batch clock is that
+// skew and reads as zero; one further off than maxHopAge is not a
+// measurement.
+func (e *executor) handleMessage(env engine.Envelope, sent int64, wait float64, nowNanos int64, depth int) {
+	n := e.node
+	n.ObserveQueueWait(wait, depth)
+	if d := time.Duration(nowNanos - sent); sent != 0 && d > -maxHopAge && d < maxHopAge {
+		n.ObserveHop(max(d, 0).Seconds())
+	}
+	n.HandleMessage(env)
 }
 
 // drainBatch runs first plus up to taskBatch-1 already-queued tasks,

@@ -88,7 +88,7 @@ func GenerateTraffic(cfg GenConfig) (GenStats, error) {
 	if seqOff < 0 {
 		return GenStats{}, fmt.Errorf("realtime: generator could not locate seq field")
 	}
-	if _, _, err := decodeDatagram(tmpl); err != nil {
+	if _, _, _, err := decodeDatagram(tmpl); err != nil {
 		return GenStats{}, fmt.Errorf("realtime: generator template does not decode: %w", err)
 	}
 

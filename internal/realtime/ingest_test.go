@@ -145,30 +145,44 @@ func TestReaderAllocsPerDatagram(t *testing.T) {
 	}
 }
 
-// BenchmarkReaderHotPath measures the dispatch path (decode, account,
-// enqueue, recycle) in isolation; run with -benchmem to see the
+// BenchmarkReaderHotPath measures the dispatch path (framing check,
+// account, enqueue, recycle) in isolation, per envelope: lone is one
+// envelope a datagram, bundled one datagram of 21, about what the
+// udp-collector workload's bundles carry. Run with -benchmem to see the
 // allocation rate the test above gates.
 func BenchmarkReaderHotPath(b *testing.B) {
-	u, err := NewUDPNode(UDPNodeConfig{
-		Addr: "benchrt", Listen: "127.0.0.1:0", Seed: 1, QueueDepth: 16, MaxDatagram: 2048,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer u.conn.Close()
-	frame := eventFrame("benchrt", 7, 1)
-	at := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := u.exec.pool.get()
-		copy(*buf, frame)
-		u.dispatch(buf, len(frame), at, false)
-		select {
-		case tk := <-u.exec.tasks:
-			u.exec.pool.put(tk.buf)
-		default:
-		}
+	for _, tc := range []struct {
+		name string
+		envs int
+	}{{"lone", 1}, {"bundled", 21}} {
+		b.Run(tc.name, func(b *testing.B) {
+			u, err := NewUDPNode(UDPNodeConfig{
+				Addr: "benchrt", Listen: "127.0.0.1:0", Seed: 1, QueueDepth: 16, MaxDatagram: 2048,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer u.conn.Close()
+			raw := tuple.Marshal(nil, tuple.New("ev", tuple.Str("benchrt"), tuple.ID(7), tuple.Str("xxxxxxxxxxxxxxxx")))
+			frame := appendHeader(nil, genSrc, 1)
+			for i := 0; i < tc.envs; i++ {
+				frame = appendRecord(frame, uint64(i+1), raw)
+			}
+			at := time.Now()
+			b.ReportAllocs()
+			b.ResetTimer()
+			// One op is one envelope: a datagram every tc.envs ops.
+			for i := 0; i < b.N; i += tc.envs {
+				buf := u.exec.pool.get()
+				copy(*buf, frame)
+				u.dispatch(buf, len(frame), at, false)
+				select {
+				case tk := <-u.exec.tasks:
+					u.exec.pool.put(tk.buf)
+				default:
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package realtime
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -66,26 +67,58 @@ func sink(t testing.TB, network, listen string) *net.UDPConn {
 	return c
 }
 
-// readEnvelopes reads n datagrams off c and decodes them; a lost one
+// datagram is one datagram read off a sink: its length and its records.
+type datagram struct {
+	size int
+	envs []engine.Envelope
+}
+
+// readDatagrams reads n datagrams off c and decodes them; a lost one
 // fails the test at the deadline instead of hanging it.
-func readEnvelopes(t *testing.T, c *net.UDPConn, n int) []engine.Envelope {
+func readDatagrams(t *testing.T, c *net.UDPConn, n int) []datagram {
 	t.Helper()
 	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	var got []engine.Envelope
-	buf := make([]byte, 2048)
+	var got []datagram
+	buf := make([]byte, 64<<10)
 	for len(got) < n {
 		k, err := c.Read(buf)
 		if err != nil {
 			t.Fatalf("after %d of %d datagrams: %v", len(got), n, err)
 		}
-		env, _, err := decodeDatagram(buf[:k])
+		envs, err := decodeEnvelopes(buf[:k])
 		if err != nil {
 			t.Fatalf("datagram %d: %v", len(got), err)
 		}
-		env.Raw = nil // aliases buf
-		got = append(got, env)
+		got = append(got, datagram{size: k, envs: envs})
+	}
+	return got
+}
+
+// decodeEnvelopes decodes a datagram into its envelopes, each with its
+// own copy of the tuple bytes.
+func decodeEnvelopes(b []byte) ([]engine.Envelope, error) {
+	src, _, recs, err := decodeDatagram(b)
+	if err != nil {
+		return nil, err
+	}
+	var envs []engine.Envelope
+	for len(recs) > 0 {
+		id, raw, rest, _ := nextRecord(recs)
+		envs = append(envs, engine.Envelope{Src: src, SrcTupleID: id, Raw: bytes.Clone(raw)})
+		recs = rest
+	}
+	return envs, nil
+}
+
+// readEnvelopes reads datagrams off c until they have carried n
+// envelopes, and returns those in order.
+func readEnvelopes(t *testing.T, c *net.UDPConn, n int) []engine.Envelope {
+	t.Helper()
+	var got []engine.Envelope
+	for len(got) < n {
+		got = append(got, readDatagrams(t, c, 1)[0].envs...)
 	}
 	return got
 }
@@ -151,22 +184,30 @@ func TestAddPeerWhileRunning(t *testing.T) {
 	for i := before; i < before+after; i++ {
 		say(i)
 	}
-	eventually(t, "every send to be written or dropped", func() bool {
-		s := a.TransportStats()
-		return s.DatagramsSent+s.DropUnknownPeer == before+after
+	eventually(t, "a to send every envelope", func() bool {
+		return a.MetricsSnapshot().Node.MsgsSent == before+after
 	})
 	as := a.TransportStats()
-	if as.DatagramsSent < after {
-		t.Errorf("%d datagrams sent, want at least the %d sent after AddPeer", as.DatagramsSent, after)
+	written := before + after - as.DropUnknownPeer
+	if written < after {
+		t.Errorf("%d envelopes written, want at least the %d sent after AddPeer", written, after)
+	}
+	if as.DatagramsSent == 0 || as.DatagramsSent > written {
+		t.Errorf("%d datagrams carried %d envelopes", as.DatagramsSent, written)
 	}
 	eventually(t, "b to receive what a sent", func() bool {
-		return b.TransportStats().DatagramsProcessed == as.DatagramsSent
+		return b.MetricsSnapshot().Node.MsgsRecv == written
 	})
+	if bs := b.TransportStats(); bs.DatagramsProcessed != as.DatagramsSent {
+		t.Errorf("b processed %d datagrams, a sent %d", bs.DatagramsProcessed, as.DatagramsSent)
+	}
 }
 
-// TestBatchedSendFanout: one task fans out more datagrams than several
-// sendmmsg calls carry, all to one peer. Every one arrives, and the
-// batched writer needs a few calls, not one per datagram.
+// TestBatchedSendFanout: one task fans out more envelopes than several
+// sendmmsg calls carry, all to one peer. Every one arrives, bundled into
+// one datagram per ioBatch envelopes (the flush comes at ioBatch queued
+// envelopes and they all fit one bundle), and the batched writer needs a
+// few calls, not one per envelope.
 func TestBatchedSendFanout(t *testing.T) {
 	const fanout = 3*ioBatch + 5
 	const program = `
@@ -187,16 +228,20 @@ f1 hello@Peer(N, I) :- go@N(Peer), item@N(I).
 		if err := a.Inject(tuple.New("go", tuple.Str("a"), tuple.Str("b"))); err != nil {
 			t.Fatal(err)
 		}
-		eventually(t, "the fan-out to arrive", func() bool { return b.TransportStats().DatagramsRecv == fanout })
-		as := a.TransportStats()
-		if as.DatagramsSent != fanout {
-			t.Errorf("a sent %d datagrams, want %d", as.DatagramsSent, fanout)
+		eventually(t, "the fan-out to arrive", func() bool { return b.MetricsSnapshot().Node.MsgsRecv == fanout })
+		if sent := a.MetricsSnapshot().Node.MsgsSent; sent != fanout {
+			t.Errorf("a sent %d envelopes, want %d", sent, fanout)
 		}
-		if a.bw != nil && as.SendCalls > 2*(fanout/ioBatch+1) {
-			t.Errorf("batched writer made %d calls for %d datagrams", as.SendCalls, fanout)
+		as, bs := a.TransportStats(), b.TransportStats()
+		const datagrams = (fanout + ioBatch - 1) / ioBatch
+		if as.DatagramsSent != datagrams || bs.DatagramsRecv != datagrams {
+			t.Errorf("a sent %d datagrams and b received %d, want %d", as.DatagramsSent, bs.DatagramsRecv, datagrams)
 		}
-		if a.bw == nil && as.SendCalls != fanout {
-			t.Errorf("portable writer made %d calls for %d datagrams", as.SendCalls, fanout)
+		if a.bw != nil && as.SendCalls > 2*datagrams {
+			t.Errorf("batched writer made %d calls for %d datagrams", as.SendCalls, datagrams)
+		}
+		if a.bw == nil && as.SendCalls != datagrams {
+			t.Errorf("portable writer made %d calls for %d datagrams", as.SendCalls, datagrams)
 		}
 	})
 }
@@ -289,9 +334,11 @@ func loopbackName(t *testing.T) string {
 	return ""
 }
 
-// BenchmarkSendPath measures the send half per datagram: frame into the
-// queue, and one write per ioBatch frames (batched) or per frame
-// (portable), to a loopback socket a goroutine drains.
+// BenchmarkSendPath measures the send half per envelope: frame into the
+// queue, bundled with the envelopes before it to the same peer, and one
+// write per ioBatch envelopes (batched) or per datagram (portable), to a
+// loopback socket a goroutine drains. datagrams/envelope is how many
+// datagrams carried them.
 func BenchmarkSendPath(b *testing.B) {
 	for _, path := range writePathNames {
 		b.Run(path, func(b *testing.B) {
@@ -322,6 +369,7 @@ func BenchmarkSendPath(b *testing.B) {
 					u.send("r", env, 0)
 				}
 			})
+			b.ReportMetric(float64(u.TransportStats().DatagramsSent)/float64(b.N), "datagrams/envelope")
 		})
 	}
 }

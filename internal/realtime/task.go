@@ -56,10 +56,11 @@ var ErrStopped = errors.New("realtime: node stopped")
 type taskKind uint8
 
 const (
-	taskMsg   taskKind = iota // env (+ optional buf): incoming network message
-	taskLocal                 // tup: locally injected tuple
-	taskTimer                 // p: periodic firing
-	taskFunc                  // fn: control task (snapshots, probes)
+	taskMsg      taskKind = iota // env: one message off the channel link
+	taskDatagram                 // env, buf: one socket datagram, its records in env.Raw
+	taskLocal                    // tup: locally injected tuple
+	taskTimer                    // p: periodic firing
+	taskFunc                     // fn: control task (snapshots, probes)
 )
 
 // task is one unit of node work. It is a plain value moved through the
@@ -68,11 +69,13 @@ const (
 type task struct {
 	at   time.Time // enqueue time, for queue-wait observation
 	sent int64     // sender wall clock (unix nanos) for hop latency; 0 = unknown
+	// env is a message: an envelope (taskMsg), or a datagram's source and
+	// its run of records in Raw (taskDatagram; SrcTupleID is unused).
 	env  engine.Envelope
 	tup  tuple.Tuple
 	fn   func()
 	p    *engine.Periodic
-	buf  *[]byte // pooled receive buffer backing env; recycled after run
+	buf  *[]byte // pooled receive buffer backing a datagram; recycled after run
 	kind taskKind
 }
 

@@ -2,7 +2,9 @@ package realtime
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -17,25 +19,32 @@ import (
 // datagrams — the deployment shape of the original P2 prototype (the
 // paper's testbed ran 21 processes over UDP).
 //
-// Datagram format:
+// Datagram format: one header, then the envelope records it carries:
 //
-//	srcLen(uvarint) src sentNanos(8B LE) srcTupleID(uvarint) tupleBytes
+//	datagram := srcLen(uvarint) src sentNanos(8B LE) record+
+//	record   := srcTupleID(uvarint) rawLen(uvarint) tupleBytes
 //
 // where tupleBytes is the standard tuple wire encoding and sentNanos is
 // the sender's wall clock (unix nanoseconds) at transmission, letting
 // the receiver observe end-to-end ingest latency in its hop histogram
 // (exact on one host; across hosts it inherits clock skew like any
-// one-way delay measure). Datagrams that fail to decode are dropped and
-// counted, as UDP noise should be.
+// one-way delay measure). Every record is length-prefixed, so the link
+// frames and checks datagrams without parsing tuples. A datagram whose
+// records do not exactly tile the bytes after its header is dropped
+// whole and counted, as UDP noise should be; a record whose tuple bytes
+// do not decode is the engine's to report, and the records after it
+// still run.
 //
 // The receive path is built for sustained 100k+ datagrams/sec: pooled
 // receive buffers, batched socket reads (recvmmsg where the platform
 // has it, one datagram a syscall where it does not), allocation-free
 // task dispatch, and a batched executor dequeue. The send path mirrors
-// it: a batch's datagrams are framed into one arena and written when the
-// batch ends (sendmmsg where the platform has it, WriteToUDP per
-// datagram where it does not). See task.go, executor.go and
-// docs/REALTIME.md.
+// it: a batch's envelopes are framed into one arena, an envelope joining
+// the newest queued datagram when that one goes to the same peer and
+// stays within maxBundle, and the queue is written when the batch ends
+// (sendmmsg where the platform has it, WriteToUDP per datagram where it
+// does not). Sends that alternate between peers start a new datagram
+// each. See task.go, executor.go and docs/REALTIME.md.
 
 // UDPNodeConfig configures a single-process UDP node.
 type UDPNodeConfig struct {
@@ -54,7 +63,8 @@ type UDPNodeConfig struct {
 	// datagram (default 64 KiB, the UDP maximum). Smaller values shrink
 	// the buffer pool's footprint under overload; datagrams longer than
 	// this are truncated by the kernel, fail to decode, and count in
-	// DropDecode.
+	// DropDecode. It also caps the datagrams this node bundles envelopes
+	// into (see maxBundle).
 	MaxDatagram int
 	// SocketBuf, when positive, requests this SO_RCVBUF size so the
 	// kernel absorbs bursts the executor has not yet drained.
@@ -95,12 +105,20 @@ type udpPeer struct {
 }
 
 // ioBatch is the number of datagrams one recvmmsg or sendmmsg call
-// moves, and so the number of frames the send queue holds.
+// moves, and the number of envelopes the send queue holds: it is
+// written once ioBatch envelopes are queued, so it never holds more
+// datagrams than one call takes.
 const ioBatch = 32
 
-// maxKeptArena bounds the arena capacity a flush keeps: 256 B a frame,
-// simnet's maxPooledRaw, four times a typical 60–120 B frame. A batch of
-// larger frames gives its arena back to the collector.
+// maxBundle bounds the datagrams send bundles envelopes into: the UDP
+// payload of a 1500-byte Ethernet MTU, so a bundle is never
+// IP-fragmented. A node whose MaxDatagram is smaller uses that instead.
+// An envelope larger on its own goes alone.
+const maxBundle = 1472
+
+// maxKeptArena bounds the arena capacity a flush keeps: 256 B an
+// envelope, simnet's maxPooledRaw, four times a typical 60–120 B frame.
+// A batch of larger envelopes gives its arena back to the collector.
 const maxKeptArena = ioBatch * 256
 
 // sendQueue holds the datagrams sent since the last flush: frames back
@@ -108,7 +126,9 @@ const maxKeptArena = ioBatch * 256
 type sendQueue struct {
 	arena  []byte
 	frames [ioBatch]queuedFrame
-	n      int
+	n      int // frames queued
+	envs   int // envelopes queued, in those frames
+	max    int // bundle bound: min(maxBundle, MaxDatagram)
 }
 
 type queuedFrame struct {
@@ -123,6 +143,16 @@ func (q *sendQueue) frame(i int) []byte {
 		start = q.frames[i-1].end
 	}
 	return q.arena[start:q.frames[i].end]
+}
+
+// joins reports whether a record of size bytes to p can join the newest
+// queued frame. The header it would share is right for it: every
+// envelope a node sends names the node as its source, and every frame
+// in the queue carries the same stamp, since a queue fills under one
+// batch clock and a send outside any batch is written before it
+// returns.
+func (q *sendQueue) joins(p *udpPeer, size int) bool {
+	return q.n > 0 && q.frames[q.n-1].to == p && len(q.frame(q.n-1))+size <= q.max
 }
 
 // TransportStats are the datagram-level counters of one UDP node: what
@@ -140,7 +170,9 @@ func (q *sendQueue) frame(i int) []byte {
 // so once the queue drains (quiescence, or after Stop) every received
 // datagram is accounted for by exactly one of the four outcomes.
 type TransportStats struct {
-	// DatagramsSent/BytesSent count framed datagrams written to peers.
+	// DatagramsSent/BytesSent count framed datagrams written to peers;
+	// one datagram carries one or more envelopes, which the engine's
+	// MsgsSent counts.
 	DatagramsSent, BytesSent int64
 	// SendCalls counts the write syscalls that carried them (sendmmsg
 	// calls, or WriteToUDP calls where a datagram goes alone), so
@@ -213,43 +245,85 @@ func (c *transportCounters) obs() []metrics.Counter {
 func (u *UDPNode) TransportStats() TransportStats { return u.exec.stats.snapshot() }
 
 // sentNanosLen is the fixed width of the wall-clock send stamp in the
-// datagram frame. Fixed-width (not varint) so traffic generators can
+// datagram header. Fixed-width (not varint) so traffic generators can
 // patch it into a prebuilt frame at a constant offset.
 const sentNanosLen = 8
 
-// appendDatagram frames an envelope for the wire, appending to dst.
-func appendDatagram(dst []byte, env engine.Envelope, sentNanos int64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(env.Src)))
-	dst = append(dst, env.Src...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(sentNanos))
-	dst = binary.AppendUvarint(dst, env.SrcTupleID)
-	return append(dst, env.Raw...)
+var (
+	errBadHeader  = errors.New("realtime: bad datagram header")
+	errBadRecords = errors.New("realtime: datagram records do not tile it")
+)
+
+// appendHeader starts a datagram: the source all its records share, and
+// the send stamp.
+func appendHeader(dst []byte, src string, sentNanos int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	dst = append(dst, src...)
+	return binary.LittleEndian.AppendUint64(dst, uint64(sentNanos))
 }
 
-// decodeDatagram parses a wire frame back into an envelope plus the
-// sender's send stamp. The returned envelope aliases b only through
-// Raw: Src is interned (allocation-free for repeated senders), and the
-// engine copies or interns everything it keeps out of Raw, so the
-// backing buffer is recyclable as soon as HandleMessage returns.
-func decodeDatagram(b []byte) (engine.Envelope, int64, error) {
+// appendRecord appends one envelope's record to a datagram.
+func appendRecord(dst []byte, id uint64, raw []byte) []byte {
+	dst = binary.AppendUvarint(dst, id)
+	dst = binary.AppendUvarint(dst, uint64(len(raw)))
+	return append(dst, raw...)
+}
+
+// recordLen is the length appendRecord gives the record.
+func recordLen(id uint64, raw []byte) int {
+	return uvarintLen(id) + uvarintLen(uint64(len(raw))) + len(raw)
+}
+
+// uvarintLen is the length of x's uvarint encoding: 7 bits a byte.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// appendDatagram frames a lone envelope: a header and one record.
+func appendDatagram(dst []byte, env engine.Envelope, sentNanos int64) []byte {
+	return appendRecord(appendHeader(dst, env.Src, sentNanos), env.SrcTupleID, env.Raw)
+}
+
+// decodeDatagram parses a datagram's header and checks that its records
+// exactly tile the rest: at least one, none cut short. recs is that run
+// of records, for nextRecord. It aliases b; src is interned
+// (allocation-free for repeated senders), and the engine copies or
+// interns everything it keeps out of a record, so the backing buffer is
+// recyclable as soon as the last record has run.
+func decodeDatagram(b []byte) (src string, sent int64, recs []byte, err error) {
 	srcLen, n := binary.Uvarint(b)
 	// Compared as uint64: the length is the sender's claim, and 2^64-1
 	// converted to int first is -1, which passes.
-	if n <= 0 || srcLen > uint64(len(b)-n) {
-		return engine.Envelope{}, 0, fmt.Errorf("realtime: bad datagram src")
+	if n <= 0 || srcLen > uint64(len(b)-n) || len(b)-n-int(srcLen) < sentNanosLen {
+		return "", 0, nil, errBadHeader
 	}
-	src := tuple.InternBytes(b[n : n+int(srcLen)])
 	rest := b[n+int(srcLen):]
-	if len(rest) < sentNanosLen {
-		return engine.Envelope{}, 0, fmt.Errorf("realtime: bad datagram stamp")
+	sent = int64(binary.LittleEndian.Uint64(rest))
+	recs = rest[sentNanosLen:]
+	if len(recs) == 0 {
+		return "", 0, nil, errBadRecords
 	}
-	sent := int64(binary.LittleEndian.Uint64(rest))
-	rest = rest[sentNanosLen:]
-	id, n2 := binary.Uvarint(rest)
-	if n2 <= 0 {
-		return engine.Envelope{}, 0, fmt.Errorf("realtime: bad datagram id")
+	for r := recs; len(r) > 0; {
+		var ok bool
+		if _, _, r, ok = nextRecord(r); !ok {
+			return "", 0, nil, errBadRecords
+		}
 	}
-	return engine.Envelope{Src: src, SrcTupleID: id, Raw: rest[n2:]}, sent, nil
+	return tuple.InternBytes(b[n : n+int(srcLen)]), sent, recs, nil
+}
+
+// nextRecord splits the first record off a run of records: its source
+// tuple ID, its tuple bytes, and the records after it. ok is false when
+// the record is cut short.
+func nextRecord(b []byte) (id uint64, raw, rest []byte, ok bool) {
+	id, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, nil, false
+	}
+	rawLen, m := binary.Uvarint(b[n:])
+	if m <= 0 || rawLen > uint64(len(b)-n-m) {
+		return 0, nil, nil, false
+	}
+	end := n + m + int(rawLen)
+	return id, b[n+m : end], b[end:], true
 }
 
 // NewUDPNode binds the socket and builds the node (stopped; call Start).
@@ -272,6 +346,7 @@ func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
 		exec:  newExecutor(cfg.QueueDepth, cfg.Overload, newBufPool(cfg.MaxDatagram)),
 		conn:  conn,
 		peers: make(map[string]*udpPeer),
+		out:   sendQueue{max: min(maxBundle, cfg.MaxDatagram)},
 		bw:    newBatchWriter(conn),
 	}
 	u.exec.batchEnd = u.flush
@@ -322,8 +397,10 @@ func (u *UDPNode) AddPeer(p2addr, udpAddr string) error {
 // writer. It frames the envelope into the send queue, so Raw is consumed
 // before it returns, stamped with the batch clock: read before the batch
 // ran, so never later than the write, and HopLatency can only over-state
-// a hop. The queue is written when the batch ends, or as soon as it
-// holds ioBatch frames; a send from outside any batch (a caller's,
+// a hop. The envelope joins the newest queued datagram when that one
+// goes to the same peer and still fits; otherwise it starts a datagram
+// of its own. The queue is written when the batch ends, or as soon as
+// it holds ioBatch envelopes; a send from outside any batch (a caller's,
 // before Start) is written before it returns.
 func (u *UDPNode) send(dst string, env engine.Envelope, _ float64) {
 	p, ok := u.peers[dst]
@@ -331,18 +408,23 @@ func (u *UDPNode) send(dst string, env engine.Envelope, _ float64) {
 		u.exec.stats.dropUnknownPeer.Add(1)
 		return
 	}
-	stamp := u.exec.batchNanos
-	if stamp == 0 {
-		stamp = time.Now().UnixNano()
-	}
 	q := &u.out
 	start := len(q.arena)
-	q.arena = appendDatagram(q.arena, env, stamp)
-	q.frames[q.n] = queuedFrame{end: len(q.arena), to: p}
-	q.n++
-	u.exec.stats.datagramsSent.Add(1)
+	if !q.joins(p, recordLen(env.SrcTupleID, env.Raw)) {
+		stamp := u.exec.batchNanos
+		if stamp == 0 {
+			stamp = time.Now().UnixNano()
+		}
+		q.arena = appendHeader(q.arena, env.Src, stamp)
+		q.frames[q.n] = queuedFrame{to: p}
+		q.n++
+		u.exec.stats.datagramsSent.Add(1)
+	}
+	q.arena = appendRecord(q.arena, env.SrcTupleID, env.Raw)
+	q.frames[q.n-1].end = len(q.arena)
+	q.envs++
 	u.exec.stats.bytesSent.Add(int64(len(q.arena) - start))
-	if q.n == ioBatch || u.exec.batchNanos == 0 {
+	if q.envs == ioBatch || u.exec.batchNanos == 0 {
 		u.flush()
 	}
 }
@@ -368,7 +450,7 @@ func (u *UDPNode) flush() {
 		i += frames
 	}
 	clear(q.frames[:q.n])
-	q.n = 0
+	q.n, q.envs = 0, 0
 	q.arena = q.arena[:0]
 	if cap(q.arena) > maxKeptArena {
 		q.arena = nil
@@ -382,15 +464,17 @@ func (u *UDPNode) flush() {
 // After Stop it returns ErrStopped.
 func (u *UDPNode) Inject(t tuple.Tuple) error { return u.exec.inject(t) }
 
-// dispatch is the inbound half of the socket link: it decodes one
-// datagram and hands it to the executor. buf is the pooled buffer
+// dispatch is the inbound half of the socket link: it checks one
+// datagram's framing and hands it to the executor as one task, whose
+// records the executor runs one by one. buf is the pooled buffer
 // backing the datagram bytes, whose ownership transfers to the task (and
 // back to the pool on any drop); trunc says the kernel cut the datagram
 // to fit it. at is the batch receive timestamp. This is the reader hot
 // path: at most one allocation per datagram (an interning miss on a
-// brand-new source address), verified by TestReaderAllocsPerDatagram.
+// brand-new source address) and none per record, verified by
+// TestReaderAllocsPerDatagram.
 func (u *UDPNode) dispatch(buf *[]byte, n int, at time.Time, trunc bool) {
-	env, sent, err := decodeDatagram((*buf)[:n])
+	src, sent, recs, err := decodeDatagram((*buf)[:n])
 	if trunc || err != nil {
 		u.exec.stats.datagramsRecv.Add(1)
 		u.exec.stats.bytesRecv.Add(int64(n))
@@ -398,7 +482,7 @@ func (u *UDPNode) dispatch(buf *[]byte, n int, at time.Time, trunc bool) {
 		u.exec.pool.put(buf)
 		return
 	}
-	u.exec.receive(task{at: at, sent: sent, kind: taskMsg, env: env, buf: buf}, n)
+	u.exec.receive(task{at: at, sent: sent, kind: taskDatagram, env: engine.Envelope{Src: src, Raw: recs}, buf: buf}, n)
 }
 
 // readBatched drains the socket via recvmmsg: one syscall and one clock

@@ -58,11 +58,14 @@ g2 heard@N(From, X) :- hello@N(From, X).
 	a.Start()
 	b.Start()
 
+	// Each message waits for the one before it to arrive, so each goes
+	// in a batch, and so a datagram, of its own.
 	const sent = 5
 	for i := int64(0); i < sent; i++ {
 		if err := a.Inject(tuple.New("say", tuple.Str("a"), tuple.Str("b"), tuple.Int(i))); err != nil {
 			t.Fatal(err)
 		}
+		eventually(t, "b to receive the message", func() bool { return engineMetrics(t, b).MsgsRecv == i+1 })
 	}
 	// One message to a peer a has no mapping for: engine bills the
 	// send, the transport counts the drop.
@@ -70,15 +73,7 @@ g2 heard@N(From, X) :- hello@N(From, X).
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(3 * time.Second)
-	var bm metrics.Node
-	for time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-		if bm = engineMetrics(t, b); bm.MsgsRecv >= sent {
-			break
-		}
-	}
-	if bm.MsgsRecv != sent || bm.BytesRecv == 0 {
+	if bm := engineMetrics(t, b); bm.MsgsRecv != sent || bm.BytesRecv == 0 {
 		t.Fatalf("engine recv counters on b = %+v, want %d msgs", bm, sent)
 	}
 
@@ -106,7 +101,7 @@ g2 heard@N(From, X) :- hello@N(From, X).
 	if _, err := noise.Write([]byte{0xff, 0xff, 0xff}); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(3 * time.Second)
+	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 		if b.TransportStats().DropDecode == 1 {

@@ -15,25 +15,25 @@ func TestDatagramRoundTrip(t *testing.T) {
 	raw := tuple.Marshal(nil, tuple.New("x", tuple.Str("n1"), tuple.Int(7)))
 	env := engine.Envelope{Src: "n2", SrcTupleID: 42, Raw: raw}
 	const stamp = int64(1234567890123456789)
-	got, sent, err := decodeDatagram(appendDatagram(nil, env, stamp))
+	enc := appendDatagram(nil, env, stamp)
+	src, sent, recs, err := decodeDatagram(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Src != "n2" || got.SrcTupleID != 42 || len(got.Raw) != len(raw) || sent != stamp {
-		t.Errorf("round trip = %+v sent=%d", got, sent)
+	id, got, rest, ok := nextRecord(recs)
+	if src != "n2" || sent != stamp || !ok || id != 42 || !bytes.Equal(got, raw) || len(rest) != 0 {
+		t.Errorf("round trip = %s/%d, record %d %x, %d bytes left", src, sent, id, got, len(rest))
 	}
-	// Truncations anywhere in the frame fail cleanly (the tuple payload
-	// itself is validated by the engine's decode, not here).
-	enc := appendDatagram(nil, env, stamp)
-	header := 1 + len(env.Src) + sentNanosLen + 1 // srcLen varint + src + stamp + id varint
-	for cut := 0; cut < header; cut++ {
-		if _, _, err := decodeDatagram(enc[:cut]); err == nil {
-			t.Errorf("truncation to %d must fail", cut)
+	// Every record is length-prefixed, so a cut anywhere, in the header
+	// or in the tuple bytes, fails the framing check.
+	for cut := 0; cut < len(enc); cut++ {
+		if _, _, _, err := decodeDatagram(enc[:cut]); err == nil {
+			t.Errorf("truncation to %d of %d bytes must fail", cut, len(enc))
 		}
 	}
 	// A source length of 2^64-1 is -1 as an int: it must fail the bound,
 	// not pass it and slice out of range on the reader goroutine.
-	if _, _, err := decodeDatagram(hugeSrcLenDatagram); err == nil {
+	if _, _, _, err := decodeDatagram(hugeSrcLenDatagram); err == nil {
 		t.Error("source length 2^64-1 must fail")
 	}
 }
@@ -41,27 +41,89 @@ func TestDatagramRoundTrip(t *testing.T) {
 // hugeSrcLenDatagram claims a 2^64-1 byte source address.
 var hugeSrcLenDatagram = append(binary.AppendUvarint(nil, ^uint64(0)), make([]byte, 32)...)
 
-// FuzzDatagram: the frame is bytes off the network, so decodeDatagram
-// never panics on arbitrary input and whatever it accepts re-frames to
-// the same envelope; and any envelope appendDatagram frames decodes back
-// to its Src, stamp, SrcTupleID and Raw.
+// record is one envelope record of a datagram.
+type record struct {
+	id  uint64
+	raw []byte
+}
+
+// frameRecords frames a datagram of records.
+func frameRecords(src string, stamp int64, recs []record) []byte {
+	b := appendHeader(nil, src, stamp)
+	for _, r := range recs {
+		b = appendRecord(b, r.id, r.raw)
+	}
+	return b
+}
+
+// splitRecords lists a checked run of records.
+func splitRecords(recs []byte) []record {
+	var out []record
+	for len(recs) > 0 {
+		id, raw, rest, _ := nextRecord(recs)
+		out = append(out, record{id, raw})
+		recs = rest
+	}
+	return out
+}
+
+func sameRecords(a, b []record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].id != b[i].id || !bytes.Equal(a[i].raw, b[i].raw) {
+			return false
+		}
+	}
+	return true
+}
+
+// seedRecords is n records of a few bytes each, IDs from 1.
+func seedRecords(n int) []record {
+	recs := make([]record, n)
+	for i := range recs {
+		recs[i] = record{uint64(i + 1), bytes.Repeat([]byte{byte(i)}, i%5)}
+	}
+	return recs
+}
+
+// FuzzDatagram: the datagram is bytes off the network, so decodeDatagram
+// never panics on arbitrary input, and whatever it accepts re-frames to
+// the same header and records; and any header and list of records
+// framed decodes back unchanged. The framed list is data cut into
+// 1+n%32 records, IDs counting up from id. recordLen, which the size
+// bound rests on, is the length appendRecord writes.
 func FuzzDatagram(f *testing.F) {
-	f.Add(hugeSrcLenDatagram, "n2", int64(1), uint64(1))
+	f.Add(hugeSrcLenDatagram, "n2", int64(1), uint64(1), uint8(0))
 	f.Add(appendDatagram(nil, engine.Envelope{Src: "n2", SrcTupleID: 42, Raw: []byte("raw")}, 1234567890123456789),
-		"", int64(-1), ^uint64(0))
-	f.Add([]byte{}, "a longer source address than most", int64(0), uint64(0))
-	f.Fuzz(func(t *testing.T, data []byte, src string, stamp int64, id uint64) {
-		if env, sent, err := decodeDatagram(data); err == nil {
-			env2, sent2, err := decodeDatagram(appendDatagram(nil, env, sent))
-			if err != nil || env2.Src != env.Src || env2.SrcTupleID != env.SrcTupleID ||
-				sent2 != sent || !bytes.Equal(env2.Raw, env.Raw) {
-				t.Fatalf("accepted frame does not re-frame: %+v/%d then %+v/%d (%v)", env, sent, env2, sent2, err)
+		"", int64(-1), ^uint64(0), uint8(1))
+	f.Add([]byte{}, "a longer source address than most", int64(0), uint64(0), uint8(31))
+	for _, n := range []int{1, 2, 32} {
+		f.Add(frameRecords("n2", 7, seedRecords(n)), "a", int64(7), uint64(1), uint8(n-1))
+	}
+	two := frameRecords("n2", 7, seedRecords(2))
+	f.Add(two[:len(two)-1], "a", int64(7), uint64(1), uint8(1)) // the last record cut short
+	hugeRawLen := binary.AppendUvarint(binary.AppendUvarint(appendHeader(nil, "n2", 7), 1), ^uint64(0))
+	f.Add(append(hugeRawLen, "some bytes"...), "a", int64(7), uint64(1), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, src string, stamp int64, id uint64, n uint8) {
+		if src, sent, recs, err := decodeDatagram(data); err == nil {
+			list := splitRecords(recs)
+			src2, sent2, recs2, err := decodeDatagram(frameRecords(src, sent, list))
+			if err != nil || src2 != src || sent2 != sent || !sameRecords(splitRecords(recs2), list) {
+				t.Fatalf("accepted datagram %x does not re-frame: %s/%d %v, then %s/%d (%v)", data, src, sent, list, src2, sent2, err)
 			}
 		}
-		env := engine.Envelope{Src: src, SrcTupleID: id, Raw: data}
-		got, sent, err := decodeDatagram(appendDatagram(nil, env, stamp))
-		if err != nil || got.Src != src || got.SrcTupleID != id || sent != stamp || !bytes.Equal(got.Raw, data) {
-			t.Fatalf("round trip of %+v/%d = %+v/%d (%v)", env, stamp, got, sent, err)
+		if got := len(appendRecord(nil, id, data)); got != recordLen(id, data) {
+			t.Fatalf("record of ID %d and %d bytes is %d bytes, recordLen says %d", id, len(data), got, recordLen(id, data))
+		}
+		list := make([]record, 1+int(n)%32)
+		for i := range list {
+			list[i] = record{id + uint64(i), data[i*len(data)/len(list) : (i+1)*len(data)/len(list)]}
+		}
+		got, sent, recs, err := decodeDatagram(frameRecords(src, stamp, list))
+		if err != nil || got != src || sent != stamp || !sameRecords(splitRecords(recs), list) {
+			t.Fatalf("round trip of %q/%d %v = %q/%d (%v)", src, stamp, list, got, sent, err)
 		}
 	})
 }
