@@ -90,6 +90,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzDatagram -fuzztime 30s ./internal/realtime/
 	go test -run '^$$' -fuzz FuzzInstallUninstall -fuzztime 30s ./internal/engine/
 	go test -run '^$$' -fuzz FuzzStream -fuzztime 30s ./internal/rng/
+	go test -run '^$$' -fuzz FuzzRunQueue -fuzztime 30s ./internal/simnet/
 
 examples:
 	go run ./examples/quickstart

@@ -290,18 +290,21 @@ func TestCrashBetweenArrivalAndTask(t *testing.T) {
 	}
 	// Stop once some messages have arrived and are waiting for b's CPU
 	// while others are still on the wire.
-	for len(b.queue)-b.qhead < 3 {
+	for b.inbox.n < 3 {
 		if !net.Sim().Step() {
 			t.Fatal("b never queued three tasks")
 		}
 	}
-	queued := len(b.queue) - b.qhead
+	queued := b.inbox.n
 	handled := net.Node("b").Metrics().MsgsRecv
 	inFlight := 50 - int(handled) - queued
 	if handled == 0 || inFlight == 0 {
 		t.Fatalf("want a crash mid-burst: %d handled, %d queued, %d in flight", handled, queued, inFlight)
 	}
 	net.Crash("b")
+	if b.inbox.n != 0 || len(b.inbox.buf) != 0 || len(b.inbox.side) != 0 {
+		t.Fatalf("crash kept %d queued tasks in %d inbox bytes", b.inbox.n, len(b.inbox.buf))
+	}
 	// Traffic that takes over the records the crash frees: a floods c
 	// while b's in-flight messages land on a dead host.
 	for i := int64(100); i < 150; i++ {
@@ -362,8 +365,8 @@ func TestCrashWithKickRetryPending(t *testing.T) {
 	for i := int64(0); i < 20; i++ {
 		token(i) // the first runs at once and makes the CPU busy; the rest wait
 	}
-	if a.kickAt < 0 || len(a.queue)-a.qhead != 19 {
-		t.Fatalf("want a pending kick retry over 19 queued tasks, got kickAt=%v queue=%d", a.kickAt, len(a.queue)-a.qhead)
+	if a.kickAt < 0 || a.inbox.n != 19 {
+		t.Fatalf("want a pending kick retry over 19 queued tasks, got kickAt=%v queue=%d", a.kickAt, a.inbox.n)
 	}
 	retryAt := a.kickAt
 	ticks := countTicks(net, "a")
@@ -375,6 +378,9 @@ func TestCrashWithKickRetryPending(t *testing.T) {
 	}
 	if a.kickAt >= 0 {
 		t.Errorf("retry did not fire: kickAt = %v", a.kickAt)
+	}
+	if a.inbox.n != 0 || len(a.inbox.buf) != 0 {
+		t.Errorf("retry found %d tasks in %d inbox bytes, want an empty queue", a.inbox.n, len(a.inbox.buf))
 	}
 	net.Revive("a")
 	token(77)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"sync"
 
@@ -63,8 +64,8 @@ type host struct {
 	net       *Network
 	node      *engine.Node
 	addr      string
-	queue     []simTask
-	qhead     int // ring head: queue[:qhead] is consumed (and zeroed)
+	idx       int // position in net.byIdx; an inbox record names its sender by it
+	inbox     inbox
 	busyUntil float64
 	kickAt    float64 // time of the scheduled kick; <0 when none
 	down      bool
@@ -168,6 +169,7 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 	h := &host{
 		net:    n,
 		addr:   addr,
+		idx:    len(n.byIdx),
 		kickAt: -1,
 		rng:    rng.Make(subSeed(n.cfg.Seed, "host", addr)),
 		links:  make(map[string]*link),
@@ -295,8 +297,8 @@ func (n *Network) GetLinkFault(src, dst string) LinkFault {
 // sender's OS would fail those sends without network activity.)
 //
 // env.Raw is the sender's marshal scratch, borrowed for this call: each
-// copy that is scheduled takes its bytes into its own message record, a
-// drop takes no record and copies nothing.
+// copy that is scheduled takes its bytes into its own in-flight message
+// record, a drop takes no record and copies nothing.
 func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64) {
 	if env.Src != src.addr {
 		panic(fmt.Sprintf("simnet: node %s sent an envelope stamped %q", src.addr, env.Src))
@@ -362,28 +364,26 @@ func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64
 	}
 }
 
-// task is what a host's CPU runs: one engine transition. Like action,
-// every kind is a type of its own that fits the interface's two words.
+// task is what a host's CPU runs besides a message: one engine
+// transition. Like action, every kind is a type of its own that fits
+// the interface's two words.
 type task interface {
 	// run executes the task on h and returns its simulated CPU cost.
 	run(h *host) float64
 }
 
-// message is one envelope on its way to a host: the arrival event and
-// the CPU task it becomes point at the same record, so neither copies
-// the envelope. Records are recycled through messagePool: the sender's
-// execution takes one, the receiver's returns it once the engine has
-// handled the envelope (or the arrival found the host down). A record
-// discarded with a crashed host's queue is left to the collector. The
-// record owns raw: deliver copies the sender's bytes into it, and release
-// keeps the buffer with the record for the next message unless it grew
-// past maxPooledRaw (frames are 60-120 B; a stalled ring queues half a
-// million records, so buffer slack is live heap).
-//
-// A stalled host queues these by the hundred thousand, so the size class
-// matters: the envelope's Src is kept as the sending host (deliver checks
-// it is that host's address, as the engine stamps it), 8 bytes for 16,
-// which makes the record 48 bytes where envelope plus send time is 64.
+// message is one envelope in flight to a host: the arrival event points
+// at it, so the event heap carries it in two words. Records are recycled
+// through messagePool: the sender's execution takes one, and the arrival
+// returns it at once, either after copying the envelope into the
+// receiver's inbox or on finding the host down. A record therefore lives
+// only while its message is in the event heap (about 900 at the end of
+// the 1000-host join, which queues half a million messages). The record
+// owns raw: deliver copies the sender's bytes into it, and release keeps
+// the buffer with the record for the next message unless it grew past
+// maxPooledRaw (frames are 60-120 B, so buffer slack is live heap). The
+// envelope's Src is kept as the sending host (deliver checks it is that
+// host's address, as the engine stamps it).
 type message struct {
 	src  *host
 	id   uint64  // Envelope.SrcTupleID
@@ -415,13 +415,9 @@ func (m *message) fire(h *host, at float64) {
 	// The receiver observes the hop as the message lands: pure
 	// receiver-owned measurement, invisible to billing and determinism.
 	h.node.ObserveHop(at - m.sent)
-	h.net.enqueue(h, m, at)
-}
-
-func (m *message) run(h *host) float64 {
-	cost := h.node.HandleMessage(engine.Envelope{Src: m.src.addr, SrcTupleID: m.id, Raw: m.raw})
+	h.inbox.pushMessage(at, m.src.idx, m.id, m.raw)
 	m.release()
-	return cost
+	h.net.kick(h, at)
 }
 
 // sweep is a host's soft-state expiry: the event re-arms itself every
@@ -439,57 +435,160 @@ func (s sweep) fire(h *host, at float64) {
 
 func (sweep) run(h *host) float64 { return h.node.Sweep() }
 
-// simTask is one queued CPU task plus the virtual time it entered the
-// queue, so task start can observe how long it waited (QueueWait).
-type simTask struct {
-	at float64
-	do task
+// inbox is a host's run queue: every queued task is one record in buf,
+// in arrival order, so a stalled host's backlog is bytes in one buffer
+// rather than an object per message. A record is
+//
+//	kind (1 B) | at (8 B, float64 bits, little-endian)
+//
+// where at is the virtual time the task entered the queue (task start
+// observes the wait), and a message record goes on with
+//
+//	srcIdx (uvarint) | srcTupleID (uvarint) | rawLen (uvarint) | raw
+//
+// naming its sender by host index. Timers, sweeps, injections and
+// rejoins are few; a recTask record stands for the next entry of side,
+// which holds them as typed values in the same order.
+//
+// A popped message's raw is borrowed from buf until the next call on
+// the inbox, which may move bytes: housekeeping runs as a task is pushed
+// or before the next record is read, never while one is in use. The
+// host's CPU server makes no call while a task runs.
+type inbox struct {
+	buf   []byte
+	head  int // buf[:head] is consumed
+	n     int // queued tasks
+	side  []task
+	shead int // side[:shead] is consumed (and zeroed)
 }
+
+const (
+	recMessage byte = iota
+	recTask
+)
+
+// Inbox housekeeping thresholds: the consumed prefix is compacted away
+// once it is inboxCompactAt bytes and at least as long as the live rest,
+// and a compaction or drain that leaves the live bytes under a quarter
+// of the capacity moves them to a buffer of twice their size
+// (inboxMinCap at least) instead, so a join burst's high-water mark goes
+// back to the collector while a steady host keeps its buffer. The side
+// queue's consumed slots are compacted away the same way once there are
+// sideCompactAt of them.
+const (
+	inboxCompactAt = 2048
+	inboxMinCap    = 4096
+	sideCompactAt  = 32
+)
+
+// entry is a popped record. do is nil for a message, whose envelope is
+// src, id and raw (borrowed, see inbox).
+type entry struct {
+	do  task
+	src int
+	id  uint64
+	raw []byte
+}
+
+func (q *inbox) pushMessage(at float64, src int, id uint64, raw []byte) {
+	q.reserve(9 + 3*binary.MaxVarintLen64 + len(raw))
+	b := append(q.buf, recMessage)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(at))
+	b = binary.AppendUvarint(b, uint64(src))
+	b = binary.AppendUvarint(b, id)
+	b = binary.AppendUvarint(b, uint64(len(raw)))
+	q.buf = append(b, raw...)
+	q.n++
+}
+
+func (q *inbox) pushTask(at float64, do task) {
+	q.reserve(9)
+	q.buf = binary.LittleEndian.AppendUint64(append(q.buf, recTask), math.Float64bits(at))
+	q.side = append(q.side, do)
+	q.n++
+}
+
+// reserve makes room for n more bytes. A full buffer is compacted in
+// place when the live bytes, with the n, would then fill between half
+// and two thirds of it, so a queue that holds its depth stops
+// allocating; otherwise they move to a new array of 1.5 times their
+// size. (append's growth, which keeps the consumed prefix and grows a
+// large buffer by 1.25, allocated a third more bytes per event on the
+// 1000-host join.)
+func (q *inbox) reserve(n int) {
+	if cap(q.buf)-len(q.buf) >= n {
+		return
+	}
+	if need, c := len(q.buf)-q.head+n, cap(q.buf); 3*need <= 2*c && c <= 2*need {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+	} else {
+		q.buf = append(make([]byte, 0, need*3/2), q.buf[q.head:]...)
+	}
+	q.head = 0
+}
+
+// pop removes the head task for a start at now, with how long it waited
+// and the queue depth (the task itself included) at that moment. The
+// caller must check q.n > 0.
+func (q *inbox) pop(now float64) (e entry, wait float64, depth int) {
+	q.trim()
+	b := q.buf[q.head:]
+	wait = now - math.Float64frombits(binary.LittleEndian.Uint64(b[1:9]))
+	if wait < 0 {
+		wait = 0
+	}
+	depth = q.n
+	q.n--
+	if b[0] == recTask {
+		q.head += 9
+		e.do = q.side[q.shead]
+		q.side[q.shead] = nil
+		q.shead++
+		if live := len(q.side) - q.shead; live == 0 {
+			q.side, q.shead = q.side[:0], 0
+		} else if q.shead >= sideCompactAt && q.shead >= live {
+			clear(q.side[copy(q.side, q.side[q.shead:]):]) // where the moved tasks were
+			q.side, q.shead = q.side[:live], 0
+		}
+		return e, wait, depth
+	}
+	i := 9
+	src, k := binary.Uvarint(b[i:])
+	i += k
+	e.src = int(src)
+	e.id, k = binary.Uvarint(b[i:])
+	i += k
+	size, k := binary.Uvarint(b[i:])
+	i += k
+	end := i + int(size)
+	e.raw = b[i:end:end]
+	q.head += end
+	return e, wait, depth
+}
+
+// trim gives the consumed prefix back (see inboxCompactAt). It moves
+// bytes, so no popped raw may be in use.
+func (q *inbox) trim() {
+	live := len(q.buf) - q.head
+	if live > 0 && (q.head < inboxCompactAt || q.head < live) {
+		return
+	}
+	if c := cap(q.buf); c > inboxMinCap && live < c/4 {
+		q.buf = append(make([]byte, 0, max(inboxMinCap, 2*live)), q.buf[q.head:]...)
+	} else {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+	}
+	q.head = 0
+}
+
+// reset discards every queued task and the buffers with them.
+func (q *inbox) reset() { *q = inbox{} }
 
 // enqueue adds a CPU task to the host's run queue and kicks the server.
 // now is the virtual time of the stimulus (the executing event's time).
 func (n *Network) enqueue(h *host, do task, now float64) {
-	h.queue = append(h.queue, simTask{at: now, do: do})
+	h.inbox.pushTask(now, do)
 	n.kick(h, now)
-}
-
-// Run-queue housekeeping thresholds: the consumed prefix is compacted
-// away once it is queueCompactAt slots and at least as long as the live
-// rest, and a compaction or drain that leaves the live tasks under a
-// quarter of the capacity moves them to an array of twice their number
-// (queueMinCap at least) instead, so a join burst's high-water mark goes
-// back to the collector.
-const (
-	queueCompactAt = 64
-	queueMinCap    = 64
-)
-
-// takeTask pops the queue head. Consumed slots are zeroed and reclaimed
-// (head index plus compaction) rather than re-sliced away — a plain
-// h.queue = h.queue[1:] would pin every processed task's record in the
-// backing array for the host's lifetime.
-func (h *host) takeTask() simTask {
-	task := h.queue[h.qhead]
-	h.queue[h.qhead] = simTask{}
-	h.qhead++
-	live := len(h.queue) - h.qhead
-	if live > 0 && (h.qhead < queueCompactAt || h.qhead < live) {
-		return task
-	}
-	if c := cap(h.queue); c > queueMinCap && live < c/4 {
-		h.queue = append(make([]simTask, 0, max(queueMinCap, 2*live)), h.queue[h.qhead:]...)
-	} else {
-		copy(h.queue, h.queue[h.qhead:])
-		clear(h.queue[h.qhead:]) // where the moved tasks were; the prefix was zeroed as it was consumed
-		h.queue = h.queue[:live]
-	}
-	h.qhead = 0
-	return task
-}
-
-func (h *host) clearQueue() {
-	h.queue = nil
-	h.qhead = 0
 }
 
 // kickRetry is the event that resumes a busy host's queue when its CPU
@@ -512,28 +611,30 @@ func (n *Network) kick(h *host, now float64) {
 		}
 		return
 	}
-	for h.qhead < len(h.queue) {
+	for h.inbox.n > 0 {
 		if h.down {
-			h.clearQueue()
+			h.inbox.reset()
 			return
 		}
-		depth := len(h.queue) - h.qhead
-		task := h.takeTask()
+		e, wait, depth := h.inbox.pop(now)
 		// Queue-wait/depth observation at task start. Pure measurement:
 		// no billing, no RNG draws, no event-order effect.
-		wait := now - task.at
-		if wait < 0 {
-			wait = 0
-		}
 		h.node.ObserveQueueWait(wait, depth)
-		cost := task.do.run(h)
+		var cost float64
+		if e.do != nil {
+			cost = e.do.run(h)
+		} else {
+			// The engine's arena copies what it keeps of Raw.
+			cost = h.node.HandleMessage(engine.Envelope{Src: n.byIdx[e.src].addr, SrcTupleID: e.id, Raw: e.raw})
+		}
 		h.busyUntil = now + cost
-		if h.busyUntil > now && h.qhead < len(h.queue) {
+		if h.busyUntil > now && h.inbox.n > 0 {
 			// Still busy: resume when the CPU frees up.
 			n.kick(h, now)
 			return
 		}
 	}
+	h.inbox.trim() // drained: nothing is borrowed any more
 }
 
 // schedulePeriodic arms a periodic trigger with a random initial phase
@@ -620,7 +721,7 @@ func (n *Network) Crash(addr string) {
 		n.faultTotals.Crashes++
 		h.down = true
 		h.epoch++
-		h.clearQueue()
+		h.inbox.reset()
 		h.busyUntil = n.sim.Now() // CPU work in flight dies with the process
 	}
 }

@@ -250,29 +250,39 @@ func TestCrashDiscardsQueuedTasks(t *testing.T) {
 	}
 }
 
-// TestRunQueueGivesCapacityBack: a burst's run-queue array does not
-// outlive the burst. The queue shrinks as it drains, ends at the floor,
-// and the tasks still run in FIFO order.
+// TestRunQueueGivesCapacityBack: a burst's inbox bytes do not outlive
+// the burst. The consumed prefix is compacted away as the inbox drains,
+// a buffer over the floor stays at least a quarter full, the drained
+// inbox ends at the floor, and the tasks still run in FIFO order.
 func TestRunQueueGivesCapacityBack(t *testing.T) {
 	net, seen := buildPair(t, Config{Seed: 4})
 	b := net.hosts["b"]
 	const burst = 3000
+	const maxRecord = 128 // a token record here is about 30 bytes
 	for i := int64(0); i < burst; i++ {
 		send(t, net, "a", "b", i)
 	}
-	peak := 0
+	peak, peakCap := 0, 0
 	for net.Sim().NextAt() < 600 && net.Sim().Step() {
-		live, c := len(b.queue)-b.qhead, cap(b.queue)
-		peak = max(peak, c)
-		if b.qhead == 0 && c > queueMinCap && live < c/4 {
-			t.Fatalf("queue holds %d tasks in %d slots after a compaction", live, c)
+		q := &b.inbox
+		live, c := len(q.buf)-q.head, cap(q.buf)
+		peak, peakCap = max(peak, q.n), max(peakCap, c)
+		if c > inboxMinCap && 4*len(q.buf) < c {
+			t.Fatalf("inbox holds %d bytes in %d after a compaction", len(q.buf), c)
+		}
+		// The last task start compacted first unless the consumed prefix
+		// was under the threshold or the live rest.
+		if q.head >= max(inboxCompactAt, live)+2*maxRecord {
+			t.Fatalf("inbox keeps %d consumed bytes before %d live ones", q.head, live)
 		}
 	}
-	if peak < burst/2 {
-		t.Fatalf("burst never queued up: peak capacity %d", peak)
+	// The parent run queue peaked at 794 live tasks in 1706 slots here;
+	// the inbox queues the same tasks (the schedule is unchanged).
+	if peak < burst/4 || peakCap <= inboxMinCap {
+		t.Fatalf("burst never queued up: peak %d tasks in %d bytes", peak, peakCap)
 	}
-	if c := cap(b.queue); c > queueMinCap {
-		t.Errorf("drained queue keeps %d slots, want at most %d", c, queueMinCap)
+	if c := cap(b.inbox.buf); b.inbox.n != 0 || c > inboxMinCap {
+		t.Errorf("drained inbox keeps %d tasks in %d bytes, want none in at most %d", b.inbox.n, c, inboxMinCap)
 	}
 	got := seen("b")
 	if len(got) != burst {

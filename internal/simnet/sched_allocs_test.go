@@ -7,6 +7,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -84,6 +85,69 @@ func TestSchedulerAllocs(t *testing.T) {
 			t.Errorf("%v allocs over %v events carrying %v messages, want 0", total, events, msgs)
 		}
 	})
+
+	// A host stalled behind a backlog keeps every queued message as
+	// bytes in its inbox: with the record pool warm (a first burst of the
+	// same shape), the second burst's only allocations are the two
+	// inboxes' growth, O(log n) buffers for n queued messages.
+	t.Run("backlog", func(t *testing.T) {
+		const burst = 10000
+		net := NewNetwork(NewSim(), Config{Seed: 3, SweepInterval: 1e9})
+		for _, a := range []string{"a", "b"} {
+			n, err := net.AddNode(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.InstallProgram(overlog.MustParse(pongProgram)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pings := make([][]byte, burst)
+		for k := range pings {
+			pings[k] = tuple.Marshal(nil, tuple.New("ping", tuple.Str("b"), tuple.Str("a"), tuple.Int(int64(k))))
+		}
+		warm, _ := backlogAllocs(t, net, pings)
+		recv0 := net.Node("b").Metrics().MsgsRecv
+		total, peak := backlogAllocs(t, net, pings)
+		if got := net.Node("b").Metrics().MsgsRecv - recv0; got != burst {
+			t.Fatalf("b handled %d of %d pings", got, burst)
+		}
+		if peak < burst/2 {
+			t.Fatalf("weak run: the deepest inbox held %d tasks", peak)
+		}
+		// A full inbox moves to 1.5 times its live bytes; one ping
+		// record is under 64 bytes.
+		growth := int(math.Ceil(math.Log(burst*64/inboxMinCap) / math.Log(1.5)))
+		t.Logf("%d allocs warming, %d for %d queued pings (%d growth steps an inbox)", warm, total, burst, growth)
+		if total > uint64(2*growth) {
+			t.Errorf("%v allocs for a backlog of %d pings, want at most the inboxes' growth, %d", total, burst, 2*growth)
+		}
+	})
+}
+
+// pongProgram answers every ping once; nothing handles the pong.
+const pongProgram = `
+p1 pong@Other(N, K) :- ping@N(Other, K).
+`
+
+// backlogAllocs delivers burst pings from a to b at once, so b stalls
+// behind them and a behind the pongs, runs until both inboxes drain, and
+// returns the allocations and the peak queued tasks.
+func backlogAllocs(t *testing.T, net *Network, pings [][]byte) (allocs uint64, peak int) {
+	t.Helper()
+	a, b := net.hosts["a"], net.hosts["b"]
+	now := net.Sim().Now()
+	before := mallocs()
+	for k, raw := range pings {
+		net.deliver(a, "b", engine.Envelope{Src: "a", SrcTupleID: uint64(k), Raw: raw}, now)
+	}
+	for net.Sim().Step() {
+		peak = max(peak, a.inbox.n, b.inbox.n)
+		if net.Sim().Now() > now+1 && a.inbox.n == 0 && b.inbox.n == 0 && net.Sim().Pending() <= 2 {
+			break
+		}
+	}
+	return mallocs() - before, peak
 }
 
 // TestNewLinkAllocs: a link's state is one record with its RNG stream
