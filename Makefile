@@ -91,6 +91,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzInstallUninstall -fuzztime 30s ./internal/engine/
 	go test -run '^$$' -fuzz FuzzStream -fuzztime 30s ./internal/rng/
 	go test -run '^$$' -fuzz FuzzRunQueue -fuzztime 30s ./internal/simnet/
+	go test -run '^$$' -fuzz FuzzAggMaint -fuzztime 30s ./internal/dataflow/
 
 examples:
 	go run ./examples/quickstart

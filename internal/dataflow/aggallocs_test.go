@@ -103,3 +103,31 @@ func TestAggRescanAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestAggMaintAllocs: with a warm accumulator over a 1 000-row table, a
+// replacement retracts one row and records another, and the trigger
+// emits from the accumulator, allocating nothing beyond the table's copy
+// of the new row (maintCtx builds the head in reused storage).
+func TestAggMaintAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the aggregate pool
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and a pool is per P: stay on the warm one
+	for _, op := range []string{"count", "max"} {
+		ctx, s, tab, next, buf := replaceSetup(t, op)
+		ctx.heads = 0
+		got := testing.AllocsPerRun(100, func() {
+			row := replaceRow(buf, next)
+			next++
+			tab.Insert(row, 0) //nolint:errcheck
+			s.Run(ctx, row)
+		})
+		if got > 1 {
+			t.Errorf("%s: %v allocs per replace-and-trigger, want 1 (the table's row copy)", op, got)
+		}
+		if ctx.heads != 101 {
+			t.Errorf("%s: %d heads over 101 triggers, want 101", op, ctx.heads)
+		}
+		if !ctx.am.Valid() {
+			t.Errorf("%s: the accumulator was not maintained", op)
+		}
+	}
+}

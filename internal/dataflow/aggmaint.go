@@ -8,6 +8,16 @@
 // order, min/max use a per-group ordered multiset so deletions and
 // soft-state expiry are exact, and sum/avg re-fold in scan order after
 // any deletion so float rounding matches a fresh rescan.
+//
+// Retraction moves nothing and allocates nothing. A retracted
+// contribution stays in its group's arrays marked dead, and readers skip
+// it: count reads the live count, min the first live entry of the
+// ordered multiset, max the last live entry and then the first live
+// entry of its value block. A group compacts its arrays in place once
+// their dead entries pass half the live ones, so dead slack stays within
+// what append growth leaves anyway. The rows a retraction looks up live
+// in a slab with a free list, chained by content hash, and a freed slot
+// keeps its group-key storage for the next row.
 package dataflow
 
 import (
@@ -25,11 +35,13 @@ import (
 // orders the completions within one row's join expansion. val is the
 // aggregated value (Nil for count<*> and for completions whose value was
 // dropped by a RuleError, which still count toward count/avg support
-// exactly as the rescan path counts them).
+// exactly as the rescan path counts them). dead marks a retracted
+// contribution that still holds its place.
 type contrib struct {
-	seq uint64
-	ord int
-	val tuple.Value
+	seq  uint64
+	val  tuple.Value
+	ord  int32
+	dead bool
 }
 
 // maintGroup is the maintained state of one aggregation group.
@@ -37,13 +49,20 @@ type maintGroup struct {
 	// vals are the group-by values (head args minus the aggregate).
 	vals []tuple.Value
 	// recs holds contributions in (seq, ord) order — the rescan's
-	// first-encounter order. Appends are O(1): seqs are monotonic.
+	// first-encounter order. Appends are O(1): seqs are monotonic. live
+	// counts its live entries, and recs[head] is the first of them.
 	recs []contrib
+	live int
+	head int
 	// byVal (min/max only) keeps non-nil contributions ordered by
 	// (value, seq, ord), so the extremum with the rescan's
 	// first-encountered tie-break is O(1) to read and O(log n) to find
-	// on insert/delete.
-	byVal []contrib
+	// on insert/delete. Dead entries keep their place, so the order
+	// holds over the whole slice; its vlive live entries lie in
+	// [vlo, vhi), with live entries at both ends.
+	byVal    []contrib
+	vlive    int
+	vlo, vhi int
 	// sum caches the left-fold of the numeric contributions in recs
 	// order (sum/avg only). Deletions clear sumOK instead of
 	// subtracting — float subtraction is not an exact inverse — and the
@@ -55,12 +74,18 @@ type maintGroup struct {
 
 // aggRow remembers what one live primary row contributed, so a delete or
 // expiry notification can retract it without recomputing the pipeline
-// against already-changed state.
+// against already-changed state. Rows live in AggMaint.slab; next chains
+// the rows that share a content hash, or the free slots. Every row is
+// the primary table's, so its fields identify it.
 type aggRow struct {
-	t      tuple.Tuple
-	seq    uint64
+	fields []tuple.Value
 	groups []uint64 // group keys in contribution order (may repeat)
+	seq    uint64
+	next   int32
 }
+
+// noRow ends a slab chain.
+const noRow int32 = -1
 
 // AggMaint is the persistent per-strand accumulator. The engine creates
 // one per maintainable strand, feeds it from table listeners, and drops
@@ -74,7 +99,11 @@ type AggMaint struct {
 	poisoned   bool
 	nextSeq    uint64
 	groups     map[uint64]*maintGroup
-	rows       map[uint64][]aggRow // primary-row content hash -> entries
+	// rows maps a primary row's content hash to the first slab slot of
+	// its chain; free heads the chain of freed slots.
+	rows map[uint64]int32
+	slab []aggRow
+	free int32
 	// evalBuf receives each completion's group values; only a new
 	// group's are copied out. Nothing re-enters between the evaluation
 	// and that copy, so one buffer per accumulator is enough; likewise
@@ -88,7 +117,7 @@ type AggMaint struct {
 // NewAggMaint creates an (invalid, empty) accumulator for s; the first
 // trigger rebuilds it with a single rescan. s.AggPlan must be non-nil.
 func NewAggMaint(s *Strand) *AggMaint {
-	return &AggMaint{s: s}
+	return &AggMaint{s: s, free: noRow}
 }
 
 // Valid reports whether the accumulator currently mirrors the tables.
@@ -96,16 +125,25 @@ func (am *AggMaint) Valid() bool { return am.valid }
 
 // Invalidate discards the maintained state; the next trigger rebuilds it
 // by rescanning the primary table. Secondary-table changes and bulk
-// clears (crash amnesia) land here.
+// clears (crash amnesia) land here. The storage stays for the rebuild to
+// reuse.
 func (am *AggMaint) Invalidate() {
 	am.valid = false
-	am.groups = nil
-	am.rows = nil
 }
 
+// reset empties the accumulator, keeping its maps and its slab's
+// storage: every slot goes back on the free list without its fields.
 func (am *AggMaint) reset() {
-	am.groups = make(map[uint64]*maintGroup)
-	am.rows = make(map[uint64][]aggRow)
+	if am.groups == nil {
+		am.groups = make(map[uint64]*maintGroup)
+		am.rows = make(map[uint64]int32)
+	}
+	clear(am.groups)
+	clear(am.rows)
+	am.free = noRow
+	for i := len(am.slab) - 1; i >= 0; i-- {
+		am.releaseRow(int32(i))
+	}
 }
 
 // Apply folds one primary-table change into the accumulator. OpClear
@@ -141,7 +179,7 @@ func (am *AggMaint) complete(s *Strand, ctx Context, b Binding) {
 		g = &maintGroup{vals: append([]tuple.Value(nil), groupVals...), sumOK: true}
 		am.groups[key] = g
 	}
-	rec := contrib{seq: am.nextSeq, ord: len(am.keys)}
+	rec := contrib{seq: am.nextSeq, ord: int32(len(am.keys))}
 	am.keys = append(am.keys, key)
 	av := tuple.Nil
 	if s.Agg.Slot >= 0 {
@@ -169,6 +207,7 @@ func (am *AggMaint) complete(s *Strand, ctx Context, b Binding) {
 		}
 	}
 	g.recs = append(g.recs, rec)
+	g.live++
 }
 
 // applyInsert runs the pipeline for one new primary row (ops[1:], the
@@ -179,11 +218,10 @@ func (am *AggMaint) applyInsert(ctx Context, t tuple.Tuple) {
 	b, pooled := s.acquireBinding()
 	if bindFields(b, t, op0.FieldSlots, op0.FieldConsts, nil) {
 		am.nextSeq++
-		am.keys = nil // the last row's keys are that row's to keep
+		am.keys = am.keys[:0]
 		s.exec(ctx, b, 1, am)
 		if len(am.keys) > 0 {
-			h := t.Hash()
-			am.rows[h] = append(am.rows[h], aggRow{t: t, seq: am.nextSeq, groups: am.keys})
+			am.addRow(t)
 		}
 	}
 	if pooled {
@@ -191,18 +229,46 @@ func (am *AggMaint) applyInsert(ctx Context, t tuple.Tuple) {
 	}
 }
 
+// addRow records row t, numbered nextSeq, as contributing to am.keys.
+func (am *AggMaint) addRow(t tuple.Tuple) {
+	i := am.free
+	if i != noRow {
+		am.free = am.slab[i].next
+	} else {
+		am.slab = append(am.slab, aggRow{})
+		i = int32(len(am.slab) - 1)
+	}
+	r := &am.slab[i]
+	r.fields, r.seq = t.Fields, am.nextSeq
+	r.groups = append(r.groups, am.keys...) // a free slot's keys are empty
+	h := t.Hash()
+	r.next = noRow
+	if first, ok := am.rows[h]; ok {
+		r.next = first
+	}
+	am.rows[h] = i
+}
+
+// releaseRow puts slot i on the free list. It drops the row's fields and
+// keeps its group-key storage for the next row.
+func (am *AggMaint) releaseRow(i int32) {
+	r := &am.slab[i]
+	r.fields = nil
+	r.groups = r.groups[:0]
+	r.next = am.free
+	am.free = i
+}
+
 // applyDelete retracts every contribution of a removed primary row.
 func (am *AggMaint) applyDelete(t tuple.Tuple) {
 	h := t.Hash()
-	rows := am.rows[h]
-	idx := -1
-	for i := range rows {
-		if rows[i].t.Equal(t) {
-			idx = i
-			break
+	i, prev := noRow, noRow
+	if first, ok := am.rows[h]; ok {
+		for i = first; i != noRow && !(tuple.Tuple{Name: t.Name, Fields: am.slab[i].fields}).Equal(t); i = am.slab[i].next {
+			prev = i
 		}
 	}
-	if idx < 0 {
+	if i == noRow {
 		// Either the row contributed nothing, or it died while the
 		// rebuild scan had not reached it yet (re-entrant expiry), so
 		// the rebuild is redone.
@@ -211,9 +277,13 @@ func (am *AggMaint) applyDelete(t tuple.Tuple) {
 		}
 		return
 	}
-	r := rows[idx]
-	am.rows[h] = append(rows[:idx:idx], rows[idx+1:]...)
-	if len(am.rows[h]) == 0 {
+	r := &am.slab[i]
+	switch {
+	case prev != noRow:
+		am.slab[prev].next = r.next
+	case r.next != noRow:
+		am.rows[h] = r.next
+	default:
 		delete(am.rows, h)
 	}
 	for _, key := range r.groups {
@@ -222,10 +292,11 @@ func (am *AggMaint) applyDelete(t tuple.Tuple) {
 			continue // earlier iteration already emptied it
 		}
 		g.removeSeq(r.seq, am.s.Agg.Op)
-		if len(g.recs) == 0 {
+		if g.live == 0 {
 			delete(am.groups, key)
 		}
 	}
+	am.releaseRow(i)
 }
 
 func contribLess(a, b contrib) bool {
@@ -238,49 +309,112 @@ func contribLess(a, b contrib) bool {
 	return a.ord < b.ord
 }
 
+// byValInsert adds a live contribution to the ordered multiset. A dead
+// entry right beside its place is overwritten (the order holds: it lies
+// between the same neighbours); otherwise the tail shifts up one.
 func (g *maintGroup) byValInsert(rec contrib) {
 	i := sort.Search(len(g.byVal), func(i int) bool { return contribLess(rec, g.byVal[i]) })
-	g.byVal = append(g.byVal, contrib{})
-	copy(g.byVal[i+1:], g.byVal[i:])
-	g.byVal[i] = rec
+	switch {
+	case i > 0 && g.byVal[i-1].dead:
+		i--
+		g.byVal[i] = rec
+	case i < len(g.byVal) && g.byVal[i].dead:
+		g.byVal[i] = rec
+	default:
+		g.byVal = slices.Insert(g.byVal, i, rec)
+		if g.vlo >= i {
+			g.vlo++
+		}
+		if g.vhi > i {
+			g.vhi++
+		}
+	}
+	if g.vlive == 0 {
+		g.vlo, g.vhi = i, i+1
+	} else {
+		g.vlo, g.vhi = min(g.vlo, i), max(g.vhi, i+1)
+	}
+	g.vlive++
 }
 
+// byValRemove marks rec's entry in the ordered multiset dead.
 func (g *maintGroup) byValRemove(rec contrib) {
 	i := sort.Search(len(g.byVal), func(i int) bool { return !contribLess(g.byVal[i], rec) })
 	for ; i < len(g.byVal); i++ {
-		if g.byVal[i].seq == rec.seq && g.byVal[i].ord == rec.ord {
-			g.byVal = append(g.byVal[:i], g.byVal[i+1:]...)
-			return
+		if e := &g.byVal[i]; e.seq == rec.seq && e.ord == rec.ord && !e.dead {
+			e.dead = true
+			break
 		}
+	}
+	if i == len(g.byVal) {
+		return
+	}
+	g.vlive--
+	if dead := len(g.byVal) - g.vlive; dead > g.vlive/2 {
+		g.byVal, g.vlo, g.vhi = compactLive(g.byVal), 0, g.vlive
+		return
+	}
+	for g.byVal[g.vlo].dead {
+		g.vlo++
+	}
+	for g.byVal[g.vhi-1].dead {
+		g.vhi--
 	}
 }
 
+// compactLive moves a slice's live contributions to its front, in order,
+// and clears the rest so the dead values can be collected.
+func compactLive(cs []contrib) []contrib {
+	n := 0
+	for _, c := range cs {
+		if !c.dead {
+			cs[n] = c
+			n++
+		}
+	}
+	clear(cs[n:])
+	return cs[:n]
+}
+
 // removeSeq retracts the contiguous block of contributions with the
-// given row seq.
+// given row seq. A row that contributed to a group twice lists its key
+// twice, so retracting an already dead block is a no-op.
 func (g *maintGroup) removeSeq(seq uint64, aggOp string) {
 	lo := sort.Search(len(g.recs), func(i int) bool { return g.recs[i].seq >= seq })
-	hi := lo
-	for hi < len(g.recs) && g.recs[hi].seq == seq {
-		rec := g.recs[hi]
+	for i := lo; i < len(g.recs) && g.recs[i].seq == seq; i++ {
+		rec := &g.recs[i]
+		if rec.dead {
+			continue
+		}
+		rec.dead = true
+		g.live--
 		switch aggOp {
 		case "min", "max":
 			if !rec.val.IsNil() {
-				g.byValRemove(rec)
+				g.byValRemove(*rec)
 			}
 		case "sum", "avg":
 			if !rec.val.IsNil() {
 				g.sumOK = false
 			}
 		}
-		hi++
 	}
-	g.recs = append(g.recs[:lo], g.recs[hi:]...)
+	if g.live == 0 {
+		return // the caller drops the group
+	}
+	if dead := len(g.recs) - g.live; dead > g.live/2 {
+		g.recs, g.head = compactLive(g.recs), 0
+		return
+	}
+	for g.recs[g.head].dead {
+		g.head++
+	}
 }
 
 func (g *maintGroup) refold() {
 	g.sum = 0
 	for _, r := range g.recs {
-		if !r.val.IsNil() {
+		if !r.dead && !r.val.IsNil() {
 			g.sum += avFloat(r.val)
 		}
 	}
@@ -364,20 +498,23 @@ func (am *AggMaint) passes(g *maintGroup, b Binding) bool {
 func (am *AggMaint) valueOf(g *maintGroup) tuple.Value {
 	switch am.s.Agg.Op {
 	case "count":
-		return tuple.Int(int64(len(g.recs)))
+		return tuple.Int(int64(g.live))
 	case "min":
-		if len(g.byVal) == 0 {
+		if g.vlive == 0 {
 			return tuple.Nil
 		}
-		return g.byVal[0].val
+		return g.byVal[g.vlo].val
 	case "max":
-		if len(g.byVal) == 0 {
+		if g.vlive == 0 {
 			return tuple.Nil
 		}
-		top := g.byVal[len(g.byVal)-1]
+		top := g.byVal[g.vhi-1]
 		// First-encountered among the maximal value block, matching the
 		// rescan's strict-improvement update.
-		i := sort.Search(len(g.byVal), func(i int) bool { return g.byVal[i].val.Compare(top.val) >= 0 })
+		i := sort.Search(g.vhi, func(i int) bool { return g.byVal[i].val.Compare(top.val) >= 0 })
+		for g.byVal[i].dead {
+			i++
+		}
 		return g.byVal[i].val
 	case "sum":
 		if !g.sumOK {
@@ -388,7 +525,7 @@ func (am *AggMaint) valueOf(g *maintGroup) tuple.Value {
 		if !g.sumOK {
 			g.refold()
 		}
-		return tuple.Float(g.sum / float64(len(g.recs)))
+		return tuple.Float(g.sum / float64(g.live))
 	}
 	return tuple.Nil
 }
@@ -411,7 +548,7 @@ func (am *AggMaint) emitGroups(ctx Context, b Binding, zero []tuple.Value) {
 	}
 	// A contribution belongs to one group, so (seq, ord) is a total order.
 	slices.SortFunc(sel, func(x, y *maintGroup) int {
-		a, b := x.recs[0], y.recs[0]
+		a, b := x.recs[x.head], y.recs[y.head]
 		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.ord, b.ord))
 	})
 	for _, g := range sel {

@@ -1266,10 +1266,10 @@ func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 		return nil // rescan path reports the unmaterialized-table error
 	}
 	e = &aggEntry{am: dataflow.NewAggMaint(s)}
-	qid := s.QueryID
+	qs := n.queryStats(s.QueryID) // perQuery entries are never deleted
 	am := e.am
 	id := primary.Subscribe(func(op table.Op, t tuple.Tuple) {
-		n.aggApply(am, qid, op, t)
+		n.aggApply(am, qs, op, t)
 	})
 	e.tabs = append(e.tabs, aggSub{name: s.AggPlan.Primary, tb: primary, sub: id})
 	for _, name := range s.AggPlan.Secondaries {
@@ -1286,8 +1286,9 @@ func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 }
 
 // aggApply folds one primary-table change into a strand's accumulator,
-// billed to the owning query (maintenance work is attributable CPU).
-func (n *Node) aggApply(am *dataflow.AggMaint, queryID string, op table.Op, t tuple.Tuple) {
+// billed to the owning query's bucket qs (maintenance work is
+// attributable CPU).
+func (n *Node) aggApply(am *dataflow.AggMaint, qs *metrics.Query, op table.Op, t tuple.Tuple) {
 	if op == table.OpClear {
 		am.Invalidate()
 		return
@@ -1296,7 +1297,7 @@ func (n *Node) aggApply(am *dataflow.AggMaint, queryID string, op table.Op, t tu
 		return // next trigger rebuilds; nothing to maintain
 	}
 	prev := n.curStats
-	n.curStats = n.queryStats(queryID)
+	n.curStats = qs
 	n.bill(dataflow.CostAggApply)
 	n.met.AggApplies++
 	am.Apply(n, op, t)
