@@ -9,7 +9,7 @@ import (
 // arena is the storage of every tuple a node builds during one task:
 // strand heads, periodic triggers, stats rows and the fields decoded from
 // an incoming message. A task takes one from arenaPool when it first
-// builds a tuple and endTask clears and returns it, so a tuple.Tuple
+// builds a tuple and finishTask clears and returns it, so a tuple.Tuple
 // handed out during a task is borrowed until that task ends and whoever
 // keeps it copies it (table.Insert, the tracer's memo, the OnWatch
 // call). A full block is left to the tuples carved from it and a fresh

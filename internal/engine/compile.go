@@ -52,9 +52,6 @@ type CompiledQuery struct {
 // Program returns the compiled program.
 func (cq *CompiledQuery) Program() *overlog.Program { return cq.prog }
 
-// NumPlans returns how many rule strands the program compiled into.
-func (cq *CompiledQuery) NumPlans() int { return len(cq.plans) }
-
 // Plans returns the compiled rule plans. The slice and the plans are
 // immutable; callers may instantiate per-node strands from them but
 // must not modify them.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"p2go/internal/chord"
+	"p2go/internal/dataflow"
 	"p2go/internal/engine"
 	"p2go/internal/monitor"
 	"p2go/internal/overlog"
@@ -399,33 +400,50 @@ f1 foo@N(X) :- fev@N(X).
 	}
 }
 
-// FuzzInstallUninstall: on a node that already runs Chord, a program
-// that parses either fails to install and leaves the node's shape and
-// query list as they were, or installs and is uninstalled back to the
-// shape the node had before.
+// FuzzInstallUninstall: on a node that already runs Chord, traced or
+// not, a program that parses either fails to install and leaves the
+// node's shape and query list as they were, or installs and is
+// uninstalled back to the shape the node had before. After the
+// uninstall, a tuple of every predicate its rules triggered on moves
+// none of its bill, and the relation records match the node throughout.
 func FuzzInstallUninstall(f *testing.F) {
-	f.Add(chord.Program().Source)
-	f.Add(chord.TreeProgram(chord.TreeConfig{}).Source)
+	srcs := []string{chord.Program().Source, chord.TreeProgram(chord.TreeConfig{}).Source}
 	for _, d := range monitor.Detectors(5, 10) {
-		f.Add(d.Program.Source)
+		srcs = append(srcs, d.Program.Source)
 	}
-	f.Add(aggDiffProgram)
+	srcs = append(srcs, aggDiffProgram)
 	for _, tc := range rejectedInstalls {
-		f.Add(tc.prog)
+		srcs = append(srcs, tc.prog)
 	}
-	f.Fuzz(func(t *testing.T, src string) {
+	for _, traced := range []bool{false, true} {
+		for _, src := range srcs {
+			f.Add(src, traced)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string, traced bool) {
 		prog, err := overlog.Parse(src)
 		if err != nil {
 			return
 		}
-		n, err := simnet.NewNetwork(simnet.NewSim(), simnet.Config{Seed: 1}).AddNode("n1")
+		cfg := simnet.Config{Seed: 1}
+		if traced {
+			cfg.Tracing = &trace.Config{RuleExecTTL: 60, RuleExecMax: 100, TupleLogMax: 100}
+		}
+		n, err := simnet.NewNetwork(simnet.NewSim(), cfg).AddNode("n1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := chord.Install(n, "n1"); err != nil {
 			t.Fatal(err)
 		}
-		base, baseQueries := shapeOf(n), n.Queries()
+		check := func(when string) {
+			t.Helper()
+			if err := engine.CheckRelations(n); err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+		}
+		check("after chord")
+		base, baseQueries, basePlans := shapeOf(n), n.Queries(), len(n.Plans())
 		if _, err := n.InstallQuery("fuzz", prog); err != nil {
 			if got := shapeOf(n); got != base {
 				t.Fatalf("rejected install (%v) changed the shape: %+v, was %+v", err, got, base)
@@ -433,7 +451,15 @@ func FuzzInstallUninstall(f *testing.F) {
 			if got := n.Queries(); !slices.Equal(got, baseQueries) {
 				t.Fatalf("rejected install (%v) changed the queries: %v, was %v", err, got, baseQueries)
 			}
+			check("after a rejected install")
 			return
+		}
+		check("after install")
+		var triggers []dataflow.Trigger
+		for _, p := range n.Plans()[basePlans:] {
+			if p.Trigger.Kind != dataflow.TriggerPeriodic {
+				triggers = append(triggers, p.Trigger)
+			}
 		}
 		if err := n.UninstallQuery("fuzz"); err != nil {
 			t.Fatal(err)
@@ -441,5 +467,19 @@ func FuzzInstallUninstall(f *testing.F) {
 		if got := shapeOf(n); got != base {
 			t.Fatalf("shape after uninstall = %+v, want %+v", got, base)
 		}
+		check("after uninstall")
+		bill := n.QueryMetrics()["fuzz"]
+		for _, tr := range triggers {
+			fields := []tuple.Value{tuple.Str("n1")}
+			for i := 1; i < len(tr.FieldSlots); i++ {
+				fields = append(fields, tuple.Int(int64(i)))
+			}
+			n.HandleLocal(tuple.New(tr.Name, fields...))
+		}
+		if got := n.QueryMetrics()["fuzz"]; got.RuleFires != bill.RuleFires || got.BusySeconds != bill.BusySeconds {
+			t.Fatalf("the uninstalled query still runs: %d fires, %g s billed, was %d, %g",
+				got.RuleFires, got.BusySeconds, bill.RuleFires, bill.BusySeconds)
+		}
+		check("after injecting its triggers")
 	})
 }

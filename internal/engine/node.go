@@ -122,7 +122,7 @@ type SendFunc func(dst string, env Envelope, at float64)
 type Periodic struct {
 	// Strand is the rule strand the timer fires.
 	Strand    *dataflow.Strand
-	node      *Node
+	qs        *metrics.Query // the owning query's bill bucket
 	fired     int
 	cancelled bool // set when the owning query is uninstalled
 }
@@ -188,7 +188,8 @@ type queued struct {
 // and per-query cost attribution.
 type query struct {
 	id      string
-	source  string // original OverLog text (queryTable reflection)
+	source  string         // original OverLog text (queryTable reflection)
+	stats   *metrics.Query // bill bucket, also held by its strands and timers
 	strands []*dataflow.Strand
 	// periodics are this query's registered timers (cancelled on
 	// uninstall so driver timer chains die).
@@ -210,21 +211,13 @@ type Node struct {
 	store *table.Store
 	rng   rng.Source
 
-	eventStrands map[string][]*dataflow.Strand
-	deltaStrands map[string][]*dataflow.Strand
-	periodics    []*Periodic
+	rels      map[string]*relation // one record per predicate name (relation.go)
+	periodics []*Periodic
 
 	// queries indexes installed queries by ID; queryOrder preserves
 	// installation order (deterministic iteration).
 	queries    map[string]*query
 	queryOrder []string
-	// tableRefs counts, per declared table, how many installed queries
-	// materialized it; a table is dropped when its count hits zero.
-	tableRefs map[string]int
-	// watchRefs counts watch declarations per predicate name.
-	watchRefs map[string]int
-	// logSubs tracks which tables have a tracer event-log tap.
-	logSubs map[string]bool
 	// aggMaints holds the persistent incremental-aggregate accumulators,
 	// one per maintainable strand that has triggered at least once, with
 	// the table subscriptions feeding them (torn down on uninstall).
@@ -239,7 +232,8 @@ type Node struct {
 	statsPeriod float64
 	// perQuery splits the node counters by query ID; curStats points at
 	// the bucket bills currently land in (the running strand's query, or
-	// system between strands).
+	// system between strands). A bucket is made when its query installs
+	// and reported once the query has run (reported).
 	perQuery map[string]*metrics.Query
 	curStats *metrics.Query
 	sysStats *metrics.Query
@@ -263,13 +257,6 @@ type Node struct {
 	// Rejoin replays them after a restart with soft-state loss (the
 	// bootstrap a real process re-runs when it comes back up).
 	preamble []tuple.Tuple
-
-	ruleTable     *table.Table
-	tableTable    *table.Table
-	queryTable    *table.Table
-	nodeStatsTbl  *table.Table
-	queryStatsTbl *table.Table
-	epochTbl      *table.Table
 }
 
 // NewNode creates a node.
@@ -278,51 +265,32 @@ func NewNode(cfg Config) *Node {
 		cfg.Clock = func() float64 { return 0 }
 	}
 	n := &Node{
-		cfg:          cfg,
-		store:        table.NewStore(),
-		rng:          rng.Make(cfg.Seed),
-		eventStrands: make(map[string][]*dataflow.Strand),
-		deltaStrands: make(map[string][]*dataflow.Strand),
-		queries:      make(map[string]*query),
-		tableRefs:    make(map[string]int),
-		watchRefs:    make(map[string]int),
-		logSubs:      make(map[string]bool),
-		aggMaints:    make(map[*dataflow.Strand]*aggEntry),
-		perQuery:     make(map[string]*metrics.Query),
+		cfg:       cfg,
+		store:     table.NewStore(),
+		rng:       rng.Make(cfg.Seed),
+		rels:      make(map[string]*relation),
+		queries:   make(map[string]*query),
+		aggMaints: make(map[*dataflow.Strand]*aggEntry),
+		perQuery:  make(map[string]*metrics.Query),
 	}
 	n.sysStats = n.queryStats(SystemQuery)
 	n.curStats = n.sysStats
+	system := func(name string, keys ...int) *table.Table {
+		return n.materialize(table.Spec{Name: name, Lifetime: table.Infinity, MaxSize: table.Infinity, Keys: keys}).tbl
+	}
 	// Reflection tables (introspection model, §2.1).
-	n.ruleTable, _ = n.store.Materialize(table.Spec{
-		Name: RuleTableName, Lifetime: table.Infinity, MaxSize: table.Infinity,
-		Keys: []int{2, 3, 4},
-	})
-	n.tableTable, _ = n.store.Materialize(table.Spec{
-		Name: TableTableName, Lifetime: table.Infinity, MaxSize: table.Infinity,
-		Keys: []int{2},
-	})
-	n.queryTable, _ = n.store.Materialize(table.Spec{
-		Name: QueryTableName, Lifetime: table.Infinity, MaxSize: table.Infinity,
-		Keys: []int{2},
-	})
+	system(RuleTableName, 2, 3, 4)
+	system(TableTableName, 2)
+	system(QueryTableName, 2)
 	// Performance-counter tables exist from birth (empty until
 	// EnableStatsPublication turns publication on), so any OverLog
 	// program can join them without declaring them.
-	n.nodeStatsTbl, _ = n.store.Materialize(table.Spec{
-		Name: NodeStatsTableName, Lifetime: table.Infinity, MaxSize: table.Infinity,
-		Keys: []int{3},
-	})
-	n.queryStatsTbl, _ = n.store.Materialize(table.Spec{
-		Name: QueryStatsTableName, Lifetime: table.Infinity, MaxSize: table.Infinity,
-		Keys: []int{3, 4},
-	})
+	system(NodeStatsTableName, 3)
+	system(QueryStatsTableName, 3, 4)
 	// The epoch row is inserted directly (no task is running at birth;
 	// there are no strands to fire yet either).
-	n.epochTbl, _ = n.store.Materialize(table.Spec{
-		Name: NodeEpochTableName, Lifetime: table.Infinity, MaxSize: table.Infinity,
-		Keys: []int{1},
-	})
-	if _, err := n.epochTbl.Insert(n.epochRow(), cfg.Clock()); err != nil {
+	epoch := system(NodeEpochTableName, 1)
+	if _, err := epoch.Insert(n.epochRow(), cfg.Clock()); err != nil {
 		panic(fmt.Sprintf("engine: seeding %s: %v", NodeEpochTableName, err))
 	}
 	return n
@@ -337,10 +305,13 @@ func (n *Node) epochRow() tuple.Tuple {
 // incremented on every Rejoin.
 func (n *Node) Epoch() int64 { return n.epoch }
 
-// isSystemTable reports whether name is one of the engine- or
-// tracer-owned reflection tables, which queries may re-declare but never
-// own: they are exempt from refcounting and are never dropped.
-func isSystemTable(name string) bool {
+// IsSystemTable reports whether name is an engine- or tracer-owned
+// reflection table, present on every node without a declaration. Queries
+// may re-declare one but never own it: it has no owners and is never
+// dropped. Code that analyses a program without a node to compile it on,
+// such as monitor.BuildCluster deciding whether an aggregate splits,
+// admits these names as materialized.
+func IsSystemTable(name string) bool {
 	switch name {
 	case RuleTableName, TableTableName, QueryTableName,
 		NodeStatsTableName, QueryStatsTableName, NodeEpochTableName,
@@ -349,13 +320,6 @@ func isSystemTable(name string) bool {
 	}
 	return false
 }
-
-// IsSystemTable reports whether name is an engine- or tracer-owned
-// reflection table, present on every node without a declaration. Code
-// that analyses a program without a node to compile it on, such as
-// monitor.BuildCluster deciding whether an aggregate splits, admits
-// these names as materialized.
-func IsSystemTable(name string) bool { return isSystemTable(name) }
 
 // Addr returns the node's address.
 func (n *Node) Addr() string { return n.cfg.Addr }
@@ -395,7 +359,9 @@ func (n *Node) ObserveQueueWait(wait float64, depth int) {
 func (n *Node) QueryMetrics() map[string]metrics.Query {
 	out := make(map[string]metrics.Query, len(n.perQuery))
 	for id, q := range n.perQuery {
-		out[id] = q.Snapshot()
+		if reported(id, q) {
+			out[id] = q.Snapshot()
+		}
 	}
 	return out
 }
@@ -455,9 +421,10 @@ func (n *Node) EnableTracing(cfg trace.Config) error {
 		n.dropAggEntry(s, e)
 	}
 	// Event logging (§2.1): record insertions and removals on every
-	// application table, existing and future.
+	// table, existing and future. This also binds the tracer's own
+	// tables, which trace.New made in the store, to their records.
 	for _, name := range n.store.Names() {
-		n.subscribeLog(name)
+		n.materialize(n.store.Get(name).Spec())
 	}
 	return nil
 }
@@ -493,7 +460,7 @@ func (n *Node) EnableStatsPublication(period float64) error {
 	// refuses that ID precisely so only the engine can bill it), so
 	// runStrand and HandleTimer attribute its work to the system bucket.
 	s := ps[0].Instantiate(SystemQuery)
-	p := &Periodic{Strand: s, node: n}
+	p := &Periodic{Strand: s, qs: n.sysStats}
 	n.periodics = append(n.periodics, p)
 	n.statsPub = p
 	n.statsPeriod = period
@@ -503,9 +470,7 @@ func (n *Node) EnableStatsPublication(period float64) error {
 	if n.cfg.OnNewPeriodic != nil {
 		n.cfg.OnNewPeriodic(p)
 	}
-	if !n.inTask {
-		n.runReflectTask()
-	}
+	n.reflectNow()
 	return nil
 }
 
@@ -521,7 +486,7 @@ func (n *Node) StatsPeriod() float64 { return n.statsPeriod }
 // the snapshot taken here; work done inserting the rows themselves shows
 // up in the next publication (self-measurement lags one period at most).
 func (n *Node) publishStats() {
-	n.billSystem(dataflow.CostStatsPublish)
+	n.billTo(n.sysStats, dataflow.CostStatsPublish)
 	addr := tuple.Str(n.cfg.Addr)
 	epoch := tuple.Int(n.epoch)
 	for _, c := range n.met.Snapshot().Counters() {
@@ -533,8 +498,10 @@ func (n *Node) publishStats() {
 			addr, epoch, tuple.Str(c.Name), counterValue(c)), false)
 	}
 	ids := make([]string, 0, len(n.perQuery))
-	for id := range n.perQuery {
-		ids = append(ids, id)
+	for id, q := range n.perQuery {
+		if reported(id, q) {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
@@ -579,14 +546,13 @@ func counterValue(c metrics.Counter) tuple.Value {
 }
 
 // subscribeLog wires a table's change stream into the tracer's tupleLog.
-func (n *Node) subscribeLog(name string) {
-	tb := n.store.Get(name)
-	if tb == nil || n.tracer == nil || n.logSubs[name] {
+func (n *Node) subscribeLog(r *relation) {
+	if n.tracer == nil || r.logged {
 		return
 	}
-	n.logSubs[name] = true
-	n.tracer.LogEvent("watchTable", name, 0, n.Now()) // marks coverage start
-	tb.Subscribe(func(op table.Op, t tuple.Tuple) {
+	r.logged = true
+	n.tracer.LogEvent("watchTable", r.tbl.Name(), 0, n.Now()) // marks coverage start
+	r.tbl.Subscribe(func(op table.Op, t tuple.Tuple) {
 		if op == table.OpClear {
 			return // bulk wipe: no per-row provenance to log
 		}
@@ -601,10 +567,10 @@ func (n *Node) subscribeLog(name string) {
 // NumLogTaps returns how many tables feed the tracer's event log (the
 // tracer tap count; uninstalling a query that owned a table removes its
 // tap with the table).
-func (n *Node) NumLogTaps() int { return len(n.logSubs) }
+func (n *Node) NumLogTaps() int { return n.countRels(func(r *relation) bool { return r.logged }) }
 
 // NumWatches returns the number of distinct watched predicates.
-func (n *Node) NumWatches() int { return len(n.watchRefs) }
+func (n *Node) NumWatches() int { return n.countRels(func(r *relation) bool { return r.watches > 0 }) }
 
 // NumTimers returns the number of live periodic triggers (registered,
 // not exhausted, not cancelled).
@@ -671,18 +637,15 @@ func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery)
 	q := &query{
 		id:          id,
 		source:      prog.Source,
+		stats:       n.queryStats(id),
 		strands:     strands,
 		installedAt: n.cfg.Clock(),
 	}
 	for _, spec := range cq.specs {
 		name := spec.Name
-		existed := n.store.Get(name) != nil
-		n.store.Materialize(spec) //nolint:errcheck // validated in phase 1
-		if !existed {
-			n.subscribeLog(name)
-		}
-		if !isSystemTable(name) {
-			n.tableRefs[name]++
+		r := n.materialize(spec) // validated in phase 1
+		if !IsSystemTable(name) {
+			r.owners++
 			q.tables = append(q.tables, name)
 		}
 		n.reflect(tuple.New(TableTableName,
@@ -690,7 +653,7 @@ func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery)
 			tuple.Float(spec.Lifetime), tuple.Int(int64(spec.MaxSize))), false)
 	}
 	for _, w := range cq.watches {
-		n.watchRefs[w]++
+		n.relation(w).watches++
 		q.watches = append(q.watches, w)
 	}
 	for _, s := range strands {
@@ -702,14 +665,12 @@ func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery)
 		tuple.Str(n.cfg.Addr), tuple.Str(id),
 		tuple.Int(int64(len(q.strands))), tuple.Int(int64(len(q.tables))),
 		tuple.Float(q.installedAt)), false)
-	if !n.inTask {
-		n.runReflectTask()
-	}
+	n.reflectNow()
 	return id, nil
 }
 
-// UninstallQuery removes the named query: its strands leave the event
-// and delta dispatch maps, its timers are cancelled (driver chains die
+// UninstallQuery removes the named query: its strands leave their
+// relations' dispatch lists, its timers are cancelled (driver chains die
 // at the next firing), its watch and table refcounts drop — tables whose
 // count reaches zero are dropped from the store together with their
 // listeners and tracer tap — and its reflection rows are deleted. The
@@ -724,17 +685,12 @@ func (n *Node) UninstallQuery(id string) error {
 		return fmt.Errorf("engine: query %q is not installed", id)
 	}
 	for _, s := range q.strands {
-		switch s.Trigger.Kind {
-		case dataflow.TriggerEvent:
-			n.eventStrands[s.Trigger.Name] = removeStrand(n.eventStrands[s.Trigger.Name], s)
-			if len(n.eventStrands[s.Trigger.Name]) == 0 {
-				delete(n.eventStrands, s.Trigger.Name)
-			}
-		case dataflow.TriggerDelta:
-			n.deltaStrands[s.Trigger.Name] = removeStrand(n.deltaStrands[s.Trigger.Name], s)
-			if len(n.deltaStrands[s.Trigger.Name]) == 0 {
-				delete(n.deltaStrands, s.Trigger.Name)
-			}
+		if name := s.Trigger.Name; s.Trigger.Kind != dataflow.TriggerPeriodic {
+			// A new array: a dispatch loop ranging over the old one keeps
+			// the strands it started with.
+			r := n.rels[name]
+			r.strands = slices.DeleteFunc(slices.Clone(r.strands), func(b bound) bool { return b.s == s })
+			n.release(name, r)
 		}
 		if n.tracer != nil {
 			n.tracer.ForgetStrand(s)
@@ -743,22 +699,14 @@ func (n *Node) UninstallQuery(id string) error {
 			n.dropAggEntry(s, e)
 		}
 	}
-	if len(q.periodics) > 0 {
-		for _, p := range q.periodics {
-			p.cancelled = true
-		}
-		live := n.periodics[:0]
-		for _, p := range n.periodics {
-			if !p.cancelled {
-				live = append(live, p)
-			}
-		}
-		n.periodics = live
+	for _, p := range q.periodics {
+		p.cancelled = true
 	}
+	n.periodics = slices.DeleteFunc(n.periodics, func(p *Periodic) bool { return p.cancelled })
 	for _, w := range q.watches {
-		if n.watchRefs[w]--; n.watchRefs[w] <= 0 {
-			delete(n.watchRefs, w)
-		}
+		r := n.rels[w]
+		r.watches--
+		n.release(w, r)
 	}
 	// Delete the query's ruleTable rows in one pattern delete (nil
 	// fields are wildcards), then its queryTable row.
@@ -769,38 +717,19 @@ func (n *Node) UninstallQuery(id string) error {
 		tuple.Str(n.cfg.Addr), tuple.Str(id),
 		tuple.Nil, tuple.Nil, tuple.Nil), true)
 	for _, name := range q.tables {
-		if n.tableRefs[name]--; n.tableRefs[name] > 0 {
+		r := n.rels[name]
+		if r.owners--; r.owners > 0 {
 			continue
 		}
-		delete(n.tableRefs, name)
 		n.reflect(tuple.New(TableTableName,
 			tuple.Str(n.cfg.Addr), tuple.Str(name),
 			tuple.Nil, tuple.Nil), true)
-		// The table vanishes with its rows, listeners, and tracer tap:
-		// a removed query's soft state emits no delete events.
-		delete(n.logSubs, name)
-		n.store.Drop(name)
+		n.drop(name, r)
 	}
 	delete(n.queries, id)
-	for i, qid := range n.queryOrder {
-		if qid == id {
-			n.queryOrder = append(n.queryOrder[:i:i], n.queryOrder[i+1:]...)
-			break
-		}
-	}
-	if !n.inTask {
-		n.runReflectTask()
-	}
+	n.queryOrder = slices.DeleteFunc(n.queryOrder, func(qid string) bool { return qid == id })
+	n.reflectNow()
 	return nil
-}
-
-func removeStrand(ss []*dataflow.Strand, s *dataflow.Strand) []*dataflow.Strand {
-	for i, x := range ss {
-		if x == s {
-			return append(ss[:i:i], ss[i+1:]...)
-		}
-	}
-	return ss
 }
 
 func (n *Node) genQueryID() string {
@@ -823,12 +752,11 @@ func ruleLabel(k int) string { return fmt.Sprintf("rule_%d", k) }
 
 func (n *Node) installStrand(s *dataflow.Strand, q *query) {
 	switch s.Trigger.Kind {
-	case dataflow.TriggerEvent:
-		n.eventStrands[s.Trigger.Name] = append(n.eventStrands[s.Trigger.Name], s)
-	case dataflow.TriggerDelta:
-		n.deltaStrands[s.Trigger.Name] = append(n.deltaStrands[s.Trigger.Name], s)
+	case dataflow.TriggerEvent, dataflow.TriggerDelta:
+		r := n.relation(s.Trigger.Name)
+		r.strands = append(r.strands, bound{s, q.stats})
 	case dataflow.TriggerPeriodic:
-		p := &Periodic{Strand: s, node: n}
+		p := &Periodic{Strand: s, qs: q.stats}
 		n.periodics = append(n.periodics, p)
 		q.periodics = append(q.periodics, p)
 		if n.cfg.OnNewPeriodic != nil {
@@ -848,27 +776,33 @@ func (n *Node) reflect(row tuple.Tuple, isDelete bool) {
 	n.queue = append(n.queue, queued{t: row, isDelete: isDelete, src: n.cfg.Addr})
 }
 
-// runReflectTask drains reflection changes queued by an install or
+// reflectNow drains reflection changes queued by an install or
 // uninstall invoked from driver context (outside any task), so the
 // reflection tables are current when the call returns. Installs from
 // inside a task (the higher-order events) are drained by the enclosing
 // cascade instead.
-func (n *Node) runReflectTask() {
-	n.inTask = true
-	n.micro = 0
-	n.drain()
-	n.endTask()
+func (n *Node) reflectNow() {
+	if !n.inTask {
+		n.beginTask()
+		n.finishTask()
+	}
 }
 
-// endTask is the one epilogue of every task: the tracer drops the
-// provenance nothing referenced, and the tuples the task built go back
-// with its arena — nothing may hold a borrowed tuple past this point.
-func (n *Node) endTask() {
+// beginTask opens a task, whose cost starts from zero; finishTask closes it.
+func (n *Node) beginTask() { n.inTask, n.micro = true, 0 }
+
+// finishTask runs the cascade the task queued and is the one epilogue of
+// every task: the tracer drops the provenance nothing referenced, and the
+// tuples the task built go back with its arena — nothing may hold a
+// borrowed tuple past this point. It returns the task's cost.
+func (n *Node) finishTask() float64 {
+	n.drain()
 	if n.tracer != nil {
 		n.tracer.TaskDone()
 	}
 	n.releaseArena()
 	n.inTask = false
+	return n.micro
 }
 
 // taskTuple builds a tuple in the task's arena.
@@ -898,19 +832,15 @@ func (n *Node) HandleTimer(p *Periodic) float64 {
 	}
 	p.fired++
 	n.met.TimerFires++
-	qs := n.queryStats(p.Strand.QueryID)
-	qs.TimerFires++
+	p.qs.TimerFires++
+	n.beginTask()
 	trig := n.periodicTuple(p)
-	n.inTask = true
-	n.micro = 0
-	n.billTo(qs, dataflow.CostTimerFire)
+	n.billTo(p.qs, dataflow.CostTimerFire)
 	// Periodic events are synthesized locally: give them IDs and run
 	// the strand directly (they are not routable tuples).
 	n.assignID(&trig, n.cfg.Addr, 0)
-	n.runStrand(p.Strand, trig)
-	n.drain()
-	n.endTask()
-	return n.micro
+	n.runStrand(bound{p.Strand, p.qs}, trig)
+	return n.finishTask()
 }
 
 func (n *Node) periodicTuple(p *Periodic) tuple.Tuple {
@@ -950,8 +880,7 @@ func (n *Node) Preamble() []tuple.Tuple { return n.preamble }
 // reflection tables survive: they are the program, not its soft state.
 // Like every Handle* entry point it runs one task and returns its cost.
 func (n *Node) Rejoin() float64 {
-	n.inTask = true
-	n.micro = 0
+	n.beginTask()
 	n.queue, n.qhead = n.queue[:0], 0 // work queued in the dead process is gone
 	for _, name := range n.store.Names() {
 		if name == RuleTableName || name == TableTableName || name == QueryTableName {
@@ -975,9 +904,7 @@ func (n *Node) Rejoin() float64 {
 	for _, t := range n.preamble {
 		n.queue = append(n.queue, queued{t: t.WithID(0), src: n.cfg.Addr})
 	}
-	n.drain()
-	n.endTask()
-	return n.micro
+	return n.finishTask()
 }
 
 // Sweep expires soft state; drivers call it about once per virtual
@@ -991,13 +918,10 @@ func (n *Node) Sweep() float64 {
 
 // runTask drains the cascade triggered by the seed tuple.
 func (n *Node) runTask(seed queued, startCost float64) float64 {
-	n.inTask = true
-	n.micro = 0
+	n.beginTask()
 	n.bill(startCost)
 	n.queue = append(n.queue, seed)
-	n.drain()
-	n.endTask()
-	return n.micro
+	return n.finishTask()
 }
 
 // drain consumes the cascade queue as a ring: processed slots are
@@ -1027,62 +951,68 @@ func (n *Node) drain() {
 	}
 }
 
+// processOne handles one queued tuple, looking up its relation once (and
+// again only after a watch observer ran).
 func (n *Node) processOne(q queued) {
 	n.met.TuplesProcessed++
 	now := n.Now()
+	r := n.rels[q.t.Name]
 	if q.isDelete {
-		tbl := n.store.Get(q.t.Name)
-		if tbl == nil {
+		if r == nil || r.tbl == nil {
 			n.ruleError("engine", fmt.Errorf("delete from unmaterialized table %s", q.t.Name))
 			return
 		}
 		n.bill(dataflow.CostTableOp)
-		tbl.Delete(q.t, now)
+		r.tbl.Delete(q.t, now)
 		return
 	}
 	t := q.t
 	if t.ID == 0 {
 		n.assignID(&t, q.src, q.srcID)
 	}
-	if n.watchRefs[t.Name] > 0 && n.cfg.OnWatch != nil {
+	if r != nil && r.watches > 0 && n.cfg.OnWatch != nil {
 		// Delivering a watched tuple is CPU like any table op; between
 		// strands the bill lands in the system bucket.
 		n.bill(dataflow.CostWatch)
 		w := t
 		w.Fields = slices.Clone(t.Fields) // the observer may keep it
 		n.cfg.OnWatch(now, w)
+		r = n.rels[t.Name] // the observer may have installed or uninstalled a query
 	}
 	if n.tracer != nil {
 		n.tracer.LogEvent("arrive", t.Name, t.ID, now)
 	}
-	if t.Name == InstallEventName {
+	switch t.Name {
+	case InstallEventName:
 		n.handleInstallEvent(t)
 		return
-	}
-	if t.Name == UninstallEventName {
+	case UninstallEventName:
 		n.handleUninstallEvent(t)
 		return
-	}
-	if t.Name == StatsPublishEventName {
+	case StatsPublishEventName:
 		n.publishStats()
 		return
 	}
-	if tbl := n.store.Get(t.Name); tbl != nil {
+	if r == nil {
+		return
+	}
+	kind := dataflow.TriggerEvent
+	if r.tbl != nil {
 		n.bill(dataflow.CostTableOp)
-		changed, err := tbl.Insert(t, now)
+		changed, err := r.tbl.Insert(t, now)
 		if err != nil {
 			n.ruleError("engine", err)
 			return
 		}
-		if changed {
-			for _, s := range n.deltaStrands[t.Name] {
-				n.runStrand(s, t)
-			}
+		if !changed {
+			return
 		}
-		return
+		kind = dataflow.TriggerDelta
 	}
-	for _, s := range n.eventStrands[t.Name] {
-		n.runStrand(s, t)
+	for _, b := range r.strands {
+		if b.s.Trigger.Kind == kind {
+			n.runStrand(b, t)
+		}
 	}
 }
 
@@ -1091,13 +1021,13 @@ func (n *Node) processOne(q queued) {
 // cost of the activation — everything accrued while the strand runs,
 // including cascade work it triggers inline — also feeds the StrandCost
 // histogram.
-func (n *Node) runStrand(s *dataflow.Strand, t tuple.Tuple) {
+func (n *Node) runStrand(b bound, t tuple.Tuple) {
 	n.met.RuleFires++
 	prev := n.curStats
-	n.curStats = n.queryStats(s.QueryID)
+	n.curStats = b.qs
 	n.curStats.RuleFires++
 	start := n.micro
-	s.Run(n, t)
+	b.s.Run(n, t)
 	n.hists.StrandCost.Observe(n.micro - start)
 	n.curStats = prev
 }
@@ -1160,16 +1090,20 @@ func (n *Node) assignID(t *tuple.Tuple, src string, srcID uint64) uint64 {
 	return id
 }
 
+// queryStats returns query id's bucket, which outlives the query.
 func (n *Node) queryStats(id string) *metrics.Query {
-	if id == "" {
-		id = SystemQuery
-	}
 	q := n.perQuery[id]
 	if q == nil {
 		q = &metrics.Query{}
 		n.perQuery[id] = q
 	}
 	return q
+}
+
+// reported says whether query id's bucket q is published: once its query
+// has run, so installing a query that never runs publishes nothing.
+func reported(id string, q *metrics.Query) bool {
+	return id == SystemQuery || q.RuleFires > 0 || q.TimerFires > 0
 }
 
 // billTo charges sec seconds of simulated CPU to the node and to the
@@ -1182,10 +1116,6 @@ func (n *Node) billTo(qs *metrics.Query, sec float64) {
 }
 
 func (n *Node) bill(sec float64) { n.billTo(n.curStats, sec) }
-
-// billSystem charges the reserved system query regardless of which
-// strand is running (the network pre/postamble).
-func (n *Node) billSystem(sec float64) { n.billTo(n.sysStats, sec) }
 
 // billOffline charges work that is real CPU but asynchronous to the
 // dataflow — the trace-store appender. It lands in the node total and
@@ -1226,34 +1156,27 @@ type aggEntry struct {
 	tabs []aggSub
 }
 
-// aggSub is one table subscription held by an aggEntry. tb remembers the
-// exact Table object subscribed to, so AggState can detect a table that
-// was dropped and re-materialized (a new object) and rewire.
+// aggSub is one table subscription held by an aggEntry. Once rel.tbl is
+// not the table tb subscribed to, the table was dropped: AggState rewires.
 type aggSub struct {
-	name string
-	tb   *table.Table
-	sub  int
+	rel *relation
+	tb  *table.Table
+	sub int
 }
 
 // AggState implements dataflow.Context: it returns the persistent
 // accumulator for a maintainable strand, lazily wiring the table
 // listeners on first use and rewiring when a subscribed table object was
-// replaced. Tracing-enabled nodes return nil — the rescan path is what
-// gives the tracer its full precondition provenance.
+// replaced. It returns nil for the rescan path while a table the strand
+// reads is missing (the rescan reports it) and on a traced node, where
+// the rescan gives the tracer full precondition provenance.
 func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 	if n.tracer != nil {
 		return nil
 	}
 	e := n.aggMaints[s]
 	if e != nil {
-		stale := false
-		for _, sub := range e.tabs {
-			if n.store.Get(sub.name) != sub.tb {
-				stale = true
-				break
-			}
-		}
-		if !stale {
+		if !slices.ContainsFunc(e.tabs, func(sub aggSub) bool { return sub.rel.tbl != sub.tb }) {
 			if !e.am.Valid() {
 				n.met.AggRebuilds++ // runTrigger rebuilds before emitting
 			}
@@ -1261,24 +1184,25 @@ func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 		}
 		n.dropAggEntry(s, e)
 	}
-	primary := n.store.Get(s.AggPlan.Primary)
-	if primary == nil {
-		return nil // rescan path reports the unmaterialized-table error
-	}
-	e = &aggEntry{am: dataflow.NewAggMaint(s)}
-	qs := n.queryStats(s.QueryID) // perQuery entries are never deleted
-	am := e.am
-	id := primary.Subscribe(func(op table.Op, t tuple.Tuple) {
-		n.aggApply(am, qs, op, t)
-	})
-	e.tabs = append(e.tabs, aggSub{name: s.AggPlan.Primary, tb: primary, sub: id})
-	for _, name := range s.AggPlan.Secondaries {
-		tb := n.store.Get(name)
-		sub := aggSub{name: name, tb: tb}
-		if tb != nil {
-			sub.sub = tb.Subscribe(func(table.Op, tuple.Tuple) { am.Invalidate() })
+	tabs := make([]aggSub, 1+len(s.AggPlan.Secondaries))
+	for i := range tabs {
+		name := s.AggPlan.Primary
+		if i > 0 {
+			name = s.AggPlan.Secondaries[i-1]
 		}
-		e.tabs = append(e.tabs, sub)
+		r := n.rels[name]
+		if r == nil || r.tbl == nil {
+			return nil
+		}
+		tabs[i] = aggSub{rel: r, tb: r.tbl}
+	}
+	// AggState is asked from inside s's activation, so curStats is the
+	// bucket of s's query.
+	e = &aggEntry{am: dataflow.NewAggMaint(s), tabs: tabs}
+	qs, am := n.curStats, e.am
+	tabs[0].sub = tabs[0].tb.Subscribe(func(op table.Op, t tuple.Tuple) { n.aggApply(am, qs, op, t) })
+	for i := 1; i < len(tabs); i++ {
+		tabs[i].sub = tabs[i].tb.Subscribe(func(table.Op, tuple.Tuple) { am.Invalidate() })
 	}
 	n.aggMaints[s] = e
 	n.met.AggRebuilds++ // fresh accumulator: first trigger rebuilds
@@ -1308,9 +1232,7 @@ func (n *Node) aggApply(am *dataflow.AggMaint, qs *metrics.Query, op table.Op, t
 // it. Unsubscribing from a dropped table's stale object is harmless.
 func (n *Node) dropAggEntry(s *dataflow.Strand, e *aggEntry) {
 	for _, sub := range e.tabs {
-		if sub.tb != nil {
-			sub.tb.Unsubscribe(sub.sub)
-		}
+		sub.tb.Unsubscribe(sub.sub)
 	}
 	delete(n.aggMaints, s)
 }
@@ -1405,11 +1327,8 @@ func (n *Node) EmitHead(s *dataflow.Strand, t tuple.Tuple, isDelete bool) {
 // the node's dataflow graph, which the benchmark memory model uses).
 func (n *Node) NumStrands() int {
 	c := len(n.periodics)
-	for _, ss := range n.eventStrands {
-		c += len(ss)
-	}
-	for _, ss := range n.deltaStrands {
-		c += len(ss)
+	for _, r := range n.rels {
+		c += len(r.strands)
 	}
 	return c
 }
