@@ -2,6 +2,7 @@ package tracestore
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -89,8 +90,10 @@ func ParseQuery(src string) (*Query, error) {
 				q.Limit = n
 			}
 		case "since", "until":
+			// ParseFloat accepts "NaN", which no time compares with: the
+			// clause would bound nothing.
 			t, err := strconv.ParseFloat(val, 64)
-			if err != nil {
+			if err != nil || math.IsNaN(t) {
 				return nil, fmt.Errorf("tracestore: bad %s %q", key, val)
 			}
 			if key == "since" {

@@ -10,11 +10,15 @@ import (
 
 // View is a read-only investigation session over a set of node stores.
 // Opening a node costs nothing but a list of handles on its segments
-// inside the time horizon. A lookup (node, tuple ID) decodes only the
-// segments whose recorded ID range contains that ID — each at most once
-// per view — and finds the rows by binary search, so a lineage walk
-// pays for the segments its edges live in, not for the horizon; scans
-// (Execs, Events, Hops) decode the horizon of the one node they read.
+// inside the time horizon. A lookup (node, tuple ID) reads only the
+// segments whose recorded ID range contains that ID, and in a sealed
+// segment whose column is nondecreasing (exec OutID, hop ID) only the
+// blocks whose heads bracket it: a lineage walk pays for the blocks its
+// edges live in, not for the horizon. Other lookups (exec InID, a column
+// a restart left out of order) decode the whole segment and search it by
+// index; scans (Execs, Events, Hops) decode the horizon of the one node
+// they read. Each block and each segment is decoded at most once per
+// view.
 // The store itself stays compact: only an open View holds decoded
 // records. A View is a snapshot: appends made after a node is first
 // read are not guaranteed to be visible. Not safe for concurrent use.
@@ -26,9 +30,9 @@ type View struct {
 	// its tuples took, sorted by producer tuple ID. Built on demand
 	// (Descendants/FlowChain), since it decodes every node.
 	fwd map[string][]fwdHop
-	// decoded counts segments decoded so far; tests pin the pruning
-	// with it.
-	decoded int
+	// decoded counts the whole segments and the single blocks decoded
+	// so far; tests pin the pruning with it.
+	decoded struct{ segments, blocks int }
 }
 
 type fwdHop struct {
@@ -84,7 +88,7 @@ func (v *View) records(r *segRef) (*segment, error) {
 			return nil, err
 		}
 		r.seg = seg
-		v.decoded++
+		v.decoded.segments++
 	}
 	return r.seg, nil
 }
@@ -154,6 +158,177 @@ func (ix *idIndex) row(pos int) int {
 	return pos
 }
 
+// blocks is a view's block-by-block reading of one sealed segment: the
+// parsed header, then the dictionary and each block's ID column and rows
+// as lookups first need them.
+type blocks struct {
+	header
+	data []byte
+	strs []string     // the dictionary, nil until a block's rows are decoded
+	out  column[Exec] // exec blocks, searched by OutID
+	hop  column[Hop]  // hop blocks, searched by ID
+}
+
+// column is the block cache of one record kind. The first read decodes
+// every block's head (its first ID) from the directory and sizes the
+// ID column; a block's IDs and rows are then decoded on first need.
+type column[T Exec | Hop] struct {
+	dir, n int        // directory offset, records
+	heads  []uint64   // each block's first ID; nil until the first read
+	blocks []block[T] // per block, what has been decoded
+	ids    []uint64   // the ID column, filled block by block
+}
+
+type block[T Exec | Hop] struct {
+	rest int // offset of the columns after the IDs; 0 until they are read
+	rows []T // every column, nil until a lookup matches in the block
+}
+
+// blocks returns r's block reader if a lookup on the column flag names
+// should read blocks: the segment is sealed, not already decoded whole,
+// and the seal saw the column nondecreasing. Otherwise it returns nil.
+func (v *View) blocks(r *segRef, flag byte) (*blocks, error) {
+	if r.seg != nil {
+		return nil, nil
+	}
+	if r.blk == nil {
+		h, err := parseHeader(r.data)
+		if err != nil {
+			return nil, err
+		}
+		r.blk = &blocks{
+			header: h, data: r.data,
+			out: column[Exec]{dir: h.execDir, n: h.nExecs},
+			hop: column[Hop]{dir: h.hopDir, n: h.nHops},
+		}
+	}
+	if r.blk.flags&flag == 0 {
+		return nil, nil
+	}
+	return r.blk, nil
+}
+
+// each calls fn with every row of c whose ID is id, oldest first or,
+// with newest, newest first, until fn returns false. c's ID column must
+// be nondecreasing: a binary search over the block heads picks the
+// blocks that can hold id, the last one whose head is smaller (a run of
+// id may straddle its edge) and those whose head is id, and only those
+// are read.
+func (c *column[T]) each(v *View, b *blocks, id uint64, newest bool, fn func(*T) bool) error {
+	if err := c.open(b); err != nil {
+		return err
+	}
+	first, _ := slices.BinarySearch(c.heads, id)
+	hi := first
+	for hi < len(c.heads) && c.heads[hi] == id {
+		hi++
+	}
+	lo := max(first-1, 0)
+	for i := lo; i < hi; i++ {
+		k := i
+		if newest {
+			k = lo + hi - 1 - i
+		}
+		ids, err := c.blockIDs(v, b, k)
+		if err != nil {
+			return err
+		}
+		start, _ := slices.BinarySearch(ids, id)
+		end := start
+		for end < len(ids) && ids[end] == id {
+			end++
+		}
+		if start == end {
+			continue
+		}
+		rows, err := c.rows(b, k)
+		if err != nil {
+			return err
+		}
+		for j := start; j < end; j++ {
+			p := j
+			if newest {
+				p = start + end - 1 - j
+			}
+			if !fn(&rows[p]) {
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+// open decodes the block heads on first use.
+func (c *column[T]) open(b *blocks) error {
+	if c.heads != nil || c.n == 0 {
+		return nil
+	}
+	heads := make([]uint64, numBlocks(c.n))
+	for k := range heads {
+		off, err := b.block(b.data, c.dir, k)
+		if err != nil {
+			return err
+		}
+		r := reader{b: b.data, off: off}
+		d, err := r.varint()
+		if err != nil {
+			return err
+		}
+		heads[k] = uint64(d)
+	}
+	c.heads, c.blocks, c.ids = heads, make([]block[T], len(heads)), make([]uint64, c.n)
+	return nil
+}
+
+// blockIDs returns block k's IDs, decoding them on first use.
+func (c *column[T]) blockIDs(v *View, b *blocks, k int) ([]uint64, error) {
+	ids := c.ids[k*blockRows : min((k+1)*blockRows, c.n)]
+	if blk := &c.blocks[k]; blk.rest == 0 {
+		off, err := b.block(b.data, c.dir, k)
+		if err != nil {
+			return nil, err
+		}
+		r := reader{b: b.data, off: off}
+		if err := r.ids(ids); err != nil {
+			return nil, err
+		}
+		blk.rest = r.off
+		v.decoded.blocks++
+	}
+	return ids, nil
+}
+
+// rows returns block k's records, decoding the columns after its IDs on
+// first use; blockIDs has read the block.
+func (c *column[T]) rows(b *blocks, k int) ([]T, error) {
+	blk := &c.blocks[k]
+	if blk.rows == nil {
+		if b.strs == nil {
+			r := reader{b: b.data, off: b.dict}
+			strs, err := r.dictionary()
+			if err != nil {
+				return nil, err
+			}
+			b.strs = strs
+		}
+		ids := c.ids[k*blockRows : min((k+1)*blockRows, c.n)]
+		rows := make([]T, len(ids))
+		r := &reader{b: b.data, off: blk.rest}
+		var err error
+		switch rows := any(rows).(type) {
+		case []Exec:
+			err = r.execRows(rows, ids, b.strs)
+		case []Hop:
+			err = r.hopRows(rows, ids, b.strs)
+		}
+		if err != nil {
+			return nil, err
+		}
+		blk.rows = rows
+	}
+	return blk.rows, nil
+}
+
 // eachExec calls fn, oldest first, with every visible exec record whose
 // OutID (or, with byIn, InID) is id.
 func (v *View) eachExec(refs []segRef, id uint64, byIn bool, fn func(*Exec)) error {
@@ -165,6 +340,24 @@ func (v *View) eachExec(refs []segRef, id uint64, byIn bool, fn func(*Exec)) err
 		}
 		if !rng.has(id) {
 			continue
+		}
+		if !byIn {
+			b, err := v.blocks(r, outSorted)
+			if err != nil {
+				return err
+			}
+			if b != nil {
+				err := b.out.each(v, b, id, false, func(e *Exec) bool {
+					if v.visible(e.OutT) {
+						fn(e)
+					}
+					return true
+				})
+				if err != nil {
+					return err
+				}
+				continue
+			}
 		}
 		seg, err := v.records(r)
 		if err != nil {
@@ -191,6 +384,25 @@ func (v *View) arrival(refs []segRef, id uint64) (Hop, bool, error) {
 	for i := len(refs) - 1; i >= 0; i-- {
 		r := &refs[i]
 		if !r.hop.has(id) {
+			continue
+		}
+		b, err := v.blocks(r, hopSorted)
+		if err != nil {
+			return Hop{}, false, err
+		}
+		if b != nil {
+			var h Hop
+			var found bool
+			err := b.hop.each(v, b, id, true, func(row *Hop) bool {
+				h, found = *row, v.visible(row.T)
+				return !found
+			})
+			if err != nil {
+				return Hop{}, false, err
+			}
+			if found {
+				return h, true, nil
+			}
 			continue
 		}
 		seg, err := v.records(r)

@@ -191,6 +191,13 @@ func TestInvestigateSurface(t *testing.T) {
 	if _, err := Investigate("execs at n1 bogus 3", v); err == nil {
 		t.Fatal("unknown clause parsed without error")
 	}
+	for _, q := range []string{
+		"execs at n1 since NaN", "execs at n1 until nan", "ancestors of 11 at n2 since -NaN",
+	} {
+		if _, err := Investigate(q, v); err == nil || !strings.Contains(err.Error(), "bad since") && !strings.Contains(err.Error(), "bad until") {
+			t.Errorf("%s: error %v, want a bad since or bad until", q, err)
+		}
+	}
 }
 
 // TestEventsQuery: event scans filter by op and name.

@@ -10,10 +10,12 @@
 // encoded once (O(segment), never O(history)) into a delta-encoded
 // columnar byte block — strings interned into a per-segment dictionary,
 // tuple IDs zigzag-delta varints, timestamps XOR-delta varints of their
-// IEEE-754 bits (lossless) — and appended to the sealed list, which a
-// retention budget (segment count and encoded bytes) trims from the
-// oldest end. On top sits a query layer (query.go) answering causal
-// lineage questions across windows and across nodes.
+// IEEE-754 bits (lossless), execs and hops in 64-row blocks that a
+// lookup can find through a directory and decode alone — and appended
+// to the sealed list, which a retention budget (segment count and
+// encoded bytes) trims from the oldest end. On top sits a query layer
+// (query.go) answering causal lineage questions across windows and
+// across nodes.
 //
 // The package has no dependency on the engine or tracer: records are
 // plain structs, so trace writes through without an import cycle.
@@ -22,6 +24,7 @@ package tracestore
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 )
 
@@ -104,15 +107,39 @@ type sealScratch struct {
 	buf  []byte
 }
 
+// blockRows is how many exec or hop records one sealed block holds. A
+// block restarts its columns' delta and XOR chains, so a lookup decodes
+// the blocks that can hold its ID and none before them.
+const blockRows = 64
+
+func numBlocks(rows int) int { return (rows + blockRows - 1) / blockRows }
+
+// Header flags. A lookup binary-searches an ID column's block heads
+// only when the seal saw the column nondecreasing; a restart inside the
+// window, which re-issues IDs from 1, clears its flag.
+const (
+	outSorted byte = 1 << iota // exec OutID
+	hopSorted                  // hop ID
+)
+
 // encodeSegment serializes a segment into its sealed columnar form:
 //
-//	window | dictionary | counts | exec cols | hop cols | event cols
+//	header | dictionary | exec blocks | hop blocks | event cols
+//	header = window | counts | flags | exec directory | hop directory | CRC-32
+//
+// Execs and hops are sealed in blocks of blockRows records, each block
+// its own set of columns, the searched ID column first (exec OutID, hop
+// ID). A directory holds one little-endian uint32 per block: the offset
+// of its first byte. The CRC covers the header, so a read that trusts
+// the directory to skip everything before a block reads offsets the
+// seal wrote. Events, which no lookup searches, stay one set of columns.
 //
 // Columns are delta chains: uint64 IDs as zigzag varints against the
 // previous value in the same column, float64 timestamps as uvarints of
 // their bits XORed with the previous value's bits (adjacent virtual
 // times share high bits, so the XOR is small), booleans as a packed
-// bitset. Encoding is lossless — decodeSegment inverts it exactly.
+// bitset. Every block starts its chains from zero. Encoding is lossless
+// — decodeSegment inverts it exactly.
 //
 // The encoding is built in the scratch, which every call empties first:
 // the result is only good until the next call, and a caller that keeps it
@@ -120,12 +147,19 @@ type sealScratch struct {
 func (sc *sealScratch) encodeSegment(seg *segment) []byte {
 	d := &sc.dict
 	d.reset()
+	flags := outSorted | hopSorted
 	for i := range seg.execs {
 		d.id(seg.execs[i].Rule)
+		if i > 0 && seg.execs[i].OutID < seg.execs[i-1].OutID {
+			flags &^= outSorted
+		}
 	}
 	for i := range seg.hops {
 		d.id(seg.hops[i].Src)
 		d.id(seg.hops[i].Dst)
+		if i > 0 && seg.hops[i].ID < seg.hops[i-1].ID {
+			flags &^= hopSorted
+		}
 	}
 	for i := range seg.events {
 		d.id(seg.events[i].Op)
@@ -133,66 +167,30 @@ func (sc *sealScratch) encodeSegment(seg *segment) []byte {
 	}
 
 	b := binary.AppendVarint(sc.buf[:0], seg.window)
+	b = binary.AppendUvarint(b, uint64(len(seg.execs)))
+	b = binary.AppendUvarint(b, uint64(len(seg.hops)))
+	b = binary.AppendUvarint(b, uint64(len(seg.events)))
+	b = append(b, flags)
+	execDir := len(b)
+	b = append(b, make([]byte, 4*numBlocks(len(seg.execs)))...)
+	hopDir := len(b)
+	b = append(b, make([]byte, 4*numBlocks(len(seg.hops)))...)
+	crcAt := len(b)
+	b = append(b, 0, 0, 0, 0)
 	b = binary.AppendUvarint(b, uint64(len(d.strs)))
 	for _, s := range d.strs {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
-	b = binary.AppendUvarint(b, uint64(len(seg.execs)))
-	b = binary.AppendUvarint(b, uint64(len(seg.hops)))
-	b = binary.AppendUvarint(b, uint64(len(seg.events)))
-
-	// Exec columns.
-	for i := range seg.execs {
-		b = binary.AppendUvarint(b, d.idx[seg.execs[i].Rule])
+	for k := 0; k*blockRows < len(seg.execs); k++ {
+		putOffset(b[execDir+4*k:], len(b))
+		b = appendExecBlock(b, seg.execs[k*blockRows:min((k+1)*blockRows, len(seg.execs))], d)
 	}
-	var prev uint64
-	for i := range seg.execs {
-		b = binary.AppendVarint(b, int64(seg.execs[i].InID-prev))
-		prev = seg.execs[i].InID
+	for k := 0; k*blockRows < len(seg.hops); k++ {
+		putOffset(b[hopDir+4*k:], len(b))
+		b = appendHopBlock(b, seg.hops[k*blockRows:min((k+1)*blockRows, len(seg.hops))], d)
 	}
-	prev = 0
-	for i := range seg.execs {
-		b = binary.AppendVarint(b, int64(seg.execs[i].OutID-prev))
-		prev = seg.execs[i].OutID
-	}
-	var prevBits uint64
-	for i := range seg.execs {
-		bits := math.Float64bits(seg.execs[i].InT)
-		b = binary.AppendUvarint(b, bits^prevBits)
-		prevBits = bits
-	}
-	// OutT is XORed against the same record's InT (an activation's end
-	// is even closer to its own start than to the previous end).
-	for i := range seg.execs {
-		b = binary.AppendUvarint(b,
-			math.Float64bits(seg.execs[i].OutT)^math.Float64bits(seg.execs[i].InT))
-	}
-	b = appendBitset(b, len(seg.execs), func(i int) bool { return seg.execs[i].IsEvent })
-
-	// Hop columns.
-	prev = 0
-	for i := range seg.hops {
-		b = binary.AppendVarint(b, int64(seg.hops[i].ID-prev))
-		prev = seg.hops[i].ID
-	}
-	for i := range seg.hops {
-		b = binary.AppendUvarint(b, d.idx[seg.hops[i].Src])
-	}
-	prev = 0
-	for i := range seg.hops {
-		b = binary.AppendVarint(b, int64(seg.hops[i].SrcID-prev))
-		prev = seg.hops[i].SrcID
-	}
-	for i := range seg.hops {
-		b = binary.AppendUvarint(b, d.idx[seg.hops[i].Dst])
-	}
-	prevBits = 0
-	for i := range seg.hops {
-		bits := math.Float64bits(seg.hops[i].T)
-		b = binary.AppendUvarint(b, bits^prevBits)
-		prevBits = bits
-	}
+	binary.LittleEndian.PutUint32(b[crcAt:], crc32.ChecksumIEEE(b[:crcAt]))
 
 	// Event columns.
 	for i := range seg.events {
@@ -201,18 +199,86 @@ func (sc *sealScratch) encodeSegment(seg *segment) []byte {
 	for i := range seg.events {
 		b = binary.AppendUvarint(b, d.idx[seg.events[i].Name])
 	}
-	prev = 0
+	var prev uint64
 	for i := range seg.events {
 		b = binary.AppendVarint(b, int64(seg.events[i].ID-prev))
 		prev = seg.events[i].ID
 	}
-	prevBits = 0
+	var prevBits uint64
 	for i := range seg.events {
 		bits := math.Float64bits(seg.events[i].T)
 		b = binary.AppendUvarint(b, bits^prevBits)
 		prevBits = bits
 	}
 	sc.buf = b
+	return b
+}
+
+// putOffset writes a directory entry. A window is sealed from records
+// held in memory at ~50 bytes each, so its encoding reaching 4 GiB would
+// mean a window of tens of gigabytes.
+func putOffset(entry []byte, off int) {
+	if uint64(off) > math.MaxUint32 {
+		panic("tracestore: a sealed segment outgrew its uint32 block directory")
+	}
+	binary.LittleEndian.PutUint32(entry, uint32(off))
+}
+
+// appendExecBlock appends one block of exec columns: OutID, Rule, InID,
+// InT, OutT, IsEvent.
+func appendExecBlock(b []byte, rows []Exec, d *dict) []byte {
+	var prev uint64
+	for i := range rows {
+		b = binary.AppendVarint(b, int64(rows[i].OutID-prev))
+		prev = rows[i].OutID
+	}
+	for i := range rows {
+		b = binary.AppendUvarint(b, d.idx[rows[i].Rule])
+	}
+	prev = 0
+	for i := range rows {
+		b = binary.AppendVarint(b, int64(rows[i].InID-prev))
+		prev = rows[i].InID
+	}
+	var prevBits uint64
+	for i := range rows {
+		bits := math.Float64bits(rows[i].InT)
+		b = binary.AppendUvarint(b, bits^prevBits)
+		prevBits = bits
+	}
+	// OutT is XORed against the same record's InT (an activation's end
+	// is even closer to its own start than to the previous end).
+	for i := range rows {
+		b = binary.AppendUvarint(b, math.Float64bits(rows[i].OutT)^math.Float64bits(rows[i].InT))
+	}
+	return appendBitset(b, len(rows), func(i int) bool { return rows[i].IsEvent })
+}
+
+// appendHopBlock appends one block of hop columns: ID, Src, SrcID, Dst,
+// T.
+func appendHopBlock(b []byte, rows []Hop, d *dict) []byte {
+	var prev uint64
+	for i := range rows {
+		b = binary.AppendVarint(b, int64(rows[i].ID-prev))
+		prev = rows[i].ID
+	}
+	for i := range rows {
+		b = binary.AppendUvarint(b, d.idx[rows[i].Src])
+	}
+	prev = 0
+	for i := range rows {
+		b = binary.AppendVarint(b, int64(rows[i].SrcID-prev))
+		prev = rows[i].SrcID
+	}
+	for i := range rows {
+		b = binary.AppendUvarint(b, d.idx[rows[i].Dst])
+	}
+	var prevBits uint64
+	for i := range rows {
+		bits := math.Float64bits(rows[i].T)
+		b = binary.AppendUvarint(b, bits^prevBits)
+		prevBits = bits
+	}
 	return b
 }
 
@@ -282,20 +348,74 @@ func (r *reader) count() (int, error) {
 	return int(v), nil
 }
 
-// decodeSegment inverts encodeSegment. For every well-formed input
-// decode(encode(seg)) is deep-equal to seg; malformed input returns an
-// error.
-func decodeSegment(b []byte) (*segment, error) {
+// header is what an encoded segment says before its dictionary: the
+// counts, the flags, and where every exec and hop block starts.
+type header struct {
+	window                 int64
+	nExecs, nHops, nEvents int
+	flags                  byte
+	execDir, hopDir        int // offsets of the block directories
+	dict                   int // offset of the dictionary, which the blocks follow
+}
+
+// parseHeader reads and checks an encoding's header; the directories
+// are only located, their entries are read by block.
+func parseHeader(b []byte) (header, error) {
 	r := &reader{b: b}
-	window, err := r.varint()
+	var h header
+	var err error
+	if h.window, err = r.varint(); err != nil {
+		return h, err
+	}
+	if h.nExecs, err = r.count(); err != nil {
+		return h, err
+	}
+	if h.nHops, err = r.count(); err != nil {
+		return h, err
+	}
+	if h.nEvents, err = r.count(); err != nil {
+		return h, err
+	}
+	flags, err := r.bytes(1)
+	if err != nil {
+		return h, err
+	}
+	h.flags = flags[0]
+	h.execDir = r.off
+	if _, err := r.bytes(4 * numBlocks(h.nExecs)); err != nil {
+		return h, err
+	}
+	h.hopDir = r.off
+	if _, err := r.bytes(4 * numBlocks(h.nHops)); err != nil {
+		return h, err
+	}
+	sum, err := r.bytes(4)
+	if err != nil {
+		return h, err
+	}
+	if want := crc32.ChecksumIEEE(b[:r.off-4]); binary.LittleEndian.Uint32(sum) != want {
+		return h, fmt.Errorf("tracestore: header checksum %08x, want %08x", binary.LittleEndian.Uint32(sum), want)
+	}
+	h.dict = r.off
+	return h, nil
+}
+
+// block returns the offset of block k of the column whose directory
+// starts at dir; parseHeader has checked that the entry is inside b.
+func (h *header) block(b []byte, dir, k int) (int, error) {
+	off := int(binary.LittleEndian.Uint32(b[dir+4*k:]))
+	if off < h.dict || off >= len(b) {
+		return 0, fmt.Errorf("tracestore: block %d at offset %d, outside [%d, %d)", k, off, h.dict, len(b))
+	}
+	return off, nil
+}
+
+func (r *reader) dictionary() ([]string, error) {
+	n, err := r.count()
 	if err != nil {
 		return nil, err
 	}
-	nStrs, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	strs := make([]string, nStrs)
+	strs := make([]string, n)
 	for i := range strs {
 		n, err := r.count()
 		if err != nil {
@@ -307,154 +427,185 @@ func decodeSegment(b []byte) (*segment, error) {
 		}
 		strs[i] = string(s)
 	}
-	str := func(idx uint64) (string, error) {
-		if idx >= uint64(len(strs)) {
-			return "", fmt.Errorf("tracestore: dictionary index %d out of range (%d strings)", idx, len(strs))
-		}
-		return strs[idx], nil
-	}
-	nExecs, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	nHops, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	nEvents, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	seg := &segment{window: window}
-	if nExecs > 0 {
-		seg.execs = make([]Exec, nExecs)
-	}
-	if nHops > 0 {
-		seg.hops = make([]Hop, nHops)
-	}
-	if nEvents > 0 {
-		seg.events = make([]Event, nEvents)
-	}
+	return strs, nil
+}
 
-	// Exec columns.
-	for i := range seg.execs {
-		idx, err := r.uvarint()
+func (r *reader) str(strs []string) (string, error) {
+	idx, err := r.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if idx >= uint64(len(strs)) {
+		return "", fmt.Errorf("tracestore: dictionary index %d out of range (%d strings)", idx, len(strs))
+	}
+	return strs[idx], nil
+}
+
+// ids decodes a block's ID column, its first, into ids.
+func (r *reader) ids(ids []uint64) error {
+	var prev uint64
+	for i := range ids {
+		d, err := r.varint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if seg.execs[i].Rule, err = str(idx); err != nil {
-			return nil, err
+		prev += uint64(d)
+		ids[i] = prev
+	}
+	return nil
+}
+
+// execRows decodes the columns of an exec block that follow its OutIDs
+// (already decoded into ids) into rows.
+func (r *reader) execRows(rows []Exec, ids []uint64, strs []string) error {
+	var err error
+	for i := range rows {
+		rows[i].OutID = ids[i]
+		if rows[i].Rule, err = r.str(strs); err != nil {
+			return err
 		}
 	}
 	var prev uint64
-	for i := range seg.execs {
+	for i := range rows {
 		d, err := r.varint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		prev += uint64(d)
-		seg.execs[i].InID = prev
-	}
-	prev = 0
-	for i := range seg.execs {
-		d, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		prev += uint64(d)
-		seg.execs[i].OutID = prev
+		rows[i].InID = prev
 	}
 	var prevBits uint64
-	for i := range seg.execs {
+	for i := range rows {
 		x, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		prevBits ^= x
-		seg.execs[i].InT = math.Float64frombits(prevBits)
+		rows[i].InT = math.Float64frombits(prevBits)
 	}
-	for i := range seg.execs {
+	for i := range rows {
 		x, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		seg.execs[i].OutT = math.Float64frombits(math.Float64bits(seg.execs[i].InT) ^ x)
+		rows[i].OutT = math.Float64frombits(math.Float64bits(rows[i].InT) ^ x)
 	}
-	bits, err := r.bytes((nExecs + 7) / 8)
+	bits, err := r.bytes((len(rows) + 7) / 8)
+	if err != nil {
+		return err
+	}
+	for i := range rows {
+		rows[i].IsEvent = bits[i/8]&(1<<(i%8)) != 0
+	}
+	return nil
+}
+
+// hopRows decodes the columns of a hop block that follow its IDs
+// (already decoded into ids) into rows.
+func (r *reader) hopRows(rows []Hop, ids []uint64, strs []string) error {
+	var err error
+	for i := range rows {
+		rows[i].ID = ids[i]
+		if rows[i].Src, err = r.str(strs); err != nil {
+			return err
+		}
+	}
+	var prev uint64
+	for i := range rows {
+		d, err := r.varint()
+		if err != nil {
+			return err
+		}
+		prev += uint64(d)
+		rows[i].SrcID = prev
+	}
+	for i := range rows {
+		if rows[i].Dst, err = r.str(strs); err != nil {
+			return err
+		}
+	}
+	var prevBits uint64
+	for i := range rows {
+		x, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		prevBits ^= x
+		rows[i].T = math.Float64frombits(prevBits)
+	}
+	return nil
+}
+
+// decodeSegment inverts encodeSegment. For every well-formed input
+// decode(encode(seg)) is deep-equal to seg; malformed input returns an
+// error, and so does a directory entry that is not where its block is.
+func decodeSegment(b []byte) (*segment, error) {
+	h, err := parseHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	for i := range seg.execs {
-		seg.execs[i].IsEvent = bits[i/8]&(1<<(i%8)) != 0
+	r := &reader{b: b, off: h.dict}
+	strs, err := r.dictionary()
+	if err != nil {
+		return nil, err
 	}
-
-	// Hop columns.
-	prev = 0
-	for i := range seg.hops {
-		d, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		prev += uint64(d)
-		seg.hops[i].ID = prev
+	seg := &segment{window: h.window}
+	if h.nExecs > 0 {
+		seg.execs = make([]Exec, h.nExecs)
 	}
-	for i := range seg.hops {
-		idx, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if seg.hops[i].Src, err = str(idx); err != nil {
-			return nil, err
-		}
+	if h.nHops > 0 {
+		seg.hops = make([]Hop, h.nHops)
 	}
-	prev = 0
-	for i := range seg.hops {
-		d, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		prev += uint64(d)
-		seg.hops[i].SrcID = prev
+	if h.nEvents > 0 {
+		seg.events = make([]Event, h.nEvents)
 	}
-	for i := range seg.hops {
-		idx, err := r.uvarint()
-		if err != nil {
+	// at checks that block k of a directory starts where the last block
+	// ended.
+	at := func(dir, k int) error {
+		off, err := h.block(b, dir, k)
+		if err == nil && off != r.off {
+			err = fmt.Errorf("tracestore: directory puts block %d at offset %d, it starts at %d", k, off, r.off)
+		}
+		return err
+	}
+	var ids [blockRows]uint64
+	for k := 0; k*blockRows < h.nExecs; k++ {
+		rows := seg.execs[k*blockRows : min((k+1)*blockRows, h.nExecs)]
+		if err := at(h.execDir, k); err != nil {
 			return nil, err
 		}
-		if seg.hops[i].Dst, err = str(idx); err != nil {
+		if err := r.ids(ids[:len(rows)]); err != nil {
+			return nil, err
+		}
+		if err := r.execRows(rows, ids[:len(rows)], strs); err != nil {
 			return nil, err
 		}
 	}
-	prevBits = 0
-	for i := range seg.hops {
-		x, err := r.uvarint()
-		if err != nil {
+	for k := 0; k*blockRows < h.nHops; k++ {
+		rows := seg.hops[k*blockRows : min((k+1)*blockRows, h.nHops)]
+		if err := at(h.hopDir, k); err != nil {
 			return nil, err
 		}
-		prevBits ^= x
-		seg.hops[i].T = math.Float64frombits(prevBits)
+		if err := r.ids(ids[:len(rows)]); err != nil {
+			return nil, err
+		}
+		if err := r.hopRows(rows, ids[:len(rows)], strs); err != nil {
+			return nil, err
+		}
 	}
 
 	// Event columns.
 	for i := range seg.events {
-		idx, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if seg.events[i].Op, err = str(idx); err != nil {
+		if seg.events[i].Op, err = r.str(strs); err != nil {
 			return nil, err
 		}
 	}
 	for i := range seg.events {
-		idx, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if seg.events[i].Name, err = str(idx); err != nil {
+		if seg.events[i].Name, err = r.str(strs); err != nil {
 			return nil, err
 		}
 	}
-	prev = 0
+	var prev uint64
 	for i := range seg.events {
 		d, err := r.varint()
 		if err != nil {
@@ -463,7 +614,7 @@ func decodeSegment(b []byte) (*segment, error) {
 		prev += uint64(d)
 		seg.events[i].ID = prev
 	}
-	prevBits = 0
+	var prevBits uint64
 	for i := range seg.events {
 		x, err := r.uvarint()
 		if err != nil {

@@ -282,12 +282,15 @@ func (st *Store) Segments() []SegmentInfo {
 }
 
 // segRef is a view's handle on one retained segment: its pruning
-// metadata up front, its records decoded on first use, and one lookup
-// index per searched ID column built on first search.
+// metadata up front, then either single blocks, read by lookups on a
+// nondecreasing ID column, or the whole segment, decoded for a scan or
+// any other lookup, with one lookup index per searched ID column built
+// on first search.
 type segRef struct {
 	segMeta
 	data               []byte   // sealed encoding; nil for the active segment
-	seg                *segment // nil until a lookup or scan needs the records
+	blk                *blocks  // nil until a lookup reads a block
+	seg                *segment // nil until a scan or a lookup needs every record
 	outIx, inIx, hopIx idIndex
 }
 

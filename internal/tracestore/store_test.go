@@ -229,13 +229,13 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		}
 	}
 	if _, err := decodeSegment([]byte{0x00, 0xff, 0xff, 0xff, 0xff, 0x7f}); err == nil {
-		t.Fatal("implausible dictionary count decoded without error")
+		t.Fatal("implausible record count decoded without error")
 	}
 	// A record count the input is too short to hold is refused before it
 	// sizes an array (2^27 execs would be 6 GB): the fuzzer feeds decode
 	// arbitrary bytes.
-	huge := binary.AppendUvarint([]byte{0x00, 0x00}, 1<<27) // window 0, no strings, 2^27 execs
-	huge = append(huge, 0x00, 0x00)                         // no hops, no events
+	huge := binary.AppendUvarint([]byte{0x00}, 1<<27) // window 0, 2^27 execs
+	huge = append(huge, 0x00, 0x00, 0x00)             // no hops, no events, no flags
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := decodeSegment(huge)

@@ -29,6 +29,9 @@ func randomStores(rng *rand.Rand) (map[string]*Store, float64) {
 		if rng.Intn(2) == 0 {
 			cfg.MaxSegments = 3 + rng.Intn(6)
 		}
+		if rng.Intn(3) == 0 {
+			cfg.WindowSeconds = 60 // windows of several blocks
+		}
 		stores[addrs[i]] = New(addrs[i], cfg)
 	}
 	rules := []string{"r1", "r2", "r3"}
@@ -329,25 +332,47 @@ func TestViewMatchesLinearScan(t *testing.T) {
 
 // TestRandomStoresCoverTheHardCases keeps the differential test honest:
 // the generator must actually produce eviction, ID reuse inside one
-// segment (a non-monotone column) and an unsealed active segment.
+// segment (a non-monotone column), an unsealed active segment, a run of
+// equal OutIDs across a block edge of a segment read by blocks, and
+// walks that read a block past a segment's first.
 func TestRandomStoresCoverTheHardCases(t *testing.T) {
-	var evicted, nonMonotone, active bool
+	var evicted, nonMonotone, active, straddle, laterBlock bool
 	for seed := int64(1); seed <= 12; seed++ {
 		stores, _ := randomStores(rand.New(rand.NewSource(seed)))
 		v := NewView(stores, 0)
 		for node, st := range stores {
 			evicted = evicted || st.Stats().Evicted > 0
 			active = active || (st.active != nil && st.active.records() > 0)
-			if _, err := v.Ancestors(node, 1, 0); err != nil {
-				t.Fatal(err)
+			for _, s := range st.sealed {
+				h, err := parseHeader(s.data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg, err := decodeSegment(s.data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := blockRows; k < len(seg.execs) && h.flags&outSorted != 0; k += blockRows {
+					straddle = straddle || seg.execs[k].OutID == seg.execs[k-1].OutID
+				}
+			}
+			recs := retained(t, st)
+			for i := 0; i < len(recs.execs); i += 25 {
+				if _, err := v.Ancestors(node, recs.execs[i].OutID, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for _, r := range v.nodes[node] {
 				nonMonotone = nonMonotone || r.outIx.sorted != nil || r.hopIx.sorted != nil
+				for k := 1; r.blk != nil && k < len(r.blk.out.blocks); k++ {
+					laterBlock = laterBlock || r.blk.out.blocks[k].rest != 0
+				}
 			}
 		}
 	}
-	if !evicted || !nonMonotone || !active {
-		t.Fatalf("generator coverage: evicted=%v nonMonotone=%v active=%v, want all true", evicted, nonMonotone, active)
+	if !evicted || !nonMonotone || !active || !straddle || !laterBlock {
+		t.Fatalf("generator coverage: evicted=%v nonMonotone=%v active=%v straddle=%v laterBlock=%v, want all true",
+			evicted, nonMonotone, active, straddle, laterBlock)
 	}
 }
 
@@ -367,45 +392,52 @@ func manyWindows(windows, perWindow int) (*Store, uint64) {
 }
 
 // TestColdAncestorsDecodesOnlyWhatItWalks: the horizon bounds the
-// candidate segments, the ID ranges bound the decodes. A depth-bounded
-// walk from the newest tuple over a 50-window horizon must decode only
-// the segments its edges live in, and a second walk must decode nothing
-// more.
+// candidate segments, the ID ranges bound the segments a lookup reads,
+// and the block heads bound the blocks it decodes there. A depth-bounded
+// walk from the newest tuple over a 50-window horizon must decode no
+// whole segment and only the blocks its edges live in; a second walk
+// must decode nothing more; and scans decode every sealed segment once.
 func TestColdAncestorsDecodesOnlyWhatItWalks(t *testing.T) {
-	st, last := manyWindows(50, 20)
+	const windows, perWindow, depth = 50, 200, 300
+	st, last := manyWindows(windows, perWindow)
 	v := NewView(map[string]*Store{"n1": st}, 0)
-	l, err := v.Ancestors("n1", last, 45) // 45 links: three windows back
+	l, err := v.Ancestors("n1", last, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Edges) != 45 {
-		t.Fatalf("edges = %d, want 45", len(l.Edges))
+	if len(l.Edges) != depth {
+		t.Fatalf("edges = %d, want %d", len(l.Edges), depth)
 	}
 	horizon := len(v.nodes["n1"])
-	if horizon != 50 {
-		t.Fatalf("horizon holds %d segments, want 50", horizon)
+	if horizon != windows {
+		t.Fatalf("horizon holds %d segments, want %d", horizon, windows)
 	}
-	// The newest window is the undecoded-by-nature active segment; the
-	// 45 links reach into the two sealed windows before it.
-	if v.decoded == 0 || v.decoded > 3 {
-		t.Fatalf("cold walk decoded %d of %d segments, want 1..3", v.decoded, horizon)
+	// The newest window is the active segment, read in place; the rest
+	// of the walk is the newest depth-perWindow rows of the window
+	// before it. The blocks holding those rows, plus the one before
+	// them when the deepest ID heads a block (a run of it may straddle
+	// the edge), bound the reads.
+	sealedRows := depth - perWindow
+	n := (perWindow-1)/blockRows - (perWindow-sealedRows)/blockRows + 1 + 1
+	if v.decoded.segments != 0 || v.decoded.blocks == 0 || v.decoded.blocks > n {
+		t.Fatalf("cold walk decoded %d whole segments and %d blocks, want 0 and 1..%d", v.decoded.segments, v.decoded.blocks, n)
 	}
 	cold := v.decoded
-	if _, err := v.Ancestors("n1", last, 45); err != nil {
+	if _, err := v.Ancestors("n1", last, depth); err != nil {
 		t.Fatal(err)
 	}
 	if v.decoded != cold {
-		t.Fatalf("warm walk decoded %d more segments, want 0", v.decoded-cold)
+		t.Fatalf("warm walk decoded %d more segments and %d more blocks, want 0", v.decoded.segments-cold.segments, v.decoded.blocks-cold.blocks)
 	}
-	// A full scan decodes the rest, each segment once.
+	// A full scan decodes every sealed segment, each once.
 	if _, err := v.Execs(ExecFilter{Node: "n1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Execs(ExecFilter{Node: "n1"}); err != nil {
 		t.Fatal(err)
 	}
-	if want := horizon - 1; v.decoded != want {
-		t.Fatalf("after two scans decoded = %d, want %d (every sealed segment once)", v.decoded, want)
+	if want := horizon - 1; v.decoded.segments != want || v.decoded.blocks != cold.blocks {
+		t.Fatalf("after two scans decoded %d segments and %d blocks, want %d (every sealed segment once) and %d", v.decoded.segments, v.decoded.blocks, want, cold.blocks)
 	}
 }
 
@@ -424,8 +456,8 @@ func TestUntilPrunesLaterWindows(t *testing.T) {
 	if _, err := v.Execs(ExecFilter{Node: "n1"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(v.nodes["n1"]); got != 3 || v.decoded != 3 {
-		t.Fatalf("until=29 left %d candidate segments, %d decoded; want 3, 3", got, v.decoded)
+	if got := len(v.nodes["n1"]); got != 3 || v.decoded.segments != 3 {
+		t.Fatalf("until=29 left %d candidate segments, %d decoded; want 3, 3", got, v.decoded.segments)
 	}
 }
 
@@ -454,8 +486,9 @@ func TestEvictionReleasesSegment(t *testing.T) {
 
 // benchStores is a ring of nodes passing a token: each window every
 // node runs a few hundred local derivations, and one chain hops from
-// node to node, so a walk from the last tuple crosses every node and
-// reaches a few windows back.
+// node to node, so a walk from the last tuple crosses every node. An
+// event in the next window seals the last one on every node, so the
+// walk reads sealed segments, not the active one.
 func benchStores() (map[string]*Store, string, uint64) {
 	const nodes, windows, perWindow = 8, 40, 400
 	stores := make(map[string]*Store, nodes)
@@ -487,6 +520,9 @@ func benchStores() (map[string]*Store, string, uint64) {
 				stores[addrs[n]].AppendExec(exec("r", in, next[n], t, t, i%2 == 0))
 			}
 		}
+	}
+	for _, st := range stores {
+		st.AppendEvent(Event{Op: "insert", Name: "t", T: windows * 10})
 	}
 	return stores, addrs[at], token
 }
