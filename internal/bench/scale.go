@@ -28,17 +28,17 @@ const (
 	// ScaleInstallBudgetBytes is the hard per-host budget for the fixed
 	// install footprint (node + tables + strand shells + seed rows,
 	// measured by installBytesPerHost with shared plans). Measured
-	// ~78 KB at 512 hosts; the headroom is deliberately tight — losing
-	// plan sharing alone (+~69 KB/host of private plans) blows it. See
+	// ~30 KB at 512 hosts; the headroom is deliberately tight — losing
+	// plan sharing alone (+~90 KB/host of private plans) blows it. See
 	// also TestPerHostMemoryBudget.
-	ScaleInstallBudgetBytes = 112 << 10
+	ScaleInstallBudgetBytes = 64 << 10
 
 	// ScaleBudgetBytes is the hard per-host steady-state budget the
 	// sweep enforces at >= 1k hosts after the measured window. On top
 	// of the install footprint this includes workload soft state: table
 	// rows and per-link delay/loss RNG streams, whose state grows with
 	// the draws a link makes, up to 4.9 KB (internal/rng). Measured
-	// ~182 KB at 1k hosts over a 30 s window.
+	// ~88 KB at 1k hosts over a 30 s window.
 	ScaleBudgetBytes = 512 << 10
 
 	// ScaleMinPlanReduction is the minimum ratio of private-plan to

@@ -4,7 +4,7 @@ import "testing"
 
 // TestPerHostMemoryBudget pins the per-host install footprint at 1k
 // nodes under the documented budget. The margin is deliberately tight:
-// retaining private plans again (+~69 KB/host) or any comparable
+// retaining private plans again (+~90 KB/host) or any comparable
 // per-node regression fails the test. Heap sampling has some noise, so
 // the assertion sits on the documented budget, not the measured mean.
 func TestPerHostMemoryBudget(t *testing.T) {

@@ -24,9 +24,9 @@ func TestAggL2ActivationAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the aggregate pool
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and a pool is per P: stay on the warm one
 	ctx, s, trig := l2Setup(t)
-	s.Run(ctx, trig) // warm up scratch buffers
+	s.Run(ctx, trig) // warm up the state and the frame buffer
 	ctx.heads = 0
-	if allocs := testing.AllocsPerRun(100, func() { s.Run(ctx, trig) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { s.Run(ctx, trig); ctx.reset() }); allocs != 0 {
 		t.Errorf("%v allocs per activation, want 0", allocs)
 	}
 	if ctx.heads != 101 {
@@ -95,7 +95,7 @@ func TestAggRescanAllocs(t *testing.T) {
 	} {
 		tc.s.Run(ctx, tc.trig) // warm the state's arrays
 		ctx.heads = 0
-		if got := testing.AllocsPerRun(100, func() { tc.s.Run(ctx, tc.trig) }); got != 0 {
+		if got := testing.AllocsPerRun(100, func() { tc.s.Run(ctx, tc.trig); ctx.reset() }); got != 0 {
 			t.Errorf("%s: %v allocs per activation, want 0", tc.name, got)
 		}
 		if want := 101 * tc.groups; ctx.heads != want {
@@ -119,6 +119,7 @@ func TestAggMaintAllocs(t *testing.T) {
 			next++
 			tab.Insert(row, 0) //nolint:errcheck
 			s.Run(ctx, row)
+			ctx.reset()
 		})
 		if got > 1 {
 			t.Errorf("%s: %v allocs per replace-and-trigger, want 1 (the table's row copy)", op, got)

@@ -159,7 +159,7 @@ func (am *AggMaint) Apply(ctx Context, op table.Op, t tuple.Tuple) {
 	}
 	switch op {
 	case table.OpInsert:
-		am.applyInsert(ctx, t)
+		am.applyInsert(ctx, t, ctx.Frame(am.s.NumVars))
 	case table.OpDelete:
 		am.applyDelete(t)
 	}
@@ -212,20 +212,18 @@ func (am *AggMaint) complete(s *Strand, ctx Context, b Binding) {
 
 // applyInsert runs the pipeline for one new primary row (ops[1:], the
 // secondary joins/selections/assignments) and records its contributions.
-func (am *AggMaint) applyInsert(ctx Context, t tuple.Tuple) {
+// b is a zeroed binding frame.
+func (am *AggMaint) applyInsert(ctx Context, t tuple.Tuple, b Binding) {
 	s := am.s
 	op0 := s.Ops[0].(*JoinOp)
-	b, pooled := s.acquireBinding()
-	if bindFields(b, t, op0.FieldSlots, op0.FieldConsts, nil) {
-		am.nextSeq++
-		am.keys = am.keys[:0]
-		s.exec(ctx, b, 1, am)
-		if len(am.keys) > 0 {
-			am.addRow(t)
-		}
+	if !bindFields(b, t, op0.FieldSlots, op0.FieldConsts) {
+		return
 	}
-	if pooled {
-		s.bindBusy = false
+	am.nextSeq++
+	am.keys = am.keys[:0]
+	s.exec(ctx, b, 1, am)
+	if len(am.keys) > 0 {
+		am.addRow(t)
 	}
 }
 
@@ -468,9 +466,11 @@ func (am *AggMaint) rebuild(ctx Context, primary *table.Table) {
 		am.poisoned = false
 		ctx.Bill(CostJoinSetup)
 		visited := 0
+		b := Binding(ctx.Frame(am.s.NumVars)) // one frame, cleared per row
 		primary.Scan(ctx.Now(), func(row tuple.Tuple) {
 			visited++
-			am.applyInsert(ctx, row)
+			clear(b)
+			am.applyInsert(ctx, row, b)
 		})
 		ctx.Bill(float64(visited) * CostJoinProbe)
 		am.rebuilding = false

@@ -236,6 +236,7 @@ func TestAggMaintClearInvalidates(t *testing.T) {
 // nullCtx is an allocation-free Context for the activation benchmarks.
 type nullCtx struct {
 	headScratch
+	frames
 	store *table.Store
 	heads int
 }
@@ -277,14 +278,14 @@ func benchSetup(b testing.TB, indexed bool) (*nullCtx, *Strand, tuple.Tuple) {
 	return &nullCtx{store: store}, s, tuple.New("ev", tuple.Str("n1"), tuple.Int(3))
 }
 
-// The activation path itself must not allocate: the binding frame and
-// the index-probe slice come from strand-owned scratch (the per-trigger
-// make(Binding) and make([]tuple.Value) this PR removed).
+// The activation path itself must not allocate: the binding frame, the
+// index-probe key and the scan's saved slots are frames the context
+// lends (nullCtx carves them from a buffer reset between activations).
 func TestStrandActivationAllocs(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		ctx, s, trig := benchSetup(t, indexed)
-		s.Run(ctx, trig) // warm up scratch buffers
-		allocs := testing.AllocsPerRun(100, func() { s.Run(ctx, trig) })
+		s.Run(ctx, trig) // warm up the frame buffer
+		allocs := testing.AllocsPerRun(100, func() { s.Run(ctx, trig); ctx.reset() })
 		if allocs != 0 {
 			t.Errorf("indexed=%v: %v allocs per activation, want 0", indexed, allocs)
 		}
@@ -297,6 +298,7 @@ func BenchmarkStrandActivationScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run(ctx, trig)
+		ctx.reset()
 	}
 }
 
@@ -306,6 +308,7 @@ func BenchmarkStrandActivationIndexed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run(ctx, trig)
+		ctx.reset()
 	}
 }
 
@@ -418,7 +421,7 @@ func BenchmarkAggMaint(b *testing.B) {
 			s := groupedStrand(op)
 			ctx, tb := newAggCtx(b, s, table.Infinity)
 			ctx.incremental = true
-			benchAggMaint(b, s, ctx, tb, func() { ctx.heads = ctx.heads[:0] })
+			benchAggMaint(b, s, ctx, tb, func() { ctx.heads = ctx.heads[:0]; ctx.reset() })
 			if !ctx.am.Valid() {
 				b.Fatal("the accumulator was not maintained")
 			}
@@ -432,6 +435,7 @@ func BenchmarkAggMaint(b *testing.B) {
 					row := replaceRow(buf, next+i)
 					tab.Insert(row, 0) //nolint:errcheck
 					s.Run(ctx, row)
+					ctx.reset()
 				}
 			})
 		}
@@ -443,7 +447,8 @@ func BenchmarkAggMaint(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchAggMaint(b, s, &nullCtx{store: store}, tb, func() {})
+			ctx := &nullCtx{store: store}
+			benchAggMaint(b, s, ctx, tb, ctx.reset)
 		})
 	}
 }
@@ -513,6 +518,7 @@ func replaceSetup(tb testing.TB, op string) (ctx *maintCtx, s *Strand, tab *tabl
 		row := replaceRow(buf, next)
 		tab.Insert(row, 0) //nolint:errcheck
 		s.Run(ctx, row)
+		ctx.reset()
 	}
 	if !ctx.am.Valid() {
 		tb.Fatal("the accumulator was not maintained")

@@ -44,6 +44,7 @@ func planL2(tb testing.TB) *dataflow.Plan {
 type l2Ctx struct {
 	store   *table.Store
 	scratch []tuple.Value
+	frames  []tuple.Value
 	heads   int
 	dist    tuple.Value
 }
@@ -85,6 +86,24 @@ func (c *l2Ctx) HeadFields(n int) []tuple.Value {
 	c.scratch = append(c.scratch[:0], make([]tuple.Value, n)...)
 	return c.scratch
 }
+
+// Frame carves each frame fresh from c.frames until reset (a full buffer
+// is left to its frames and one twice its size takes over).
+func (c *l2Ctx) Frame(n int) []tuple.Value {
+	if cap(c.frames)-len(c.frames) < n {
+		c.frames = make([]tuple.Value, 0, max(2*cap(c.frames), n, 64))
+	}
+	i := len(c.frames)
+	c.frames = c.frames[:i+n]
+	return c.frames[i : i+n : i+n]
+}
+
+// reset ends every frame's loan, as the end of a node's task does.
+func (c *l2Ctx) reset() {
+	clear(c.frames)
+	c.frames = c.frames[:0]
+}
+
 func (c *l2Ctx) EmitHead(_ *dataflow.Strand, t tuple.Tuple, _ bool) {
 	c.heads++
 	c.dist = t.Fields[len(t.Fields)-1]
@@ -106,6 +125,7 @@ func BenchmarkStrandAggRescan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run(ctx, l2Lookup)
+		ctx.reset()
 	}
 	b.StopTimer()
 	if !ctx.dist.Equal(l2Want()) {

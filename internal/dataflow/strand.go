@@ -42,6 +42,13 @@ type Context interface {
 	// and keeps nothing, and an EmitHead that keeps the tuple copies it.
 	HeadFields(n int) []tuple.Value
 
+	// Frame returns n zeroed values of activation scratch: a binding
+	// frame, an index probe's key, the slots a scan restores. The caller
+	// uses them until its activation returns. No other call returns the
+	// same storage, so a nested activation works in frames of its own.
+	// The engine carves frames from the task's arena, like HeadFields.
+	Frame(n int) []tuple.Value
+
 	// AggState returns the persistent incremental accumulator for a
 	// strand the planner marked maintainable (s.AggPlan != nil), or nil
 	// for the per-activation rescan. It is the only selector between the
@@ -317,18 +324,17 @@ func wildcard(slot int) overlog.Compiled {
 	}
 }
 
-// Instantiate wraps the plan in a fresh per-node executable strand. The
-// strand starts with empty scratch state; every per-node structure (the
-// binding frame, probe/undo buffers) is allocated lazily on first
-// activation.
+// Instantiate wraps the plan in a per-node executable strand.
 func (p *Plan) Instantiate(queryID string) *Strand {
 	return &Strand{Plan: p, QueryID: queryID}
 }
 
 // Strand is one node's executable instance of a compiled rule strand:
-// the shared immutable Plan plus the node-local mutable state (query
-// tag and activation scratch). The embedded plan keeps every read of a
-// compiled field (s.Ops, s.Trigger, …) on the strand itself.
+// the shared immutable Plan plus the query it belongs to, and nothing
+// else. What an activation writes lives in frames the Context lends for
+// the activation (Context.Frame), so a strand between activations holds
+// no scratch. The embedded plan keeps every read of a compiled field
+// (s.Ops, s.Trigger, …) on the strand itself.
 type Strand struct {
 	*Plan
 
@@ -337,17 +343,6 @@ type Strand struct {
 	// tagged with its QueryID so the engine can uninstall the query as a
 	// unit and attribute CPU per query.
 	QueryID string
-
-	// Per-strand scratch buffers. Strands are node-local and each node
-	// is single-threaded, so a buffer can be reused across activations;
-	// the busy flags fall back to allocation on re-entrant activations
-	// (a strand re-entered through a table-listener cascade).
-	bindScratch  Binding
-	bindBusy     bool
-	probeScratch [][]tuple.Value
-	probeBusy    []bool
-	undoScratch  [][]int
-	undoBusy     []bool
 }
 
 // AggPlan is the planner's incremental-maintenance analysis for an
@@ -421,24 +416,6 @@ type completion interface {
 
 func (a *aggState) complete(s *Strand, ctx Context, b Binding) { s.accumulate(ctx, b, a) }
 
-// acquireBinding returns a zeroed binding frame, reusing the strand's
-// scratch frame when it is free. pooled reports whether the scratch was
-// taken (the caller must clear bindBusy when done).
-func (s *Strand) acquireBinding() (b Binding, pooled bool) {
-	if s.bindBusy {
-		return make(Binding, s.NumVars), false
-	}
-	if cap(s.bindScratch) < s.NumVars {
-		s.bindScratch = make(Binding, s.NumVars)
-	}
-	b = s.bindScratch[:s.NumVars]
-	for i := range b {
-		b[i] = tuple.Nil
-	}
-	s.bindBusy = true
-	return b, true
-}
-
 // Run executes one activation of the strand for the triggering tuple.
 // The caller (engine.Node) has already matched trig.Name.
 func (s *Strand) Run(ctx Context, trig tuple.Tuple) {
@@ -446,15 +423,8 @@ func (s *Strand) Run(ctx Context, trig tuple.Tuple) {
 		panic(fmt.Sprintf("dataflow: rule %s runs a plan that was never compiled (Plan.Compile)", s.RuleID))
 	}
 	ctx.Bill(CostTupleHandoff)
-	b, pooled := s.acquireBinding()
-	s.run(ctx, trig, b)
-	if pooled {
-		s.bindBusy = false
-	}
-}
-
-func (s *Strand) run(ctx Context, trig tuple.Tuple, b Binding) {
-	if !bindFields(b, trig, s.Trigger.FieldSlots, s.Trigger.FieldConsts, nil) {
+	b := Binding(ctx.Frame(s.NumVars))
+	if !bindFields(b, trig, s.Trigger.FieldSlots, s.Trigger.FieldConsts) {
 		return // trigger constants or self-unification failed
 	}
 	ctx.TraceInput(s, trig)
@@ -505,41 +475,6 @@ func (s *Strand) runAgg(ctx Context, b Binding, agg *aggState) (ok bool) {
 	// must observe them while the tracer record is still associated.
 	s.flushAgg(ctx, agg)
 	return true
-}
-
-// acquireProbe returns the index-probe value buffer for op i, reusing
-// per-op scratch when free (pooled reports scratch use; the caller must
-// clear probeBusy[i] when done). Per-op buffers are required: a nested
-// activation of the same strand from inside a probe callback must not
-// clobber the slice MatchIndexed is still reading.
-func (s *Strand) acquireProbe(i, n int) (vals []tuple.Value, pooled bool) {
-	if s.probeScratch == nil {
-		s.probeScratch = make([][]tuple.Value, len(s.Ops))
-		s.probeBusy = make([]bool, len(s.Ops))
-	}
-	if s.probeBusy[i] {
-		return make([]tuple.Value, n), false
-	}
-	if cap(s.probeScratch[i]) < n {
-		s.probeScratch[i] = make([]tuple.Value, n)
-	}
-	s.probeBusy[i] = true
-	return s.probeScratch[i][:n], true
-}
-
-// acquireUndo returns the backtracking undo buffer for op i (same
-// pooling discipline as acquireProbe; pooled=false falls back to append
-// allocation on re-entrant activations).
-func (s *Strand) acquireUndo(i int) (undo []int, pooled bool) {
-	if s.undoScratch == nil {
-		s.undoScratch = make([][]int, len(s.Ops))
-		s.undoBusy = make([]bool, len(s.Ops))
-	}
-	if s.undoBusy[i] {
-		return nil, false
-	}
-	s.undoBusy[i] = true
-	return s.undoScratch[i][:0], true
 }
 
 // exec runs ops[i:] under binding b, passing each completed binding to
@@ -595,61 +530,59 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 // unbound at run time (an accumulator rebuild runs the pipeline without
 // its trigger binding); the caller then scans.
 func (s *Strand) probeJoin(ctx Context, tb *table.Table, op *JoinOp, b Binding, i int, done completion) bool {
-	values, pooled := s.acquireProbe(i, len(op.IndexPositions))
-	ok := true
+	values := ctx.Frame(len(op.IndexPositions))
 	for k, p := range op.IndexPositions {
 		if c := op.FieldConsts[p]; !c.IsNil() {
 			values[k] = c
 			continue
 		}
 		if values[k] = b[op.FieldSlots[p]]; values[k].IsNil() {
-			ok = false
-			break
+			return false
 		}
 	}
-	if ok {
-		visited := tb.MatchIndexed(ctx.Now(), op.IndexPositions, values, func(row tuple.Tuple) {
-			if op.rest.bind(b, row) {
-				ctx.TracePrecond(s, op.Stage, row)
-				s.exec(ctx, b, i+1, done)
-			}
-		})
-		op.rest.unbind(b)
-		ctx.Bill(float64(visited) * CostJoinProbe)
-	}
-	if pooled {
-		s.probeBusy[i] = false
-	}
-	return ok
-}
-
-// scanJoin runs join op i over every row, unifying each in full; it
-// bills per-probe cost the way probeJoin does, once for the visited
-// count, after the scan.
-func (s *Strand) scanJoin(ctx Context, tb *table.Table, op *JoinOp, b Binding, i int, done completion) {
-	undo, pooled := s.acquireUndo(i)
-	visited := 0
-	tb.Scan(ctx.Now(), func(row tuple.Tuple) {
-		visited++
-		undo = undo[:0]
-		if bindFields(b, row, op.FieldSlots, op.FieldConsts, &undo) {
+	visited := tb.MatchIndexed(ctx.Now(), op.IndexPositions, values, func(row tuple.Tuple) {
+		if op.rest.bind(b, row) {
 			ctx.TracePrecond(s, op.Stage, row)
 			s.exec(ctx, b, i+1, done)
 		}
-		unbind(b, undo)
 	})
+	op.rest.unbind(b)
 	ctx.Bill(float64(visited) * CostJoinProbe)
-	if pooled {
-		s.undoScratch[i] = undo[:0] // keep any growth
-		s.undoBusy[i] = false
-	}
+	return true
 }
 
-// bindFields unifies a tuple against per-field slots and constants. When
-// undo is non-nil, newly bound slots are appended for backtracking. It
-// returns false on a constant mismatch or disagreement with an existing
-// binding.
-func bindFields(b Binding, t tuple.Tuple, slots []int, consts []tuple.Value, undo *[]int) bool {
+// scanJoin runs join op i over every row, unifying each in full. It saves
+// the op's slots when the scan starts and restores them after each row,
+// which undoes exactly what the row bound: bindFields binds only unbound
+// slots. It bills per-probe cost the way probeJoin does, once for the
+// visited count, after the scan.
+func (s *Strand) scanJoin(ctx Context, tb *table.Table, op *JoinOp, b Binding, i int, done completion) {
+	saved := ctx.Frame(len(op.FieldSlots))
+	for k, slot := range op.FieldSlots {
+		if slot >= 0 {
+			saved[k] = b[slot]
+		}
+	}
+	visited := 0
+	tb.Scan(ctx.Now(), func(row tuple.Tuple) {
+		visited++
+		if bindFields(b, row, op.FieldSlots, op.FieldConsts) {
+			ctx.TracePrecond(s, op.Stage, row)
+			s.exec(ctx, b, i+1, done)
+		}
+		for k, slot := range op.FieldSlots {
+			if slot >= 0 {
+				b[slot] = saved[k]
+			}
+		}
+	})
+	ctx.Bill(float64(visited) * CostJoinProbe)
+}
+
+// bindFields unifies a tuple against per-field slots and constants,
+// binding only slots that are unbound. It returns false on a constant
+// mismatch or disagreement with an existing binding.
+func bindFields(b Binding, t tuple.Tuple, slots []int, consts []tuple.Value) bool {
 	n := len(slots)
 	if len(t.Fields) != n {
 		return false
@@ -667,9 +600,6 @@ func bindFields(b Binding, t tuple.Tuple, slots []int, consts []tuple.Value, und
 		}
 		if b[slot].IsNil() {
 			b[slot] = t.Fields[i]
-			if undo != nil {
-				*undo = append(*undo, slot)
-			}
 			continue
 		}
 		if !b[slot].Equal(t.Fields[i]) {
@@ -677,12 +607,6 @@ func bindFields(b Binding, t tuple.Tuple, slots []int, consts []tuple.Value, und
 		}
 	}
 	return true
-}
-
-func unbind(b Binding, undo []int) {
-	for _, slot := range undo {
-		b[slot] = tuple.Nil
-	}
 }
 
 // emit builds and routes the head tuple for a completed binding.

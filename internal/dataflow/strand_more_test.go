@@ -236,3 +236,61 @@ func TestRebuildUnboundSlotReported(t *testing.T) {
 }
 
 var _ = table.Infinity
+
+// TestJoinNested: an activation re-entered from inside the second of
+// two index probes works in frames of its own, so the outer activation
+// resumes with its binding and probe keys intact and emits exactly the
+// heads of a flat run, in the same order.
+func TestJoinNested(t *testing.T) {
+	// out@N(A, B, C) :- ev@N(A), t1@N(A, B), t2@N(B, C).
+	s := strandOf(&Plan{
+		RuleID:  "j2",
+		Trigger: Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
+		NumVars: 4, VarNames: []string{"N", "A", "B", "C"},
+		Ops: []Op{
+			&JoinOp{Table: "t1", Stage: 1, FieldSlots: []int{0, 1, 2}, FieldConsts: make([]tuple.Value, 3), IndexPositions: []int{0, 1}},
+			&JoinOp{Table: "t2", Stage: 2, FieldSlots: []int{0, 2, 3}, FieldConsts: make([]tuple.Value, 3), IndexPositions: []int{0, 1}},
+		},
+		HeadName: "out",
+		HeadArgs: []overlog.Expr{ref("N"), ref("A"), ref("B"), ref("C")},
+		Stages:   2,
+	})
+	store := table.NewStore()
+	for _, name := range []string{"t1", "t2"} {
+		tb, err := store.Materialize(table.Spec{Name: name, Lifetime: table.Infinity, MaxSize: table.Infinity, Keys: []int{1, 2, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.EnsureIndex([]int{0, 1})
+	}
+	// A = 1 reaches B = 10..12 and A = 2 reaches B = 13; each B reaches
+	// three C.
+	for b := int64(10); b < 14; b++ {
+		store.Get("t1").Insert(tuple.New("t1", tuple.Str("n1"), tuple.Int(1+b/13), tuple.Int(b)), 0) //nolint:errcheck
+		for c := int64(0); c < 3; c++ {
+			store.Get("t2").Insert(tuple.New("t2", tuple.Str("n1"), tuple.Int(b), tuple.Int(c)), 0) //nolint:errcheck
+		}
+	}
+	outer, inner := tuple.New("ev", tuple.Str("n1"), tuple.Int(1)), tuple.New("ev", tuple.Str("n1"), tuple.Int(2))
+	flat := func(trig tuple.Tuple) []tuple.Tuple {
+		c := &nestingCtx{nullCtx: nullCtx{store: store}, nested: true}
+		s.Run(c, trig)
+		return c.heads
+	}
+	flatOuter, flatInner := flat(outer), flat(inner)
+	if len(flatOuter) != 9 || len(flatInner) != 3 {
+		t.Fatalf("flat runs emitted %d and %d heads, want 9 and 3", len(flatOuter), len(flatInner))
+	}
+	nest := &nestingCtx{nullCtx: nullCtx{store: store}, trig: inner}
+	s.Run(nest, outer)
+	// Outer head 0, the whole inner activation, then the outer's rest.
+	want := append(append([]tuple.Tuple{flatOuter[0]}, flatInner...), flatOuter[1:]...)
+	if len(nest.heads) != len(want) {
+		t.Fatalf("nested run emitted %d heads, want %d: %v", len(nest.heads), len(want), nest.heads)
+	}
+	for i := range want {
+		if !nest.heads[i].Equal(want[i]) {
+			t.Errorf("nested run, head %d = %v, want %v", i, nest.heads[i], want[i])
+		}
+	}
+}

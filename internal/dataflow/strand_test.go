@@ -20,6 +20,29 @@ func (h *headScratch) HeadFields(n int) []tuple.Value {
 	return *h
 }
 
+// frames is the fakes' frame storage, the engine's task arena in
+// miniature: each frame is carved fresh from one buffer, so no frame
+// aliases another or a head, and reset ends every loan at once, as the
+// end of a task does. A full buffer is left to the frames carved from it
+// and one twice its size takes over, so a test that resets between
+// activations is warm after a couple of them.
+type frames struct{ buf []tuple.Value }
+
+func (f *frames) Frame(n int) []tuple.Value {
+	if cap(f.buf)-len(f.buf) < n {
+		f.buf = make([]tuple.Value, 0, max(2*cap(f.buf), n, 64))
+	}
+	i := len(f.buf)
+	f.buf = f.buf[:i+n]
+	return f.buf[i : i+n : i+n]
+}
+
+// reset hands every frame back; the next ones are zeroed again.
+func (f *frames) reset() {
+	clear(f.buf)
+	f.buf = f.buf[:0]
+}
+
 // kept is what an EmitHead that keeps its tuple stores.
 func kept(t tuple.Tuple) tuple.Tuple {
 	t.Fields = append([]tuple.Value(nil), t.Fields...)
@@ -29,6 +52,7 @@ func kept(t tuple.Tuple) tuple.Tuple {
 // fakeCtx is a minimal Context for exercising strands directly.
 type fakeCtx struct {
 	headScratch
+	frames
 	store  *table.Store
 	heads  []tuple.Tuple
 	dels   []tuple.Tuple

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"p2go/internal/engine"
+	"p2go/internal/overlog"
 	"p2go/internal/tuple"
 )
 
@@ -26,6 +27,38 @@ loop2 pong@N(X + 1) :- ping@N(X).
 	h2.inject("n1", tuple.New("pong", tuple.Str("n1"), tuple.Int(1<<40)))
 	h.net.RunFor(1)
 	// (A second cascade error is fine; the point is no hang or panic.)
+
+	// A fan-out loop: each ping queues two pongs, so tens of thousands of
+	// tuples are still queued when the cap cuts the cascade. Dropping
+	// them must unpin them, and the node keeps no queue past the task.
+	prog, err := overlog.Parse(`
+f1 ping@N(X + 1) :- pong@N(X).
+f2 pong@N(X + 1) :- ping@N(X).
+f3 pong@N(X + 2) :- ping@N(X).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n *engine.Node
+	var snoop func() (slots, held int)
+	n = engine.NewNode(engine.Config{Addr: "n1", OnRuleError: func(_ float64, _ string, err error) {
+		if strings.Contains(err.Error(), "cascade") {
+			snoop = engine.QueueSnoop(n)
+		}
+	}})
+	if err := n.InstallProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	n.HandleLocal(tuple.New("ping", tuple.Str("n1"), tuple.Int(0)))
+	if snoop == nil {
+		t.Fatal("the fan-out loop did not hit the cascade cap")
+	}
+	if slots, held := snoop(); held != 0 {
+		t.Errorf("after the overflow %d of the queue's %d slots still hold a tuple", held, slots)
+	}
+	if engine.HoldsTaskState(n) {
+		t.Error("the node kept task state past the overflowing task")
+	}
 }
 
 // TestRemoteDeleteRejected: delete-rule heads must be local.

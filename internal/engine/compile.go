@@ -5,7 +5,7 @@
 // per-node planning dominated install time and per-node plans dominated
 // steady-state memory. Node.Compile produces one immutable set of
 // dataflow.Plans; InstallCompiledQuery wraps each in a lightweight
-// per-node Strand (scratch state only).
+// per-node Strand (the plan pointer and the query ID).
 //
 // Correctness contract: planning depends on exactly two node-local
 // inputs, the materialization environment (which predicate names are

@@ -247,12 +247,8 @@ type Node struct {
 	queryCounter int
 	micro        float64 // cost accumulated within the current task
 	inTask       bool    // a Handle* task is on the stack
-	arena        *arena  // the current task's tuples; nil between tasks (arena.go)
-	// queue is the cascade queue, consumed as a ring: queue[:qhead] is
-	// already processed (and zeroed), the tail is pending. See drain.
-	queue   []queued
-	qhead   int
-	scratch []byte // reusable marshal buffer for the send postamble
+	arena        *arena  // the current task's tuples, frames and queue; nil between tasks (arena.go)
+	scratch      []byte  // reusable marshal buffer for the send postamble
 	// preamble holds the seed tuples injected via SeedLocal, in order;
 	// Rejoin replays them after a restart with soft-state loss (the
 	// bootstrap a real process re-runs when it comes back up).
@@ -773,7 +769,7 @@ func (n *Node) installStrand(s *dataflow.Strand, q *query) {
 // tables and is logged by the tracer like any other table event, keeping
 // introspection current across on-line installs and uninstalls.
 func (n *Node) reflect(row tuple.Tuple, isDelete bool) {
-	n.queue = append(n.queue, queued{t: row, isDelete: isDelete, src: n.cfg.Addr})
+	n.enqueue(queued{t: row, isDelete: isDelete, src: n.cfg.Addr})
 }
 
 // reflectNow drains reflection changes queued by an install or
@@ -881,7 +877,6 @@ func (n *Node) Preamble() []tuple.Tuple { return n.preamble }
 // Like every Handle* entry point it runs one task and returns its cost.
 func (n *Node) Rejoin() float64 {
 	n.beginTask()
-	n.queue, n.qhead = n.queue[:0], 0 // work queued in the dead process is gone
 	for _, name := range n.store.Names() {
 		if name == RuleTableName || name == TableTableName || name == QueryTableName {
 			continue
@@ -902,7 +897,7 @@ func (n *Node) Rejoin() float64 {
 	n.epoch++
 	n.reflect(n.epochRow(), false)
 	for _, t := range n.preamble {
-		n.queue = append(n.queue, queued{t: t.WithID(0), src: n.cfg.Addr})
+		n.enqueue(queued{t: t.WithID(0), src: n.cfg.Addr})
 	}
 	return n.finishTask()
 }
@@ -920,32 +915,38 @@ func (n *Node) Sweep() float64 {
 func (n *Node) runTask(seed queued, startCost float64) float64 {
 	n.beginTask()
 	n.bill(startCost)
-	n.queue = append(n.queue, seed)
+	n.enqueue(seed)
 	return n.finishTask()
 }
 
-// drain consumes the cascade queue as a ring: processed slots are
+// drain consumes the task's cascade queue as a ring: processed slots are
 // zeroed and reclaimed by a head index plus periodic compaction (the
-// pattern simnet's host queue uses). A plain n.queue = n.queue[1:]
-// would pin every processed tuple in the backing array and force the
-// append side to reallocate as the sliced-away capacity runs out —
-// O(n^2) memory churn on deep cascades.
+// pattern simnet's host queue uses). A plain queue = queue[1:] would pin
+// every processed tuple in the backing array and force the append side
+// to reallocate as the sliced-away capacity runs out — O(n^2) memory
+// churn on deep cascades. The queue lives in the task's arena, which
+// every enqueue has taken.
 func (n *Node) drain() {
-	for steps := 0; len(n.queue) > n.qhead; steps++ {
+	a := n.arena
+	if a == nil {
+		return // the task queued nothing
+	}
+	for steps := 0; len(a.queue) > a.qhead; steps++ {
 		if steps > maxCascade {
-			n.ruleError("engine", fmt.Errorf("cascade exceeded %d steps; dropping %d queued tuples", maxCascade, len(n.queue)-n.qhead))
-			n.queue, n.qhead = n.queue[:0], 0
+			n.ruleError("engine", fmt.Errorf("cascade exceeded %d steps; dropping %d queued tuples", maxCascade, len(a.queue)-a.qhead))
+			clear(a.queue[a.qhead:]) // the dropped tuples must not stay pinned
+			a.queue, a.qhead = a.queue[:0], 0
 			return
 		}
-		q := n.queue[n.qhead]
-		n.queue[n.qhead] = queued{}
-		n.qhead++
-		if n.qhead == len(n.queue) {
-			n.queue, n.qhead = n.queue[:0], 0
-		} else if n.qhead >= 64 && n.qhead*2 >= len(n.queue) {
-			m := copy(n.queue, n.queue[n.qhead:])
-			clear(n.queue[m:]) // where the moved tuples were: stale slots would pin them
-			n.queue, n.qhead = n.queue[:m], 0
+		q := a.queue[a.qhead]
+		a.queue[a.qhead] = queued{}
+		a.qhead++
+		if a.qhead == len(a.queue) {
+			a.queue, a.qhead = a.queue[:0], 0
+		} else if a.qhead >= 64 && a.qhead*2 >= len(a.queue) {
+			m := copy(a.queue, a.queue[a.qhead:])
+			clear(a.queue[m:]) // where the moved tuples were: stale slots would pin them
+			a.queue, a.qhead = a.queue[:m], 0
 		}
 		n.processOne(q)
 	}
@@ -1283,7 +1284,7 @@ func (n *Node) EmitHead(s *dataflow.Strand, t tuple.Tuple, isDelete bool) {
 			n.ruleError(s.RuleID, fmt.Errorf("delete rule head must be local, got %s", loc))
 			return
 		}
-		n.queue = append(n.queue, queued{t: t, isDelete: true})
+		n.enqueue(queued{t: t, isDelete: true})
 		return
 	}
 	id := n.assignID(&t, n.cfg.Addr, 0)
@@ -1297,7 +1298,7 @@ func (n *Node) EmitHead(s *dataflow.Strand, t tuple.Tuple, isDelete bool) {
 		return
 	}
 	if dst == n.cfg.Addr {
-		n.queue = append(n.queue, queued{t: t, src: n.cfg.Addr, srcID: id})
+		n.enqueue(queued{t: t, src: n.cfg.Addr, srcID: id})
 		return
 	}
 	// Network postamble: marshal into the node's scratch buffer (sized
