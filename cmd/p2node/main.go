@@ -12,17 +12,20 @@
 //
 // Tables can be dumped at exit with -dump table1,table2.
 //
-// Under -realtime, -metrics-addr serves every node's counters and
-// latency histograms as a Prometheus /metrics endpoint while the
-// network runs, and the Go runtime's profiles under /debug/pprof/ (see
+// Under -realtime the nodes run on wall-clock time instead, each a UDP
+// node on a loopback port, and -metrics-addr serves every node's
+// counters and latency histograms as a Prometheus /metrics endpoint
+// while they run, and the Go runtime's profiles under /debug/pprof/ (see
 // docs/OBSERVABILITY.md).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,7 +44,7 @@ func main() {
 		dump        = flag.String("dump", "", "comma-separated tables to dump at exit")
 		seed        = flag.Int64("rngseed", 1, "simulation random seed")
 		tracing     = flag.Bool("trace", false, "enable execution logging")
-		realTime    = flag.Bool("realtime", false, "run on wall-clock time (goroutine per node) instead of the simulator")
+		realTime    = flag.Bool("realtime", false, "run on wall-clock time (a UDP node on loopback per node) instead of the simulator")
 		metricsAddr = flag.String("metrics-addr", "", "with -realtime: serve Prometheus metrics for every node, and /debug/pprof/, on this address (e.g. 127.0.0.1:9090)")
 	)
 	flag.Parse()
@@ -97,98 +100,133 @@ func main() {
 	}
 	net.Run(*runFor)
 
-	if *dump != "" {
-		for _, name := range strings.Split(*dump, ",") {
-			name = strings.TrimSpace(name)
-			for _, addr := range net.Addrs() {
-				tb := net.Node(addr).Store().Get(name)
-				if tb == nil {
-					continue
-				}
-				tb.Scan(sim.Now(), func(t p2go.Tuple) {
-					fmt.Printf("%s\n", t)
-				})
-			}
-		}
+	all := make([]*p2go.Node, 0, *nodes)
+	for _, addr := range net.Addrs() {
+		all = append(all, net.Node(addr))
 	}
+	dumpTables(os.Stdout, *dump, sim.Now(), all...)
 }
 
-// runRealtime executes the program under the goroutine-per-node driver.
+// runRealtime executes the program on wall-clock time: each node is a
+// realtime.UDPNode on a loopback port.
 func runRealtime(prog *p2go.Program, nodes int, runFor float64, seedPath string, seed int64, tracing bool, dump, metricsAddr string) {
-	net := realtime.NewNetwork(realtime.Config{
-		Seed:     seed,
-		MinDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond,
-		OnWatch: func(now float64, node string, t p2go.Tuple) {
-			fmt.Printf("[%10.3f] %-6s %v\n", now, node, t)
-		},
-		OnRuleError: func(now float64, node, ruleID string, err error) {
-			fmt.Fprintf(os.Stderr, "[%10.3f] %-6s rule %s: %v\n", now, node, ruleID, err)
-		},
-	})
-	for i := 1; i <= nodes; i++ {
-		n, err := net.AddNode(fmt.Sprintf("n%d", i))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if tracing {
-			if err := n.EnableTracing(p2go.DefaultTraceConfig()); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := n.InstallProgram(prog); err != nil {
-			log.Fatal(err)
-		}
+	rt, err := newRealtime(prog, nodes, seed, tracing, os.Stdout, os.Stderr)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if metricsAddr != "" {
-		bound, err := net.ServeMetrics(metricsAddr)
+		ln, err := realtime.ServeMetrics(metricsAddr, rt...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", bound)
+		defer ln.Close()
+		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", ln.Addr())
 	}
-	net.Start()
+	for _, u := range rt {
+		u.Start()
+	}
 	if seedPath != "" {
-		src, err := os.ReadFile(seedPath)
+		seeds, err := readSeeds(seedPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, line := range strings.Split(string(src), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "//") {
-				continue
-			}
-			t, err := parseSeed(line)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := net.Inject(t.Loc(), t); err != nil {
-				log.Fatal(err)
-			}
+		if err := injectRealtime(rt, seeds); err != nil {
+			log.Fatal(err)
 		}
 	}
 	time.Sleep(time.Duration(runFor * float64(time.Second)))
-	net.Stop() // nodes are quiescent: safe to inspect their tables
-	if dump != "" {
-		for _, name := range strings.Split(dump, ",") {
-			name = strings.TrimSpace(name)
-			for i := 1; i <= nodes; i++ {
-				tb := net.Node(fmt.Sprintf("n%d", i)).Store().Get(name)
-				if tb == nil {
-					continue
-				}
-				tb.Scan(runFor+1, func(t p2go.Tuple) { fmt.Printf("%s\n", t) })
+	all := make([]*p2go.Node, len(rt))
+	for i, u := range rt {
+		u.Stop() // the node is quiescent: safe to inspect its tables
+		all[i] = u.Node()
+	}
+	// n1's clock started first, so it reads latest.
+	dumpTables(os.Stdout, dump, all[0].Now(), all...)
+}
+
+// newRealtime builds nodes n1..nN, stopped, each a UDP node on a
+// loopback port peered with every other, with node i seeded seed+i and
+// running prog. Watched tuples print to out, rule errors to errOut.
+func newRealtime(prog *p2go.Program, nodes int, seed int64, tracing bool, out, errOut io.Writer) ([]*realtime.UDPNode, error) {
+	rt := make([]*realtime.UDPNode, 0, nodes)
+	fail := func(err error) ([]*realtime.UDPNode, error) {
+		for _, u := range rt {
+			u.Stop()
+		}
+		return nil, err
+	}
+	for i := 1; i <= nodes; i++ {
+		addr := fmt.Sprintf("n%d", i)
+		u, err := realtime.NewUDPNode(realtime.UDPNodeConfig{
+			Addr:   addr,
+			Listen: "127.0.0.1:0",
+			Seed:   seed + int64(i),
+			OnWatch: func(now float64, t p2go.Tuple) {
+				fmt.Fprintf(out, "[%10.3f] %-6s %v\n", now, addr, t)
+			},
+			OnRuleError: func(now float64, ruleID string, err error) {
+				fmt.Fprintf(errOut, "[%10.3f] %-6s rule %s: %v\n", now, addr, ruleID, err)
+			},
+		})
+		if err != nil {
+			return fail(err)
+		}
+		rt = append(rt, u)
+		if tracing {
+			if err := u.Node().EnableTracing(p2go.DefaultTraceConfig()); err != nil {
+				return fail(err)
+			}
+		}
+		if err := u.Node().InstallProgram(prog); err != nil {
+			return fail(err)
+		}
+	}
+	for _, u := range rt {
+		for _, peer := range rt {
+			if err := u.AddPeer(peer.Node().Addr(), peer.LocalAddr()); err != nil {
+				return fail(err)
 			}
 		}
 	}
+	return rt, nil
 }
 
-// injectSeeds parses "name@loc(args)." lines and injects each tuple at
-// its location node.
+// injectRealtime injects each seed at its location node.
+func injectRealtime(rt []*realtime.UDPNode, seeds []p2go.Tuple) error {
+	for _, t := range seeds {
+		i := slices.IndexFunc(rt, func(u *realtime.UDPNode) bool { return u.Node().Addr() == t.Loc() })
+		if i < 0 {
+			return fmt.Errorf("seed %v: no node %s", t, t.Loc())
+		}
+		if err := rt[i].Inject(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// injectSeeds injects each tuple of a seeds file at its location node.
 func injectSeeds(net *p2go.Network, path string) error {
-	src, err := os.ReadFile(path)
+	seeds, err := readSeeds(path)
 	if err != nil {
 		return err
 	}
+	for _, t := range seeds {
+		if err := net.Inject(t.Loc(), t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readSeeds parses a seeds file: one "name@loc(args)." tuple a line,
+// blank lines and // comments skipped.
+func readSeeds(path string) ([]p2go.Tuple, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var seeds []p2go.Tuple
 	for _, line := range strings.Split(string(src), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "//") {
@@ -196,13 +234,27 @@ func injectSeeds(net *p2go.Network, path string) error {
 		}
 		t, err := parseSeed(line)
 		if err != nil {
-			return fmt.Errorf("seed %q: %w", line, err)
+			return nil, fmt.Errorf("seed %q: %w", line, err)
 		}
-		if err := net.Inject(t.Loc(), t); err != nil {
-			return err
+		seeds = append(seeds, t)
+	}
+	return seeds, nil
+}
+
+// dumpTables prints every row of each comma-separated table, node by
+// node, as live at time now.
+func dumpTables(w io.Writer, tables string, now float64, nodes ...*p2go.Node) {
+	if tables == "" {
+		return
+	}
+	for _, name := range strings.Split(tables, ",") {
+		name = strings.TrimSpace(name)
+		for _, n := range nodes {
+			if tb := n.Store().Get(name); tb != nil {
+				tb.Scan(now, func(t p2go.Tuple) { fmt.Fprintf(w, "%s\n", t) })
+			}
 		}
 	}
-	return nil
 }
 
 // parseSeed reuses the OverLog parser: the line is parsed as a rule

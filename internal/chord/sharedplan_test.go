@@ -49,8 +49,8 @@ func planSignature(n *engine.Node) string {
 // contents never change while per-node strand state churns, and (c)
 // the shared plans are structurally what a bare node compiles for
 // itself when it installs Program() with InstallQuery. Concurrent nodes
-// reading one plan set are realtime.TestSharedPlansConcurrentNodes' to
-// check under -race.
+// reading one plan set, realtime UDPNodes in one process, are
+// realtime.TestSharedPlansConcurrentNodes' to check under -race.
 func TestSharedPlanIsolation(t *testing.T) {
 	r, err := NewRing(RingConfig{N: 8, Seed: 11})
 	if err != nil {

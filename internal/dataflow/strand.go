@@ -231,9 +231,9 @@ type AggSpec struct {
 // Compile. A Plan carries no execution state and no per-node state, is
 // never written after the planner returns it, and may therefore be
 // shared by every node running the same program ("plan once, instantiate
-// N times") — including nodes running concurrently under
-// realtime.Network, since concurrent readers of immutable data race with
-// nobody. One set of evaluators serves every strand of every node.
+// N times") — including nodes running concurrently as realtime
+// UDPNodes in one process, since concurrent readers of immutable data
+// race with nobody. One set of evaluators serves every strand of every node.
 type Plan struct {
 	// RuleID is the rule label (possibly planner-generated).
 	RuleID string

@@ -88,13 +88,21 @@ func TestUnknownEventDropped(t *testing.T) {
 }
 
 // TestMalformedMessageDropped: undecodable network payloads surface as a
-// rule error and are dropped.
+// rule error and are dropped, and the failed decode is billed like any
+// task: the node total and the system bucket move by the cost returned.
 func TestMalformedMessageDropped(t *testing.T) {
 	h := newHarness(t, `watch(x).`, "n1")
 	n := h.net.Node("n1")
+	busy, sys := n.Metrics().BusySeconds, n.QueryMetrics()[engine.SystemQuery].BusySeconds
 	cost := n.HandleMessage(engine.Envelope{Src: "zz", SrcTupleID: 1, Raw: []byte{0xff, 0x01, 0x02}})
 	if cost <= 0 {
 		t.Error("unmarshal cost must be billed")
+	}
+	if got := n.Metrics().BusySeconds; got != busy+cost {
+		t.Errorf("BusySeconds %g -> %g, want it to move by the returned cost %g", busy, got, cost)
+	}
+	if got := n.QueryMetrics()[engine.SystemQuery].BusySeconds; got != sys+cost {
+		t.Errorf("system bucket %g -> %g, want it to move by the returned cost %g", sys, got, cost)
 	}
 	if n.Metrics().RuleErrors == 0 {
 		t.Error("decode failure must be reported")

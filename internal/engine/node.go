@@ -204,8 +204,8 @@ type query struct {
 // Node is one P2 node. Not safe for concurrent use: the driver serializes
 // Handle* calls on each node. Distinct nodes share no mutable state (each
 // owns its store, RNG, tracer, counters, and scratch buffers; Send and
-// the On* callbacks are the only ways out), so realtime.Network runs
-// different nodes on different goroutines concurrently.
+// the On* callbacks are the only ways out), so realtime UDPNodes in one
+// process run different nodes on different goroutines concurrently.
 type Node struct {
 	cfg   Config
 	store *table.Store
@@ -814,9 +814,12 @@ func (n *Node) HandleMessage(env Envelope) float64 {
 	n.met.BytesRecv += int64(len(env.Raw))
 	t, err := n.taskArena().decode(env.Raw)
 	if err != nil {
-		n.releaseArena()
+		// A task like any other: the failed decode is billed, and the
+		// error is reported on this task's clock.
+		n.beginTask()
+		n.bill(dataflow.CostMarshal)
 		n.ruleError("net", fmt.Errorf("dropping undecodable message from %s: %w", env.Src, err))
-		return dataflow.CostMarshal
+		return n.finishTask()
 	}
 	return n.runTask(queued{t: t, src: env.Src, srcID: env.SrcTupleID}, dataflow.CostMarshal)
 }

@@ -166,7 +166,7 @@ func (h *Histogram) Encode() string {
 // which reuses the log-bucketed scale for a dimensionless task count.
 // Like the Node counters they are owned by the node's single executor;
 // concurrent readers must snapshot through the driver (see
-// realtime.Network.MetricsSnapshot).
+// realtime.UDPNode.MetricsSnapshot).
 type NodeHists struct {
 	// HopLatency is the per-hop message latency: from the send postamble
 	// to the receiving node observing the message (virtual time under

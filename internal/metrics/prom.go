@@ -23,8 +23,8 @@ import (
 // that deliberately live outside metrics.Node.
 //
 // The realtime driver serves this from an HTTP /metrics endpoint (see
-// realtime.UDPNode.ServeMetrics); the simulation harness writes it to
-// files next to exported traces.
+// realtime.ServeMetrics); the simulation harness writes it to files next
+// to exported traces.
 func WritePrometheus(w io.Writer, node string, m Node, queries map[string]Query, hists *NodeHists, extras ...Counter) error {
 	ew := &errWriter{w: w}
 	for _, c := range m.Counters() {

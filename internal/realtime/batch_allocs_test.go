@@ -78,10 +78,10 @@ func TestBatchIOAllocsPerSyscall(t *testing.T) {
 func TestExecutorAllocsPerTask(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	p := openNetwork(t, "r1 seen@N(S) :- ev@N(S, P).\n", linkOpts{depth: taskBatch})
-	e := p.a
+	e := openNodes(t, UDPNodeConfig{Seed: 1, QueueDepth: taskBatch}, "r1 seen@N(S) :- ev@N(S, P).\n", "a")[0].exec
 	ev := tuple.New("ev", tuple.Str("a"), tuple.Int(7), tuple.Str("x"))
 	env := engine.Envelope{Src: "b", SrcTupleID: 1, Raw: tuple.Marshal(nil, ev)}
+	datagram := engine.Envelope{Src: "b", Raw: appendRecord(nil, env.SrcTupleID, env.Raw)}
 	direct := func() {
 		for i := 0; i < taskBatch/2; i++ {
 			e.node.HandleMessage(env)
@@ -91,7 +91,7 @@ func TestExecutorAllocsPerTask(t *testing.T) {
 	queued := func() {
 		now := time.Now()
 		for i := 0; i < taskBatch/2; i++ {
-			e.tasks <- task{at: now, sent: now.UnixNano(), kind: taskMsg, env: env}
+			e.tasks <- task{at: now, sent: now.UnixNano(), kind: taskDatagram, env: datagram}
 			e.tasks <- task{at: now, kind: taskLocal, tup: ev}
 		}
 		e.drainBatch(<-e.tasks)

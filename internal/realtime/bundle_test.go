@@ -241,7 +241,7 @@ func TestBundleBadFraming(t *testing.T) {
 // received and observed in QueueWait and HopLatency: the histograms
 // count envelopes, not datagrams.
 func TestDatagramObservesEachEnvelope(t *testing.T) {
-	e := openNetwork(t, "", linkOpts{}).a
+	e := udpNode(t, "a", "127.0.0.1:0").exec
 	var recs []byte
 	for i := uint64(1); i <= 3; i++ {
 		recs = appendRecord(recs, i, tuple.Marshal(nil, tuple.New("ev", tuple.Str("a"), tuple.Int(int64(i)))))

@@ -1,10 +1,6 @@
 package realtime
 
 import (
-	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,21 +10,16 @@ import (
 	"p2go/internal/tuple"
 )
 
-// executor is the one realtime task loop: a goroutine that serializes
-// every task of one engine node, and everything a producer needs to hand
-// it work. Network (delayed channel link) and UDPNode (socket link)
-// differ only in where message bytes come from and go to.
+// executor is the realtime task loop: a goroutine that serializes every
+// task of one engine node, and everything a producer needs to hand it
+// work. UDPNode puts a socket on either side of it.
 type executor struct {
 	node     *engine.Node
 	tasks    chan task
 	overload OverloadPolicy
-	// pool recycles the receive buffers message tasks carry. It is nil on
-	// the channel link, whose tasks carry none (put(nil) touches nothing).
+	// pool recycles the receive buffers datagram tasks carry.
 	pool *bufPool
-	// stats counts transport-level outcomes for the inbound queue. The
-	// channel link has no wire, so only its receive side is populated
-	// (bytes are payload bytes); its sends are already counted by the
-	// engine's own MsgsSent/BytesSent.
+	// stats counts the link's transport-level outcomes.
 	stats transportCounters
 	// batchEnd, when set, runs on the loop after every batch of tasks and
 	// every sweep, before the batch clock is cleared: the socket link
@@ -107,14 +98,14 @@ func (e *executor) wait() {
 	e.drain()
 }
 
-// drain discards what is queued, booking message tasks to DropShutdown
+// drain discards what is queued, booking datagram tasks to DropShutdown
 // so the conservation law over TransportStats holds exactly after an
 // abrupt stop. Safe from any goroutine once done is closed.
 func (e *executor) drain() {
 	for {
 		select {
 		case t := <-e.tasks:
-			if t.kind == taskMsg || t.kind == taskDatagram {
+			if t.kind == taskDatagram {
 				e.stats.dropShutdown.Add(1)
 				e.pool.put(t.buf)
 			}
@@ -139,9 +130,6 @@ func (e *executor) runOne(t *task, now time.Time, nowNanos int64, depth int) {
 	n := e.node
 	wait := now.Sub(t.at).Seconds()
 	switch t.kind {
-	case taskMsg:
-		e.handleMessage(t.env, t.sent, wait, nowNanos, depth)
-		e.stats.datagramsProcessed.Add(1)
 	case taskDatagram:
 		// The reader checked that the records tile the datagram. Each is
 		// observed and run as the envelope it would be on its own.
@@ -237,9 +225,10 @@ func (e *executor) enqueue(t task, policy OverloadPolicy) (dropped, stopped bool
 	return false, false
 }
 
-// receive is the data-plane entry both links deliver through: it counts
-// a message of wire bytes as received and queues its task, booking a
-// shed or shut-out message to its drop reason and returning its buffer.
+// receive is the data-plane entry the socket reader delivers through: it
+// counts a datagram of wire bytes as received and queues its task,
+// booking a shed or shut-out datagram to its drop reason and returning
+// its buffer.
 func (e *executor) receive(t task, wire int) {
 	e.stats.datagramsRecv.Add(1)
 	e.stats.bytesRecv.Add(int64(wire))
@@ -255,8 +244,8 @@ func (e *executor) receive(t task, wire int) {
 	e.pool.put(t.buf)
 }
 
-// inject is the one body behind both public Injects. Before start the
-// event waits in the queue; after halt the answer is always ErrStopped.
+// inject is the body of UDPNode.Inject. Before start the event waits in
+// the queue; after halt the answer is always ErrStopped.
 func (e *executor) inject(t tuple.Tuple) error {
 	dropped, stopped := e.enqueue(task{at: time.Now(), kind: taskLocal, tup: t}, e.overload)
 	if stopped {
@@ -271,14 +260,14 @@ func (e *executor) inject(t tuple.Tuple) error {
 
 // arm schedules a periodic trigger on a single resettable time.Timer:
 // the firing callback re-arms the same timer instead of allocating a
-// fresh one per firing. first is the initial delay; subsequent firings
-// use the periodic's own period. The armed channel closes after tm is
-// assigned, so the first firing cannot race the assignment.
-func (e *executor) arm(p *engine.Periodic, first time.Duration) {
+// fresh one per firing. Every firing, the first included, comes one
+// period after the last. The armed channel closes after tm is assigned,
+// so the first firing cannot race the assignment.
+func (e *executor) arm(p *engine.Periodic) {
 	period := time.Duration(p.Period() * float64(time.Second))
 	armed := make(chan struct{})
 	var tm *time.Timer
-	tm = time.AfterFunc(first, func() {
+	tm = time.AfterFunc(period, func() {
 		<-armed
 		_, stopped := e.enqueue(task{at: time.Now(), kind: taskTimer, p: p}, OverloadBlock)
 		if !stopped && !p.Done() {
@@ -337,34 +326,4 @@ func (e *executor) do(fn func()) {
 func (e *executor) snapshot() (s Stats) {
 	e.do(func() { s = e.read() })
 	return s
-}
-
-// serveMetrics starts an HTTP listener whose /metrics is the Prometheus
-// text exposition of every executor nodes returns; each scrape takes
-// snapshots, so scraping live nodes is safe. The same listener serves
-// the Go runtime's profiles under /debug/pprof/, so an operator who opted
-// in to a metrics endpoint can also ask where the process's time goes.
-// The caller owns the returned listener and closes it on Stop.
-func serveMetrics(listen string, nodes func() []*executor) (net.Listener, error) {
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return nil, fmt.Errorf("realtime: metrics listener: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		for _, e := range nodes() {
-			s := e.snapshot()
-			if metrics.WritePrometheus(w, e.node.Addr(), s.Node, s.Queries, &s.Hists, s.Extras...) != nil {
-				return // client gone
-			}
-		}
-	})
-	go (&http.Server{Handler: mux}).Serve(ln) //nolint:errcheck // the closed listener ends Serve
-	return ln, nil
 }

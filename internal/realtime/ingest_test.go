@@ -15,56 +15,52 @@ import (
 // drop — deterministically, on an unstarted node whose queue nothing
 // drains.
 func TestInjectOverloadDrop(t *testing.T) {
-	for _, l := range links {
-		t.Run(l.name, func(t *testing.T) {
-			p := l.open(t, "", linkOpts{depth: 2})
-			ev := tuple.New("ev", tuple.Str("a"), tuple.Int(1))
-			for i := 0; i < 2; i++ {
-				if err := p.inject("a", ev); err != nil {
-					t.Fatalf("inject %d into empty queue: %v", i, err)
-				}
+	t.Run("udp", func(t *testing.T) {
+		u := openNodes(t, UDPNodeConfig{Seed: 1, QueueDepth: 2}, "", "a")[0]
+		ev := tuple.New("ev", tuple.Str("a"), tuple.Int(1))
+		for i := 0; i < 2; i++ {
+			if err := u.Inject(ev); err != nil {
+				t.Fatalf("inject %d into empty queue: %v", i, err)
 			}
-			if err := p.inject("a", ev); !errors.Is(err, ErrOverload) {
-				t.Fatalf("inject into full queue = %v, want ErrOverload", err)
-			}
-			if s := p.stats("a"); s.DropInject != 1 {
-				t.Errorf("DropInject = %d, want 1", s.DropInject)
-			}
-		})
-	}
+		}
+		if err := u.Inject(ev); !errors.Is(err, ErrOverload) {
+			t.Fatalf("inject into full queue = %v, want ErrOverload", err)
+		}
+		if s := u.TransportStats(); s.DropInject != 1 {
+			t.Errorf("DropInject = %d, want 1", s.DropInject)
+		}
+	})
 }
 
 // TestInjectOverloadBlock: under OverloadBlock a full queue makes
 // Inject wait — and complete as soon as the executor drains.
 func TestInjectOverloadBlock(t *testing.T) {
-	for _, l := range links {
-		t.Run(l.name, func(t *testing.T) {
-			p := l.open(t, "", linkOpts{depth: 1, overload: OverloadBlock})
-			ev := tuple.New("ev", tuple.Str("a"), tuple.Int(1))
-			if err := p.inject("a", ev); err != nil {
-				t.Fatal(err)
+	t.Run("udp", func(t *testing.T) {
+		u := openNodes(t, UDPNodeConfig{Seed: 1, QueueDepth: 1, Overload: OverloadBlock}, "", "a")[0]
+		ev := tuple.New("ev", tuple.Str("a"), tuple.Int(1))
+		if err := u.Inject(ev); err != nil {
+			t.Fatal(err)
+		}
+		unblocked := make(chan error, 1)
+		go func() { unblocked <- u.Inject(ev) }()
+		select {
+		case err := <-unblocked:
+			t.Fatalf("Inject returned %v while the queue was full; want blocked", err)
+		case <-time.After(100 * time.Millisecond):
+		}
+		u.Start() // executor drains the queue, releasing the blocked call
+		select {
+		case err := <-unblocked:
+			if err != nil {
+				t.Fatalf("blocked Inject = %v after drain, want nil", err)
 			}
-			unblocked := make(chan error, 1)
-			go func() { unblocked <- p.inject("a", ev) }()
-			select {
-			case err := <-unblocked:
-				t.Fatalf("Inject returned %v while the queue was full; want blocked", err)
-			case <-time.After(100 * time.Millisecond):
-			}
-			p.start() // executor drains the queue, releasing the blocked call
-			select {
-			case err := <-unblocked:
-				if err != nil {
-					t.Fatalf("blocked Inject = %v after drain, want nil", err)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("Inject still blocked after the executor started")
-			}
-			if s := p.stats("a"); s.DropInject != 0 {
-				t.Errorf("DropInject = %d under backpressure, want 0", s.DropInject)
-			}
-		})
-	}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Inject still blocked after the executor started")
+		}
+		if s := u.TransportStats(); s.DropInject != 0 {
+			t.Errorf("DropInject = %d under backpressure, want 0", s.DropInject)
+		}
+	})
 }
 
 // TestDropAccountingUnderOverload hammers a tiny queue with real UDP
@@ -186,14 +182,13 @@ func BenchmarkReaderHotPath(b *testing.B) {
 	}
 }
 
-// TestUDPPeriodicCadence: UDP-node periodics on the single resettable
-// timer fire at roughly wall-clock rate (regression for the re-arm
-// rewrite; the Network equivalent is TestRealtimePeriodic).
+// TestUDPPeriodicCadence: periodics on the single resettable timer fire
+// at roughly wall-clock rate (regression for the re-arm rewrite).
 func TestUDPPeriodicCadence(t *testing.T) {
 	wl := &watchLog{}
 	u, err := NewUDPNode(UDPNodeConfig{
 		Addr: "a", Listen: "127.0.0.1:0", Seed: 5,
-		OnWatch: func(_ float64, tp tuple.Tuple) { wl.add(tp) },
+		OnWatch: wl.add,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,10 +222,11 @@ func TestTransportStatsPublished(t *testing.T) {
 	if err := u.Node().EnableStatsPublication(0.05); err != nil {
 		t.Fatal(err)
 	}
-	metricsAddr, err := u.ServeMetrics("127.0.0.1:0")
+	ln, err := ServeMetrics("127.0.0.1:0", u)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ln.Close()
 	u.Start()
 
 	// Extras carry the transport counters.
@@ -274,7 +270,7 @@ func TestTransportStatsPublished(t *testing.T) {
 	}
 
 	// The Prometheus exposition includes the transport series.
-	body := scrape(t, metricsAddr)
+	body := scrape(t, ln.Addr().String())
 	for _, series := range []string{"transport_datagrams_recv", "transport_send_calls"} {
 		if !strings.Contains(body, series) {
 			t.Errorf("scrape lacks %s:\n%s", series, body)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"p2go/internal/overlog"
 	"p2go/internal/tuple"
 )
 
@@ -13,12 +12,14 @@ import (
 type watchLog struct {
 	mu   sync.Mutex
 	seen []tuple.Tuple
+	at   []float64 // node time of each watched tuple
 }
 
-func (w *watchLog) add(t tuple.Tuple) {
+func (w *watchLog) add(now float64, t tuple.Tuple) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.seen = append(w.seen, t)
+	w.at = append(w.at, now)
 }
 
 func (w *watchLog) count(name string) int {
@@ -33,99 +34,74 @@ func (w *watchLog) count(name string) int {
 	return n
 }
 
-// TestRealtimePathProgram runs the quickstart program on wall-clock time:
-// the same OverLog that runs under simnet works unchanged under
-// goroutines and channels.
-func TestRealtimePathProgram(t *testing.T) {
-	wl := &watchLog{}
-	net := NewNetwork(Config{
-		Seed:     3,
-		MinDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
-		OnWatch: func(_ float64, _ string, tp tuple.Tuple) { wl.add(tp) },
-	})
-	prog := overlog.MustParse(`
+// first returns the node time of the first watched tuple called name.
+func (w *watchLog) first(name string) (float64, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for i, t := range w.seen {
+		if t.Name == name {
+			return w.at[i], true
+		}
+	}
+	return 0, false
+}
+
+const pathProgram = `
 materialize(link, infinity, infinity, keys(1,2)).
 materialize(path, infinity, infinity, keys(1,2,3)).
 watch(path).
 p0 path@A(B, [A, B], W) :- link@A(B, W).
 p1 path@B(C, [B, A] + P, W1 + W2) :- link@A(B, W1), path@A(C, P, W2).
-`)
-	for _, a := range []string{"n1", "n2", "n3"} {
-		n, err := net.AddNode(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.InstallProgram(prog); err != nil {
-			t.Fatal(err)
-		}
+`
+
+// TestRealtimePathProgram runs the quickstart program on wall-clock
+// time, three nodes over loopback UDP: the same OverLog that runs under
+// simnet works unchanged under goroutines and sockets.
+func TestRealtimePathProgram(t *testing.T) {
+	wl := &watchLog{}
+	nodes := openNodes(t, UDPNodeConfig{Seed: 3, OnWatch: wl.add}, pathProgram, "n1", "n2", "n3")
+	for _, u := range nodes {
+		u.Start()
 	}
-	net.Start()
-	if err := net.Inject("n1", tuple.New("link", tuple.Str("n1"), tuple.Str("n2"), tuple.Int(1))); err != nil {
+	if err := nodes[0].Inject(tuple.New("link", tuple.Str("n1"), tuple.Str("n2"), tuple.Int(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Inject("n2", tuple.New("link", tuple.Str("n2"), tuple.Str("n3"), tuple.Int(2))); err != nil {
+	if err := nodes[1].Inject(tuple.New("link", tuple.Str("n2"), tuple.Str("n3"), tuple.Int(2))); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for wl.count("path") < 5 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	net.Stop()
+	for _, u := range nodes {
+		u.Stop()
+	}
 	// Same derivation as the simnet test: 5 paths total across nodes.
 	if got := wl.count("path"); got != 5 {
 		t.Fatalf("derived %d paths, want 5", got)
 	}
 	var n3paths int
-	tb := net.Node("n3").Store().Get("path")
-	tb.Scan(1e12, func(tuple.Tuple) { n3paths++ })
+	nodes[2].Node().Store().Get("path").Scan(1e12, func(tuple.Tuple) { n3paths++ })
 	if n3paths != 2 {
 		t.Errorf("n3 holds %d paths, want 2", n3paths)
 	}
 }
 
-// TestRealtimePeriodic: timers fire at roughly wall-clock rate.
+// TestRealtimePeriodic: a timer's first firing comes one full period
+// after the install that armed it (TestUDPPeriodicCadence checks the
+// ones after it).
 func TestRealtimePeriodic(t *testing.T) {
+	const period = 0.05
 	wl := &watchLog{}
-	net := NewNetwork(Config{
-		Seed:    5,
-		OnWatch: func(_ float64, _ string, tp tuple.Tuple) { wl.add(tp) },
-	})
-	n, err := net.AddNode("n1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = n.InstallProgram(overlog.MustParse(`
+	u := openNodes(t, UDPNodeConfig{Seed: 5, OnWatch: wl.add}, "", "n1")[0]
+	installed := u.Node().Now() // no later than the timer is armed
+	install(t, u.Node(), `
 watch(tick).
 t1 tick@N(E) :- periodic@N(E, 0.05).
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Start()
-	time.Sleep(500 * time.Millisecond)
-	net.Stop()
-	got := wl.count("tick")
-	if got < 4 || got > 15 {
-		t.Errorf("ticks in 0.5s at 20 Hz = %d, want roughly 10", got)
-	}
-}
-
-// TestRealtimeStopIsIdempotent and lifecycle errors.
-func TestRealtimeLifecycle(t *testing.T) {
-	net := NewNetwork(Config{Seed: 1})
-	if _, err := net.AddNode("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.AddNode("a"); err == nil {
-		t.Error("duplicate AddNode must fail")
-	}
-	net.Start()
-	if _, err := net.AddNode("b"); err == nil {
-		t.Error("AddNode after Start must fail")
-	}
-	net.Stop()
-	net.Stop() // idempotent
-	if err := net.Inject("a", tuple.New("x", tuple.Str("a"))); err == nil {
-		t.Error("Inject after Stop must fail")
+`)
+	u.Start()
+	eventually(t, "the first tick", func() bool { return wl.count("tick") > 0 })
+	if first, _ := wl.first("tick"); first < installed+period {
+		t.Errorf("first tick %.4f s after install, want at least a full period (%.2f s)", first-installed, period)
 	}
 }

@@ -44,76 +44,74 @@ func planSignature(n *engine.Node) string {
 }
 
 // TestSharedPlansConcurrentNodes runs one compiled query on several
-// nodes at once, a goroutine each, which is what p2node -realtime does
-// in production: the nodes read one set of *dataflow.Plan, intern
-// strings in one codec table and take arenas and aggregate state from
-// process-wide pools. Under -race (make check, CI) any write to that
+// nodes at once, a goroutine each, which is what p2node -realtime does:
+// the nodes read one set of *dataflow.Plan, intern strings in one codec
+// table and take arenas and aggregate state from process-wide pools. Under -race (make check, CI) any write to that
 // shared state is a reported race; the assertions are that the plans
 // really are shared and come out unchanged.
 func TestSharedPlansConcurrentNodes(t *testing.T) {
 	var mu sync.Mutex
 	var ruleErrs []string
-	net := NewNetwork(Config{
+	cfg := UDPNodeConfig{
 		Seed: 9,
-		OnRuleError: func(_ float64, node, ruleID string, err error) {
+		OnRuleError: func(_ float64, ruleID string, err error) {
 			mu.Lock()
 			defer mu.Unlock()
-			ruleErrs = append(ruleErrs, fmt.Sprintf("%s/%s: %v", node, ruleID, err))
+			ruleErrs = append(ruleErrs, fmt.Sprintf("%s: %v", ruleID, err))
 		},
-	})
+	}
 	cq, err := engine.CompileQuery(overlog.MustParse(sharedPlanProgram))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs := []string{"s1", "s2", "s3", "s4", "s5"}
-	for _, a := range addrs {
-		n, err := net.AddNode(a)
-		if err != nil {
+	nodes := openNodes(t, cfg, "", addrs...)
+	for i, u := range nodes {
+		if _, err := u.Node().InstallCompiledQuery("ring", cq); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := n.InstallCompiledQuery("ring", cq); err != nil {
-			t.Fatal(err)
-		}
+		u.Node().SeedLocal(tuple.New("peer", tuple.Str(addrs[i]), tuple.Str(addrs[(i+1)%len(addrs)])))
 	}
-	for i, a := range addrs {
-		net.Node(a).SeedLocal(tuple.New("peer", tuple.Str(a), tuple.Str(addrs[(i+1)%len(addrs)])))
-	}
-	ref := net.Node(addrs[0]).Plans()
+	ref := nodes[0].Node().Plans()
 	if len(ref) == 0 {
 		t.Fatal("no plans installed")
 	}
-	for _, a := range addrs[1:] {
-		ps := net.Node(a).Plans()
+	for i, u := range nodes[1:] {
+		ps := u.Node().Plans()
 		if len(ps) != len(ref) {
-			t.Fatalf("%s has %d plans, %s has %d", a, len(ps), addrs[0], len(ref))
+			t.Fatalf("%s has %d plans, %s has %d", addrs[i+1], len(ps), addrs[0], len(ref))
 		}
-		for i := range ps {
-			if ps[i] != ref[i] {
-				t.Fatalf("%s plan %d (%s) is a private copy; want the shared instance", a, i, ps[i].RuleID)
+		for j := range ps {
+			if ps[j] != ref[j] {
+				t.Fatalf("%s plan %d (%s) is a private copy; want the shared instance", addrs[i+1], j, ps[j].RuleID)
 			}
 		}
 	}
-	before := planSignature(net.Node(addrs[0]))
+	before := planSignature(nodes[0].Node())
 
-	net.Start()
+	for _, u := range nodes {
+		u.Start()
+	}
 	time.Sleep(300 * time.Millisecond)
-	net.Stop() // waits for every node goroutine: the reads below are safe
+	for _, u := range nodes {
+		u.Stop() // waits for the node's goroutines: the reads below are safe
+	}
 
-	if after := planSignature(net.Node(addrs[0])); after != before {
+	if after := planSignature(nodes[0].Node()); after != before {
 		t.Errorf("shared plan contents changed while the nodes ran:\nbefore: %s\nafter:  %s", before, after)
 	}
 	if len(ruleErrs) > 0 {
 		t.Errorf("%d rule errors, first: %s", len(ruleErrs), ruleErrs[0])
 	}
-	for _, a := range addrs {
-		n := net.Node(a)
+	for i, u := range nodes {
+		n := u.Node()
 		if m := n.Metrics(); m.MsgsRecv == 0 || m.MsgsSent == 0 || m.TimerFires == 0 {
-			t.Errorf("%s exchanged nothing: %+v", a, m)
+			t.Errorf("%s exchanged nothing: %+v", addrs[i], m)
 		}
 		rows := 0
 		n.Store().Get("heardCount").Scan(1e12, func(tuple.Tuple) { rows++ })
 		if rows != 1 {
-			t.Errorf("%s: %d heardCount rows, want 1", a, rows)
+			t.Errorf("%s: %d heardCount rows, want 1", addrs[i], rows)
 		}
 	}
 }

@@ -41,8 +41,8 @@ const (
 	// OverloadBlock makes the producer wait for queue space:
 	// backpressure. For the socket reader this moves overflow into the
 	// kernel socket buffer (and past it, to kernel-level drops this
-	// process cannot count); for Inject and the channel-transport
-	// Network it is true end-to-end backpressure.
+	// process cannot count); for Inject it is true end-to-end
+	// backpressure.
 	OverloadBlock
 )
 
@@ -50,14 +50,13 @@ const (
 // task queue is full. The event was not enqueued; callers may retry.
 var ErrOverload = errors.New("realtime: task queue full (overload drop)")
 
-// ErrStopped is returned by Inject on a stopped node or network.
+// ErrStopped is returned by Inject on a stopped node.
 var ErrStopped = errors.New("realtime: node stopped")
 
 type taskKind uint8
 
 const (
-	taskMsg      taskKind = iota // env: one message off the channel link
-	taskDatagram                 // env, buf: one socket datagram, its records in env.Raw
+	taskDatagram taskKind = iota // env, buf: one socket datagram, its records in env.Raw
 	taskLocal                    // tup: locally injected tuple
 	taskTimer                    // p: periodic firing
 	taskFunc                     // fn: control task (snapshots, probes)
@@ -69,8 +68,8 @@ const (
 type task struct {
 	at   time.Time // enqueue time, for queue-wait observation
 	sent int64     // sender wall clock (unix nanos) for hop latency; 0 = unknown
-	// env is a message: an envelope (taskMsg), or a datagram's source and
-	// its run of records in Raw (taskDatagram; SrcTupleID is unused).
+	// env is a datagram's source and its run of records in Raw
+	// (SrcTupleID is unused).
 	env  engine.Envelope
 	tup  tuple.Tuple
 	fn   func()

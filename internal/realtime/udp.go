@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/bits"
 	"net"
+	"net/http"
+	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,8 +76,8 @@ type UDPNodeConfig struct {
 	// (backpressure). Inject honors the same policy as the socket
 	// reader.
 	Overload OverloadPolicy
-	// OnWatch and OnRuleError mirror the other drivers' hooks (called
-	// from the node goroutine).
+	// OnWatch and OnRuleError mirror the simulator's hooks (called from
+	// the node goroutine).
 	OnWatch     func(now float64, t tuple.Tuple)
 	OnRuleError func(now float64, ruleID string, err error)
 }
@@ -87,13 +89,11 @@ type UDPNode struct {
 	conn *net.UDPConn
 	// peers and out belong to the executor: sends use them on the loop,
 	// and AddPeer runs there once the node has started.
-	peers   map[string]*udpPeer
-	out     sendQueue
-	bw      *batchWriter // nil where the platform has no sendmmsg
-	reader  sync.WaitGroup
-	start   time.Time
-	mu      sync.Mutex   // guards metrics
-	metrics net.Listener // optional /metrics HTTP listener
+	peers  map[string]*udpPeer
+	out    sendQueue
+	bw     *batchWriter // nil where the platform has no sendmmsg
+	reader sync.WaitGroup
+	start  time.Time // the node clock's zero, set once by NewUDPNode
 }
 
 // udpPeer is a peer's address in the two forms the writer uses: sa is
@@ -364,7 +364,7 @@ func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
 		Send:          u.send,
 		OnWatch:       cfg.OnWatch,
 		OnRuleError:   cfg.OnRuleError,
-		OnNewPeriodic: func(p *engine.Periodic) { u.exec.arm(p, time.Duration(p.Period()*float64(time.Second))) },
+		OnNewPeriodic: u.exec.arm,
 		ExtraObs:      u.exec.stats.obs,
 	})
 	return u, nil
@@ -515,9 +515,10 @@ func (u *UDPNode) readPortable() {
 	}
 }
 
-// Start launches the reader and executor goroutines.
+// Start launches the reader and executor goroutines. The node clock
+// keeps running from NewUDPNode: times read before Start (installs,
+// SeedLocal) stay behind every time read after it.
 func (u *UDPNode) Start() {
-	u.start = time.Now()
 	u.reader.Add(1)
 	go func() {
 		defer u.reader.Done()
@@ -535,21 +536,37 @@ func (u *UDPNode) Start() {
 // running node (see executor.snapshot).
 func (u *UDPNode) MetricsSnapshot() Stats { return u.exec.snapshot() }
 
-// ServeMetrics starts an HTTP listener exposing the node's counters in
-// Prometheus text format at /metrics (cmd/p2node -metrics-addr), and the
-// Go runtime's profiles at /debug/pprof/. Each scrape takes a
-// MetricsSnapshot, so scraping a live node is safe. The
-// returned address is the bound listen address (useful with port 0);
-// Stop closes the listener.
-func (u *UDPNode) ServeMetrics(addr string) (string, error) {
-	ln, err := serveMetrics(addr, func() []*executor { return []*executor{u.exec} })
+// ServeMetrics starts an HTTP listener whose /metrics is the Prometheus
+// text exposition of every node's counters, per-query bills and
+// histograms (cmd/p2node -realtime -metrics-addr), in the order given.
+// Each scrape takes one MetricsSnapshot per node, so scraping live nodes
+// is safe. The same listener serves the Go runtime's profiles under
+// /debug/pprof/, so an operator who opted in to a metrics endpoint can
+// also ask where the process's time goes. The caller closes the
+// returned listener; its Addr is the bound address (useful with port
+// 0).
+func ServeMetrics(listen string, nodes ...*UDPNode) (net.Listener, error) {
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
-		return "", err
+		return nil, fmt.Errorf("realtime: metrics listener: %w", err)
 	}
-	u.mu.Lock()
-	u.metrics = ln
-	u.mu.Unlock()
-	return ln.Addr().String(), nil
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		for _, u := range nodes {
+			s := u.MetricsSnapshot()
+			if metrics.WritePrometheus(w, u.Node().Addr(), s.Node, s.Queries, &s.Hists, s.Extras...) != nil {
+				return // client gone
+			}
+		}
+	})
+	go (&http.Server{Handler: mux}).Serve(ln) //nolint:errcheck // the closed listener ends Serve
+	return ln, nil
 }
 
 // Stop closes the socket and waits for the goroutines; what is still
@@ -559,11 +576,6 @@ func (u *UDPNode) ServeMetrics(addr string) (string, error) {
 func (u *UDPNode) Stop() {
 	u.exec.halt()
 	u.conn.Close()
-	u.mu.Lock()
-	if u.metrics != nil {
-		u.metrics.Close()
-	}
-	u.mu.Unlock()
 	u.reader.Wait()
 	u.exec.wait()
 }
