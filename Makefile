@@ -94,6 +94,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzStream -fuzztime 30s ./internal/rng/
 	go test -run '^$$' -fuzz FuzzRunQueue -fuzztime 30s ./internal/simnet/
 	go test -run '^$$' -fuzz FuzzAggMaint -fuzztime 30s ./internal/dataflow/
+	go test -run '^$$' -fuzz FuzzRingMatchesEager -fuzztime 30s ./internal/trace/
 
 examples:
 	go run ./examples/quickstart

@@ -30,19 +30,36 @@ type eagerTracer struct {
 	// that are not (yet) referenced.
 	pending map[uint64]prov
 
-	records map[*dataflow.Strand][]*record
+	records map[*dataflow.Strand][]*eagerRecord
 
 	// tupleLog buffers arrival/insert/delete events (nil = disabled).
 	tupleLog *table.Table
 	seq      uint64
 
 	// pool recycles records across restarts (Reset returns them here).
-	pool []*record
+	pool []*eagerRecord
 }
 
 type eagerMemo struct {
 	prov
 	refs int
+}
+
+// eagerRecord and eagerPrecond are the tracer record as it was then,
+// slices and flags in the record itself.
+type eagerRecord struct {
+	active bool
+	inID   uint64
+	inTime float64
+	pre    []eagerPrecond
+	first  int // first associated stage (1-based)
+	last   int // last associated stage; first > last means "no stage"
+}
+
+type eagerPrecond struct {
+	filled bool
+	id     uint64
+	time   float64
 }
 
 // New creates a tracer and materializes its reflection tables in store.
@@ -76,7 +93,7 @@ func newEager(store *table.Store, localAddr string, cfg Config) (*eagerTracer, e
 		tuples:   tt,
 		memo:     make(map[uint64]*eagerMemo),
 		pending:  make(map[uint64]prov),
-		records:  make(map[*dataflow.Strand][]*record),
+		records:  make(map[*dataflow.Strand][]*eagerRecord),
 	}
 	if cfg.TupleLogMax > 0 {
 		tl, err := store.Materialize(table.Spec{
@@ -126,7 +143,7 @@ func (tr *eagerTracer) Input(s *dataflow.Strand, t tuple.Tuple, now float64) {
 	r.inID = t.ID
 	r.inTime = now
 	for i := range r.pre {
-		r.pre[i] = precond{}
+		r.pre[i] = eagerPrecond{}
 	}
 	if s.Stages >= 1 {
 		r.first, r.last = 1, 1
@@ -135,7 +152,7 @@ func (tr *eagerTracer) Input(s *dataflow.Strand, t tuple.Tuple, now float64) {
 	}
 }
 
-func (tr *eagerTracer) freeRecord(s *dataflow.Strand) *record {
+func (tr *eagerTracer) freeRecord(s *dataflow.Strand) *eagerRecord {
 	recs := tr.records[s]
 	// Prefer an inactive record.
 	for _, r := range recs {
@@ -144,7 +161,7 @@ func (tr *eagerTracer) freeRecord(s *dataflow.Strand) *record {
 		}
 	}
 	if len(recs) < tr.cfg.RecordsPerStrand {
-		var r *record
+		var r *eagerRecord
 		if n := len(tr.pool); n > 0 {
 			r = tr.pool[n-1]
 			tr.pool[n-1] = nil
@@ -153,14 +170,14 @@ func (tr *eagerTracer) freeRecord(s *dataflow.Strand) *record {
 			if cap(pre) >= s.Stages+1 {
 				pre = pre[:s.Stages+1]
 				for i := range pre {
-					pre[i] = precond{}
+					pre[i] = eagerPrecond{}
 				}
 			} else {
-				pre = make([]precond, s.Stages+1)
+				pre = make([]eagerPrecond, s.Stages+1)
 			}
-			*r = record{pre: pre}
+			*r = eagerRecord{pre: pre}
 		} else {
-			r = &record{pre: make([]precond, s.Stages+1)}
+			r = &eagerRecord{pre: make([]eagerPrecond, s.Stages+1)}
 		}
 		tr.records[s] = append(recs, r)
 		return r
@@ -177,7 +194,7 @@ func (tr *eagerTracer) freeRecord(s *dataflow.Strand) *record {
 
 // findByStage returns the record whose associated interval contains
 // stage, or nil.
-func (tr *eagerTracer) findByStage(s *dataflow.Strand, stage int) *record {
+func (tr *eagerTracer) findByStage(s *dataflow.Strand, stage int) *eagerRecord {
 	for _, r := range tr.records[s] {
 		if r.active && r.first <= stage && stage <= r.last {
 			return r
@@ -188,8 +205,8 @@ func (tr *eagerTracer) findByStage(s *dataflow.Strand, stage int) *record {
 
 // latest returns the active record with the highest associated stage
 // (ties broken by most recent input).
-func (tr *eagerTracer) latest(s *dataflow.Strand) *record {
-	var best *record
+func (tr *eagerTracer) latest(s *dataflow.Strand) *eagerRecord {
+	var best *eagerRecord
 	for _, r := range tr.records[s] {
 		if !r.active {
 			continue
@@ -223,9 +240,9 @@ func (tr *eagerTracer) Precond(s *dataflow.Strand, stage int, t tuple.Tuple, now
 			r.first = stage
 		}
 	}
-	r.pre[stage] = precond{filled: true, id: t.ID, time: now}
+	r.pre[stage] = eagerPrecond{filled: true, id: t.ID, time: now}
 	for i := stage + 1; i <= s.Stages; i++ {
-		r.pre[i] = precond{}
+		r.pre[i] = eagerPrecond{}
 	}
 }
 
@@ -371,7 +388,7 @@ func (tr *eagerTracer) Reset(now float64) {
 	for _, recs := range tr.records {
 		tr.pool = append(tr.pool, recs...)
 	}
-	tr.records = make(map[*dataflow.Strand][]*record)
+	tr.records = make(map[*dataflow.Strand][]*eagerRecord)
 	tr.seq = 0
 }
 
@@ -435,12 +452,6 @@ func dump(tb *table.Table, now float64) string {
 // re-insert); bounds of 0 and 1, unbounded tables and immortal rows are
 // among the configurations.
 func TestRingMatchesEagerTables(t *testing.T) {
-	const pool = 24
-	strands := []*dataflow.Strand{
-		{Plan: &dataflow.Plan{RuleID: "r0", Stages: 0}},
-		{Plan: &dataflow.Plan{RuleID: "r1", Stages: 1}},
-		{Plan: &dataflow.Plan{RuleID: "r2", Stages: 2}},
-	}
 	trials := 300
 	if testing.Short() {
 		trials = 40
@@ -448,142 +459,217 @@ func TestRingMatchesEagerTables(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		cfg := Config{
-			RuleExecTTL:      []float64{4, 30, 30, table.Infinity}[rng.Intn(4)],
-			RuleExecMax:      []int{0, 1, 3, 8, 8, table.Infinity}[rng.Intn(6)],
-			RecordsPerStrand: []int{1, 2, 8}[rng.Intn(3)],
-			TupleLogMax:      []int{0, 1, 4, 4}[rng.Intn(4)],
+			RuleExecTTL:      ttls[rng.Intn(len(ttls))],
+			RuleExecMax:      execMaxes[rng.Intn(len(execMaxes))],
+			RecordsPerStrand: recsPerStrand[rng.Intn(len(recsPerStrand))],
+			TupleLogMax:      logMaxes[rng.Intn(len(logMaxes))],
 		}
-		var sides [2]side
-		for i := range sides {
-			sides[i].store = table.NewStore()
-			var err error
-			if i == 0 {
-				sides[i].tr, err = New(sides[i].store, "n1", cfg)
-			} else {
-				sides[i].tr, err = newEager(sides[i].store, "n1", cfg)
-			}
-			if err != nil {
-				t.Fatal(err)
+		ringMatchesEager(t, rng, cfg, trial%2 == 0, fmt.Sprintf("trial %d", trial))
+	}
+}
+
+// FuzzRingMatchesEager is the same check with the seed and the
+// configuration chosen by the fuzzer.
+func FuzzRingMatchesEager(f *testing.F) {
+	for i := 0; i < 8; i++ {
+		f.Add(int64(i), uint8(i), uint8(i+1), uint8(i+2), uint8(i+3), i%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, ttl, execMax, recs, logMax uint8, readOften bool) {
+		cfg := Config{
+			RuleExecTTL:      ttls[int(ttl)%len(ttls)],
+			RuleExecMax:      execMaxes[int(execMax)%len(execMaxes)],
+			RecordsPerStrand: recsPerStrand[int(recs)%len(recsPerStrand)],
+			TupleLogMax:      logMaxes[int(logMax)%len(logMaxes)],
+		}
+		ringMatchesEager(t, rand.New(rand.NewSource(seed)), cfg, readOften, fmt.Sprintf("seed %d", seed))
+	})
+}
+
+// The configurations the differential check draws from.
+var (
+	ttls          = []float64{4, 30, 30, table.Infinity}
+	execMaxes     = []int{0, 1, 3, 8, 8, table.Infinity}
+	recsPerStrand = []int{1, 2, 8}
+	logMaxes      = []int{0, 1, 4, 4}
+)
+
+// The pools the differential check draws names from, wide enough that
+// every field the tracer keeps as a dictionary index takes several
+// values, "" among the addresses.
+var (
+	diffStrands = []*dataflow.Strand{
+		{Plan: &dataflow.Plan{RuleID: "r0", Stages: 0}},
+		{Plan: &dataflow.Plan{RuleID: "r1", Stages: 1}},
+		{Plan: &dataflow.Plan{RuleID: "r2", Stages: 2}},
+		{Plan: &dataflow.Plan{RuleID: "r3", Stages: 3}},
+		{Plan: &dataflow.Plan{RuleID: "r1", Stages: 2}}, // a second strand of r1
+		// 66 joins: the filled bits of stages 64 and up are not in the
+		// record.
+		{Plan: &dataflow.Plan{RuleID: "r4", Stages: 66}},
+	}
+	diffNames = []string{"p", "succ", "pred", "ping"}
+	diffAddrs = []string{"n1", "n2", "n3", "n4", ""}
+	diffOps   = []string{"insert", "arrive", "delete"}
+	// logged names; the reflection tables are never logged.
+	diffLogged = []string{"succ", "pred", "ping", "p", RuleExecTable, TupleTable}
+)
+
+// ringMatchesEager runs one trial of the differential check: 400 random
+// steps on both tracers, with rng choosing every step. readOften reads
+// the row counts after every step.
+func ringMatchesEager(t *testing.T, rng *rand.Rand, cfg Config, readOften bool, label string) {
+	t.Helper()
+	const pool = 24
+	var sides [2]side
+	for i := range sides {
+		sides[i].store = table.NewStore()
+		var err error
+		if i == 0 {
+			sides[i].tr, err = New(sides[i].store, "n1", cfg)
+		} else {
+			sides[i].tr, err = newEager(sides[i].store, "n1", cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables := []string{RuleExecTable, TupleTable}
+	if cfg.TupleLogMax > 0 {
+		tables = append(tables, TupleLogTable)
+	}
+	// Half the draws are fresh copies: equal strings need not share
+	// their bytes, and the dictionary must not care.
+	pick := func(pool []string) string {
+		s := pool[rng.Intn(len(pool))]
+		if rng.Intn(2) == 0 {
+			s = strings.Clone(s)
+		}
+		return s
+	}
+	now, stamp := 0.0, 0.0 // stamp: when a row was last made
+	tupleOf := func() tuple.Tuple {
+		id := uint64(1 + rng.Intn(pool))
+		return tuple.New(pick(diffNames), tuple.Str("n1"), tuple.ID(id)).WithID(id)
+	}
+	for step := 0; step < 400; step++ {
+		what := ""
+		// each calls f on both sides and compares what it returns.
+		each := func(f func(side) string) {
+			if a, b := f(sides[0]), f(sides[1]); a != b {
+				t.Fatalf("%s (cfg %+v) step %d, %s at t=%g:\nrings:\n%s\neager tables:\n%s", label, cfg, step, what, now, a, b)
 			}
 		}
-		tables := []string{RuleExecTable, TupleTable}
-		if cfg.TupleLogMax > 0 {
-			tables = append(tables, TupleLogTable)
+		do := func(name string, f func(tracerAPI)) {
+			what = name
+			f(sides[0].tr)
+			f(sides[1].tr)
 		}
-		now, stamp := 0.0, 0.0 // stamp: when a row was last made
-		tupleOf := func() tuple.Tuple {
-			id := uint64(1 + rng.Intn(pool))
-			return tuple.New("p", tuple.Str("n1"), tuple.ID(id)).WithID(id)
+		s := diffStrands[rng.Intn(len(diffStrands))]
+		tp := tupleOf()
+		// 0 and Stages+1 are out of range; a wide strand's stages are
+		// drawn around the 64th, where the filled bits leave the record.
+		stage := rng.Intn(min(s.Stages, 3) + 2)
+		if s.Stages >= 64 && rng.Intn(2) == 0 {
+			stage = 62 + rng.Intn(s.Stages-60)
 		}
-		for step := 0; step < 400; step++ {
-			what := ""
-			// each calls f on both sides and compares what it returns.
-			each := func(f func(side) string) {
-				if a, b := f(sides[0]), f(sides[1]); a != b {
-					t.Fatalf("trial %d (cfg %+v) step %d, %s at t=%g:\nrings:\n%s\neager tables:\n%s", trial, cfg, step, what, now, a, b)
-				}
+		tbName := tables[rng.Intn(len(tables))]
+		switch op := rng.Intn(100); {
+		case op < 8:
+			now += rng.Float64() * 3
+		case op < 10:
+			if cfg.RuleExecTTL > 0 {
+				now = stamp + cfg.RuleExecTTL // the very instant a row is due
 			}
-			do := func(name string, f func(tracerAPI)) {
-				what = name
-				f(sides[0].tr)
-				f(sides[1].tr)
-			}
-			s := strands[rng.Intn(len(strands))]
-			tp := tupleOf()
-			stage := rng.Intn(4) // 0 and 3 are out of range for every strand
-			tbName := tables[rng.Intn(len(tables))]
-			switch op := rng.Intn(100); {
-			case op < 8:
-				now += rng.Float64() * 3
-			case op < 10:
-				if cfg.RuleExecTTL > 0 {
-					now = stamp + cfg.RuleExecTTL // the very instant a row is due
-				}
-			case op < 12:
-				now -= rng.Float64() // the realtime clock plus billed cost can step back
-			case op < 24:
-				src := []string{"n1", "n2"}[rng.Intn(2)]
-				do("Register", func(tr tracerAPI) { tr.Register(tp.ID, tp.Name, src, tp.ID+100, "n1", now) })
-			case op < 36:
-				do("Input", func(tr tracerAPI) { tr.Input(s, tp, now) })
-			case op < 46:
-				do("Precond", func(tr tracerAPI) { tr.Precond(s, stage, tp, now) })
-			case op < 62:
-				do("Output", func(tr tracerAPI) { tr.Output(s, tp, now) })
-				stamp = now
-			case op < 68:
-				do("StageDone", func(tr tracerAPI) { tr.StageDone(s, stage) })
-			case op < 74:
-				do("TaskDone", func(tr tracerAPI) { tr.TaskDone() })
-			case op < 82:
-				name := []string{"succ", RuleExecTable}[rng.Intn(2)] // the latter is never logged
-				do("LogEvent", func(tr tracerAPI) { tr.LogEvent("insert", name, tp.ID, now) })
-				stamp = now
-			case op < 83:
-				do("Reset", func(tr tracerAPI) { tr.Reset(now) })
-			case op < 88:
-				what = "Scan " + tbName
-				each(func(sd side) string { return dump(sd.store.Get(tbName), now) })
-			case op < 91:
-				what = "Count " + tbName
-				each(func(sd side) string { return fmt.Sprint(sd.store.Get(tbName).Count()) })
-			case op < 93:
-				what = "MatchIndexed " + tbName
-				each(func(sd side) string {
-					var b strings.Builder
-					sd.store.Get(tbName).MatchIndexed(now, []int{0}, []tuple.Value{tuple.Str("n1")}, func(t tuple.Tuple) { fmt.Fprintf(&b, "%v\n", t) })
-					return b.String()
-				})
-			case op < 95:
-				what = "ExpireAll, LiveTuples, SizeBytes"
-				each(func(sd side) string {
-					sd.store.ExpireAll(now)
-					return fmt.Sprint(sd.store.LiveTuples(), sd.store.SizeBytes())
-				})
-			case op < 97:
-				what = "Expire " + tbName
-				each(func(sd side) string { sd.store.Get(tbName).Expire(now); return "" })
-			default:
-				// An OverLog delete rule: every row about this tuple.
-				what = "Delete " + tbName
-				shape := map[string][2]int{RuleExecTable: {7, 3}, TupleTable: {5, 1}, TupleLogTable: {6, 4}}[tbName]
-				fields := make([]tuple.Value, shape[0]) // arity; the zero Value is the wildcard
-				fields[shape[1]] = tuple.ID(tp.ID)
-				pattern := tuple.New(tbName, fields...)
-				each(func(sd side) string { return fmt.Sprint(sd.store.Get(tbName).Delete(pattern, now)) })
-			}
-			if trial%2 == 0 {
-				// Half the trials read constantly (rows are built one at a
-				// time and mostly die built), half rarely (most records
-				// die unbuilt). Count carries no clock: it must not age
-				// anything on either side.
-				what += ", then the counts"
-				each(func(sd side) string {
-					var b strings.Builder
-					for _, name := range tables {
-						fmt.Fprint(&b, " ", sd.store.Get(name).Count())
-					}
-					return b.String()
-				})
-			}
-			// The memo is visible without reading a table.
-			what += ", then the memo"
+		case op < 12:
+			now -= rng.Float64() // the realtime clock plus billed cost can step back
+		case op < 24:
+			src, dst := pick(diffAddrs), pick(diffAddrs)
+			do("Register", func(tr tracerAPI) { tr.Register(tp.ID, tp.Name, src, tp.ID+100, dst, now) })
+		case op < 36:
+			do("Input", func(tr tracerAPI) { tr.Input(s, tp, now) })
+		case op < 46:
+			do("Precond", func(tr tracerAPI) { tr.Precond(s, stage, tp, now) })
+		case op < 62:
+			do("Output", func(tr tracerAPI) { tr.Output(s, tp, now) })
+			stamp = now
+		case op < 68:
+			do("StageDone", func(tr tracerAPI) { tr.StageDone(s, stage) })
+		case op < 74:
+			do("TaskDone", func(tr tracerAPI) { tr.TaskDone() })
+		case op < 82:
+			opName, name := pick(diffOps), pick(diffLogged)
+			do("LogEvent", func(tr tracerAPI) { tr.LogEvent(opName, name, tp.ID, now) })
+			stamp = now
+		case op < 83:
+			do("Reset", func(tr tracerAPI) { tr.Reset(now) })
+		case op < 88:
+			what = "Scan " + tbName
+			each(func(sd side) string { return dump(sd.store.Get(tbName), now) })
+		case op < 91:
+			what = "Count " + tbName
+			each(func(sd side) string { return fmt.Sprint(sd.store.Get(tbName).Count()) })
+		case op < 93:
+			what = "MatchIndexed " + tbName
 			each(func(sd side) string {
 				var b strings.Builder
-				fmt.Fprintf(&b, "size %d:", sd.tr.MemoSize())
-				for id := uint64(1); id <= pool; id++ {
-					if name, ok := sd.tr.Name(id); ok {
-						fmt.Fprintf(&b, " %d=%s", id, name)
-					}
+				sd.store.Get(tbName).MatchIndexed(now, []int{0}, []tuple.Value{tuple.Str("n1")}, func(t tuple.Tuple) { fmt.Fprintf(&b, "%v\n", t) })
+				return b.String()
+			})
+		case op < 95:
+			what = "ExpireAll, LiveTuples, SizeBytes"
+			each(func(sd side) string {
+				sd.store.ExpireAll(now)
+				return fmt.Sprint(sd.store.LiveTuples(), sd.store.SizeBytes())
+			})
+		case op < 97:
+			what = "Expire " + tbName
+			each(func(sd side) string { sd.store.Get(tbName).Expire(now); return "" })
+		default:
+			// An OverLog delete rule: every row about this tuple. On
+			// ruleExec, by its effect or by its cause: the latter kills
+			// some of a head's records and leaves the rest, and the dead
+			// wait in its chain with slots that may be reused.
+			what = "Delete " + tbName
+			shape := map[string][2]int{RuleExecTable: {7, 3}, TupleTable: {5, 1}, TupleLogTable: {6, 4}}[tbName]
+			if tbName == RuleExecTable && rng.Intn(2) == 0 {
+				shape[1] = 2
+			}
+			fields := make([]tuple.Value, shape[0]) // arity; the zero Value is the wildcard
+			fields[shape[1]] = tuple.ID(tp.ID)
+			pattern := tuple.New(tbName, fields...)
+			each(func(sd side) string { return fmt.Sprint(sd.store.Get(tbName).Delete(pattern, now)) })
+		}
+		if readOften {
+			// Half the trials read constantly (rows are built one at a
+			// time and mostly die built), half rarely (most records
+			// die unbuilt). Count carries no clock: it must not age
+			// anything on either side.
+			what += ", then the counts"
+			each(func(sd side) string {
+				var b strings.Builder
+				for _, name := range tables {
+					fmt.Fprint(&b, " ", sd.store.Get(name).Count())
 				}
 				return b.String()
 			})
 		}
-		// Every table, in full, at the end.
-		for _, name := range tables {
-			if a, b := dump(sides[0].store.Get(name), now), dump(sides[1].store.Get(name), now); a != b {
-				t.Fatalf("trial %d (cfg %+v): final %s differs:\nrings:\n%s\neager tables:\n%s", trial, cfg, name, a, b)
+		// The memo is visible without reading a table.
+		what += ", then the memo"
+		each(func(sd side) string {
+			var b strings.Builder
+			fmt.Fprintf(&b, "size %d:", sd.tr.MemoSize())
+			for id := uint64(1); id <= pool; id++ {
+				if name, ok := sd.tr.Name(id); ok {
+					fmt.Fprintf(&b, " %d=%s", id, name)
+				}
 			}
+			return b.String()
+		})
+	}
+	// Every table, in full, at the end.
+	for _, name := range tables {
+		if a, b := dump(sides[0].store.Get(name), now), dump(sides[1].store.Get(name), now); a != b {
+			t.Fatalf("%s (cfg %+v): final %s differs:\nrings:\n%s\neager tables:\n%s", label, cfg, name, a, b)
 		}
 	}
 }

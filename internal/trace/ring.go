@@ -19,8 +19,12 @@ import (
 // does, and a record that dies after its row was built takes the row
 // with it. At every read the table therefore holds exactly the live
 // records, in append order.
+//
+// A slot is its append time and the record, nothing else: whether it
+// died out of turn is a bit in dead, so a flag costs no padded word.
 type ring[T any] struct {
 	buf     []slot[T] // circular
+	dead    []uint64  // bit p: buf[p] was replaced or deleted before its turn; skipped everywhere
 	head, n int       // oldest slot, slots held
 	base    uint64    // sequence number of the oldest slot; the first record is 1
 	live    int       // slots not dead; the oldest slot is never dead
@@ -36,9 +40,8 @@ type ring[T any] struct {
 }
 
 type slot[T any] struct {
-	at   float64 // append time; the record expires at at+ttl
-	dead bool    // replaced or deleted before its turn; skipped everywhere
-	rec  T
+	at  float64 // append time; the record expires at at+ttl
+	rec T
 }
 
 func newRing[T any](tb *table.Table, row func(uint64, float64, *T) tuple.Tuple, onDrop func(*T)) ring[T] {
@@ -49,21 +52,36 @@ func newRing[T any](tb *table.Table, row func(uint64, float64, *T) tuple.Tuple, 
 	}
 }
 
-// nth returns the i-th oldest slot.
-func (r *ring[T]) nth(i int) *slot[T] {
+// pos returns the position in buf of the i-th oldest slot.
+func (r *ring[T]) pos(i int) int {
 	if i += r.head; i >= len(r.buf) {
 		i -= len(r.buf)
 	}
-	return &r.buf[i]
+	return i
 }
 
-// slot returns the record numbered seq, or nil once it has left the ring
-// (and for 0, which numbers no record).
-func (r *ring[T]) slot(seq uint64) *slot[T] {
+// nth returns the i-th oldest slot.
+func (r *ring[T]) nth(i int) *slot[T] { return &r.buf[r.pos(i)] }
+
+func (r *ring[T]) isDead(p int) bool { return r.dead[p/64]&(1<<(p%64)) != 0 }
+
+// find returns the position in buf of the record numbered seq, or -1
+// once it has left the ring (and for 0, which numbers no record).
+func (r *ring[T]) find(seq uint64) int {
 	if seq < r.base || seq >= r.base+uint64(r.n) {
-		return nil
+		return -1
 	}
-	return r.nth(int(seq - r.base))
+	return r.pos(int(seq - r.base))
+}
+
+// slot returns the record numbered seq and whether it died out of turn,
+// or nil once it has left the ring.
+func (r *ring[T]) slot(seq uint64) (*slot[T], bool) {
+	p := r.find(seq)
+	if p < 0 {
+		return nil, false
+	}
+	return &r.buf[p], r.isDead(p)
 }
 
 // push appends a record at time at and returns its sequence number,
@@ -98,11 +116,15 @@ func (r *ring[T]) grow() {
 	if full := r.max + 1; r.max >= 0 && len(r.buf) < full && size > full {
 		size = full
 	}
-	buf := make([]slot[T], size)
+	buf, dead := make([]slot[T], size), make([]uint64, (size+63)/64)
 	for i := 0; i < r.n; i++ {
-		buf[i] = *r.nth(i)
+		p := r.pos(i)
+		buf[i] = r.buf[p]
+		if r.isDead(p) {
+			dead[i/64] |= 1 << (i % 64)
+		}
 	}
-	r.buf, r.head = buf, 0
+	r.buf, r.dead, r.head = buf, dead, 0
 }
 
 // expire kills the records whose lifetime ended by now, as
@@ -113,12 +135,13 @@ func (r *ring[T]) expire(now float64) {
 	}
 	soonest, sorted, last := math.Inf(1), true, math.Inf(-1)
 	for i := 0; i < r.n; i++ {
-		s := r.nth(i)
-		if s.dead {
+		p := r.pos(i)
+		if r.isDead(p) {
 			continue
 		}
+		s := &r.buf[p]
 		if s.at+r.ttl <= now {
-			r.drop(r.base+uint64(i), s)
+			r.drop(r.base+uint64(i), p)
 			continue
 		}
 		if r.sorted {
@@ -138,14 +161,18 @@ func (r *ring[T]) expire(now float64) {
 // kill removes one live record out of turn: a replaced key, an explicit
 // delete, or the oldest record on eviction.
 func (r *ring[T]) kill(seq uint64) {
-	if s := r.slot(seq); s != nil && !s.dead {
-		r.drop(seq, s)
+	if p := r.find(seq); p >= 0 && !r.isDead(p) {
+		r.drop(seq, p)
 		r.trim()
 	}
 }
 
-func (r *ring[T]) drop(seq uint64, s *slot[T]) {
-	s.dead = true
+// drop kills the live record numbered seq at position p. Its row, if
+// built, goes first, while what the record refers to is still there;
+// then onDrop releases that.
+func (r *ring[T]) drop(seq uint64, p int) {
+	s := &r.buf[p]
+	r.dead[p/64] |= 1 << (p % 64)
 	r.live--
 	if seq <= r.built {
 		r.tb.DeleteKey(r.row(seq, s.at, &s.rec))
@@ -157,8 +184,9 @@ func (r *ring[T]) drop(seq uint64, s *slot[T]) {
 
 // trim pops dead slots off the head.
 func (r *ring[T]) trim() {
-	for r.n > 0 && r.buf[r.head].dead {
+	for r.n > 0 && r.isDead(r.head) {
 		r.buf[r.head] = slot[T]{}
+		r.dead[r.head/64] &^= 1 << (r.head % 64)
 		if r.head++; r.head == len(r.buf) {
 			r.head = 0
 		}
@@ -180,7 +208,7 @@ func (r *ring[T]) sync(op table.SyncOp, now float64) {
 	first, end := max(r.built+1, r.base), r.base+uint64(r.n)
 	r.built = end - 1 // first: an insert listener that reads the table lands here again
 	for seq := first; seq < end; seq++ {
-		if s := r.slot(seq); !s.dead {
+		if s, dead := r.slot(seq); !dead {
 			r.tb.Insert(r.row(seq, s.at, &s.rec), s.at) //nolint:errcheck // row names the table
 		}
 	}
@@ -190,6 +218,7 @@ func (r *ring[T]) sync(op table.SyncOp, now float64) {
 // hung off them) and restarts the numbering; the caller clears the table.
 func (r *ring[T]) reset() {
 	clear(r.buf)
+	clear(r.dead)
 	r.head, r.n, r.live = 0, 0, 0
 	r.base, r.built = 1, 0
 	r.soonest, r.sorted = math.Inf(1), true

@@ -17,6 +17,7 @@ package trace
 import (
 	"cmp"
 	"slices"
+	"unsafe"
 
 	"p2go/internal/dataflow"
 	"p2go/internal/table"
@@ -59,6 +60,10 @@ type Tracer struct {
 	local string
 	cfg   Config
 
+	// strs numbers every rule ID, predicate name, address and log op the
+	// records below hold, so that they hold a fixed-width index.
+	strs dict
+
 	// execs holds the ruleExec records; each holds one reference on the
 	// memo entries of its two tuples and releases them when it dies.
 	execs ring[execRec]
@@ -84,9 +89,8 @@ type Tracer struct {
 	pending      []pendingProv
 	pendingDense bool
 
-	// records holds each strand's tracer records in use: a prefix of the
-	// strand's block of RecordsPerStrand (freeRecord).
-	records map[*dataflow.Strand][]record
+	// records holds each strand's tracer records (freeRecord).
+	records map[*dataflow.Strand]strandRecs
 
 	// store, when attached, receives every trace record as a durable
 	// append — the forensic log that outlives the bounded soft state
@@ -95,9 +99,10 @@ type Tracer struct {
 	onStore func(appended, sealed int)
 }
 
-// prov is what the tracer keeps of a tuple: its predicate name (the
-// string header the plan or the codec's intern table already holds) and
-// where it came from. Never its fields, which belong to the task's arena.
+// prov is what the tracer is told of a tuple during its task: its
+// predicate name (the string header the plan or the codec's intern table
+// already holds) and where it came from. Never its fields, which belong
+// to the task's arena. A memo entry keeps it as dictionary indices.
 type prov struct {
 	name  string
 	src   string
@@ -110,51 +115,137 @@ type pendingProv struct {
 	prov
 }
 
+// The records below are what the tracer keeps live, tens of thousands of
+// them per node: each is fixed-width and holds no pointer, so the
+// collector never scans them. Strings are dictionary indices, a memo
+// entry's provenance too, and an exec record reads its tuple IDs from
+// the memo entries it pins.
+
 type memoEntry struct {
-	prov
-	id   uint64
-	refs int32
-	born uint64
+	id, srcID uint64
+	born      uint64
 	// lastOut is the newest ruleExec record whose effect is this tuple;
 	// with execRec.prevOut it chains the records that can share a key.
-	lastOut uint64
+	lastOut        uint64
+	name, src, dst uint32 // dictionary indices
+	refs           int32
 }
 
 // execRec is one ruleExec row in the making; the time it was appended at
-// is the row's OutT.
+// is the row's OutT. Its cause and effect IDs are those of the memo
+// entries in and out, valid while the record is live (it holds a
+// reference on each): only a live record may read them.
 type execRec struct {
-	rule        string
-	inID, outID uint64
-	inT         float64
-	isEvent     bool
-	in, out     uint32 // memo slots of inID and outID, one reference each
-	prevOut     uint64 // previous record with the same outID, 0 if none
+	inT     float64
+	prevOut uint64 // previous record with the same effect, 0 if none
+	rule    uint32 // dictionary index
+	in, out uint32 // memo slots of the cause and the effect
+	isEvent bool
 }
 
 // logRec is one tupleLog row in the making; its ring sequence number is
 // the row's Seq.
 type logRec struct {
-	op, name string
+	op, name uint32 // dictionary indices
 	id       uint64
 }
 
 // record is one tracer record (Figure 2): the observed input, the last
 // precondition per stage, and the associated stage interval used to match
-// pipelined signals (§2.1.2).
+// pipelined signals (§2.1.2). Its precondition slots are in its strand's
+// block (strandRecs), and which of them hold one is a bit in filled.
 type record struct {
-	active bool
 	inID   uint64
 	inTime float64
-	pre    []precond
-	first  int // first associated stage (1-based)
-	last   int // last associated stage; first > last means "no stage"
+	filled uint64 // bit k: stage k's slot holds a precondition (stages 64 and up: strandRecs.wide)
+	first  int32  // first associated stage (1-based)
+	last   int32  // last associated stage; first > last means "no stage"
+	active bool
 }
 
 type precond struct {
-	filled bool
-	id     uint64
-	time   float64
+	id   uint64
+	time float64
 }
+
+// strandRecs is one strand's tracer records and their precondition
+// slots, made on the strand's first input: two blocks however many
+// records it ends up using.
+type strandRecs struct {
+	recs []record  // in use: a prefix of the block of RecordsPerStrand
+	pre  []precond // record i's stage k precondition is pre[i*Stages+k-1]
+	// wide holds the filled bits of stages 64 and up, Stages/64 words a
+	// record; nil for the strands that need none, which is all of them
+	// short of a rule with 64 joins.
+	wide []uint64
+	rule uint32 // the strand's rule ID, interned once
+}
+
+// word returns record i's filled word holding stage's bit.
+func (b *strandRecs) word(i, stage, stages int) *uint64 {
+	if stage < 64 {
+		return &b.recs[i].filled
+	}
+	return &b.wide[i*(stages/64)+stage/64-1]
+}
+
+// filled reports whether record i holds a precondition for stage.
+func (b *strandRecs) filled(i, stage, stages int) bool {
+	return *b.word(i, stage, stages)&(1<<(stage%64)) != 0
+}
+
+// fill records precondition p at stage of record i and empties every
+// later stage's slot.
+func (b *strandRecs) fill(i, stage, stages int, p precond) {
+	b.pre[i*stages+stage-1] = p
+	w := b.word(i, stage, stages)
+	*w = *w&(1<<(stage%64+1)-1) | 1<<(stage%64) // a shift by 64 is 0 in Go: all ones kept
+	for k := stage/64 + 1; k <= stages/64; k++ {
+		*b.word(i, 64*k, stages) = 0
+	}
+}
+
+// dict numbers strings for the records above: an index fits a fixed
+// width and holds no pointer. It only grows, and only by what a node
+// sees distinctly — its program's rule IDs and predicate names, its
+// peers' addresses, the log ops — so Reset keeps it. Index 0 is "".
+type dict struct {
+	index map[string]uint32
+	strs  []string
+	// seen remembers where the bytes of recently interned strings are.
+	// The strings a node hands the tracer are the plan's, the codec
+	// intern table's and its configuration's, the same bytes every time,
+	// so most interns compare a pointer instead of hashing the string.
+	// Equal bytes and length are an equal string: the entry's pointer
+	// keeps those bytes from being reused.
+	seen [64]seenStr
+}
+
+type seenStr struct {
+	p *byte
+	n int
+	i uint32
+}
+
+func newDict() dict { return dict{index: map[string]uint32{"": 0}, strs: []string{""}} }
+
+func (d *dict) intern(s string) uint32 {
+	p := unsafe.StringData(s)
+	c := &d.seen[(uint64(uintptr(unsafe.Pointer(p)))+uint64(len(s)))*0x9e3779b97f4a7c15>>58] // Fibonacci hashing onto 64 entries
+	if c.p == p && c.n == len(s) {
+		return c.i
+	}
+	i, ok := d.index[s]
+	if !ok {
+		i = uint32(len(d.strs))
+		d.strs = append(d.strs, s)
+		d.index[s] = i
+	}
+	*c = seenStr{p, len(s), i}
+	return i
+}
+
+func (d *dict) str(i uint32) string { return d.strs[i] }
 
 // New creates a tracer and materializes its reflection tables in store.
 func New(store *table.Store, localAddr string, cfg Config) (*Tracer, error) {
@@ -183,10 +274,11 @@ func New(store *table.Store, localAddr string, cfg Config) (*Tracer, error) {
 	tr := &Tracer{
 		local:        localAddr,
 		cfg:          cfg,
+		strs:         newDict(),
 		tuples:       tt,
 		memo:         make(map[uint64]uint32),
 		pendingDense: true,
-		records:      make(map[*dataflow.Strand][]record),
+		records:      make(map[*dataflow.Strand]strandRecs),
 	}
 	// Reference counting: when a ruleExec record dies (TTL, eviction,
 	// replacement or delete), release the tuples it referenced.
@@ -300,81 +392,81 @@ func (tr *Tracer) TaskDone() {
 
 // Input observes a tuple entering a rule strand.
 func (tr *Tracer) Input(s *dataflow.Strand, t tuple.Tuple, now float64) {
-	r := tr.freeRecord(s)
-	r.active = true
-	r.inID = t.ID
-	r.inTime = now
-	for i := range r.pre {
-		r.pre[i] = precond{}
-	}
-	if s.Stages >= 1 {
-		r.first, r.last = 1, 1
-	} else {
-		r.first, r.last = 1, 0
+	b := tr.strand(s)
+	i := tr.freeRecord(s, &b)
+	b.recs[i] = record{inID: t.ID, inTime: now, first: 1, last: int32(min(s.Stages, 1)), active: true}
+	if w := s.Stages / 64; w > 0 {
+		clear(b.wide[i*w : (i+1)*w])
 	}
 }
 
-// freeRecord returns the record the strand's next input goes into. A
-// strand's records and their precondition slots are one block each, made
-// on its first input: two allocations a strand however many records it
-// ends up using, and none after.
-func (tr *Tracer) freeRecord(s *dataflow.Strand) *record {
-	recs, ok := tr.records[s]
+// strand returns the strand's records, making its blocks on its first
+// input: two allocations a strand however many records it ends up
+// using, and none after.
+func (tr *Tracer) strand(s *dataflow.Strand) strandRecs {
+	b, ok := tr.records[s]
 	if !ok {
-		n, w := tr.cfg.RecordsPerStrand, s.Stages+1
-		recs = make([]record, n)
-		pre := make([]precond, n*w)
-		for i := range recs {
-			recs[i].pre = pre[i*w : (i+1)*w : (i+1)*w]
+		n := tr.cfg.RecordsPerStrand
+		b = strandRecs{
+			recs: make([]record, 0, n),
+			pre:  make([]precond, n*s.Stages),
+			rule: tr.strs.intern(s.RuleID),
 		}
-		recs = recs[:0]
+		if s.Stages >= 64 {
+			b.wide = make([]uint64, n*(s.Stages/64))
+		}
+		tr.records[s] = b
 	}
+	return b
+}
+
+// freeRecord returns the index of the record the strand's next input
+// goes into.
+func (tr *Tracer) freeRecord(s *dataflow.Strand, b *strandRecs) int {
 	// Prefer an inactive record.
-	for i := range recs {
-		if r := &recs[i]; !r.active {
-			return r
+	for i := range b.recs {
+		if !b.recs[i].active {
+			return i
 		}
 	}
-	if len(recs) < cap(recs) {
-		recs = recs[:len(recs)+1]
-		tr.records[s] = recs
-		return &recs[len(recs)-1]
+	if n := len(b.recs); n < cap(b.recs) {
+		b.recs = b.recs[:n+1]
+		tr.records[s] = *b
+		return n
 	}
 	// Recycle the record with the oldest input.
-	oldest := &recs[0]
-	for i := 1; i < len(recs); i++ {
-		if r := &recs[i]; r.inTime < oldest.inTime {
-			oldest = r
+	oldest := 0
+	for i := 1; i < len(b.recs); i++ {
+		if b.recs[i].inTime < b.recs[oldest].inTime {
+			oldest = i
 		}
 	}
 	return oldest
 }
 
-// findByStage returns the record whose associated interval contains
-// stage, or nil.
-func (tr *Tracer) findByStage(s *dataflow.Strand, stage int) *record {
-	recs := tr.records[s]
+// findByStage returns the index of the record whose associated interval
+// contains stage, or -1.
+func findByStage(recs []record, stage int) int {
 	for i := range recs {
-		if r := &recs[i]; r.active && r.first <= stage && stage <= r.last {
-			return r
+		if r := &recs[i]; r.active && int(r.first) <= stage && stage <= int(r.last) {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// latest returns the active record with the highest associated stage
-// (ties broken by most recent input).
-func (tr *Tracer) latest(s *dataflow.Strand) *record {
-	var best *record
-	recs := tr.records[s]
+// latest returns the index of the active record with the highest
+// associated stage (ties broken by most recent input), or -1.
+func latest(recs []record) int {
+	best := -1
 	for i := range recs {
 		r := &recs[i]
 		if !r.active {
 			continue
 		}
-		if best == nil || r.last > best.last ||
-			(r.last == best.last && r.inTime > best.inTime) {
-			best = r
+		if best < 0 || r.last > recs[best].last ||
+			(r.last == recs[best].last && r.inTime > recs[best].inTime) {
+			best = i
 		}
 	}
 	return best
@@ -388,37 +480,37 @@ func (tr *Tracer) Precond(s *dataflow.Strand, stage int, t tuple.Tuple, now floa
 	if stage < 1 || stage > s.Stages {
 		return
 	}
-	r := tr.findByStage(s, stage)
-	if r == nil {
+	b := tr.records[s]
+	i := findByStage(b.recs, stage)
+	if i < 0 {
 		// Extend the record with the latest associated stages.
-		r = tr.latest(s)
-		if r == nil {
+		if i = latest(b.recs); i < 0 {
 			return
 		}
-		if stage > r.last {
-			r.last = stage
+		if r := &b.recs[i]; stage > int(r.last) {
+			r.last = int32(stage)
 		} else {
-			r.first = stage
+			r.first = int32(stage)
 		}
 	}
-	r.pre[stage] = precond{filled: true, id: t.ID, time: now}
-	for i := stage + 1; i <= s.Stages; i++ {
-		r.pre[i] = precond{}
-	}
+	b.fill(i, stage, s.Stages, precond{id: t.ID, time: now})
 }
 
 // Output observes a head tuple produced by the strand and packages the
 // owning record into ruleExec rows: one causal link from the input event
 // and one from each recorded precondition.
 func (tr *Tracer) Output(s *dataflow.Strand, t tuple.Tuple, now float64) {
-	r := tr.latest(s)
-	if r == nil {
+	b := tr.records[s]
+	i := latest(b.recs)
+	if i < 0 {
 		return
 	}
-	tr.emitRuleExec(s.RuleID, r.inID, t.ID, r.inTime, now, true)
+	r := &b.recs[i]
+	tr.emitRuleExec(b.rule, r.inID, t.ID, r.inTime, now, true)
 	for stage := 1; stage <= s.Stages; stage++ {
-		if r.pre[stage].filled {
-			tr.emitRuleExec(s.RuleID, r.pre[stage].id, t.ID, r.pre[stage].time, now, false)
+		if b.filled(i, stage, s.Stages) {
+			p := &b.pre[i*s.Stages+stage-1]
+			tr.emitRuleExec(b.rule, p.id, t.ID, p.time, now, false)
 		}
 	}
 }
@@ -427,28 +519,28 @@ func (tr *Tracer) Output(s *dataflow.Strand, t tuple.Tuple, now float64) {
 // new input (§2.1.2). The record whose interval begins at the stage
 // abandons it; advancing past the final stage retires the record.
 func (tr *Tracer) StageDone(s *dataflow.Strand, stage int) {
+	recs := tr.records[s].recs
 	if stage < 1 || stage > s.Stages {
 		// Strands without joins retire their record when the (virtual)
 		// stage 0 completes, i.e. at activation end.
 		if s.Stages == 0 {
-			if r := tr.latest(s); r != nil {
-				r.active = false
+			if i := latest(recs); i >= 0 {
+				recs[i].active = false
 			}
 		}
 		return
 	}
-	recs := tr.records[s]
 	for i := range recs {
-		if r := &recs[i]; r.active && r.first == stage {
-			r.first = stage + 1
-			if r.first > s.Stages {
+		if r := &recs[i]; r.active && int(r.first) == stage {
+			r.first = int32(stage + 1)
+			if int(r.first) > s.Stages {
 				r.active = false
 			}
 			return
 		}
 	}
-	if r := tr.latest(s); r != nil && stage > r.last {
-		r.last = stage
+	if i := latest(recs); i >= 0 && stage > int(recs[i].last) {
+		recs[i].last = int32(stage)
 	}
 }
 
@@ -458,12 +550,12 @@ func (tr *Tracer) StageDone(s *dataflow.Strand, stage int) {
 // with the same key, else append and evict the oldest beyond the bound.
 // Killing records releases references; that is exactly the paper's
 // flushing behaviour.
-func (tr *Tracer) emitRuleExec(ruleID string, inID, outID uint64, inT, outT float64, isEvent bool) {
+func (tr *Tracer) emitRuleExec(rule uint32, inID, outID uint64, inT, outT float64, isEvent bool) {
 	in, out := tr.addRef(inID), tr.addRef(outID)
 	tr.execs.expire(outT)
-	rec := execRec{rule: ruleID, inID: inID, outID: outID, inT: inT, isEvent: isEvent, in: in, out: out}
+	rec := execRec{rule: rule, inT: inT, isEvent: isEvent, in: in, out: out}
 	old := tr.findExec(&rec)
-	if s := tr.execs.slot(old); s != nil && s.rec.inT == inT && s.at == outT {
+	if s, _ := tr.execs.slot(old); s != nil && s.rec.inT == inT && s.at == outT {
 		// The same row again: it keeps its place and (inserted at outT
 		// both times) its expiry, and takes no second pair of references.
 		tr.release(in)
@@ -476,7 +568,7 @@ func (tr *Tracer) emitRuleExec(ruleID string, inID, outID uint64, inT, outT floa
 	}
 	if tr.store != nil {
 		sealed := tr.store.AppendExec(tracestore.Exec{
-			Rule: ruleID, InID: inID, OutID: outID, InT: inT, OutT: outT, IsEvent: isEvent,
+			Rule: tr.strs.str(rule), InID: inID, OutID: outID, InT: inT, OutT: outT, IsEvent: isEvent,
 		})
 		tr.noteStore(1, sealed)
 	}
@@ -485,15 +577,17 @@ func (tr *Tracer) emitRuleExec(ruleID string, inID, outID uint64, inT, outT floa
 // findExec returns the live record with rec's key, or 0. Records with
 // equal keys have equal effects, so only the chain hanging off the
 // effect's memo entry — the other causes of the same head tuple, a
-// handful — needs looking at.
+// handful — needs looking at. Two live records pin their causes, so
+// their causes are the same tuple exactly when their memo slots are; a
+// dead record's slot may hold another tuple by now, and is not read.
 func (tr *Tracer) findExec(rec *execRec) uint64 {
 	seq := tr.slots[rec.out].lastOut
 	for {
-		s := tr.execs.slot(seq)
+		s, dead := tr.execs.slot(seq)
 		if s == nil {
 			return 0
 		}
-		if o := &s.rec; !s.dead && o.inID == rec.inID && o.isEvent == rec.isEvent && o.rule == rec.rule {
+		if o := &s.rec; !dead && o.in == rec.in && o.isEvent == rec.isEvent && o.rule == rec.rule {
 			return seq
 		}
 		seq = s.rec.prevOut
@@ -506,9 +600,13 @@ func (tr *Tracer) forgetExec(t tuple.Tuple) {
 	if t.Arity() < 7 {
 		return
 	}
-	rec := execRec{rule: t.Field(1).AsStr(), inID: t.Field(2).AsID(), outID: t.Field(3).AsID(), isEvent: t.Field(6).AsBool()}
-	var ok bool
-	if rec.out, ok = tr.memo[rec.outID]; ok {
+	// A rule, cause or effect the tracer has no index or memo entry for
+	// is in no live record.
+	rule, ok := tr.strs.index[t.Field(1).AsStr()]
+	in, inOK := tr.memo[t.Field(2).AsID()]
+	out, outOK := tr.memo[t.Field(3).AsID()]
+	if ok && inOK && outOK {
+		rec := execRec{rule: rule, in: in, out: out, isEvent: t.Field(6).AsBool()}
 		tr.execs.kill(tr.findExec(&rec))
 	}
 }
@@ -516,9 +614,9 @@ func (tr *Tracer) forgetExec(t tuple.Tuple) {
 func (tr *Tracer) execRow(_ uint64, outT float64, r *execRec) tuple.Tuple {
 	return tuple.New(RuleExecTable,
 		tuple.Str(tr.local),
-		tuple.Str(r.rule),
-		tuple.ID(r.inID),
-		tuple.ID(r.outID),
+		tuple.Str(tr.strs.str(r.rule)),
+		tuple.ID(tr.slots[r.in].id),
+		tuple.ID(tr.slots[r.out].id),
 		tuple.Float(r.inT),
 		tuple.Float(outT),
 		tuple.Bool(r.isEvent),
@@ -546,7 +644,10 @@ func (tr *Tracer) addRef(id uint64) uint32 {
 		tr.slots = append(tr.slots, memoEntry{})
 	}
 	tr.born++
-	tr.slots[i] = memoEntry{prov: p, id: id, refs: 1, born: tr.born}
+	tr.slots[i] = memoEntry{
+		id: id, srcID: p.srcID, born: tr.born, refs: 1,
+		name: tr.strs.intern(p.name), src: tr.strs.intern(p.src), dst: tr.strs.intern(p.dst),
+	}
 	tr.memo[id] = i
 	return i
 }
@@ -570,9 +671,9 @@ func (tr *Tracer) tupleRow(e *memoEntry) tuple.Tuple {
 	return tuple.New(TupleTable,
 		tuple.Str(tr.local),
 		tuple.ID(e.id),
-		tuple.Str(e.src),
+		tuple.Str(tr.strs.str(e.src)),
 		tuple.ID(e.srcID),
-		tuple.Str(e.dst),
+		tuple.Str(tr.strs.str(e.dst)),
 	)
 }
 
@@ -601,7 +702,7 @@ func (tr *Tracer) fillTuples() {
 // still referenced ("" for one referenced without ever being registered).
 func (tr *Tracer) Name(id uint64) (string, bool) {
 	if i, ok := tr.memo[id]; ok {
-		return tr.slots[i].name, true
+		return tr.strs.str(tr.slots[i].name), true
 	}
 	return "", false
 }
@@ -631,8 +732,9 @@ func (tr *Tracer) Reset(now float64) {
 	tr.slots, tr.free = tr.slots[:0], tr.free[:0]
 	tr.born, tr.tuplesBuilt = 0, 0
 	tr.TaskDone()
-	for s, recs := range tr.records {
-		tr.records[s] = recs[:0]
+	for s, b := range tr.records {
+		b.recs = b.recs[:0]
+		tr.records[s] = b
 	}
 	if tr.store != nil {
 		sealed := tr.store.AppendEvent(tracestore.Event{Op: "restart", Name: "", ID: 0, T: now})
@@ -683,11 +785,11 @@ func (tr *Tracer) LogEvent(op, name string, id uint64, now float64) {
 		return
 	}
 	tr.log.expire(now)
-	tr.log.push(now, logRec{op: op, name: name, id: id})
+	tr.log.push(now, logRec{op: tr.strs.intern(op), name: tr.strs.intern(name), id: id})
 }
 
 func (tr *Tracer) logRow(seq uint64, at float64, r *logRec) tuple.Tuple {
 	return tuple.New(TupleLogTable,
-		tuple.Str(tr.local), tuple.ID(seq), tuple.Str(r.op),
-		tuple.Str(r.name), tuple.ID(r.id), tuple.Float(at))
+		tuple.Str(tr.local), tuple.ID(seq), tuple.Str(tr.strs.str(r.op)),
+		tuple.Str(tr.strs.str(r.name)), tuple.ID(r.id), tuple.Float(at))
 }

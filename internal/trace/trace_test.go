@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -12,7 +13,7 @@ import (
 
 // fixture builds a tracer plus a synthetic strand with the given number
 // of stages.
-func fixture(t *testing.T, stages int, cfg Config) (*Tracer, *table.Store, *dataflow.Strand) {
+func fixture(t testing.TB, stages int, cfg Config) (*Tracer, *table.Store, *dataflow.Strand) {
 	t.Helper()
 	store := table.NewStore()
 	tr, err := New(store, "n1", cfg)
@@ -200,7 +201,7 @@ func TestRecordCap(t *testing.T) {
 		tr.Input(s, ev, float64(i))
 	}
 	// Only bookkeeping structures are bounded; no rows were produced.
-	if got := len(tr.records[s]); got != 2 {
+	if got := len(tr.records[s].recs); got != 2 {
 		t.Errorf("records = %d, want cap 2", got)
 	}
 	if store.Get(RuleExecTable).Count() != 0 {
@@ -417,12 +418,12 @@ func TestResetPoolsRecords(t *testing.T) {
 	register(tr, ev)
 	tr.Input(s, ev, 1)
 	tr.Precond(s, 1, tup("p", 2), 1)
-	old := &tr.records[s][0]
+	old := &tr.records[s].recs[0]
 	tr.Reset(10)
-	if got := len(tr.records[s]); got != 0 {
+	if got := len(tr.records[s].recs); got != 0 {
 		t.Fatalf("records in use after Reset = %d, want 0", got)
 	}
-	if tr.findByStage(s, 1) != nil || tr.latest(s) != nil {
+	if recs := tr.records[s].recs; findByStage(recs, 1) >= 0 || latest(recs) >= 0 {
 		t.Fatal("a pre-restart record is still active after Reset")
 	}
 	ev2 := tup("event", 1)
@@ -430,14 +431,12 @@ func TestResetPoolsRecords(t *testing.T) {
 	if n := testing.AllocsPerRun(1, func() { tr.Input(s, ev2, 20) }); n != 0 {
 		t.Fatalf("first activation after Reset: %v allocs, want 0", n)
 	}
-	got := &tr.records[s][0]
+	got := &tr.records[s].recs[0]
 	if got != old {
 		t.Fatal("new record was allocated instead of reusing the strand's block")
 	}
-	for i, p := range got.pre {
-		if p.filled || p.id != 0 || p.time != 0 {
-			t.Fatalf("reused record pre[%d] = %+v, want zeroed", i, p)
-		}
+	if got.filled != 0 || !got.active || got.inID != 1 || got.inTime != 20 {
+		t.Fatalf("reused record = %+v, want active on input 1 at 20 with no precondition", *got)
 	}
 }
 
@@ -452,6 +451,12 @@ func TestStrandRecordsAreOneBlock(t *testing.T) {
 		{Plan: &dataflow.Plan{RuleID: "r1", Stages: 2}},
 		{Plan: &dataflow.Plan{RuleID: "r2", Stages: 2}},
 	}
+	// The dictionary grows by a string the first time it sees it, not by
+	// a strand: it knows both rule IDs already, as it would a restarted
+	// node's or a reinstalled query's.
+	for _, s := range strands {
+		tr.strs.intern(s.RuleID)
+	}
 	ev, now, run := tup("event", 1), 0.0, 0
 	if n := testing.AllocsPerRun(1, func() {
 		// No StageDone: every input needs a record of its own, past the cap.
@@ -464,60 +469,125 @@ func TestStrandRecordsAreOneBlock(t *testing.T) {
 		t.Errorf("%d inputs on a new strand: %v allocs, want 2 (its records, their preconditions)", 3*DefaultConfig().RecordsPerStrand, n)
 	}
 	s := strands[1]
-	recs := tr.records[s]
-	if len(recs) != DefaultConfig().RecordsPerStrand {
-		t.Fatalf("records = %d, want the cap %d", len(recs), DefaultConfig().RecordsPerStrand)
+	b := tr.records[s]
+	if len(b.recs) != DefaultConfig().RecordsPerStrand {
+		t.Fatalf("records = %d, want the cap %d", len(b.recs), DefaultConfig().RecordsPerStrand)
 	}
-	// Each record's slots are its own: filling one's last must not reach
-	// into the next one's first.
-	for i := range recs {
-		if len(recs[i].pre) != s.Stages+1 || cap(recs[i].pre) != s.Stages+1 {
-			t.Fatalf("record %d: len(pre)=%d cap=%d, want %d/%d", i, len(recs[i].pre), cap(recs[i].pre), s.Stages+1, s.Stages+1)
-		}
-		recs[i].pre[s.Stages].id = uint64(i + 1)
+	if len(b.pre) != len(b.recs)*s.Stages {
+		t.Fatalf("precondition block = %d slots, want %d records x %d stages", len(b.pre), len(b.recs), s.Stages)
 	}
-	for i := range recs {
-		if recs[i].pre[s.Stages].id != uint64(i+1) || recs[i].pre[0].id != 0 {
-			t.Fatalf("record %d shares precondition slots with a neighbour: %+v", i, recs[i].pre)
+	// Each record's slots are its own: filling one's last stage must not
+	// reach into the next one's first.
+	for i := range b.recs {
+		b.fill(i, s.Stages, s.Stages, precond{id: uint64(i + 1)})
+	}
+	for i := range b.recs {
+		if b.filled(i, 1, s.Stages) || !b.filled(i, s.Stages, s.Stages) || b.pre[i*s.Stages+s.Stages-1].id != uint64(i+1) {
+			t.Fatalf("record %d shares precondition slots with a neighbour: %+v %+v", i, b.recs[i], b.pre)
 		}
 	}
 }
 
-// TestMemoEntrySize makes the next field added to the memo a decision:
-// the forensics workload keeps some 41 000 entries live.
+// TestMemoEntrySize makes the next field added to a live trace record a
+// decision: the forensics workload keeps some 41 000 memo entries, 2 500
+// exec records a node, 500 log records and a block of strand records
+// live. The bounds are those of the compact layout; the strings, slice
+// headers and flags it replaced made them 88, 80, 56, 64 and 24 bytes.
 func TestMemoEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(memoEntry{}); got > 88 {
-		t.Errorf("memoEntry is %d bytes, want <= 88", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"memoEntry", unsafe.Sizeof(memoEntry{}), 48},
+		{"slot[execRec]", unsafe.Sizeof(slot[execRec]{}), 40},
+		{"slot[logRec]", unsafe.Sizeof(slot[logRec]{}), 24},
+		{"record", unsafe.Sizeof(record{}), 40},
+		{"precond", unsafe.Sizeof(precond{}), 16},
+		// Emptied every task, so it keeps its strings.
+		{"pendingProv", unsafe.Sizeof(pendingProv{}), 64},
+	} {
+		if c.got > c.want {
+			t.Errorf("%s is %d bytes, want <= %d", c.name, c.got, c.want)
+		}
 	}
-	if got := unsafe.Sizeof(pendingProv{}); got > 64 {
-		t.Errorf("pendingProv is %d bytes, want <= 64", got)
+}
+
+// TestRecordsHoldNoPointers: the live trace records are pointer-free,
+// so the collector never scans the rings, the memo's slots or the strand
+// blocks, and a record holds no string a task might have lent it.
+func TestRecordsHoldNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer, reflect.UnsafePointer,
+			reflect.Func, reflect.Interface, reflect.Chan:
+			t.Errorf("%s is a %s", path, ty.Kind())
+		}
 	}
+	for _, v := range []any{memoEntry{}, slot[execRec]{}, slot[logRec]{}, record{}, precond{}} {
+		ty := reflect.TypeOf(v)
+		walk(ty.Name(), ty)
+	}
+}
+
+// writePath drives a tracer the way the engine does on a strand without
+// joins. Its tuples are laid out as the task arena lays them out: five
+// fields aliasing one buffer that is overwritten when the task ends.
+type writePath struct {
+	tr    *Tracer
+	s     *dataflow.Strand
+	arena [10]tuple.Value
+	id    uint64 // the next task's event; its head is id+1
+	now   float64
+}
+
+// build lays a 5-field tuple out in the arena's slot (0 or 1).
+func (w *writePath) build(slot int, name string, id uint64) tuple.Tuple {
+	f := w.arena[5*slot : 5*slot+5 : 5*slot+5]
+	f[0], f[1], f[2], f[3], f[4] = tuple.Str("n1"), tuple.ID(id), tuple.Int(int64(id)), tuple.Str(name), tuple.Float(1.5)
+	return tuple.Tuple{Name: name, ID: id, Fields: f}
+}
+
+func (w *writePath) taskDone() {
+	w.tr.TaskDone()
+	for i := range w.arena {
+		w.arena[i] = tuple.Str("overwritten")
+	}
+}
+
+// step is one traced task: an event arrives, fires the rule, and the
+// head it derives is inserted.
+func (w *writePath) step() {
+	in, out := w.build(0, "ev", w.id), w.build(1, "head", w.id+1)
+	w.id += 2
+	w.now += 0.001
+	register(w.tr, in)
+	w.tr.LogEvent("arrive", "ev", in.ID, w.now)
+	w.tr.Input(w.s, in, w.now)
+	register(w.tr, out)
+	w.tr.Output(w.s, out, w.now)
+	w.tr.StageDone(w.s, 0)
+	w.tr.LogEvent("insert", "head", out.ID, w.now)
+	w.taskDone()
 }
 
 // TestWritePathAllocations pins the write path's price: with a store
 // attached and nobody reading the reflection tables, tracing allocates
 // nothing in steady state — no tuple, no table row, no memo entry, no
-// copy of a memoised tuple's fields. The tuples are the engine's: five
-// fields aliasing one buffer that is overwritten when the task ends, as
-// the task arena's are.
+// copy of a memoised tuple's fields.
 func TestWritePathAllocations(t *testing.T) {
 	tr, _, s := fixture(t, 0, DefaultConfig())
-	arena := make([]tuple.Value, 10)
-	// build lays a 5-field tuple out in the arena's slot (0 or 1).
-	build := func(slot int, name string, id uint64) tuple.Tuple {
-		f := arena[5*slot : 5*slot+5 : 5*slot+5]
-		f[0], f[1], f[2], f[3], f[4] = tuple.Str("n1"), tuple.ID(id), tuple.Int(int64(id)), tuple.Str(name), tuple.Float(1.5)
-		return tuple.Tuple{Name: name, ID: id, Fields: f}
-	}
-	taskDone := func() {
-		tr.TaskDone()
-		for i := range arena {
-			arena[i] = tuple.Str("overwritten")
-		}
-	}
+	w := &writePath{tr: tr, s: s, id: 100}
 	if n := testing.AllocsPerRun(200, func() {
-		register(tr, build(0, "noise", 42))
-		taskDone()
+		register(tr, w.build(0, "noise", 42))
+		w.taskDone()
 	}); n != 0 {
 		t.Errorf("Register+TaskDone of an unreferenced tuple: %v allocs, want 0 (the pending slice is reused)", n)
 	}
@@ -525,9 +595,9 @@ func TestWritePathAllocations(t *testing.T) {
 	// registration is promoted by value, the memo slot is recycled.
 	tr.release(tr.addRef(7)) // the slot and the map's first bucket exist
 	if n := testing.AllocsPerRun(200, func() {
-		register(tr, build(0, "ev", 7))
+		register(tr, w.build(0, "ev", 7))
 		i := tr.addRef(7)
-		taskDone()
+		w.taskDone()
 		if name, _ := tr.Name(7); name != "ev" {
 			t.Fatalf("memoised name after the task's buffer was overwritten = %q", name)
 		}
@@ -544,36 +614,40 @@ func TestWritePathAllocations(t *testing.T) {
 	// only a seal allocates (tracestore.TestSealAllocs counts that); keep
 	// seals out of the measured runs with a window longer than they take.
 	tr.AttachStore(tracestore.New("n1", tracestore.Config{Enabled: true, WindowSeconds: 1e9, MaxSegments: 4}), nil)
-	id, now := uint64(100), 0.0
-	step := func() {
-		in, out := build(0, "ev", id), build(1, "head", id+1)
-		id += 2
-		now += 0.001
-		register(tr, in)
-		tr.LogEvent("arrive", "ev", in.ID, now)
-		tr.Input(s, in, now)
-		register(tr, out)
-		tr.Output(s, out, now)
-		tr.StageDone(s, 0)
-		tr.LogEvent("insert", "head", out.ID, now)
-		taskDone()
-	}
 	for i := 0; i < 3*DefaultConfig().RuleExecMax; i++ {
-		step()
+		w.step()
 	}
-	if n := testing.AllocsPerRun(2000, step); n != 0 {
+	if n := testing.AllocsPerRun(2000, w.step); n != 0 {
 		t.Errorf("steady-state Output+LogEvent, store attached, no reader: %v allocs per task, want 0", n)
 	}
 	for _, c := range []struct {
 		id   uint64
 		name string
-	}{{id - 2, "ev"}, {id - 1, "head"}} {
+	}{{w.id - 2, "ev"}, {w.id - 1, "head"}} {
 		if name, ok := tr.Name(c.id); !ok || name != c.name {
 			t.Errorf("Name(%d) = %q, %v after its task ended, want %q", c.id, name, ok, c.name)
 		}
 	}
 	if got := tr.execs.tb.Count(); got != DefaultConfig().RuleExecMax {
 		t.Errorf("ruleExec rows on first read = %d, want the bound %d", got, DefaultConfig().RuleExecMax)
+	}
+}
+
+// BenchmarkWritePath is one steady-state traced task, TestWritePathAllocations'
+// step, in ns and allocs per task: the rings are full, and the attached
+// store seals a segment every 1 000 tasks and keeps four, so a long run
+// stays in steady state and pays its share of the seals.
+func BenchmarkWritePath(b *testing.B) {
+	tr, _, s := fixture(b, 0, DefaultConfig())
+	tr.AttachStore(tracestore.New("n1", tracestore.Config{Enabled: true, WindowSeconds: 1, MaxSegments: 4}), nil)
+	w := &writePath{tr: tr, s: s, id: 100}
+	for i := 0; i < 3*DefaultConfig().RuleExecMax; i++ {
+		w.step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.step()
 	}
 }
 

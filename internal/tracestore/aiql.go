@@ -3,6 +3,7 @@ package tracestore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -21,6 +22,17 @@ import (
 // Times are virtual seconds. The surface is deliberately tiny: each
 // query maps to exactly one View call, and the Result renders as a
 // plain-text report (see docs/FORENSICS.md for a worked walkthrough).
+
+// verbClauses names, per verb, the clauses its View call reads. A clause
+// the verb does not read is an error, not a filter that silently
+// matches everything.
+var verbClauses = map[string][]string{
+	"ancestors":   {"depth", "since", "until"},
+	"descendants": {"depth", "since", "until"},
+	"flow":        {"since", "until"},
+	"execs":       {"rule", "since", "until", "limit"},
+	"events":      {"op", "name", "since", "until", "limit"},
+}
 
 // Query is one parsed investigation query.
 type Query struct {
@@ -74,6 +86,10 @@ func ParseQuery(src string) (*Query, error) {
 	for len(toks) > 0 {
 		key := strings.ToLower(toks[0])
 		toks = toks[1:]
+		if !slices.Contains(verbClauses[q.Kind], key) {
+			return nil, fmt.Errorf("tracestore: %s takes no %q clause (want one of %s)",
+				q.Kind, key, strings.Join(verbClauses[q.Kind], ", "))
+		}
 		val, err := next(key)
 		if err != nil {
 			return nil, err
@@ -107,8 +123,6 @@ func ParseQuery(src string) (*Query, error) {
 			q.Op = val
 		case "name":
 			q.Name = val
-		default:
-			return nil, fmt.Errorf("tracestore: unknown clause %q", key)
 		}
 	}
 	return q, nil

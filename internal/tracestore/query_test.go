@@ -188,8 +188,26 @@ func TestInvestigateSurface(t *testing.T) {
 	if _, err := Investigate("frobnicate of 1 at n2", v); err == nil {
 		t.Fatal("unknown verb parsed without error")
 	}
-	if _, err := Investigate("execs at n1 bogus 3", v); err == nil {
-		t.Fatal("unknown clause parsed without error")
+	// A clause its verb does not read is an error naming both, not a
+	// filter that matches everything.
+	for _, tc := range []struct{ query, clause string }{
+		{"execs at n1 name nosuch", "name"},
+		{"execs at n1 op nosuch", "op"},
+		{"execs at n1 depth 1", "depth"},
+		{"ancestors of 11 at n2 rule nosuch", "rule"},
+		{"ancestors of 11 at n2 limit 1", "limit"},
+		{"descendants of 1 at n1 op arrive", "op"},
+		{"flow of 3 at n1 depth 2", "depth"},
+		{"flow of 3 at n1 limit 2", "limit"},
+		{"events at n1 rule rA", "rule"},
+		{"events at n1 depth 1", "depth"},
+		{"execs at n1 bogus 3", "bogus"},
+	} {
+		verb := strings.Fields(tc.query)[0]
+		_, err := Investigate(tc.query, v)
+		if err == nil || !strings.Contains(err.Error(), verb) || !strings.Contains(err.Error(), `"`+tc.clause+`"`) {
+			t.Errorf("%s: error %v, want one naming %s and %q", tc.query, err, verb, tc.clause)
+		}
 	}
 	for _, q := range []string{
 		"execs at n1 since NaN", "execs at n1 until nan", "ancestors of 11 at n2 since -NaN",
