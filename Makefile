@@ -17,9 +17,9 @@ test:
 # files are `//go:build !race`), so they get a run without it.
 # TestWorkloadsRepeat in the benchmark's tests is red: its two tiny
 # in-process runs differ by more objects than its 1 % bound allows, on
-# both Chord workloads. Reordering beginPhase's two reads alone passed 4
-# of 10 runs, so the residue has to be found first; the fix is ROADMAP's
-# green-gate item, a benchmark-only PR of its own.
+# both Chord workloads. ROADMAP's first open item has the diagnosis (the
+# process's first runtime/metrics read, then sync.Pool refills after a
+# GC) and the fix, which needs a benchmark-only change of its own.
 check:
 	go build ./...
 	go vet ./...
@@ -95,6 +95,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzRunQueue -fuzztime 30s ./internal/simnet/
 	go test -run '^$$' -fuzz FuzzAggMaint -fuzztime 30s ./internal/dataflow/
 	go test -run '^$$' -fuzz FuzzRingMatchesEager -fuzztime 30s ./internal/trace/
+	go test -run '^$$' -fuzz FuzzTableMatchesRef -fuzztime 30s ./internal/table/
 
 examples:
 	go run ./examples/quickstart

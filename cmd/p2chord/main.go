@@ -19,8 +19,9 @@ import (
 )
 
 // runLookupWorkload issues random lookups from random live nodes and
-// verifies every answer against the ID-order oracle.
-func runLookupWorkload(ring *p2go.ChordRing, n int, dead map[string]bool) {
+// verifies every answer, as the watch hook appends it to results, against
+// the ID-order oracle.
+func runLookupWorkload(ring *p2go.ChordRing, n int, dead map[string]bool, results *[]p2go.Tuple) {
 	members := ring.Alive(dead)
 	rng := rand.New(rand.NewSource(99))
 	type want struct {
@@ -32,8 +33,7 @@ func runLookupWorkload(ring *p2go.ChordRing, n int, dead map[string]bool) {
 	if err := ring.Node(members[0]).InstallProgram(p2go.WatchProgram("lookupResults")); err != nil {
 		log.Fatal(err)
 	}
-	// Results land on the requester; watch everywhere via extra hook is
-	// already wired into ring.Watched.
+	// Results land on the requester, which installs the watch below.
 	for i := 0; i < n; i++ {
 		key := rng.Uint64()
 		reqID := uint64(1<<32) + uint64(i)
@@ -47,10 +47,8 @@ func runLookupWorkload(ring *p2go.ChordRing, n int, dead map[string]bool) {
 		wants[reqID] = want{key: key, owner: chordTrueOwner(key, members)}
 	}
 	ring.Run(30)
-	for _, w := range ring.Watched {
-		if w.T.Name == "lookupResults" {
-			got[w.T.Field(4).AsID()] = w.T.Field(3).AsStr()
-		}
+	for _, t := range *results {
+		got[t.Field(4).AsID()] = t.Field(3).AsStr()
 	}
 	correct, answered := 0, 0
 	for reqID, w := range wants {
@@ -105,10 +103,14 @@ func main() {
 	}
 
 	alarms := map[string]int{}
+	var results []p2go.Tuple
 	ring, err := p2go.NewChordRing(p2go.ChordRingConfig{
 		N: *n, Seed: *seed, Buggy: *buggy, ExtraPrograms: extras,
 		OnWatch: func(now float64, node string, t p2go.Tuple) {
 			alarms[t.Name]++
+			if t.Name == "lookupResults" {
+				results = append(results, t)
+			}
 			if *verbose {
 				fmt.Printf("[%9.2f] %-6s %v\n", now, node, t)
 			}
@@ -148,7 +150,7 @@ func main() {
 	}
 
 	if *lookups > 0 {
-		runLookupWorkload(ring, *lookups, dead)
+		runLookupWorkload(ring, *lookups, dead, &results)
 	}
 
 	members := ring.Alive(dead)

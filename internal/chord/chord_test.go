@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"p2go/internal/overlog"
+	"p2go/internal/tuple"
 )
 
 func TestNodeIDDeterministic(t *testing.T) {
@@ -27,6 +28,33 @@ func TestRingOfOne(t *testing.T) {
 	}
 	if got := r.BestSucc("n1"); got != "n1" {
 		t.Errorf("lone landmark bestSucc = %q, want self", got)
+	}
+}
+
+// TestWatchedOrOnWatch: a ring collects watched tuples in Watched only
+// when no OnWatch hook receives them, so a caller with its own hook does
+// not also keep every tuple alive in the ring.
+func TestWatchedOrOnWatch(t *testing.T) {
+	run := func(hook bool) (watched, heard int) {
+		cfg := RingConfig{N: 3, Seed: 42,
+			ExtraPrograms: []*overlog.Program{WatchProgram("bestSucc")}}
+		if hook {
+			cfg.OnWatch = func(float64, string, tuple.Tuple) { heard++ }
+		}
+		r, err := NewRing(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Run(60)
+		return len(r.Watched), heard
+	}
+	collected, _ := run(false)
+	watched, heard := run(true)
+	if collected == 0 {
+		t.Fatal("a ring without a hook collected no watched tuple")
+	}
+	if watched != 0 || heard != collected {
+		t.Errorf("with a hook: Watched holds %d, the hook heard %d; want 0 and %d", watched, heard, collected)
 	}
 }
 

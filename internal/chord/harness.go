@@ -32,7 +32,8 @@ type RingConfig struct {
 	// MinDelay/MaxDelay override the simulated one-way message latency
 	// bounds (defaults 5-25 ms).
 	MinDelay, MaxDelay float64
-	// OnWatch receives watched tuples (in addition to Ring.Watched).
+	// OnWatch receives watched tuples. When it is set, Ring.Watched
+	// stays empty: a caller with its own hook keeps what it needs.
 	OnWatch func(now float64, node string, t tuple.Tuple)
 	// ExtraPrograms are installed on every node after Chord, late
 	// joiners included (monitoring queries, §3-style add-ons), as
@@ -68,7 +69,7 @@ type Ring struct {
 	Net   *simnet.Network
 	Addrs []string
 	// Watched collects every watched tuple with its observation time
-	// and node.
+	// and node, unless RingConfig.OnWatch receives them instead.
 	Watched []WatchedTuple
 	// Errors collects rule errors (should stay empty in healthy runs).
 	Errors []string
@@ -97,6 +98,12 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	}
 	r := &Ring{Sim: simnet.NewSim(), cfg: cfg,
 		extrasCompiled: make([]*engine.CompiledQuery, len(cfg.ExtraPrograms))}
+	onWatch := cfg.OnWatch
+	if onWatch == nil {
+		onWatch = func(now float64, node string, t tuple.Tuple) {
+			r.Watched = append(r.Watched, WatchedTuple{At: now, Node: node, T: t})
+		}
+	}
 	r.Net = simnet.NewNetwork(r.Sim, simnet.Config{
 		Seed:       cfg.Seed,
 		LossProb:   cfg.LossProb,
@@ -104,12 +111,7 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 		MaxDelay:   cfg.MaxDelay,
 		Tracing:    cfg.Tracing,
 		TraceStore: cfg.TraceStore,
-		OnWatch: func(now float64, node string, t tuple.Tuple) {
-			r.Watched = append(r.Watched, WatchedTuple{At: now, Node: node, T: t})
-			if cfg.OnWatch != nil {
-				cfg.OnWatch(now, node, t)
-			}
-		},
+		OnWatch:    onWatch,
 		OnRuleError: func(now float64, node, ruleID string, err error) {
 			r.Errors = append(r.Errors, fmt.Sprintf("t=%.2f %s/%s: %v", now, node, ruleID, err))
 		},
@@ -294,7 +296,8 @@ func (r *Ring) Lookup(from string, key, reqID uint64) error {
 }
 
 // WatchProgram returns a program that watches the given predicates;
-// installing it streams those tuples into Ring.Watched.
+// installing it streams those tuples into Ring.Watched, or into
+// RingConfig.OnWatch when that is set.
 func WatchProgram(names ...string) *overlog.Program {
 	src := ""
 	for _, n := range names {

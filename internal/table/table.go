@@ -14,14 +14,21 @@
 // A table keeps its rows in one slab, in insertion order; a replacement
 // is a fresh insertion and goes to the end. Scan, expiry, Delete, index
 // backfill and FIFO eviction walk the slab, so the order readers and
-// listeners see comes from the structure, not from a sort. The
-// primary-key map and every secondary index hold slab positions. An
-// index maps the hash of its fields to a bucket, a list of positions in
-// slab order linked through per-position arrays, so a new row costs one
-// allocation (its copy of the fields) and a probe walks the bucket.
+// listeners see comes from the structure, not from a sort. A row is its
+// fields, ID, expiry and tombstone flag; the predicate name is the
+// table's, and every tuple handed out carries spec.Name.
+//
+// The primary key and every secondary index find rows through
+// open-addressed arrays of slab positions, allocated on first insert and
+// doubled when three quarters full. The key array holds each position
+// near its key's hash; an index bucket keeps the full hash of its fields
+// and the ends of a list of positions in slab order, linked through
+// per-position arrays, so a new row costs one allocation (its copy of
+// the fields) and a probe walks the bucket. A probe on the location
+// specifier alone, which a node's rows usually all share, walks the slab.
 //
 // A delete leaves a tombstone in the slab and unlinks the row from the
-// key map and the indexes at once. The unlinked row keeps its forward
+// key array and the indexes at once. The unlinked row keeps its forward
 // link, so a read standing on a row that is deleted under it still
 // reaches the rest of its bucket. Once tombstones outnumber live rows,
 // the write that made them so compacts the slab, renumbering every
@@ -29,13 +36,14 @@
 // MatchIndexed calls in progress (a tracer sync can insert and delete
 // rows from inside a nested read of the same table), and a deferred
 // compaction happens at the next expiry check with none in progress.
+// Compaction refills the arrays in place; the slab and an array give
+// memory back only when at least four times what the live rows need.
 package table
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"p2go/internal/tuple"
 )
@@ -88,9 +96,9 @@ type listenerEnt struct {
 }
 
 type row struct {
-	t      tuple.Tuple
+	fields []tuple.Value
+	id     uint64
 	expiry float64 // virtual seconds; +Inf = never
-	next   int32   // next live position with the same primary-key hash, or -1
 	dead   bool    // tombstone, until the slab compacts
 }
 
@@ -102,7 +110,9 @@ type Table struct {
 	// slab[first].
 	slab  []row
 	first int
-	keys  map[uint64]int32 // primary-key hash -> a live position with it
+	// keys holds each slab position p as p+1 at or after the slot its
+	// primary-key hash picks; 0 is a free slot, -1 a removed row's.
+	keys  []int32
 	count int
 	// reading counts the Scans and MatchIndexed walks in progress;
 	// compaction waits for zero.
@@ -158,11 +168,7 @@ func (tb *Table) syncRead(now float64) {
 
 // New creates an empty table from the given spec.
 func New(spec Spec) *Table {
-	return &Table{
-		spec:    spec,
-		keys:    make(map[uint64]int32),
-		soonest: math.Inf(1),
-	}
+	return &Table{spec: spec, soonest: math.Inf(1)}
 }
 
 // Spec returns the table's declaration.
@@ -215,6 +221,12 @@ func (tb *Table) keyOf(t tuple.Tuple) uint64 {
 	return t.KeyHash(tb.spec.Keys)
 }
 
+// tupleAt is the stored row at position p as readers and listeners see it.
+func (tb *Table) tupleAt(p int) tuple.Tuple {
+	r := &tb.slab[p]
+	return tuple.Tuple{Name: tb.spec.Name, Fields: r.fields, ID: r.id}
+}
+
 func (tb *Table) sameKey(a, b tuple.Tuple) bool {
 	if len(tb.spec.Keys) == 0 {
 		return a.Equal(b)
@@ -223,14 +235,20 @@ func (tb *Table) sameKey(a, b tuple.Tuple) bool {
 }
 
 // find returns the position of the live row whose primary key (hash h)
-// equals t's, or -1.
+// equals t's, or -1. Keys that are Equal can hash apart (an int and a
+// float of the same negative value), and such rows do not replace each
+// other, so a row whose key matches must also match h.
 func (tb *Table) find(t tuple.Tuple, h uint64) int32 {
-	p, ok := tb.keys[h]
-	for ok && p >= 0 {
-		if tb.sameKey(tb.slab[p].t, t) {
-			return p
+	mask := len(tb.keys) - 1
+	for i := int(h) & mask; mask >= 0; i = (i + 1) & mask {
+		switch q := tb.keys[i]; {
+		case q == 0:
+			return -1
+		case q > 0:
+			if r := tb.tupleAt(int(q - 1)); tb.sameKey(r, t) && tb.keyOf(r) == h {
+				return q - 1
+			}
 		}
-		p = tb.slab[p].next
 	}
 	return -1
 }
@@ -255,15 +273,15 @@ func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 	}
 	h := tb.keyOf(t)
 	p := tb.find(t, h)
-	if p >= 0 && tb.slab[p].t.Equal(t) {
+	if p >= 0 && tb.tupleAt(int(p)).Equal(t) {
 		tb.slab[p].expiry = expiry // identical content: refresh TTL only
 		return false, nil
 	}
-	t.Fields = slices.Clone(t.Fields)
+	t = tuple.Tuple{Name: tb.spec.Name, Fields: slices.Clone(t.Fields), ID: t.ID}
 	var gone tuple.Tuple // the row this insert replaces or evicts
 	removed := p >= 0
 	if removed {
-		gone = tb.slab[p].t
+		gone = tb.tupleAt(int(p))
 		tb.remove(p, h)
 	}
 	tb.add(t, h, expiry)
@@ -279,45 +297,82 @@ func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 }
 
 // add appends a live row at the end of the slab and links it into the
-// key map and every index.
+// key array and every index.
 func (tb *Table) add(t tuple.Tuple, h uint64, expiry float64) {
-	tb.slab = append(tb.slab, row{t: t, expiry: expiry})
-	tb.linkKey(int32(len(tb.slab)-1), h)
+	tb.slab = append(tb.slab, row{fields: t.Fields, id: t.ID, expiry: expiry})
+	if len(tb.slab)*4 > len(tb.keys)*3 {
+		tb.rekey(slotsFor(len(tb.slab)))
+	} else {
+		tb.linkKey(int32(len(tb.slab)-1), h)
+	}
 	tb.count++
 	for _, ix := range tb.indexes {
-		ix.push(t, true)
+		ix.push(t.Fields, true)
 	}
 }
 
-// linkKey puts position p at the head of the chain for primary-key hash h.
-func (tb *Table) linkKey(p int32, h uint64) {
-	tb.slab[p].next = -1
-	if q, ok := tb.keys[h]; ok {
-		tb.slab[p].next = q
+// minSlots is the smallest position array.
+const minSlots = 4
+
+// slotsFor returns the power-of-two array length that holds n entries
+// at most three quarters full.
+func slotsFor(n int) int {
+	s := minSlots
+	for s*3 < n*4 {
+		s *= 2
 	}
-	tb.keys[h] = p
+	return s
+}
+
+// refit returns the length an array of n slots, large enough for need
+// entries, should keep: n, unless that is at least four times what they
+// take.
+func refit(n, need int) int {
+	if s := slotsFor(need); n >= 4*s {
+		return s
+	}
+	return n
+}
+
+// rekey rebuilds the key array at length n from the live rows.
+func (tb *Table) rekey(n int) {
+	if n != len(tb.keys) {
+		tb.keys = make([]int32, n)
+	} else {
+		clear(tb.keys)
+	}
+	for p := range tb.slab {
+		if !tb.slab[p].dead {
+			tb.linkKey(int32(p), tb.keyOf(tb.tupleAt(p)))
+		}
+	}
+}
+
+// linkKey puts position p in the first free or removed slot from the
+// one its primary-key hash h picks.
+func (tb *Table) linkKey(p int32, h uint64) {
+	mask := len(tb.keys) - 1
+	i := int(h) & mask
+	for tb.keys[i] > 0 {
+		i = (i + 1) & mask
+	}
+	tb.keys[i] = p + 1
 }
 
 // remove makes slab[p] (primary-key hash h) a tombstone and unlinks it
-// from the key map and every index.
+// from the key array and every index.
 func (tb *Table) remove(p int32, h uint64) {
 	r := &tb.slab[p]
 	r.dead = true
 	tb.count--
-	if q := tb.keys[h]; q == p {
-		if r.next < 0 {
-			delete(tb.keys, h)
-		} else {
-			tb.keys[h] = r.next
-		}
-	} else {
-		for tb.slab[q].next != p {
-			q = tb.slab[q].next
-		}
-		tb.slab[q].next = r.next
+	mask := len(tb.keys) - 1
+	i := int(h) & mask
+	for tb.keys[i] != p+1 {
+		i = (i + 1) & mask
 	}
+	tb.keys[i] = -1
 	for _, ix := range tb.indexes {
-		ix.unlink(p, r.t)
+		ix.unlink(p, r.fields)
 	}
 }
 
@@ -331,7 +386,7 @@ func (tb *Table) evictOldest() (tuple.Tuple, bool) {
 	if tb.first == len(tb.slab)-1 {
 		return tuple.Tuple{}, false
 	}
-	victim := tb.slab[tb.first].t
+	victim := tb.tupleAt(tb.first)
 	tb.remove(int32(tb.first), tb.keyOf(victim))
 	return victim, true
 }
@@ -350,16 +405,16 @@ func (tb *Table) compact() {
 		}
 	}
 	clear(tb.slab[len(live):])
+	if cap(live) >= 4*max(len(live), minSlots) {
+		live = append([]row(nil), live...)
+	}
 	tb.slab, tb.first = live, 0
 	tb.reindex()
 }
 
-// reindex rebuilds the key map and every index from the slab.
+// reindex rebuilds the key array and every index from the slab.
 func (tb *Table) reindex() {
-	clear(tb.keys)
-	for p := range tb.slab {
-		tb.linkKey(int32(p), tb.keyOf(tb.slab[p].t))
-	}
+	tb.rekey(refit(len(tb.keys), tb.count))
 	for _, ix := range tb.indexes {
 		ix.fill(tb.slab)
 	}
@@ -375,7 +430,7 @@ func (tb *Table) DeleteKey(sample tuple.Tuple) bool {
 	if p < 0 {
 		return false
 	}
-	victim := tb.slab[p].t
+	victim := tb.tupleAt(int(p))
 	tb.remove(p, h)
 	tb.compact()
 	tb.notify(OpDelete, victim)
@@ -388,7 +443,7 @@ func (tb *Table) DeleteKey(sample tuple.Tuple) bool {
 func (tb *Table) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
 	tb.syncRead(now)
 	tb.expireLocked(now)
-	victims := tb.sweep(func(r *row) bool { return matchPattern(r.t, pattern) })
+	victims := tb.sweep(func(p int) bool { return matchPattern(tb.tupleAt(p), pattern) })
 	var removed []tuple.Tuple
 	if len(victims) > 0 {
 		removed = slices.Clone(victims)
@@ -406,13 +461,14 @@ func (tb *Table) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
 // due, and returns the removed rows in slab order in the table-owned
 // buffer, which notifyRemoved hands back. The buffer is taken, not
 // shared: a listener that reads the table re-enters expiry.
-func (tb *Table) sweep(doomed func(*row) bool) []tuple.Tuple {
+func (tb *Table) sweep(doomed func(p int) bool) []tuple.Tuple {
 	victims := tb.victims[:0]
 	tb.victims = nil
 	for p := tb.first; p < len(tb.slab); p++ {
-		if r := &tb.slab[p]; !r.dead && doomed(r) {
-			victims = append(victims, r.t)
-			tb.remove(int32(p), tb.keyOf(r.t))
+		if !tb.slab[p].dead && doomed(p) {
+			t := tb.tupleAt(p)
+			victims = append(victims, t)
+			tb.remove(int32(p), tb.keyOf(t))
 		}
 	}
 	tb.compact()
@@ -453,8 +509,8 @@ func (tb *Table) Scan(now float64, fn func(tuple.Tuple)) {
 	tb.expireLocked(now)
 	tb.reading++
 	for p, end := tb.first, len(tb.slab); p < end; p++ {
-		if r := &tb.slab[p]; !r.dead {
-			fn(r.t)
+		if !tb.slab[p].dead {
+			fn(tb.tupleAt(p))
 		}
 	}
 	tb.reading--
@@ -475,12 +531,12 @@ func (tb *Table) expireLocked(now float64) {
 		return
 	}
 	next := math.Inf(1)
-	victims := tb.sweep(func(r *row) bool {
-		if r.expiry <= now {
-			return true
+	victims := tb.sweep(func(p int) bool {
+		e := tb.slab[p].expiry
+		if e > now {
+			next = min(next, e)
 		}
-		next = min(next, r.expiry)
-		return false
+		return e <= now
 	})
 	tb.soonest = next
 	tb.notifyRemoved(victims)
@@ -496,6 +552,9 @@ func (tb *Table) expireLocked(now float64) {
 func (tb *Table) Clear() {
 	clear(tb.slab)
 	tb.slab, tb.first, tb.count = tb.slab[:0], 0, 0
+	if cap(tb.slab) >= 4*minSlots {
+		tb.slab = nil
+	}
 	tb.soonest = math.Inf(1)
 	tb.reindex()
 	tb.notify(OpClear, tuple.Tuple{Name: tb.spec.Name})
@@ -519,8 +578,8 @@ func (tb *Table) SizeBytes() int {
 	tb.syncRead(math.Inf(-1))
 	n := 0
 	for p := tb.first; p < len(tb.slab); p++ {
-		if r := &tb.slab[p]; !r.dead {
-			n += r.t.SizeBytes()
+		if !tb.slab[p].dead {
+			n += tb.tupleAt(p).SizeBytes()
 		}
 	}
 	return n
@@ -528,18 +587,15 @@ func (tb *Table) SizeBytes() int {
 
 // Store is the per-node collection of tables.
 type Store struct {
-	tables map[string]*Table
-	// order lists tables in materialization order. Whole-store sweeps
-	// (ExpireAll) iterate it instead of the map: expiry fires delete
-	// listeners, whose cross-table firing order must not depend on Go's
-	// randomized map iteration or runs would not be reproducible.
+	// order lists tables in materialization order: whole-store sweeps
+	// (ExpireAll) iterate it, so the cross-table order in which expiry
+	// fires delete listeners is reproducible. A node holds a few dozen
+	// tables, so Get walks it too.
 	order []*Table
 }
 
 // NewStore creates an empty store.
-func NewStore() *Store {
-	return &Store{tables: make(map[string]*Table)}
-}
+func NewStore() *Store { return &Store{} }
 
 // Conflicts reports whether two specs for the same predicate disagree on
 // shape (lifetime, size bound, or primary key). A nil error means other
@@ -561,7 +617,7 @@ func (s Spec) Conflicts(other Spec) error {
 // returns the conflict error Materialize would, or nil. Install paths use
 // it to validate a whole program before mutating any state.
 func (s *Store) Check(spec Spec) error {
-	if tb, ok := s.tables[spec.Name]; ok {
+	if tb := s.Get(spec.Name); tb != nil {
 		return tb.spec.Conflicts(spec)
 	}
 	return nil
@@ -571,14 +627,13 @@ func (s *Store) Check(spec Spec) error {
 // respecification with a different shape is an error: OverLog programs
 // may be composed on-line, but a predicate's storage is declared once.
 func (s *Store) Materialize(spec Spec) (*Table, error) {
-	if tb, ok := s.tables[spec.Name]; ok {
+	if tb := s.Get(spec.Name); tb != nil {
 		if err := tb.spec.Conflicts(spec); err != nil {
 			return nil, err
 		}
 		return tb, nil
 	}
 	tb := New(spec)
-	s.tables[spec.Name] = tb
 	s.order = append(s.order, tb)
 	return tb, nil
 }
@@ -588,30 +643,27 @@ func (s *Store) Materialize(spec Spec) (*Table, error) {
 // vanishes, like the soft state of a dead process. Dropping an unknown
 // name is a no-op.
 func (s *Store) Drop(name string) {
-	tb, ok := s.tables[name]
-	if !ok {
-		return
-	}
-	delete(s.tables, name)
-	for i, t := range s.order {
-		if t == tb {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.order = slices.DeleteFunc(s.order, func(tb *Table) bool { return tb.spec.Name == name })
 }
 
 // Get returns the table for a predicate, or nil if the predicate is not
 // materialized (i.e. it is an event).
-func (s *Store) Get(name string) *Table { return s.tables[name] }
+func (s *Store) Get(name string) *Table {
+	for _, tb := range s.order {
+		if tb.spec.Name == name {
+			return tb
+		}
+	}
+	return nil
+}
 
 // Names returns the materialized predicate names in sorted order.
 func (s *Store) Names() []string {
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
+	names := make([]string, len(s.order))
+	for i, tb := range s.order {
+		names[i] = tb.spec.Name
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -657,52 +709,71 @@ func (s *Store) NextExpiry() float64 {
 // order, as a list linked through next and prev, which have one entry per
 // slab position.
 type index struct {
-	positions  []int
-	buckets    map[uint64]bucket
+	positions []int
+	// buckets is open-addressed by hash, at most three quarters full;
+	// used counts the buckets in it.
+	buckets    []bucket
+	used       int
 	next, prev []int32 // -1 ends a list
 }
 
-type bucket struct{ first, last int32 }
+// bucket is a list's hash and ends, each end a position p held as p+1;
+// first == 0 marks a free slot.
+type bucket struct {
+	h           uint64
+	first, last int32
+}
 
-func samePositions(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// slot returns the bucket slot for hash h: the bucket's, or the free
+// slot that ends its probe (-1 with no array yet).
+func (ix *index) slot(h uint64) int {
+	mask := len(ix.buckets) - 1
+	for i := int(h) & mask; mask >= 0; i = (i + 1) & mask {
+		if b := &ix.buckets[i]; b.first == 0 || b.h == h {
+			return i
 		}
 	}
-	return true
+	return -1
 }
 
-func (ix *index) keyOfRow(t tuple.Tuple) uint64 {
-	return tuple.HashFieldsAt(t.Fields, ix.positions)
-}
-
-// push gives the next slab position its links and, for a live row t,
-// appends it to the tail of its bucket.
-func (ix *index) push(t tuple.Tuple, live bool) {
+// push gives the next slab position its links and, for a live row with
+// these fields, appends it to the tail of its bucket.
+func (ix *index) push(fields []tuple.Value, live bool) {
 	p := int32(len(ix.next))
 	ix.next = append(ix.next, -1)
 	ix.prev = append(ix.prev, -1)
 	if !live {
 		return
 	}
-	k := ix.keyOfRow(t)
-	b, ok := ix.buckets[k]
-	if !ok {
-		ix.buckets[k] = bucket{p, p}
+	h := tuple.HashFieldsAt(fields, ix.positions)
+	i := ix.slot(h)
+	if i >= 0 && ix.buckets[i].first != 0 {
+		b := &ix.buckets[i]
+		ix.next[b.last-1], ix.prev[p] = p, b.last-1
+		b.last = p + 1
 		return
 	}
-	ix.next[b.last], ix.prev[p] = p, b.last
-	b.last = p
-	ix.buckets[k] = b
+	if ix.used++; ix.used*4 > len(ix.buckets)*3 {
+		ix.rehash(slotsFor(ix.used))
+		i = ix.slot(h)
+	}
+	ix.buckets[i] = bucket{h, p + 1, p + 1}
 }
 
-// unlink takes position p (row t) out of its bucket. next[p] is left as
-// it was, for a read standing on p.
-func (ix *index) unlink(p int32, t tuple.Tuple) {
+// rehash moves the buckets to a fresh array of n slots.
+func (ix *index) rehash(n int) {
+	old := ix.buckets
+	ix.buckets = make([]bucket, n)
+	for _, b := range old {
+		if b.first != 0 {
+			ix.buckets[ix.slot(b.h)] = b
+		}
+	}
+}
+
+// unlink takes position p (a row with these fields) out of its bucket.
+// next[p] is left as it was, for a read standing on p.
+func (ix *index) unlink(p int32, fields []tuple.Value) {
 	prev, next := ix.prev[p], ix.next[p]
 	if prev >= 0 {
 		ix.next[prev] = next
@@ -713,27 +784,53 @@ func (ix *index) unlink(p int32, t tuple.Tuple) {
 	if prev >= 0 && next >= 0 {
 		return
 	}
-	k := ix.keyOfRow(t)
-	b := ix.buckets[k]
+	i := ix.slot(tuple.HashFieldsAt(fields, ix.positions))
+	b := &ix.buckets[i]
 	if prev < 0 {
-		b.first = next
+		b.first = next + 1
 	}
 	if next < 0 {
-		b.last = prev
+		b.last = prev + 1
 	}
-	if b.first < 0 {
-		delete(ix.buckets, k)
-	} else {
-		ix.buckets[k] = b
+	if b.first == 0 {
+		ix.free(i)
 	}
 }
 
-// fill rebuilds the index from the slab.
+// free empties bucket slot i, shifting back the buckets after it that
+// the hole would cut off from the slot their hash picks.
+func (ix *index) free(i int) {
+	ix.used--
+	mask := len(ix.buckets) - 1
+	for j := i; ; i = j {
+		ix.buckets[i] = bucket{}
+		for {
+			j = (j + 1) & mask
+			if ix.buckets[j].first == 0 {
+				return
+			}
+			if k := int(ix.buckets[j].h) & mask; (j-k)&mask >= (j-i)&mask {
+				break
+			}
+		}
+		ix.buckets[i] = ix.buckets[j]
+	}
+}
+
+// fill rebuilds the index from the slab, giving back arrays at least
+// four times what the rows need.
 func (ix *index) fill(slab []row) {
 	clear(ix.buckets)
+	ix.used = 0
+	if cap(ix.next) >= 4*max(len(slab), minSlots) {
+		ix.next, ix.prev = nil, nil
+	}
 	ix.next, ix.prev = ix.next[:0], ix.prev[:0]
 	for p := range slab {
-		ix.push(slab[p].t, !slab[p].dead)
+		ix.push(slab[p].fields, !slab[p].dead)
+	}
+	if n := refit(len(ix.buckets), ix.used); n < len(ix.buckets) {
+		ix.rehash(n)
 	}
 }
 
@@ -745,13 +842,19 @@ func (tb *Table) EnsureIndex(positions []int) {
 	tb.ensureIndex(positions)
 }
 
+// locSpec is the lone location specifier: no index is built over it.
+func locSpec(positions []int) bool { return len(positions) == 1 && positions[0] == 0 }
+
 func (tb *Table) ensureIndex(positions []int) *index {
+	if locSpec(positions) {
+		return nil
+	}
 	for _, ix := range tb.indexes {
-		if samePositions(ix.positions, positions) {
+		if slices.Equal(ix.positions, positions) {
 			return ix
 		}
 	}
-	ix := &index{positions: positions, buckets: make(map[uint64]bucket)}
+	ix := &index{positions: positions}
 	ix.fill(tb.slab)
 	tb.indexes = append(tb.indexes, ix)
 	return ix
@@ -761,21 +864,25 @@ func (tb *Table) ensureIndex(positions []int) *index {
 // positions Equal values, in insertion order, probing the secondary
 // index for those positions (created on first use). It returns the
 // number of live rows in the probed bucket, hash collisions included, so
-// callers can bill per-probe costs. Like Scan, it skips rows deleted
-// before it reaches them and does not visit rows inserted during the
-// walk.
+// callers can bill per-probe costs. A probe on the location specifier
+// alone walks the slab instead and counts the rows an index would have
+// put in the bucket. Like Scan, it skips rows deleted before it reaches
+// them and does not visit rows inserted during the walk.
 func (tb *Table) MatchIndexed(now float64, positions []int, values []tuple.Value, fn func(tuple.Tuple)) int {
 	tb.syncRead(now)
 	tb.expireLocked(now)
+	if locSpec(positions) {
+		return tb.matchLoc(positions, values, fn)
+	}
 	ix := tb.ensureIndex(positions)
-	b, ok := ix.buckets[tuple.HashValues(values)]
-	if !ok {
+	i := ix.slot(tuple.HashValues(values))
+	if i < 0 || ix.buckets[i].first == 0 {
 		return 0
 	}
 	visited := 0
 	end := int32(len(tb.slab))
 	tb.reading++
-	for p := b.first; p >= 0 && p < end; p = ix.next[p] {
+	for p := ix.buckets[i].first - 1; p >= 0 && p < end; p = ix.next[p] {
 		r := &tb.slab[p]
 		if r.dead {
 			continue
@@ -783,13 +890,40 @@ func (tb *Table) MatchIndexed(now float64, positions []int, values []tuple.Value
 		visited++
 		match := true
 		for j, q := range positions {
-			if q >= len(r.t.Fields) || !r.t.Fields[q].Equal(values[j]) {
+			if q >= len(r.fields) || !r.fields[q].Equal(values[j]) {
 				match = false
 				break
 			}
 		}
 		if match {
-			fn(r.t)
+			fn(tb.tupleAt(int(p)))
+		}
+	}
+	tb.reading--
+	return visited
+}
+
+// matchLoc is MatchIndexed on field 0 alone (positions is [0]). A row
+// is visited when its field 0 hashes like values[0], as an index bucket
+// would hold it; when that is a string, an equal field settles it
+// without hashing.
+func (tb *Table) matchLoc(positions []int, values []tuple.Value, fn func(tuple.Tuple)) int {
+	v, h := values[0], tuple.HashValues(values)
+	str := v.Kind() == tuple.KindStr
+	visited := 0
+	tb.reading++
+	for p, end := tb.first, len(tb.slab); p < end; p++ {
+		r := &tb.slab[p]
+		if r.dead {
+			continue
+		}
+		eq := len(r.fields) > 0 && r.fields[0].Equal(v)
+		if !(eq && str) && tuple.HashFieldsAt(r.fields, positions) != h {
+			continue
+		}
+		visited++
+		if eq {
+			fn(tb.tupleAt(p))
 		}
 	}
 	tb.reading--
