@@ -59,8 +59,8 @@ bench-lifecycle:
 bench-trace:
 	go run ./cmd/p2bench -exp trace
 
-# Stats-publication overhead: the churn run with the nodeStats/queryStats
-# publication off vs on.
+# What reading the stats tables costs: the churn run without and with
+# the §3.2 profiler sweeping nodeStats/queryStats on every node.
 bench-profiler:
 	go run ./cmd/p2bench -exp profiler
 

@@ -14,7 +14,7 @@
 //	p2bench -exp lifecycle      # install/measure/uninstall each §3.1 detector
 //	p2bench -exp scenario -scenario f.txt   # replay a fault scenario file
 //	p2bench -exp trace          # export a causal Chrome trace + Prometheus scrape
-//	p2bench -exp profiler       # stats-publication overhead on the churn run
+//	p2bench -exp profiler       # stats-profiler overhead on the churn run
 //	p2bench -exp forensics      # durable trace store: overhead + lineage queries
 //	p2bench -exp scale          # 100/1k/10k-host sweep: bytes/host + events/sec
 //	p2bench -exp aggtree        # in-network aggregation trees vs flat collection

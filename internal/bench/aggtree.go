@@ -95,7 +95,7 @@ materialize(hostWeight, infinity, 1, keys(1)).
 func aggTreeWeight(rank int) int64 { return int64(rank*37%101 + 1) }
 
 // aggTreeSpecs are the measured cluster queries: the member count over
-// the stats publications plus sum/min/max over the seeded weights.
+// the nodeStats tables plus sum/min/max over the seeded weights.
 func aggTreeSpecs(period float64) []monitor.ClusterSpec {
 	weights := []string{"hostWeight"}
 	return []monitor.ClusterSpec{
@@ -151,7 +151,7 @@ func runAggTree(seed int64, h, fanout int, simSecs, period float64, accErr *stri
 	// strands queued behind it; the tree overlay is rank-based and does
 	// not need Chord.
 	r, err := chord.NewRing(chord.RingConfig{
-		N: h, Seed: seed, StatsPeriod: 2, NoChord: true,
+		N: h, Seed: seed, NoChord: true,
 		Tree:          &chord.TreeConfig{Fanout: fanout, Heartbeat: 2},
 		ExtraPrograms: []*overlog.Program{overlog.MustParse(aggTreeWeightProgram)},
 	})

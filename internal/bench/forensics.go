@@ -79,10 +79,10 @@ type ForensicsResult struct {
 // not the CPU metrics. Attaching a trace store bills real append CPU
 // (BusySeconds moves, by design), so the determinism contract for the
 // store is exactly "emissions identical, bill visible". The
-// nodeStats/queryStats publications are the same metrics reflected into
-// tables, so they are excluded for the same reason: instrumentation
-// features may legitimately move the bill without perturbing what the
-// rings computed.
+// nodeStats/queryStats tables are the same metrics reflected into
+// tables (this scan would fill them), so they are excluded for the same
+// reason: instrumentation features may legitimately move the bill
+// without perturbing what the rings computed.
 func emissionsFP(r *chord.Ring) string {
 	var b strings.Builder
 	now := r.Sim.Now()

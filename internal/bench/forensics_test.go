@@ -211,7 +211,7 @@ func TestStoreLineageSurvivesEviction(t *testing.T) {
 // must be byte-identical to rendering it from the live tables.
 func TestExportChromeStoreMatchesLive(t *testing.T) {
 	generous := trace.Config{RuleExecTTL: 1e9, RuleExecMax: 1 << 30, RecordsPerStrand: 8, TupleLogMax: 100}
-	scfg := tracestore.Config{Enabled: true, WindowSeconds: 10, MaxSegments: 1 << 20, MaxBytes: 1 << 40}
+	scfg := tracestore.Config{WindowSeconds: 10, MaxSegments: 1 << 20, MaxBytes: 1 << 40}
 	r := runForensicRing(t, 7, generous, &scfg)
 
 	exports := make([]trace.ExportNode, 0, len(r.Addrs))

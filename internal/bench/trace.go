@@ -9,6 +9,8 @@ import (
 	"p2go/internal/chord"
 	"p2go/internal/engine"
 	"p2go/internal/metrics"
+	"p2go/internal/monitor"
+	"p2go/internal/overlog"
 	"p2go/internal/trace"
 	"p2go/internal/tuple"
 )
@@ -56,7 +58,6 @@ func TraceExport(seed int64, quick bool, outDir string) (TraceResult, error) {
 
 	r, err := chord.NewRing(chord.RingConfig{
 		N: n, Seed: seed, Tracing: &tcfg,
-		StatsPeriod: 5,
 	})
 	if err != nil {
 		return TraceResult{}, err
@@ -138,43 +139,47 @@ func FormatTrace(res TraceResult) string {
 		res.ChromePath, res.ChromeBytes, res.PromPath, res.PromBytes)
 }
 
-// StatsOverheadResult compares two identical churn runs with stats
-// publication off and on: the cost of making the engine's own counters
-// queryable, billed to the reserved system query.
+// StatsOverheadResult compares two identical churn runs, without and
+// with the §3.2 profiler (monitor.ProfilerDetector) on every node: what
+// reading the engine's own counters through queries costs. Nothing is
+// paid until a query reads them.
 type StatsOverheadResult struct {
-	// Period is the publication period of the "on" run (seconds).
+	// Period is the profiler's sweep period (seconds).
 	Period float64
 	// BaseBusy / StatsBusy are the total BusySeconds summed over every
-	// node for the off and on runs.
+	// node for the runs without and with the profiler.
 	BaseBusy  float64
 	StatsBusy float64
 	// OverheadPercent is the relative BusySeconds increase.
 	OverheadPercent float64
-	// SystemBusy is the "on" run's total system-query bill (publication
-	// rides the system bucket, so its growth bounds the added work).
-	SystemBusy float64
-	// NodeStatsRows / QueryStatsRows count the stats-table rows live on
-	// the measured node at the end of the "on" run.
+	// ProfilerBusy is the profiler query's bill summed over every node:
+	// its sweeps, and the stats-table fills its reads cause.
+	ProfilerBusy float64
+	// NodeStatsRows / QueryStatsRows count the stats-table rows the
+	// measured node holds when read at the end of the profiled run.
 	NodeStatsRows  int
 	QueryStatsRows int
 	// AccountingErr records a violated per-query accounting invariant
-	// on the measured node of the "on" run ("" = bills sum to totals).
+	// on the measured node of the profiled run ("" = bills sum to
+	// totals).
 	AccountingErr string
 }
 
-// StatsOverhead measures the tentpole's introspection tax: it repeats
-// the §4 churn experiment with stats publication disabled and enabled
-// (period 5 s on all nodes) and reports the BusySeconds delta. The
-// publication strand runs as the reserved system query, so per-query
-// accounting must still sum — CheckQueryAccounting gates that.
+// StatsOverhead measures the introspection tax: it repeats the §4 churn
+// experiment without and with the stats profiler (period 5 s) on all
+// nodes and reports the BusySeconds delta. A read of the stats tables
+// bills the reading query, so the delta lands in the profiler's bucket
+// and per-query accounting must still sum — CheckQueryAccounting gates
+// that.
 func StatsOverhead(seed int64) (StatsOverheadResult, error) {
 	const period = 5.0
-	run := func(statsPeriod float64) (*chord.Ring, float64, error) {
+	detectors := churnDetectors()
+	profiler := chord.ExtraQueryID(len(detectors))
+	run := func(detectors []*overlog.Program) (*chord.Ring, float64, error) {
 		r, _, err := chord.RunChurn(chord.ChurnConfig{
 			N: Nodes, Seed: seed, Converge: ConvergeTime, End: 480,
-			Detectors:   churnDetectors(),
-			AlarmNames:  churnAlarms,
-			StatsPeriod: statsPeriod,
+			Detectors:  detectors,
+			AlarmNames: churnAlarms,
 		})
 		if err != nil {
 			return nil, 0, err
@@ -188,10 +193,10 @@ func StatsOverhead(seed int64) (StatsOverheadResult, error) {
 
 	res := StatsOverheadResult{Period: period}
 	var err error
-	if _, res.BaseBusy, err = run(0); err != nil {
+	if _, res.BaseBusy, err = run(detectors); err != nil {
 		return res, err
 	}
-	r, statsBusy, err := run(period)
+	r, statsBusy, err := run(append(detectors, monitor.ProfilerDetector(period).Program))
 	if err != nil {
 		return res, err
 	}
@@ -200,9 +205,7 @@ func StatsOverhead(seed int64) (StatsOverheadResult, error) {
 		res.OverheadPercent = 100 * (res.StatsBusy - res.BaseBusy) / res.BaseBusy
 	}
 	for _, a := range r.Addrs {
-		if q, ok := r.Node(a).QueryMetrics()[engine.SystemQuery]; ok {
-			res.SystemBusy += q.BusySeconds
-		}
+		res.ProfilerBusy += r.Node(a).QueryMetrics()[profiler].BusySeconds
 	}
 	mn := r.Node(Measured)
 	res.NodeStatsRows = countRows(r, Measured, engine.NodeStatsTableName)
@@ -216,14 +219,14 @@ func StatsOverhead(seed int64) (StatsOverheadResult, error) {
 // FormatStatsOverhead renders the profiler-overhead comparison.
 func FormatStatsOverhead(res StatsOverheadResult) string {
 	return fmt.Sprintf(
-		"Profiler: stats publication (period %gs, all %d nodes) over the churn run\n"+
+		"Profiler: stats profiler (period %gs, all %d nodes) over the churn run\n"+
 			"  BusySeconds off : %10.4f\n"+
 			"  BusySeconds on  : %10.4f  (%+.2f%%)\n"+
-			"  system bill     : %10.4f\n"+
+			"  profiler bill   : %10.4f\n"+
 			"  stats tables on %s: %d nodeStats rows, %d queryStats rows\n"+
 			"  accounting      : %s\n",
 		res.Period, Nodes, res.BaseBusy, res.StatsBusy, res.OverheadPercent,
-		res.SystemBusy, Measured, res.NodeStatsRows, res.QueryStatsRows,
+		res.ProfilerBusy, Measured, res.NodeStatsRows, res.QueryStatsRows,
 		formatAccounting(res.AccountingErr))
 }
 

@@ -52,10 +52,6 @@ type ChurnConfig struct {
 	// pick an UninstallAt when the targets are up (0 = at convergence).
 	Uninstall   []string
 	UninstallAt float64
-	// StatsPeriod, when positive, turns on stats publication on every
-	// node (see RingConfig.StatsPeriod) — used by the overhead
-	// measurement comparing churn runs with publication on and off.
-	StatsPeriod float64
 	// Tracing enables execution logging on every node; TraceStore
 	// additionally writes every trace record through the durable store
 	// (see RingConfig). Used by the forensics experiment, which runs
@@ -160,7 +156,6 @@ func RunChurn(cfg ChurnConfig) (*Ring, ChurnResult, error) {
 	r, err := NewRing(RingConfig{
 		N: cfg.N, Seed: cfg.Seed, LossProb: cfg.LossProb,
 		ExtraPrograms: cfg.Detectors,
-		StatsPeriod:   cfg.StatsPeriod,
 		Tracing:       cfg.Tracing,
 		TraceStore:    cfg.TraceStore,
 	})

@@ -83,7 +83,7 @@ func TestParallelDeterminism21(t *testing.T) {
 func tracedStreams(t *testing.T) []string {
 	t.Helper()
 	tcfg := trace.DefaultConfig()
-	scfg := tracestore.Config{Enabled: true, WindowSeconds: 5}
+	scfg := tracestore.Config{WindowSeconds: 5}
 	r, err := NewRing(RingConfig{N: 21, Seed: 42, Tracing: &tcfg, TraceStore: &scfg})
 	if err != nil {
 		t.Fatal(err)

@@ -40,21 +40,20 @@ type RingConfig struct {
 	// managed queries named "extra1", "extra2", ... in slice order —
 	// uninstallable by that ID.
 	ExtraPrograms []*overlog.Program
-	// StatsPeriod, when positive, turns on stats publication on every
-	// node (engine.EnableStatsPublication): the engine's counters become
-	// queryable through the nodeStats/queryStats tables, refreshed on
-	// this period.
+	// StatsPeriod is ignored: every node's nodeStats/queryStats tables
+	// fill when read, so there is no publication period to set. It is
+	// kept for callers written against periodic publication.
 	StatsPeriod float64
 	// Tree, when set, installs the aggregation-tree overlay on every
 	// node (see tree.go); node i joins at rank i. It installs before
 	// ExtraPrograms, so extras may reference treeParent.
 	Tree *TreeConfig
-	// NoChord skips the Chord substrate: nodes get only the overlay,
-	// stats publication and the extra programs. Monitoring benchmarks
-	// use this to measure their own traffic on quiet hosts — large
-	// rings can drive Chord itself into the distressed regime (load-
-	// delayed pings read as failures), which starves everything queued
-	// behind the substrate's repair storm.
+	// NoChord skips the Chord substrate: nodes get only the overlay and
+	// the extra programs. Monitoring benchmarks use this to measure
+	// their own traffic on quiet hosts — large rings can drive Chord
+	// itself into the distressed regime (load-delayed pings read as
+	// failures), which starves everything queued behind the substrate's
+	// repair storm.
 	NoChord bool
 }
 
@@ -169,11 +168,6 @@ func (r *Ring) AddLateNode(addr string) (*engine.Node, error) {
 			}
 		}
 		if _, err := n.InstallCompiledQuery(ExtraQueryID(i), r.extrasCompiled[i]); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.StatsPeriod > 0 {
-		if err := n.EnableStatsPublication(cfg.StatsPeriod); err != nil {
 			return nil, err
 		}
 	}

@@ -399,7 +399,6 @@ const (
 	CostWatch        = 62.5e-6 // delivering one watched tuple to the observer (calibrated like a table op)
 	CostMarshal      = 50e-6   // marshal or unmarshal one tuple
 	CostTraceTap     = 25e-6   // tracer tap + log-table bookkeeping (when tracing on)
-	CostStatsPublish = 30e-6   // snapshotting the counters for one stats publication
 	CostAggApply     = 20e-6   // incremental accumulator update for one table delta
 	CostAggEmit      = 25e-6   // accumulator lookup + group filter per trigger
 	CostStoreAppend  = 2e-6    // one record into the trace store's active segment

@@ -18,6 +18,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"p2go/internal/dataflow"
 	"p2go/internal/overlog"
@@ -106,6 +107,15 @@ func (n *Node) Compile(prog *overlog.Program) (*CompiledQuery, error) {
 			ps, err := planner.CompileRule(s, env, gen)
 			if err != nil {
 				return nil, err
+			}
+			rule := ps[0].RuleID
+			// A delta strand on a stats table would never fire.
+			ps = slices.DeleteFunc(ps, func(p *dataflow.Plan) bool {
+				return p.Trigger.Kind == dataflow.TriggerDelta && statsTable(p.Trigger.Name)
+			})
+			if len(ps) == 0 {
+				return nil, fmt.Errorf("engine: rule %s has no trigger: %s and %s change only when read; join a periodic or an event",
+					rule, NodeStatsTableName, QueryStatsTableName)
 			}
 			cq.plans = append(cq.plans, ps...)
 		}

@@ -21,12 +21,10 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"p2go/internal/dataflow"
 	"p2go/internal/metrics"
 	"p2go/internal/overlog"
-	"p2go/internal/planner"
 	"p2go/internal/rng"
 	"p2go/internal/table"
 	"p2go/internal/trace"
@@ -42,39 +40,12 @@ const (
 	QueryTableName = "queryTable"
 )
 
-// Performance-counter reflection tables: the engine's metrics.Node
-// counters and per-query bills, published as ordinary soft-state rows
-// on a configurable period (EnableStatsPublication) so OverLog programs
-// can query live engine performance — the §3.2 profiler as a pure
-// query. Row layouts:
-//
-//	nodeStats(NAddr, Epoch, Counter, Value)
-//	queryStats(NAddr, Epoch, QueryID, Counter, Value)
-//
-// Epoch is the node's process incarnation (0 from birth, +1 per
-// Rejoin), so collectors aggregating stats from remote nodes can tell a
-// rejoined node's fresh rows from stale pre-crash ones. Counter names
-// follow metrics.Node.Counters / metrics.Query.Counters plus the
-// observability extras in Node.ObsCounters; Value is a float for
-// *Seconds counters and an int for everything else.
-const (
-	NodeStatsTableName  = "nodeStats"
-	QueryStatsTableName = "queryStats"
-)
-
 // NodeEpochTableName is the engine-owned single-row table
 // nodeEpoch(NAddr, Epoch) holding the node's process incarnation.
 // It exists from birth like the stats tables, so any OverLog program
 // can join it without declaring it — the aggregation-tree protocol
 // stamps its heartbeats and partial aggregates with it.
 const NodeEpochTableName = "nodeEpoch"
-
-// StatsPublishEventName is the internal event that triggers one stats
-// publication. EnableStatsPublication installs a periodic rule emitting
-// it; the engine intercepts the event (like installProgram) and queues
-// fresh nodeStats/queryStats rows through the normal dataflow path, so
-// delta strands reading the stats tables fire like on any other table.
-const StatsPublishEventName = "statsPublish"
 
 // InstallEventName is the higher-order installation event (§1.3: "the
 // system can be programmed to react to events by installing new triggers
@@ -161,18 +132,18 @@ type Config struct {
 	// OnNewPeriodic is invoked when installing a program registers a
 	// new periodic trigger, so the driver can schedule it.
 	OnNewPeriodic func(p *Periodic)
-	// TraceStore, when non-nil and Enabled, gives the tracer a durable
-	// append-only trace store (forensic log); it has no effect unless
-	// tracing is enabled too.
+	// TraceStore, when non-nil, gives the tracer a durable append-only
+	// trace store (forensic log); it has no effect unless tracing is
+	// enabled too.
 	TraceStore *tracestore.Config
 	// ExtraObs, when non-nil, contributes driver-owned counters appended
-	// to ObsCounters — the realtime transport publishes its datagram and
+	// to ObsCounters — the realtime transport reports its datagram and
 	// overload-drop totals through this so they reach the queryable
 	// nodeStats table and the Prometheus exposition. Implementations must
 	// be safe to call from the node's executor goroutine while other
 	// goroutines (e.g. a socket reader) update the underlying values:
 	// transport counters are atomics. Simulated drivers leave it nil, so
-	// the published row set stays mode-invariant where the determinism
+	// the nodeStats row set stays mode-invariant where the determinism
 	// fingerprints demand it.
 	ExtraObs func() []metrics.Counter
 }
@@ -226,10 +197,6 @@ type Node struct {
 	tracer *trace.Tracer
 	met    metrics.Node
 	hists  metrics.NodeHists
-	// statsPub is the engine-owned periodic driving stats publication
-	// (nil until EnableStatsPublication); statsPeriod its interval.
-	statsPub    *Periodic
-	statsPeriod float64
 	// perQuery splits the node counters by query ID; curStats points at
 	// the bucket bills currently land in (the running strand's query, or
 	// system between strands). A bucket is made when its query installs
@@ -239,8 +206,9 @@ type Node struct {
 	sysStats *metrics.Query
 
 	// epoch counts process incarnations: 0 from birth, incremented by
-	// Rejoin. Published in every stats row and queryable via nodeEpoch.
-	epoch int64
+	// Rejoin. Stamped on every stats row and queryable via nodeEpoch.
+	epoch       int64
+	statsFilled uint8 // bit i: the running task filled stats table i (stats.go)
 
 	nextTupleID  uint64
 	labelCounter int
@@ -278,11 +246,10 @@ func NewNode(cfg Config) *Node {
 	system(RuleTableName, 2, 3, 4)
 	system(TableTableName, 2)
 	system(QueryTableName, 2)
-	// Performance-counter tables exist from birth (empty until
-	// EnableStatsPublication turns publication on), so any OverLog
-	// program can join them without declaring them.
+	// Performance-counter tables (stats.go).
 	system(NodeStatsTableName, 3)
 	system(QueryStatsTableName, 3, 4)
+	n.bindStats()
 	// The epoch row is inserted directly (no task is running at birth;
 	// there are no strands to fire yet either).
 	epoch := system(NodeEpochTableName, 1)
@@ -390,7 +357,7 @@ func (n *Node) HasQuery(id string) bool {
 
 // EnableTracing turns on execution logging: every strand's taps feed the
 // tracer, and ruleExec/tupleTable appear in the store. When
-// Config.TraceStore is set and enabled, the tracer additionally writes
+// Config.TraceStore is set, the tracer additionally writes
 // every trace record through a durable append-only store; the append
 // CPU is billed offline to the system bucket (real work the operator
 // pays for, but asynchronous to the dataflow — it never moves the
@@ -404,7 +371,7 @@ func (n *Node) EnableTracing(cfg trace.Config) error {
 		return err
 	}
 	n.tracer = tr
-	if sc := n.cfg.TraceStore; sc != nil && sc.Enabled {
+	if sc := n.cfg.TraceStore; sc != nil {
 		st := tracestore.New(n.cfg.Addr, *sc)
 		tr.AttachStore(st, func(appended, sealed int) {
 			n.billOffline(float64(appended)*dataflow.CostStoreAppend +
@@ -423,122 +390,6 @@ func (n *Node) EnableTracing(cfg trace.Config) error {
 		n.materialize(n.store.Get(name).Spec())
 	}
 	return nil
-}
-
-// EnableStatsPublication turns on queryable performance counters: every
-// period virtual seconds the node's metrics.Node counters and per-query
-// bills are re-published into the nodeStats and queryStats tables,
-// flowing through the normal dataflow queue so delta strands reading
-// them fire like on any other table change. The publication rule and
-// every cost it incurs are metered to the reserved "system" query (the
-// engine billing itself is bookkeeping, not application work). Idempotent;
-// the first call's period wins. Like a restart wipes any soft state,
-// Rejoin clears the published rows — they reappear within one period.
-func (n *Node) EnableStatsPublication(period float64) error {
-	if n.statsPub != nil {
-		return nil
-	}
-	if period <= 0 {
-		return fmt.Errorf("engine: stats publication period must be positive, got %g", period)
-	}
-	src := fmt.Sprintf("statsPub %s@NAddr() :- periodic@NAddr(E, %g).", StatsPublishEventName, period)
-	prog, err := overlog.Parse(src)
-	if err != nil {
-		return fmt.Errorf("engine: stats publication: %w", err)
-	}
-	ps, err := planner.CompileRule(prog.Rules()[0], planner.EnvFunc(func(name string) bool {
-		return n.store.Get(name) != nil
-	}), n.genLabel)
-	if err != nil {
-		return fmt.Errorf("engine: stats publication: %w", err)
-	}
-	// The strand belongs to the reserved system query (InstallQuery
-	// refuses that ID precisely so only the engine can bill it), so
-	// runStrand and HandleTimer attribute its work to the system bucket.
-	s := ps[0].Instantiate(SystemQuery)
-	p := &Periodic{Strand: s, qs: n.sysStats}
-	n.periodics = append(n.periodics, p)
-	n.statsPub = p
-	n.statsPeriod = period
-	n.reflect(tuple.New(RuleTableName,
-		tuple.Str(n.cfg.Addr), tuple.Str(SystemQuery), tuple.Str(s.RuleID),
-		tuple.Str(s.Trigger.Name), tuple.Str(s.Source)), false)
-	if n.cfg.OnNewPeriodic != nil {
-		n.cfg.OnNewPeriodic(p)
-	}
-	n.reflectNow()
-	return nil
-}
-
-// StatsPeriod returns the stats-publication period, or 0 when off.
-func (n *Node) StatsPeriod() float64 { return n.statsPeriod }
-
-// publishStats snapshots the node and per-query counters and queues one
-// row per counter into the stats tables. Queued rows drain through
-// processOne like any other tuple: each insert bills CostTableOp to the
-// current bucket, which between strands is the system bucket — so the
-// entire publication is metered to the reserved system query and
-// per-query accounting keeps summing to node totals. Counter values are
-// the snapshot taken here; work done inserting the rows themselves shows
-// up in the next publication (self-measurement lags one period at most).
-func (n *Node) publishStats() {
-	n.billTo(n.sysStats, dataflow.CostStatsPublish)
-	addr := tuple.Str(n.cfg.Addr)
-	epoch := tuple.Int(n.epoch)
-	for _, c := range n.met.Snapshot().Counters() {
-		n.reflect(n.taskTuple(NodeStatsTableName,
-			addr, epoch, tuple.Str(c.Name), counterValue(c)), false)
-	}
-	for _, c := range n.ObsCounters() {
-		n.reflect(n.taskTuple(NodeStatsTableName,
-			addr, epoch, tuple.Str(c.Name), counterValue(c)), false)
-	}
-	ids := make([]string, 0, len(n.perQuery))
-	for id, q := range n.perQuery {
-		if reported(id, q) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		for _, c := range n.perQuery[id].Snapshot().Counters() {
-			n.reflect(n.taskTuple(QueryStatsTableName,
-				addr, epoch, tuple.Str(id), tuple.Str(c.Name), counterValue(c)), false)
-		}
-	}
-}
-
-// ObsCounters returns the observability extras published alongside the
-// metrics.Node counters: the trace store's append/seal totals. They
-// deliberately live outside metrics.Node — the store counters differ
-// between store-on and store-off runs, so keeping them out of the node
-// counters (and the stats tables out of emissions fingerprints)
-// preserves the bit-identical determinism contract across those modes.
-// The row set is fixed regardless of configuration (zeros when the store
-// is off), so publication itself is mode-invariant. All values are
-// monotone.
-func (n *Node) ObsCounters() []metrics.Counter {
-	var ss tracestore.Stats
-	if st := n.TraceStore(); st != nil {
-		ss = st.Stats()
-	}
-	cs := []metrics.Counter{
-		{Name: "StoreAppends", Prom: "store_appends", I: ss.Appended()},
-		{Name: "StoreSealedSegments", Prom: "store_sealed_segments", I: ss.Sealed},
-		{Name: "StoreSealedRecords", Prom: "store_sealed_records", I: ss.SealedRecords},
-		{Name: "StoreEncodedBytes", Prom: "store_encoded_bytes", I: ss.TotalEncodedBytes},
-	}
-	if n.cfg.ExtraObs != nil {
-		cs = append(cs, n.cfg.ExtraObs()...)
-	}
-	return cs
-}
-
-func counterValue(c metrics.Counter) tuple.Value {
-	if c.IsFloat {
-		return tuple.Float(c.F)
-	}
-	return tuple.Int(c.I)
 }
 
 // subscribeLog wires a table's change stream into the tracer's tupleLog.
@@ -797,7 +648,7 @@ func (n *Node) finishTask() float64 {
 		n.tracer.TaskDone()
 	}
 	n.releaseArena()
-	n.inTask = false
+	n.inTask, n.statsFilled = false, 0
 	return n.micro
 }
 
@@ -993,9 +844,6 @@ func (n *Node) processOne(q queued) {
 	case UninstallEventName:
 		n.handleUninstallEvent(t)
 		return
-	case StatsPublishEventName:
-		n.publishStats()
-		return
 	}
 	if r == nil {
 		return
@@ -1104,8 +952,9 @@ func (n *Node) queryStats(id string) *metrics.Query {
 	return q
 }
 
-// reported says whether query id's bucket q is published: once its query
-// has run, so installing a query that never runs publishes nothing.
+// reported says whether query id's bucket q is reported (QueryMetrics,
+// queryStats): once its query has run, so installing a query that never
+// runs reports nothing.
 func reported(id string, q *metrics.Query) bool {
 	return id == SystemQuery || q.RuleFires > 0 || q.TimerFires > 0
 }
@@ -1172,8 +1021,9 @@ type aggSub struct {
 // accumulator for a maintainable strand, lazily wiring the table
 // listeners on first use and rewiring when a subscribed table object was
 // replaced. It returns nil for the rescan path while a table the strand
-// reads is missing (the rescan reports it) and on a traced node, where
-// the rescan gives the tracer full precondition provenance.
+// reads is missing (the rescan reports it), on a traced node, where
+// the rescan gives the tracer full precondition provenance, and when it
+// joins a stats table, which only a rescan's read fills.
 func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 	if n.tracer != nil {
 		return nil
@@ -1187,6 +1037,9 @@ func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 			return e.am
 		}
 		n.dropAggEntry(s, e)
+	}
+	if slices.ContainsFunc(s.AggPlan.Secondaries, statsTable) {
+		return nil
 	}
 	tabs := make([]aggSub, 1+len(s.AggPlan.Secondaries))
 	for i := range tabs {

@@ -113,11 +113,11 @@ func BuildCluster(spec ClusterSpec) (ClusterQuery, error) {
 }
 
 // ClusterSuite returns the stock cluster-wide stats queries over the
-// publication tables: live publisher count, total cluster busy-seconds,
-// the max tuples processed by any node, and total rule fires billed to
-// the chord substrate. period/root parameterize every query alike.
-// Rings deploy these with StatsPeriod on and the tree overlay
-// installed.
+// counter tables: live member count, total cluster busy-seconds, the
+// max tuples processed by any node, and total rule fires billed to the
+// chord substrate. period/root parameterize every query alike. Rings
+// deploy these with the tree overlay installed; each leaf partial reads
+// its node's counters on the refresh tick.
 func ClusterSuite(period float64, root string) ([]ClusterQuery, error) {
 	specs := []ClusterSpec{
 		{Name: "livecount", Period: period, Root: root, Source: `

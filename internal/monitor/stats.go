@@ -7,10 +7,10 @@ import (
 )
 
 // StatsProfilerRules implement the §3.2 performance profiler as a pure
-// OverLog query over the engine's queryable performance counters: once
-// the engine publishes its metrics into the nodeStats and queryStats
-// system tables (engine.EnableStatsPublication), these two rules
-// periodically read them back out — no Go inspection API involved.
+// OverLog query over the engine's queryable performance counters: these
+// two rules periodically read the nodeStats and queryStats system
+// tables, which the engine fills from its counters as they are read —
+// no Go inspection API involved.
 //
 //	pf1  emits profile(NAddr, Counter, Value) for every node counter,
 //	pf2  emits profQuery(NAddr, QueryID, Counter, Value) for every
@@ -18,10 +18,9 @@ import (
 //	     query costing me" report.
 //
 // The rules trigger on their own periodic (period seconds) and join the
-// stats tables, so every sweep reports the full current counter set
-// even when a counter did not change since the last publication. Pair
-// the period with the publication period: a sweep sees values at most
-// one publication period old.
+// stats tables, so every sweep reports the full counter set as it stands
+// when the sweep runs; the read itself is billed to the profiler's own
+// query.
 func StatsProfilerRules(period float64) string {
 	return fmt.Sprintf(`
 pf1 profile@NAddr(NAddr, Counter, Value) :- periodic@NAddr(E, %[1]g), nodeStats@NAddr(Ep, Counter, Value).

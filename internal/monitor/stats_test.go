@@ -20,13 +20,14 @@ func valueOf(v tuple.Value) float64 {
 // TestStatsProfilerMatchesEngineMetrics is the acceptance test for the
 // queryable performance counters: an OverLog program — no Go inspection
 // involved — deployed through the normal query lifecycle reads
-// nodeStats/queryStats and reproduces the §3.2 profiler. Every profile
-// tuple it emits must agree with the engine's Go-side metrics within
-// one refresh period: counters are monotone, so a value published after
-// snapshot A and observed before snapshot B lies in [A, B].
+// nodeStats/queryStats and reproduces the §3.2 profiler. The tables
+// fill as the profiler reads them, so every profile tuple it emits
+// carries the counter as it stood at that sweep: counters are monotone,
+// so a value read after snapshot A and observed before snapshot B lies
+// in [A, B].
 func TestStatsProfilerMatchesEngineMetrics(t *testing.T) {
-	const pubPeriod, sweepPeriod = 5.0, 5.0
-	r, err := chord.NewRing(chord.RingConfig{N: 8, Seed: 11, StatsPeriod: pubPeriod})
+	const sweepPeriod = 5.0
+	r, err := chord.NewRing(chord.RingConfig{N: 8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestStatsProfilerMatchesEngineMetrics(t *testing.T) {
 		t.Fatalf("rule errors: %v", r.Errors[:min(3, len(r.Errors))])
 	}
 
-	// The published counter set is the node counters plus the
+	// The nodeStats counter set is the node counters plus the
 	// observability extras (trace-store totals); all are monotone, so
 	// the same snapshot-window bound applies.
 	lowNode := make(map[string]float64)
@@ -67,13 +68,12 @@ func TestStatsProfilerMatchesEngineMetrics(t *testing.T) {
 		highNode[c.Name] = c.Float()
 	}
 
-	// A profile tuple observed at time t carries a value published at
-	// some point in (t - pubPeriod, t]. Tuples observed at least one
-	// full publication period after snapshot A therefore carry values
-	// from inside the [A, B] window.
+	// A profile tuple observed at time t carries the value its sweep
+	// read during the task that emitted it, so every tuple observed
+	// after snapshot A carries a value from inside the [A, B] window.
 	profiles, profQueries, sawProfiler := 0, 0, false
 	for _, w := range r.Watched {
-		if w.Node != "n4" || w.At < start+pubPeriod {
+		if w.Node != "n4" || w.At < start {
 			continue
 		}
 		switch w.T.Name {
@@ -136,13 +136,13 @@ func TestStatsProfilerMatchesEngineMetrics(t *testing.T) {
 		t.Fatal("profiler produced no profQuery tuples")
 	}
 	// The profiler's own cost is visible to itself: its query ID shows
-	// up in the published per-query bills it sweeps.
+	// up in the per-query bills it sweeps.
 	if !sawProfiler {
 		t.Error("profQuery never reported the mon:profiler query's own bill")
 	}
 
-	// Accounting integrity with publication and profiler on: per-query
-	// bills sum to the node total.
+	// Accounting integrity with the profiler on: per-query bills sum to
+	// the node total.
 	var sum float64
 	for _, q := range queriesB {
 		sum += q.BusySeconds
@@ -150,13 +150,18 @@ func TestStatsProfilerMatchesEngineMetrics(t *testing.T) {
 	if diff := math.Abs(sum - snapB.BusySeconds); diff > 1e-9*(1+snapB.BusySeconds) {
 		t.Errorf("per-query bills sum to %v, node total %v", sum, snapB.BusySeconds)
 	}
-	if queriesB[metrics.SystemQuery].BusySeconds <= queriesA[metrics.SystemQuery].BusySeconds {
-		t.Error("system bucket did not grow during the window despite stats publication")
+	// Reading the stats tables is billed to the reader: the profiler's
+	// own bucket carries its sweeps.
+	if queriesB["mon:profiler"].BusySeconds <= queriesA["mon:profiler"].BusySeconds {
+		t.Error("the profiler's bucket did not grow while it swept the stats tables")
+	}
+	if _, ok := queriesB[metrics.SystemQuery]; !ok {
+		t.Error("no system bucket")
 	}
 }
 
 // statsEpochs collects the distinct epoch values present in a node's
-// published nodeStats and queryStats rows.
+// nodeStats and queryStats rows, as a read fills them.
 func statsEpochs(r *chord.Ring, addr string) map[int64]int {
 	out := map[int64]int{}
 	now := r.Sim.Now()
@@ -168,15 +173,15 @@ func statsEpochs(r *chord.Ring, addr string) map[int64]int {
 	return out
 }
 
-// TestStatsEpochAcrossChurn: stats publication under churn. A node that
+// TestStatsEpochAcrossChurn: the stats tables under churn. A node that
 // crashes and rejoins comes back as a new process incarnation: its
-// published rows carry the bumped epoch, and no stale rows from the
+// stats rows carry the bumped epoch, and no stale rows from the
 // previous incarnation survive the restart — so a collector reading
 // nodeStats can tell a genuine counter reset (new epoch) from a counter
 // decrease (same epoch, which monotone counters forbid).
 func TestStatsEpochAcrossChurn(t *testing.T) {
 	const period = 5.0
-	r, err := chord.NewRing(chord.RingConfig{N: 6, Seed: 7, StatsPeriod: period})
+	r, err := chord.NewRing(chord.RingConfig{N: 6, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,16 +198,14 @@ func TestStatsEpochAcrossChurn(t *testing.T) {
 	r.Net.Crash("n3")
 	r.Run(20)
 	r.Net.Rejoin("n3")
-	// At least one publication period in the new incarnation, plus a
-	// second for the replaced rows to settle.
-	r.Run(2 * period)
+	r.Run(period)
 
 	if got := r.Node("n3").Epoch(); got != 1 {
 		t.Fatalf("post-rejoin epoch = %d, want 1", got)
 	}
 	post := statsEpochs(r, "n3")
 	if post[1] == 0 {
-		t.Fatal("rejoined node published no stats rows under the new epoch")
+		t.Fatal("rejoined node has no stats rows under the new epoch")
 	}
 	if post[0] != 0 {
 		t.Errorf("%d stale stats rows from epoch 0 survived the rejoin", post[0])
@@ -227,7 +230,7 @@ func TestStatsEpochAcrossChurn(t *testing.T) {
 // TestProfilerDetectorLifecycle: the profiler deploys and undeploys
 // like any §3.1 detector, leaving the node's dataflow shape unchanged.
 func TestProfilerDetectorLifecycle(t *testing.T) {
-	r, err := chord.NewRing(chord.RingConfig{N: 4, Seed: 3, StatsPeriod: 5})
+	r, err := chord.NewRing(chord.RingConfig{N: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

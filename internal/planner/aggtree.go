@@ -42,6 +42,11 @@ const (
 	// (engine.NodeEpochTableName) generated refresh rules join so every
 	// partial carries its origin's epoch.
 	NodeEpochTable = "nodeEpoch"
+	// NodeStatsTable and QueryStatsTable are the engine's counter tables,
+	// filled on read and so without deltas: a leaf partial over one runs
+	// on the refresh tick.
+	NodeStatsTable  = "nodeStats"
+	QueryStatsTable = "queryStats"
 	// TreeParentTable is the overlay's parent-selection table
 	// (chord.TreeParentTableName); tree-mode rewrites route partials
 	// along it. The root is the node whose treeParent row names itself.
@@ -70,7 +75,8 @@ type ClusterAgg struct {
 	LocVar string
 	// Body is the re-rendered body source, reused verbatim by the
 	// generated leaf rules.
-	Body string
+	Body   string
+	onTick bool // the body reads a counter table
 }
 
 // mergeOp maps each splittable aggregate to the operator that combines
@@ -110,8 +116,10 @@ func AnalyzeClusterAgg(r *overlog.Rule, env Env) (*ClusterAgg, error) {
 		return nil, fmt.Errorf("body has no predicates")
 	}
 	locVar := ""
+	onTick := false
 	bound := map[string]bool{}
 	for _, p := range preds {
+		onTick = onTick || p.Name == NodeStatsTable || p.Name == QueryStatsTable
 		if p.Name == "periodic" {
 			return nil, fmt.Errorf("periodic bodies are not splittable (the rewrite owns the refresh clock)")
 		}
@@ -163,6 +171,7 @@ func AnalyzeClusterAgg(r *overlog.Rule, env Env) (*ClusterAgg, error) {
 		Value:   agg.Var,
 		LocVar:  locVar,
 		Body:    strings.Join(body, ", "),
+		onTick:  onTick,
 	}, nil
 }
 
@@ -184,14 +193,15 @@ var tagRE = regexp.MustCompile(`^[A-Za-z0-9_]+$`)
 
 // Rewrite generates the OverLog split program for the analyzed
 // aggregate: leaf rules maintaining the local partial (delta strands
-// over the original body, so the incremental-aggregate path applies),
-// a per-query refresh clock, and tick-driven merge/upward strands.
+// over the original body, so the incremental-aggregate path applies;
+// on the tick when the body reads a counter table), a per-query refresh
+// clock, and tick-driven merge/upward strands.
 //
 // Propagation is deliberately tick-paced rather than delta-cascaded:
 // emissions land after the tick's strands finish, so each refresh moves
 // partials exactly one level and a depth-d tree converges d+2 ticks
-// after its leaves stabilize. In exchange every row in every partial
-// inbox is re-pushed (and so TTL-refreshed) every period even when
+// after its leaves stabilize (d+3 for a leaf on the tick). In exchange
+// every row in every partial inbox is re-pushed (and so TTL-refreshed) every period even when
 // values are static — liveness never depends on values changing. The
 // count-merge strand installs before the weight-merge strand on
 // purpose: both fire on the same tick, so the root and upward strands
@@ -238,8 +248,12 @@ func (a *ClusterAgg) Rewrite(cfg SplitConfig) (string, error) {
 	w("materialize(%s, infinity, 1, keys(1)).", subC)
 	w("materialize(%s, infinity, 1, keys(1)).", a.Head)
 	// Leaf partials: the original body, aggregated locally.
-	w("agg_%s_lw %s@%s(%s) :- %s.", tag, selfW, a.LocVar, leaf, a.Body)
-	w("agg_%s_lc %s@%s(count<*>) :- %s.", tag, selfC, a.LocVar, a.Body)
+	body := a.Body
+	if a.onTick {
+		body = tick + "@" + a.LocVar + "(AggE), " + body
+	}
+	w("agg_%s_lw %s@%s(%s) :- %s.", tag, selfW, a.LocVar, leaf, body)
+	w("agg_%s_lc %s@%s(count<*>) :- %s.", tag, selfC, a.LocVar, body)
 	// Refresh clock.
 	w("agg_%s_tk %s@AggN(AggE) :- periodic@AggN(AggE, %s).", tag, tick, period)
 	// Self partial into the local inbox.

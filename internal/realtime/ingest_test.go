@@ -219,9 +219,6 @@ func TestTransportStatsPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer u.Stop()
-	if err := u.Node().EnableStatsPublication(0.05); err != nil {
-		t.Fatal(err)
-	}
 	ln, err := ServeMetrics("127.0.0.1:0", u)
 	if err != nil {
 		t.Fatal(err)
@@ -241,32 +238,22 @@ func TestTransportStatsPublished(t *testing.T) {
 		t.Fatalf("TransportDatagramsRecv missing from ObsCounters extras: %v", s.Extras)
 	}
 
-	// The nodeStats table gains the transport rows after a publication
-	// firing.
-	deadline := time.Now().Add(3 * time.Second)
-	published := false
-	for !published && time.Now().Before(deadline) {
-		time.Sleep(30 * time.Millisecond)
-		res := make(chan bool, 1)
-		select {
-		case u.exec.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() {
-			ok := false
-			if tbl := u.exec.node.Store().Get("nodeStats"); tbl != nil {
-				tbl.Scan(1e12, func(row tuple.Tuple) {
-					if row.Arity() >= 3 && row.Field(2).AsStr() == "TransportDatagramsRecv" {
-						ok = true
-					}
-				})
-			}
-			res <- ok
-		}}:
-			published = <-res
-		case <-u.exec.stopped:
-			t.Fatal("node stopped")
+	// A read of nodeStats on the node's goroutine fills it, transport
+	// rows included.
+	res := make(chan bool, 1)
+	select {
+	case u.exec.tasks <- task{at: time.Now(), kind: taskFunc, fn: func() {
+		ok := false
+		u.exec.node.Store().Get("nodeStats").Scan(1e12, func(row tuple.Tuple) {
+			ok = ok || row.Field(2).AsStr() == "TransportDatagramsRecv"
+		})
+		res <- ok
+	}}:
+		if !<-res {
+			t.Error("nodeStats has no TransportDatagramsRecv row")
 		}
-	}
-	if !published {
-		t.Error("TransportDatagramsRecv row never appeared in nodeStats")
+	case <-u.exec.stopped:
+		t.Fatal("node stopped")
 	}
 
 	// The Prometheus exposition includes the transport series.

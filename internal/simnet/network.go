@@ -31,7 +31,7 @@ type Config struct {
 	SweepInterval float64
 	// Tracing, when non-nil, enables execution logging on every node.
 	Tracing *trace.Config
-	// TraceStore, when non-nil and Enabled, gives every traced node a
+	// TraceStore, when non-nil, gives every traced node a
 	// durable append-only trace store (requires Tracing; see
 	// engine.Config.TraceStore).
 	TraceStore *tracestore.Config

@@ -613,7 +613,7 @@ func TestWritePathAllocations(t *testing.T) {
 	// rotating. A window's columns are sized from the window before, so
 	// only a seal allocates (tracestore.TestSealAllocs counts that); keep
 	// seals out of the measured runs with a window longer than they take.
-	tr.AttachStore(tracestore.New("n1", tracestore.Config{Enabled: true, WindowSeconds: 1e9, MaxSegments: 4}), nil)
+	tr.AttachStore(tracestore.New("n1", tracestore.Config{WindowSeconds: 1e9, MaxSegments: 4}), nil)
 	for i := 0; i < 3*DefaultConfig().RuleExecMax; i++ {
 		w.step()
 	}
@@ -639,7 +639,7 @@ func TestWritePathAllocations(t *testing.T) {
 // stays in steady state and pays its share of the seals.
 func BenchmarkWritePath(b *testing.B) {
 	tr, _, s := fixture(b, 0, DefaultConfig())
-	tr.AttachStore(tracestore.New("n1", tracestore.Config{Enabled: true, WindowSeconds: 1, MaxSegments: 4}), nil)
+	tr.AttachStore(tracestore.New("n1", tracestore.Config{WindowSeconds: 1, MaxSegments: 4}), nil)
 	w := &writePath{tr: tr, s: s, id: 100}
 	for i := 0; i < 3*DefaultConfig().RuleExecMax; i++ {
 		w.step()

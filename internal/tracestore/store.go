@@ -2,14 +2,10 @@ package tracestore
 
 import "math"
 
-// Config tunes one node's trace store. The zero value is the kill
-// switch: a store is only created when Enabled is explicitly true, so
-// threading a Config through engine/simnet/chord configs is free until
-// someone opts in.
+// Config tunes one node's trace store. Callers pass a *Config, and a
+// nil one is the kill switch: threading it through engine/simnet/chord
+// configs is free until someone opts in.
 type Config struct {
-	// Enabled turns the store on. Default off: the store is a strictly
-	// additive observer and ships dark.
-	Enabled bool
 	// WindowSeconds is the virtual-time width of one segment window
 	// (default 60). The active segment is sealed when an append's
 	// timestamp crosses into a later window.
@@ -23,10 +19,10 @@ type Config struct {
 	MaxBytes int64
 }
 
-// DefaultConfig returns an enabled store with the default budget:
-// one-minute windows retained for six hours within 8 MiB.
+// DefaultConfig returns the default budget: one-minute windows retained
+// for six hours within 8 MiB.
 func DefaultConfig() Config {
-	return Config{Enabled: true, WindowSeconds: 60, MaxSegments: 360, MaxBytes: 8 << 20}
+	return Config{WindowSeconds: 60, MaxSegments: 360, MaxBytes: 8 << 20}
 }
 
 func (c Config) withDefaults() Config {
@@ -155,8 +151,8 @@ type Store struct {
 }
 
 // New creates a store for a node. The config's zero bounds are
-// defaulted; Enabled is the caller's concern (an engine only calls New
-// when the kill switch is open).
+// defaulted; whether to have a store is the caller's concern (an engine
+// only calls New when its Config.TraceStore is set).
 func New(local string, cfg Config) *Store {
 	return &Store{local: local, cfg: cfg.withDefaults()}
 }
