@@ -28,10 +28,10 @@ const (
 	// ScaleInstallBudgetBytes is the hard per-host budget for the fixed
 	// install footprint (node + tables + strand shells + seed rows,
 	// measured by installBytesPerHost with shared plans). Measured
-	// ~25 KB at 512 hosts; the headroom is deliberately tight — losing
-	// plan sharing alone (+~90 KB/host of private plans) blows it. See
-	// also TestPerHostMemoryBudget.
-	ScaleInstallBudgetBytes = 48 << 10
+	// ~13 KB at 128 and 1 000 hosts; the headroom is deliberately
+	// tight — losing plan sharing alone (+~90 KB/host of private plans)
+	// blows it. See also TestPerHostMemoryBudget.
+	ScaleInstallBudgetBytes = 16 << 10
 
 	// ScaleBudgetBytes is the hard per-host steady-state budget the
 	// sweep enforces at >= 1k hosts after the measured window. On top

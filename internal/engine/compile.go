@@ -108,14 +108,14 @@ func (n *Node) Compile(prog *overlog.Program) (*CompiledQuery, error) {
 			if err != nil {
 				return nil, err
 			}
-			rule := ps[0].RuleID
-			// A delta strand on a stats table would never fire.
+			rule, trigger := ps[0].RuleID, ps[0].Trigger.Name
+			// A delta strand on a table filled on read would never fire.
 			ps = slices.DeleteFunc(ps, func(p *dataflow.Plan) bool {
-				return p.Trigger.Kind == dataflow.TriggerDelta && statsTable(p.Trigger.Name)
+				return p.Trigger.Kind == dataflow.TriggerDelta && planner.FilledOnRead(p.Trigger.Name)
 			})
 			if len(ps) == 0 {
-				return nil, fmt.Errorf("engine: rule %s has no trigger: %s and %s change only when read; join a periodic or an event",
-					rule, NodeStatsTableName, QueryStatsTableName)
+				return nil, fmt.Errorf("engine: rule %s has no trigger: %s changes only when read; join a periodic or an event",
+					rule, trigger)
 			}
 			cq.plans = append(cq.plans, ps...)
 		}

@@ -234,15 +234,21 @@ func TestInstallCompiledLabelCounterMatches(t *testing.T) {
 }
 
 // TestInstallCompiledTracedAndUntraced checks a program joining the
-// tracer's ruleExec table: compiled on a traced node it shares onto a
-// second traced node, and an untraced node, where ruleExec is an event,
-// compiles it itself and installs it without error.
+// tracer's ruleExec table with one of its own: compiled on a traced
+// node, where ruleExec fills on read and only the program's table
+// triggers, it shares onto a second traced node, and an untraced node,
+// where ruleExec is an event, compiles it itself and installs it
+// without error.
 func TestInstallCompiledTracedAndUntraced(t *testing.T) {
 	tc := &trace.Config{RuleExecTTL: 60, RuleExecMax: 1000, TupleLogMax: 100}
-	cq, err := newNode(t, tc).Compile(overlog.MustParse(
-		`x1 hot@X(R) :- ruleExec@X(R, I, O, S, A, B, C).`))
+	cq, err := newNode(t, tc).Compile(overlog.MustParse(`
+materialize(probe, infinity, infinity, keys(1)).
+x1 hot@X(R) :- probe@X(P), ruleExec@X(R, I, O, S, A, B, C).`))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ps := cq.Plans(); len(ps) != 1 || ps[0].Trigger.Name != "probe" {
+		t.Fatalf("traced compilation planned %d strands, want 1 on probe's delta", len(ps))
 	}
 	traced := newNode(t, tc)
 	if _, err := traced.InstallCompiledQuery("q", cq); err != nil {

@@ -17,7 +17,9 @@ import (
 )
 
 // shape is a node's structural dataflow fingerprint: what a query's
-// install must add and its uninstall must remove exactly.
+// install must add and its uninstall must remove exactly. live counts
+// the stored rows outside the tracer's event log, log the rows in it:
+// the log keeps what an install logged past its uninstall.
 type shape struct {
 	strands int
 	timers  int
@@ -25,16 +27,22 @@ type shape struct {
 	taps    int
 	tables  string
 	live    int
+	log     int
 }
 
 func shapeOf(n *engine.Node) shape {
+	live, log := n.Store().LiveTuples(), 0
+	if tb := n.Store().Get(trace.TupleLogTable); tb != nil {
+		log = tb.Count()
+	}
 	return shape{
 		strands: n.NumStrands(),
 		timers:  n.NumTimers(),
 		watches: n.NumWatches(),
 		taps:    n.NumLogTaps(),
 		tables:  strings.Join(n.Store().Names(), ","),
-		live:    n.Store().LiveTuples(),
+		live:    live - log,
+		log:     log,
 	}
 }
 
@@ -406,7 +414,10 @@ f1 foo@N(X) :- fev@N(X).
 // uninstalled back to the shape the node had before. After the
 // uninstall, a tuple of every predicate its rules triggered on moves
 // none of its bill, and the relation records match the node throughout.
+// On a traced node the event log keeps the one watchTable mark the
+// install logged per table it added, up to the log's bound.
 func FuzzInstallUninstall(f *testing.F) {
+	const logMax = 100
 	srcs := []string{chord.Program().Source, chord.TreeProgram(chord.TreeConfig{}).Source}
 	for _, d := range monitor.Detectors(5, 10) {
 		srcs = append(srcs, d.Program.Source)
@@ -427,7 +438,7 @@ func FuzzInstallUninstall(f *testing.F) {
 		}
 		cfg := simnet.Config{Seed: 1}
 		if traced {
-			cfg.Tracing = &trace.Config{RuleExecTTL: 60, RuleExecMax: 100, TupleLogMax: 100}
+			cfg.Tracing = &trace.Config{RuleExecTTL: 60, RuleExecMax: 100, TupleLogMax: logMax}
 		}
 		n, err := simnet.NewNetwork(simnet.NewSim(), cfg).AddNode("n1")
 		if err != nil {
@@ -444,6 +455,7 @@ func FuzzInstallUninstall(f *testing.F) {
 		}
 		check("after chord")
 		base, baseQueries, basePlans := shapeOf(n), n.Queries(), len(n.Plans())
+		baseTables := len(n.Store().Names())
 		if _, err := n.InstallQuery("fuzz", prog); err != nil {
 			if got := shapeOf(n); got != base {
 				t.Fatalf("rejected install (%v) changed the shape: %+v, was %+v", err, got, base)
@@ -455,6 +467,10 @@ func FuzzInstallUninstall(f *testing.F) {
 			return
 		}
 		check("after install")
+		want := base
+		if traced {
+			want.log = min(base.log+len(n.Store().Names())-baseTables, logMax)
+		}
 		var triggers []dataflow.Trigger
 		for _, p := range n.Plans()[basePlans:] {
 			if p.Trigger.Kind != dataflow.TriggerPeriodic {
@@ -464,8 +480,8 @@ func FuzzInstallUninstall(f *testing.F) {
 		if err := n.UninstallQuery("fuzz"); err != nil {
 			t.Fatal(err)
 		}
-		if got := shapeOf(n); got != base {
-			t.Fatalf("shape after uninstall = %+v, want %+v", got, base)
+		if got := shapeOf(n); got != want {
+			t.Fatalf("shape after uninstall = %+v, want %+v", got, want)
 		}
 		check("after uninstall")
 		bill := n.QueryMetrics()["fuzz"]

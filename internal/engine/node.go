@@ -25,6 +25,7 @@ import (
 	"p2go/internal/dataflow"
 	"p2go/internal/metrics"
 	"p2go/internal/overlog"
+	"p2go/internal/planner"
 	"p2go/internal/rng"
 	"p2go/internal/table"
 	"p2go/internal/trace"
@@ -32,19 +33,13 @@ import (
 	"p2go/internal/tuple"
 )
 
-// Reflection table names: the node's own rules, table declarations and
-// installed queries are queryable from OverLog (§2.1 "introspection").
-const (
-	RuleTableName  = "ruleTable"
-	TableTableName = "tableTable"
-	QueryTableName = "queryTable"
-)
-
 // NodeEpochTableName is the engine-owned single-row table
 // nodeEpoch(NAddr, Epoch) holding the node's process incarnation.
-// It exists from birth like the stats tables, so any OverLog program
-// can join it without declaring it — the aggregation-tree protocol
-// stamps its heartbeats and partial aggregates with it.
+// It exists from birth like the reflection tables, so any OverLog
+// program can join it without declaring it — the aggregation-tree
+// protocol stamps its heartbeats and partial aggregates with it. Unlike
+// them it is an ordinary table: Rejoin queues its new row through the
+// dataflow, so maintained aggregates over it see the change.
 const NodeEpochTableName = "nodeEpoch"
 
 // InstallEventName is the higher-order installation event (§1.3: "the
@@ -159,7 +154,6 @@ type queued struct {
 // and per-query cost attribution.
 type query struct {
 	id      string
-	source  string         // original OverLog text (queryTable reflection)
 	stats   *metrics.Query // bill bucket, also held by its strands and timers
 	strands []*dataflow.Strand
 	// periodics are this query's registered timers (cancelled on
@@ -207,8 +201,8 @@ type Node struct {
 
 	// epoch counts process incarnations: 0 from birth, incremented by
 	// Rejoin. Stamped on every stats row and queryable via nodeEpoch.
-	epoch       int64
-	statsFilled uint8 // bit i: the running task filled stats table i (stats.go)
+	epoch  int64
+	filled uint8 // bit i: the running task filled reflectTables[i] (reflect.go)
 
 	nextTupleID  uint64
 	labelCounter int
@@ -242,14 +236,13 @@ func NewNode(cfg Config) *Node {
 	system := func(name string, keys ...int) *table.Table {
 		return n.materialize(table.Spec{Name: name, Lifetime: table.Infinity, MaxSize: table.Infinity, Keys: keys}).tbl
 	}
-	// Reflection tables (introspection model, §2.1).
+	// Reflection tables, filled when read (reflect.go).
 	system(RuleTableName, 2, 3, 4)
 	system(TableTableName, 2)
 	system(QueryTableName, 2)
-	// Performance-counter tables (stats.go).
 	system(NodeStatsTableName, 3)
 	system(QueryStatsTableName, 3, 4)
-	n.bindStats()
+	n.bindReflection()
 	// The epoch row is inserted directly (no task is running at birth;
 	// there are no strands to fire yet either).
 	epoch := system(NodeEpochTableName, 1)
@@ -269,19 +262,13 @@ func (n *Node) epochRow() tuple.Tuple {
 func (n *Node) Epoch() int64 { return n.epoch }
 
 // IsSystemTable reports whether name is an engine- or tracer-owned
-// reflection table, present on every node without a declaration. Queries
+// table: one filled on read (planner.FilledOnRead) or nodeEpoch. Queries
 // may re-declare one but never own it: it has no owners and is never
 // dropped. Code that analyses a program without a node to compile it on,
 // such as monitor.BuildCluster deciding whether an aggregate splits,
 // admits these names as materialized.
 func IsSystemTable(name string) bool {
-	switch name {
-	case RuleTableName, TableTableName, QueryTableName,
-		NodeStatsTableName, QueryStatsTableName, NodeEpochTableName,
-		trace.RuleExecTable, trace.TupleTable, trace.TupleLogTable:
-		return true
-	}
-	return false
+	return planner.FilledOnRead(name) || name == NodeEpochTableName
 }
 
 // Addr returns the node's address.
@@ -483,21 +470,16 @@ func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery)
 	n.labelCounter += cq.labelsUsed
 	q := &query{
 		id:          id,
-		source:      prog.Source,
 		stats:       n.queryStats(id),
 		strands:     strands,
 		installedAt: n.cfg.Clock(),
 	}
 	for _, spec := range cq.specs {
-		name := spec.Name
 		r := n.materialize(spec) // validated in phase 1
-		if !IsSystemTable(name) {
+		if !IsSystemTable(spec.Name) {
 			r.owners++
-			q.tables = append(q.tables, name)
+			q.tables = append(q.tables, spec.Name)
 		}
-		n.reflect(tuple.New(TableTableName,
-			tuple.Str(n.cfg.Addr), tuple.Str(name),
-			tuple.Float(spec.Lifetime), tuple.Int(int64(spec.MaxSize))), false)
 	}
 	for _, w := range cq.watches {
 		n.relation(w).watches++
@@ -508,11 +490,7 @@ func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery)
 	}
 	n.queries[id] = q
 	n.queryOrder = append(n.queryOrder, id)
-	n.reflect(tuple.New(QueryTableName,
-		tuple.Str(n.cfg.Addr), tuple.Str(id),
-		tuple.Int(int64(len(q.strands))), tuple.Int(int64(len(q.tables))),
-		tuple.Float(q.installedAt)), false)
-	n.reflectNow()
+	n.dropProgramReflection()
 	return id, nil
 }
 
@@ -520,9 +498,9 @@ func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery)
 // relations' dispatch lists, its timers are cancelled (driver chains die
 // at the next firing), its watch and table refcounts drop — tables whose
 // count reaches zero are dropped from the store together with their
-// listeners and tracer tap — and its reflection rows are deleted. The
-// node returns to the dataflow shape it had before the install; only the
-// query's accumulated bill in QueryMetrics survives.
+// listeners and tracer tap — and the reflection tables stop listing
+// it. The node returns to the dataflow shape it had before the install;
+// only the query's accumulated bill in QueryMetrics survives.
 func (n *Node) UninstallQuery(id string) error {
 	if id == SystemQuery {
 		return fmt.Errorf("engine: cannot uninstall reserved query %q", SystemQuery)
@@ -555,27 +533,16 @@ func (n *Node) UninstallQuery(id string) error {
 		r.watches--
 		n.release(w, r)
 	}
-	// Delete the query's ruleTable rows in one pattern delete (nil
-	// fields are wildcards), then its queryTable row.
-	n.reflect(tuple.New(RuleTableName,
-		tuple.Str(n.cfg.Addr), tuple.Str(id),
-		tuple.Nil, tuple.Nil, tuple.Nil), true)
-	n.reflect(tuple.New(QueryTableName,
-		tuple.Str(n.cfg.Addr), tuple.Str(id),
-		tuple.Nil, tuple.Nil, tuple.Nil), true)
 	for _, name := range q.tables {
 		r := n.rels[name]
 		if r.owners--; r.owners > 0 {
 			continue
 		}
-		n.reflect(tuple.New(TableTableName,
-			tuple.Str(n.cfg.Addr), tuple.Str(name),
-			tuple.Nil, tuple.Nil), true)
 		n.drop(name, r)
 	}
 	delete(n.queries, id)
 	n.queryOrder = slices.DeleteFunc(n.queryOrder, func(qid string) bool { return qid == id })
-	n.reflectNow()
+	n.dropProgramReflection()
 	return nil
 }
 
@@ -610,29 +577,6 @@ func (n *Node) installStrand(s *dataflow.Strand, q *query) {
 			n.cfg.OnNewPeriodic(p)
 		}
 	}
-	n.reflect(tuple.New(RuleTableName,
-		tuple.Str(n.cfg.Addr), tuple.Str(q.id), tuple.Str(s.RuleID),
-		tuple.Str(s.Trigger.Name), tuple.Str(s.Source)), false)
-}
-
-// reflect queues a reflection-table change to flow through the normal
-// dataflow path: the change fires delta strands watching the reflection
-// tables and is logged by the tracer like any other table event, keeping
-// introspection current across on-line installs and uninstalls.
-func (n *Node) reflect(row tuple.Tuple, isDelete bool) {
-	n.enqueue(queued{t: row, isDelete: isDelete, src: n.cfg.Addr})
-}
-
-// reflectNow drains reflection changes queued by an install or
-// uninstall invoked from driver context (outside any task), so the
-// reflection tables are current when the call returns. Installs from
-// inside a task (the higher-order events) are drained by the enclosing
-// cascade instead.
-func (n *Node) reflectNow() {
-	if !n.inTask {
-		n.beginTask()
-		n.finishTask()
-	}
 }
 
 // beginTask opens a task, whose cost starts from zero; finishTask closes it.
@@ -648,7 +592,7 @@ func (n *Node) finishTask() float64 {
 		n.tracer.TaskDone()
 	}
 	n.releaseArena()
-	n.inTask, n.statsFilled = false, 0
+	n.inTask, n.filled = false, 0
 	return n.micro
 }
 
@@ -726,15 +670,13 @@ func (n *Node) Preamble() []tuple.Tuple { return n.preamble }
 // all application tables are cleared (no delete events fire — the state
 // of a dead process simply vanishes) and the preamble is replayed, so
 // the node bootstraps afresh exactly as it did at install time.
-// Installed queries, rule strands, watches, the tracer, and the
-// reflection tables survive: they are the program, not its soft state.
-// Like every Handle* entry point it runs one task and returns its cost.
+// Installed queries, rule strands, watches and the tracer survive: they
+// are the program, not its soft state, and the reflection tables refill
+// from them when next read. Like every Handle* entry point it runs one
+// task and returns its cost.
 func (n *Node) Rejoin() float64 {
 	n.beginTask()
 	for _, name := range n.store.Names() {
-		if name == RuleTableName || name == TableTableName || name == QueryTableName {
-			continue
-		}
 		n.store.Get(name).Clear()
 		n.bill(dataflow.CostTableOp)
 	}
@@ -749,7 +691,7 @@ func (n *Node) Rejoin() float64 {
 	// New incarnation: the epoch row is queued before the preamble so
 	// every bootstrap rule already sees the post-restart epoch.
 	n.epoch++
-	n.reflect(n.epochRow(), false)
+	n.enqueue(queued{t: n.epochRow(), src: n.cfg.Addr})
 	for _, t := range n.preamble {
 		n.enqueue(queued{t: t.WithID(0), src: n.cfg.Addr})
 	}
@@ -1023,7 +965,7 @@ type aggSub struct {
 // replaced. It returns nil for the rescan path while a table the strand
 // reads is missing (the rescan reports it), on a traced node, where
 // the rescan gives the tracer full precondition provenance, and when it
-// joins a stats table, which only a rescan's read fills.
+// joins a table filled on read, which only a rescan's read fills.
 func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 	if n.tracer != nil {
 		return nil
@@ -1038,7 +980,7 @@ func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 		}
 		n.dropAggEntry(s, e)
 	}
-	if slices.ContainsFunc(s.AggPlan.Secondaries, statsTable) {
+	if slices.ContainsFunc(s.AggPlan.Secondaries, planner.FilledOnRead) {
 		return nil
 	}
 	tabs := make([]aggSub, 1+len(s.AggPlan.Secondaries))

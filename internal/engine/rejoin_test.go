@@ -3,6 +3,7 @@ package engine_test
 import (
 	"testing"
 
+	"p2go/internal/engine"
 	"p2go/internal/tuple"
 )
 
@@ -46,13 +47,16 @@ func TestSeedLocalPreambleReplaysOnRejoin(t *testing.T) {
 		t.Errorf("data after rejoin = %v, want soft state gone", got)
 	}
 
-	// The rule base survived (it lives in the reflection tables): new
-	// traffic is still processed.
+	// The rule base survived (it is the program, not soft state): new
+	// traffic is still processed, and ruleTable still reads its rules.
 	h.inject("a", tuple.New("dataEvent", tuple.Str("a"), tuple.Str("fresh")))
 	h.net.RunFor(1)
 	if got := h.rows("a", "data"); len(got) != 1 ||
 		got[0].Field(1).AsStr() != "fresh" {
 		t.Errorf("data after post-rejoin traffic = %v", got)
+	}
+	if got := len(h.rows("a", engine.RuleTableName)); got != 2 {
+		t.Errorf("ruleTable after rejoin holds %d rows, want 2 (c1, d1)", got)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 type Program struct {
 	Statements []Stmt
 	// Source is the original OverLog text the program was parsed from
-	// (empty for programs assembled directly from AST nodes). The engine
-	// retains it per installed query so queryTable can surface it and
-	// higher-order re-installation round-trips.
+	// (empty for programs assembled directly from AST nodes), so a
+	// program can be shipped as text, as a higher-order installProgram
+	// does, and parsed again.
 	Source string
 }
 

@@ -42,11 +42,6 @@ const (
 	// (engine.NodeEpochTableName) generated refresh rules join so every
 	// partial carries its origin's epoch.
 	NodeEpochTable = "nodeEpoch"
-	// NodeStatsTable and QueryStatsTable are the engine's counter tables,
-	// filled on read and so without deltas: a leaf partial over one runs
-	// on the refresh tick.
-	NodeStatsTable  = "nodeStats"
-	QueryStatsTable = "queryStats"
 	// TreeParentTable is the overlay's parent-selection table
 	// (chord.TreeParentTableName); tree-mode rewrites route partials
 	// along it. The root is the node whose treeParent row names itself.
@@ -76,7 +71,7 @@ type ClusterAgg struct {
 	// Body is the re-rendered body source, reused verbatim by the
 	// generated leaf rules.
 	Body   string
-	onTick bool // the body reads a counter table
+	onTick bool // the body reads a table filled on read
 }
 
 // mergeOp maps each splittable aggregate to the operator that combines
@@ -119,7 +114,7 @@ func AnalyzeClusterAgg(r *overlog.Rule, env Env) (*ClusterAgg, error) {
 	onTick := false
 	bound := map[string]bool{}
 	for _, p := range preds {
-		onTick = onTick || p.Name == NodeStatsTable || p.Name == QueryStatsTable
+		onTick = onTick || FilledOnRead(p.Name)
 		if p.Name == "periodic" {
 			return nil, fmt.Errorf("periodic bodies are not splittable (the rewrite owns the refresh clock)")
 		}
@@ -194,8 +189,8 @@ var tagRE = regexp.MustCompile(`^[A-Za-z0-9_]+$`)
 // Rewrite generates the OverLog split program for the analyzed
 // aggregate: leaf rules maintaining the local partial (delta strands
 // over the original body, so the incremental-aggregate path applies;
-// on the tick when the body reads a counter table), a per-query refresh
-// clock, and tick-driven merge/upward strands.
+// on the tick when the body reads a table filled on read), a per-query
+// refresh clock, and tick-driven merge/upward strands.
 //
 // Propagation is deliberately tick-paced rather than delta-cascaded:
 // emissions land after the tick's strands finish, so each refresh moves

@@ -196,3 +196,32 @@ func TestRewriteValidation(t *testing.T) {
 		t.Error("head/table collision not rejected")
 	}
 }
+
+// TestRewriteLeafOnTick: a leaf partial whose body reads a table filled
+// on read runs on the refresh tick, since that table has no deltas; one
+// over an ordinary table is delta-maintained.
+func TestRewriteLeafOnTick(t *testing.T) {
+	env := EnvFunc(func(string) bool { return true })
+	for _, tc := range []struct {
+		body   string
+		onTick bool
+	}{
+		{`nodeStats@N(Ep, C, V)`, true},
+		{`ruleTable@N(Q, R, Trig, V)`, true},
+		{`ruleExec@N(R, In, V, InT, OutT, Ev)`, true},
+		{`hostLoad@N(V)`, false},
+	} {
+		a, err := AnalyzeClusterAgg(parseRule(t, `r1 out@M(count<*>) :- `+tc.body+`.`), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := a.Rewrite(SplitConfig{Tag: "x", Period: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := ":- aggTick_x@N(AggE), " + tc.body + "."
+		if got := strings.Contains(src, leaf); got != tc.onTick {
+			t.Errorf("%s: leaf on the tick = %v, want %v\n%s", tc.body, got, tc.onTick, src)
+		}
+	}
+}

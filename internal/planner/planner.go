@@ -38,6 +38,21 @@ type EnvFunc func(name string) bool
 // IsMaterialized implements Env.
 func (f EnvFunc) IsMaterialized(name string) bool { return f(name) }
 
+// FilledOnRead reports whether name is one of the engine's or the
+// tracer's reflection tables, which their owner fills only when they are
+// read (table.SetSync). Nothing inserts into them through the dataflow,
+// so they have no deltas: a strand they would trigger never fires, a
+// maintained aggregate never sees them change, and a cluster leaf over
+// one must run on a tick.
+func FilledOnRead(name string) bool {
+	switch name {
+	case "ruleTable", "tableTable", "queryTable", "nodeStats", "queryStats",
+		"ruleExec", "tupleTable", "tupleLog":
+		return true
+	}
+	return false
+}
+
 // CompileRule compiles one rule into its immutable shared plans. Plans
 // carry no query tag or execution state; callers instantiate them per
 // node with Plan.Instantiate ("plan once, instantiate N times"). Given

@@ -86,14 +86,16 @@ type tableShape struct {
 
 // chordShape is a Chord node's store at ring1k-join's final row counts
 // (mean rows per host after 40 virtual seconds of the 1 000-host join).
+// The reflection and stats tables fill only when read, and nothing
+// reads them there, so they hold no rows.
 func chordShape() []tableShape {
 	const inf = Infinity
 	return []tableShape{
-		{Spec{"ruleTable", inf, inf, []int{2, 3, 4}}, 68, nil},
-		{Spec{"tableTable", inf, inf, []int{2}}, 12, nil},
-		{Spec{"queryTable", inf, inf, []int{2}}, 1, nil},
-		{Spec{"nodeStats", inf, inf, []int{3}}, 16, nil},
-		{Spec{"queryStats", inf, inf, []int{3, 4}}, 8, nil},
+		{Spec{"ruleTable", inf, inf, []int{2, 3, 4}}, 0, nil},
+		{Spec{"tableTable", inf, inf, []int{2}}, 0, nil},
+		{Spec{"queryTable", inf, inf, []int{2}}, 0, nil},
+		{Spec{"nodeStats", inf, inf, []int{3}}, 0, nil},
+		{Spec{"queryStats", inf, inf, []int{3, 4}}, 0, nil},
 		{Spec{"nodeEpoch", inf, inf, []int{1}}, 1, nil},
 		{Spec{"node", inf, 1, []int{1}}, 1, [][]int{{0}}},
 		{Spec{"landmark", inf, 1, []int{1}}, 1, [][]int{{0}}},
