@@ -434,9 +434,30 @@ func (v Value) asRing() uint64 {
 	case KindID, KindInt:
 		return v.n
 	case KindFloat:
-		return uint64(math.Float64frombits(v.n))
+		return ringOfFloat(math.Float64frombits(v.n))
 	}
 	return 0
+}
+
+// AsRing returns v's position on the ring, the uint64 that ring
+// arithmetic and InInterval read: an ID's or an int's bits, a float
+// truncated toward zero (see ringOfFloat), and 0 for anything else.
+func (v Value) AsRing() uint64 { return v.asRing() }
+
+// ringOfFloat puts a float on the ring: one in (-2^63, 2^63) truncated
+// toward zero as an int64's bits, one in [2^63, 2^64) truncated as
+// itself, and anything else (NaN, ±Inf, beyond either end) at 2^63. Go's
+// uint64(f) leaves every case but [0, 2^64) to the platform; these are
+// the results amd64 gives, so a run is the same function of its seed on
+// every platform.
+func ringOfFloat(f float64) uint64 {
+	switch {
+	case f > -(1<<63) && f < 1<<63:
+		return uint64(int64(f))
+	case f >= 1<<63 && f < 1<<64:
+		return uint64(f)
+	}
+	return 1 << 63
 }
 
 // Sub implements OverLog "-". On IDs it is modular ring subtraction, the
@@ -534,30 +555,36 @@ func Shl(a, b Value) (Value, error) {
 // half-open interval, (a, a] or [a, a), is the whole ring; [a, a] is a
 // alone; and (a, a) is everything but a.
 func InInterval(k, lo, hi Value, loOpen, hiOpen bool) bool {
-	kk, a, b := k.asRing(), lo.asRing(), hi.asRing()
+	from, to, ok := RingArc(lo, hi, loOpen, hiOpen)
+	return ok && k.asRing()-from <= to-from
+}
+
+// RingArc returns the ring positions InInterval(k, lo, hi, loOpen,
+// hiOpen) accepts, as the clockwise arc from..to with both ends in; the
+// arc wraps past 0 when from > to. ok is false when it accepts none,
+// which only (a, a+1) does.
+func RingArc(lo, hi Value, loOpen, hiOpen bool) (from, to uint64, ok bool) {
+	a, b := lo.asRing(), hi.asRing()
 	if a == b {
 		switch {
 		case !loOpen && !hiOpen:
-			return kk == a
+			return a, a, true
 		case loOpen && hiOpen:
-			return kk != a
+			return a + 1, a - 1, true
 		default:
-			return true // half-open degenerate interval = full ring
+			return a, a - 1, true // half-open degenerate interval = full ring
 		}
 	}
-	// Distance clockwise from a.
-	dk := kk - a // wrapping
-	db := b - a
-	switch {
-	case loOpen && hiOpen:
-		return dk > 0 && dk < db
-	case loOpen && !hiOpen:
-		return dk > 0 && dk <= db
-	case !loOpen && hiOpen:
-		return dk < db
-	default:
-		return dk <= db
+	from, to = a, b
+	if loOpen {
+		from++
 	}
+	if hiOpen {
+		to--
+	}
+	// Distances clockwise from a: the arc is empty when it would end
+	// before it starts.
+	return from, to, from-a <= to-a
 }
 
 // Truth reports whether a value is "true" in a condition context.

@@ -2,7 +2,9 @@ package tuple
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -202,6 +204,67 @@ func TestInInterval(t *testing.T) {
 		if got != c.want {
 			t.Errorf("InInterval(%d in %d..%d, loOpen=%v hiOpen=%v) = %v, want %v",
 				c.k, c.lo, c.hi, c.loOpen, c.hiOpen, got, c.want)
+		}
+	}
+}
+
+// TestFloatRingPosition pins where a float sits on the ring, for ring
+// arithmetic and `in`: toward zero, a negative as its two's complement,
+// and NaN, the infinities and anything past int64's low end or uint64's
+// high end at 2^63 — what amd64's conversion gives, on every platform.
+func TestFloatRingPosition(t *testing.T) {
+	const half = 1 << 63
+	cases := []struct {
+		f    float64
+		want uint64
+	}{
+		{0, 0},
+		{math.Copysign(0, -1), 0},
+		{1.9, 1},
+		{-0.5, 0},
+		{-1.5, math.MaxUint64},
+		{-2, math.MaxUint64 - 1},
+		{-(1 << 62), 3 << 62},
+		{-(1 << 63), half},
+		{-1e19, half},
+		{math.Inf(-1), half},
+		{1 << 62, 1 << 62},
+		{math.Nextafter(1<<63, 0), 1<<63 - 1024},
+		{1 << 63, half},
+		{1e19, 0x8ac7230489e80000},
+		{math.Nextafter(1<<64, 0), math.MaxUint64 - 2047},
+		{1 << 64, half},
+		{2e19, half},
+		{math.Inf(1), half},
+		{math.NaN(), half},
+	}
+	for _, c := range cases {
+		if got := Float(c.f).AsRing(); got != c.want {
+			t.Errorf("Float(%g).AsRing() = %#x, want %#x", c.f, got, c.want)
+		}
+		if got := refFloat(c.f).asRing(); got != c.want {
+			t.Errorf("reference: %g sits at %#x, want %#x", c.f, got, c.want)
+		}
+		// Ring arithmetic and `in` read the same position.
+		if d, _ := Sub(Float(c.f), ID(0)); d.AsID() != c.want {
+			t.Errorf("%g - id 0 = %#x, want %#x", c.f, d.AsID(), c.want)
+		}
+		if !InInterval(Float(c.f), ID(c.want), ID(c.want), false, false) {
+			t.Errorf("%g not in [%#x, %#x]", c.f, c.want, c.want)
+		}
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	// On amd64 the definition is the hardware conversion, bit for bit.
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		f := math.Float64frombits(r.Uint64())
+		if i%2 == 0 {
+			f = math.Ldexp(r.NormFloat64(), r.Intn(140)-10)
+		}
+		if got, want := Float(f).AsRing(), uint64(f); got != want {
+			t.Fatalf("Float(%g).AsRing() = %#x, amd64 converts to %#x", f, got, want)
 		}
 	}
 }

@@ -256,7 +256,16 @@ func (v refValue) asRing() uint64 {
 	case KindInt:
 		return uint64(int64(v.num))
 	case KindFloat:
-		return uint64(v.toFloat())
+		// Toward zero, a negative as its two's complement; NaN, the
+		// infinities and anything past either end of int64..uint64 at 2^63.
+		f := math.Trunc(v.toFloat())
+		switch {
+		case math.IsNaN(f) || f < -(1<<63) || f >= 1<<64:
+			return 1 << 63
+		case f < 0:
+			return -uint64(-f)
+		}
+		return uint64(f)
 	}
 	return 0
 }
