@@ -136,7 +136,7 @@ func Forensics(seed int64, quick bool) (*ForensicsResult, error) {
 	if quick {
 		n, converge, end = 8, 60, 160
 		window = 2
-		tcfg = trace.Config{RuleExecTTL: 30, RuleExecMax: 80, RecordsPerStrand: 8, TupleLogMax: 100}
+		tcfg = trace.Config{RuleExecTTL: 30, RuleExecMax: 80, TupleLogMax: 100}
 	}
 	measured := fmt.Sprintf("n%d", n)
 	var victims []string // mirror ChurnConfig's defaults, kept explicit

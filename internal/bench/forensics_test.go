@@ -133,8 +133,8 @@ func runForensicRing(t *testing.T, seed int64, tcfg trace.Config, scfg *tracesto
 // B's own tables have long since forgotten it.
 func TestStoreLineageSurvivesEviction(t *testing.T) {
 	const seed = 7
-	generous := trace.Config{RuleExecTTL: 1e9, RuleExecMax: 1 << 30, RecordsPerStrand: 8, TupleLogMax: 100}
-	tight := trace.Config{RuleExecTTL: 30, RuleExecMax: 40, RecordsPerStrand: 8, TupleLogMax: 100}
+	generous := trace.Config{RuleExecTTL: 1e9, RuleExecMax: 1 << 30, TupleLogMax: 100}
+	tight := trace.Config{RuleExecTTL: 30, RuleExecMax: 40, TupleLogMax: 100}
 	scfg := tracestore.DefaultConfig()
 	scfg.WindowSeconds = 5
 
@@ -210,7 +210,7 @@ func TestStoreLineageSurvivesEviction(t *testing.T) {
 // nothing ages out, rendering the Chrome trace from the durable store
 // must be byte-identical to rendering it from the live tables.
 func TestExportChromeStoreMatchesLive(t *testing.T) {
-	generous := trace.Config{RuleExecTTL: 1e9, RuleExecMax: 1 << 30, RecordsPerStrand: 8, TupleLogMax: 100}
+	generous := trace.Config{RuleExecTTL: 1e9, RuleExecMax: 1 << 30, TupleLogMax: 100}
 	scfg := tracestore.Config{WindowSeconds: 10, MaxSegments: 1 << 20, MaxBytes: 1 << 40}
 	r := runForensicRing(t, 7, generous, &scfg)
 

@@ -52,7 +52,7 @@ func TraceExport(seed int64, quick bool, outDir string) (TraceResult, error) {
 	tcfg := trace.DefaultConfig()
 	if quick {
 		n, converge, settle = 4, 60, 15
-		tcfg = trace.Config{RuleExecTTL: 30, RuleExecMax: 80, RecordsPerStrand: 8, TupleLogMax: 100}
+		tcfg = trace.Config{RuleExecTTL: 30, RuleExecMax: 80, TupleLogMax: 100}
 	}
 	measured := fmt.Sprintf("n%d", n)
 

@@ -252,7 +252,6 @@ func (c *nullCtx) TraceInput(*Strand, tuple.Tuple)     {}
 func (c *nullCtx) Tracing() bool                       { return false }
 func (c *nullCtx) TracePrecond(*Strand, int, tuple.Tuple) {
 }
-func (c *nullCtx) TraceStageDone(*Strand, int) {}
 func (c *nullCtx) RuleError(ruleID string, err error) {
 	panic(err)
 }

@@ -81,8 +81,7 @@ func (c *l2Ctx) TraceInput(*dataflow.Strand, tuple.Tuple)     {}
 func (c *l2Ctx) Tracing() bool                                { return false }
 func (c *l2Ctx) TracePrecond(*dataflow.Strand, int, tuple.Tuple) {
 }
-func (c *l2Ctx) TraceStageDone(*dataflow.Strand, int) {}
-func (c *l2Ctx) RuleError(ruleID string, err error)   { panic(err) }
+func (c *l2Ctx) RuleError(ruleID string, err error) { panic(err) }
 func (c *l2Ctx) HeadFields(n int) []tuple.Value {
 	c.scratch = append(c.scratch[:0], make([]tuple.Value, n)...)
 	return c.scratch

@@ -50,11 +50,6 @@ func (c *diffCtx) TracePrecond(s *dataflow.Strand, stage int, t tuple.Tuple) {
 		c.logf("precond %d %v at %v", stage, t, c.busy)
 	}
 }
-func (c *diffCtx) TraceStageDone(s *dataflow.Strand, stage int) {
-	if c.traced {
-		c.logf("done %d", stage)
-	}
-}
 func (c *diffCtx) logf(format string, args ...any) {
 	c.log = append(c.log, fmt.Sprintf(format, args...))
 }

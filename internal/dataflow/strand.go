@@ -71,7 +71,6 @@ type Context interface {
 	// node-unique ID there, which the tracer needs.
 	TraceInput(s *Strand, t tuple.Tuple)
 	TracePrecond(s *Strand, stage int, t tuple.Tuple)
-	TraceStageDone(s *Strand, stage int)
 
 	// RuleError reports a runtime error during rule evaluation (type
 	// mismatch, unbound variable); execution of the activation continues
@@ -546,28 +545,18 @@ func (s *Strand) Run(ctx Context, trig tuple.Tuple) {
 
 	if s.Agg == nil {
 		s.exec(ctx, b, 0, nil)
-	} else {
-		agg := aggPool.Get().(*aggState)
-		ok := s.runAgg(ctx, b, agg)
-		agg.release()
-		if !ok {
-			return
-		}
+		return
 	}
-	// Signal stage completions in pull order: the first stateful
-	// element seeks a new input first, then each later stage drains and
-	// seeks its own (§2.1.2). Ascending order advances the tracer
-	// record's associated interval forward until it retires.
-	for st := 1; st <= s.Stages; st++ {
-		ctx.TraceStageDone(s, st)
-	}
+	agg := aggPool.Get().(*aggState)
+	s.runAgg(ctx, b, agg)
+	agg.release()
 }
 
 // runAgg is the aggregate half of an activation: fold the completed
 // bindings into groups (or read the maintained accumulator) and emit one
-// head per group. ok=false means evaluating the count-0 group failed and
-// the activation is abandoned.
-func (s *Strand) runAgg(ctx Context, b Binding, agg *aggState) (ok bool) {
+// head per group. When evaluating the count-0 group fails the activation
+// is abandoned.
+func (s *Strand) runAgg(ctx Context, b Binding, agg *aggState) {
 	var am *AggMaint
 	if s.AggPlan != nil {
 		am = ctx.AggState(s)
@@ -575,21 +564,19 @@ func (s *Strand) runAgg(ctx Context, b Binding, agg *aggState) (ok bool) {
 	if s.Agg.EmitZero {
 		// Pre-evaluate the group-by values from the trigger binding so
 		// an empty activation can emit count 0.
+		var ok bool
 		if agg.zeroGroup, ok = s.evalGroupVals(ctx, b, agg.zeroGroup[:0]); !ok {
-			return false
+			return
 		}
 	}
 	if am != nil {
 		// Incremental path: no rescan; emit from the maintained
 		// accumulator (O(groups), not O(rows)).
 		am.runTrigger(ctx, b, agg)
-		return true
+		return
 	}
 	s.exec(ctx, b, 0, agg)
-	// Aggregates emit before the completion signals: the output tap
-	// must observe them while the tracer record is still associated.
 	s.flushAgg(ctx, agg)
-	return true
 }
 
 // exec runs ops[i:] under binding b, passing each completed binding to

@@ -59,7 +59,6 @@ type fakeCtx struct {
 	errs   []error
 	inputs []tuple.Tuple
 	pres   []tuple.Tuple
-	dones  []int
 	now    float64
 }
 
@@ -79,7 +78,6 @@ func (c *fakeCtx) EmitHead(s *Strand, t tuple.Tuple, isDelete bool) {
 func (c *fakeCtx) TraceInput(s *Strand, t tuple.Tuple)              { c.inputs = append(c.inputs, t) }
 func (c *fakeCtx) Tracing() bool                                    { return false }
 func (c *fakeCtx) TracePrecond(s *Strand, stage int, t tuple.Tuple) { c.pres = append(c.pres, t) }
-func (c *fakeCtx) TraceStageDone(s *Strand, stage int)              { c.dones = append(c.dones, stage) }
 func (c *fakeCtx) RuleError(ruleID string, err error)               { c.errs = append(c.errs, err) }
 
 // strandOf finishes a hand-built plan the way the planner does and
@@ -145,13 +143,9 @@ func TestStrandJoinAndSelect(t *testing.T) {
 	if !ctx.heads[0].Equal(tuple.New("out", tuple.Str("n1"), tuple.Int(1), tuple.Int(10))) {
 		t.Errorf("head = %v", ctx.heads[0])
 	}
-	// Taps: one input, two preconditions (both A=1 rows probed), one
-	// stage-done.
+	// Taps: one input, two preconditions (both A=1 rows probed).
 	if len(ctx.inputs) != 1 || len(ctx.pres) != 2 {
 		t.Errorf("taps: inputs=%d pres=%d", len(ctx.inputs), len(ctx.pres))
-	}
-	if len(ctx.dones) != 1 || ctx.dones[0] != 1 {
-		t.Errorf("stage dones = %v", ctx.dones)
 	}
 	if len(ctx.errs) != 0 {
 		t.Errorf("errors: %v", ctx.errs)

@@ -49,7 +49,7 @@ func TestBorrowedTuplesAreCopied(t *testing.T) {
 				OnRuleError: func(_ float64, rule string, err error) { t.Errorf("rule %s: %v", rule, err) },
 			})
 			if traced { // the rescan path; untraced, a1 is maintained incrementally
-				if err := n.EnableTracing(trace.Config{RuleExecTTL: 1e9, RuleExecMax: 1 << 20, RecordsPerStrand: 8}); err != nil {
+				if err := n.EnableTracing(trace.Config{RuleExecTTL: 1e9, RuleExecMax: 1 << 20}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -246,5 +247,45 @@ func TestDefaultClockIsZero(t *testing.T) {
 	}
 	if n.Rand64() == n.Rand64() {
 		t.Error("rng must advance")
+	}
+}
+
+// TestAbandonedActivationKeepsNoRecord: an aggregate activation whose
+// count-0 group fails to evaluate (a division by zero) is abandoned, and
+// the strand's next activation is traced from its own trigger, not from
+// the abandoned one's.
+func TestAbandonedActivationKeepsNoRecord(t *testing.T) {
+	var errs []string
+	n := engine.NewNode(engine.Config{Addr: "n1", OnRuleError: func(_ float64, _ string, err error) {
+		errs = append(errs, err.Error())
+	}})
+	if err := n.EnableTracing(trace.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.InstallProgram(mustProg(t, `
+materialize(tbl, infinity, infinity, keys(1,2)).
+r1 out@N(A / B, count<*>) :- trig@N(A, B), tbl@N(C).
+`)); err != nil {
+		t.Fatal(err)
+	}
+	n.HandleLocal(tuple.New("tbl", tuple.Str("n1"), tuple.Int(5)))                // ID 1
+	n.HandleLocal(tuple.New("trig", tuple.Str("n1"), tuple.Int(1), tuple.Int(0))) // ID 2: abandoned
+	n.HandleLocal(tuple.New("trig", tuple.Str("n1"), tuple.Int(4), tuple.Int(2))) // ID 3, derives out #4
+	if len(errs) != 1 {
+		t.Fatalf("rule errors = %v, want the one division by zero", errs)
+	}
+	type edge struct {
+		in      uint64
+		isEvent bool
+	}
+	got := map[edge]bool{}
+	n.Table(trace.RuleExecTable).Scan(0, func(r tuple.Tuple) {
+		if r.Field(1).AsStr() == "r1" && r.Field(3).AsID() == 4 {
+			got[edge{r.Field(2).AsID(), r.Field(6).AsBool()}] = true
+		}
+	})
+	want := map[edge]bool{{3, true}: true, {1, false}: true}
+	if !maps.Equal(got, want) {
+		t.Errorf("causes of out #4 = %v, want trig #3 (event) and tbl #1 (precondition): %v", got, want)
 	}
 }

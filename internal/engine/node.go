@@ -517,9 +517,6 @@ func (n *Node) UninstallQuery(id string) error {
 			r.strands = slices.DeleteFunc(slices.Clone(r.strands), func(b bound) bool { return b.s == s })
 			n.release(name, r)
 		}
-		if n.tracer != nil {
-			n.tracer.ForgetStrand(s)
-		}
 		if e := n.aggMaints[s]; e != nil {
 			n.dropAggEntry(s, e)
 		}
@@ -554,11 +551,6 @@ func (n *Node) genQueryID() string {
 			return id
 		}
 	}
-}
-
-func (n *Node) genLabel() string {
-	n.labelCounter++
-	return ruleLabel(n.labelCounter)
 }
 
 // ruleLabel is the generated ID of the k-th unlabeled rule on a node.
@@ -1036,8 +1028,14 @@ func (n *Node) dropAggEntry(s *dataflow.Strand, e *aggEntry) {
 	delete(n.aggMaints, s)
 }
 
-// Table implements dataflow.Context.
-func (n *Node) Table(name string) *table.Table { return n.store.Get(name) }
+// Table implements dataflow.Context: the table bound to name's relation
+// record, which is the store's.
+func (n *Node) Table(name string) *table.Table {
+	if r := n.rels[name]; r != nil {
+		return r.tbl
+	}
+	return nil
+}
 
 // Bill implements dataflow.Context.
 func (n *Node) Bill(sec float64) { n.bill(sec) }
@@ -1064,14 +1062,6 @@ func (n *Node) TracePrecond(s *dataflow.Strand, stage int, t tuple.Tuple) {
 	}
 	n.bill(dataflow.CostTraceTap)
 	n.tracer.Precond(s, stage, t, n.Now())
-}
-
-// TraceStageDone implements dataflow.Context.
-func (n *Node) TraceStageDone(s *dataflow.Strand, stage int) {
-	if n.tracer == nil {
-		return
-	}
-	n.tracer.StageDone(s, stage)
 }
 
 // EmitHead implements dataflow.Context: assign the head tuple its ID,

@@ -19,7 +19,7 @@ func countRows(store *table.Store, name string, now float64) int {
 // every eviction releases its references — and expiring every ruleExec
 // row must drain the memo to exactly zero.
 func TestEvictionReleasesMemo(t *testing.T) {
-	cfg := Config{RuleExecTTL: 1e6, RuleExecMax: 50, RecordsPerStrand: 4, TupleLogMax: 0}
+	cfg := Config{RuleExecTTL: 1e6, RuleExecMax: 50, TupleLogMax: 0}
 	tr, store, s := fixture(t, 0, cfg)
 
 	const rounds = 10000
@@ -33,7 +33,6 @@ func TestEvictionReleasesMemo(t *testing.T) {
 		register(tr, out)
 		tr.Input(s, in, now)
 		tr.Output(s, out, now+0.1)
-		tr.StageDone(s, 0)
 		tr.TaskDone()
 		if m := tr.MemoSize(); m > maxMemo {
 			maxMemo = m

@@ -27,7 +27,6 @@ func TestExportChromeFlows(t *testing.T) {
 	trA.Register(out.ID, out.Name, "nA", 2, "nB", 10) // headed to nB
 	trA.Input(sA, in, 10)
 	trA.Output(sA, out, 10.5)
-	trA.StageDone(sA, 0)
 	trA.TaskDone()
 
 	storeB := table.NewStore()
@@ -43,7 +42,6 @@ func TestExportChromeFlows(t *testing.T) {
 	trB.Register(outB.ID, outB.Name, "nB", 8, "nB", 11)
 	trB.Input(sB, arrived, 11)
 	trB.Output(sB, outB, 11.25)
-	trB.StageDone(sB, 0)
 	trB.TaskDone()
 
 	var buf bytes.Buffer

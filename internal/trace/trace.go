@@ -36,14 +36,12 @@ const (
 )
 
 // Config tunes the tracer's resource bounds (the optimizations §3.4
-// mentions: a fixed number of execution records, bounded log tables).
+// mentions: bounded execution and log tables).
 type Config struct {
 	// RuleExecTTL is the lifetime of ruleExec rows in seconds.
 	RuleExecTTL float64
 	// RuleExecMax bounds the ruleExec table (oldest evicted).
 	RuleExecMax int
-	// RecordsPerStrand caps concurrent tracer records per rule strand.
-	RecordsPerStrand int
 	// TupleLogMax bounds the tupleLog event buffer (0 disables event
 	// logging; rows also expire after RuleExecTTL).
 	TupleLogMax int
@@ -51,14 +49,13 @@ type Config struct {
 
 // DefaultConfig mirrors the prototype's bounds.
 func DefaultConfig() Config {
-	return Config{RuleExecTTL: 120, RuleExecMax: 2500, RecordsPerStrand: 8, TupleLogMax: 500}
+	return Config{RuleExecTTL: 120, RuleExecMax: 2500, TupleLogMax: 500}
 }
 
 // Tracer is the per-node tracing element. It is driven synchronously by
 // the node's dataflow taps and is not safe for concurrent use.
 type Tracer struct {
 	local string
-	cfg   Config
 
 	// strs numbers every rule ID, predicate name, address and log op the
 	// records below hold, so that they hold a fixed-width index.
@@ -84,13 +81,13 @@ type Tracer struct {
 	fresh       []uint32 // scratch for fillTuples
 
 	// pending holds provenance for tuples seen during the current task
-	// that are not (yet) referenced. A task's IDs come from one counter,
-	// so while pendingDense holds, ID i sits at pending[i-pending[0].id].
-	pending      []pendingProv
-	pendingDense bool
+	// that are not (yet) referenced. The node registers each ID once, in
+	// the order its one counter issues them, so ID i sits at
+	// pending[i-pending[0].id].
+	pending []pendingProv
 
-	// records holds each strand's tracer records (freeRecord).
-	records map[*dataflow.Strand]strandRecs
+	// rec is the tracer record of the activation under way.
+	rec record
 
 	// store, when attached, receives every trace record as a durable
 	// append — the forensic log that outlives the bounded soft state
@@ -113,6 +110,26 @@ type prov struct {
 type pendingProv struct {
 	id uint64
 	prov
+}
+
+// record is the tracer record (Figure 2) of the activation under way:
+// its strand, the observed input and the last precondition per stage.
+// The node runs one activation at a time, depth-first to completion, so
+// one record serves every strand and no stage interval is needed to
+// tell in-flight inputs apart (§2.1.2's matching of pipelined signals).
+type record struct {
+	s      *dataflow.Strand // nil between activations
+	inID   uint64
+	inTime float64
+	pre    []precond // stage k's precondition is pre[k-1]
+}
+
+// precond is one stage's precondition. A row may carry tuple ID 0 (the
+// node's epoch and the reflection rows do), so filled marks a slot in use.
+type precond struct {
+	id     uint64
+	time   float64
+	filled bool
 }
 
 // The records below are what the tracer keeps live, tens of thousands of
@@ -148,61 +165,6 @@ type execRec struct {
 type logRec struct {
 	op, name uint32 // dictionary indices
 	id       uint64
-}
-
-// record is one tracer record (Figure 2): the observed input, the last
-// precondition per stage, and the associated stage interval used to match
-// pipelined signals (§2.1.2). Its precondition slots are in its strand's
-// block (strandRecs), and which of them hold one is a bit in filled.
-type record struct {
-	inID   uint64
-	inTime float64
-	filled uint64 // bit k: stage k's slot holds a precondition (stages 64 and up: strandRecs.wide)
-	first  int32  // first associated stage (1-based)
-	last   int32  // last associated stage; first > last means "no stage"
-	active bool
-}
-
-type precond struct {
-	id   uint64
-	time float64
-}
-
-// strandRecs is one strand's tracer records and their precondition
-// slots, made on the strand's first input: two blocks however many
-// records it ends up using.
-type strandRecs struct {
-	recs []record  // in use: a prefix of the block of RecordsPerStrand
-	pre  []precond // record i's stage k precondition is pre[i*Stages+k-1]
-	// wide holds the filled bits of stages 64 and up, Stages/64 words a
-	// record; nil for the strands that need none, which is all of them
-	// short of a rule with 64 joins.
-	wide []uint64
-	rule uint32 // the strand's rule ID, interned once
-}
-
-// word returns record i's filled word holding stage's bit.
-func (b *strandRecs) word(i, stage, stages int) *uint64 {
-	if stage < 64 {
-		return &b.recs[i].filled
-	}
-	return &b.wide[i*(stages/64)+stage/64-1]
-}
-
-// filled reports whether record i holds a precondition for stage.
-func (b *strandRecs) filled(i, stage, stages int) bool {
-	return *b.word(i, stage, stages)&(1<<(stage%64)) != 0
-}
-
-// fill records precondition p at stage of record i and empties every
-// later stage's slot.
-func (b *strandRecs) fill(i, stage, stages int, p precond) {
-	b.pre[i*stages+stage-1] = p
-	w := b.word(i, stage, stages)
-	*w = *w&(1<<(stage%64+1)-1) | 1<<(stage%64) // a shift by 64 is 0 in Go: all ones kept
-	for k := stage/64 + 1; k <= stages/64; k++ {
-		*b.word(i, 64*k, stages) = 0
-	}
 }
 
 // dict numbers strings for the records above: an index fits a fixed
@@ -249,9 +211,6 @@ func (d *dict) str(i uint32) string { return d.strs[i] }
 
 // New creates a tracer and materializes its reflection tables in store.
 func New(store *table.Store, localAddr string, cfg Config) (*Tracer, error) {
-	if cfg.RecordsPerStrand <= 0 {
-		cfg.RecordsPerStrand = 8
-	}
 	re, err := store.Materialize(table.Spec{
 		Name:     RuleExecTable,
 		Lifetime: cfg.RuleExecTTL,
@@ -272,13 +231,10 @@ func New(store *table.Store, localAddr string, cfg Config) (*Tracer, error) {
 		return nil, err
 	}
 	tr := &Tracer{
-		local:        localAddr,
-		cfg:          cfg,
-		strs:         newDict(),
-		tuples:       tt,
-		memo:         make(map[uint64]uint32),
-		pendingDense: true,
-		records:      make(map[*dataflow.Strand]strandRecs),
+		local:  localAddr,
+		strs:   newDict(),
+		tuples: tt,
+		memo:   make(map[uint64]uint32),
 	}
 	// Reference counting: when a ruleExec record dies (TTL, eviction,
 	// replacement or delete), release the tuples it referenced.
@@ -347,19 +303,14 @@ func (tr *Tracer) noteStore(appended, sealed int) {
 // to: where it came from (src/srcID; the node itself for local tuples)
 // and where it lives or is headed (dst). name is the tuple's predicate
 // name, all the tracer keeps of its content; the registration is memoized
-// only if a ruleExec row ends up referencing the ID. Remote arrivals
-// additionally append a hop record to the attached store — the durable
-// cross-node provenance edge lineage queries follow.
+// only if a ruleExec row ends up referencing the ID. The node registers
+// each ID once, in the order it issues them, so a registration is always
+// new. Remote arrivals additionally append a hop record to the attached
+// store — the durable cross-node provenance edge lineage queries follow.
 func (tr *Tracer) Register(id uint64, name, src string, srcID uint64, dst string, now float64) {
 	if tr.store != nil && src != "" && src != tr.local {
 		sealed := tr.store.AppendHop(tracestore.Hop{ID: id, Src: src, SrcID: srcID, Dst: dst, T: now})
 		tr.noteStore(1, sealed)
-	}
-	if _, ok := tr.memo[id]; ok {
-		return
-	}
-	if n := len(tr.pending); n > 0 && id != tr.pending[n-1].id+1 {
-		tr.pendingDense = false
 	}
 	tr.pending = append(tr.pending, pendingProv{id, prov{name: name, src: src, srcID: srcID, dst: dst}})
 }
@@ -367,109 +318,30 @@ func (tr *Tracer) Register(id uint64, name, src string, srcID uint64, dst string
 // findPending returns the provenance registered for id in this task.
 func (tr *Tracer) findPending(id uint64) (prov, bool) {
 	p := tr.pending
-	if tr.pendingDense {
-		if n := uint64(len(p)); n > 0 && id-p[0].id < n { // unsigned: also false below p[0].id
-			return p[id-p[0].id].prov, true
-		}
-		return prov{}, false
-	}
-	// Registered out of order, which the engine never does: the latest
-	// registration of an ID wins.
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i].id == id {
-			return p[i].prov, true
-		}
+	if n := uint64(len(p)); n > 0 && id-p[0].id < n { // unsigned: also false below p[0].id
+		return p[id-p[0].id].prov, true
 	}
 	return prov{}, false
 }
 
-// TaskDone discards provenance for tuples that ended the task
-// unreferenced. Records persist across tasks (bounded per strand).
+// TaskDone ends the task: the activation record, if any, and the
+// provenance of tuples that ended it unreferenced are discarded.
 func (tr *Tracer) TaskDone() {
+	tr.rec.s = nil
 	clear(tr.pending)
-	tr.pending, tr.pendingDense = tr.pending[:0], true
+	tr.pending = tr.pending[:0]
 }
 
-// Input observes a tuple entering a rule strand.
+// Input observes a tuple entering a rule strand: an activation starts,
+// with a record of its own.
 func (tr *Tracer) Input(s *dataflow.Strand, t tuple.Tuple, now float64) {
-	b := tr.strand(s)
-	i := tr.freeRecord(s, &b)
-	b.recs[i] = record{inID: t.ID, inTime: now, first: 1, last: int32(min(s.Stages, 1)), active: true}
-	if w := s.Stages / 64; w > 0 {
-		clear(b.wide[i*w : (i+1)*w])
+	r := &tr.rec
+	r.s, r.inID, r.inTime = s, t.ID, now
+	if cap(r.pre) < s.Stages {
+		r.pre = make([]precond, s.Stages)
 	}
-}
-
-// strand returns the strand's records, making its blocks on its first
-// input: two allocations a strand however many records it ends up
-// using, and none after.
-func (tr *Tracer) strand(s *dataflow.Strand) strandRecs {
-	b, ok := tr.records[s]
-	if !ok {
-		n := tr.cfg.RecordsPerStrand
-		b = strandRecs{
-			recs: make([]record, 0, n),
-			pre:  make([]precond, n*s.Stages),
-			rule: tr.strs.intern(s.RuleID),
-		}
-		if s.Stages >= 64 {
-			b.wide = make([]uint64, n*(s.Stages/64))
-		}
-		tr.records[s] = b
-	}
-	return b
-}
-
-// freeRecord returns the index of the record the strand's next input
-// goes into.
-func (tr *Tracer) freeRecord(s *dataflow.Strand, b *strandRecs) int {
-	// Prefer an inactive record.
-	for i := range b.recs {
-		if !b.recs[i].active {
-			return i
-		}
-	}
-	if n := len(b.recs); n < cap(b.recs) {
-		b.recs = b.recs[:n+1]
-		tr.records[s] = *b
-		return n
-	}
-	// Recycle the record with the oldest input.
-	oldest := 0
-	for i := 1; i < len(b.recs); i++ {
-		if b.recs[i].inTime < b.recs[oldest].inTime {
-			oldest = i
-		}
-	}
-	return oldest
-}
-
-// findByStage returns the index of the record whose associated interval
-// contains stage, or -1.
-func findByStage(recs []record, stage int) int {
-	for i := range recs {
-		if r := &recs[i]; r.active && int(r.first) <= stage && stage <= int(r.last) {
-			return i
-		}
-	}
-	return -1
-}
-
-// latest returns the index of the active record with the highest
-// associated stage (ties broken by most recent input), or -1.
-func latest(recs []record) int {
-	best := -1
-	for i := range recs {
-		r := &recs[i]
-		if !r.active {
-			continue
-		}
-		if best < 0 || r.last > recs[best].last ||
-			(r.last == recs[best].last && r.inTime > recs[best].inTime) {
-			best = i
-		}
-	}
-	return best
+	r.pre = r.pre[:s.Stages]
+	clear(r.pre)
 }
 
 // Precond observes a precondition tuple fetched by the join at the given
@@ -477,70 +349,28 @@ func latest(recs []record) int {
 // precondition arriving "in the middle" of the strand invalidates
 // later-stage observations belonging to a previous iteration.
 func (tr *Tracer) Precond(s *dataflow.Strand, stage int, t tuple.Tuple, now float64) {
-	if stage < 1 || stage > s.Stages {
+	r := &tr.rec
+	if r.s != s || stage < 1 || stage > len(r.pre) {
 		return
 	}
-	b := tr.records[s]
-	i := findByStage(b.recs, stage)
-	if i < 0 {
-		// Extend the record with the latest associated stages.
-		if i = latest(b.recs); i < 0 {
-			return
-		}
-		if r := &b.recs[i]; stage > int(r.last) {
-			r.last = int32(stage)
-		} else {
-			r.first = int32(stage)
-		}
-	}
-	b.fill(i, stage, s.Stages, precond{id: t.ID, time: now})
+	r.pre[stage-1] = precond{id: t.ID, time: now, filled: true}
+	clear(r.pre[stage:])
 }
 
 // Output observes a head tuple produced by the strand and packages the
-// owning record into ruleExec rows: one causal link from the input event
-// and one from each recorded precondition.
+// activation's record into ruleExec rows: one causal link from the input
+// event and one from each recorded precondition.
 func (tr *Tracer) Output(s *dataflow.Strand, t tuple.Tuple, now float64) {
-	b := tr.records[s]
-	i := latest(b.recs)
-	if i < 0 {
+	r := &tr.rec
+	if r.s != s {
 		return
 	}
-	r := &b.recs[i]
-	tr.emitRuleExec(b.rule, r.inID, t.ID, r.inTime, now, true)
-	for stage := 1; stage <= s.Stages; stage++ {
-		if b.filled(i, stage, s.Stages) {
-			p := &b.pre[i*s.Stages+stage-1]
-			tr.emitRuleExec(b.rule, p.id, t.ID, p.time, now, false)
+	rule := tr.strs.intern(s.RuleID)
+	tr.emitRuleExec(rule, r.inID, t.ID, r.inTime, now, true)
+	for _, p := range r.pre {
+		if p.filled {
+			tr.emitRuleExec(rule, p.id, t.ID, p.time, now, false)
 		}
-	}
-}
-
-// StageDone signals that the stateful element at the given stage seeks a
-// new input (§2.1.2). The record whose interval begins at the stage
-// abandons it; advancing past the final stage retires the record.
-func (tr *Tracer) StageDone(s *dataflow.Strand, stage int) {
-	recs := tr.records[s].recs
-	if stage < 1 || stage > s.Stages {
-		// Strands without joins retire their record when the (virtual)
-		// stage 0 completes, i.e. at activation end.
-		if s.Stages == 0 {
-			if i := latest(recs); i >= 0 {
-				recs[i].active = false
-			}
-		}
-		return
-	}
-	for i := range recs {
-		if r := &recs[i]; r.active && int(r.first) == stage {
-			r.first = int32(stage + 1)
-			if int(r.first) > s.Stages {
-				r.active = false
-			}
-			return
-		}
-	}
-	if i := latest(recs); i >= 0 && stage > int(recs[i].last) {
-		recs[i].last = int32(stage)
 	}
 }
 
@@ -708,17 +538,14 @@ func (tr *Tracer) Name(id uint64) (string, bool) {
 }
 
 // Reset drops every piece of in-memory trace state — trace records,
-// memoized provenance, pending registrations, strand records — AND
-// purges the trace reflection tables themselves. The engine calls it
-// when a node restarts with soft-state loss. Forgetting the ruleExec
-// records here is load-bearing, not cosmetic: a restarted node reuses
-// tuple IDs from 1, so a stale pre-crash record that expired later would
-// release its references against a reused ID and evict a live
-// post-restart memo entry. A strand's records are emptied in place (the
-// restarted node runs the same strands); the event-log sequence restarts.
-// The attached trace store is deliberately NOT cleared — it is the
-// forensic record that must survive the restart — but gets a "restart"
-// marker so investigations can see the discontinuity.
+// memoized provenance, pending registrations, the activation record —
+// AND purges the trace reflection tables themselves. The engine calls it
+// when a node restarts with soft-state loss: the records describe state
+// the restart lost, and a memo entry outliving them would pin a tuple
+// nothing refers to. The event-log sequence restarts. The attached trace
+// store is deliberately NOT cleared — it is the forensic record that
+// must survive the restart — but gets a "restart" marker so
+// investigations can see the discontinuity.
 func (tr *Tracer) Reset(now float64) {
 	tr.execs.reset()
 	tr.execs.tb.Clear()
@@ -732,28 +559,11 @@ func (tr *Tracer) Reset(now float64) {
 	tr.slots, tr.free = tr.slots[:0], tr.free[:0]
 	tr.born, tr.tuplesBuilt = 0, 0
 	tr.TaskDone()
-	for s, b := range tr.records {
-		b.recs = b.recs[:0]
-		tr.records[s] = b
-	}
 	if tr.store != nil {
 		sealed := tr.store.AppendEvent(tracestore.Event{Op: "restart", Name: "", ID: 0, T: now})
 		tr.noteStore(1, sealed)
 	}
 }
-
-// ForgetStrand drops the per-strand record state of an uninstalled
-// strand, so the tracer holds no reference to it. Already-emitted
-// ruleExec rows survive (they are execution history and age out by TTL);
-// memo references are owned by those rows, not by strand records, so
-// nothing leaks.
-func (tr *Tracer) ForgetStrand(s *dataflow.Strand) {
-	delete(tr.records, s)
-}
-
-// RecordStrands reports how many strands currently hold tracer records
-// (a leak check for query uninstallation).
-func (tr *Tracer) RecordStrands() int { return len(tr.records) }
 
 // MemoSize reports how many tuples are currently memoized (live trace
 // tuples, part of the memory-overhead measurements).

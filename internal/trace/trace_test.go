@@ -52,7 +52,6 @@ func TestSingleRuleExecution(t *testing.T) {
 	tr.Input(s, ev, 10)
 	tr.Precond(s, 1, pre, 11)
 	tr.Output(s, out, 12)
-	tr.StageDone(s, 1)
 
 	got := rows(t, store)
 	if len(got) != 2 {
@@ -96,13 +95,12 @@ func TestMultipleMatchesPerInput(t *testing.T) {
 	register(tr, ev)
 	tr.Input(s, ev, 10)
 	for i := uint64(0); i < 3; i++ {
-		pre, out := tup("prec", 10+i), tup("head", 20+i)
+		pre, out := tup("prec", 2+2*i), tup("head", 3+2*i)
 		register(tr, pre)
 		register(tr, out)
 		tr.Precond(s, 1, pre, 11)
 		tr.Output(s, out, 12)
 	}
-	tr.StageDone(s, 1)
 	got := rows(t, store)
 	if len(got) != 6 {
 		t.Fatalf("ruleExec rows = %d, want 6 (2 per output)", len(got))
@@ -111,12 +109,12 @@ func TestMultipleMatchesPerInput(t *testing.T) {
 	for i := uint64(0); i < 3; i++ {
 		found := false
 		for _, r := range got {
-			if !r.Field(6).AsBool() && r.Field(2).AsID() == 10+i && r.Field(3).AsID() == 20+i {
+			if !r.Field(6).AsBool() && r.Field(2).AsID() == 2+2*i && r.Field(3).AsID() == 3+2*i {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("missing precondition link %d -> %d", 10+i, 20+i)
+			t.Errorf("missing precondition link %d -> %d", 2+2*i, 3+2*i)
 		}
 	}
 }
@@ -125,7 +123,7 @@ func TestMultipleMatchesPerInput(t *testing.T) {
 // of the strand flushes recorded fields to its right.
 func TestPrecondFlushRule(t *testing.T) {
 	tr, store, s := fixture(t, 2, DefaultConfig())
-	ev := tup("event", 1)
+	ev := tup("event", 10)
 	register(tr, ev)
 	tr.Input(s, ev, 10)
 	p1a, p2a := tup("p1", 11), tup("p2", 12)
@@ -154,55 +152,48 @@ func TestPrecondFlushRule(t *testing.T) {
 	}
 }
 
-// TestPipelinedRecords reproduces Figure 3: a second input enters stage 1
-// while the first input is still producing matches at stage 2. The
-// tracer must keep two records and attribute outputs to the right one.
-func TestPipelinedRecords(t *testing.T) {
+// TestInputStartsRecord: the node runs one activation at a time, so an
+// input starts the record afresh. Figure 3's second input, arriving
+// while the first still produces stage-2 matches, cannot happen; an
+// activation abandoned midway (an aggregate whose count-0 group fails)
+// must not lend the next one its input or preconditions.
+func TestInputStartsRecord(t *testing.T) {
 	tr, store, s := fixture(t, 2, DefaultConfig())
-	ev1, ev2 := tup("event", 1), tup("event", 2)
-	p1x, p2x := tup("p1", 11), tup("p2", 12)
-	p1y := tup("p1", 21)
-	o1 := tup("head", 31)
-	for _, x := range []tuple.Tuple{ev1, ev2, p1x, p2x, p1y, o1} {
+	ev1, p1x, p2x, ev2, o1 := tup("event", 1), tup("p1", 2), tup("p2", 3), tup("event", 4), tup("head", 5)
+	for _, x := range []tuple.Tuple{ev1, p1x, p2x, ev2, o1} {
 		register(tr, x)
 	}
-	// Input 1 flows to stage 2.
 	tr.Input(s, ev1, 1)
 	tr.Precond(s, 1, p1x, 1.1)
 	tr.Precond(s, 2, p2x, 1.2)
-	// Stage 1 completes for input 1 and input 2 enters: record 1 is now
-	// associated with stage 2 only, record 2 with stage 1.
-	tr.StageDone(s, 1)
 	tr.Input(s, ev2, 2)
-	tr.Precond(s, 1, p1y, 2.1)
-	// Input 1's remaining stage-2 match produces an output; it must be
-	// attributed to record 1 (input ev1), not record 2.
 	tr.Output(s, o1, 2.2)
-	var eventIn uint64
-	for _, r := range rows(t, store) {
-		if r.Field(6).AsBool() && r.Field(3).AsID() == 31 {
-			eventIn = r.Field(2).AsID()
-		}
-	}
-	if eventIn != 1 {
-		t.Errorf("output attributed to input %d, want 1 (pipelined record)", eventIn)
+	got := rows(t, store)
+	if len(got) != 1 || got[0].Field(2).AsID() != 4 || !got[0].Field(6).AsBool() || got[0].Field(4).AsFloat() != 2 {
+		t.Errorf("ruleExec = %v, want the one event edge 4 -> 5 at 2", got)
 	}
 }
 
-// TestRecordCap: the fixed number of execution records (a §3.4 resource
-// bound) recycles the oldest record instead of growing.
+// TestRecordCap: the tracer keeps one record, the activation's (a §3.4
+// resource bound): inputs without outputs produce no rows, and once its
+// precondition slots fit the widest strand they allocate nothing.
 func TestRecordCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RecordsPerStrand = 2
-	tr, store, s := fixture(t, 1, cfg)
-	for i := uint64(0); i < 10; i++ {
-		ev := tup("event", 100+i)
-		register(tr, ev)
-		tr.Input(s, ev, float64(i))
+	tr, store, s := fixture(t, 3, DefaultConfig())
+	narrow := &dataflow.Strand{Plan: &dataflow.Plan{RuleID: "r2", Stages: 1}}
+	ev, p := tup("event", 100), tup("p", 0)
+	tr.Input(s, ev, 0)
+	now := 0.0
+	if n := testing.AllocsPerRun(10, func() {
+		now++
+		tr.Input(narrow, ev, now)
+		tr.Precond(narrow, 1, p, now)
+		tr.Input(s, ev, now)
+		tr.Precond(s, 3, p, now)
+	}); n != 0 {
+		t.Errorf("activations: %v allocs, want 0", n)
 	}
-	// Only bookkeeping structures are bounded; no rows were produced.
-	if got := len(tr.records[s].recs); got != 2 {
-		t.Errorf("records = %d, want cap 2", got)
+	if got := len(tr.rec.pre); got != s.Stages {
+		t.Errorf("record holds %d precondition slots, want the strand's %d", got, s.Stages)
 	}
 	if store.Get(RuleExecTable).Count() != 0 {
 		t.Error("no outputs -> no ruleExec rows (only successful executions are stored)")
@@ -292,10 +283,12 @@ func TestUnregisteredReferenceSynthesizesProvenance(t *testing.T) {
 	})
 }
 
-// TestTapEdgeCases: taps with no owning record or invalid stages are
-// ignored rather than corrupting state.
+// TestTapEdgeCases: taps with no owning record, of another strand or
+// at invalid stages are ignored rather than corrupting state, and a
+// precondition with tuple ID 0 is recorded like any other.
 func TestTapEdgeCases(t *testing.T) {
 	tr, store, s := fixture(t, 2, DefaultConfig())
+	other := &dataflow.Strand{Plan: &dataflow.Plan{RuleID: "r2", Stages: 2}}
 	// Output with no active record: dropped.
 	tr.Output(s, tup("head", 9), 1)
 	if store.Get(RuleExecTable).Count() != 0 {
@@ -303,19 +296,43 @@ func TestTapEdgeCases(t *testing.T) {
 	}
 	// Precondition before any input: dropped.
 	tr.Precond(s, 1, tup("p", 1), 1)
-	// Out-of-range stages are ignored.
+	// Out-of-range stages and other strands' taps are ignored.
 	ev := tup("event", 2)
 	register(tr, ev)
 	tr.Input(s, ev, 1)
 	tr.Precond(s, 0, tup("p", 3), 1)
 	tr.Precond(s, 99, tup("p", 4), 1)
-	tr.StageDone(s, 99)
-	out := tup("head", 5)
+	tr.Precond(other, 1, tup("p", 5), 1)
+	tr.Output(other, tup("head", 6), 1)
+	out := tup("head", 3)
 	register(tr, out)
 	tr.Output(s, out, 2)
 	// Only the event edge exists (no valid preconditions recorded).
 	if got := store.Get(RuleExecTable).Count(); got != 1 {
 		t.Errorf("rows = %d, want 1", got)
+	}
+	// An epoch or reflection row carries ID 0; its slot is still filled.
+	tr.Precond(s, 2, tup("nodeEpoch", 0), 3)
+	out2 := tup("head", 4)
+	register(tr, out2)
+	tr.Output(s, out2, 3)
+	var causes []uint64
+	for _, r := range rows(t, store) {
+		if r.Field(3).AsID() == 4 {
+			causes = append(causes, r.Field(2).AsID())
+		}
+	}
+	if len(causes) != 2 || causes[0]+causes[1] != 2 {
+		t.Errorf("causes of head 4 = %v, want the input 2 and precondition 0", causes)
+	}
+	// The task's end ends the activation: its record no longer owns taps.
+	tr.TaskDone()
+	if tr.rec.s != nil {
+		t.Error("the record still names its strand after TaskDone")
+	}
+	tr.Output(s, tup("head", 10), 4)
+	if got := store.Get(RuleExecTable).Count(); got != 3 {
+		t.Errorf("rows after TaskDone and an output = %d, want 3", got)
 	}
 }
 
@@ -349,12 +366,12 @@ func TestLogEvent(t *testing.T) {
 	}
 }
 
-// TestResetNoResurrection pins the restart-resurrection fix: a node
-// that restarts (soft-state loss) reuses tuple IDs from 1, so a stale
-// pre-crash ruleExec row left in the table would — when it later
-// expires — fire the release subscription against a reused ID and
-// evict a live post-restart memo entry. Reset must therefore purge the
-// trace tables itself, not just the in-memory maps.
+// TestResetNoResurrection pins that Reset (a restart with soft-state
+// loss) purges the trace tables itself, not just the in-memory maps: a
+// stale pre-crash ruleExec row left in the table would, when it later
+// expired, release references on the memo entries it names. The test
+// has the tracer see IDs 1 and 2 again after the restart, which a node
+// never does, so that such a release would evict a live entry.
 func TestResetNoResurrection(t *testing.T) {
 	tr, store, s := fixture(t, 0, DefaultConfig()) // TTL 120
 	// Pre-crash activity: IDs 1 and 2 referenced by a ruleExec row
@@ -364,7 +381,6 @@ func TestResetNoResurrection(t *testing.T) {
 	register(tr, out)
 	tr.Input(s, ev, 10)
 	tr.Output(s, out, 10.5)
-	tr.StageDone(s, 0)
 	tr.TaskDone()
 	if tr.MemoSize() != 2 {
 		t.Fatalf("pre-crash memo = %d, want 2", tr.MemoSize())
@@ -382,13 +398,12 @@ func TestResetNoResurrection(t *testing.T) {
 		t.Fatalf("Reset left %d stale tupleTable rows", got)
 	}
 
-	// The restarted process reuses IDs 1 and 2 at t=130.
+	// The same IDs again at t=130.
 	ev2, out2 := tup("event", 1), tup("head", 2)
 	register(tr, ev2)
 	register(tr, out2)
 	tr.Input(s, ev2, 130)
 	tr.Output(s, out2, 130.5)
-	tr.StageDone(s, 0)
 	tr.TaskDone()
 
 	// t=135: past the PRE-crash row's expiry (130.5), well before the
@@ -409,90 +424,39 @@ func TestResetNoResurrection(t *testing.T) {
 	}
 }
 
-// TestResetPoolsRecords: a restarted node runs the same strands, so the
-// strand records Reset empties are reused by the next activation instead
-// of reallocated.
+// TestResetPoolsRecords: Reset ends the activation under way, and the
+// restarted node's first activation reuses the record's precondition
+// slots instead of allocating them.
 func TestResetPoolsRecords(t *testing.T) {
-	tr, _, s := fixture(t, 2, DefaultConfig())
+	tr, store, s := fixture(t, 2, DefaultConfig())
 	ev := tup("event", 1)
 	register(tr, ev)
 	tr.Input(s, ev, 1)
 	tr.Precond(s, 1, tup("p", 2), 1)
-	old := &tr.records[s].recs[0]
+	old := &tr.rec.pre[0]
 	tr.Reset(10)
-	if got := len(tr.records[s].recs); got != 0 {
-		t.Fatalf("records in use after Reset = %d, want 0", got)
+	tr.Output(s, tup("head", 3), 10)
+	if got := store.Get(RuleExecTable).Count(); got != 0 {
+		t.Fatalf("an output after Reset made %d rows from the pre-restart record", got)
 	}
-	if recs := tr.records[s].recs; findByStage(recs, 1) >= 0 || latest(recs) >= 0 {
-		t.Fatal("a pre-restart record is still active after Reset")
-	}
-	ev2 := tup("event", 1)
+	ev2 := tup("event", 4)
 	register(tr, ev2)
 	if n := testing.AllocsPerRun(1, func() { tr.Input(s, ev2, 20) }); n != 0 {
 		t.Fatalf("first activation after Reset: %v allocs, want 0", n)
 	}
-	got := &tr.records[s].recs[0]
-	if got != old {
-		t.Fatal("new record was allocated instead of reusing the strand's block")
+	if &tr.rec.pre[0] != old {
+		t.Fatal("the record's slots were allocated again instead of reused")
 	}
-	if got.filled != 0 || !got.active || got.inID != 1 || got.inTime != 20 {
-		t.Fatalf("reused record = %+v, want active on input 1 at 20 with no precondition", *got)
-	}
-}
-
-// TestStrandRecordsAreOneBlock: however many of its records a strand ends
-// up using, they and their precondition slots cost two allocations, on
-// the strand's first input.
-func TestStrandRecordsAreOneBlock(t *testing.T) {
-	tr, _, _ := fixture(t, 2, DefaultConfig())
-	// AllocsPerRun calls its function once to warm up (which also makes
-	// the records map's first bucket), then once measured: a strand each.
-	strands := []*dataflow.Strand{
-		{Plan: &dataflow.Plan{RuleID: "r1", Stages: 2}},
-		{Plan: &dataflow.Plan{RuleID: "r2", Stages: 2}},
-	}
-	// The dictionary grows by a string the first time it sees it, not by
-	// a strand: it knows both rule IDs already, as it would a restarted
-	// node's or a reinstalled query's.
-	for _, s := range strands {
-		tr.strs.intern(s.RuleID)
-	}
-	ev, now, run := tup("event", 1), 0.0, 0
-	if n := testing.AllocsPerRun(1, func() {
-		// No StageDone: every input needs a record of its own, past the cap.
-		for i := 0; i < 3*DefaultConfig().RecordsPerStrand; i++ {
-			now++
-			tr.Input(strands[run], ev, now)
-		}
-		run++
-	}); n != 2 {
-		t.Errorf("%d inputs on a new strand: %v allocs, want 2 (its records, their preconditions)", 3*DefaultConfig().RecordsPerStrand, n)
-	}
-	s := strands[1]
-	b := tr.records[s]
-	if len(b.recs) != DefaultConfig().RecordsPerStrand {
-		t.Fatalf("records = %d, want the cap %d", len(b.recs), DefaultConfig().RecordsPerStrand)
-	}
-	if len(b.pre) != len(b.recs)*s.Stages {
-		t.Fatalf("precondition block = %d slots, want %d records x %d stages", len(b.pre), len(b.recs), s.Stages)
-	}
-	// Each record's slots are its own: filling one's last stage must not
-	// reach into the next one's first.
-	for i := range b.recs {
-		b.fill(i, s.Stages, s.Stages, precond{id: uint64(i + 1)})
-	}
-	for i := range b.recs {
-		if b.filled(i, 1, s.Stages) || !b.filled(i, s.Stages, s.Stages) || b.pre[i*s.Stages+s.Stages-1].id != uint64(i+1) {
-			t.Fatalf("record %d shares precondition slots with a neighbour: %+v %+v", i, b.recs[i], b.pre)
-		}
+	if r := tr.rec; r.s != s || r.inID != 4 || r.inTime != 20 || r.pre[0].filled || r.pre[1].filled {
+		t.Fatalf("record = %+v, want input 4 at 20 with no precondition", r)
 	}
 }
 
 // TestMemoEntrySize makes the next field added to a live trace record a
 // decision: the forensics workload keeps some 41 000 memo entries, 2 500
-// exec records a node, 500 log records and a block of strand records
-// live. The bounds are those of the compact layout; the strings, slice
-// headers and flags it replaced made them 88, 80, 56, 64 and 24 bytes.
+// exec records a node and 500 log records live. The bounds are those of
+// the compact layout; the strings, slice headers and flags it replaced
+// made them 88, 80 and 56 bytes.
 func TestMemoEntrySize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -501,8 +465,6 @@ func TestMemoEntrySize(t *testing.T) {
 		{"memoEntry", unsafe.Sizeof(memoEntry{}), 48},
 		{"slot[execRec]", unsafe.Sizeof(slot[execRec]{}), 40},
 		{"slot[logRec]", unsafe.Sizeof(slot[logRec]{}), 24},
-		{"record", unsafe.Sizeof(record{}), 40},
-		{"precond", unsafe.Sizeof(precond{}), 16},
 		// Emptied every task, so it keeps its strings.
 		{"pendingProv", unsafe.Sizeof(pendingProv{}), 64},
 	} {
@@ -513,8 +475,8 @@ func TestMemoEntrySize(t *testing.T) {
 }
 
 // TestRecordsHoldNoPointers: the live trace records are pointer-free,
-// so the collector never scans the rings, the memo's slots or the strand
-// blocks, and a record holds no string a task might have lent it.
+// so the collector never scans the rings or the memo's slots, and a
+// record holds no string a task might have lent it.
 func TestRecordsHoldNoPointers(t *testing.T) {
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -531,7 +493,7 @@ func TestRecordsHoldNoPointers(t *testing.T) {
 			t.Errorf("%s is a %s", path, ty.Kind())
 		}
 	}
-	for _, v := range []any{memoEntry{}, slot[execRec]{}, slot[logRec]{}, record{}, precond{}} {
+	for _, v := range []any{memoEntry{}, slot[execRec]{}, slot[logRec]{}} {
 		ty := reflect.TypeOf(v)
 		walk(ty.Name(), ty)
 	}
@@ -573,7 +535,6 @@ func (w *writePath) step() {
 	w.tr.Input(w.s, in, w.now)
 	register(w.tr, out)
 	w.tr.Output(w.s, out, w.now)
-	w.tr.StageDone(w.s, 0)
 	w.tr.LogEvent("insert", "head", out.ID, w.now)
 	w.taskDone()
 }
@@ -677,7 +638,6 @@ func TestReadBuildsOnlyNewRows(t *testing.T) {
 			register(tr, out)
 			tr.Input(s, in, now)
 			tr.Output(s, out, now)
-			tr.StageDone(s, 0)
 			tr.LogEvent("insert", "head", out.ID, now)
 			tr.TaskDone()
 		}

@@ -98,10 +98,11 @@ func (v *View) visible(t float64) bool { return !(t < v.since || t > v.until) }
 
 // idIndex finds the rows of a decoded segment whose ID column holds a
 // given value. A column that is nondecreasing in append order — exec
-// OutID and hop ID within one incarnation of a node — is binary-searched
-// in place. Otherwise (exec InID always; the other two when a restart
-// inside the window re-issued IDs from 1) sorted holds the column as
-// (id, row) pairs ordered by both, so equal IDs stay in append order.
+// OutID and hop ID, which a node issues from one counter — is
+// binary-searched in place. Otherwise (exec InID always; the other two
+// only when appended out of order, which the store accepts though no
+// node does it) sorted holds the column as (id, row) pairs ordered by
+// both, so equal IDs stay in append order.
 type idIndex struct {
 	built  bool
 	sorted []idRow
@@ -377,8 +378,8 @@ func (v *View) eachExec(refs []segRef, id uint64, byIn bool, fn func(*Exec)) err
 	return nil
 }
 
-// arrival returns the newest visible hop record for local tuple id: on
-// a reused ID the latest registration wins, mirroring the tupleTable's
+// arrival returns the newest visible hop record for local tuple id: were
+// an ID appended twice the latest would win, mirroring the tupleTable's
 // replace-on-key semantics.
 func (v *View) arrival(refs []segRef, id uint64) (Hop, bool, error) {
 	for i := len(refs) - 1; i >= 0; i-- {

@@ -81,10 +81,10 @@ func (r idRange) has(id uint64) bool { return r.min <= id && id <= r.max }
 // segMeta is what a view needs to know about a segment to decide,
 // without decoding it, whether it can hold a record: the ID ranges of
 // the three columns lineage walks search, and the span of record times.
-// A node assigns tuple IDs from one counter, so the out and hop ranges
-// of a node's segments are near-disjoint (a restart, which re-issues
-// IDs from 1, is the exception) and a lookup decodes one or two
-// segments, not the horizon.
+// A node assigns tuple IDs from one counter that a restart does not
+// reset, so the out and hop ranges of a node's segments are
+// near-disjoint and a lookup decodes one or two segments, not the
+// horizon.
 type segMeta struct {
 	out, in, hop idRange // exec OutID, exec InID, hop ID
 	tmin, tmax   float64 // exec OutT, hop T, event T
