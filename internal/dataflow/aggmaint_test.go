@@ -249,7 +249,8 @@ func (c *nullCtx) Bill(float64)                        {}
 func (c *nullCtx) AggState(*Strand) *AggMaint          { return nil }
 func (c *nullCtx) EmitHead(*Strand, tuple.Tuple, bool) { c.heads++ }
 func (c *nullCtx) TraceInput(*Strand, tuple.Tuple)     {}
-func (c *nullCtx) Tracing() bool                       { return false }
+func (c *nullCtx) TracePassed()                        {}
+func (c *nullCtx) TraceWitness(*Strand, int)           {}
 func (c *nullCtx) TracePrecond(*Strand, int, tuple.Tuple) {
 }
 func (c *nullCtx) RuleError(ruleID string, err error) {

@@ -78,7 +78,8 @@ func (c *l2Ctx) Table(name string) *table.Table               { return c.store.G
 func (c *l2Ctx) Bill(float64)                                 {}
 func (c *l2Ctx) AggState(*dataflow.Strand) *dataflow.AggMaint { return nil }
 func (c *l2Ctx) TraceInput(*dataflow.Strand, tuple.Tuple)     {}
-func (c *l2Ctx) Tracing() bool                                { return false }
+func (c *l2Ctx) TracePassed()                                 {}
+func (c *l2Ctx) TraceWitness(*dataflow.Strand, int)           {}
 func (c *l2Ctx) TracePrecond(*dataflow.Strand, int, tuple.Tuple) {
 }
 func (c *l2Ctx) RuleError(ruleID string, err error) { panic(err) }

@@ -56,21 +56,28 @@ type Context interface {
 	// and takes whichever it is given. The engine owns the accumulator's
 	// lifecycle: it wires the table listeners that keep it current and
 	// tears it down on UninstallQuery. A traced node returns nil, because
-	// the rescan is what gives the tracer full precondition provenance;
-	// test contexts choose for themselves.
+	// only the rescan tells the tracer each group's witness
+	// (TraceWitness); test contexts choose for themselves.
 	AggState(s *Strand) *AggMaint
-
-	// Tracing reports whether the tracer taps record. A join then walks
-	// every row it reads down the pipeline, so the precondition tap sees
-	// them all, rather than ask a ring index for the rows its selection
-	// keeps (see rowFilter).
-	Tracing() bool
 
 	// Tracer taps (no-ops when execution logging is off). The output
 	// tap lives inside EmitHead: the node assigns the head tuple its
 	// node-unique ID there, which the tracer needs.
 	TraceInput(s *Strand, t tuple.Tuple)
 	TracePrecond(s *Strand, stage int, t tuple.Tuple)
+	// TracePassed observes a row a join passed over without binding it
+	// (see rowFilter): the walk would have tapped it as a precondition
+	// and its selection then rejected it. No output names such a row, so
+	// nothing is recorded, but a traced node bills the tap.
+	TracePassed()
+	// TraceWitness observes that the binding being folded into aggregate
+	// group number group is, so far, the first to reach the group's min
+	// or max: the group's output records this binding's preconditions.
+	// flushAgg emits a min or max group exactly when it has a witness,
+	// in group order, so the tracer gives an activation's k-th output
+	// the k-th witnessed group's preconditions. A count, sum or avg
+	// output records its input alone: the whole group is its cause.
+	TraceWitness(s *Strand, group int)
 
 	// RuleError reports a runtime error during rule evaluation (type
 	// mismatch, unbound variable); execution of the activation continues
@@ -149,10 +156,14 @@ func (*JoinOp) opNode() {}
 // nothing in between but assignments that cannot fail on a row whose X
 // is a number: sums and differences of X, numeric literals, variables
 // bound before the join and earlier such assignments (Chord's
-// D := K - FID - 1). Untraced, the probe then asks the table for the
-// rows in range (Table.MatchRange); a row the condition rejects never
-// binds, and the join bills it what the pipeline would have, one
-// CostEval per skipped op, in the same order.
+// D := K - FID - 1). The probe then asks the table for the rows in
+// range (Table.MatchRange); a row the condition rejects never binds,
+// and the join bills it what the pipeline would have, its precondition
+// tap (TracePassed) and one CostEval per skipped op, in the same order.
+// Traced or not, the heads, rule errors and ruleExec records are the
+// walk's: a rejected row's tap names no output, because the next row
+// the join binds overwrites it and an aggregate's output names its
+// witness (TraceWitness), never the last row tapped.
 type rowFilter struct {
 	cond   *overlog.RangeExpr
 	field  int // X's position in the row
@@ -241,12 +252,16 @@ func (f *rowFilter) arm(b Binding, arity int) (table.Range, bool) {
 	return table.NewRange(f.field, arity, lo, hi, f.cond.LoOpen, f.cond.HiOpen), true
 }
 
-// bill charges n rejected rows what the skipped ops would have, one
-// CostEval at a time as each op bills it, so the float sums come out
-// bit for bit as the pipeline's.
-func (f *rowFilter) bill(ctx Context, n int) {
-	for range n * f.evals {
-		ctx.Bill(CostEval)
+// pass charges n rows the join passed over what the walk would have:
+// each row's precondition tap, then one CostEval per skipped op, one
+// bill at a time as the pipeline bills them, so the float sums and the
+// clock every later tap reads come out bit for bit as the walk's.
+func (f *rowFilter) pass(ctx Context, n int) {
+	for range n {
+		ctx.TracePassed()
+		for range f.evals {
+			ctx.Bill(CostEval)
+		}
 	}
 }
 
@@ -632,10 +647,10 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 // unbound at run time (an accumulator rebuild runs the pipeline without
 // its trigger binding); the caller then scans.
 //
-// Untraced, a join with a rowFilter armed under b asks the table for the
-// rows in range and bills the rows it passed over before each as the
-// pipeline would have; when the table cannot answer, or traced, the
-// probe walks every row down the pipeline.
+// A join with a rowFilter armed under b asks the table for the rows in
+// range and charges the rows it passed over before each as the pipeline
+// would have (rowFilter.pass), traced or not; when the table cannot
+// answer, the probe walks every row down the pipeline.
 func (s *Strand) probeJoin(ctx Context, tb *table.Table, op *JoinOp, b Binding, i int, done completion) bool {
 	values := ctx.Frame(len(op.IndexPositions))
 	for k, p := range op.IndexPositions {
@@ -654,14 +669,14 @@ func (s *Strand) probeJoin(ctx Context, tb *table.Table, op *JoinOp, b Binding, 
 		}
 	}
 	visited, answered := 0, false
-	if f := op.filter; f != nil && !ctx.Tracing() {
+	if f := op.filter; f != nil {
 		if sel, ok := f.arm(b, op.rest.arity); ok {
 			var passed int
 			visited, passed, answered = tb.MatchRange(ctx.Now(), values[0], &sel, func(t tuple.Tuple, passed int) {
-				f.bill(ctx, passed)
+				f.pass(ctx, passed)
 				row(t)
 			})
-			f.bill(ctx, passed)
+			f.pass(ctx, passed)
 		}
 	}
 	if !answered {
@@ -854,10 +869,12 @@ func (s *Strand) accumulate(ctx Context, b Binding, agg *aggState) {
 	case "min":
 		if g.minV.IsNil() || av.Compare(g.minV) < 0 {
 			g.minV = av
+			ctx.TraceWitness(s, i)
 		}
 	case "max":
 		if g.maxV.IsNil() || av.Compare(g.maxV) > 0 {
 			g.maxV = av
+			ctx.TraceWitness(s, i)
 		}
 	case "sum", "avg":
 		if !av.Numeric() {

@@ -76,7 +76,8 @@ func (c *fakeCtx) EmitHead(s *Strand, t tuple.Tuple, isDelete bool) {
 	}
 }
 func (c *fakeCtx) TraceInput(s *Strand, t tuple.Tuple)              { c.inputs = append(c.inputs, t) }
-func (c *fakeCtx) Tracing() bool                                    { return false }
+func (c *fakeCtx) TracePassed()                                     {}
+func (c *fakeCtx) TraceWitness(*Strand, int)                        {}
 func (c *fakeCtx) TracePrecond(s *Strand, stage int, t tuple.Tuple) { c.pres = append(c.pres, t) }
 func (c *fakeCtx) RuleError(ruleID string, err error)               { c.errs = append(c.errs, err) }
 

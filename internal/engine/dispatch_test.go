@@ -6,6 +6,7 @@ import (
 
 	"p2go/internal/chord"
 	"p2go/internal/engine"
+	"p2go/internal/trace"
 	"p2go/internal/tuple"
 )
 
@@ -16,9 +17,10 @@ import (
 // event-fingers injects them on a node whose finger table has the
 // converged shape, 32 rows with the successor in 28, where 60 lookups in
 // 64 are for keys short of the successor and 4 for keys past every
-// finger, so l2 and l4 keep about 6 % of the rows they read; delta flips
-// one succ row between two values, so every insert changes the table
-// and fires its delta strands.
+// finger, so l2 and l4 keep about 6 % of the rows they read;
+// event-fingers-traced is event-fingers on a node with the tracer on;
+// delta flips one succ row between two values, so every insert changes
+// the table and fires its delta strands.
 func BenchmarkDispatch(b *testing.B) {
 	lookups := make([]tuple.Tuple, 64)
 	for i := range lookups {
@@ -48,11 +50,22 @@ func BenchmarkDispatch(b *testing.B) {
 	for _, c := range []struct {
 		name      string
 		in, setup []tuple.Tuple
-	}{{"event", lookups, nil}, {"event-fingers", far, fingers}, {"delta", succs, nil}} {
+		traced    bool
+	}{
+		{"event", lookups, nil, false},
+		{"event-fingers", far, fingers, false},
+		{"event-fingers-traced", far, fingers, true},
+		{"delta", succs, nil, false},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			n := engine.NewNode(engine.Config{Addr: "a", Seed: 1,
 				Send: func(string, engine.Envelope, float64) {},
 			})
+			if c.traced {
+				if err := n.EnableTracing(trace.DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
 			if err := chord.Install(n, "a"); err != nil {
 				b.Fatal(err)
 			}

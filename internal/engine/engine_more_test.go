@@ -253,7 +253,7 @@ func TestDefaultClockIsZero(t *testing.T) {
 // TestAbandonedActivationKeepsNoRecord: an aggregate activation whose
 // count-0 group fails to evaluate (a division by zero) is abandoned, and
 // the strand's next activation is traced from its own trigger, not from
-// the abandoned one's.
+// the abandoned one's. A count output records its input alone.
 func TestAbandonedActivationKeepsNoRecord(t *testing.T) {
 	var errs []string
 	n := engine.NewNode(engine.Config{Addr: "n1", OnRuleError: func(_ float64, _ string, err error) {
@@ -284,8 +284,8 @@ r1 out@N(A / B, count<*>) :- trig@N(A, B), tbl@N(C).
 			got[edge{r.Field(2).AsID(), r.Field(6).AsBool()}] = true
 		}
 	})
-	want := map[edge]bool{{3, true}: true, {1, false}: true}
+	want := map[edge]bool{{3, true}: true}
 	if !maps.Equal(got, want) {
-		t.Errorf("causes of out #4 = %v, want trig #3 (event) and tbl #1 (precondition): %v", got, want)
+		t.Errorf("causes of out #4 = %v, want trig #3 (event) alone: %v", got, want)
 	}
 }

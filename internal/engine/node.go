@@ -365,8 +365,9 @@ func (n *Node) EnableTracing(cfg trace.Config) error {
 				float64(sealed)*dataflow.CostStoreSeal)
 		})
 	}
-	// Tracing-enabled nodes use the rescan path for full precondition
-	// provenance: drop the incremental accumulators and their listeners.
+	// Tracing-enabled nodes use the rescan path, which tells the tracer
+	// each group's witness: drop the incremental accumulators and their
+	// listeners.
 	for s, e := range n.aggMaints {
 		n.dropAggEntry(s, e)
 	}
@@ -956,7 +957,7 @@ type aggSub struct {
 // listeners on first use and rewiring when a subscribed table object was
 // replaced. It returns nil for the rescan path while a table the strand
 // reads is missing (the rescan reports it), on a traced node, where
-// the rescan gives the tracer full precondition provenance, and when it
+// only the rescan tells the tracer each group's witness, and when it
 // joins a table filled on read, which only a rescan's read fills.
 func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 	if n.tracer != nil {
@@ -1043,9 +1044,6 @@ func (n *Node) Bill(sec float64) { n.bill(sec) }
 // RuleError implements dataflow.Context.
 func (n *Node) RuleError(ruleID string, err error) { n.ruleError(ruleID, err) }
 
-// Tracing implements dataflow.Context.
-func (n *Node) Tracing() bool { return n.tracer != nil }
-
 // TraceInput implements dataflow.Context.
 func (n *Node) TraceInput(s *dataflow.Strand, t tuple.Tuple) {
 	if n.tracer == nil {
@@ -1062,6 +1060,22 @@ func (n *Node) TracePrecond(s *dataflow.Strand, stage int, t tuple.Tuple) {
 	}
 	n.bill(dataflow.CostTraceTap)
 	n.tracer.Precond(s, stage, t, n.Now())
+}
+
+// TracePassed implements dataflow.Context: a passed-over row costs the
+// tap the walk would have made on it, and records nothing.
+func (n *Node) TracePassed() {
+	if n.tracer != nil {
+		n.bill(dataflow.CostTraceTap)
+	}
+}
+
+// TraceWitness implements dataflow.Context. It bills nothing: the walk
+// makes no tap for it.
+func (n *Node) TraceWitness(s *dataflow.Strand, group int) {
+	if n.tracer != nil {
+		n.tracer.Witness(s, group)
+	}
 }
 
 // EmitHead implements dataflow.Context: assign the head tuple its ID,

@@ -122,6 +122,12 @@ type record struct {
 	inID   uint64
 	inTime float64
 	pre    []precond // stage k's precondition is pre[k-1]
+	// An aggregate activation's witnesses (Witness): when has[g],
+	// aggregate group g's preconditions are wit[g*len(pre):][:len(pre)].
+	// next is the first group whose output may still come.
+	wit  []precond
+	has  []bool
+	next int
 }
 
 // precond is one stage's precondition. A row may carry tuple ID 0 (the
@@ -342,6 +348,7 @@ func (tr *Tracer) Input(s *dataflow.Strand, t tuple.Tuple, now float64) {
 	}
 	r.pre = r.pre[:s.Stages]
 	clear(r.pre)
+	r.wit, r.has, r.next = r.wit[:0], r.has[:0], 0
 }
 
 // Precond observes a precondition tuple fetched by the join at the given
@@ -357,9 +364,26 @@ func (tr *Tracer) Precond(s *dataflow.Strand, stage int, t tuple.Tuple, now floa
 	clear(r.pre[stage:])
 }
 
+// Witness observes that the binding under way is aggregate group g's
+// witness, the first binding to reach its extremum (a min or max): the
+// group's output records the preconditions the record holds now.
+func (tr *Tracer) Witness(s *dataflow.Strand, g int) {
+	r := &tr.rec
+	if r.s != s || g < 0 {
+		return
+	}
+	n := len(r.pre)
+	if k := g + 1 - len(r.has); k > 0 {
+		r.has = append(r.has, make([]bool, k)...)
+		r.wit = append(r.wit, make([]precond, k*n)...)
+	}
+	r.has[g] = true
+	copy(r.wit[g*n:], r.pre)
+}
+
 // Output observes a head tuple produced by the strand and packages the
 // activation's record into ruleExec rows: one causal link from the input
-// event and one from each recorded precondition.
+// event and one from each precondition the output records (lineage).
 func (tr *Tracer) Output(s *dataflow.Strand, t tuple.Tuple, now float64) {
 	r := &tr.rec
 	if r.s != s {
@@ -367,11 +391,34 @@ func (tr *Tracer) Output(s *dataflow.Strand, t tuple.Tuple, now float64) {
 	}
 	rule := tr.strs.intern(s.RuleID)
 	tr.emitRuleExec(rule, r.inID, t.ID, r.inTime, now, true)
-	for _, p := range r.pre {
+	for _, p := range r.lineage() {
 		if p.filled {
 			tr.emitRuleExec(rule, p.id, t.ID, p.time, now, false)
 		}
 	}
+}
+
+// lineage returns the preconditions the output under way records. A
+// rule without an aggregate records the last precondition per stage,
+// the row each join bound for this binding. An aggregate's outputs come
+// one per group, in group order, after the rescan (dataflow's flushAgg):
+// a min or max output records the preconditions of the next group that
+// has a witness, and a count, sum or avg output, whose groups have
+// none, records no precondition: its cause is the whole group, and the
+// input edge alone names the activation.
+func (r *record) lineage() []precond {
+	if r.s.Agg == nil {
+		return r.pre
+	}
+	for r.next < len(r.has) {
+		g := r.next
+		r.next++
+		if r.has[g] {
+			n := len(r.pre)
+			return r.wit[g*n : (g+1)*n]
+		}
+	}
+	return nil
 }
 
 // emitRuleExec appends one ruleExec record, which pins both referenced
