@@ -109,7 +109,7 @@ func main() {
 		OnWatch: func(now float64, node string, t p2go.Tuple) {
 			alarms[t.Name]++
 			if t.Name == "lookupResults" {
-				results = append(results, t)
+				results = append(results, t.Clone())
 			}
 			if *verbose {
 				fmt.Printf("[%9.2f] %-6s %v\n", now, node, t)

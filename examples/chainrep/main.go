@@ -25,7 +25,7 @@ func main() {
 	net := p2go.NewNetwork(sim, p2go.NetworkConfig{
 		Seed: 7,
 		OnWatch: func(now float64, node string, t p2go.Tuple) {
-			events = append(events, t)
+			events = append(events, t.Clone())
 			switch t.Name {
 			case "chainLen":
 				fmt.Printf("[%6.2fs] traversal: chain length %v\n", now, t.Field(2))

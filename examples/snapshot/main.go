@@ -30,7 +30,7 @@ func main() {
 		ExtraPrograms: []*p2go.Program{p2go.MonitorSnapshotLookups()},
 		OnWatch: func(now float64, node string, t p2go.Tuple) {
 			if t.Name == "sLookupResults" {
-				snapLookups = append(snapLookups, t)
+				snapLookups = append(snapLookups, t.Clone())
 			}
 		},
 	})

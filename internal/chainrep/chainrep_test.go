@@ -24,7 +24,7 @@ func newChain(t *testing.T, n int) *chain {
 	c.net = simnet.NewNetwork(c.sim, simnet.Config{
 		Seed: 5,
 		OnWatch: func(now float64, node string, tp tuple.Tuple) {
-			c.watched = append(c.watched, tp)
+			c.watched = append(c.watched, tp.Clone())
 		},
 		OnRuleError: func(now float64, node, ruleID string, err error) {
 			t.Errorf("rule error %s/%s: %v", node, ruleID, err)

@@ -93,3 +93,87 @@ r1 seen@Other(N, K) :- ev@N(Other, K).
 		t.Errorf("row table holds %d rows, want 1", c)
 	}
 }
+
+// TestWatchAllocs: only a table keeps a tuple, so only a table copies
+// one. A watched tuple is lent to its observer, so delivering it costs
+// nothing; a watched row that replaces a stored one costs the stored
+// copy alone; and a delete rule's pattern delete copies none of the rows
+// it removes.
+func TestWatchAllocs(t *testing.T) {
+	defer pinPool()()
+	heard := 0
+	n := engine.NewNode(engine.Config{Addr: "a", Seed: 1,
+		Send:        func(string, engine.Envelope, float64) {},
+		OnWatch:     func(float64, tuple.Tuple) { heard++ },
+		OnRuleError: func(_ float64, rule string, err error) { t.Errorf("rule %s: %v", rule, err) },
+	})
+	if err := n.InstallProgram(overlog.MustParse(`
+materialize(row, infinity, infinity, keys(1,2)).
+materialize(pair, infinity, infinity, keys(1,2,3)).
+watch(ev).
+watch(row).
+d1 delete pair@N(K, V) :- drop@N(K), pair@N(K, V).
+`)); err != nil {
+		t.Fatal(err)
+	}
+	env := func(tp tuple.Tuple) engine.Envelope {
+		return engine.Envelope{Src: "b", SrcTupleID: 1, Raw: tuple.Marshal(nil, tp)}
+	}
+	ev := env(tuple.New("ev", tuple.Str("a"), tuple.Str("b"), tuple.Int(1)))
+	rowA := env(tuple.New("row", tuple.Str("a"), tuple.Int(1), tuple.Str("x")))
+	rowB := env(tuple.New("row", tuple.Str("a"), tuple.Int(1), tuple.Str("y")))
+	pairs := []tuple.Tuple{
+		tuple.New("pair", tuple.Str("a"), tuple.Int(1), tuple.Str("x")),
+		tuple.New("pair", tuple.Str("a"), tuple.Int(1), tuple.Str("y")),
+		tuple.New("pair", tuple.Str("a"), tuple.Int(2), tuple.Str("z")),
+	}
+	drop := tuple.New("drop", tuple.Str("a"), tuple.Int(1))
+	for i := 0; i < 100; i++ { // warm: arena, scratch, table buckets, the victims buffer
+		n.HandleMessage(ev)
+		n.HandleMessage(rowA)
+		n.HandleMessage(rowB)
+		for _, p := range pairs {
+			n.HandleLocal(p)
+		}
+		n.HandleLocal(drop)
+	}
+
+	heard = 0
+	if got := testing.AllocsPerRun(200, func() { n.HandleMessage(ev) }); got != 0 {
+		t.Errorf("watched event: %v allocs per message, want 0 (the observer borrows it)", got)
+	}
+	if heard != 201 { // AllocsPerRun's warm-up run, then 200
+		t.Errorf("the observer heard %d watched events over 201 messages", heard)
+	}
+	flip := false
+	if got := testing.AllocsPerRun(200, func() {
+		if flip = !flip; flip {
+			n.HandleMessage(rowA)
+		} else {
+			n.HandleMessage(rowB)
+		}
+	}); got != 1 {
+		t.Errorf("watched row replacing a stored one: %v allocs per message, want 1 (the stored copy)", got)
+	}
+
+	// Only the delete is measured: the rows it removes are stored first.
+	pairTbl := n.Store().Get("pair")
+	var before, after runtime.MemStats
+	var mallocs uint64
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		for _, p := range pairs[:2] {
+			n.HandleLocal(p)
+		}
+		runtime.ReadMemStats(&before)
+		n.HandleLocal(drop)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		if c := pairTbl.Count(); c != 1 {
+			t.Fatalf("pair table holds %d rows after the delete, want 1", c)
+		}
+	}
+	if mallocs != 0 {
+		t.Errorf("a delete removing two rows: %v allocs per task, want 0", float64(mallocs)/rounds)
+	}
+}

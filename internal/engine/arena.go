@@ -12,10 +12,12 @@ import (
 // and the cascade queue. A task takes one from arenaPool when it first
 // needs one and finishTask clears and returns it, so a node between
 // tasks holds no task state, and a tuple.Tuple handed out during a task
-// is borrowed until that task ends: whoever keeps it copies it
-// (table.Insert, the tracer's memo, the OnWatch call). A full block of
-// values is left to the tuples and frames carved from it and a fresh one
-// takes over, so a deep cascade allocates its tuples once, in blocks.
+// is borrowed until that task ends. Whoever keeps one copies it. The
+// engine's one keeper is table.Insert (the tracer's memo keeps an ID and
+// a name, no fields); an OnWatch observer is lent its tuple and keeps
+// its Clone. A full block of values is left to the tuples and frames
+// carved from it and a fresh one takes over, so a deep cascade
+// allocates its tuples once, in blocks.
 type arena struct {
 	vals []tuple.Value
 	// queue is the cascade queue, consumed as a ring: queue[:qhead] is

@@ -30,22 +30,25 @@ type held struct {
 }
 
 func hold(via string, t tuple.Tuple) held {
-	return held{via, t, tuple.Tuple{Name: t.Name, ID: t.ID, Fields: append([]tuple.Value(nil), t.Fields...)}}
+	return held{via, t, t.Clone()}
 }
 
 // TestBorrowedTuplesAreCopied: every tuple a task builds lives in an
 // arena that is cleared when the task ends, so whatever outlives the
-// task — a watcher's tuple, a stored row, a listener's view of it, an
-// aggregate accumulator's rows — must be a copy. Tuples captured through
-// each of those doors still say what they said after a thousand later
-// tasks have reused the arena. (The tracer's memo outlives the task too,
-// but keeps no fields: an ID, the predicate name and provenance.)
+// task — a stored row, a listener's view of it, an aggregate
+// accumulator's rows — must be a copy. OnWatch lends its tuple like the
+// rest, so the watcher here keeps its Clone, as every keeper must
+// (TestBorrowedTupleNotCopiedReadsNil keeps none). Tuples captured
+// through each of those doors still say what they said after a thousand
+// later tasks have reused the arena. (The tracer's memo outlives the
+// task too, but keeps no fields: an ID, the predicate name and
+// provenance.)
 func TestBorrowedTuplesAreCopied(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
 			var kept []held
 			n := engine.NewNode(engine.Config{Addr: "a", Seed: 1,
-				OnWatch:     func(_ float64, tp tuple.Tuple) { kept = append(kept, hold("OnWatch", tp)) },
+				OnWatch:     func(_ float64, tp tuple.Tuple) { kept = append(kept, hold("OnWatch", tp.Clone())) },
 				OnRuleError: func(_ float64, rule string, err error) { t.Errorf("rule %s: %v", rule, err) },
 			})
 			if traced { // the rescan path; untraced, a1 is maintained incrementally
@@ -126,13 +129,21 @@ func TestBorrowedTuplesAreCopied(t *testing.T) {
 
 // TestBorrowedTupleNotCopiedReadsNil is the negative twin: a keeper that
 // holds on to task storage without copying finds it cleared when the task
-// has ended, and a Send that keeps env.Raw finds the next message in it.
+// has ended, a watcher that keeps its tuple without Clone finds its
+// fields cleared too, and a Send that keeps env.Raw finds the next message
+// in it.
 func TestBorrowedTupleNotCopiedReadsNil(t *testing.T) {
 	var raws [][]byte
+	var lent []tuple.Tuple
 	n := engine.NewNode(engine.Config{Addr: "a", Seed: 1,
-		Send: func(_ string, env engine.Envelope, _ float64) { raws = append(raws, env.Raw) },
+		Send:    func(_ string, env engine.Envelope, _ float64) { raws = append(raws, env.Raw) },
+		OnWatch: func(_ float64, tp tuple.Tuple) { lent = append(lent, tp) },
 	})
-	if err := n.InstallProgram(overlog.MustParse(`s1 out@Other(N, K) :- in@N(Other, K).`)); err != nil {
+	if err := n.InstallProgram(overlog.MustParse(`
+watch(mid).
+s0 mid@N(Other, K) :- in@N(Other, K).
+s1 out@Other(N, K) :- mid@N(Other, K).
+`)); err != nil {
 		t.Fatal(err)
 	}
 	fields := n.HeadFields(2) // what a strand builds a head in
@@ -142,6 +153,9 @@ func TestBorrowedTupleNotCopiedReadsNil(t *testing.T) {
 	}
 	if !fields[0].IsNil() || !fields[1].IsNil() {
 		t.Errorf("task storage survived the task: %v", fields)
+	}
+	if len(lent) != 2 || !lent[0].Fields[2].IsNil() {
+		t.Errorf("a watched tuple kept without a copy reads %v, want its task's storage cleared", lent)
 	}
 	first, _, err := tuple.Unmarshal(raws[0])
 	if err != nil || first.Field(2).AsInt() != 2 {

@@ -6,6 +6,7 @@ import (
 
 	"p2go/internal/chord"
 	"p2go/internal/engine"
+	"p2go/internal/overlog"
 	"p2go/internal/trace"
 	"p2go/internal/tuple"
 )
@@ -19,8 +20,9 @@ import (
 // 64 are for keys short of the successor and 4 for keys past every
 // finger, so l2 and l4 keep about 6 % of the rows they read;
 // event-fingers-traced is event-fingers on a node with the tracer on;
-// delta flips one succ row between two values, so every insert changes
-// the table and fires its delta strands.
+// event-watched is event with the lookup watched, each one lent to an
+// observer that keeps nothing; delta flips one succ row between two
+// values, so every insert changes the table and fires its delta strands.
 func BenchmarkDispatch(b *testing.B) {
 	lookups := make([]tuple.Tuple, 64)
 	for i := range lookups {
@@ -51,16 +53,26 @@ func BenchmarkDispatch(b *testing.B) {
 		name      string
 		in, setup []tuple.Tuple
 		traced    bool
+		watched   bool
 	}{
-		{"event", lookups, nil, false},
-		{"event-fingers", far, fingers, false},
-		{"event-fingers-traced", far, fingers, true},
-		{"delta", succs, nil, false},
+		{"event", lookups, nil, false, false},
+		{"event-fingers", far, fingers, false, false},
+		{"event-fingers-traced", far, fingers, true, false},
+		{"event-watched", lookups, nil, false, true},
+		{"delta", succs, nil, false, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			n := engine.NewNode(engine.Config{Addr: "a", Seed: 1,
-				Send: func(string, engine.Envelope, float64) {},
-			})
+			heard := 0
+			cfg := engine.Config{Addr: "a", Seed: 1, Send: func(string, engine.Envelope, float64) {}}
+			if c.watched {
+				cfg.OnWatch = func(float64, tuple.Tuple) { heard++ }
+			}
+			n := engine.NewNode(cfg)
+			if c.watched {
+				if err := n.InstallProgram(overlog.MustParse("watch(lookup).")); err != nil {
+					b.Fatal(err)
+				}
+			}
 			if c.traced {
 				if err := n.EnableTracing(trace.DefaultConfig()); err != nil {
 					b.Fatal(err)
@@ -87,6 +99,9 @@ func BenchmarkDispatch(b *testing.B) {
 			m := n.Metrics()
 			if m.RuleErrors > 0 {
 				b.Fatalf("%d rule errors", m.RuleErrors)
+			}
+			if c.watched && heard < b.N {
+				b.Fatalf("the observer heard %d of %d lookups", heard, b.N)
 			}
 			per := float64(m.TuplesProcessed - tuples)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/tuple")

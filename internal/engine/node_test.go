@@ -29,7 +29,7 @@ func newHarness(t *testing.T, program string, addrs ...string) *harness {
 	h.net = simnet.NewNetwork(h.sim, simnet.Config{
 		Seed: 1,
 		OnWatch: func(now float64, node string, tp tuple.Tuple) {
-			h.watched = append(h.watched, tp)
+			h.watched = append(h.watched, tp.Clone())
 		},
 		OnRuleError: func(now float64, node, ruleID string, err error) {
 			h.errs = append(h.errs, node+"/"+ruleID+": "+err.Error())

@@ -28,7 +28,7 @@ func newSynthNet(t *testing.T, programs []string, addrs ...string) *synthNet {
 	s.net = simnet.NewNetwork(s.sim, simnet.Config{
 		Seed: 7,
 		OnWatch: func(now float64, node string, tp tuple.Tuple) {
-			s.watched = append(s.watched, chord.WatchedTuple{At: now, Node: node, T: tp})
+			s.watched = append(s.watched, chord.WatchedTuple{At: now, Node: node, T: tp.Clone()})
 		},
 		OnRuleError: func(now float64, node, ruleID string, err error) {
 			s.errs = append(s.errs, fmt.Sprintf("%s/%s: %v", node, ruleID, err))

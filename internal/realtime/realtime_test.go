@@ -8,7 +8,8 @@ import (
 	"p2go/internal/tuple"
 )
 
-// watchLog is a concurrency-safe watched-tuple collector.
+// watchLog is a concurrency-safe watched-tuple collector. It keeps what
+// it is lent, so it keeps a copy.
 type watchLog struct {
 	mu   sync.Mutex
 	seen []tuple.Tuple
@@ -18,7 +19,7 @@ type watchLog struct {
 func (w *watchLog) add(now float64, t tuple.Tuple) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.seen = append(w.seen, t)
+	w.seen = append(w.seen, t.Clone())
 	w.at = append(w.at, now)
 }
 

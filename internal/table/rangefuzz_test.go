@@ -96,9 +96,8 @@ func (s *rangeScript) step(depth int) {
 				pat.Fields[i] = tuple.Nil
 			}
 		}
-		for _, t := range s.tb.Delete(pat, s.now) {
-			s.logf("removed %s", s.row(t))
-		}
+		// The listener log names each removed row.
+		s.logf("removed %d", s.tb.Delete(pat, s.now))
 	case 4:
 		t := s.rangeTuple()
 		s.logf("delete key %v: %v", t, s.tb.DeleteKey(t))

@@ -455,27 +455,26 @@ func (tb *Table) DeleteKey(sample tuple.Tuple) bool {
 
 // Delete removes every row unifiable with the pattern: fields in pattern
 // that are non-nil must Equal the row's corresponding field; nil fields
-// are wildcards. It returns the removed tuples.
-func (tb *Table) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
+// are wildcards. It returns how many rows it removed. The delete
+// listeners, then the owner's SyncDeleted calls, see each removed row.
+func (tb *Table) Delete(pattern tuple.Tuple, now float64) int {
 	tb.syncRead(now)
 	tb.expireLocked(now)
 	victims := tb.sweep(func(p int) bool { return matchPattern(tb.tupleAt(p), pattern) })
-	var removed []tuple.Tuple
-	if len(victims) > 0 {
-		removed = slices.Clone(victims)
-	}
 	tb.notifyRemoved(victims)
 	if tb.sync != nil {
-		for _, t := range removed {
+		for _, t := range victims {
 			tb.sync(SyncDeleted, now, t)
 		}
 	}
-	return removed
+	n := len(victims)
+	tb.recycle(victims)
+	return n
 }
 
 // sweep removes every live row doomed reports true for, compacts if
 // due, and returns the removed rows in slab order in the table-owned
-// buffer, which notifyRemoved hands back. The buffer is taken, not
+// buffer, which recycle hands back. The buffer is taken, not
 // shared: a listener that reads the table re-enters expiry.
 func (tb *Table) sweep(doomed func(p int) bool) []tuple.Tuple {
 	victims := tb.victims[:0]
@@ -491,12 +490,15 @@ func (tb *Table) sweep(doomed func(p int) bool) []tuple.Tuple {
 	return victims
 }
 
-// notifyRemoved fires the delete listeners for the swept victims and
-// returns the buffer for reuse.
+// notifyRemoved fires the delete listeners for the swept victims.
 func (tb *Table) notifyRemoved(victims []tuple.Tuple) {
 	for _, t := range victims {
 		tb.notify(OpDelete, t)
 	}
+}
+
+// recycle clears the swept victims' buffer and returns it for reuse.
+func (tb *Table) recycle(victims []tuple.Tuple) {
 	clear(victims)
 	tb.victims = victims[:0]
 }
@@ -556,6 +558,7 @@ func (tb *Table) expireLocked(now float64) {
 	})
 	tb.soonest = next
 	tb.notifyRemoved(victims)
+	tb.recycle(victims)
 }
 
 // Clear drops every row WITHOUT firing per-row delete listeners: it

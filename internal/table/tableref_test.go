@@ -293,8 +293,8 @@ func (tb *refTable) DeleteKey(sample tuple.Tuple) bool {
 
 // Delete removes every row unifiable with the pattern: fields in pattern
 // that are non-nil must Equal the row's corresponding field; nil fields
-// are wildcards. It returns the removed tuples.
-func (tb *refTable) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
+// are wildcards. It returns how many rows it removed.
+func (tb *refTable) Delete(pattern tuple.Tuple, now float64) int {
 	tb.syncRead(now)
 	tb.expireLocked(now)
 	victims := tb.sweep(func(r *refRow) bool { return refMatchPattern(r.t, pattern) })
@@ -308,7 +308,7 @@ func (tb *refTable) Delete(pattern tuple.Tuple, now float64) []tuple.Tuple {
 			tb.sync(SyncDeleted, now, t)
 		}
 	}
-	return removed
+	return len(removed)
 }
 
 // sweep removes every live row doomed reports true for, compacts if

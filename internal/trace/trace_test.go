@@ -241,8 +241,8 @@ func TestSharedReferenceSurvives(t *testing.T) {
 	// Delete one row: the shared event tuple must remain memoized.
 	pattern := tuple.New(RuleExecTable, tuple.Nil, tuple.Nil, tuple.Nil,
 		tuple.ID(2), tuple.Nil, tuple.Nil, tuple.Nil)
-	if removed := store.Get(RuleExecTable).Delete(pattern, 100); len(removed) != 1 {
-		t.Fatalf("removed %d rows", len(removed))
+	if removed := store.Get(RuleExecTable).Delete(pattern, 100); removed != 1 {
+		t.Fatalf("removed %d rows", removed)
 	}
 	if _, ok := tr.Name(1); !ok {
 		t.Error("shared tuple released too early")

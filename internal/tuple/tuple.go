@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -42,6 +43,13 @@ func (t Tuple) Field(i int) Value { return t.Fields[i] }
 // WithID returns a copy of t carrying the given node-unique ID.
 func (t Tuple) WithID(id uint64) Tuple {
 	t.ID = id
+	return t
+}
+
+// Clone returns a copy of t whose fields are its own: what a keeper of
+// a borrowed tuple stores.
+func (t Tuple) Clone() Tuple {
+	t.Fields = slices.Clone(t.Fields)
 	return t
 }
 
