@@ -216,7 +216,7 @@ func FuzzTableMatchesRef(f *testing.F) {
 			t.Fatalf("spec %+v: line %d: table %q, reference %q\n(context: %q)",
 				spec, i, at(got, i), at(want, i), want[max(0, i-8):i])
 		}
-		if len(tb.slab) != len(ref.slab) || tb.count != ref.count {
+		if len(tb.slab) != len(ref.slab) || int(tb.count) != ref.count {
 			t.Fatalf("slab %d positions, %d live; reference %d, %d",
 				len(tb.slab), tb.count, len(ref.slab), ref.count)
 		}

@@ -184,7 +184,7 @@ func checkRings(t *testing.T, tb *Table) {
 		for _, w := range rg.live {
 			ones += bits.OnesCount64(w)
 		}
-		if ones != live || live != tb.count || int(rg.odd) != live-len(rg.order) {
+		if ones != live || live != int(tb.count) || int(rg.odd) != live-len(rg.order) {
 			t.Fatalf("ring over %d: %d bits, %d live, count %d; %d sorted, odd %d",
 				rg.field, ones, live, tb.count, len(rg.order), rg.odd)
 		}

@@ -23,9 +23,17 @@
 // doubled when three quarters full. The key array holds each position
 // near its key's hash; an index bucket keeps the full hash of its fields
 // and the ends of a list of positions in slab order, linked through
-// per-position arrays, so a new row costs one allocation (its copy of
-// the fields) and a probe walks the bucket. A probe on the location
-// specifier alone, which a node's rows usually all share, walks the slab.
+// per-position arrays, so a new row costs at most one allocation (its
+// copy of the fields) and a probe walks the bucket. A probe on the
+// location specifier alone, which a node's rows usually all share, walks
+// the slab.
+//
+// A row's field array is the table's. Once every listener (and, for
+// Delete, the owner's SyncDeleted calls) has seen a row removed, the
+// table clears its array and keeps it, one at a time, for the next
+// insert to refill instead of allocating: a table whose rows are
+// replaced, expire or are deleted about as fast as new ones arrive
+// copies its rows without allocating.
 //
 // A join on the location alone followed by a ring-interval selection on
 // one of the row's fields (Chord's FID in (NID, K)) probes with
@@ -48,7 +56,8 @@
 // rows from inside a nested read of the same table), and a deferred
 // compaction happens at the next expiry check with none in progress.
 // Compaction refills the arrays in place; the slab and an array give
-// memory back only when at least four times what the live rows need.
+// memory back only when at least four times what the live rows need, and
+// one sized to the slab keeps room for as many tombstones as rows.
 package table
 
 import (
@@ -57,6 +66,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"p2go/internal/tuple"
 )
@@ -99,8 +109,11 @@ const (
 
 // Listener observes table changes. Listeners run synchronously inside the
 // mutation; they must not mutate the table reentrantly. The tuple is the
-// table's stored row (never the caller's argument to Insert), so a
-// listener may keep it.
+// table's stored row (never the caller's argument to Insert): its fields
+// stay valid while the row is live, up to the end of its OpDelete
+// notification. Then the table clears them and refills the array with a
+// later row, so a listener that keeps a row past its removal keeps
+// t.Clone().
 type Listener func(op Op, t tuple.Tuple)
 
 type listenerEnt struct {
@@ -122,16 +135,21 @@ type Table struct {
 	// slab holds the rows in insertion order; no live row precedes
 	// slab[first].
 	slab  []row
-	first int
+	first int32
+	count int32
 	// keys holds each slab position p as p+1 at or after the slot its
 	// primary-key hash picks; 0 is a free slot, -1 a removed row's.
-	keys  []int32
-	count int
+	keys []int32
 	// reading counts the Scans and MatchIndexed walks in progress;
 	// compaction waits for zero.
-	reading    int
-	listeners  []listenerEnt
-	listenerID int
+	reading    int32
+	listenerID int32
+	// spare, spareCap long, is a removed row's field array, cleared,
+	// that the next insert refills (see keep); nil when there is none. A
+	// pointer and a 32-bit length keep the header in its size class.
+	spare     *tuple.Value
+	spareCap  int32
+	listeners []listenerEnt
 	// soonest lower-bounds the earliest row expiry, letting expiry
 	// sweeps exit without walking the slab.
 	soonest float64
@@ -194,15 +212,15 @@ func (tb *Table) Name() string { return tb.spec.Name }
 // they need the count at a particular instant.
 func (tb *Table) Count() int {
 	tb.syncRead(math.Inf(-1))
-	return tb.count
+	return int(tb.count)
 }
 
 // Subscribe registers a listener for subsequent changes and returns a
 // handle for Unsubscribe. Listeners fire in subscription order.
 func (tb *Table) Subscribe(l Listener) int {
 	tb.listenerID++
-	tb.listeners = append(tb.listeners, listenerEnt{id: tb.listenerID, fn: l})
-	return tb.listenerID
+	tb.listeners = append(tb.listeners, listenerEnt{id: int(tb.listenerID), fn: l})
+	return int(tb.listenerID)
 }
 
 // Unsubscribe removes the listener registered under the given handle
@@ -271,7 +289,10 @@ func (tb *Table) find(t tuple.Tuple, h uint64) int32 {
 // had its TTL refreshed. Name mismatches are rejected with an error.
 // t is borrowed: a new or replacing row stores a copy of t.Fields (and
 // listeners see that copy), a refresh copies nothing, so the caller may
-// reuse the fields' storage once Insert returns.
+// reuse the fields' storage once Insert returns. The copy refills the
+// array of a row the table removed earlier when there is one; the row
+// this insert replaces or evicts gives its array up after its OpDelete
+// notification.
 func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 	if t.Name != tb.spec.Name {
 		return false, fmt.Errorf("table %s: cannot insert %s tuple", tb.spec.Name, t.Name)
@@ -290,7 +311,7 @@ func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 		tb.slab[p].expiry = expiry // identical content: refresh TTL only
 		return false, nil
 	}
-	t = tuple.Tuple{Name: tb.spec.Name, Fields: slices.Clone(t.Fields), ID: t.ID}
+	t = tuple.Tuple{Name: tb.spec.Name, Fields: tb.refill(t.Fields), ID: t.ID}
 	var gone tuple.Tuple // the row this insert replaces or evicts
 	removed := p >= 0
 	if removed {
@@ -298,15 +319,39 @@ func (tb *Table) Insert(t tuple.Tuple, now float64) (bool, error) {
 		tb.remove(p, h)
 	}
 	tb.add(t, h, expiry)
-	if !removed && tb.spec.MaxSize >= 0 && tb.count > tb.spec.MaxSize {
+	if !removed && tb.spec.MaxSize >= 0 && int(tb.count) > tb.spec.MaxSize {
 		gone, removed = tb.evictOldest()
 	}
 	tb.compact()
 	if removed {
 		tb.notify(OpDelete, gone)
+		tb.keep(gone.Fields)
 	}
 	tb.notify(OpInsert, t)
 	return true, nil
+}
+
+// refill returns a copy of fields in the spare array when it is large
+// enough, and in a new one otherwise.
+func (tb *Table) refill(fields []tuple.Value) []tuple.Value {
+	if tb.spare == nil || len(fields) == 0 || len(fields) > int(tb.spareCap) {
+		return slices.Clone(fields)
+	}
+	f := unsafe.Slice(tb.spare, tb.spareCap)[:len(fields)]
+	tb.spare = nil
+	copy(f, fields)
+	return f
+}
+
+// keep clears the field array of a row every listener has seen removed,
+// so it pins no strings and a keeper that did not copy the row reads nil
+// fields, and makes it the spare, in place of any other.
+func (tb *Table) keep(fields []tuple.Value) {
+	fields = fields[:cap(fields)]
+	clear(fields)
+	if len(fields) > 0 {
+		tb.spare, tb.spareCap = unsafe.SliceData(fields), int32(len(fields))
+	}
 }
 
 // add appends a live row at the end of the slab and links it into the
@@ -336,6 +381,13 @@ func slotsFor(n int) int {
 	}
 	return s
 }
+
+// room is the most slab positions a table of n live rows fills before
+// it next compacts: the rows, as many tombstones, and the row that tips
+// the balance. An array sized to the slab that gives memory back keeps
+// this much, so a table that turns its rows over at a steady count does
+// not grow it again before every compaction.
+func room(n int) int { return 2*n + 1 }
 
 // refit returns the length an array of n slots, large enough for need
 // entries, should keep: n, unless that is at least four times what they
@@ -373,7 +425,9 @@ func (tb *Table) linkKey(p int32, h uint64) {
 }
 
 // remove makes slab[p] (primary-key hash h) a tombstone and unlinks it
-// from the key array and every index.
+// from the key array and every index. The tombstone drops its fields: the
+// array is the removed row's until its listeners have seen it, then the
+// spare's.
 func (tb *Table) remove(p int32, h uint64) {
 	r := &tb.slab[p]
 	r.dead = true
@@ -387,6 +441,7 @@ func (tb *Table) remove(p int32, h uint64) {
 	for _, ix := range tb.indexes {
 		ix.unlink(tb.slab, p)
 	}
+	r.fields = nil
 }
 
 // evictOldest removes the FIFO-oldest row, the first live one in the
@@ -396,11 +451,11 @@ func (tb *Table) evictOldest() (tuple.Tuple, bool) {
 	for tb.slab[tb.first].dead {
 		tb.first++
 	}
-	if tb.first == len(tb.slab)-1 {
+	if int(tb.first) == len(tb.slab)-1 {
 		return tuple.Tuple{}, false
 	}
-	victim := tb.tupleAt(tb.first)
-	tb.remove(int32(tb.first), tb.keyOf(victim))
+	victim := tb.tupleAt(int(tb.first))
+	tb.remove(tb.first, tb.keyOf(victim))
 	return victim, true
 }
 
@@ -408,7 +463,7 @@ func (tb *Table) evictOldest() (tuple.Tuple, bool) {
 // live rows, unless a read is walking it; a compaction a read deferred
 // happens at the next expiry check.
 func (tb *Table) compact() {
-	if tb.reading > 0 || len(tb.slab)-tb.count <= tb.count {
+	if tb.reading > 0 || len(tb.slab)-int(tb.count) <= int(tb.count) {
 		return
 	}
 	live := tb.slab[:0]
@@ -419,15 +474,16 @@ func (tb *Table) compact() {
 	}
 	clear(tb.slab[len(live):])
 	if cap(live) >= 4*max(len(live), minSlots) {
-		live = append([]row(nil), live...)
+		live = append(make([]row, 0, room(len(live))), live...)
 	}
 	tb.slab, tb.first = live, 0
 	tb.reindex()
 }
 
-// reindex rebuilds the key array and every index from the slab.
+// reindex rebuilds the key array, which holds slab positions, and every
+// index from the slab.
 func (tb *Table) reindex() {
-	tb.rekey(refit(len(tb.keys), tb.count))
+	tb.rekey(refit(len(tb.keys), room(int(tb.count))))
 	if tb.count == 0 { // a ring index is rebuilt when next probed
 		tb.indexes = slices.DeleteFunc(tb.indexes, func(ix *index) bool { return ix.ring != nil })
 	}
@@ -450,6 +506,7 @@ func (tb *Table) DeleteKey(sample tuple.Tuple) bool {
 	tb.remove(p, h)
 	tb.compact()
 	tb.notify(OpDelete, victim)
+	tb.keep(victim.Fields)
 	return true
 }
 
@@ -479,7 +536,7 @@ func (tb *Table) Delete(pattern tuple.Tuple, now float64) int {
 func (tb *Table) sweep(doomed func(p int) bool) []tuple.Tuple {
 	victims := tb.victims[:0]
 	tb.victims = nil
-	for p := tb.first; p < len(tb.slab); p++ {
+	for p := int(tb.first); p < len(tb.slab); p++ {
 		if !tb.slab[p].dead && doomed(p) {
 			t := tb.tupleAt(p)
 			victims = append(victims, t)
@@ -497,8 +554,12 @@ func (tb *Table) notifyRemoved(victims []tuple.Tuple) {
 	}
 }
 
-// recycle clears the swept victims' buffer and returns it for reuse.
+// recycle gives up the swept victims' field arrays, keeping the last as
+// the spare, then clears their buffer and returns it for reuse.
 func (tb *Table) recycle(victims []tuple.Tuple) {
+	for _, t := range victims {
+		tb.keep(t.Fields)
+	}
 	clear(victims)
 	tb.victims = victims[:0]
 }
@@ -526,7 +587,7 @@ func (tb *Table) Scan(now float64, fn func(tuple.Tuple)) {
 	tb.syncRead(now)
 	tb.expireLocked(now)
 	tb.reading++
-	for p, end := tb.first, len(tb.slab); p < end; p++ {
+	for p, end := int(tb.first), len(tb.slab); p < end; p++ {
 		if !tb.slab[p].dead {
 			fn(tb.tupleAt(p))
 		}
@@ -565,12 +626,13 @@ func (tb *Table) expireLocked(now float64) {
 // models the soft-state loss of a process death (a crashed node emits no
 // delete events — its state simply vanishes), which is what the fault
 // injector's restart-with-amnesia needs. Secondary indexes keep their
-// definitions but lose their rows. A single OpClear notification fires
-// after the wipe so subscribers holding derived state (incremental
-// aggregate accumulators) can invalidate it.
+// definitions but lose their rows, and the spare array goes too. A single
+// OpClear notification fires after the wipe so subscribers holding
+// derived state (incremental aggregate accumulators) can invalidate it.
 func (tb *Table) Clear() {
 	clear(tb.slab)
 	tb.slab, tb.first, tb.count = tb.slab[:0], 0, 0
+	tb.spare = nil
 	if cap(tb.slab) >= 4*minSlots {
 		tb.slab = nil
 	}
@@ -584,7 +646,7 @@ func (tb *Table) Clear() {
 func (tb *Table) NextExpiry() float64 {
 	tb.syncRead(math.Inf(-1))
 	next := math.Inf(1)
-	for p := tb.first; p < len(tb.slab); p++ {
+	for p := int(tb.first); p < len(tb.slab); p++ {
 		if r := &tb.slab[p]; !r.dead {
 			next = min(next, r.expiry)
 		}
@@ -596,7 +658,7 @@ func (tb *Table) NextExpiry() float64 {
 func (tb *Table) SizeBytes() int {
 	tb.syncRead(math.Inf(-1))
 	n := 0
-	for p := tb.first; p < len(tb.slab); p++ {
+	for p := int(tb.first); p < len(tb.slab); p++ {
 		if !tb.slab[p].dead {
 			n += tb.tupleAt(p).SizeBytes()
 		}
@@ -856,7 +918,7 @@ func (ix *index) fill(slab []row) {
 	clear(ix.buckets)
 	ix.used = 0
 	if cap(ix.next) >= 4*max(len(slab), minSlots) {
-		ix.next, ix.prev = nil, nil
+		ix.next, ix.prev = make([]int32, 0, room(len(slab))), make([]int32, 0, room(len(slab)))
 	}
 	ix.next, ix.prev = ix.next[:0], ix.prev[:0]
 	for p := range slab {
@@ -945,7 +1007,7 @@ func (tb *Table) matchLoc(positions []int, values []tuple.Value, fn func(tuple.T
 	str := v.Kind() == tuple.KindStr
 	visited := 0
 	tb.reading++
-	for p, end := tb.first, len(tb.slab); p < end; p++ {
+	for p, end := int(tb.first), len(tb.slab); p < end; p++ {
 		r := &tb.slab[p]
 		if r.dead {
 			continue
@@ -1046,7 +1108,7 @@ func (tb *Table) ensureRing(field int) *ring {
 func (tb *Table) probeRing(rg *ring, hits []int32, fn func(tuple.Tuple, int)) (visited, passed int) {
 	end := int32(len(tb.slab))
 	tb.reading++
-	next := int32(tb.first)
+	next := tb.first
 	for _, p := range hits {
 		if tb.slab[p].dead {
 			continue
@@ -1175,8 +1237,8 @@ func (rg *ring) fill(slab []row) {
 	}
 	if words, c := (len(slab)+63)/64, cap(rg.live); c < words || c >= 4*max(words, 2) {
 		rg.live = rg.word[:0]
-		if words > len(rg.word) {
-			rg.live = make([]uint64, 0, words)
+		if n := (room(len(slab)) + 63) / 64; n > len(rg.word) {
+			rg.live = make([]uint64, 0, n)
 		}
 	}
 	rg.order, rg.odd, rg.live = rg.order[:0], 0, rg.live[:0]

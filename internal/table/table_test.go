@@ -252,7 +252,7 @@ func TestReadSurvivesSyncWrites(t *testing.T) {
 				inserted[fresh] = true
 				order = append(order, fresh)
 			}
-			outnumbered = outnumbered || len(tb.slab)-tb.count > tb.count
+			outnumbered = outnumbered || len(tb.slab)-int(tb.count) > int(tb.count)
 		})
 		seen := map[uint64]bool{}
 		visit := func(tp tuple.Tuple) {
@@ -288,7 +288,7 @@ func TestReadSurvivesSyncWrites(t *testing.T) {
 		}
 		tb.Insert(succ("n1", 1000, "a"), 0) //nolint:errcheck
 		order = append(order, 1000)
-		if len(tb.slab) != tb.count {
+		if len(tb.slab) != int(tb.count) {
 			t.Errorf("%s: slab holds %d positions for %d rows after the read", outer, len(tb.slab), tb.count)
 		}
 		var got []uint64
@@ -416,5 +416,88 @@ func TestKeyUniquenessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRemovedRowNotCopiedReadsNil: a stored row is the table's while it
+// is live. A listener that keeps a row past its OpDelete notification
+// without copying it finds its fields cleared once the call that removed
+// it returns, whether a replacement, an expiry or a Delete removed it;
+// after the table's next insert they hold nil or that insert's row
+// (whose copy refilled the array), never the removed row again.
+func TestRemovedRowNotCopiedReadsNil(t *testing.T) {
+	tb := New(Spec{Name: "succ", Lifetime: 10, MaxSize: Infinity, Keys: []int{2}})
+	var removed []tuple.Tuple
+	tb.Subscribe(func(op Op, tp tuple.Tuple) {
+		if op == OpDelete {
+			removed = append(removed, tp)
+		}
+	})
+	doors := []struct {
+		name   string
+		remove func(now float64)
+	}{
+		{"replaced", func(now float64) { tb.Insert(succ("n1", 1, "b"), now) }}, //nolint:errcheck
+		{"expired", func(now float64) { tb.Expire(now + 11) }},
+		{"deleted", func(now float64) {
+			tb.Delete(tuple.New("succ", tuple.Str("n1"), tuple.ID(1), tuple.Value{}), now)
+		}},
+	}
+	for i, d := range doors {
+		now := float64(100 * i)
+		row := succ("n1", 1, "a")
+		tb.Insert(row, now) //nolint:errcheck
+		removed = removed[:0]
+		d.remove(now)
+		if len(removed) != 1 {
+			t.Fatalf("%s: heard %d rows removed, want 1", d.name, len(removed))
+		}
+		kept := removed[0]
+		for j, v := range kept.Fields {
+			if !v.IsNil() {
+				t.Errorf("%s: the kept row's field %d reads %v once it is removed, want nil", d.name, j, v)
+			}
+		}
+		next := succ("n1", uint64(50+i), "next")
+		tb.Insert(next, now+12) //nolint:errcheck
+		cleared := !slices.ContainsFunc(kept.Fields, func(v tuple.Value) bool { return !v.IsNil() })
+		if !cleared && !slices.EqualFunc(kept.Fields, next.Fields, tuple.Value.Equal) {
+			t.Errorf("%s: after the next insert the kept row reads %v, want nil fields or %v", d.name, kept, next)
+		}
+		tb.Clear()
+	}
+}
+
+// BenchmarkInsert is a stored row's write path, per insert: new inserts
+// a fresh key, its copy in a new array, into a table emptied every
+// 1 024 rows; replace flips one key between two values, each copy
+// refilling the array of the row it replaces; refresh inserts the stored
+// row again, which copies nothing.
+func BenchmarkInsert(b *testing.B) {
+	rows := make([]tuple.Tuple, 1024)
+	for i := range rows {
+		rows[i] = finger(i, "f")
+	}
+	flip := []tuple.Tuple{finger(1, "a"), finger(1, "b")}
+	for _, c := range []struct {
+		name string
+		rows []tuple.Tuple
+	}{
+		{"new", rows},
+		{"replace", flip},
+		{"refresh", flip[:1]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tb := New(Spec{Name: "finger", Lifetime: 180, MaxSize: Infinity, Keys: []int{2}})
+			tb.EnsureIndex([]int{0, 2})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % len(c.rows)
+				if k == 0 && c.name == "new" {
+					tb.Clear()
+				}
+				tb.Insert(c.rows[k], 0) //nolint:errcheck
+			}
+		})
 	}
 }
