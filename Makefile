@@ -12,14 +12,15 @@ test:
 # Full gate: build + vet + tests with the race detector, then the
 # benchmark, which is a module of its own that `./...` does not descend
 # into: an internal/ API change that breaks it must fail here, not when
-# the benchmark is next run. The allocation gates assert what a recycled
-# sync.Pool entry saves, which the race build's pools cannot show (their
-# files are `//go:build !race`), so they get a run without it.
-# TestWorkloadsRepeat in the benchmark's tests is red: its two tiny
-# in-process runs differ by more objects than its 1 % bound allows, on
-# both Chord workloads. ROADMAP's first open item has the diagnosis (the
-# process's first runtime/metrics read, then sync.Pool refills after a
-# GC) and the fix, which needs a benchmark-only change of its own.
+# the benchmark is next run. Some allocation gates are `//go:build !race`
+# (realtime's receive-buffer pool, a struct field whose buffers cross
+# goroutines, and code the race build instruments), so the gates get a
+# run without -race too. TestWorkloadsRepeat in the benchmark's tests is red:
+# its two tiny in-process runs differ by more objects than its 1 % bound
+# allows. With scratch kept by its driver instead of process-global
+# pools, a run's allocation count follows from its seed, and what is left
+# is the process's first runtime/metrics read, counted in the first run
+# only; ROADMAP's first open item has the fix, a benchmark-only change.
 check:
 	go build ./...
 	go vet ./...

@@ -2,6 +2,8 @@ package chord
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"testing"
@@ -135,5 +137,52 @@ func TestTracedRunsRepeat(t *testing.T) {
 					la[k][:min(6, len(la[k]))], j, la[k][max(0, j-120):min(len(la[k]), j+120)], lb[k][max(0, j-120):min(len(lb[k]), j+120)])
 			}
 		}
+	}
+}
+
+// TestRunAllocsPureFunctionOfSeed extends the determinism contract to
+// allocations: a simulated run's scratch (message records, task arenas,
+// aggregation states) is kept by its network, not in process-global
+// pools a collection empties, so the objects a run allocates follow from
+// its seed. Two runs at one seed, one with two forced collections
+// partway through, allocate the same count within 3 objects. A first run
+// warms what the process keeps across runs (shared plans, interned
+// strings). MemStats counts the runtime's objects too, and an OS thread
+// the runtime starts costs a few, so a pair of runs during which one
+// started is measured again.
+func TestRunAllocsPureFunctionOfSeed(t *testing.T) {
+	run := func(collect bool) uint64 {
+		r, err := NewRing(RingConfig{N: 21, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Sim.At(30, func() {
+			if collect {
+				runtime.GC()
+				runtime.GC()
+			}
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.Run(60)
+		runtime.ReadMemStats(&after)
+		if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
+			t.Fatalf("ring not converged after 60s: %v", bad)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	threads := pprof.Lookup("threadcreate")
+	run(true)
+	for attempt := 1; ; attempt++ {
+		started := threads.Count()
+		plain, collected := run(false), run(true)
+		if threads.Count() != started && attempt < 5 {
+			continue
+		}
+		t.Logf("%d objects without a collection, %d with two", plain, collected)
+		if d := int64(collected) - int64(plain); d < -3 || d > 3 {
+			t.Errorf("two runs at one seed allocated %d and %d objects (%+d); want them within 3", plain, collected, d)
+		}
+		return
 	}
 }

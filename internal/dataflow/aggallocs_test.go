@@ -1,14 +1,7 @@
-//go:build !race
-
-// The race build's sync.Pool drops a quarter of its Puts on purpose, so
-// "the recycled state comes back" cannot be asserted there.
-
 package dataflow
 
 import (
 	"math"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"p2go/internal/overlog"
@@ -21,8 +14,6 @@ import (
 // each of 160 rows and fold into a recycled state, so a warm activation
 // allocates nothing beyond the head it emits.
 func TestAggL2ActivationAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the aggregate pool
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and a pool is per P: stay on the warm one
 	ctx, s, trig := l2Setup(t)
 	s.Run(ctx, trig) // warm up the state and the frame buffer
 	ctx.heads = 0
@@ -81,9 +72,7 @@ func l2Setup(tb testing.TB) (*nullCtx, *Strand, tuple.Tuple) {
 // recycled state and builds its heads in the context's storage, so a
 // warm activation allocates nothing, however many groups it emits.
 func TestAggRescanAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and a pool is per P: stay on the warm one
-	ctx, _, _ := benchSetup(t, false)                // tab: 64 rows, A = 0..7, 8 rows each
+	ctx, _, _ := benchSetup(t, false) // tab: 64 rows, A = 0..7, 8 rows each
 	for _, tc := range []struct {
 		name   string
 		s      *Strand
@@ -110,8 +99,6 @@ func TestAggRescanAllocs(t *testing.T) {
 // new row refills the replaced row's array, and maintCtx builds the head
 // in reused storage.
 func TestAggMaintAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the aggregate pool
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and a pool is per P: stay on the warm one
 	for _, op := range []string{"count", "max"} {
 		ctx, s, tab, next, buf := replaceSetup(t, op)
 		ctx.heads = 0

@@ -45,6 +45,7 @@ type l2Ctx struct {
 	store   *table.Store
 	scratch []tuple.Value
 	frames  []tuple.Value
+	aggs    dataflow.AggScratch
 	heads   int
 	dist    tuple.Value
 }
@@ -87,6 +88,8 @@ func (c *l2Ctx) HeadFields(n int) []tuple.Value {
 	c.scratch = append(c.scratch[:0], make([]tuple.Value, n)...)
 	return c.scratch
 }
+
+func (c *l2Ctx) AggScratch() *dataflow.AggScratch { return &c.aggs }
 
 // Frame carves each frame fresh from c.frames until reset (a full buffer
 // is left to its frames and one twice its size takes over).

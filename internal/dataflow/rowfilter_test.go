@@ -40,6 +40,7 @@ func (c *diffCtx) Bill(sec float64)                             { c.busy += sec;
 func (c *diffCtx) AggState(*dataflow.Strand) *dataflow.AggMaint { return nil }
 func (c *diffCtx) HeadFields(n int) []tuple.Value               { return make([]tuple.Value, n) }
 func (c *diffCtx) Frame(n int) []tuple.Value                    { return make([]tuple.Value, n) }
+func (c *diffCtx) AggScratch() *dataflow.AggScratch             { return new(dataflow.AggScratch) }
 func (c *diffCtx) EmitHead(s *dataflow.Strand, t tuple.Tuple, del bool) {
 	c.logf("head %s %v del=%v", s.RuleID, t, del)
 	if c.tracer != nil && !del {

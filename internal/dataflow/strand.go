@@ -13,7 +13,6 @@ package dataflow
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"p2go/internal/overlog"
 	"p2go/internal/table"
@@ -48,6 +47,13 @@ type Context interface {
 	// same storage, so a nested activation works in frames of its own.
 	// The engine carves frames from the task's arena, like HeadFields.
 	Frame(n int) []tuple.Value
+
+	// AggScratch returns the keep a rescan aggregate's activation takes
+	// its per-group state from and gives it back to, emptied, when it
+	// returns; a nested activation takes another. The keep is the
+	// context's: the engine keeps one in each task arena, so only the
+	// tasks that share an Arenas (Frame's) share the states.
+	AggScratch() *AggScratch
 
 	// AggState returns the persistent incremental accumulator for a
 	// strand the planner marked maintainable (s.AggPlan != nil), or nil
@@ -562,9 +568,10 @@ func (s *Strand) Run(ctx Context, trig tuple.Tuple) {
 		s.exec(ctx, b, 0, nil)
 		return
 	}
-	agg := aggPool.Get().(*aggState)
+	l := ctx.AggScratch()
+	agg := l.take()
 	s.runAgg(ctx, b, agg)
-	agg.release()
+	l.put(agg)
 }
 
 // runAgg is the aggregate half of an activation: fold the completed
@@ -779,27 +786,46 @@ type aggGroup struct {
 	sum   float64
 }
 
-// aggPool recycles aggregation states across every strand in the
-// process: an activation takes one and returns it emptied, so a nested
-// activation of the same strand simply takes another. Keeping a state on
-// each strand instead measured +4.3 MB live on the 1000-host join (some
-// seven aggregate strands a host, ~650 B each), for states that are idle
-// almost always.
-var aggPool = sync.Pool{New: func() any { return new(aggState) }}
+// AggScratch keeps one idle aggregation state for a Context's aggregate
+// activations. Keeping a state on each strand instead measured +4.3 MB
+// live on the 1000-host join (some seven aggregate strands a host,
+// ~650 B each), for states that are idle almost always. One is busy per
+// aggregate activation on the stack, which in the engine (whose EmitHead
+// queues what a strand emits) is never more than one; a nested
+// activation finds the slot empty and makes its own. The zero value is
+// empty. Not safe for concurrent use.
+type AggScratch struct{ idle *aggState }
 
-// aggPoolMaxGroups bounds what goes back to the pool: a state that grew
-// past it is left to the collector, so one wide activation neither pins
-// its arrays nor leaves a large map for every later release to clear.
-const aggPoolMaxGroups = 64
+// aggMaxGroups bounds what is kept: a state that grew past it is left to
+// the collector, so one wide activation neither pins its arrays nor
+// leaves a large map for every later put to clear.
+const aggMaxGroups = 64
 
-func (a *aggState) release() {
-	if len(a.groups) > aggPoolMaxGroups {
+func (l *AggScratch) take() *aggState {
+	if a := l.idle; a != nil {
+		l.idle = nil
+		return a
+	}
+	return new(aggState)
+}
+
+// put keeps a, emptied, unless the slot is taken or a grew too wide.
+// Clearing the values it held unpins their strings: the slot lives as
+// long as its owner.
+func (l *AggScratch) put(a *aggState) {
+	if l.idle != nil || len(a.groups) > aggMaxGroups {
 		return
 	}
 	clear(a.index)
+	clear(a.groups)
+	clear(a.vals)
+	clear(a.evalBuf)
+	clear(a.zeroGroup)
 	a.groups = a.groups[:0]
 	a.vals = a.vals[:0]
-	aggPool.Put(a)
+	a.evalBuf = a.evalBuf[:0]
+	a.zeroGroup = a.zeroGroup[:0]
+	l.idle = a
 }
 
 // groupVals returns the group-by values of group i.

@@ -16,7 +16,11 @@ import (
 type headScratch []tuple.Value
 
 func (h *headScratch) HeadFields(n int) []tuple.Value {
-	*h = append((*h)[:0], make([]tuple.Value, n)...)
+	if cap(*h) < n {
+		*h = make([]tuple.Value, n)
+	}
+	*h = (*h)[:n]
+	clear(*h)
 	return *h
 }
 
@@ -25,8 +29,14 @@ func (h *headScratch) HeadFields(n int) []tuple.Value {
 // aliases another or a head, and reset ends every loan at once, as the
 // end of a task does. A full buffer is left to the frames carved from it
 // and one twice its size takes over, so a test that resets between
-// activations is warm after a couple of them.
-type frames struct{ buf []tuple.Value }
+// activations is warm after a couple of them. Aggregation states come
+// from a keep beside the buffer, as the arena holds one.
+type frames struct {
+	buf  []tuple.Value
+	aggs AggScratch
+}
+
+func (f *frames) AggScratch() *AggScratch { return &f.aggs }
 
 func (f *frames) Frame(n int) []tuple.Value {
 	if cap(f.buf)-len(f.buf) < n {
@@ -296,5 +306,47 @@ func TestAggregateSumAvg(t *testing.T) {
 		if len(ctx.heads) != 1 || ctx.heads[0].Field(1).AsFloat() != want {
 			t.Errorf("%s heads = %v, want %v", op, ctx.heads, want)
 		}
+	}
+}
+
+// TestAggScratchKeepsOneClearedState: the keep holds one idle state, with
+// nothing left in it of the activation that used it (its strings would
+// stay pinned for as long as the keep's owner lives), and a state that
+// finds the slot taken is left to the collector.
+func TestAggScratchKeepsOneClearedState(t *testing.T) {
+	var l AggScratch
+	a, b := l.take(), l.take()
+	if a == b {
+		t.Fatal("two takes from an empty keep returned one state")
+	}
+	s := tuple.Str("pinned")
+	a.index = map[uint64]int{1: 0}
+	a.groups = append(a.groups, aggGroup{count: 1, minV: s, maxV: s})
+	a.vals = append(a.vals, s, s)
+	a.evalBuf = append(a.evalBuf, s)
+	a.zeroGroup = append(a.zeroGroup, s)
+	l.put(a)
+	l.put(b)
+	if l.idle != a {
+		t.Fatalf("the keep holds %p, want the first state put back (%p)", l.idle, a)
+	}
+	if len(a.index) != 0 || len(a.groups) != 0 || len(a.vals) != 0 || len(a.evalBuf) != 0 || len(a.zeroGroup) != 0 {
+		t.Errorf("a kept state is not empty: %d keys, %d groups, %d values, %d eval, %d zero",
+			len(a.index), len(a.groups), len(a.vals), len(a.evalBuf), len(a.zeroGroup))
+	}
+	for _, g := range a.groups[:cap(a.groups)] {
+		if g.count != 0 || g.sum != 0 || !g.minV.IsNil() || !g.maxV.IsNil() {
+			t.Errorf("a kept state's group array still holds %+v", g)
+		}
+	}
+	for name, vs := range map[string][]tuple.Value{"vals": a.vals, "evalBuf": a.evalBuf, "zeroGroup": a.zeroGroup} {
+		for _, v := range vs[:cap(vs)] {
+			if !v.IsNil() {
+				t.Errorf("a kept state's %s still holds %v", name, v)
+			}
+		}
+	}
+	if l.take() != a || l.idle != nil {
+		t.Error("take did not hand out the kept state and empty the slot")
 	}
 }

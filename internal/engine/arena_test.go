@@ -11,11 +11,11 @@ import (
 
 // TestArenaBounds: no entry point leaves a task's arena on the node, and
 // an arena a wide message or a wide cascade stretched does not go back
-// to the pool with its stretched storage.
+// to the node's keep with its stretched storage.
 func TestArenaBounds(t *testing.T) {
 	n := NewNode(Config{Addr: "a"})
 	// One fan event queues a fan row per many row, all before the first
-	// is processed: more than a pooled arena's queue may hold.
+	// is processed: more than a kept arena's queue may hold.
 	prog, err := overlog.Parse(`w1 fan@N(X) :- go@N(), many@N(X).
 materialize(many, infinity, infinity, keys(1,2)).`)
 	if err != nil {
@@ -40,18 +40,18 @@ materialize(many, infinity, infinity, keys(1,2)).`)
 		if cost := task(); n.arena != nil || n.inTask {
 			t.Errorf("%s (cost %g): arena %v, inTask %v after the task", name, cost, n.arena, n.inTask)
 		}
+		// What the node's keep holds is block-sized and empty.
+		if a := n.cfg.Arenas.idle; a != nil {
+			if cap(a.vals) > arenaVals || len(a.vals) != 0 {
+				t.Fatalf("after %s the kept arena holds %d of %d values, bound %d", name, len(a.vals), cap(a.vals), arenaVals)
+			}
+			if cap(a.queue) > arenaQueue || len(a.queue) != 0 || a.qhead != 0 {
+				t.Fatalf("after %s the kept arena queues %d (head %d) of %d slots, bound %d", name, len(a.queue), a.qhead, cap(a.queue), arenaQueue)
+			}
+		}
 	}
 	if n.Metrics().RuleErrors != 1 {
 		t.Errorf("rule errors = %d, want the undecodable message's", n.Metrics().RuleErrors)
-	}
-	for i := 0; i < 16; i++ { // whatever the pool hands out is block-sized
-		a := arenaPool.Get().(*arena)
-		if cap(a.vals) > arenaVals || len(a.vals) != 0 {
-			t.Fatalf("pooled arena holds %d of %d values, bound %d", len(a.vals), cap(a.vals), arenaVals)
-		}
-		if cap(a.queue) > arenaQueue || len(a.queue) != 0 || a.qhead != 0 {
-			t.Fatalf("pooled arena queues %d (head %d) of %d slots, bound %d", len(a.queue), a.qhead, cap(a.queue), arenaQueue)
-		}
 	}
 }
 

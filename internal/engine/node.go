@@ -145,6 +145,11 @@ type Config struct {
 	// the nodeStats row set stays mode-invariant where the determinism
 	// fingerprints demand it.
 	ExtraObs func() []metrics.Counter
+	// Arenas is where the node takes its task arenas from and keeps an
+	// idle one. Nodes whose tasks all run on one goroutine may share one
+	// (simnet gives every host of a network the same); nil gives the
+	// node one of its own, as a node on a goroutine of its own needs.
+	Arenas *Arenas
 }
 
 type queued struct {
@@ -171,10 +176,13 @@ type query struct {
 }
 
 // Node is one P2 node. Not safe for concurrent use: the driver serializes
-// Handle* calls on each node. Distinct nodes share no mutable state (each
-// owns its store, RNG, tracer, counters, and scratch buffers; Send and
-// the On* callbacks are the only ways out), so realtime UDPNodes in one
-// process run different nodes on different goroutines concurrently.
+// Handle* calls on each node. Distinct nodes share one piece of mutable
+// state at most, the Config.Arenas their tasks take scratch from, and
+// only nodes whose tasks run on one goroutine share it. Everything else
+// each owns (store, RNG, tracer, counters, scratch buffers; Send and the
+// On* callbacks are the only ways out), so realtime UDPNodes in one
+// process, each with its own Arenas, run on different goroutines
+// concurrently.
 type Node struct {
 	cfg   Config
 	store *table.Store
@@ -225,6 +233,9 @@ type Node struct {
 func NewNode(cfg Config) *Node {
 	if cfg.Clock == nil {
 		cfg.Clock = func() float64 { return 0 }
+	}
+	if cfg.Arenas == nil {
+		cfg.Arenas = new(Arenas)
 	}
 	n := &Node{
 		cfg:       cfg,

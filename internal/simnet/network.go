@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"sync"
 
 	"p2go/internal/engine"
 	"p2go/internal/metrics"
@@ -129,6 +128,12 @@ type Network struct {
 	// addrsCache holds the sorted address list; AddNode invalidates it,
 	// so Addrs is O(copy) instead of O(n log n) between topology changes.
 	addrsCache []string
+
+	// msgs holds the message records no arrival event points at (see
+	// message), and arenas the task arenas every host's node shares:
+	// the simulator runs one task at a time on one goroutine.
+	msgs   []*message
+	arenas engine.Arenas
 }
 
 // NewNetwork creates an empty network on sim.
@@ -185,6 +190,7 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 			n.deliver(h, dst, env, at)
 		},
 		OnNewPeriodic: func(p *engine.Periodic) { n.schedulePeriodic(h, p) },
+		Arenas:        &n.arenas,
 	}
 	if n.cfg.OnWatch != nil {
 		cfg.OnWatch = func(now float64, t tuple.Tuple) { n.cfg.OnWatch(now, addr, t) }
@@ -360,7 +366,7 @@ func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64
 			}
 			lk.lastArrival = arrival
 		}
-		m := messagePool.Get().(*message)
+		m := n.newMessage()
 		*m = message{src: src, id: env.SrcTupleID, raw: append(m.raw, env.Raw...), sent: at}
 		n.sim.at(arrival, h, m)
 	}
@@ -376,16 +382,17 @@ type task interface {
 
 // message is one envelope in flight to a host: the arrival event points
 // at it, so the event heap carries it in two words. Records are recycled
-// through messagePool: the sender's execution takes one, and the arrival
-// returns it at once, either after copying the envelope into the
-// receiver's inbox or on finding the host down. A record therefore lives
-// only while its message is in the event heap (about 900 at the end of
-// the 1000-host join, which queues half a million messages). The record
-// owns raw: deliver copies the sender's bytes into it, and release keeps
-// the buffer with the record for the next message unless it grew past
-// maxPooledRaw (frames are 60-120 B, so buffer slack is live heap). The
-// envelope's Src is kept as the sending host (deliver checks it is that
-// host's address, as the engine stamps it).
+// through the network's free list: the sender's execution takes one, and
+// the arrival returns it at once, either after copying the envelope into
+// the receiver's inbox or on finding the host down. A record therefore
+// lives only while its message is in the event heap (at most 1 088 at
+// once on the 1000-host join, which queues half a million messages, and
+// 115 on the monitored 21-node ring). The record owns raw: deliver
+// copies the sender's bytes into it, and release keeps the buffer with
+// the record for the next message unless it grew past maxKeptRaw (frames
+// are 60-120 B, so buffer slack is live heap). The envelope's Src is
+// kept as the sending host (deliver checks it is that host's address, as
+// the engine stamps it).
 type message struct {
 	src  *host
 	id   uint64  // Envelope.SrcTupleID
@@ -393,32 +400,42 @@ type message struct {
 	sent float64 // node-local send time, for the hop-latency observation
 }
 
-// messagePool is shared by every network in the process: a sync.Pool
-// gives a burst's high-water mark back to the collector.
-var messagePool = sync.Pool{New: func() any { return new(message) }}
+// maxKeptRaw bounds the buffer a free record keeps. The free list
+// itself needs no bound: a record joins it only after its message was in
+// flight, so it never holds more records than the run's peak in flight.
+const maxKeptRaw = 256
 
-const maxPooledRaw = 256
+func (n *Network) newMessage() *message {
+	k := len(n.msgs)
+	if k == 0 {
+		return new(message)
+	}
+	m := n.msgs[k-1]
+	n.msgs[k-1] = nil
+	n.msgs = n.msgs[:k-1]
+	return m
+}
 
-func (m *message) release() {
+func (n *Network) release(m *message) {
 	raw := m.raw[:0]
-	if cap(raw) > maxPooledRaw {
+	if cap(raw) > maxKeptRaw {
 		raw = nil
 	}
 	*m = message{raw: raw}
-	messagePool.Put(m)
+	n.msgs = append(n.msgs, m)
 }
 
 func (m *message) fire(h *host, at float64) {
 	if h.down {
 		h.dropped++
-		m.release()
+		h.net.release(m)
 		return
 	}
 	// The receiver observes the hop as the message lands: pure
 	// receiver-owned measurement, invisible to billing and determinism.
 	h.node.ObserveHop(at - m.sent)
 	h.inbox.pushMessage(at, m.src.idx, m.id, m.raw)
-	m.release()
+	h.net.release(m)
 	h.net.kick(h, at)
 }
 

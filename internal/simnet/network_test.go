@@ -298,14 +298,18 @@ func TestRunQueueGivesCapacityBack(t *testing.T) {
 // TestMessageReleaseBoundsBuffer: a recycled record keeps its buffer for
 // the next message unless one oversized frame stretched it.
 func TestMessageReleaseBoundsBuffer(t *testing.T) {
+	var net Network
 	small := &message{raw: make([]byte, 90, 96)}
-	big := &message{raw: make([]byte, 90, maxPooledRaw+1)}
-	small.release()
-	big.release()
+	big := &message{raw: make([]byte, 90, maxKeptRaw+1)}
+	net.release(small)
+	net.release(big)
 	if cap(small.raw) != 96 || len(small.raw) != 0 {
 		t.Errorf("a 96-byte buffer was released as len %d cap %d", len(small.raw), cap(small.raw))
 	}
 	if big.raw != nil {
-		t.Errorf("a %d-byte buffer went back to the pool", cap(big.raw))
+		t.Errorf("a %d-byte buffer went back to the free list", cap(big.raw))
+	}
+	if m := net.newMessage(); m != big || len(net.msgs) != 1 {
+		t.Errorf("newMessage took %p and left %d records", m, len(net.msgs))
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // queueLoad is the run-queue side of one message: the arrival takes a
-// pooled record as deliver does and lands it (push), and the task start
+// recycled record as deliver does and lands it (push), and the task start
 // pops it. inbox and the reference (runqueueref_test.go) each implement
 // it the way their network did.
 type queueLoad interface {
@@ -20,10 +20,10 @@ type queueLoad interface {
 type inboxLoad struct{ q inbox }
 
 func (l *inboxLoad) push(src *host, env engine.Envelope, at float64) {
-	m := messagePool.Get().(*message)
+	m := src.net.newMessage()
 	*m = message{src: src, id: env.SrcTupleID, raw: append(m.raw, env.Raw...), sent: at}
 	l.q.pushMessage(at, m.src.idx, m.id, m.raw)
-	m.release()
+	src.net.release(m)
 }
 
 func (l *inboxLoad) pop(now float64) {
@@ -46,7 +46,7 @@ func (l *refLoad) pop(now float64) {
 	st, _, _ := l.q.pop(now)
 	m := st.do.(*message)
 	sinkRaw = m.raw
-	m.release()
+	m.src.net.release(m)
 }
 
 func (l *refLoad) reset() { l.q.clearQueue() }
@@ -54,7 +54,7 @@ func (l *refLoad) reset() { l.q.clearQueue() }
 var sinkRaw []byte
 
 // liveHeap is the heap in use after two collections (the second empties
-// the pools' victim caches).
+// the standard library's sync.Pool victim caches).
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -70,10 +70,10 @@ func liveHeap() uint64 {
 // 10 000 and then drains them, a host stalled behind a burst. Both report
 // ns/message and heapB/queued-msg, the live heap the queue holds per
 // message queued (measured once, at the queue's depth), beside the
-// reference: ref-flowing and ref-backlog run the []simTask and pooled
+// reference: ref-flowing and ref-backlog run the []simTask and recycled
 // *message queue the inbox replaced.
 func BenchmarkRunQueue(b *testing.B) {
-	src := &host{idx: 500, addr: "10.0.1.244:10500"}
+	src := &host{idx: 500, addr: "10.0.1.244:10500", net: new(Network)}
 	env := engine.Envelope{Src: src.addr, SrcTupleID: 1 << 20, Raw: make([]byte, 37)}
 	for _, c := range []struct {
 		name  string

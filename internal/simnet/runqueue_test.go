@@ -54,7 +54,7 @@ func repeatOp(op []byte, n int) []byte { return bytes.Repeat(op, n) }
 // envelopes (Src, SrcTupleID, byte-exact Raw) and the queue-wait and
 // depth observations, of the run queue it replaced (runqueueref_test.go),
 // under any interleaving of message arrivals (0-600 B payloads, across
-// maxPooledRaw and the uvarint boundaries), other tasks, task starts and
+// maxKeptRaw and the uvarint boundaries), other tasks, task starts and
 // crashes.
 func FuzzRunQueue(f *testing.F) {
 	pop := []byte{opPop}
@@ -71,8 +71,9 @@ func FuzzRunQueue(f *testing.F) {
 		msgOp(0, 5, 0), repeatOp([]byte{opTask, 3, 0}, 40), repeatOp(pop, 20)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hosts := make([]*host, fuzzSrcs[len(fuzzSrcs)-1]+1)
+		net := new(Network)
 		for i := range hosts {
-			hosts[i] = &host{idx: i, addr: fmt.Sprintf("h%d", i)}
+			hosts[i] = &host{idx: i, addr: fmt.Sprintf("h%d", i), net: net}
 		}
 		r := opReader{data}
 		var q inbox
@@ -100,10 +101,10 @@ func FuzzRunQueue(f *testing.F) {
 				env := engine.Envelope{Src: src.addr, SrcTupleID: id, Raw: payload[:size]}
 				ref.refDeliver(src, env, now, at)
 				// What deliver and message.fire do now.
-				m := messagePool.Get().(*message)
+				m := src.net.newMessage()
 				*m = message{src: src, id: env.SrcTupleID, raw: append(m.raw, env.Raw...), sent: now}
 				q.pushMessage(at, m.src.idx, m.id, m.raw)
-				m.release()
+				src.net.release(m)
 			case opTask:
 				var do task
 				switch r.next() % 4 {
@@ -162,7 +163,7 @@ func popBoth(t *testing.T, q *inbox, ref *refQueue, hosts []*host, now float64) 
 		if env.Src != m.src.addr || env.SrcTupleID != m.id || !bytes.Equal(env.Raw, m.raw) {
 			t.Fatalf("envelope {%s %d % x}, reference {%s %d % x}", env.Src, env.SrcTupleID, env.Raw, m.src.addr, m.id, m.raw)
 		}
-		m.release()
+		m.src.net.release(m)
 	} else if e.do != rt.do {
 		t.Fatalf("inbox started %T %p, reference %T %p", e.do, e.do, rt.do, rt.do)
 	}

@@ -2,8 +2,8 @@
 // internal/simnet/network.go (the queue fields move from host to
 // refQueue) as the oracle FuzzRunQueue holds the inbox to, the way
 // tuple's valueref_test.go keeps the 56-byte Value. It is test code: no
-// second run queue ships. message, messagePool and the task kinds are
-// shared, since they did not change.
+// second run queue ships. message, the network's free list of records
+// and the task kinds are shared, since they did not change.
 
 package simnet
 
@@ -19,14 +19,14 @@ type refQueue struct {
 // as the reference queues it.
 func (m *message) run(h *host) float64 {
 	cost := h.node.HandleMessage(engine.Envelope{Src: m.src.addr, SrcTupleID: m.id, Raw: m.raw})
-	m.release()
+	h.net.release(m)
 	return cost
 }
 
 // refDeliver is what deliver and message.fire did with one envelope:
-// copy it into a pooled record and queue the record itself.
+// copy it into a recycled record and queue the record itself.
 func (h *refQueue) refDeliver(src *host, env engine.Envelope, sent, at float64) {
-	m := messagePool.Get().(*message)
+	m := src.net.newMessage()
 	*m = message{src: src, id: env.SrcTupleID, raw: append(m.raw, env.Raw...), sent: sent}
 	h.queue = append(h.queue, simTask{at: at, do: m})
 }

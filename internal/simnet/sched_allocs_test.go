@@ -1,8 +1,3 @@
-//go:build !race
-
-// The race build's sync.Pool drops a quarter of its Puts on purpose, so
-// "the recycled record comes back" cannot be asserted there.
-
 package simnet
 
 import (
@@ -28,15 +23,12 @@ func mallocs() uint64 {
 	return m.Mallocs
 }
 
-// TestSchedulerAllocs: with heap, queues and the record pool warm, an
+// TestSchedulerAllocs: with heap, queues and the record list warm, an
 // event allocates nothing. A func event is checked alone; a message event
 // is checked end to end — decode into the task arena, strand, head,
 // marshal into the node's scratch, copy into a recycled record — on a
 // ping-pong that stores nothing, so nothing has a reason to allocate.
 func TestSchedulerAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and a pool is per P: stay on the warm one
-
 	t.Run("func", func(t *testing.T) {
 		s := NewSim()
 		noop := func() {}
@@ -73,7 +65,7 @@ func TestSchedulerAllocs(t *testing.T) {
 			}
 		}
 		recv := func() int64 { return net.Node("a").Metrics().MsgsRecv + net.Node("b").Metrics().MsgsRecv }
-		net.RunFor(5) // warm: heap, run queues, link state, record pool
+		net.RunFor(5) // warm: heap, run queues, link state, record list
 		events0, msgs0, before := sim.Executed(), recv(), mallocs()
 		net.RunFor(20)
 		total := mallocs() - before
@@ -87,7 +79,7 @@ func TestSchedulerAllocs(t *testing.T) {
 	})
 
 	// A host stalled behind a backlog keeps every queued message as
-	// bytes in its inbox: with the record pool warm (a first burst of the
+	// bytes in its inbox: with the record list warm (a first burst of the
 	// same shape), the second burst's only allocations are the two
 	// inboxes' growth, O(log n) buffers for n queued messages.
 	t.Run("backlog", func(t *testing.T) {
