@@ -177,7 +177,7 @@ func planBytesPerHost(m int, private bool) (int64, error) {
 	for i := range strands {
 		ss := make([]*dataflow.Strand, len(plans))
 		for j, p := range plans {
-			ss[j] = p.Instantiate(chord.QueryID)
+			ss[j] = p.Instantiate(nil)
 		}
 		strands[i] = ss
 	}

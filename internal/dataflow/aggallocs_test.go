@@ -49,7 +49,7 @@ func l2Setup(tb testing.TB) (*nullCtx, *Strand, tuple.Tuple) {
 		finger.Insert(tuple.New("finger", tuple.Str("n1"), tuple.Int(int64(i)), tuple.ID(i*(math.MaxUint64/160)+0x2000), tuple.Str("f")), 0) //nolint:errcheck
 	}
 	v := func(name string) overlog.Expr { return &overlog.Var{Name: name} }
-	s := strandOf(&Plan{
+	s := strandOf(store, &Plan{
 		RuleID:   "l2",
 		Trigger:  Trigger{Kind: TriggerEvent, Name: "lookup", FieldSlots: []int{0, 1, 2, 3}, FieldConsts: make([]tuple.Value, 4)},
 		NumVars:  9,
@@ -79,8 +79,8 @@ func TestAggRescanAllocs(t *testing.T) {
 		trig   tuple.Tuple
 		groups int
 	}{
-		{"grouped", clusterStrand(), tuple.New("probe", tuple.Str("n1")), 8},
-		{"zero-capable", countStrand(), row("n1", 0, 0), 1},
+		{"grouped", clusterStrand(ctx.store), tuple.New("probe", tuple.Str("n1")), 8},
+		{"zero-capable", countStrand(ctx.store), row("n1", 0, 0), 1},
 	} {
 		tc.s.Run(ctx, tc.trig) // warm the state's arrays
 		ctx.heads = 0

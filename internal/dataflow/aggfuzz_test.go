@@ -69,7 +69,7 @@ func aggFuzzStrand(op string, shape int) *Strand {
 		p.Agg.ArgIndex = 2
 		p.Agg.EmitZero = false // X is not bound by the trigger
 	}
-	return strandOf(p)
+	return strandOf(nil, p)
 }
 
 // aggFuzzValue is a value with many ties: 0..15 as an int, as the float
@@ -201,6 +201,7 @@ func FuzzAggMaint(f *testing.F) {
 		}
 		// The engine's listener wiring: the primary maintains, a
 		// secondary invalidates.
+		bindStore(s, store)
 		ctx := &aggCtx{fakeCtx: fakeCtx{store: store}, am: NewAggMaint(s)}
 		tab.Subscribe(func(op table.Op, tu tuple.Tuple) { ctx.am.Apply(ctx, op, tu) })
 		if shape >= 2 {
@@ -287,6 +288,7 @@ func TestAggMaintSecondaryExpiresMidInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindStore(s, store)
 	ctx := &aggCtx{fakeCtx: fakeCtx{store: store}, am: NewAggMaint(s)}
 	tab.Subscribe(func(op table.Op, tu tuple.Tuple) { ctx.am.Apply(ctx, op, tu) })
 	sec.Subscribe(func(table.Op, tuple.Tuple) { ctx.am.Invalidate() })

@@ -428,15 +428,15 @@ func (g *maintGroup) refold() {
 func (am *AggMaint) runTrigger(ctx Context, b Binding, agg *aggState) {
 	s := am.s
 	ctx.Bill(CostAggEmit)
-	primary := ctx.Table(s.AggPlan.Primary)
+	primary := s.Query.Table(s.AggPlan.Rels[0])
 	if primary == nil {
 		// Matches the rescan path's behaviour when the table is gone.
 		ctx.RuleError(s.RuleID, fmt.Errorf("join against unmaterialized table %s", s.AggPlan.Primary))
 		return
 	}
 	primary.Expire(ctx.Now())
-	for _, name := range s.AggPlan.Secondaries {
-		if tb := ctx.Table(name); tb != nil {
+	for _, rel := range s.AggPlan.Rels[1:] {
+		if tb := s.Query.Table(rel); tb != nil {
 			tb.Expire(ctx.Now())
 		}
 	}

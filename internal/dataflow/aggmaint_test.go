@@ -29,8 +29,8 @@ func (c *aggCtx) AggState(*Strand) *AggMaint {
 //
 // as a delta strand: the trigger binds only the group var N; Ops[0] is
 // the rescan join of tab itself.
-func countStrand() *Strand {
-	s := strandOf(&Plan{
+func countStrand(store *table.Store) *Strand {
+	s := strandOf(store, &Plan{
 		RuleID:  "agg1",
 		Trigger: Trigger{Kind: TriggerDelta, Name: "tab", FieldSlots: []int{0, -1, -1}, FieldConsts: make([]tuple.Value, 3)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -48,7 +48,7 @@ func countStrand() *Strand {
 
 // minStrand: out@N(min<B>) :- tab@N(A, B).
 func minStrand() *Strand {
-	s := countStrand()
+	s := countStrand(nil)
 	s.HeadArgs = []overlog.Expr{&overlog.Var{Name: "N"}, &overlog.Agg{Op: "min", Var: "B"}}
 	s.Agg = &AggSpec{Op: "min", Slot: 2, ArgIndex: 1}
 	s.Compile()
@@ -113,6 +113,7 @@ func newAggCtx(t testing.TB, s *Strand, lifetime float64) (*aggCtx, *table.Table
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindStore(s, store)
 	ctx := &aggCtx{fakeCtx: fakeCtx{store: store}, am: NewAggMaint(s)}
 	// The engine's listener wiring, minus billing.
 	tb.Subscribe(func(op table.Op, tu tuple.Tuple) { ctx.am.Apply(ctx, op, tu) })
@@ -120,7 +121,7 @@ func newAggCtx(t testing.TB, s *Strand, lifetime float64) (*aggCtx, *table.Table
 }
 
 func TestAggMaintCountInsertDelete(t *testing.T) {
-	s := countStrand()
+	s := countStrand(nil)
 	ctx, tb := newAggCtx(t, s, table.Infinity)
 	trig := row("n1", 0, 0)
 
@@ -185,7 +186,7 @@ func TestAggMaintMinDeletionExact(t *testing.T) {
 }
 
 func TestAggMaintTTLExpiry(t *testing.T) {
-	s := countStrand()
+	s := countStrand(nil)
 	ctx, tb := newAggCtx(t, s, 10) // 10s lifetime
 	trig := row("n1", 0, 0)
 
@@ -213,7 +214,7 @@ func TestAggMaintTTLExpiry(t *testing.T) {
 }
 
 func TestAggMaintClearInvalidates(t *testing.T) {
-	s := countStrand()
+	s := countStrand(nil)
 	ctx, tb := newAggCtx(t, s, table.Infinity)
 	trig := row("n1", 0, 0)
 
@@ -242,14 +243,14 @@ type nullCtx struct {
 }
 
 func (c *nullCtx) Now() float64                        { return 0 }
+func (c *nullCtx) Env() overlog.Context                { return c }
 func (c *nullCtx) Rand64() uint64                      { return 4 }
 func (c *nullCtx) LocalAddr() string                   { return "n1" }
-func (c *nullCtx) Table(name string) *table.Table      { return c.store.Get(name) }
 func (c *nullCtx) Bill(float64)                        {}
 func (c *nullCtx) AggState(*Strand) *AggMaint          { return nil }
 func (c *nullCtx) EmitHead(*Strand, tuple.Tuple, bool) { c.heads++ }
 func (c *nullCtx) TraceInput(*Strand, tuple.Tuple)     {}
-func (c *nullCtx) TracePassed()                        {}
+func (c *nullCtx) Passed(int, int)                     {}
 func (c *nullCtx) TraceWitness(*Strand, int)           {}
 func (c *nullCtx) TracePrecond(*Strand, int, tuple.Tuple) {
 }
@@ -268,7 +269,7 @@ func benchSetup(b testing.TB, indexed bool) (*nullCtx, *Strand, tuple.Tuple) {
 	for i := int64(0); i < 64; i++ {
 		tb.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(i%8), tuple.Int(i)), 0) //nolint:errcheck
 	}
-	s := joinStrand()
+	s := joinStrand(store)
 	s.Ops[1] = &CondOp{Expr: &overlog.Binary{Op: "<", L: &overlog.Var{Name: "B"}, R: &overlog.Lit{Val: tuple.Int(0)}}}
 	op := s.Ops[0].(*JoinOp)
 	if indexed {
@@ -315,8 +316,8 @@ func BenchmarkStrandActivationIndexed(b *testing.B) {
 
 // clusterStrand: cluster@N(A, count<*>) :- probe@N(), tab@N(A, B), a
 // rescan aggregate (no AggPlan) with one group per distinct A.
-func clusterStrand() *Strand {
-	return strandOf(&Plan{
+func clusterStrand(store *table.Store) *Strand {
+	return strandOf(store, &Plan{
 		RuleID:  "a1",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -353,7 +354,7 @@ func (c *nestingCtx) EmitHead(s *Strand, t tuple.Tuple, _ bool) {
 func TestAggRescanNested(t *testing.T) {
 	ctx, _, _ := benchSetup(t, false) // tab: 64 rows, A = 0..7, 8 rows each
 	trig := tuple.New("probe", tuple.Str("n1"))
-	s := clusterStrand()
+	s := clusterStrand(ctx.store)
 	flat := &nestingCtx{nullCtx: nullCtx{store: ctx.store}, nested: true}
 	s.Run(flat, trig)
 	if len(flat.heads) != 8 || !flat.heads[3].Equal(tuple.New("cluster", tuple.Str("n1"), tuple.Int(3), tuple.Int(8))) {
@@ -379,12 +380,12 @@ func TestAggRescanNested(t *testing.T) {
 //
 // as a delta strand: the trigger binds the group variables N and G, and
 // Ops[0] is the rescan join of tab itself, probing an index on them.
-func groupedStrand(op string) *Strand {
+func groupedStrand(store *table.Store, op string) *Strand {
 	slot := 3
 	if op == "count" {
 		slot = -1
 	}
-	return strandOf(&Plan{
+	return strandOf(store, &Plan{
 		RuleID:  "g1",
 		Trigger: Trigger{Kind: TriggerDelta, Name: "tab", FieldSlots: []int{0, -1, 1, -1}, FieldConsts: make([]tuple.Value, 4)},
 		NumVars: 4, VarNames: []string{"N", "G", "K", "V"},
@@ -419,7 +420,7 @@ func aggMaintRow(i int) tuple.Tuple {
 func BenchmarkAggMaint(b *testing.B) {
 	for _, op := range []string{"count", "sum", "min", "max"} {
 		b.Run(op+"/incremental", func(b *testing.B) {
-			s := groupedStrand(op)
+			s := groupedStrand(nil, op)
 			ctx, tb := newAggCtx(b, s, table.Infinity)
 			ctx.incremental = true
 			benchAggMaint(b, s, ctx, tb, func() { ctx.heads = ctx.heads[:0]; ctx.reset() })
@@ -441,13 +442,13 @@ func BenchmarkAggMaint(b *testing.B) {
 			})
 		}
 		b.Run(op+"/rescan", func(b *testing.B) {
-			s := groupedStrand(op)
 			store := table.NewStore()
 			tb, err := store.Materialize(table.Spec{Name: "tab", Lifetime: table.Infinity,
 				MaxSize: table.Infinity, Keys: []int{1, 2}})
 			if err != nil {
 				b.Fatal(err)
 			}
+			s := groupedStrand(store, op)
 			ctx := &nullCtx{store: store}
 			benchAggMaint(b, s, ctx, tb, ctx.reset)
 		})
@@ -467,12 +468,12 @@ func replaceRow(buf []tuple.Value, i int) tuple.Tuple {
 }
 
 // replaceStrand: out@N(op<S>) :- tab@N(H, S), one group per node.
-func replaceStrand(op string) *Strand {
+func replaceStrand(store *table.Store, op string) *Strand {
 	slot := 2
 	if op == "count" {
 		slot = -1
 	}
-	return strandOf(&Plan{
+	return strandOf(store, &Plan{
 		RuleID:   "r1",
 		Trigger:  Trigger{Kind: TriggerDelta, Name: "tab", FieldSlots: []int{0, -1, -1}, FieldConsts: make([]tuple.Value, 3)},
 		NumVars:  3,
@@ -507,7 +508,7 @@ func replaceSetup(tb testing.TB, op string) (ctx *maintCtx, s *Strand, tab *tabl
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s = replaceStrand(op)
+	s = replaceStrand(store, op)
 	ctx = &maintCtx{nullCtx: nullCtx{store: store}, am: NewAggMaint(s)}
 	tab.Subscribe(func(op table.Op, tu tuple.Tuple) { ctx.am.Apply(ctx, op, tu) })
 	buf = make([]tuple.Value, 3)

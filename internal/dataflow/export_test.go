@@ -4,9 +4,19 @@ import (
 	"slices"
 
 	"p2go/internal/overlog"
+	"p2go/internal/table"
 )
 
 // Hooks for this package's external tests.
+
+// StoreQuery is the fakes' Query: relation k's table is the one named
+// Names[k] in Store, where a node's query holds k's relation record.
+type StoreQuery struct {
+	Store *table.Store
+	Names []string
+}
+
+func (q *StoreQuery) Table(rel int) *table.Table { return q.Store.Get(q.Names[rel]) }
 
 // RowFilter returns the ring-interval condition the join's index probe
 // answers itself (see rowFilter), or nil.

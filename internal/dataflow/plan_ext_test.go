@@ -25,6 +25,7 @@ const l2Rule = `l2 bestLookupDist@N(K, ReqAddr, E, min<D>) :- node@N(NID), looku
 // l2Fingers is the finger table's size: half the rows are in range.
 const l2Fingers = 160
 
+// planL2 plans l2 and numbers its relations, as an install does.
 func planL2(tb testing.TB) *dataflow.Plan {
 	tb.Helper()
 	prog, err := overlog.Parse(l2Rule)
@@ -36,7 +37,16 @@ func planL2(tb testing.TB) *dataflow.Plan {
 	if err != nil || len(plans) != 1 {
 		tb.Fatalf("planning l2: %d plans, %v", len(plans), err)
 	}
+	l2Names = dataflow.Number(plans)
 	return plans[0]
+}
+
+// l2Names is l2's relations by number.
+var l2Names []string
+
+// on instantiates p on c's tables.
+func (c *l2Ctx) on(p *dataflow.Plan) *dataflow.Strand {
+	return p.Instantiate(&dataflow.StoreQuery{Store: c.store, Names: l2Names})
 }
 
 // l2Ctx is one node running l2: its node and finger tables, and an
@@ -73,13 +83,13 @@ func newL2Ctx(tb testing.TB) *l2Ctx {
 var l2Lookup = tuple.New("lookup", tuple.Str("n1"), tuple.ID(1<<63), tuple.Str("n7"), tuple.ID(42))
 
 func (c *l2Ctx) Now() float64                                 { return 0 }
+func (c *l2Ctx) Env() overlog.Context                         { return c }
 func (c *l2Ctx) Rand64() uint64                               { return 4 }
 func (c *l2Ctx) LocalAddr() string                            { return "n1" }
-func (c *l2Ctx) Table(name string) *table.Table               { return c.store.Get(name) }
 func (c *l2Ctx) Bill(float64)                                 {}
 func (c *l2Ctx) AggState(*dataflow.Strand) *dataflow.AggMaint { return nil }
 func (c *l2Ctx) TraceInput(*dataflow.Strand, tuple.Tuple)     {}
-func (c *l2Ctx) TracePassed()                                 {}
+func (c *l2Ctx) Passed(int, int)                              {}
 func (c *l2Ctx) TraceWitness(*dataflow.Strand, int)           {}
 func (c *l2Ctx) TracePrecond(*dataflow.Strand, int, tuple.Tuple) {
 }
@@ -123,7 +133,8 @@ func l2Want() tuple.Value {
 // BenchmarkStrandAggRescan is one l2 activation: join 160 finger rows,
 // evaluate the range and the distance on each, fold the minimum.
 func BenchmarkStrandAggRescan(b *testing.B) {
-	ctx, s := newL2Ctx(b), planL2(b).Instantiate("q")
+	ctx := newL2Ctx(b)
+	s := ctx.on(planL2(b))
 	s.Run(ctx, l2Lookup)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -141,9 +152,10 @@ func BenchmarkStrandAggRescan(b *testing.B) {
 // a thousand nodes share one set of compiled evaluators; the strand has
 // no function value of its own to hold a per-node evaluator in.
 func TestInstantiateSharesPlan(t *testing.T) {
-	p := planL2(t)
+	p, ctx := planL2(t), newL2Ctx(t)
+	q := &dataflow.StoreQuery{Store: ctx.store, Names: l2Names}
 	strands := make([]*dataflow.Strand, 0, 1001)
-	if got := testing.AllocsPerRun(1000, func() { strands = append(strands, p.Instantiate("q")) }); got != 1 {
+	if got := testing.AllocsPerRun(1000, func() { strands = append(strands, p.Instantiate(q)) }); got != 1 {
 		t.Errorf("Instantiate allocates %v objects, want 1 (the Strand)", got)
 	}
 	for _, s := range strands {
@@ -157,7 +169,6 @@ func TestInstantiateSharesPlan(t *testing.T) {
 			t.Errorf("Strand.%s is per-node evaluator state", f.Name)
 		}
 	}
-	ctx := newL2Ctx(t)
 	strands[0].Run(ctx, l2Lookup)
 	if ctx.heads != 1 || !ctx.dist.Equal(l2Want()) {
 		t.Errorf("l2 emitted %d heads, distance %v, want 1 and %v", ctx.heads, ctx.dist, l2Want())
@@ -176,7 +187,7 @@ func TestPlanConcurrentStrands(t *testing.T) {
 		wg.Add(1)
 		go func(ctx *l2Ctx) {
 			defer wg.Done()
-			s := p.Instantiate("q")
+			s := ctx.on(p)
 			for i := 0; i < 50; i++ {
 				s.Run(ctx, l2Lookup)
 			}

@@ -19,7 +19,7 @@ import (
 // diffCtx runs strands for TestRowFilterMatchesPipeline and keeps what
 // they show: the billed seconds summed in billing order, as the engine's
 // clock and bills sum them, a log of heads and rule errors, and the rows
-// TracePassed was told of. With a tracer it taps and bills as a traced
+// Passed was told of. With a tracer it taps and bills as a traced
 // engine node does, and the tracer's ruleExec table holds what the
 // activations recorded.
 type diffCtx struct {
@@ -33,9 +33,9 @@ type diffCtx struct {
 }
 
 func (c *diffCtx) Now() float64                                 { return c.busy }
+func (c *diffCtx) Env() overlog.Context                         { return c }
 func (c *diffCtx) Rand64() uint64                               { return 4 }
 func (c *diffCtx) LocalAddr() string                            { return "n1" }
-func (c *diffCtx) Table(name string) *table.Table               { return c.store.Get(name) }
 func (c *diffCtx) Bill(sec float64)                             { c.busy += sec; c.bills++ }
 func (c *diffCtx) AggState(*dataflow.Strand) *dataflow.AggMaint { return nil }
 func (c *diffCtx) HeadFields(n int) []tuple.Value               { return make([]tuple.Value, n) }
@@ -62,10 +62,15 @@ func (c *diffCtx) TracePrecond(s *dataflow.Strand, stage int, t tuple.Tuple) {
 		c.tracer.Precond(s, stage, t, c.busy)
 	}
 }
-func (c *diffCtx) TracePassed() {
-	c.passed++
-	if c.tracer != nil {
-		c.Bill(dataflow.CostTraceTap)
+func (c *diffCtx) Passed(rows, evals int) {
+	for range rows {
+		c.passed++
+		if c.tracer != nil {
+			c.Bill(dataflow.CostTraceTap)
+		}
+		for range evals {
+			c.Bill(dataflow.CostEval)
+		}
 	}
 }
 func (c *diffCtx) TraceWitness(s *dataflow.Strand, group int) {
@@ -106,6 +111,7 @@ func runBoth(t *testing.T, c filterCase, traced bool) int {
 	if err != nil || len(plans) != 1 {
 		t.Fatalf("%s: %d plans, %v", c.name, len(plans), err)
 	}
+	names := dataflow.Number(plans)
 	run := func(p *dataflow.Plan) (*diffCtx, string) {
 		ctx := &diffCtx{store: table.NewStore()}
 		if traced {
@@ -125,7 +131,7 @@ func runBoth(t *testing.T, c filterCase, traced bool) int {
 				t.Fatal(err)
 			}
 		}
-		s := p.Instantiate("q")
+		s := p.Instantiate(&dataflow.StoreQuery{Store: ctx.store, Names: names})
 		for _, ev := range c.events {
 			ctx.ids++
 			s.Run(ctx, ev.WithID(ctx.ids))

@@ -20,12 +20,16 @@ import (
 )
 
 // Context is the node-side environment a strand executes in. The engine's
-// Node implements it; tests provide lightweight fakes.
+// Node implements it; tests provide lightweight fakes. The tables a
+// strand joins are its Query's, not the Context's.
 type Context interface {
-	overlog.Context
+	// Now returns the node-local virtual time in seconds.
+	Now() float64
 
-	// Table returns the materialized table for a predicate, or nil.
-	Table(name string) *table.Table
+	// Env returns the context as the overlog.Context compiled expressions
+	// read, converted where its type is known: a conversion at run time
+	// allocates its call site's cache on a random 1 in 1024 misses.
+	Env() overlog.Context
 
 	// EmitHead routes a head tuple produced by a strand: local insert or
 	// event, remote send, or (for delete rules) table deletion. The
@@ -71,11 +75,11 @@ type Context interface {
 	// node-unique ID there, which the tracer needs.
 	TraceInput(s *Strand, t tuple.Tuple)
 	TracePrecond(s *Strand, stage int, t tuple.Tuple)
-	// TracePassed observes a row a join passed over without binding it
-	// (see rowFilter): the walk would have tapped it as a precondition
-	// and its selection then rejected it. No output names such a row, so
-	// nothing is recorded, but a traced node bills the tap.
-	TracePassed()
+	// Passed charges rows a join passed over without binding them (see
+	// rowFilter) what the walk would have: for each row in turn, on a
+	// traced node its precondition tap, then evals CostEval bills, one
+	// bill at a time. No output names such a row, so nothing is recorded.
+	Passed(rows, evals int)
 	// TraceWitness observes that the binding being folded into aggregate
 	// group number group is, so far, the first to reach the group's min
 	// or max: the group's output records this binding's preconditions.
@@ -108,8 +112,10 @@ const (
 // Trigger describes a strand's triggering predicate.
 type Trigger struct {
 	Kind TriggerKind
-	// Name is the predicate (or table) name that fires the strand.
+	// Name is the predicate (or table) name that fires the strand, Rel
+	// its relation number (none for a periodic).
 	Name string
+	Rel  int
 	// Period and Count apply to periodic triggers: the firing interval
 	// in seconds and the number of firings (0 = forever).
 	Period float64
@@ -132,8 +138,9 @@ type Op interface {
 // and constants it binds the free fields and continues the pipeline. Each
 // JoinOp is one tracing stage.
 type JoinOp struct {
-	// Table is the probed table's name.
+	// Table is the probed table's name, Rel its relation number.
 	Table string
+	Rel   int
 	// Stage is the 1-based tracing stage index.
 	Stage int
 	// FieldSlots maps row fields to variable slots (-1 = ignore). A
@@ -165,7 +172,7 @@ func (*JoinOp) opNode() {}
 // D := K - FID - 1). The probe then asks the table for the rows in
 // range (Table.MatchRange); a row the condition rejects never binds,
 // and the join bills it what the pipeline would have, its precondition
-// tap (TracePassed) and one CostEval per skipped op, in the same order.
+// tap and one CostEval per skipped op, in the same order (Context.Passed).
 // Traced or not, the heads, rule errors and ruleExec records are the
 // walk's: a rejected row's tap names no output, because the next row
 // the join binds overwrites it and an aggregate's output names its
@@ -256,19 +263,6 @@ func (f *rowFilter) arm(b Binding, arity int) (table.Range, bool) {
 	lo, _ := f.lo(b, nil) // a read or a literal: it cannot fail
 	hi, _ := f.hi(b, nil)
 	return table.NewRange(f.field, arity, lo, hi, f.cond.LoOpen, f.cond.HiOpen), true
-}
-
-// pass charges n rows the join passed over what the walk would have:
-// each row's precondition tap, then one CostEval per skipped op, one
-// bill at a time as the pipeline bills them, so the float sums and the
-// clock every later tap reads come out bit for bit as the walk's.
-func (f *rowFilter) pass(ctx Context, n int) {
-	for range n {
-		ctx.TracePassed()
-		for range f.evals {
-			ctx.Bill(CostEval)
-		}
-	}
 }
 
 // residual is a join's per-row work once the index has verified the
@@ -384,8 +378,9 @@ type Plan struct {
 	// Ops is the element pipeline.
 	Ops []Op
 	// HeadName, HeadArgs build the head tuple; HeadArgs includes the
-	// location expression at index 0.
+	// location expression at index 0. HeadRel numbers HeadName.
 	HeadName string
+	HeadRel  int
 	HeadArgs []overlog.Expr
 	// IsDelete marks delete rules.
 	IsDelete bool
@@ -460,9 +455,49 @@ func wildcard(slot int) overlog.Compiled {
 	}
 }
 
-// Instantiate wraps the plan in a per-node executable strand.
-func (p *Plan) Instantiate(queryID string) *Strand {
-	return &Strand{Plan: p, QueryID: queryID}
+// Number numbers the relations a query's plans name (triggers but
+// periodics, joins, heads, maintained aggregates' tables) in order of
+// first appearance: names[k] is relation k. A node resolves the numbers
+// once, at install. Number writes the plans: it runs before they are shared.
+func Number(plans []*Plan) (names []string) {
+	num := func(name string) int {
+		k := slices.Index(names, name)
+		if k < 0 {
+			k, names = len(names), append(names, name)
+		}
+		return k
+	}
+	for _, p := range plans {
+		if p.Trigger.Kind != TriggerPeriodic {
+			p.Trigger.Rel = num(p.Trigger.Name)
+		}
+		for _, op := range p.Ops {
+			if j, ok := op.(*JoinOp); ok {
+				j.Rel = num(j.Table)
+			}
+		}
+		p.HeadRel = num(p.HeadName)
+		if a := p.AggPlan; a != nil {
+			a.Rels = append(a.Rels[:0], num(a.Primary))
+			for _, name := range a.Secondaries {
+				a.Rels = append(a.Rels, num(name))
+			}
+		}
+	}
+	return names
+}
+
+// Query is a node's instance of an installed query, shared by its
+// strands: it binds the plans' relation numbers to the node's relations.
+type Query interface {
+	// Table returns relation rel's table on the node now, or nil while
+	// the name is not materialized.
+	Table(rel int) *table.Table
+}
+
+// Instantiate wraps the plan in a strand of query q on one node.
+func (p *Plan) Instantiate(q Query) *Strand {
+	return &Strand{Plan: p, Query: q}
 }
 
 // Strand is one node's executable instance of a compiled rule strand:
@@ -474,11 +509,9 @@ func (p *Plan) Instantiate(queryID string) *Strand {
 type Strand struct {
 	*Plan
 
-	// QueryID names the installed query (program) this strand belongs
-	// to. Every resource a query creates — strands, timers, taps — is
-	// tagged with its QueryID so the engine can uninstall the query as a
-	// unit and attribute CPU per query.
-	QueryID string
+	// Query is the installed query this strand belongs to on its node,
+	// through which its joins reach their tables.
+	Query Query
 }
 
 // AggPlan is the planner's incremental-maintenance analysis for an
@@ -493,6 +526,8 @@ type AggPlan struct {
 	// change to one invalidates the accumulator, which is rebuilt by a
 	// single rescan on the next trigger.
 	Secondaries []string
+	// Rels numbers Primary, then Secondaries.
+	Rels []int
 	// Filter lists (group index, trigger slot) pairs: at emission time
 	// only groups whose group value at GroupIdx equals the trigger
 	// binding's value at Slot are emitted — the maintained equivalent
@@ -614,7 +649,7 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 	}
 	switch op := s.Ops[i].(type) {
 	case *JoinOp:
-		tb := ctx.Table(op.Table)
+		tb := s.Query.Table(op.Rel)
 		if tb == nil {
 			ctx.RuleError(s.RuleID, fmt.Errorf("join against unmaterialized table %s", op.Table))
 			return
@@ -626,7 +661,7 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 		s.scanJoin(ctx, tb, op, b, i, done)
 	case *CondOp:
 		ctx.Bill(CostEval)
-		v, err := op.eval(b, ctx)
+		v, err := op.eval(b, ctx.Env())
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return
@@ -636,7 +671,7 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 		}
 	case *AssignOp:
 		ctx.Bill(CostEval)
-		v, err := op.eval(b, ctx)
+		v, err := op.eval(b, ctx.Env())
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return
@@ -656,7 +691,7 @@ func (s *Strand) exec(ctx Context, b Binding, i int, done completion) {
 //
 // A join with a rowFilter armed under b asks the table for the rows in
 // range and charges the rows it passed over before each as the pipeline
-// would have (rowFilter.pass), traced or not; when the table cannot
+// would have (Context.Passed), traced or not; when the table cannot
 // answer, the probe walks every row down the pipeline.
 func (s *Strand) probeJoin(ctx Context, tb *table.Table, op *JoinOp, b Binding, i int, done completion) bool {
 	values := ctx.Frame(len(op.IndexPositions))
@@ -680,10 +715,10 @@ func (s *Strand) probeJoin(ctx Context, tb *table.Table, op *JoinOp, b Binding, 
 		if sel, ok := f.arm(b, op.rest.arity); ok {
 			var passed int
 			visited, passed, answered = tb.MatchRange(ctx.Now(), values[0], &sel, func(t tuple.Tuple, passed int) {
-				f.pass(ctx, passed)
+				ctx.Passed(passed, f.evals)
 				row(t)
 			})
-			f.pass(ctx, passed)
+			ctx.Passed(passed, f.evals)
 		}
 	}
 	if !answered {
@@ -755,9 +790,9 @@ func bindFields(b Binding, t tuple.Tuple, slots []int, consts []tuple.Value) boo
 // emit builds and routes the head tuple for a completed binding.
 func (s *Strand) emit(ctx Context, b Binding) {
 	ctx.Bill(CostHead)
-	fields := ctx.HeadFields(len(s.head))
+	fields, env := ctx.HeadFields(len(s.head)), ctx.Env()
 	for i, eval := range s.head {
-		v, err := eval(b, ctx)
+		v, err := eval(b, env)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return
@@ -838,11 +873,12 @@ func (a *aggState) groupVals(s *Strand, i int) []tuple.Value {
 // aggregate position) under binding b to buf. ok=false means an
 // evaluation error was reported.
 func (s *Strand) evalGroupVals(ctx Context, b Binding, buf []tuple.Value) (vals []tuple.Value, ok bool) {
+	env := ctx.Env()
 	for i, eval := range s.head {
 		if i == s.Agg.ArgIndex {
 			continue
 		}
-		v, err := eval(b, ctx)
+		v, err := eval(b, env)
 		if err != nil {
 			ctx.RuleError(s.RuleID, err)
 			return buf, false

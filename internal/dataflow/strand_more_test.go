@@ -9,7 +9,7 @@ import (
 )
 
 func TestStrandString(t *testing.T) {
-	s := joinStrand()
+	s := joinStrand(nil)
 	if got := s.String(); got != "strand(r1<-ev)" {
 		t.Errorf("String = %q", got)
 	}
@@ -33,7 +33,7 @@ func testIndexedJoinMatchesScan(t *testing.T, repeat bool) {
 		for i := int64(0); i < 10; i++ {
 			tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(i%3), tuple.Int(i)), 0) //nolint:errcheck
 		}
-		s := joinStrand()
+		s := joinStrand(ctx.store)
 		s.Ops = s.Ops[:1] // drop the condition; join only
 		op := s.Ops[0].(*JoinOp)
 		op.IndexPositions = []int{0, 1}
@@ -74,7 +74,7 @@ func testIndexedJoinMatchesScan(t *testing.T, repeat bool) {
 // TestMinMaxEmptyEmitsNothing: min/max over zero matches emit no head.
 func TestMinMaxEmptyEmitsNothing(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := strandOf(&Plan{
+	s := strandOf(ctx.store, &Plan{
 		RuleID:  "m",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 3, VarNames: []string{"N", "K", "V"},
@@ -95,7 +95,7 @@ func TestMinMaxEmptyEmitsNothing(t *testing.T) {
 // TestCountZeroEmission at the dataflow level (EmitZero set).
 func TestCountZeroEmission(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := strandOf(&Plan{
+	s := strandOf(ctx.store, &Plan{
 		RuleID:  "c",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars: 3, VarNames: []string{"N", "G", "V"},
@@ -149,7 +149,7 @@ func TestCondAndAssignErrorsReported(t *testing.T) {
 	} {
 		ctx := newFakeCtx(t)
 		ctx.store.Get("tab").Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(2)), 0) //nolint:errcheck
-		s := joinStrand()
+		s := joinStrand(ctx.store)
 		s.Ops = []Op{s.Ops[0], tc.op}
 		s.Compile()
 		s.Run(ctx, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
@@ -186,7 +186,7 @@ func TestHeadEvalErrorReported(t *testing.T) {
 		{"left to right", []overlog.Expr{ref("N"), ref("Nope"), divZero}, "unbound variable Nope"},
 	} {
 		ctx := newFakeCtx(t)
-		s := strandOf(&Plan{
+		s := strandOf(ctx.store, &Plan{
 			RuleID:   "h",
 			Trigger:  Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 			NumVars:  1,
@@ -204,7 +204,7 @@ func TestHeadEvalErrorReported(t *testing.T) {
 	// Group-by values: one error per folded binding, no group, no head.
 	ctx := newFakeCtx(t)
 	ctx.store.Get("tab").Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(2)), 0) //nolint:errcheck
-	s := clusterStrand()
+	s := clusterStrand(ctx.store)
 	s.HeadArgs = []overlog.Expr{ref("N"), bin("%", ref("A"), lit(tuple.Int(0))), &overlog.Agg{Op: "count"}}
 	s.Compile()
 	s.Run(ctx, tuple.New("probe", tuple.Str("n1")))
@@ -220,7 +220,7 @@ func TestHeadEvalErrorReported(t *testing.T) {
 // scan for). Reading it is the "unbound variable" error, exactly as the
 // by-name lookup reported it, not a silent nil.
 func TestRebuildUnboundSlotReported(t *testing.T) {
-	s := countStrand()
+	s := countStrand(nil)
 	s.NumVars, s.VarNames = 4, []string{"N", "A", "B", "T"}
 	s.Trigger.FieldSlots = []int{0, 3, -1} // T from the trigger only
 	s.Ops = []Op{s.Ops[0], &CondOp{Expr: bin(">", ref("T"), lit(tuple.Int(0)))}}
@@ -243,7 +243,7 @@ var _ = table.Infinity
 // heads of a flat run, in the same order.
 func TestJoinNested(t *testing.T) {
 	// out@N(A, B, C) :- ev@N(A), t1@N(A, B), t2@N(B, C).
-	s := strandOf(&Plan{
+	s := strandOf(nil, &Plan{
 		RuleID:  "j2",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars: 4, VarNames: []string{"N", "A", "B", "C"},
@@ -263,6 +263,7 @@ func TestJoinNested(t *testing.T) {
 		}
 		tb.EnsureIndex([]int{0, 1})
 	}
+	bindStore(s, store)
 	// A = 1 reaches B = 10..12 and A = 2 reaches B = 13; each B reaches
 	// three C.
 	for b := int64(10); b < 14; b++ {

@@ -72,12 +72,12 @@ type fakeCtx struct {
 	now    float64
 }
 
-func (c *fakeCtx) Now() float64                   { return c.now }
-func (c *fakeCtx) Rand64() uint64                 { return 4 }
-func (c *fakeCtx) LocalAddr() string              { return "n1" }
-func (c *fakeCtx) Table(name string) *table.Table { return c.store.Get(name) }
-func (c *fakeCtx) Bill(float64)                   {}
-func (c *fakeCtx) AggState(*Strand) *AggMaint     { return nil }
+func (c *fakeCtx) Now() float64               { return c.now }
+func (c *fakeCtx) Env() overlog.Context       { return c }
+func (c *fakeCtx) Rand64() uint64             { return 4 }
+func (c *fakeCtx) LocalAddr() string          { return "n1" }
+func (c *fakeCtx) Bill(float64)               {}
+func (c *fakeCtx) AggState(*Strand) *AggMaint { return nil }
 func (c *fakeCtx) EmitHead(s *Strand, t tuple.Tuple, isDelete bool) {
 	if isDelete {
 		c.dels = append(c.dels, kept(t))
@@ -86,22 +86,26 @@ func (c *fakeCtx) EmitHead(s *Strand, t tuple.Tuple, isDelete bool) {
 	}
 }
 func (c *fakeCtx) TraceInput(s *Strand, t tuple.Tuple)              { c.inputs = append(c.inputs, t) }
-func (c *fakeCtx) TracePassed()                                     {}
+func (c *fakeCtx) Passed(int, int)                                  {}
 func (c *fakeCtx) TraceWitness(*Strand, int)                        {}
 func (c *fakeCtx) TracePrecond(s *Strand, stage int, t tuple.Tuple) { c.pres = append(c.pres, t) }
 func (c *fakeCtx) RuleError(ruleID string, err error)               { c.errs = append(c.errs, err) }
 
-// strandOf finishes a hand-built plan the way the planner does and
-// instantiates it.
-func strandOf(p *Plan) *Strand {
+// strandOf finishes a hand-built plan the way the planner and the engine
+// do, numbering its relations, and instantiates it on store; a nil store
+// is bound later (bindStore).
+func strandOf(store *table.Store, p *Plan) *Strand {
 	p.Compile()
-	return p.Instantiate("")
+	return p.Instantiate(&StoreQuery{store, Number([]*Plan{p})})
 }
 
+// bindStore makes store the one s's joins read.
+func bindStore(s *Strand, store *table.Store) { s.Query.(*StoreQuery).Store = store }
+
 // joinStrand is a single-strand rule with a hand-rolled pipeline.
-func joinStrand() *Strand {
+func joinStrand(store *table.Store) *Strand {
 	// out@N(A, B) :- ev@N(A), tab@N(A, B), B != 0.
-	return strandOf(&Plan{
+	return strandOf(store, &Plan{
 		RuleID:  "r1",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -129,7 +133,7 @@ func newFakeCtx(t *testing.T) *fakeCtx {
 // TestRunUncompiledPlanPanics: a plan that skipped Plan.Compile has no
 // evaluators, and running it is a bug that names the rule.
 func TestRunUncompiledPlanPanics(t *testing.T) {
-	s := (&Plan{RuleID: "raw", NumVars: 1, VarNames: []string{"N"}}).Instantiate("")
+	s := (&Plan{RuleID: "raw", NumVars: 1, VarNames: []string{"N"}}).Instantiate(nil)
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "rule raw") {
 			t.Errorf("recovered %v, want a panic naming rule raw", r)
@@ -145,7 +149,7 @@ func TestStrandJoinAndSelect(t *testing.T) {
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(0)), 0)  //nolint:errcheck
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(2), tuple.Int(99)), 0) //nolint:errcheck
 
-	s := joinStrand()
+	s := joinStrand(ctx.store)
 	s.Run(ctx, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
 	// A=1 matches rows (1,10) and (1,0); the selection drops B==0.
 	if len(ctx.heads) != 1 {
@@ -165,7 +169,7 @@ func TestStrandJoinAndSelect(t *testing.T) {
 
 func TestStrandTriggerConstMismatch(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := joinStrand()
+	s := joinStrand(ctx.store)
 	s.Trigger.FieldConsts[1] = tuple.Int(7)
 	s.Run(ctx, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
 	if len(ctx.heads) != 0 || len(ctx.inputs) != 0 {
@@ -179,7 +183,7 @@ func TestStrandSelfUnification(t *testing.T) {
 	tab := ctx.store.Get("tab")
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(5), tuple.Int(5)), 0) //nolint:errcheck
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(5), tuple.Int(6)), 0) //nolint:errcheck
-	s := strandOf(&Plan{
+	s := strandOf(ctx.store, &Plan{
 		RuleID:  "r2",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "ev", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 2, VarNames: []string{"N", "A"},
@@ -204,7 +208,7 @@ func TestStrandBacktrackUnbinds(t *testing.T) {
 	tab := ctx.store.Get("tab")
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(10)), 0) //nolint:errcheck
 	tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(1), tuple.Int(20)), 0) //nolint:errcheck
-	s := joinStrand()
+	s := joinStrand(ctx.store)
 	s.Run(ctx, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
 	if len(ctx.heads) != 2 {
 		t.Fatalf("heads = %v, want both rows", ctx.heads)
@@ -213,8 +217,8 @@ func TestStrandBacktrackUnbinds(t *testing.T) {
 
 func TestStrandMissingTableReportsError(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := joinStrand()
-	s.Ops[0].(*JoinOp).Table = "nope"
+	s := joinStrand(ctx.store)
+	ctx.store.Drop("tab")
 	s.Run(ctx, tuple.New("ev", tuple.Str("n1"), tuple.Int(1)))
 	if len(ctx.errs) != 1 {
 		t.Errorf("errors = %v", ctx.errs)
@@ -223,7 +227,7 @@ func TestStrandMissingTableReportsError(t *testing.T) {
 
 func TestStrandArityMismatchIgnored(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := joinStrand()
+	s := joinStrand(ctx.store)
 	// Trigger with wrong arity must not bind or crash.
 	s.Run(ctx, tuple.New("ev", tuple.Str("n1")))
 	if len(ctx.heads) != 0 {
@@ -233,7 +237,7 @@ func TestStrandArityMismatchIgnored(t *testing.T) {
 
 func TestDeleteHeadWildcard(t *testing.T) {
 	ctx := newFakeCtx(t)
-	s := strandOf(&Plan{
+	s := strandOf(ctx.store, &Plan{
 		RuleID:   "d1",
 		Trigger:  Trigger{Kind: TriggerEvent, Name: "drop", FieldSlots: []int{0, 1}, FieldConsts: make([]tuple.Value, 2)},
 		NumVars:  3,
@@ -258,7 +262,7 @@ func TestAggregateGrouping(t *testing.T) {
 	for i, a := range []int64{1, 1, 2} {
 		tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(a), tuple.Int(int64(i))), 0) //nolint:errcheck
 	}
-	s := strandOf(&Plan{
+	s := strandOf(ctx.store, &Plan{
 		RuleID:  "a1",
 		Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 		NumVars: 3, VarNames: []string{"N", "A", "B"},
@@ -287,7 +291,7 @@ func TestAggregateSumAvg(t *testing.T) {
 		tab.Insert(tuple.New("tab", tuple.Str("n1"), tuple.Int(int64(i)), tuple.Int(v)), 0) //nolint:errcheck
 	}
 	mk := func(op string) *Strand {
-		return strandOf(&Plan{
+		return strandOf(ctx.store, &Plan{
 			RuleID:  op,
 			Trigger: Trigger{Kind: TriggerEvent, Name: "probe", FieldSlots: []int{0}, FieldConsts: make([]tuple.Value, 1)},
 			NumVars: 3, VarNames: []string{"N", "K", "V"},

@@ -142,20 +142,9 @@ d1 delete pair@N(K, V) :- drop@N(K), pair@N(K, V).
 	}
 
 	// Only the delete is measured: the rows it removes are stored first.
-	// Handing the task's Context to a head expression converts it to an
-	// overlog.Context, and the runtime caches that conversion per call
-	// site on a random 1 in 1024 of the calls that miss, allocating the
-	// cache then. Ten thousand warm deletes of two rows each fill the
-	// delete rule's sites (a miss left has odds below 1e-8). MemStats
-	// counts the whole process, so a window in which a collection ran or
-	// the runtime started a thread (its workers and their bookkeeping
-	// allocate) is measured again.
-	for i := 0; i < 10000; i++ {
-		for _, p := range pairs[:2] {
-			n.HandleLocal(p)
-		}
-		n.HandleLocal(drop)
-	}
+	// MemStats counts the whole process, so a window in which a
+	// collection ran or the runtime started a thread (its workers and
+	// their bookkeeping allocate) is measured again.
 	pairTbl := n.Store().Get("pair")
 	threads := pprof.Lookup("threadcreate")
 	var before, after runtime.MemStats

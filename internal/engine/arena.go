@@ -29,7 +29,7 @@ type arena struct {
 
 // arenaVals (8 KB) is the block size and the most values a kept arena
 // holds: one a wide or hostile message stretched (an arity-64k datagram
-// asks for 1 MB) is left to the collector. arenaQueue (40 KB) likewise
+// asks for 1 MB) is left to the collector. arenaQueue (44 KB) likewise
 // bounds the queue a kept arena keeps: a cascade that queued more
 // leaves its array to the collector.
 const (
@@ -37,15 +37,18 @@ const (
 	arenaQueue = 512
 )
 
-// Arenas keeps one idle task arena for the driver that runs the tasks.
-// An arena is busy only while a task runs, so the nodes whose tasks run
-// one at a time on one goroutine share one keep (simnet's hosts, which
-// then hold one arena between them instead of one each); a node given
-// none keeps its own. A task nests another only when an observer drives
-// a node sharing the keep, and the nested task finds the slot empty and
-// makes its own arena. The zero value is empty. Not safe for concurrent
-// use.
-type Arenas struct{ idle *arena }
+// Arenas keeps one idle task arena for the driver that runs the tasks,
+// and the interner their decodes share. An arena is busy only while a
+// task runs, so the nodes whose tasks run one at a time on one goroutine
+// share one keep (simnet's hosts, which then hold one arena and one copy
+// of each decoded string between them); a node given none keeps its
+// own. A task nests another only when an observer drives a node sharing
+// the keep, and the nested task finds the slot empty and makes its own
+// arena. The zero value is empty. Not safe for concurrent use.
+type Arenas struct {
+	idle *arena
+	strs tuple.Interner
+}
 
 func (l *Arenas) get() *arena {
 	if a := l.idle; a != nil {
@@ -89,9 +92,10 @@ func (n *Node) enqueue(q queued) {
 	a.queue = append(a.queue, q)
 }
 
-// decode unmarshals a message's tuple into the arena.
-func (a *arena) decode(raw []byte) (tuple.Tuple, error) {
-	t, vals, _, err := tuple.UnmarshalAppend(a.vals, raw)
+// decode unmarshals a message's tuple into the arena, its strings
+// interned in strs.
+func (a *arena) decode(strs *tuple.Interner, raw []byte) (tuple.Tuple, error) {
+	t, vals, _, err := tuple.UnmarshalAppend(strs, a.vals, raw)
 	a.vals = vals
 	return t, err
 }

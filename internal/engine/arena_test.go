@@ -58,10 +58,10 @@ materialize(many, infinity, infinity, keys(1,2)).`)
 // TestNodeAtRestHoldsNoTaskState: a task's tuples, the frames its
 // activations work in and its cascade queue all live in the task's
 // arena, so after every entry point the node holds none of them; and a
-// strand is its plan pointer and query ID, with no scratch of its own.
+// strand is its plan pointer and query record, with no scratch of its own.
 func TestNodeAtRestHoldsNoTaskState(t *testing.T) {
-	if got, want := unsafe.Sizeof(dataflow.Strand{}), unsafe.Sizeof(uintptr(0))+unsafe.Sizeof(""); got != want {
-		t.Errorf("a Strand is %d bytes, want %d: its plan pointer and query ID", got, want)
+	if got, want := unsafe.Sizeof(dataflow.Strand{}), unsafe.Sizeof(uintptr(0))+unsafe.Sizeof(dataflow.Query(nil)); got != want {
+		t.Errorf("a Strand is %d bytes, want %d: its plan pointer and query record", got, want)
 	}
 	var timers []*Periodic
 	n := NewNode(Config{Addr: "a", OnNewPeriodic: func(p *Periodic) { timers = append(timers, p) }})

@@ -5,7 +5,7 @@
 // per-node planning dominated install time and per-node plans dominated
 // steady-state memory. Node.Compile produces one immutable set of
 // dataflow.Plans; InstallCompiledQuery wraps each in a lightweight
-// per-node Strand (the plan pointer and the query ID).
+// per-node Strand (the plan pointer and the node's query record).
 //
 // Correctness contract: planning depends on exactly two node-local
 // inputs, the materialization environment (which predicate names are
@@ -38,9 +38,9 @@ type envCheck struct {
 // Compile returns and safe to install on any number of nodes,
 // concurrently.
 type CompiledQuery struct {
-	prog    *overlog.Program
-	plans   []*dataflow.Plan
-	watches []string
+	prog  *overlog.Program
+	plans []*dataflow.Plan
+	names *queryNames
 	// specs are the program's table declarations, deduplicated, in
 	// declaration order; declared indexes them by name.
 	specs      []table.Spec
@@ -49,6 +49,12 @@ type CompiledQuery struct {
 	labelStart int
 	labelsUsed int
 }
+
+// queryNames is what an installed query keeps of its compilation, shared
+// by every install of it: the relations its plans number
+// (dataflow.Number), the tables it owns (its declarations but the system
+// tables) and its watches.
+type queryNames struct{ rels, tables, watches []string }
 
 // Program returns the compiled program.
 func (cq *CompiledQuery) Program() *overlog.Program { return cq.prog }
@@ -72,7 +78,7 @@ func CompileQuery(prog *overlog.Program) (*CompiledQuery, error) {
 // leaves the node unchanged: generated labels continue from the node's
 // counter, which the install of the result advances.
 func (n *Node) Compile(prog *overlog.Program) (*CompiledQuery, error) {
-	cq := &CompiledQuery{prog: prog, declared: make(map[string]table.Spec), labelStart: n.labelCounter}
+	cq := &CompiledQuery{prog: prog, names: new(queryNames), declared: make(map[string]table.Spec), labelStart: n.labelCounter}
 	for _, m := range prog.Materializations() {
 		spec := table.Spec{Name: m.Name, Lifetime: m.Lifetime, MaxSize: m.MaxSize, Keys: m.Keys}
 		if prev, ok := cq.declared[m.Name]; ok {
@@ -85,6 +91,9 @@ func (n *Node) Compile(prog *overlog.Program) (*CompiledQuery, error) {
 		}
 		cq.declared[m.Name] = spec
 		cq.specs = append(cq.specs, spec)
+		if !IsSystemTable(m.Name) {
+			cq.names.tables = append(cq.names.tables, m.Name)
+		}
 	}
 	seen := make(map[string]bool)
 	env := planner.EnvFunc(func(name string) bool {
@@ -102,7 +111,7 @@ func (n *Node) Compile(prog *overlog.Program) (*CompiledQuery, error) {
 	for _, st := range prog.Statements {
 		switch s := st.(type) {
 		case *overlog.Watch:
-			cq.watches = append(cq.watches, s.Name)
+			cq.names.watches = append(cq.names.watches, s.Name)
 		case *overlog.Rule:
 			ps, err := planner.CompileRule(s, env, gen)
 			if err != nil {
@@ -120,6 +129,7 @@ func (n *Node) Compile(prog *overlog.Program) (*CompiledQuery, error) {
 			cq.plans = append(cq.plans, ps...)
 		}
 	}
+	cq.names.rels = dataflow.Number(cq.plans)
 	return cq, nil
 }
 

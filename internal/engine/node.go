@@ -154,13 +154,14 @@ type Config struct {
 
 type queued struct {
 	t        tuple.Tuple
+	rel      *relation // t's record, for a head a strand emitted; nil: look t.Name up
 	isDelete bool
 	src      string // provenance for the tracer
 	srcID    uint64
 }
 
 // query is one installed program: the engine's unit of uninstallation
-// and per-query cost attribution.
+// and per-query cost attribution, and its strands' dataflow.Query.
 type query struct {
 	id      string
 	stats   *metrics.Query // bill bucket, also held by its strands and timers
@@ -168,21 +169,25 @@ type query struct {
 	// periodics are this query's registered timers (cancelled on
 	// uninstall so driver timer chains die).
 	periodics []*Periodic
-	// watches and tables list the watch names and declared table names
-	// whose refcounts this query holds (one entry per refcount).
-	watches     []string
-	tables      []string
+	// names are the compilation's: this query holds a refcount of each of
+	// its tables and watches, and in rels the record of each relation it
+	// numbers, with a ref.
+	names       *queryNames
+	rels        []*relation
 	installedAt float64
 }
 
+// Table implements dataflow.Query.
+func (q *query) Table(rel int) *table.Table { return q.rels[rel].tbl }
+
 // Node is one P2 node. Not safe for concurrent use: the driver serializes
 // Handle* calls on each node. Distinct nodes share one piece of mutable
-// state at most, the Config.Arenas their tasks take scratch from, and
-// only nodes whose tasks run on one goroutine share it. Everything else
-// each owns (store, RNG, tracer, counters, scratch buffers; Send and the
-// On* callbacks are the only ways out), so realtime UDPNodes in one
-// process, each with its own Arenas, run on different goroutines
-// concurrently.
+// state at most, the Config.Arenas their tasks take scratch and interned
+// strings from, and only nodes whose tasks run on one goroutine share it.
+// Everything else each owns (store, RNG, tracer, counters, scratch
+// buffers; Send and the On* callbacks are the only ways out), so realtime
+// UDPNodes in one process, each with its own Arenas, run on different
+// goroutines concurrently.
 type Node struct {
 	cfg   Config
 	store *table.Store
@@ -477,32 +482,33 @@ func (n *Node) installQuery(id string, prog *overlog.Program, cq *CompiledQuery)
 			return "", fmt.Errorf("engine: %w", err)
 		}
 	}
-	strands := make([]*dataflow.Strand, len(cq.plans))
-	for i, p := range cq.plans {
-		strands[i] = p.Instantiate(id)
-	}
 
 	// ---- Phase 2: commit; nothing below can fail. ----
 	n.labelCounter += cq.labelsUsed
 	q := &query{
 		id:          id,
 		stats:       n.queryStats(id),
-		strands:     strands,
+		strands:     make([]*dataflow.Strand, len(cq.plans)),
+		names:       cq.names,
+		rels:        make([]*relation, len(cq.names.rels)),
 		installedAt: n.cfg.Clock(),
 	}
+	for k, name := range cq.names.rels {
+		q.rels[k] = n.relation(name)
+		q.rels[k].refs++
+	}
 	for _, spec := range cq.specs {
-		r := n.materialize(spec) // validated in phase 1
-		if !IsSystemTable(spec.Name) {
-			r.owners++
-			q.tables = append(q.tables, spec.Name)
-		}
+		n.materialize(spec) // validated in phase 1
 	}
-	for _, w := range cq.watches {
+	for _, name := range cq.names.tables {
+		n.rels[name].owners++
+	}
+	for _, w := range cq.names.watches {
 		n.relation(w).watches++
-		q.watches = append(q.watches, w)
 	}
-	for _, s := range strands {
-		n.installStrand(s, q)
+	for i, p := range cq.plans {
+		q.strands[i] = p.Instantiate(q)
+		n.installStrand(q.strands[i], q)
 	}
 	n.queries[id] = q
 	n.queryOrder = append(n.queryOrder, id)
@@ -526,12 +532,11 @@ func (n *Node) UninstallQuery(id string) error {
 		return fmt.Errorf("engine: query %q is not installed", id)
 	}
 	for _, s := range q.strands {
-		if name := s.Trigger.Name; s.Trigger.Kind != dataflow.TriggerPeriodic {
+		if s.Trigger.Kind != dataflow.TriggerPeriodic {
 			// A new array: a dispatch loop ranging over the old one keeps
 			// the strands it started with.
-			r := n.rels[name]
+			r := q.rels[s.Trigger.Rel]
 			r.strands = slices.DeleteFunc(slices.Clone(r.strands), func(b bound) bool { return b.s == s })
-			n.release(name, r)
 		}
 		if e := n.aggMaints[s]; e != nil {
 			n.dropAggEntry(s, e)
@@ -541,17 +546,20 @@ func (n *Node) UninstallQuery(id string) error {
 		p.cancelled = true
 	}
 	n.periodics = slices.DeleteFunc(n.periodics, func(p *Periodic) bool { return p.cancelled })
-	for _, w := range q.watches {
+	for _, w := range q.names.watches {
 		r := n.rels[w]
 		r.watches--
 		n.release(w, r)
 	}
-	for _, name := range q.tables {
+	for _, name := range q.names.tables {
 		r := n.rels[name]
-		if r.owners--; r.owners > 0 {
-			continue
+		if r.owners--; r.owners == 0 {
+			n.drop(name, r)
 		}
-		n.drop(name, r)
+	}
+	for k, r := range q.rels {
+		r.refs--
+		n.release(q.names.rels[k], r)
 	}
 	delete(n.queries, id)
 	n.queryOrder = slices.DeleteFunc(n.queryOrder, func(qid string) bool { return qid == id })
@@ -575,7 +583,7 @@ func ruleLabel(k int) string { return fmt.Sprintf("rule_%d", k) }
 func (n *Node) installStrand(s *dataflow.Strand, q *query) {
 	switch s.Trigger.Kind {
 	case dataflow.TriggerEvent, dataflow.TriggerDelta:
-		r := n.relation(s.Trigger.Name)
+		r := q.rels[s.Trigger.Rel]
 		r.strands = append(r.strands, bound{s, q.stats})
 	case dataflow.TriggerPeriodic:
 		p := &Periodic{Strand: s, qs: q.stats}
@@ -615,7 +623,7 @@ func (n *Node) taskTuple(name string, fields ...tuple.Value) tuple.Tuple {
 func (n *Node) HandleMessage(env Envelope) float64 {
 	n.met.MsgsRecv++
 	n.met.BytesRecv += int64(len(env.Raw))
-	t, err := n.taskArena().decode(env.Raw)
+	t, err := n.taskArena().decode(&n.cfg.Arenas.strs, env.Raw)
 	if err != nil {
 		// A task like any other: the failed decode is billed, and the
 		// error is reported on this task's clock.
@@ -756,12 +764,17 @@ func (n *Node) drain() {
 	}
 }
 
-// processOne handles one queued tuple, looking up its relation once (and
-// again only after a watch observer ran).
+// processOne handles one queued tuple. A head a strand emitted carries
+// its relation; any other tuple looks its name up, as does a head whose
+// query was uninstalled while it was queued (its record may be gone), and
+// so does every tuple again after a watch observer ran.
 func (n *Node) processOne(q queued) {
 	n.met.TuplesProcessed++
 	now := n.Now()
-	r := n.rels[q.t.Name]
+	r := q.rel
+	if r == nil || r.refs == 0 {
+		r = n.rels[q.t.Name]
+	}
 	if q.isDelete {
 		if r == nil || r.tbl == nil {
 			n.ruleError("engine", fmt.Errorf("delete from unmaterialized table %s", q.t.Name))
@@ -942,6 +955,9 @@ func (n *Node) ruleError(ruleID string, err error) {
 // non-zero durations, which the §3.2 profiler decomposes).
 func (n *Node) Now() float64 { return n.cfg.Clock() + n.micro }
 
+// Env implements dataflow.Context.
+func (n *Node) Env() overlog.Context { return n }
+
 // Rand64 implements overlog.Context.
 func (n *Node) Rand64() uint64 { return n.rng.Uint64() }
 
@@ -989,14 +1005,10 @@ func (n *Node) AggState(s *dataflow.Strand) *dataflow.AggMaint {
 	if slices.ContainsFunc(s.AggPlan.Secondaries, planner.FilledOnRead) {
 		return nil
 	}
-	tabs := make([]aggSub, 1+len(s.AggPlan.Secondaries))
-	for i := range tabs {
-		name := s.AggPlan.Primary
-		if i > 0 {
-			name = s.AggPlan.Secondaries[i-1]
-		}
-		r := n.rels[name]
-		if r == nil || r.tbl == nil {
+	tabs := make([]aggSub, len(s.AggPlan.Rels))
+	for i, rel := range s.AggPlan.Rels {
+		r := s.Query.(*query).rels[rel]
+		if r.tbl == nil {
 			return nil
 		}
 		tabs[i] = aggSub{rel: r, tb: r.tbl}
@@ -1042,8 +1054,8 @@ func (n *Node) dropAggEntry(s *dataflow.Strand, e *aggEntry) {
 	delete(n.aggMaints, s)
 }
 
-// Table implements dataflow.Context: the table bound to name's relation
-// record, which is the store's.
+// Table returns the table bound to name's relation record, which is the
+// store's, or nil.
 func (n *Node) Table(name string) *table.Table {
 	if r := n.rels[name]; r != nil {
 		return r.tbl
@@ -1075,11 +1087,16 @@ func (n *Node) TracePrecond(s *dataflow.Strand, stage int, t tuple.Tuple) {
 	n.tracer.Precond(s, stage, t, n.Now())
 }
 
-// TracePassed implements dataflow.Context: a passed-over row costs the
-// tap the walk would have made on it, and records nothing.
-func (n *Node) TracePassed() {
-	if n.tracer != nil {
-		n.bill(dataflow.CostTraceTap)
+// Passed implements dataflow.Context: a passed-over row costs the tap
+// the walk would have made on it and its skipped evaluations.
+func (n *Node) Passed(rows, evals int) {
+	for range rows {
+		if n.tracer != nil {
+			n.bill(dataflow.CostTraceTap)
+		}
+		for range evals {
+			n.bill(dataflow.CostEval)
+		}
 	}
 }
 
@@ -1102,7 +1119,7 @@ func (n *Node) EmitHead(s *dataflow.Strand, t tuple.Tuple, isDelete bool) {
 			n.ruleError(s.RuleID, fmt.Errorf("delete rule head must be local, got %s", loc))
 			return
 		}
-		n.enqueue(queued{t: t, isDelete: true})
+		n.enqueue(queued{t: t, rel: s.Query.(*query).rels[s.HeadRel], isDelete: true})
 		return
 	}
 	id := n.assignID(&t, n.cfg.Addr, 0)
@@ -1116,7 +1133,7 @@ func (n *Node) EmitHead(s *dataflow.Strand, t tuple.Tuple, isDelete bool) {
 		return
 	}
 	if dst == n.cfg.Addr {
-		n.enqueue(queued{t: t, src: n.cfg.Addr, srcID: id})
+		n.enqueue(queued{t: t, rel: s.Query.(*query).rels[s.HeadRel], src: n.cfg.Addr, srcID: id})
 		return
 	}
 	// Network postamble: marshal into the node's scratch buffer (sized

@@ -103,7 +103,7 @@ func (n *Node) reflectRows(i int) [][]tuple.Value {
 		for _, id := range n.queryOrder {
 			q := n.queries[id]
 			rows = append(rows, []tuple.Value{addr, tuple.Str(id),
-				tuple.Int(int64(len(q.strands))), tuple.Int(int64(len(q.tables))),
+				tuple.Int(int64(len(q.strands))), tuple.Int(int64(len(q.names.tables))),
 				tuple.Float(q.installedAt)})
 		}
 	case NodeStatsTableName:

@@ -6,10 +6,11 @@ import (
 	"p2go/internal/table"
 )
 
-// relation is everything a node knows about one predicate name, so
-// processOne reads it with one lookup per tuple: a relational
-// transducer's schema is fixed, and what a name means on a node is one
-// fact. A record lives while it holds something (release deletes it
+// relation is everything a node knows about one predicate name: a
+// relational transducer's schema is fixed, and what a name means on a
+// node is one fact. Installed queries hold the records of the names they
+// number (query.rels), so joins and local heads reach them with no
+// lookup. A record lives while it holds something (release deletes it
 // after), so an install and its uninstall leave Node.rels as it was.
 // tbl is the store's table of that name: every table is bound by
 // materialize (the tracer's own, right after trace.New makes them) and
@@ -21,9 +22,10 @@ type relation struct {
 	// later, and while it is a table its event strands do not fire.
 	strands []bound
 	// watches and owners count the watch and table declarations of
-	// installed queries (system tables have no owners).
-	watches, owners int32
-	logged          bool // the tracer taps tbl's change stream
+	// installed queries (system tables have no owners), refs the queries
+	// that number the name: while refs > 0 the record is the name's.
+	watches, owners, refs int32
+	logged                bool // the tracer taps tbl's change stream
 }
 
 // bound is an installed strand with its query's bill bucket, resolved
@@ -45,7 +47,7 @@ func (n *Node) relation(name string) *relation {
 
 // release deletes name's record once it holds nothing.
 func (n *Node) release(name string, r *relation) {
-	if r.tbl == nil && len(r.strands) == 0 && r.watches == 0 {
+	if r.tbl == nil && len(r.strands) == 0 && r.watches == 0 && r.refs == 0 {
 		delete(n.rels, name)
 	}
 }

@@ -36,7 +36,7 @@ func plan(t *testing.T, src string, e Env) []*dataflow.Strand {
 	}
 	strands := make([]*dataflow.Strand, len(plans))
 	for i, p := range plans {
-		strands[i] = p.Instantiate("q")
+		strands[i] = p.Instantiate(nil)
 	}
 	return strands
 }

@@ -193,7 +193,7 @@ func TestBundleBadFraming(t *testing.T) {
 		"no records":            header,
 	}
 	for name, d := range bad {
-		if _, _, _, err := decodeDatagram(d); err == nil {
+		if _, _, _, err := decodeDatagram(nil, d); err == nil {
 			t.Errorf("%s: decodes", name)
 		}
 	}

@@ -88,7 +88,7 @@ func GenerateTraffic(cfg GenConfig) (GenStats, error) {
 	if seqOff < 0 {
 		return GenStats{}, fmt.Errorf("realtime: generator could not locate seq field")
 	}
-	if _, _, _, err := decodeDatagram(tmpl); err != nil {
+	if _, _, _, err := decodeDatagram(nil, tmpl); err != nil {
 		return GenStats{}, fmt.Errorf("realtime: generator template does not decode: %w", err)
 	}
 
@@ -168,7 +168,7 @@ func MeasureReaderAllocs(n int) (float64, error) {
 		default:
 		}
 	}
-	// Warm the intern pool and the buffer pool before measuring.
+	// Warm the reader's interner and the buffer pool before measuring.
 	for i := 0; i < 64; i++ {
 		push()
 	}

@@ -99,7 +99,7 @@ func readDatagrams(t *testing.T, c *net.UDPConn, n int) []datagram {
 // decodeEnvelopes decodes a datagram into its envelopes, each with its
 // own copy of the tuple bytes.
 func decodeEnvelopes(b []byte) ([]engine.Envelope, error) {
-	src, _, recs, err := decodeDatagram(b)
+	src, _, recs, err := decodeDatagram(nil, b)
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,8 @@ type UDPNode struct {
 	out    sendQueue
 	bw     *batchWriter // nil where the platform has no sendmmsg
 	reader sync.WaitGroup
-	start  time.Time // the node clock's zero, set once by NewUDPNode
+	srcs   tuple.Interner // the reader's: envelope source addresses
+	start  time.Time      // the node clock's zero, set once by NewUDPNode
 }
 
 // udpPeer is a peer's address in the two forms the writer uses: sa is
@@ -287,11 +288,11 @@ func appendDatagram(dst []byte, env engine.Envelope, sentNanos int64) []byte {
 
 // decodeDatagram parses a datagram's header and checks that its records
 // exactly tile the rest: at least one, none cut short. recs is that run
-// of records, for nextRecord. It aliases b; src is interned
+// of records, for nextRecord. It aliases b; src is interned in srcs
 // (allocation-free for repeated senders), and the engine copies or
 // interns everything it keeps out of a record, so the backing buffer is
 // recyclable as soon as the last record has run.
-func decodeDatagram(b []byte) (src string, sent int64, recs []byte, err error) {
+func decodeDatagram(srcs *tuple.Interner, b []byte) (src string, sent int64, recs []byte, err error) {
 	srcLen, n := binary.Uvarint(b)
 	// Compared as uint64: the length is the sender's claim, and 2^64-1
 	// converted to int first is -1, which passes.
@@ -310,7 +311,7 @@ func decodeDatagram(b []byte) (src string, sent int64, recs []byte, err error) {
 			return "", 0, nil, errBadRecords
 		}
 	}
-	return tuple.InternBytes(b[n : n+int(srcLen)]), sent, recs, nil
+	return srcs.Bytes(b[n : n+int(srcLen)]), sent, recs, nil
 }
 
 // nextRecord splits the first record off a run of records: its source
@@ -477,7 +478,7 @@ func (u *UDPNode) Inject(t tuple.Tuple) error { return u.exec.inject(t) }
 // brand-new source address) and none per record, verified by
 // TestReaderAllocsPerDatagram.
 func (u *UDPNode) dispatch(buf *[]byte, n int, at time.Time, trunc bool) {
-	src, sent, recs, err := decodeDatagram((*buf)[:n])
+	src, sent, recs, err := decodeDatagram(&u.srcs, (*buf)[:n])
 	if trunc || err != nil {
 		u.exec.stats.datagramsRecv.Add(1)
 		u.exec.stats.bytesRecv.Add(int64(n))

@@ -16,7 +16,7 @@ func TestDatagramRoundTrip(t *testing.T) {
 	env := engine.Envelope{Src: "n2", SrcTupleID: 42, Raw: raw}
 	const stamp = int64(1234567890123456789)
 	enc := appendDatagram(nil, env, stamp)
-	src, sent, recs, err := decodeDatagram(enc)
+	src, sent, recs, err := decodeDatagram(nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +27,13 @@ func TestDatagramRoundTrip(t *testing.T) {
 	// Every record is length-prefixed, so a cut anywhere, in the header
 	// or in the tuple bytes, fails the framing check.
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, _, err := decodeDatagram(enc[:cut]); err == nil {
+		if _, _, _, err := decodeDatagram(nil, enc[:cut]); err == nil {
 			t.Errorf("truncation to %d of %d bytes must fail", cut, len(enc))
 		}
 	}
 	// A source length of 2^64-1 is -1 as an int: it must fail the bound,
 	// not pass it and slice out of range on the reader goroutine.
-	if _, _, _, err := decodeDatagram(hugeSrcLenDatagram); err == nil {
+	if _, _, _, err := decodeDatagram(nil, hugeSrcLenDatagram); err == nil {
 		t.Error("source length 2^64-1 must fail")
 	}
 }
@@ -106,10 +106,11 @@ func FuzzDatagram(f *testing.F) {
 	f.Add(two[:len(two)-1], "a", int64(7), uint64(1), uint8(1)) // the last record cut short
 	hugeRawLen := binary.AppendUvarint(binary.AppendUvarint(appendHeader(nil, "n2", 7), 1), ^uint64(0))
 	f.Add(append(hugeRawLen, "some bytes"...), "a", int64(7), uint64(1), uint8(0))
+	var srcs tuple.Interner // the reader's, kept across inputs
 	f.Fuzz(func(t *testing.T, data []byte, src string, stamp int64, id uint64, n uint8) {
-		if src, sent, recs, err := decodeDatagram(data); err == nil {
+		if src, sent, recs, err := decodeDatagram(&srcs, data); err == nil {
 			list := splitRecords(recs)
-			src2, sent2, recs2, err := decodeDatagram(frameRecords(src, sent, list))
+			src2, sent2, recs2, err := decodeDatagram(&srcs, frameRecords(src, sent, list))
 			if err != nil || src2 != src || sent2 != sent || !sameRecords(splitRecords(recs2), list) {
 				t.Fatalf("accepted datagram %x does not re-frame: %s/%d %v, then %s/%d (%v)", data, src, sent, list, src2, sent2, err)
 			}
@@ -121,7 +122,7 @@ func FuzzDatagram(f *testing.F) {
 		for i := range list {
 			list[i] = record{id + uint64(i), data[i*len(data)/len(list) : (i+1)*len(data)/len(list)]}
 		}
-		got, sent, recs, err := decodeDatagram(frameRecords(src, stamp, list))
+		got, sent, recs, err := decodeDatagram(&srcs, frameRecords(src, stamp, list))
 		if err != nil || got != src || sent != stamp || !sameRecords(splitRecords(recs), list) {
 			t.Fatalf("round trip of %q/%d %v = %q/%d (%v)", src, stamp, list, got, sent, err)
 		}

@@ -74,8 +74,8 @@ type host struct {
 	// host address (not a shared stream) keeps draws independent of the
 	// order hosts execute in.
 	rng rng.Source
-	// links holds outgoing per-destination link state.
-	links map[string]*link
+	// links holds outgoing link state, by destination host.
+	links map[*host]*link
 	// dropped counts messages this host's execution observed as lost
 	// (send-side sampling/partition/dead-destination drops, plus
 	// arrival-time drops at a down receiver).
@@ -179,7 +179,7 @@ func (n *Network) AddNode(addr string) (*engine.Node, error) {
 		idx:    len(n.byIdx),
 		kickAt: -1,
 		rng:    rng.Make(subSeed(n.cfg.Seed, "host", addr)),
-		links:  make(map[string]*link),
+		links:  make(map[*host]*link),
 	}
 	cfg := engine.Config{
 		Addr:       addr,
@@ -248,10 +248,10 @@ func (n *Network) Dropped() int64 {
 }
 
 // outLink returns (creating on first use) src's link state toward dst.
-func (n *Network) outLink(src *host, dst string) *link {
+func (n *Network) outLink(src, dst *host) *link {
 	lk := src.links[dst]
 	if lk == nil {
-		lk = &link{rng: rng.Make(subSeed(n.cfg.Seed, "link", src.addr, dst))}
+		lk = &link{rng: rng.Make(subSeed(n.cfg.Seed, "link", src.addr, dst.addr))}
 		src.links[dst] = lk
 	}
 	return lk
@@ -316,7 +316,7 @@ func (n *Network) deliver(src *host, dst string, env engine.Envelope, at float64
 		src.dropped++
 		return
 	}
-	lk := n.outLink(src, dst)
+	lk := n.outLink(src, h)
 	delay := n.cfg.MinDelay + lk.rng.Float64()*(n.cfg.MaxDelay-n.cfg.MinDelay)
 	if n.cfg.LossProb > 0 && lk.rng.Float64() < n.cfg.LossProb {
 		src.dropped++

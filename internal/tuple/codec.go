@@ -114,9 +114,10 @@ func varintLen(x int64) int {
 }
 
 // Unmarshal decodes one tuple from b, returning the tuple and the number
-// of bytes consumed. The tuple's fields are a fresh heap slice.
+// of bytes consumed. The tuple's fields are a fresh heap slice, and its
+// strings are its own: nothing is interned.
 func Unmarshal(b []byte) (Tuple, int, error) {
-	t, _, n, err := UnmarshalAppend(nil, b)
+	t, _, n, err := UnmarshalAppend(nil, nil, b)
 	return t, n, err
 }
 
@@ -125,15 +126,16 @@ func Unmarshal(b []byte) (Tuple, int, error) {
 // tuple's Fields are its tail past len(dst), capped there so appending
 // to them cannot reach what dst receives next. On error dst comes back
 // as it was. List values are always built on the heap, so a copy of a
-// decoded Value never points into dst.
-func UnmarshalAppend(dst []Value, b []byte) (Tuple, []Value, int, error) {
+// decoded Value never points into dst. Short strings, the name included,
+// are in's canonical copies (Interner.Bytes).
+func UnmarshalAppend(in *Interner, dst []Value, b []byte) (Tuple, []Value, int, error) {
 	pos := 0
 	nameLen, n := binary.Uvarint(b[pos:])
 	if n <= 0 || nameLen > uint64(len(b)) || pos+n+int(nameLen) > len(b) {
 		return Tuple{}, dst, 0, fmt.Errorf("tuple: short buffer decoding name")
 	}
 	pos += n
-	name := internBytes(b[pos : pos+int(nameLen)])
+	name := in.Bytes(b[pos : pos+int(nameLen)])
 	pos += int(nameLen)
 	count, n := binary.Uvarint(b[pos:])
 	if n <= 0 {
@@ -145,7 +147,7 @@ func UnmarshalAppend(dst []Value, b []byte) (Tuple, []Value, int, error) {
 	pos += n
 	out := slices.Grow(dst, int(count))
 	for i := uint64(0); i < count; i++ {
-		v, n, err := decodeValue(b[pos:])
+		v, n, err := decodeValue(in, b[pos:])
 		if err != nil {
 			clear(out[len(dst):])
 			return Tuple{}, dst, 0, fmt.Errorf("tuple: field %d: %w", i, err)
@@ -156,7 +158,7 @@ func UnmarshalAppend(dst []Value, b []byte) (Tuple, []Value, int, error) {
 	return Tuple{Name: name, Fields: out[len(dst):len(out):len(out)]}, out, pos, nil
 }
 
-func decodeValue(b []byte) (Value, int, error) {
+func decodeValue(in *Interner, b []byte) (Value, int, error) {
 	if len(b) == 0 {
 		return Nil, 0, fmt.Errorf("short buffer decoding kind")
 	}
@@ -186,7 +188,7 @@ func decodeValue(b []byte) (Value, int, error) {
 			return Nil, 0, fmt.Errorf("short buffer decoding str")
 		}
 		pos += n
-		return Str(internBytes(b[pos : pos+int(l)])), pos + int(l), nil
+		return Str(in.Bytes(b[pos : pos+int(l)])), pos + int(l), nil
 	case KindBool:
 		if len(b) < pos+1 {
 			return Nil, 0, fmt.Errorf("short buffer decoding bool")
@@ -203,7 +205,7 @@ func decodeValue(b []byte) (Value, int, error) {
 		pos += n
 		elems := make([]Value, 0, count)
 		for i := uint64(0); i < count; i++ {
-			e, n, err := decodeValue(b[pos:])
+			e, n, err := decodeValue(in, b[pos:])
 			if err != nil {
 				return Nil, 0, err
 			}

@@ -8,8 +8,10 @@ import (
 
 // FuzzUnmarshal: arbitrary bytes never panic, whatever decodes
 // re-encodes to something that decodes to an equal tuple, and the append
-// decoder agrees with Unmarshal on every input.
+// decoder, interning through one owner across inputs, agrees with
+// Unmarshal on every input.
 func FuzzUnmarshal(f *testing.F) {
+	var in Interner
 	f.Add([]byte{})
 	f.Add(Marshal(nil, New("pred", Str("n1"), ID(10), Str("n2"))))
 	f.Add(Marshal(nil, New("mix", Str("loc"), Int(-5), Float(2.75), Bool(true),
@@ -22,7 +24,7 @@ func FuzzUnmarshal(f *testing.F) {
 		// and error, with what dst already held left alone (narrow tuples
 		// land in its spare capacity, wide ones move it).
 		pre := append(make([]Value, 0, 6), Str("kept"), Int(7))
-		ap, vals, an, aerr := UnmarshalAppend(pre, data)
+		ap, vals, an, aerr := UnmarshalAppend(&in, pre, data)
 		if an != n || (aerr == nil) != (err == nil) || (err != nil && aerr.Error() != err.Error()) {
 			t.Fatalf("UnmarshalAppend = (%d, %v), Unmarshal = (%d, %v)", an, aerr, n, err)
 		}

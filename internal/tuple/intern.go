@@ -1,7 +1,5 @@
 package tuple
 
-import "sync"
-
 // String interning for the decode path. At simulation scale every node
 // holds the same handful of strings thousands of times over: predicate
 // names ("bestSucc", "finger") and node addresses ("n1".."n10000")
@@ -10,74 +8,46 @@ import "sync"
 // one backing array, which is a large share of steady-state bytes per
 // host at 1k-10k nodes.
 //
-// The pool is process-wide and append-only. Interning is semantically
-// invisible — it returns an equal string — so it cannot affect
-// determinism; it only collapses duplicates. Reads vastly outnumber
-// writes after warmup, so a read-write mutex around a plain map keeps
-// the hot path to one allocation-free map probe (the compiler elides
-// the []byte→string conversion for built-in map lookups, which is why
-// this is not a sync.Map).
+// An Interner belongs to whoever runs the decoding, like the scratch a
+// task works in: the engine keeps one in each engine.Arenas, so a
+// simulated network's hosts, whose tasks run one at a time on one
+// goroutine, share one, and each realtime node and UDP reader has its
+// own. It needs no lock, and two owners never share a string. Interning
+// is semantically invisible — it returns an equal string — so it cannot
+// affect determinism; it only collapses duplicates. A lookup is one
+// allocation-free map probe: the compiler elides the []byte→string
+// conversion for built-in map lookups.
 
 const (
 	// maxInternLen bounds interned string length: long strings are
 	// payload (unlikely to repeat), short ones are vocabulary.
 	maxInternLen = 64
-	// maxInternEntries caps pool growth so adversarial or high-entropy
-	// workloads cannot leak memory through the pool; beyond the cap,
-	// lookups still hit but misses stop inserting.
+	// maxInternEntries caps an interner's growth so adversarial or
+	// high-entropy traffic cannot leak memory through it; beyond the
+	// cap, lookups still hit but misses stop inserting.
 	maxInternEntries = 1 << 17
 )
 
-var (
-	internMu   sync.RWMutex
-	internPool = make(map[string]string)
-)
+// Interner canonicalizes the short strings a decoder reads. The zero
+// value is empty and ready; a nil *Interner interns nothing. Not safe for
+// concurrent use.
+type Interner struct{ strs map[string]string }
 
-// Intern returns a canonical copy of s: repeated calls with equal
-// contents return the same backing string. Strings too long (or pool
-// overflow) pass through unchanged.
-func Intern(s string) string {
-	if len(s) > maxInternLen {
-		return s
-	}
-	internMu.RLock()
-	v, ok := internPool[s]
-	internMu.RUnlock()
-	if ok {
-		return v
-	}
-	return internSlow(s)
-}
-
-// InternBytes is Intern for a byte slice, allocating the string only on
-// a pool miss. The realtime UDP reader uses it to decode envelope source
-// addresses without a per-datagram allocation.
-func InternBytes(b []byte) string { return internBytes(b) }
-
-// internBytes is Intern for a byte slice, allocating the string only on
-// a pool miss.
-func internBytes(b []byte) string {
-	if len(b) > maxInternLen {
+// Bytes returns b as a string: the interner's canonical copy when b is
+// short, allocating only on a miss.
+func (in *Interner) Bytes(b []byte) string {
+	if in == nil || len(b) > maxInternLen {
 		return string(b)
 	}
-	internMu.RLock()
-	v, ok := internPool[string(b)] // no alloc: map-lookup conversion
-	internMu.RUnlock()
-	if ok {
-		return v
-	}
-	return internSlow(string(b))
-}
-
-func internSlow(s string) string {
-	internMu.Lock()
-	defer internMu.Unlock()
-	if v, ok := internPool[s]; ok {
-		return v
-	}
-	if len(internPool) >= maxInternEntries {
+	if s, ok := in.strs[string(b)]; ok { // no alloc: map-lookup conversion
 		return s
 	}
-	internPool[s] = s
+	s := string(b)
+	if len(in.strs) < maxInternEntries {
+		if in.strs == nil {
+			in.strs = make(map[string]string)
+		}
+		in.strs[s] = s
+	}
 	return s
 }

@@ -111,7 +111,7 @@ func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 	list := List(Str("a"), ID(9), Str(short)) // elements built on the heap
 	want := New("pred", Str(short), Str(long), list, Str(""))
 	buf := Marshal(nil, want)
-	got, _, n, err := UnmarshalAppend(make([]Value, 0, 8), buf)
+	got, _, n, err := UnmarshalAppend(new(Interner), make([]Value, 0, 8), buf)
 	if err != nil || n != len(buf) {
 		t.Fatalf("UnmarshalAppend: %d of %d bytes, %v", n, len(buf), err)
 	}
