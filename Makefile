@@ -101,6 +101,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzRunQueue -fuzztime 30s ./internal/simnet/
 	go test -run '^$$' -fuzz FuzzAggMaint -fuzztime 30s ./internal/dataflow/
 	go test -run '^$$' -fuzz FuzzRingMatchesEager -fuzztime 30s ./internal/trace/
+	go test -run '^$$' -fuzz FuzzMemoTable -fuzztime 30s ./internal/trace/
 	go test -run '^$$' -fuzz FuzzTableMatchesRef -fuzztime 30s ./internal/table/
 	go test -run '^$$' -fuzz FuzzRangeProbe -fuzztime 30s ./internal/table/
 

@@ -17,7 +17,6 @@ package trace
 import (
 	"cmp"
 	"slices"
-	"unsafe"
 
 	"p2go/internal/dataflow"
 	"p2go/internal/table"
@@ -58,8 +57,11 @@ type Tracer struct {
 	local string
 
 	// strs numbers every rule ID, predicate name, address and log op the
-	// records below hold, so that they hold a fixed-width index.
-	strs dict
+	// records below hold, so that they hold a fixed-width index. It only
+	// grows, and only by what a node sees distinctly — its program's rule
+	// IDs and predicate names, its peers' addresses, the log ops — so
+	// Reset keeps it. Number 0 is "".
+	strs tracestore.Dict
 
 	// execs holds the ruleExec records; each holds one reference on the
 	// memo entries of its two tuples and releases them when it dies.
@@ -67,12 +69,12 @@ type Tracer struct {
 	// log holds the tupleLog records (no table: event logging disabled).
 	log ring[logRec]
 
-	// memo maps the ID of every tuple a live ruleExec record references
-	// to its entry in slots: predicate name and provenance — no fields,
-	// like tupleTable — held by value and recycled through free.
+	// memo finds, by ID, the entry in slots of every tuple a live
+	// ruleExec record references: predicate name and provenance — no
+	// fields, like tupleTable — held by value and recycled through free.
 	// tupleTable shows the entries in creation order: born numbers them,
 	// and those up to tuplesBuilt have their row.
-	memo        map[uint64]uint32
+	memo        idTable
 	slots       []memoEntry
 	free        []uint32
 	tuples      *table.Table
@@ -121,6 +123,7 @@ type record struct {
 	s      *dataflow.Strand // nil between activations
 	inID   uint64
 	inTime float64
+	in     uint32    // a memo slot hint for inID (see ref)
 	pre    []precond // stage k's precondition is pre[k-1]
 	// An aggregate activation's witnesses (Witness): when has[g],
 	// aggregate group g's preconditions are wit[g*len(pre):][:len(pre)].
@@ -135,6 +138,7 @@ type record struct {
 type precond struct {
 	id     uint64
 	time   float64
+	slot   uint32 // a memo slot hint for id (see ref)
 	filled bool
 }
 
@@ -173,48 +177,6 @@ type logRec struct {
 	id       uint64
 }
 
-// dict numbers strings for the records above: an index fits a fixed
-// width and holds no pointer. It only grows, and only by what a node
-// sees distinctly — its program's rule IDs and predicate names, its
-// peers' addresses, the log ops — so Reset keeps it. Index 0 is "".
-type dict struct {
-	index map[string]uint32
-	strs  []string
-	// seen remembers where the bytes of recently interned strings are.
-	// The strings a node hands the tracer are the plan's, the codec
-	// intern table's and its configuration's, the same bytes every time,
-	// so most interns compare a pointer instead of hashing the string.
-	// Equal bytes and length are an equal string: the entry's pointer
-	// keeps those bytes from being reused.
-	seen [64]seenStr
-}
-
-type seenStr struct {
-	p *byte
-	n int
-	i uint32
-}
-
-func newDict() dict { return dict{index: map[string]uint32{"": 0}, strs: []string{""}} }
-
-func (d *dict) intern(s string) uint32 {
-	p := unsafe.StringData(s)
-	c := &d.seen[(uint64(uintptr(unsafe.Pointer(p)))+uint64(len(s)))*0x9e3779b97f4a7c15>>58] // Fibonacci hashing onto 64 entries
-	if c.p == p && c.n == len(s) {
-		return c.i
-	}
-	i, ok := d.index[s]
-	if !ok {
-		i = uint32(len(d.strs))
-		d.strs = append(d.strs, s)
-		d.index[s] = i
-	}
-	*c = seenStr{p, len(s), i}
-	return i
-}
-
-func (d *dict) str(i uint32) string { return d.strs[i] }
-
 // New creates a tracer and materializes its reflection tables in store.
 func New(store *table.Store, localAddr string, cfg Config) (*Tracer, error) {
 	re, err := store.Materialize(table.Spec{
@@ -236,12 +198,8 @@ func New(store *table.Store, localAddr string, cfg Config) (*Tracer, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &Tracer{
-		local:  localAddr,
-		strs:   newDict(),
-		tuples: tt,
-		memo:   make(map[uint64]uint32),
-	}
+	tr := &Tracer{local: localAddr, tuples: tt}
+	tr.strs.ID("")
 	// Reference counting: when a ruleExec record dies (TTL, eviction,
 	// replacement or delete), release the tuples it referenced.
 	tr.execs = newRing(re, tr.execRow, func(rec *execRec) {
@@ -342,7 +300,7 @@ func (tr *Tracer) TaskDone() {
 // with a record of its own.
 func (tr *Tracer) Input(s *dataflow.Strand, t tuple.Tuple, now float64) {
 	r := &tr.rec
-	r.s, r.inID, r.inTime = s, t.ID, now
+	r.s, r.inID, r.inTime, r.in = s, t.ID, now, noSlot
 	if cap(r.pre) < s.Stages {
 		r.pre = make([]precond, s.Stages)
 	}
@@ -360,7 +318,7 @@ func (tr *Tracer) Precond(s *dataflow.Strand, stage int, t tuple.Tuple, now floa
 	if r.s != s || stage < 1 || stage > len(r.pre) {
 		return
 	}
-	r.pre[stage-1] = precond{id: t.ID, time: now, filled: true}
+	r.pre[stage-1] = precond{id: t.ID, time: now, slot: noSlot, filled: true}
 	clear(r.pre[stage:])
 }
 
@@ -389,11 +347,18 @@ func (tr *Tracer) Output(s *dataflow.Strand, t tuple.Tuple, now float64) {
 	if r.s != s {
 		return
 	}
-	rule := tr.strs.intern(s.RuleID)
-	tr.emitRuleExec(rule, r.inID, t.ID, r.inTime, now, true)
-	for _, p := range r.lineage() {
-		if p.filled {
-			tr.emitRuleExec(rule, p.id, t.ID, p.time, now, false)
+	rule := tr.strs.ID(s.RuleID)
+	// Each edge references its cause, then the effect, as addRef would;
+	// the slots the first reference found serve the later ones.
+	r.in = tr.ref(r.inID, r.in)
+	out := tr.addRef(t.ID)
+	tr.emitRuleExec(rule, r.in, out, r.inTime, now, true)
+	lin := r.lineage()
+	for k := range lin {
+		if p := &lin[k]; p.filled {
+			p.slot = tr.ref(p.id, p.slot)
+			out = tr.ref(t.ID, out)
+			tr.emitRuleExec(rule, p.slot, out, p.time, now, false)
 		}
 	}
 }
@@ -421,14 +386,14 @@ func (r *record) lineage() []precond {
 	return nil
 }
 
-// emitRuleExec appends one ruleExec record, which pins both referenced
-// tuples in the memo, with table.Insert's semantics on the ruleExec key
-// (rule, cause, effect, cause-was-event): expire, then replace a record
-// with the same key, else append and evict the oldest beyond the bound.
-// Killing records releases references; that is exactly the paper's
-// flushing behaviour.
-func (tr *Tracer) emitRuleExec(rule uint32, inID, outID uint64, inT, outT float64, isEvent bool) {
-	in, out := tr.addRef(inID), tr.addRef(outID)
+// emitRuleExec appends one ruleExec record from cause in to effect out,
+// memo slots on which the caller took one reference each for it to keep,
+// with table.Insert's semantics on the ruleExec key (rule, cause, effect,
+// cause-was-event): expire, then replace a record with the same key, else
+// append and evict the oldest beyond the bound. Killing records releases
+// references; that is exactly the paper's flushing behaviour.
+func (tr *Tracer) emitRuleExec(rule uint32, in, out uint32, inT, outT float64, isEvent bool) {
+	inID, outID := tr.slots[in].id, tr.slots[out].id
 	tr.execs.expire(outT)
 	rec := execRec{rule: rule, inT: inT, isEvent: isEvent, in: in, out: out}
 	old := tr.findExec(&rec)
@@ -445,7 +410,7 @@ func (tr *Tracer) emitRuleExec(rule uint32, inID, outID uint64, inT, outT float6
 	}
 	if tr.store != nil {
 		sealed := tr.store.AppendExec(tracestore.Exec{
-			Rule: tr.strs.str(rule), InID: inID, OutID: outID, InT: inT, OutT: outT, IsEvent: isEvent,
+			Rule: tr.strs.Str(rule), InID: inID, OutID: outID, InT: inT, OutT: outT, IsEvent: isEvent,
 		})
 		tr.noteStore(1, sealed)
 	}
@@ -479,9 +444,9 @@ func (tr *Tracer) forgetExec(t tuple.Tuple) {
 	}
 	// A rule, cause or effect the tracer has no index or memo entry for
 	// is in no live record.
-	rule, ok := tr.strs.index[t.Field(1).AsStr()]
-	in, inOK := tr.memo[t.Field(2).AsID()]
-	out, outOK := tr.memo[t.Field(3).AsID()]
+	rule, ok := tr.strs.Lookup(t.Field(1).AsStr())
+	_, in, inOK := tr.memo.find(tr.slots, t.Field(2).AsID())
+	_, out, outOK := tr.memo.find(tr.slots, t.Field(3).AsID())
 	if ok && inOK && outOK {
 		rec := execRec{rule: rule, in: in, out: out, isEvent: t.Field(6).AsBool()}
 		tr.execs.kill(tr.findExec(&rec))
@@ -491,7 +456,7 @@ func (tr *Tracer) forgetExec(t tuple.Tuple) {
 func (tr *Tracer) execRow(_ uint64, outT float64, r *execRec) tuple.Tuple {
 	return tuple.New(RuleExecTable,
 		tuple.Str(tr.local),
-		tuple.Str(tr.strs.str(r.rule)),
+		tuple.Str(tr.strs.Str(r.rule)),
 		tuple.ID(tr.slots[r.in].id),
 		tuple.ID(tr.slots[r.out].id),
 		tuple.Float(r.inT),
@@ -500,10 +465,24 @@ func (tr *Tracer) execRow(_ uint64, outT float64, r *execRec) tuple.Tuple {
 	)
 }
 
+// noSlot is a memo slot hint that names no slot.
+const noSlot = ^uint32(0)
+
+// ref is addRef trying memo slot h first: a hint, taken only while its
+// entry holds id and a reference (a released slot may hold another ID).
+func (tr *Tracer) ref(id uint64, h uint32) uint32 {
+	if h < uint32(len(tr.slots)) && tr.slots[h].id == id && tr.slots[h].refs > 0 {
+		tr.slots[h].refs++
+		return h
+	}
+	return tr.addRef(id)
+}
+
 // addRef takes one reference on tuple id, memoizing it on the first, and
 // returns its memo slot.
 func (tr *Tracer) addRef(id uint64) uint32 {
-	if i, ok := tr.memo[id]; ok {
+	cell, i, ok := tr.memo.find(tr.slots, id)
+	if ok {
 		tr.slots[i].refs++
 		return i
 	}
@@ -513,7 +492,6 @@ func (tr *Tracer) addRef(id uint64) uint32 {
 		// local provenance.
 		p = prov{src: tr.local, srcID: id, dst: tr.local}
 	}
-	var i uint32
 	if n := len(tr.free); n > 0 {
 		i, tr.free = tr.free[n-1], tr.free[:n-1]
 	} else {
@@ -523,9 +501,9 @@ func (tr *Tracer) addRef(id uint64) uint32 {
 	tr.born++
 	tr.slots[i] = memoEntry{
 		id: id, srcID: p.srcID, born: tr.born, refs: 1,
-		name: tr.strs.intern(p.name), src: tr.strs.intern(p.src), dst: tr.strs.intern(p.dst),
+		name: tr.strs.ID(p.name), src: tr.strs.ID(p.src), dst: tr.strs.ID(p.dst),
 	}
-	tr.memo[id] = i
+	tr.memo.put(tr.slots, cell, i)
 	return i
 }
 
@@ -536,7 +514,8 @@ func (tr *Tracer) release(i uint32) {
 	if e.refs--; e.refs > 0 {
 		return
 	}
-	delete(tr.memo, e.id)
+	p, _, _ := tr.memo.find(tr.slots, e.id)
+	tr.memo.del(tr.slots, p)
 	if e.born <= tr.tuplesBuilt {
 		tr.tuples.DeleteKey(tr.tupleRow(&memoEntry{id: e.id}))
 	}
@@ -548,9 +527,9 @@ func (tr *Tracer) tupleRow(e *memoEntry) tuple.Tuple {
 	return tuple.New(TupleTable,
 		tuple.Str(tr.local),
 		tuple.ID(e.id),
-		tuple.Str(tr.strs.str(e.src)),
+		tuple.Str(tr.strs.Str(e.src)),
 		tuple.ID(e.srcID),
-		tuple.Str(tr.strs.str(e.dst)),
+		tuple.Str(tr.strs.Str(e.dst)),
 	)
 }
 
@@ -578,8 +557,8 @@ func (tr *Tracer) fillTuples() {
 // Name returns the predicate name of the memoized tuple with an ID, if
 // still referenced ("" for one referenced without ever being registered).
 func (tr *Tracer) Name(id uint64) (string, bool) {
-	if i, ok := tr.memo[id]; ok {
-		return tr.strs.str(tr.slots[i].name), true
+	if _, i, ok := tr.memo.find(tr.slots, id); ok {
+		return tr.strs.Str(tr.slots[i].name), true
 	}
 	return "", false
 }
@@ -601,10 +580,10 @@ func (tr *Tracer) Reset(now float64) {
 		tr.log.reset()
 		tr.log.tb.Clear()
 	}
-	clear(tr.memo)
+	clear(tr.memo.cells)
 	clear(tr.slots)
 	tr.slots, tr.free = tr.slots[:0], tr.free[:0]
-	tr.born, tr.tuplesBuilt = 0, 0
+	tr.memo.n, tr.born, tr.tuplesBuilt = 0, 0, 0
 	tr.TaskDone()
 	if tr.store != nil {
 		sealed := tr.store.AppendEvent(tracestore.Event{Op: "restart", Name: "", ID: 0, T: now})
@@ -614,7 +593,7 @@ func (tr *Tracer) Reset(now float64) {
 
 // MemoSize reports how many tuples are currently memoized (live trace
 // tuples, part of the memory-overhead measurements).
-func (tr *Tracer) MemoSize() int { return len(tr.memo) }
+func (tr *Tracer) MemoSize() int { return tr.memo.n }
 
 // logged tables are never themselves logged (the log would feed itself).
 func loggedName(name string) bool {
@@ -642,11 +621,11 @@ func (tr *Tracer) LogEvent(op, name string, id uint64, now float64) {
 		return
 	}
 	tr.log.expire(now)
-	tr.log.push(now, logRec{op: tr.strs.intern(op), name: tr.strs.intern(name), id: id})
+	tr.log.push(now, logRec{op: tr.strs.ID(op), name: tr.strs.ID(name), id: id})
 }
 
 func (tr *Tracer) logRow(seq uint64, at float64, r *logRec) tuple.Tuple {
 	return tuple.New(TupleLogTable,
-		tuple.Str(tr.local), tuple.ID(seq), tuple.Str(tr.strs.str(r.op)),
-		tuple.Str(tr.strs.str(r.name)), tuple.ID(r.id), tuple.Float(at))
+		tuple.Str(tr.local), tuple.ID(seq), tuple.Str(tr.strs.Str(r.op)),
+		tuple.Str(tr.strs.Str(r.name)), tuple.ID(r.id), tuple.Float(at))
 }

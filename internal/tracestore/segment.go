@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
+	"unsafe"
 )
 
 // Exec is one causal rule-execution edge, mirroring a ruleExec row:
@@ -72,38 +74,69 @@ type segment struct {
 
 func (s *segment) records() int { return len(s.execs) + len(s.hops) + len(s.events) }
 
-// dict interns strings in first-appearance order, which makes the
-// encoding deterministic for equal record sequences.
-type dict struct {
-	idx  map[string]uint64
+// Dict numbers strings from 0 in first-appearance order, which makes a
+// seal's encoding deterministic; the tracer numbers its records' strings
+// with one too. The zero Dict is ready to use. The strings a node hands
+// the tracer, and the tracer the store, are the plan's, the codec intern
+// table's and the tracer's own, the same bytes every time: seen
+// remembers where recently numbered strings' bytes are, so most lookups
+// compare a pointer instead of hashing the string. Equal bytes and length
+// are an equal string: the entry's pointer keeps those bytes alive.
+type Dict struct {
+	idx  map[string]uint32
 	strs []string
+	seen [64]seenStr
 }
 
-// reset empties the dictionary, keeping its map and slice for the next
-// segment.
-func (d *dict) reset() {
-	if d.idx == nil {
-		d.idx = make(map[string]uint64)
-	}
+type seenStr struct {
+	p *byte
+	n int
+	i uint32
+}
+
+// Reset empties the dictionary, keeping its map and slice for reuse.
+func (d *Dict) Reset() {
 	clear(d.idx)
 	d.strs = d.strs[:0]
+	clear(d.seen[:])
 }
 
-func (d *dict) id(s string) uint64 {
-	if i, ok := d.idx[s]; ok {
-		return i
+// ID returns s's number, numbering it if it is new.
+func (d *Dict) ID(s string) uint32 {
+	p := unsafe.StringData(s)
+	c := &d.seen[(uint64(uintptr(unsafe.Pointer(p)))+uint64(len(s)))*0x9e3779b97f4a7c15>>58] // Fibonacci hashing onto 64 entries
+	if c.p == p && c.n == len(s) && p != nil {
+		return c.i
 	}
-	i := uint64(len(d.strs))
-	d.idx[s] = i
-	d.strs = append(d.strs, s)
+	i, ok := d.idx[s]
+	if !ok {
+		if d.idx == nil {
+			d.idx = make(map[string]uint32)
+		}
+		i = uint32(len(d.strs))
+		d.strs = append(d.strs, s)
+		d.idx[s] = i
+	}
+	*c = seenStr{p, len(s), i}
 	return i
 }
 
+// Lookup returns s's number without numbering it.
+func (d *Dict) Lookup(s string) (uint32, bool) {
+	i, ok := d.idx[s]
+	return i, ok
+}
+
+// Str returns the string numbered i.
+func (d *Dict) Str(i uint32) string { return d.strs[i] }
+
 // sealScratch is what a seal works with and nothing keeps: the segment's
-// dictionary and the buffer its encoding grows in. A Store owns one, so a
-// seal allocates neither (a run seals hundreds of segments a node).
+// dictionary, the numbers of its records' strings, and the buffer its
+// encoding grows in. A Store owns one, so a seal allocates none of them
+// (a run seals hundreds of segments a node).
 type sealScratch struct {
-	dict dict
+	dict Dict
+	ids  []uint32
 	buf  []byte
 }
 
@@ -145,36 +178,40 @@ const (
 // the result is only good until the next call, and a caller that keeps it
 // copies it (Store.seal). The zero sealScratch is ready to use.
 func (sc *sealScratch) encodeSegment(seg *segment) []byte {
-	d := &sc.dict
-	d.reset()
+	// Number every string field once, in the order the dictionary lists
+	// them: the exec rules, each hop's Src and Dst, each event's Op and
+	// Name. The blocks below read the numbers from ids.
+	d, ids := &sc.dict, slices.Grow(sc.ids[:0], len(seg.execs)+2*len(seg.hops)+2*len(seg.events))
+	d.Reset()
 	flags := outSorted | hopSorted
 	for i := range seg.execs {
-		d.id(seg.execs[i].Rule)
+		ids = append(ids, d.ID(seg.execs[i].Rule))
 		if i > 0 && seg.execs[i].OutID < seg.execs[i-1].OutID {
 			flags &^= outSorted
 		}
 	}
 	for i := range seg.hops {
-		d.id(seg.hops[i].Src)
-		d.id(seg.hops[i].Dst)
+		ids = append(ids, d.ID(seg.hops[i].Src), d.ID(seg.hops[i].Dst))
 		if i > 0 && seg.hops[i].ID < seg.hops[i-1].ID {
 			flags &^= hopSorted
 		}
 	}
 	for i := range seg.events {
-		d.id(seg.events[i].Op)
-		d.id(seg.events[i].Name)
+		ids = append(ids, d.ID(seg.events[i].Op), d.ID(seg.events[i].Name))
 	}
+	sc.ids = ids
+	nx, nh, ne := len(seg.execs), len(seg.hops), len(seg.events)
+	rules, hopStrs, evStrs := ids[:nx], ids[nx:nx+2*nh], ids[nx+2*nh:]
 
 	b := binary.AppendVarint(sc.buf[:0], seg.window)
-	b = binary.AppendUvarint(b, uint64(len(seg.execs)))
-	b = binary.AppendUvarint(b, uint64(len(seg.hops)))
-	b = binary.AppendUvarint(b, uint64(len(seg.events)))
+	b = binary.AppendUvarint(b, uint64(nx))
+	b = binary.AppendUvarint(b, uint64(nh))
+	b = binary.AppendUvarint(b, uint64(ne))
 	b = append(b, flags)
 	execDir := len(b)
-	b = append(b, make([]byte, 4*numBlocks(len(seg.execs)))...)
+	b = append(b, make([]byte, 4*numBlocks(nx))...)
 	hopDir := len(b)
-	b = append(b, make([]byte, 4*numBlocks(len(seg.hops)))...)
+	b = append(b, make([]byte, 4*numBlocks(nh))...)
 	crcAt := len(b)
 	b = append(b, 0, 0, 0, 0)
 	b = binary.AppendUvarint(b, uint64(len(d.strs)))
@@ -182,22 +219,24 @@ func (sc *sealScratch) encodeSegment(seg *segment) []byte {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
-	for k := 0; k*blockRows < len(seg.execs); k++ {
+	for k := 0; k*blockRows < nx; k++ {
+		lo, hi := k*blockRows, min((k+1)*blockRows, nx)
 		putOffset(b[execDir+4*k:], len(b))
-		b = appendExecBlock(b, seg.execs[k*blockRows:min((k+1)*blockRows, len(seg.execs))], d)
+		b = appendExecBlock(b, seg.execs[lo:hi], rules[lo:hi])
 	}
-	for k := 0; k*blockRows < len(seg.hops); k++ {
+	for k := 0; k*blockRows < nh; k++ {
+		lo, hi := k*blockRows, min((k+1)*blockRows, nh)
 		putOffset(b[hopDir+4*k:], len(b))
-		b = appendHopBlock(b, seg.hops[k*blockRows:min((k+1)*blockRows, len(seg.hops))], d)
+		b = appendHopBlock(b, seg.hops[lo:hi], hopStrs[2*lo:2*hi])
 	}
 	binary.LittleEndian.PutUint32(b[crcAt:], crc32.ChecksumIEEE(b[:crcAt]))
 
 	// Event columns.
 	for i := range seg.events {
-		b = binary.AppendUvarint(b, d.idx[seg.events[i].Op])
+		b = binary.AppendUvarint(b, uint64(evStrs[2*i]))
 	}
 	for i := range seg.events {
-		b = binary.AppendUvarint(b, d.idx[seg.events[i].Name])
+		b = binary.AppendUvarint(b, uint64(evStrs[2*i+1]))
 	}
 	var prev uint64
 	for i := range seg.events {
@@ -225,15 +264,15 @@ func putOffset(entry []byte, off int) {
 }
 
 // appendExecBlock appends one block of exec columns: OutID, Rule, InID,
-// InT, OutT, IsEvent.
-func appendExecBlock(b []byte, rows []Exec, d *dict) []byte {
+// InT, OutT, IsEvent. rules[i] numbers rows[i].Rule.
+func appendExecBlock(b []byte, rows []Exec, rules []uint32) []byte {
 	var prev uint64
 	for i := range rows {
 		b = binary.AppendVarint(b, int64(rows[i].OutID-prev))
 		prev = rows[i].OutID
 	}
-	for i := range rows {
-		b = binary.AppendUvarint(b, d.idx[rows[i].Rule])
+	for _, r := range rules {
+		b = binary.AppendUvarint(b, uint64(r))
 	}
 	prev = 0
 	for i := range rows {
@@ -255,15 +294,15 @@ func appendExecBlock(b []byte, rows []Exec, d *dict) []byte {
 }
 
 // appendHopBlock appends one block of hop columns: ID, Src, SrcID, Dst,
-// T.
-func appendHopBlock(b []byte, rows []Hop, d *dict) []byte {
+// T. strs[2i] and strs[2i+1] number rows[i].Src and rows[i].Dst.
+func appendHopBlock(b []byte, rows []Hop, strs []uint32) []byte {
 	var prev uint64
 	for i := range rows {
 		b = binary.AppendVarint(b, int64(rows[i].ID-prev))
 		prev = rows[i].ID
 	}
 	for i := range rows {
-		b = binary.AppendUvarint(b, d.idx[rows[i].Src])
+		b = binary.AppendUvarint(b, uint64(strs[2*i]))
 	}
 	prev = 0
 	for i := range rows {
@@ -271,7 +310,7 @@ func appendHopBlock(b []byte, rows []Hop, d *dict) []byte {
 		prev = rows[i].SrcID
 	}
 	for i := range rows {
-		b = binary.AppendUvarint(b, d.idx[rows[i].Dst])
+		b = binary.AppendUvarint(b, uint64(strs[2*i+1]))
 	}
 	var prevBits uint64
 	for i := range rows {

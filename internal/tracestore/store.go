@@ -90,25 +90,9 @@ type segMeta struct {
 	tmin, tmax   float64 // exec OutT, hop T, event T
 }
 
-func (s *segment) meta() segMeta {
-	m := segMeta{out: emptyRange, in: emptyRange, hop: emptyRange, tmin: math.Inf(1), tmax: math.Inf(-1)}
-	for i := range s.execs {
-		e := &s.execs[i]
-		m.out.add(e.OutID)
-		m.in.add(e.InID)
-		m.tmin, m.tmax = min(m.tmin, e.OutT), max(m.tmax, e.OutT)
-	}
-	for i := range s.hops {
-		h := &s.hops[i]
-		m.hop.add(h.ID)
-		m.tmin, m.tmax = min(m.tmin, h.T), max(m.tmax, h.T)
-	}
-	for i := range s.events {
-		t := s.events[i].T
-		m.tmin, m.tmax = min(m.tmin, t), max(m.tmax, t)
-	}
-	return m
-}
+var emptyMeta = segMeta{out: emptyRange, in: emptyRange, hop: emptyRange, tmin: math.Inf(1), tmax: math.Inf(-1)}
+
+func (m *segMeta) addT(t float64) { m.tmin, m.tmax = min(m.tmin, t), max(m.tmax, t) }
 
 // outside reports whether no record can fall inside [since, until].
 func (m *segMeta) outside(since, until float64) bool {
@@ -145,6 +129,9 @@ type Store struct {
 	local  string
 	cfg    Config
 	active *segment
+	// meta is the active segment's, kept current by every append: a View
+	// and the seal read it without a pass over the segment.
+	meta   segMeta
 	sealed []*Sealed
 	stats  Stats
 	enc    sealScratch
@@ -178,7 +165,7 @@ func (st *Store) windowOf(t float64) int64 {
 func (st *Store) rotate(t float64) int {
 	w := st.windowOf(t)
 	if st.active == nil {
-		st.active = &segment{window: w}
+		st.active, st.meta = &segment{window: w}, emptyMeta
 		return 0
 	}
 	if w <= st.active.window {
@@ -196,6 +183,7 @@ func (st *Store) rotate(t float64) int {
 		hops:   make([]Hop, 0, len(prev.hops)),
 		events: make([]Event, 0, len(prev.events)),
 	}
+	st.meta = emptyMeta
 	return n
 }
 
@@ -215,7 +203,7 @@ func (st *Store) seal() int {
 	st.sealed = append(st.sealed, &Sealed{
 		Window: seg.window,
 		Execs:  len(seg.execs), Hops: len(seg.hops), Events: len(seg.events),
-		meta: seg.meta(), data: data,
+		meta: st.meta, data: data,
 	})
 	st.stats.Sealed++
 	st.stats.SealedRecords += int64(seg.records())
@@ -239,6 +227,9 @@ func (st *Store) AppendExec(e Exec) int {
 	st.stats.Execs++
 	n := st.rotate(e.OutT)
 	st.active.execs = append(st.active.execs, e)
+	st.meta.out.add(e.OutID)
+	st.meta.in.add(e.InID)
+	st.meta.addT(e.OutT)
 	return n
 }
 
@@ -247,6 +238,8 @@ func (st *Store) AppendHop(h Hop) int {
 	st.stats.Hops++
 	n := st.rotate(h.T)
 	st.active.hops = append(st.active.hops, h)
+	st.meta.hop.add(h.ID)
+	st.meta.addT(h.T)
 	return n
 }
 
@@ -255,6 +248,7 @@ func (st *Store) AppendEvent(ev Event) int {
 	st.stats.Events++
 	n := st.rotate(ev.T)
 	st.active.events = append(st.active.events, ev)
+	st.meta.addT(ev.T)
 	return n
 }
 
@@ -309,9 +303,9 @@ func (st *Store) refs(since, until float64) []segRef {
 		}
 	}
 	if st.active != nil && st.active.records() > 0 {
-		cp := *st.active
-		if m := cp.meta(); !m.outside(since, until) {
-			out = append(out, segRef{segMeta: m, seg: &cp})
+		if !st.meta.outside(since, until) {
+			cp := *st.active
+			out = append(out, segRef{segMeta: st.meta, seg: &cp})
 		}
 	}
 	return out
