@@ -302,8 +302,8 @@ func TestCrashBetweenArrivalAndTask(t *testing.T) {
 		t.Fatalf("want a crash mid-burst: %d handled, %d queued, %d in flight", handled, queued, inFlight)
 	}
 	net.Crash("b")
-	if b.inbox.n != 0 || len(b.inbox.buf) != 0 || len(b.inbox.side) != 0 {
-		t.Fatalf("crash kept %d queued tasks in %d inbox bytes", b.inbox.n, len(b.inbox.buf))
+	if held, _ := b.inbox.heldBytes(); b.inbox.n != 0 || held != 0 || len(b.inbox.side) != 0 {
+		t.Fatalf("crash kept %d queued tasks in %d inbox bytes", b.inbox.n, held)
 	}
 	// Traffic that takes over the records the crash frees: a floods c
 	// while b's in-flight messages land on a dead host.
@@ -379,8 +379,8 @@ func TestCrashWithKickRetryPending(t *testing.T) {
 	if a.kickAt >= 0 {
 		t.Errorf("retry did not fire: kickAt = %v", a.kickAt)
 	}
-	if a.inbox.n != 0 || len(a.inbox.buf) != 0 {
-		t.Errorf("retry found %d tasks in %d inbox bytes, want an empty queue", a.inbox.n, len(a.inbox.buf))
+	if held, _ := a.inbox.heldBytes(); a.inbox.n != 0 || held != 0 {
+		t.Errorf("retry found %d tasks in %d inbox bytes, want an empty queue", a.inbox.n, held)
 	}
 	net.Revive("a")
 	token(77)

@@ -454,9 +454,9 @@ func (s sweep) fire(h *host, at float64) {
 
 func (sweep) run(h *host) float64 { return h.node.Sweep() }
 
-// inbox is a host's run queue: every queued task is one record in buf,
-// in arrival order, so a stalled host's backlog is bytes in one buffer
-// rather than an object per message. A record is
+// inbox is a host's run queue: every queued task is one record, in
+// arrival order, so a stalled host's backlog is bytes rather than an
+// object per message. A record is
 //
 //	kind (1 B) | at (8 B, float64 bits, little-endian)
 //
@@ -469,16 +469,27 @@ func (sweep) run(h *host) float64 { return h.node.Sweep() }
 // rejoins are few; a recTask record stands for the next entry of side,
 // which holds them as typed values in the same order.
 //
-// A popped message's raw is borrowed from buf until the next call on
-// the inbox, which may move bytes: housekeeping runs as a task is pushed
-// or before the next record is read, never while one is in use. The
-// host's CPU server makes no call while a task runs.
+// The records sit in a FIFO of byte chunks, and no record spans two:
+// buf is the oldest chunk, read from at head, and next holds the chunks
+// after it, oldest first; records are appended to the newest chunk, buf
+// while next is empty. A lone chunk grows by copying, as a flat buffer
+// grows, while it stays within inboxChunk bytes; past that the queue
+// chains new chunks of inboxChunk bytes (a record longer than that gets
+// a chunk of its own) and never copies or compacts its backlog. pop
+// lets a chunk go to the collector as it reads the chunk's last record,
+// so while next is non-nil buf holds a record not yet read.
+//
+// A popped message's raw is borrowed from its chunk until the next call
+// on the inbox, which may move bytes or drop the chunk: housekeeping runs
+// as a task is pushed or before the next record is read, never while one
+// is in use. The host's CPU server makes no call while a task runs.
 type inbox struct {
 	buf   []byte
 	head  int // buf[:head] is consumed
 	n     int // queued tasks
 	side  []task
-	shead int // side[:shead] is consumed (and zeroed)
+	shead int      // side[:shead] is consumed (and zeroed)
+	next  [][]byte // the chunks after buf, oldest first; nil, not empty
 }
 
 const (
@@ -486,17 +497,19 @@ const (
 	recTask
 )
 
-// Inbox housekeeping thresholds: the consumed prefix is compacted away
-// once it is inboxCompactAt bytes and at least as long as the live rest,
-// and a compaction or drain that leaves the live bytes under a quarter
-// of the capacity moves them to a buffer of twice their size
-// (inboxMinCap at least) instead, so a join burst's high-water mark goes
-// back to the collector while a steady host keeps its buffer. The side
-// queue's consumed slots are compacted away the same way once there are
-// sideCompactAt of them.
+// Inbox housekeeping thresholds. A lone chunk's consumed prefix is
+// compacted away once it is inboxCompactAt bytes and at least as long as
+// the live rest, and a compaction or drain that leaves the live bytes
+// under a quarter of the capacity moves them to a buffer of twice their
+// size (inboxMinCap at least) instead, so a join burst's high-water mark
+// goes back to the collector while a steady host keeps its buffer. A
+// queue deeper than inboxChunk bytes chains chunks of that size. The
+// side queue's consumed slots are compacted away the same way once there
+// are sideCompactAt of them.
 const (
 	inboxCompactAt = 2048
 	inboxMinCap    = 4096
+	inboxChunk     = 64 << 10
 	sideCompactAt  = 32
 )
 
@@ -510,40 +523,63 @@ type entry struct {
 }
 
 func (q *inbox) pushMessage(at float64, src int, id uint64, raw []byte) {
-	q.reserve(9 + 3*binary.MaxVarintLen64 + len(raw))
-	b := append(q.buf, recMessage)
+	t := q.reserve(9 + 3*binary.MaxVarintLen64 + len(raw))
+	b := append(*t, recMessage)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(at))
 	b = binary.AppendUvarint(b, uint64(src))
 	b = binary.AppendUvarint(b, id)
 	b = binary.AppendUvarint(b, uint64(len(raw)))
-	q.buf = append(b, raw...)
+	*t = append(b, raw...)
 	q.n++
 }
 
 func (q *inbox) pushTask(at float64, do task) {
-	q.reserve(9)
-	q.buf = binary.LittleEndian.AppendUint64(append(q.buf, recTask), math.Float64bits(at))
+	t := q.reserve(9)
+	*t = binary.LittleEndian.AppendUint64(append(*t, recTask), math.Float64bits(at))
 	q.side = append(q.side, do)
 	q.n++
 }
 
-// reserve makes room for n more bytes. A full buffer is compacted in
-// place when the live bytes, with the n, would then fill between half
-// and two thirds of it, so a queue that holds its depth stops
-// allocating; otherwise they move to a new array of 1.5 times their
-// size. (append's growth, which keeps the consumed prefix and grows a
-// large buffer by 1.25, allocated a third more bytes per event on the
-// 1000-host join.)
-func (q *inbox) reserve(n int) {
-	if cap(q.buf)-len(q.buf) >= n {
-		return
+// reserve returns the chunk a record of at most n bytes is appended to,
+// with room for n. It is small enough to inline; grow does the rest.
+func (q *inbox) reserve(n int) *[]byte {
+	if q.next != nil || cap(q.buf)-len(q.buf) < n {
+		return q.grow(n)
 	}
-	if need, c := len(q.buf)-q.head+n, cap(q.buf); 3*need <= 2*c && c <= 2*need {
-		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+	return &q.buf
+}
+
+// grow is reserve for a chained queue or a full lone chunk. A full lone
+// chunk is compacted in place when its live bytes, with the n, would
+// then fill between half and two thirds of it, so a queue that holds its
+// depth stops allocating; otherwise they move to a new array of 1.5
+// times their size, as long as that is within inboxChunk. (append's
+// growth, which keeps the consumed prefix and grows a large buffer by
+// 1.25, allocated a third more bytes per event on the 1000-host join.)
+// Past that, and when the newest of chained chunks is full, the record
+// starts a new chunk.
+func (q *inbox) grow(n int) *[]byte {
+	if k := len(q.next); k > 0 {
+		if t := &q.next[k-1]; cap(*t)-len(*t) >= n {
+			return t
+		}
 	} else {
-		q.buf = append(make([]byte, 0, need*3/2), q.buf[q.head:]...)
+		live := len(q.buf) - q.head
+		need, c := live+n, cap(q.buf)
+		switch {
+		case 3*need <= 2*c && c <= 2*need:
+			q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+			return &q.buf
+		case 3*need <= 2*inboxChunk:
+			q.buf, q.head = append(make([]byte, 0, need*3/2), q.buf[q.head:]...), 0
+			return &q.buf
+		case live == 0: // nothing to keep: a new chunk replaces this one
+			q.buf, q.head = make([]byte, 0, max(inboxChunk, n)), 0
+			return &q.buf
+		}
 	}
-	q.head = 0
+	q.next = append(q.next, make([]byte, 0, max(inboxChunk, n)))
+	return &q.next[len(q.next)-1]
 }
 
 // pop removes the head task for a start at now, with how long it waited
@@ -569,35 +605,44 @@ func (q *inbox) pop(now float64) (e entry, wait float64, depth int) {
 			clear(q.side[copy(q.side, q.side[q.shead:]):]) // where the moved tasks were
 			q.side, q.shead = q.side[:live], 0
 		}
-		return e, wait, depth
+	} else {
+		i := 9
+		src, k := binary.Uvarint(b[i:])
+		i += k
+		e.src = int(src)
+		e.id, k = binary.Uvarint(b[i:])
+		i += k
+		size, k := binary.Uvarint(b[i:])
+		i += k
+		end := i + int(size)
+		e.raw = b[i:end:end]
+		q.head += end
 	}
-	i := 9
-	src, k := binary.Uvarint(b[i:])
-	i += k
-	e.src = int(src)
-	e.id, k = binary.Uvarint(b[i:])
-	i += k
-	size, k := binary.Uvarint(b[i:])
-	i += k
-	end := i + int(size)
-	e.raw = b[i:end:end]
-	q.head += end
+	if q.head == len(q.buf) && q.next != nil {
+		// buf is consumed, and a borrowed raw keeps its bytes: the
+		// next chunk, which holds a record, is the oldest.
+		q.buf, q.head = q.next[0], 0
+		q.next[0], q.next = nil, q.next[1:]
+		if len(q.next) == 0 {
+			q.next = nil
+		}
+	}
 	return e, wait, depth
 }
 
-// trim gives the consumed prefix back (see inboxCompactAt). It moves
-// bytes, so no popped raw may be in use.
+// trim gives a lone chunk's consumed prefix back (see inboxCompactAt).
+// It moves bytes, so no popped raw may be in use. Chained chunks are
+// left as they are.
 func (q *inbox) trim() {
 	live := len(q.buf) - q.head
-	if live > 0 && (q.head < inboxCompactAt || q.head < live) {
+	if live > 0 && (q.head < inboxCompactAt || q.head < live) || q.next != nil {
 		return
 	}
+	dst := q.buf[:0]
 	if c := cap(q.buf); c > inboxMinCap && live < c/4 {
-		q.buf = append(make([]byte, 0, max(inboxMinCap, 2*live)), q.buf[q.head:]...)
-	} else {
-		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		dst = make([]byte, 0, max(inboxMinCap, 2*live))
 	}
-	q.head = 0
+	q.buf, q.head = append(dst, q.buf[q.head:]...), 0
 }
 
 // reset discards every queued task and the buffers with them.

@@ -251,24 +251,50 @@ func TestCrashDiscardsQueuedTasks(t *testing.T) {
 }
 
 // TestRunQueueGivesCapacityBack: a burst's inbox bytes do not outlive
-// the burst. The consumed prefix is compacted away as the inbox drains,
-// a buffer over the floor stays at least a quarter full, the drained
-// inbox ends at the floor, and the tasks still run in FIFO order.
+// the burst. While the queue fits one chunk, the consumed prefix is
+// compacted away as the inbox drains and a chunk over the floor stays at
+// least a quarter full; while it chains chunks, it holds at most the
+// oldest chunk's consumed bytes and the newest's free ones beyond its
+// live bytes. The drained inbox ends at the floor, and the tasks still
+// run in FIFO order. The network keeps no chunk for later: a consumed
+// one goes to the collector, so what a drained inbox holds is all of the
+// burst that survives it.
 func TestRunQueueGivesCapacityBack(t *testing.T) {
+	// The parent run queue peaked at 794 live tasks in 1706 slots on the
+	// smaller burst, which the inbox queues in one chunk (the schedule is
+	// unchanged); the larger one chains chunks.
+	for _, c := range []struct{ burst, chunks int }{{3000, 1}, {12000, 2}} {
+		t.Run(fmt.Sprint(c.burst), func(t *testing.T) { capacityBack(t, c.burst, c.chunks) })
+	}
+}
+
+// capacityBack sends burst tokens from a to b at once and checks b's
+// inbox as it drains; the inbox must chain at least chunks chunks.
+func capacityBack(t *testing.T, burst, chunks int) {
 	net, seen := buildPair(t, Config{Seed: 4})
 	b := net.hosts["b"]
-	const burst = 3000
 	const maxRecord = 128 // a token record here is about 30 bytes
-	for i := int64(0); i < burst; i++ {
+	for i := int64(0); i < int64(burst); i++ {
 		send(t, net, "a", "b", i)
 	}
-	peak, peakCap := 0, 0
+	peak, peakHeld, peakChunks := 0, 0, 0
 	for net.Sim().NextAt() < 600 && net.Sim().Step() {
 		q := &b.inbox
-		live, c := len(q.buf)-q.head, cap(q.buf)
-		peak, peakCap = max(peak, q.n), max(peakCap, c)
-		if c > inboxMinCap && 4*len(q.buf) < c {
-			t.Fatalf("inbox holds %d bytes in %d after a compaction", len(q.buf), c)
+		held, live := q.heldBytes()
+		peak, peakHeld, peakChunks = max(peak, q.n), max(peakHeld, held), max(peakChunks, len(q.next)+1)
+		if len(q.next) > 0 {
+			for _, c := range q.chunks() {
+				if cap(c) > inboxChunk {
+					t.Fatalf("a chained chunk holds %d bytes, over %d", cap(c), inboxChunk)
+				}
+			}
+			if held-live >= 2*inboxChunk {
+				t.Fatalf("inbox holds %d bytes in %d chunks for %d live ones", held, len(q.next)+1, live)
+			}
+			continue
+		}
+		if held > inboxMinCap && 4*len(q.buf) < held {
+			t.Fatalf("inbox holds %d bytes in %d after a compaction", len(q.buf), held)
 		}
 		// The last task start compacted first unless the consumed prefix
 		// was under the threshold or the live rest.
@@ -276,13 +302,12 @@ func TestRunQueueGivesCapacityBack(t *testing.T) {
 			t.Fatalf("inbox keeps %d consumed bytes before %d live ones", q.head, live)
 		}
 	}
-	// The parent run queue peaked at 794 live tasks in 1706 slots here;
-	// the inbox queues the same tasks (the schedule is unchanged).
-	if peak < burst/4 || peakCap <= inboxMinCap {
-		t.Fatalf("burst never queued up: peak %d tasks in %d bytes", peak, peakCap)
+	t.Logf("peak %d tasks in %d bytes, %d chunks", peak, peakHeld, peakChunks)
+	if peak < burst/4 || peakHeld <= inboxMinCap || peakChunks < chunks {
+		t.Fatalf("burst never queued up: peak %d tasks in %d bytes, %d chunks", peak, peakHeld, peakChunks)
 	}
-	if c := cap(b.inbox.buf); b.inbox.n != 0 || c > inboxMinCap {
-		t.Errorf("drained inbox keeps %d tasks in %d bytes, want none in at most %d", b.inbox.n, c, inboxMinCap)
+	if held, _ := b.inbox.heldBytes(); b.inbox.n != 0 || len(b.inbox.next) != 0 || held > inboxMinCap {
+		t.Errorf("drained inbox keeps %d tasks in %d bytes, want none in at most %d", b.inbox.n, held, inboxMinCap)
 	}
 	got := seen("b")
 	if len(got) != burst {

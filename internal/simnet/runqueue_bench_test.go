@@ -63,15 +63,23 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
+func allocatedBytes() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
+}
+
 // BenchmarkRunQueue moves messages through a host's run queue the way
 // the 1000-host join does: a 37-byte payload (the join's mean) from a
 // sender whose index takes two uvarint bytes. flowing keeps 16 messages
 // queued and pushes one for every pop, a host keeping up; backlog queues
-// 10 000 and then drains them, a host stalled behind a burst. Both report
-// ns/message and heapB/queued-msg, the live heap the queue holds per
-// message queued (measured once, at the queue's depth), beside the
-// reference: ref-flowing and ref-backlog run the []simTask and recycled
-// *message queue the inbox replaced.
+// 10 000 and then drains them, a host stalled behind a burst; deep queues
+// 500 000, as the join's landmark does, and drains them. Each reports
+// ns/message, B/message, the bytes allocated per message moved, and
+// heapB/queued-msg, the live heap the queue holds per message queued
+// (measured once, at the queue's depth), beside the reference:
+// ref-flowing and ref-backlog run the []simTask and recycled *message
+// queue the inbox replaced.
 func BenchmarkRunQueue(b *testing.B) {
 	src := &host{idx: 500, addr: "10.0.1.244:10500", net: new(Network)}
 	env := engine.Envelope{Src: src.addr, SrcTupleID: 1 << 20, Raw: make([]byte, 37)}
@@ -83,6 +91,7 @@ func BenchmarkRunQueue(b *testing.B) {
 	}{
 		{"flowing", func() queueLoad { return &inboxLoad{} }, 16, false},
 		{"backlog", func() queueLoad { return &inboxLoad{} }, 10000, true},
+		{"deep", func() queueLoad { return &inboxLoad{} }, 500000, true},
 		{"ref-flowing", func() queueLoad { return &refLoad{} }, 16, false},
 		{"ref-backlog", func() queueLoad { return &refLoad{} }, 10000, true},
 	} {
@@ -105,6 +114,7 @@ func BenchmarkRunQueue(b *testing.B) {
 			}
 			msgs := b.N
 			b.ReportAllocs()
+			allocated := allocatedBytes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if c.burst {
@@ -119,10 +129,12 @@ func BenchmarkRunQueue(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			allocated = allocatedBytes() - allocated
 			if c.burst {
 				msgs *= c.depth
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/message")
+			b.ReportMetric(float64(allocated)/float64(msgs), "B/message")
 			b.ReportMetric(heapPerMsg, "heapB/queued-msg")
 			l.reset()
 		})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"p2go/internal/engine"
@@ -13,7 +14,7 @@ import (
 // Fuzz op codes (op%8): a message lands, another task is queued, the
 // head task starts, the host crashes, the clock moves.
 const (
-	opMessage = 0 // 0-2: [op srcSel idSel sizeHi sizeLo atOff], idSel 8 (mod 9) adds 8 id bytes
+	opMessage = 0 // 0-2: [op srcSel idSel sizeHi sizeLo atOff], idSel 8 (mod 9) adds 8 id bytes; see payloadSize
 	opTask    = 3 // [op kindSel atOff]
 	opPop     = 4 // 4-5
 	opCrash   = 6
@@ -41,9 +42,105 @@ func (r *opReader) next() byte {
 
 func (r *opReader) at(now float64) float64 { return now + float64(int8(r.next()))/8 }
 
-// msgOp and friends build fuzz inputs for the seed corpus.
+// bigPayload marks a message op's size bytes as a payload about one
+// chunk long: a size field of bigPayload+k, k < 256, is a payload of
+// inboxChunk-128+k bytes, so records just under, exactly at and over a
+// chunk's length are one op away (and one random op in 256 is one of
+// them). Any other size field is a payload of field%601 bytes (0-600 B,
+// across maxKeptRaw and the uvarint boundaries).
+const bigPayload = 0xFF00
+
+func payloadSize(field int) int {
+	if field >= bigPayload {
+		return inboxChunk - 128 + field - bigPayload
+	}
+	return field % 601
+}
+
+// msgOp and friends build fuzz inputs for the seed corpus. size is a
+// payload length: up to 600 B, or within 128 B of inboxChunk.
 func msgOp(src, size int, idSel byte) []byte {
-	return []byte{opMessage, byte(src), idSel, byte(size >> 8), byte(size), 0}
+	field := size
+	if size > 600 {
+		field = size - (inboxChunk - 128) + bigPayload
+	}
+	return []byte{opMessage, byte(src), idSel, byte(field >> 8), byte(field), 0}
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// recordLen is the length of a message record with a payload of size
+// bytes from fuzzSrcs[src] with id fuzzIDs[idSel].
+func recordLen(src, size int, idSel byte) int {
+	return 9 + uvarintLen(uint64(fuzzSrcs[src])) + uvarintLen(fuzzIDs[idSel]) + uvarintLen(uint64(size)) + size
+}
+
+// reservation is the room pushMessage or pushTask reserved for the
+// record at the start of c.
+func reservation(c []byte) int {
+	if c[0] == recTask {
+		return 9
+	}
+	i := 9
+	for range 2 {
+		_, k := binary.Uvarint(c[i:])
+		i += k
+	}
+	size, _ := binary.Uvarint(c[i:])
+	return 9 + 3*binary.MaxVarintLen64 + int(size)
+}
+
+// exactFillOps returns the ops that queue 600-byte payloads until the
+// queue has chained a chunk, and then fill that chunk to its last byte
+// with a message and 9-byte task records, planned against a scratch
+// inbox's layout.
+func exactFillOps() []byte {
+	var q inbox
+	var ops [][]byte
+	push := func(size int) {
+		q.pushMessage(0, fuzzSrcs[0], fuzzIDs[0], make([]byte, size))
+		ops = append(ops, msgOp(0, size, 0))
+	}
+	for q.next == nil {
+		push(600)
+	}
+	for q.room() > 9+3*binary.MaxVarintLen64+600 {
+		push(min(600, q.room()-400)) // leaves 387 bytes or more
+	}
+	left := q.room()
+	size := left - 9 - 3*binary.MaxVarintLen64 // the largest payload with room reserved
+	for (left-recordLen(0, size, 0))%9 != 0 {
+		size--
+	}
+	push(size)
+	for q.room() > 0 {
+		q.pushTask(0, sweep{})
+		ops = append(ops, []byte{opTask, 0, 0})
+	}
+	if len(q.next) != 1 {
+		panic(fmt.Sprintf("exact fill planned over %d chained chunks", len(q.next)))
+	}
+	return bytes.Join(ops, nil)
+}
+
+// chunks returns the inbox's chunks, oldest first.
+func (q *inbox) chunks() [][]byte { return append([][]byte{q.buf}, q.next...) }
+
+// room is the free bytes of the newest chunk.
+func (q *inbox) room() int {
+	c := q.chunks()[len(q.next)]
+	return cap(c) - len(c)
+}
+
+// heldBytes is the capacity of the inbox's chunks, and live what of it
+// holds unconsumed records.
+func (q *inbox) heldBytes() (held, live int) {
+	for _, c := range q.chunks() {
+		held += cap(c)
+		live += len(c)
+	}
+	return held, live - q.head
 }
 
 func seedOps(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -53,9 +150,10 @@ func repeatOp(op []byte, n int) []byte { return bytes.Repeat(op, n) }
 // FuzzRunQueue: a host's inbox starts tasks in the order, with the
 // envelopes (Src, SrcTupleID, byte-exact Raw) and the queue-wait and
 // depth observations, of the run queue it replaced (runqueueref_test.go),
-// under any interleaving of message arrivals (0-600 B payloads, across
-// maxKeptRaw and the uvarint boundaries), other tasks, task starts and
-// crashes.
+// under any interleaving of message arrivals (see payloadSize), other
+// tasks, task starts and crashes. No chunk is longer than inboxChunk
+// unless its first record reserved more, and a drained inbox keeps one
+// chunk of at most inboxMinCap bytes.
 func FuzzRunQueue(f *testing.F) {
 	pop := []byte{opPop}
 	f.Add([]byte{})
@@ -69,6 +167,25 @@ func FuzzRunQueue(f *testing.F) {
 		repeatOp(pop, 14), repeatOp(msgOp(5, 300, 7), 40), repeatOp(seedOps(pop, []byte{opTask, 1, 0}), 45)))
 	f.Add(seedOps(repeatOp(msgOp(2, 128, 3), 30), repeatOp(pop, 10), []byte{opCrash},
 		msgOp(0, 5, 0), repeatOp([]byte{opTask, 3, 0}, 40), repeatOp(pop, 20)))
+	// Chunk edges. A chained chunk filled to its last byte, then the
+	// record after it; a record of exactly inboxChunk bytes; records one
+	// byte over it, alone and behind a backlog.
+	// A payload whose reservation is a chunk, and one a byte longer.
+	chunkLong := inboxChunk - (recordLen(0, 0, 0) - uvarintLen(0) + uvarintLen(inboxChunk)) // a payload whose record is inboxChunk bytes
+	chunkFit := inboxChunk - 9 - 3*binary.MaxVarintLen64
+	f.Add(seedOps(exactFillOps(), msgOp(1, 40, 1), []byte{opTask, 0, 0}, repeatOp(pop, 200)))
+	f.Add(seedOps(msgOp(0, chunkLong, 0), msgOp(0, 10, 0), msgOp(0, chunkLong, 0), repeatOp(pop, 3)))
+	f.Add(seedOps(msgOp(2, chunkFit, 1), []byte{opTask, 1, 0}, msgOp(0, chunkFit+1, 0), repeatOp([]byte{opTask, 2, 0}, 4),
+		pop, msgOp(5, chunkFit, 3), repeatOp(pop, 7)))
+	f.Add(seedOps(msgOp(0, chunkLong+1, 0), pop, msgOp(6, 600, 7),
+		repeatOp(msgOp(3, 300, 2), 150), msgOp(0, chunkLong+1, 0), msgOp(2, 50, 1), repeatOp(pop, 160)))
+	// A backlog of many chunks drained, refilled and drained again.
+	f.Add(seedOps(repeatOp(msgOp(4, 600, 5), 500), repeatOp(seedOps(pop, pop, msgOp(1, 37, 4)), 250),
+		repeatOp(pop, 300), repeatOp(msgOp(5, 450, 6), 400), []byte{opTask, 2, 0}, repeatOp(pop, 420)))
+	// A crash in the middle of a chain, and a chain built after it.
+	f.Add(seedOps(repeatOp(msgOp(3, 599, 2), 300), []byte{opTask, 3, 0}, repeatOp(pop, 130), []byte{opCrash},
+		repeatOp(msgOp(1, 500, 3), 200), repeatOp(pop, 210)))
+	payload := make([]byte, inboxChunk+128) // the fuzz function runs one input at a time
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hosts := make([]*host, fuzzSrcs[len(fuzzSrcs)-1]+1)
 		net := new(Network)
@@ -79,7 +196,6 @@ func FuzzRunQueue(f *testing.F) {
 		var q inbox
 		var ref refQueue
 		now, seq := 0.0, 0
-		var payload [600]byte
 		for r.more() {
 			switch op := r.next() % 8; op {
 			case opMessage, opMessage + 1, opMessage + 2:
@@ -92,7 +208,7 @@ func FuzzRunQueue(f *testing.F) {
 					}
 					id = binary.LittleEndian.Uint64(b[:])
 				}
-				size := (int(r.next())<<8 | int(r.next())) % (len(payload) + 1)
+				size := payloadSize(int(r.next())<<8 | int(r.next()))
 				seq++
 				for i := range payload[:size] {
 					payload[i] = byte(seq*31 + i)
@@ -133,6 +249,11 @@ func FuzzRunQueue(f *testing.F) {
 			if live := len(ref.queue) - ref.qhead; q.n != live {
 				t.Fatalf("inbox counts %d tasks, reference %d", q.n, live)
 			}
+			for i, c := range q.chunks() {
+				if cap(c) > inboxChunk && reservation(c) != cap(c) {
+					t.Fatalf("chunk %d of %d has %d bytes, not the %d its first record reserved", i, len(q.next)+1, cap(c), reservation(c))
+				}
+			}
 		}
 		for q.n > 0 {
 			popBoth(t, &q, &ref, hosts, now)
@@ -140,8 +261,9 @@ func FuzzRunQueue(f *testing.F) {
 		if len(ref.queue) != ref.qhead {
 			t.Fatalf("reference still queues %d tasks", len(ref.queue)-ref.qhead)
 		}
-		if len(q.buf) != 0 || q.head != 0 || len(q.side) != 0 || cap(q.buf) > inboxMinCap {
-			t.Fatalf("drained inbox keeps %d bytes (head %d, cap %d) and %d other tasks", len(q.buf), q.head, cap(q.buf), len(q.side))
+		if len(q.buf) != 0 || len(q.next) != 0 || q.head != 0 || len(q.side) != 0 || cap(q.buf) > inboxMinCap {
+			t.Fatalf("drained inbox keeps %d bytes (head %d, cap %d), %d more chunks and %d other tasks",
+				len(q.buf), q.head, cap(q.buf), len(q.next), len(q.side))
 		}
 	})
 }

@@ -80,17 +80,20 @@ func (s *segment) records() int { return len(s.execs) + len(s.hops) + len(s.even
 // the tracer, and the tracer the store, are the plan's, the codec intern
 // table's and the tracer's own, the same bytes every time: seen
 // remembers where recently numbered strings' bytes are, so most lookups
-// compare a pointer instead of hashing the string. Equal bytes and length
-// are an equal string: the entry's pointer keeps those bytes alive.
+// compare a pointer instead of hashing the string. It is a two-way
+// set-associative cache, each set's more recently used entry first, so
+// two strings whose addresses share a set do not evict each other. Equal
+// bytes and length are an equal string: the entry's pointer keeps those
+// bytes alive.
 type Dict struct {
 	idx  map[string]uint32
 	strs []string
-	seen [64]seenStr
+	seen [64][2]seenStr
 }
 
 type seenStr struct {
 	p *byte
-	n int
+	n uint32
 	i uint32
 }
 
@@ -101,12 +104,25 @@ func (d *Dict) Reset() {
 	clear(d.seen[:])
 }
 
-// ID returns s's number, numbering it if it is new.
+// ID returns s's number, numbering it if it is new. It checks the set's
+// first entry, so a hit there costs what a direct-mapped hit did; miss
+// does the rest.
 func (d *Dict) ID(s string) uint32 {
 	p := unsafe.StringData(s)
-	c := &d.seen[(uint64(uintptr(unsafe.Pointer(p)))+uint64(len(s)))*0x9e3779b97f4a7c15>>58] // Fibonacci hashing onto 64 entries
-	if c.p == p && c.n == len(s) && p != nil {
-		return c.i
+	set := &d.seen[(uint64(uintptr(unsafe.Pointer(p)))+uint64(len(s)))*0x9e3779b97f4a7c15>>58] // Fibonacci hashing onto 64 sets
+	if set[0].p == p && int(set[0].n) == len(s) && p != nil {
+		return set[0].i
+	}
+	return d.miss(s, set)
+}
+
+// miss checks the set's second entry, and then numbers s through the
+// map; either way s's entry becomes the set's first.
+func (d *Dict) miss(s string, set *[2]seenStr) uint32 {
+	p := unsafe.StringData(s)
+	if set[1].p == p && int(set[1].n) == len(s) && p != nil {
+		set[0], set[1] = set[1], set[0]
+		return set[0].i
 	}
 	i, ok := d.idx[s]
 	if !ok {
@@ -117,7 +133,9 @@ func (d *Dict) ID(s string) uint32 {
 		d.strs = append(d.strs, s)
 		d.idx[s] = i
 	}
-	*c = seenStr{p, len(s), i}
+	if uint64(len(s)) <= math.MaxUint32 {
+		set[0], set[1] = seenStr{p, uint32(len(s)), i}, set[0]
+	}
 	return i
 }
 

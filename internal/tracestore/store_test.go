@@ -456,3 +456,48 @@ func BenchmarkSeal(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
 }
+
+// TestDictNumbersByContent: a Dict numbers strings by their bytes in
+// first-appearance order, whichever pointer they come through and
+// whatever its cache holds: copies of one string, prefixes sharing its
+// first byte (a long string's 300 prefixes fill both ways of every set
+// with one pointer), the empty string, and more strings than the cache
+// has entries, looked up in an order that evicts and refills its sets.
+func TestDictNumbersByContent(t *testing.T) {
+	base := make([]string, 400)
+	for i := range base {
+		base[i] = fmt.Sprintf("name-%03d-%s", i, "xyz"[:i%4])
+	}
+	long := string(bytes.Repeat([]byte("abcdefg"), 50))
+	var keys []string
+	for round := 0; round < 3; round++ {
+		for k := 1; k <= 300; k++ {
+			keys = append(keys, long[:(k*37+round)%300+1])
+		}
+		for i, s := range base {
+			keys = append(keys, s, s[:len(s)-1], string([]byte(s)), "")
+			if i%7 == round {
+				keys = append(keys, base[(i*31+round)%len(base)])
+			}
+		}
+	}
+	var d Dict
+	ref := map[string]uint32{}
+	for k, s := range keys {
+		want, ok := ref[s]
+		if !ok {
+			want = uint32(len(ref))
+			ref[s] = want
+		}
+		if got := d.ID(s); got != want {
+			t.Fatalf("lookup %d: ID(%q) = %d, want %d", k, s, got, want)
+		}
+		if got := d.Str(want); got != s {
+			t.Fatalf("Str(%d) = %q, want %q", want, got, s)
+		}
+	}
+	d.Reset()
+	if got := d.ID(keys[5]); got != 0 {
+		t.Errorf("after Reset, ID(%q) = %d, want 0", keys[5], got)
+	}
+}
