@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check cover bench bench-e2e bench-churn bench-lifecycle bench-trace bench-profiler bench-forensics bench-scale bench-aggtree fuzz examples tidy
+.PHONY: build test check cover bench bench-e2e bench-detect bench-lifecycle bench-trace bench-profiler bench-forensics bench-scale bench-aggtree fuzz examples tidy
 
 build:
 	go build ./...
@@ -49,10 +49,11 @@ bench:
 bench-e2e:
 	bash benchmark/run.sh $(ARGS)
 
-# The churn experiment: crash/rejoin a 21-node ring with the §3.1
-# detectors deployed; prints the repair/detection table.
-bench-churn:
-	go run ./cmd/p2bench -exp churn
+# The fault experiment: crash/rejoin a 21-node ring with the §3.1
+# detectors deployed; prints each fault's repair and the detectors'
+# score. ARGS="-scenario f.txt" plays a scenario file instead.
+bench-detect:
+	go run ./cmd/p2bench -exp detect $(ARGS)
 
 # The query-lifecycle experiment: install, meter and uninstall each §3.1
 # detector on a converged 21-node ring; prints the marginal-cost table.

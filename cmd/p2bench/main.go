@@ -10,9 +10,9 @@
 //	p2bench -exp fig5           # piggybacked rules
 //	p2bench -exp fig6           # proactive consistency probes
 //	p2bench -exp fig7           # consistent snapshots
-//	p2bench -exp churn          # crash/rejoin churn with §3.1 detectors
+//	p2bench -exp detect         # crash/rejoin churn with §3.1 detectors
+//	p2bench -exp detect -scenario f.txt   # the same, for a fault scenario file
 //	p2bench -exp lifecycle      # install/measure/uninstall each §3.1 detector
-//	p2bench -exp scenario -scenario f.txt   # replay a fault scenario file
 //	p2bench -exp trace          # export a causal Chrome trace + Prometheus scrape
 //	p2bench -exp profiler       # stats-profiler overhead on the churn run
 //	p2bench -exp forensics      # durable trace store: overhead + lineage queries
@@ -32,14 +32,15 @@ import (
 	"runtime/pprof"
 
 	"p2go/internal/bench"
+	"p2go/internal/chord"
 	"p2go/internal/faults"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, ablation, churn, lifecycle, scenario, trace, profiler, forensics, scale, aggtree, all")
+		exp      = flag.String("exp", "all", "experiment: logging, fig4, fig5, fig6, fig7, ablation, detect, lifecycle, trace, profiler, forensics, scale, aggtree, all")
 		seed     = flag.Int64("seed", 42, "random seed")
-		scenario = flag.String("scenario", "", "fault scenario file for -exp scenario (see internal/faults.Parse)")
+		scenario = flag.String("scenario", "", "fault scenario file for -exp detect, times relative to convergence (see internal/faults.Parse; default: churn)")
 		quick    = flag.Bool("quick", false, "shrink -exp lifecycle/trace/forensics/scale/aggtree to a smoke-sized run (CI)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof allocation profile of the run to this file")
@@ -125,12 +126,22 @@ func main() {
 				guard.HealTime, guard.StaleSeconds, guard.Oscillations)
 			fmt.Printf("  without guard: healed at %+.0fs, stale-entry exposure %6.0f entry-seconds, %d oscillation events\n",
 				buggy.HealTime, buggy.StaleSeconds, buggy.Oscillations)
-		case "churn":
-			res, err := bench.Churn(*seed)
+		case "detect":
+			sc := chord.ChurnScenario(bench.Nodes)
+			if *scenario != "" {
+				text, err := os.ReadFile(*scenario)
+				if err != nil {
+					log.Fatal(err)
+				}
+				if sc, err = faults.Parse(string(text)); err != nil {
+					log.Fatal(err)
+				}
+			}
+			res, err := bench.Detect(*seed, sc)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Print(bench.FormatChurn(res))
+			fmt.Print(bench.FormatDetect(sc.Name, res))
 		case "lifecycle":
 			res, err := bench.Lifecycle(*seed, *quick)
 			if err != nil {
@@ -223,23 +234,6 @@ func main() {
 			if res.AccountingErr != "" {
 				log.Fatal("per-query accounting invariant violated")
 			}
-		case "scenario":
-			if *scenario == "" {
-				log.Fatal("-exp scenario needs -scenario <file>")
-			}
-			text, err := os.ReadFile(*scenario)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sc, err := faults.Parse(string(text))
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err := bench.RunScenario(*seed, sc)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Print(bench.FormatScenario(res))
 		default:
 			log.Fatalf("unknown experiment %q", name)
 		}
@@ -247,7 +241,7 @@ func main() {
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"logging", "fig4", "fig5", "fig6", "fig7", "ablation", "churn", "lifecycle"} {
+		for _, name := range []string{"logging", "fig4", "fig5", "fig6", "fig7", "ablation", "detect", "lifecycle"} {
 			run(name)
 		}
 		return

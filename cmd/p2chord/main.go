@@ -5,7 +5,10 @@
 // Usage:
 //
 //	p2chord -n 21 -run 300 [-monitors ring,passive,ordering,oscill,consistency]
-//	        [-crash n4,n7 -crashat 200] [-buggy] [-seed 42] [-v]
+//	        [-scenario faults.txt] [-buggy] [-seed 42] [-v] [-lookups 50]
+//
+// A scenario file (see internal/faults.Parse) lists faults at virtual
+// times from the start of the run, e.g. `at 150 crash n4 n7`.
 package main
 
 import (
@@ -13,16 +16,18 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"strings"
 
 	"p2go"
+	"p2go/internal/chord"
+	"p2go/internal/faults"
 )
 
 // runLookupWorkload issues random lookups from random live nodes and
 // verifies every answer, as the watch hook appends it to results, against
 // the ID-order oracle.
-func runLookupWorkload(ring *p2go.ChordRing, n int, dead map[string]bool, results *[]p2go.Tuple) {
-	members := ring.Alive(dead)
+func runLookupWorkload(ring *p2go.ChordRing, n int, members []string, results *[]p2go.Tuple) {
 	rng := rand.New(rand.NewSource(99))
 	type want struct {
 		key   uint64
@@ -44,7 +49,7 @@ func runLookupWorkload(ring *p2go.ChordRing, n int, dead map[string]bool, result
 		if err := ring.Lookup(from, key, reqID); err != nil {
 			log.Fatal(err)
 		}
-		wants[reqID] = want{key: key, owner: chordTrueOwner(key, members)}
+		wants[reqID] = want{key: key, owner: chord.TrueOwner(key, members)}
 	}
 	ring.Run(30)
 	for _, t := range *results {
@@ -70,8 +75,7 @@ func main() {
 		n        = flag.Int("n", 21, "ring size (addresses n1..nN; n1 is the landmark)")
 		runFor   = flag.Float64("run", 300, "virtual seconds to run")
 		monitors = flag.String("monitors", "", "comma list: ring,passive,ordering,oscill,consistency,snapshot")
-		crash    = flag.String("crash", "", "comma list of nodes to fail-stop")
-		crashAt  = flag.Float64("crashat", 0, "virtual time of the crashes (0 = halfway)")
+		scenario = flag.String("scenario", "", "fault scenario file, times in virtual seconds from the start (see internal/faults.Parse)")
 		buggy    = flag.Bool("buggy", false, "omit the dead-neighbor guard (recycled dead neighbor bug)")
 		seed     = flag.Int64("seed", 42, "random seed")
 		verbose  = flag.Bool("v", false, "print every watched tuple")
@@ -131,29 +135,33 @@ func main() {
 		}
 	}
 
-	at := *crashAt
-	if at == 0 {
-		at = *runFor / 2
-	}
-	dead := map[string]bool{}
-	if *crash != "" {
-		ring.Run(at)
-		for _, a := range strings.Split(*crash, ",") {
-			a = strings.TrimSpace(a)
-			fmt.Printf("crashing %s at t=%.1f\n", a, at)
-			ring.Net.Crash(a)
-			dead[a] = true
+	var sc faults.Scenario
+	if *scenario != "" {
+		text, err := os.ReadFile(*scenario)
+		if err != nil {
+			log.Fatal(err)
 		}
-		ring.Run(*runFor - at)
-	} else {
-		ring.Run(*runFor)
+		if sc, err = faults.Parse(string(text)); err != nil {
+			log.Fatal(err)
+		}
+	}
+	rep, err := ring.RunFaults(sc, *runFor)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range rep.Repairs {
+		repaired := "never repaired"
+		if p.Latency >= 0 {
+			repaired = fmt.Sprintf("repaired %+.0fs after", p.Latency)
+		}
+		fmt.Printf("t=%.1f %s: ring of %d %s\n", p.At, p.What, len(p.Members), repaired)
 	}
 
 	if *lookups > 0 {
-		runLookupWorkload(ring, *lookups, dead, &results)
+		runLookupWorkload(ring, *lookups, rep.Members, &results)
 	}
 
-	members := ring.Alive(dead)
+	members := rep.Members
 	bad := ring.CheckRing(members)
 	fmt.Printf("\n=== audit at t=%.1f (%d members) ===\n", ring.Sim.Now(), len(members))
 	if len(bad) == 0 {
@@ -180,25 +188,4 @@ func main() {
 	fmt.Printf("\nmeasured node n%d: cpu=%.3f%% msgs=%d/%d rules=%d live=%d tuples\n",
 		*n, 100*m.BusySeconds/ring.Sim.Now(), m.MsgsSent, m.MsgsRecv,
 		m.RuleFires, ring.Node(fmt.Sprintf("n%d", *n)).Store().LiveTuples())
-}
-
-// chordTrueOwner is the ID-order oracle for a key.
-func chordTrueOwner(key uint64, members []string) string {
-	best := ""
-	var bestID uint64
-	var minID uint64
-	minAddr := ""
-	for _, m := range members {
-		id := p2go.ChordNodeID(m)
-		if minAddr == "" || id < minID {
-			minID, minAddr = id, m
-		}
-		if id >= key && (best == "" || id < bestID) {
-			best, bestID = m, id
-		}
-	}
-	if best == "" {
-		return minAddr
-	}
-	return best
 }

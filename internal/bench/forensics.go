@@ -139,24 +139,18 @@ func Forensics(seed int64, quick bool) (*ForensicsResult, error) {
 		tcfg = trace.Config{RuleExecTTL: 30, RuleExecMax: 80, TupleLogMax: 100}
 	}
 	measured := fmt.Sprintf("n%d", n)
-	var victims []string // mirror ChurnConfig's defaults, kept explicit
-	for _, i := range []int{n / 4, n / 2, 3 * n / 4} {
-		victims = append(victims, fmt.Sprintf("n%d", i+1))
-	}
+	churn := chord.ChurnScenario(n)
+	victims := churn.Events[0].Nodes
 	scfg := tracestore.DefaultConfig()
 	scfg.WindowSeconds = window
 
 	res := &ForensicsResult{Nodes: n, WindowSeconds: window, Victims: len(victims)}
 
 	run := func(sc *tracestore.Config) (*chord.Ring, float64, error) {
-		r, _, err := chord.RunChurn(chord.ChurnConfig{
-			N: n, Seed: seed, Victims: victims,
-			Converge: converge, End: end,
-			Detectors:  churnDetectors(),
-			AlarmNames: churnAlarms,
-			Tracing:    &tcfg,
-			TraceStore: sc,
-		})
+		r, _, err := runFaults(chord.RingConfig{
+			N: n, Seed: seed, ExtraPrograms: churnDetectors(),
+			Tracing: &tcfg, TraceStore: sc,
+		}, converge, churn, end)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -176,11 +176,8 @@ func StatsOverhead(seed int64) (StatsOverheadResult, error) {
 	detectors := churnDetectors()
 	profiler := chord.ExtraQueryID(len(detectors))
 	run := func(detectors []*overlog.Program) (*chord.Ring, float64, error) {
-		r, _, err := chord.RunChurn(chord.ChurnConfig{
-			N: Nodes, Seed: seed, Converge: ConvergeTime, End: 480,
-			Detectors:  detectors,
-			AlarmNames: churnAlarms,
-		})
+		r, _, err := runFaults(chord.RingConfig{N: Nodes, Seed: seed, ExtraPrograms: detectors},
+			ConvergeTime, chord.ChurnScenario(Nodes), detectHorizon)
 		if err != nil {
 			return nil, 0, err
 		}

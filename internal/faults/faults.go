@@ -16,7 +16,7 @@
 // chord.TestChurnDeterminism21).
 //
 // Scenarios are plain Go values (Scenario/Event) or a tiny text format
-// (see Parse) loadable by cmd/p2bench.
+// (see Parse) loadable by cmd/p2bench and cmd/p2chord.
 package faults
 
 import (
@@ -141,10 +141,13 @@ func (s Scenario) Shift(d float64) Scenario {
 	return out
 }
 
-// Applied is one log entry of the injector: what was done and when.
+// Applied is one log entry of the injector: what was done and when,
+// with the kind and target nodes a reader of membership needs.
 type Applied struct {
-	At   float64
-	What string
+	At    float64
+	What  string
+	Kind  Kind
+	Nodes []string
 }
 
 // Injector owns an armed scenario: it counts the events it applies and
@@ -244,7 +247,7 @@ func (inj *Injector) apply(ev Event) {
 			inj.net.SetLinkFault(l[0], l[1], f)
 		}
 	}
-	inj.log = append(inj.log, Applied{At: now, What: describe(ev, revert)})
+	inj.log = append(inj.log, Applied{At: now, What: describe(ev, revert), Kind: ev.Kind, Nodes: ev.Nodes})
 }
 
 func describe(ev Event, revert bool) string {

@@ -17,6 +17,18 @@ func ringDetectors(tProbe float64) []*overlog.Program {
 // ringAlarms are the watched predicates those checkers raise.
 var ringAlarms = []string{"inconsistentPred", "inconsistentSucc"}
 
+// convergedRing builds a ring with the given monitors and lets it
+// stabilize for converge virtual seconds.
+func convergedRing(t *testing.T, cfg chord.RingConfig, converge float64) *chord.Ring {
+	t.Helper()
+	r, err := chord.NewRing(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run(converge)
+	return r
+}
+
 // TestChurnDetection is the §3.1 true-positive experiment: on a churned
 // ring (three crashes, later rejoins) the deployed ring detectors stay
 // silent while the ring is healthy, fire within bounded virtual time of
@@ -25,15 +37,12 @@ func TestChurnDetection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("11-node 540s churn run")
 	}
-	// End=480 leaves room for the full post-rejoin reconciliation: with
-	// three nodes rejoining at once the ring takes a secondary
-	// stabilization burst ~2 min after the rejoin before going quiet
-	// for good.
-	_, res, err := chord.RunChurn(chord.ChurnConfig{
-		N: 11, Converge: 240, End: 480,
-		Detectors:  ringDetectors(5),
-		AlarmNames: ringAlarms,
-	})
+	// A 480 s horizon leaves room for the full post-rejoin
+	// reconciliation: with three nodes rejoining at once the ring takes
+	// a secondary stabilization burst ~2 min after the rejoin before
+	// going quiet for good.
+	r := convergedRing(t, chord.RingConfig{N: 11, Seed: 42, ExtraPrograms: ringDetectors(5)}, 240)
+	res, err := r.RunFaults(chord.ChurnScenario(11), 480, ringAlarms...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +62,7 @@ func TestChurnDetection(t *testing.T) {
 		t.Errorf("detectors did not re-silence: %d alarms in the final quiet window (last at t=%.0fs)",
 			res.QuietAlarms, res.LastAlarm)
 	}
-	if res.SurvivorRepair < 0 || res.RejoinRepair < 0 {
+	if len(res.Repairs) != 2 || res.Repairs[0].Latency < 0 || res.Repairs[1].Latency < 0 {
 		t.Errorf("ring did not repair: %+v", res)
 	}
 }
@@ -63,57 +72,35 @@ func TestChurnDetection(t *testing.T) {
 // detectors; alarms arrive within bounded time of the cut and stop
 // after the heal and re-stabilization.
 func TestPartitionDetection(t *testing.T) {
-	r, err := chord.NewRing(chord.RingConfig{N: 8, Seed: 13,
-		ExtraPrograms: ringDetectors(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Run(200)
+	r := convergedRing(t, chord.RingConfig{N: 8, Seed: 13, ExtraPrograms: ringDetectors(5)}, 200)
 	if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
 		t.Fatalf("ring not converged: %v", bad)
 	}
-	base := r.Sim.Now()
 	victim := "n4"
-	var ev faults.Event
-	ev = faults.Event{At: base + 10, Kind: faults.Partition, Duration: 60}
+	ev := faults.Event{At: 10, Kind: faults.Partition, Duration: 60}
 	for _, a := range r.Addrs {
 		if a != victim {
 			ev.Links = append(ev.Links, [2]string{victim, a})
 		}
 	}
-	if _, err := faults.Arm(r.Net, faults.Scenario{Name: "isolate", Events: []faults.Event{ev}}); err != nil {
+	res, err := r.RunFaults(faults.Scenario{Name: "isolate", Events: []faults.Event{ev}}, 180, ringAlarms...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r.Run(180)
-
-	cut := base + 10
-	first, last := -1.0, -1.0
-	for _, w := range r.Watched {
-		if w.T.Name != "inconsistentPred" && w.T.Name != "inconsistentSucc" {
-			continue
-		}
-		if w.At < base {
-			continue
-		}
-		if w.At < cut {
-			t.Fatalf("alarm before the partition at t=%.1f: %v", w.At, w.T)
-		}
-		if first < 0 {
-			first = w.At
-		}
-		last = w.At
+	if res.PreAlarms != 0 {
+		t.Fatalf("%d alarms before the partition at t=%.1f", res.PreAlarms, res.Start+10)
 	}
-	if first < 0 {
+	if res.Detection < 0 {
 		t.Fatal("detectors never fired on the partitioned ring")
 	}
-	if first-cut > 60 {
-		t.Errorf("detection latency %.1fs exceeds the 60s bound", first-cut)
+	if res.Detection > 60 {
+		t.Errorf("detection latency %.1fs exceeds the 60s bound", res.Detection)
 	}
-	if quiet := base + 120; last > quiet {
-		t.Errorf("detectors still firing at t=%.1f, want silence after t=%.1f", last, quiet)
+	if quiet := res.Start + 120; res.LastAlarm > quiet {
+		t.Errorf("detectors still firing at t=%.1f, want silence after t=%.1f", res.LastAlarm, quiet)
 	}
-	if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
-		t.Errorf("ring did not re-converge after the heal: %v", bad)
+	if len(res.Violations) > 0 {
+		t.Errorf("ring did not re-converge after the heal: %v", res.Violations)
 	}
 }
 
@@ -123,32 +110,27 @@ func TestPartitionDetection(t *testing.T) {
 // crash in TestOscillationOnBuggyChord, but through the scenario
 // machinery end to end.
 func TestOscillationDetectsInjectedCrash(t *testing.T) {
-	r, err := chord.NewRing(chord.RingConfig{N: 8, Seed: 13, Buggy: true,
-		ExtraPrograms: []*overlog.Program{OscillationProgram()}})
+	r := convergedRing(t, chord.RingConfig{N: 8, Seed: 13, Buggy: true,
+		ExtraPrograms: []*overlog.Program{OscillationProgram()}}, 200)
+	res, err := r.RunFaults(faults.MustParse("scenario kill-n5\nat 5 crash n5"), 120, "oscill")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Run(200)
-	base := r.Sim.Now()
-	sc := faults.MustParse("scenario kill-n5\nat 5 crash n5").Shift(base)
-	inj, err := faults.Arm(r.Net, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Run(120)
-	first := -1.0
-	for _, w := range r.Watched {
-		if w.T.Name == "oscill" && w.T.Field(1).AsStr() == "n5" && first < 0 {
-			first = w.At
-		}
-	}
-	if first < 0 {
+	if res.Detection < 0 {
 		t.Fatal("no oscillations observed for the injected crash on buggy Chord")
 	}
-	if lat := first - (base + 5); lat > 120 {
-		t.Errorf("oscillation detection latency %.1fs out of bounds", lat)
+	if res.Detection > 120 {
+		t.Errorf("oscillation detection latency %.1fs out of bounds", res.Detection)
 	}
-	if st := inj.Stats(); st.Crashes != 1 {
-		t.Errorf("injector stats = %+v", st)
+	if res.PreAlarms != 0 {
+		t.Errorf("%d oscillations before the crash", res.PreAlarms)
+	}
+	for _, w := range r.Watched {
+		if w.T.Name == "oscill" && w.At >= res.Start && w.T.Field(1).AsStr() != "n5" {
+			t.Errorf("oscillation about %s, want only the crashed n5: %v", w.T.Field(1).AsStr(), w.T)
+		}
+	}
+	if res.Faults.Crashes != 1 {
+		t.Errorf("injector stats = %+v", res.Faults)
 	}
 }
