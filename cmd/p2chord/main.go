@@ -150,9 +150,12 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, p := range rep.Repairs {
-		repaired := "never repaired"
-		if p.Latency >= 0 {
-			repaired = fmt.Sprintf("repaired %+.0fs after", p.Latency)
+		repaired := "never broken"
+		switch {
+		case p.Latency >= 0:
+			repaired = fmt.Sprintf("broken %+.0fs, repaired %+.0fs after", p.Broken, p.Latency)
+		case p.Broken >= 0:
+			repaired = fmt.Sprintf("broken %+.0fs after, never repaired", p.Broken)
 		}
 		fmt.Printf("t=%.1f %s: ring of %d %s\n", p.At, p.What, len(p.Members), repaired)
 	}

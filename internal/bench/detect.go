@@ -70,7 +70,8 @@ func FormatDetect(name string, rep chord.FaultReport) string {
 	fmt.Fprintf(&b, "Detect: scenario %q on the %d-node ring, §3.1 detectors deployed, observed t=%.0fs..%.0fs\n",
 		name, Nodes, rep.Start, rep.End)
 	for _, p := range rep.Repairs {
-		fmt.Fprintf(&b, "  t=%7.2f  %-24s ring of %d repaired %s after\n", p.At, p.What, len(p.Members), lat(p.Latency))
+		fmt.Fprintf(&b, "  t=%7.2f  %-24s ring of %d broken %s, repaired %s\n",
+			p.At, p.What, len(p.Members), lat(p.Broken), lat(p.Latency))
 	}
 	fmt.Fprintf(&b, "  pre-fault false alarms : %d\n", rep.PreAlarms)
 	fmt.Fprintf(&b, "  detection latency      : %s (%s)\n", lat(rep.Detection), rep.FirstAlarm)

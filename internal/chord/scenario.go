@@ -32,9 +32,12 @@ type Repair struct {
 	// Members are the ring members the applied log leaves alive after
 	// this event.
 	Members []string
-	// Latency is the time from the event until CheckRing is clean over
-	// Members, polled each second until the next event; -1 means never.
-	Latency float64
+	// Broken is the time from the event to the first poll at which
+	// CheckRing fails over Members, and Latency the time from the event
+	// to the first clean poll after that. The ring is polled each second
+	// until the next event; Broken is -1 when it did not break by then,
+	// and Latency -1 when it did not break or was not repaired.
+	Broken, Latency float64
 }
 
 // FaultReport is what RunFaults measured. Times are absolute virtual
@@ -92,14 +95,17 @@ func (r *Ring) RunFaults(sc faults.Scenario, horizon float64, alarms ...string) 
 					delete(dead, a)
 				}
 			}
-			rep.Repairs = append(rep.Repairs, Repair{Applied: e, Members: r.Alive(dead), Latency: -1})
+			rep.Repairs = append(rep.Repairs, Repair{Applied: e, Members: r.Alive(dead), Broken: -1, Latency: -1})
 		}
 		for i := range rep.Repairs {
 			p := &rep.Repairs[i]
 			if p.Latency >= 0 || now <= p.At || i+1 < len(rep.Repairs) && now > rep.Repairs[i+1].At {
 				continue
 			}
-			if len(r.CheckRing(p.Members)) == 0 {
+			switch clean := len(r.CheckRing(p.Members)) == 0; {
+			case p.Broken < 0 && !clean:
+				p.Broken = now - p.At
+			case p.Broken >= 0 && clean:
 				p.Latency = now - p.At
 			}
 		}

@@ -190,7 +190,10 @@ func TestChurnScenarioVictims(t *testing.T) {
 }
 
 // TestFaultRepairs: every applied event, an automatic heal included,
-// gets one repair latency, measured over the members alive after it.
+// gets its own break and repair times, measured over the members alive
+// after it. Isolating n4 breaks nothing until the ring notices the cut
+// (+17 s), and the ring stays broken until the heal, which it repairs;
+// a crash and a restart each break the ring at the first poll.
 func TestFaultRepairs(t *testing.T) {
 	all := []string{"n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8"}
 	without := func(a string) []string {
@@ -206,16 +209,20 @@ func TestFaultRepairs(t *testing.T) {
 	for _, a := range without("n4") {
 		isolate = append(isolate, "n4-"+a)
 	}
+	type want struct {
+		kind            faults.Kind
+		members         []string
+		broken, latency float64
+	}
 	for _, tc := range []struct {
-		name    string
-		text    string
-		kinds   []faults.Kind
-		members [][]string
+		name string
+		text string
+		want []want
 	}{
 		{"partition", "at 10 partition " + strings.Join(isolate, " ") + " dur 60",
-			[]faults.Kind{faults.Partition, faults.Heal}, [][]string{all, all}},
+			[]want{{faults.Partition, all, 17, -1}, {faults.Heal, all, 1, 12}}},
 		{"crash-restart", "at 10 crash n5\nat 100 restart n5",
-			[]faults.Kind{faults.Crash, faults.Restart}, [][]string{without("n5"), all}},
+			[]want{{faults.Crash, without("n5"), 1, 18}, {faults.Restart, all, 1, 8}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := convergedRing(t, RingConfig{N: 8, Seed: 13}, 200)
@@ -223,10 +230,17 @@ func TestFaultRepairs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireRepairs(t, rep, tc.kinds...)
+			if len(rep.Repairs) != len(tc.want) {
+				t.Fatalf("%d repairs logged, want %d: %+v", len(rep.Repairs), len(tc.want), rep.Repairs)
+			}
 			for i, p := range rep.Repairs {
-				if !reflect.DeepEqual(p.Members, tc.members[i]) {
-					t.Errorf("after %q: members %v, want %v", p.What, p.Members, tc.members[i])
+				w := tc.want[i]
+				if p.Kind != w.kind || !reflect.DeepEqual(p.Members, w.members) {
+					t.Errorf("repair %d: %s over %v, want %s over %v", i, p.Kind, p.Members, w.kind, w.members)
+				}
+				if p.Broken != w.broken || p.Latency != w.latency {
+					t.Errorf("after %q: broken %+.0fs, repaired %+.0fs; want %+.0fs, %+.0fs",
+						p.What, p.Broken, p.Latency, w.broken, w.latency)
 				}
 			}
 			if len(rep.Violations) > 0 {

@@ -1,5 +1,5 @@
-// Package rng is a seeded pseudo-random stream whose state grows with
-// the draws it makes. Source returns exactly what
+// Package rng is a seeded pseudo-random stream that keeps no state
+// until its 607th draw. Source returns exactly what
 // rand.New(rand.NewSource(seed)) from math/rand returns, value for value,
 // from Uint64, Int63 and Float64.
 //
@@ -9,16 +9,14 @@
 // stream per directed link and most links draw a handful of values, so
 // on a large ring those vectors would be the largest item on the heap.
 // Each entry of the initial vector is a function of the seed and its own
-// index, so Source computes an entry when a draw first reads it and
-// keeps only the outputs so far. After 607 draws those outputs are,
-// reordered, math/rand's vector, and Source runs math/rand's update on
-// them.
+// index, and each of the first 606 draws is a sum of at most four such
+// entries, so Source computes a draw from the seed and its index and
+// keeps only a count. At the 607th draw it builds math/rand's vector
+// once, by running math/rand's update over the initial one, and from
+// then on runs that update.
 package rng
 
-import (
-	"math/rand"
-	"slices"
-)
+import "math/rand"
 
 const (
 	rngLen  = 607
@@ -31,20 +29,23 @@ const (
 )
 
 // Source is one stream. The zero value is not a stream; use Make. A
-// Source is a value: embed it where the stream is used, and do not copy
-// one that has drawn (the copies would share their outputs).
+// Source is a value: embed it where the stream is used. A copy made
+// before the 607th draw is an independent stream from that point; a copy
+// made after shares the vector, so the two draw from one state.
 type Source struct {
-	// out holds the draws so far while fewer than rngLen have been made;
-	// from then on it is math/rand's vector, read at tap and tap+rngFeed.
-	out []int64
+	// vec is math/rand's vector from the 607th draw on, nil before.
+	vec *[rngLen]int64
 	x0  int32 // the reduced seed
-	tap int32
+	// n counts the draws while vec is nil; from then on it is
+	// math/rand's tap, and its feed is tap+rngFeed.
+	n int32
 }
 
 var (
-	// power[i] = seedA^(21+3i) mod seedM: the seeding LCG's state at
-	// entry i of the vector is x0·power[i].
-	power [rngLen]int64
+	// power[i][k] = seedA^(21+3i+k) mod seedM: the seeding LCG's three
+	// states at entry i of the vector are x0·power[i][k], each computed
+	// on its own rather than one from the next.
+	power [rngLen][3]int64
 	// cooked is math/rand's rngCooked table, XORed into every entry.
 	cooked [rngLen]int64
 )
@@ -55,8 +56,10 @@ func init() {
 		p = p * seedA % seedM
 	}
 	for i := range power {
-		power[i] = p
-		p = p * seedA % seedM * seedA % seedM * seedA % seedM
+		for k := range power[i] {
+			power[i][k] = p
+			p = p * seedA % seedM
+		}
 	}
 
 	// Recover rngCooked from seed 1's first rngLen outputs x_1..x_607.
@@ -82,9 +85,10 @@ func init() {
 // lcgPart is what math/rand's seeding LCG contributes to entry i of the
 // initial vector for reduced seed x0.
 func lcgPart(x0 int32, i int) int64 {
-	a := int64(x0) * power[i] % seedM
-	b := a * seedA % seedM
-	c := b * seedA % seedM
+	p := &power[i]
+	a := int64(x0) * p[0] % seedM
+	b := int64(x0) * p[1] % seedM
+	c := int64(x0) * p[2] % seedM
 	return a<<40 ^ b<<20 ^ c
 }
 
@@ -105,12 +109,12 @@ func (s *Source) vec0(i int) int64 { return lcgPart(s.x0, i) ^ cooked[i] }
 
 // Uint64 returns the next 64-bit value, as math/rand's Source64 does.
 func (s *Source) Uint64() uint64 {
-	if vec := s.out; len(vec) == rngLen {
-		tap := int(s.tap) - 1
+	if vec := s.vec; vec != nil {
+		tap := int(s.n) - 1
 		if tap < 0 {
 			tap += rngLen
 		}
-		s.tap = int32(tap)
+		s.n = int32(tap)
 		feed := tap + rngFeed
 		if feed >= rngLen {
 			feed -= rngLen
@@ -122,29 +126,30 @@ func (s *Source) Uint64() uint64 {
 	return s.early()
 }
 
-// early makes draw j <= rngLen from the initial vector and the draws
-// before it.
+// early makes draw j = n+1 from the initial vector alone: draw j adds
+// vec0[(334-j) mod 607] to x_{j-273}, or, for j <= 273, to vec0[607-j],
+// and x_{j-273} unfolds the same way. Draw 607 builds the vector
+// instead, math/rand's state after 606 draws with its tap at 1, and
+// makes the draw from it.
 func (s *Source) early() uint64 {
-	j := len(s.out) + 1
-	x := s.vec0((rngFeed - j + rngLen) % rngLen)
-	if j > rngTap {
-		x += s.out[j-rngTap-1]
-	} else {
-		x += s.vec0(rngLen - j)
-	}
-	if len(s.out) == cap(s.out) {
-		s.out = append(make([]int64, 0, min(max(2*cap(s.out), 8), rngLen)), s.out...)
-	}
-	s.out = append(s.out, x)
+	s.n++
+	j := int(s.n)
 	if j == rngLen {
-		// Draw j was written to vec[(334-j) mod 607], so out[k] belongs
-		// at vec[(333-k) mod 607]: two reversals put it there, and
-		// math/rand's tap and feed are now 0 and 334.
-		slices.Reverse(s.out[:rngFeed])
-		slices.Reverse(s.out[rngFeed:])
-		s.tap = 0
+		vec := new([rngLen]int64)
+		for i := range vec {
+			vec[i] = s.vec0(i)
+		}
+		for k := 1; k < rngLen; k++ {
+			vec[(rngFeed-k+rngLen)%rngLen] += vec[rngLen-k]
+		}
+		s.vec, s.n = vec, 1
+		return s.Uint64()
 	}
-	return uint64(x)
+	var x int64
+	for ; j > rngTap; j -= rngTap {
+		x += s.vec0((rngFeed - j + rngLen) % rngLen)
+	}
+	return uint64(x + s.vec0(rngFeed-j) + s.vec0(rngLen-j))
 }
 
 // Int63 returns a non-negative 63-bit value, as math/rand's Int63 does.

@@ -45,8 +45,13 @@ func FuzzStream(f *testing.F) {
 	for _, seed := range testSeeds()[:8] {
 		f.Add(seed, uint16(draws))
 	}
-	f.Add(int64(2), uint16(606))
-	f.Add(int64(3), uint16(607))
+	// Stream lengths at the edges of the computed draws: the last draw
+	// of two vec0 terms and the first of three (273, 274), of three and
+	// four (546, 547), the last computed draw, the switch and the first
+	// draw after it.
+	for i, n := range []uint16{273, 274, 546, 547, 606, 607, 608} {
+		f.Add(int64(i+2), n)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
 		want, got := rand.New(rand.NewSource(seed)), Make(seed)
 		for i := 0; i < int(n); i++ {
@@ -69,9 +74,10 @@ func FuzzStream(f *testing.F) {
 var sink float64
 
 // BenchmarkFloat64 sets Source beside math/rand on the two shapes the
-// simulator's links have: fresh8, a new stream and eight draws (the
+// simulator's links have, fresh8, a new stream and eight draws (the
 // median link of a 1 000-host cold join), and steady, one draw from a
-// stream past its 607th.
+// stream past its 607th, and on first607, a new stream's draws up to
+// and including the switch, the one-time cost of a busy link.
 func BenchmarkFloat64(b *testing.B) {
 	b.Run("fresh8/rng", func(b *testing.B) {
 		b.ReportAllocs()
@@ -87,6 +93,24 @@ func BenchmarkFloat64(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r := rand.New(rand.NewSource(int64(i)))
 			for k := 0; k < 8; k++ {
+				sink += r.Float64()
+			}
+		}
+	})
+	b.Run("first607/rng", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := Make(int64(i))
+			for k := 0; k < rngLen; k++ {
+				sink += s.Float64()
+			}
+		}
+	})
+	b.Run("first607/math-rand", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := rand.New(rand.NewSource(int64(i)))
+			for k := 0; k < rngLen; k++ {
 				sink += r.Float64()
 			}
 		}

@@ -54,8 +54,9 @@ func (c Config) withDefaults() Config {
 
 // link is the sender-owned state of one directed link: its private
 // delay/loss RNG stream and the FIFO high-water mark. Only the source
-// host's execution touches it. The stream is held by value and grows
-// with its draws, so a new link is one small allocation.
+// host's execution touches it. The stream is held by value and keeps no
+// state until its 607th draw, so a new link is one 24-byte allocation,
+// and a link that draws 607 values allocates the stream's vector once.
 type link struct {
 	rng         rng.Source
 	lastArrival float64

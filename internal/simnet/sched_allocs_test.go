@@ -46,21 +46,37 @@ func TestSchedulerAllocs(t *testing.T) {
 
 	t.Run("message", func(t *testing.T) {
 		// MemStats counts the whole process, so a window in which a
-		// collection ran or the runtime started a thread is measured
-		// again, on a freshly warmed network.
+		// collection ran, the runtime started a thread or the
+		// background scavenger returned memory (its sleep can grow a
+		// P's timer heap, one 16-byte object) is measured again, on a
+		// freshly warmed network. Returning freed memory before the
+		// window leaves the scavenger little to do in it.
 		threads := pprof.Lookup("threadcreate")
 		for retries := 0; ; retries++ {
 			net := pingPong(t)
 			sim := net.Sim()
 			recv := func() int64 { return net.Node("a").Metrics().MsgsRecv + net.Node("b").Metrics().MsgsRecv }
-			net.RunFor(5) // warm: heap, run queues, link state, record list
+			// Warm heap, run queues, record list and link state. The
+			// window draws from two RNG streams only, the links a->b and
+			// b->a (one delay draw a message; neither host has a periodic
+			// to stagger), and a stream allocates its vector at its 607th
+			// draw: each link must be past it before the window opens.
+			net.RunFor(5)
+			for _, a := range []string{"a", "b"} {
+				if sent := net.Node(a).Metrics().MsgsSent; sent < 607 {
+					t.Fatalf("warm-up too short: %s's link drew %d values, not yet past its 607th", a, sent)
+				}
+			}
+			debug.FreeOSMemory()
 			var before, after runtime.MemStats
 			started := threads.Count()
 			events0, msgs0 := sim.Executed(), recv()
 			runtime.ReadMemStats(&before)
 			net.RunFor(20)
 			runtime.ReadMemStats(&after)
-			if (after.NumGC != before.NumGC || threads.Count() != started) && retries < 5 {
+			runtimeWork := after.NumGC != before.NumGC || threads.Count() != started ||
+				after.HeapReleased != before.HeapReleased
+			if runtimeWork && retries < 5 {
 				continue
 			}
 			total := after.Mallocs - before.Mallocs

@@ -9,11 +9,12 @@ import (
 	"p2go/internal/tuple"
 )
 
-// TestRowSize: a stored row is its fields, ID, expiry and tombstone
-// flag; the predicate name is the table's.
+// TestRowSize: a stored row is a pointer to its fields and their
+// count, ID, expiry and tombstone flag; the predicate name is the
+// table's.
 func TestRowSize(t *testing.T) {
-	if n := unsafe.Sizeof(row{}); n > 48 {
-		t.Errorf("row is %d bytes, want <= 48", n)
+	if n := unsafe.Sizeof(row{}); n > 32 {
+		t.Errorf("row is %d bytes, want <= 32", n)
 	}
 }
 
@@ -59,7 +60,7 @@ func liveBytes(n int, mk func() any) float64 {
 }
 
 // TestOneRowFootprint: a table holding one succ row costs its header,
-// a one-row slab, the smallest key array and the row's fields, 336
+// a one-row slab, the smallest key array and the row's fields, 320
 // bytes on amd64; the bound leaves one size class of headroom.
 func TestOneRowFootprint(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -71,8 +72,8 @@ func TestOneRowFootprint(t *testing.T) {
 		tb := New(spec)
 		tb.Insert(r, 0) //nolint:errcheck
 		return tb
-	}); b > 352 {
-		t.Errorf("a one-row table holds %.0f bytes, want <= 352", b)
+	}); b > 336 {
+		t.Errorf("a one-row table holds %.0f bytes, want <= 336", b)
 	}
 }
 

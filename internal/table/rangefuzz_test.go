@@ -197,7 +197,7 @@ func checkRings(t *testing.T, tb *Table) {
 			t.Fatalf("ring over %d: order %v not sorted", rg.field, rg.order)
 		}
 		for _, p := range rg.order {
-			f := tb.slab[p].fields
+			f := tb.slab[p].fields()
 			if tb.slab[p].dead || !rg.sorts(tb.slab, f) || f[0].Kind() != tuple.KindStr || !f[rg.field].Numeric() {
 				t.Fatalf("ring over %d: order holds position %d, dead=%v", rg.field, p, tb.slab[p].dead)
 			}

@@ -14,8 +14,9 @@
 // A table keeps its rows in one slab, in insertion order; a replacement
 // is a fresh insertion and goes to the end. Scan, expiry, Delete, index
 // backfill and FIFO eviction walk the slab, so the order readers and
-// listeners see comes from the structure, not from a sort. A row is its
-// fields, ID, expiry and tombstone flag; the predicate name is the
+// listeners see comes from the structure, not from a sort. A row is 32
+// bytes: a pointer to its fields and their count (the slice is rebuilt
+// on read), ID, expiry and tombstone flag; the predicate name is the
 // table's, and every tuple handed out carries spec.Name.
 //
 // The primary key and every secondary index find rows through
@@ -122,11 +123,14 @@ type listenerEnt struct {
 }
 
 type row struct {
-	fields []tuple.Value
+	data   *tuple.Value // the fields, n of them; nil in a tombstone
 	id     uint64
 	expiry float64 // virtual seconds; +Inf = never
-	dead   bool    // tombstone, until the slab compacts
+	n      int32
+	dead   bool // tombstone, until the slab compacts
 }
+
+func (r *row) fields() []tuple.Value { return unsafe.Slice(r.data, r.n) }
 
 // Table is a single soft-state table. Tables are not safe for concurrent
 // use; the engine serializes all access within a node's event loop.
@@ -255,7 +259,7 @@ func (tb *Table) keyOf(t tuple.Tuple) uint64 {
 // tupleAt is the stored row at position p as readers and listeners see it.
 func (tb *Table) tupleAt(p int) tuple.Tuple {
 	r := &tb.slab[p]
-	return tuple.Tuple{Name: tb.spec.Name, Fields: r.fields, ID: r.id}
+	return tuple.Tuple{Name: tb.spec.Name, Fields: r.fields(), ID: r.id}
 }
 
 func (tb *Table) sameKey(a, b tuple.Tuple) bool {
@@ -347,7 +351,6 @@ func (tb *Table) refill(fields []tuple.Value) []tuple.Value {
 // so it pins no strings and a keeper that did not copy the row reads nil
 // fields, and makes it the spare, in place of any other.
 func (tb *Table) keep(fields []tuple.Value) {
-	fields = fields[:cap(fields)]
 	clear(fields)
 	if len(fields) > 0 {
 		tb.spare, tb.spareCap = unsafe.SliceData(fields), int32(len(fields))
@@ -357,7 +360,7 @@ func (tb *Table) keep(fields []tuple.Value) {
 // add appends a live row at the end of the slab and links it into the
 // key array and every index.
 func (tb *Table) add(t tuple.Tuple, h uint64, expiry float64) {
-	tb.slab = append(tb.slab, row{fields: t.Fields, id: t.ID, expiry: expiry})
+	tb.slab = append(tb.slab, row{data: unsafe.SliceData(t.Fields), n: int32(len(t.Fields)), id: t.ID, expiry: expiry})
 	if len(tb.slab)*4 > len(tb.keys)*3 {
 		tb.rekey(slotsFor(len(tb.slab)))
 	} else {
@@ -441,7 +444,7 @@ func (tb *Table) remove(p int32, h uint64) {
 	for _, ix := range tb.indexes {
 		ix.unlink(tb.slab, p)
 	}
-	r.fields = nil
+	r.data, r.n = nil, 0
 }
 
 // evictOldest removes the FIFO-oldest row, the first live one in the
@@ -832,7 +835,7 @@ func (ix *index) push(slab []row, pos int) {
 	if slab[p].dead {
 		return
 	}
-	h := tuple.HashFieldsAt(slab[p].fields, ix.positions)
+	h := tuple.HashFieldsAt(slab[p].fields(), ix.positions)
 	i := ix.slot(h)
 	if i >= 0 && ix.buckets[i].first != 0 {
 		b := &ix.buckets[i]
@@ -875,7 +878,7 @@ func (ix *index) unlink(slab []row, p int32) {
 	if prev >= 0 && next >= 0 {
 		return
 	}
-	i := ix.slot(tuple.HashFieldsAt(slab[p].fields, ix.positions))
+	i := ix.slot(tuple.HashFieldsAt(slab[p].fields(), ix.positions))
 	b := &ix.buckets[i]
 	if prev < 0 {
 		b.first = next + 1
@@ -983,15 +986,15 @@ func (tb *Table) MatchIndexed(now float64, positions []int, values []tuple.Value
 			continue
 		}
 		visited++
-		match := true
+		match, fields := true, r.fields()
 		for j, q := range positions {
-			if q >= len(r.fields) || !r.fields[q].Equal(values[j]) {
+			if q >= len(fields) || !fields[q].Equal(values[j]) {
 				match = false
 				break
 			}
 		}
 		if match {
-			fn(tb.tupleAt(int(p)))
+			fn(tuple.Tuple{Name: tb.spec.Name, Fields: fields, ID: r.id})
 		}
 	}
 	tb.reading--
@@ -1012,13 +1015,14 @@ func (tb *Table) matchLoc(positions []int, values []tuple.Value, fn func(tuple.T
 		if r.dead {
 			continue
 		}
-		eq := len(r.fields) > 0 && r.fields[0].Equal(v)
-		if !(eq && str) && tuple.HashFieldsAt(r.fields, positions) != h {
+		fields := r.fields()
+		eq := len(fields) > 0 && fields[0].Equal(v)
+		if !(eq && str) && tuple.HashFieldsAt(fields, positions) != h {
 			continue
 		}
 		visited++
 		if eq {
-			fn(tb.tupleAt(p))
+			fn(tuple.Tuple{Name: tb.spec.Name, Fields: fields, ID: r.id})
 		}
 	}
 	tb.reading--
@@ -1141,7 +1145,7 @@ type ring struct {
 	slots [32]int32
 }
 
-func (rg *ring) key(slab []row, p int32) uint64 { return slab[p].fields[rg.field].AsRing() }
+func (rg *ring) key(slab []row, p int32) uint64 { return slab[p].fields()[rg.field].AsRing() }
 
 // answers reports whether the index stands for a walk of the rows at loc
 // by a selection over rows of the given arity.
@@ -1149,7 +1153,7 @@ func (rg *ring) answers(slab []row, loc tuple.Value, arity int) bool {
 	if rg.odd > 0 || len(rg.order) == 0 || loc.Kind() != tuple.KindStr {
 		return false
 	}
-	first := slab[rg.order[0]].fields
+	first := slab[rg.order[0]].fields()
 	return len(first) == arity && loc.Equal(first[0])
 }
 
@@ -1163,7 +1167,7 @@ func (rg *ring) sorts(slab []row, fields []tuple.Value) bool {
 	if len(rg.order) == 0 {
 		return true
 	}
-	first := slab[rg.order[0]].fields
+	first := slab[rg.order[0]].fields()
 	return len(fields) == len(first) && fields[0].Equal(first[0])
 }
 
@@ -1179,7 +1183,7 @@ func (rg *ring) enter(slab []row, p int) bool {
 		return false
 	}
 	rg.live[p/64] |= 1 << (p % 64)
-	if rg.sorts(slab, r.fields) {
+	if rg.sorts(slab, r.fields()) {
 		return true
 	}
 	rg.odd++
@@ -1211,7 +1215,7 @@ func (rg *ring) push(slab []row, p int) {
 
 func (rg *ring) unlink(slab []row, p int32) {
 	rg.live[p/64] &^= 1 << (p % 64)
-	if fields := slab[p].fields; int(rg.field) < len(fields) && fields[rg.field].Numeric() {
+	if fields := slab[p].fields(); int(rg.field) < len(fields) && fields[rg.field].Numeric() {
 		if i := rg.search(slab, fields[rg.field].AsRing(), p); i < len(rg.order) && rg.order[i] == p {
 			rg.order = slices.Delete(rg.order, i, i+1)
 			return
