@@ -145,7 +145,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	rep, err := ring.RunFaults(sc, *runFor)
+	rep, err := ring.RunFaults(sc, *runFor, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 // detectors (os1-os9), and the proactive consistency probe (cs1-cs12).
 //
 // The scenario: a 12-node ring converges and is verified healthy; then
-// two nodes crash, and the detectors report what they see while the ring
-// heals itself.
+// the fault scenario `at 0 crash n4 n7` plays through Ring.RunFaults,
+// and the detectors report what they see while the ring heals itself.
 //
 // Run with: go run ./examples/chordmon
 package main
@@ -13,8 +13,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"p2go"
+	"p2go/internal/faults"
 )
 
 func main() {
@@ -63,12 +65,11 @@ func main() {
 	ring.Run(60)
 
 	fmt.Println("\n=== phase 2: crash n4 and n7 ===")
-	ring.Net.Crash("n4")
-	ring.Net.Crash("n7")
-	ring.Run(120)
-
-	members := ring.Alive(map[string]bool{"n4": true, "n7": true})
-	if bad := ring.CheckRing(members); len(bad) > 0 {
+	rep, err := ring.RunFaults(faults.MustParse("at 0 crash n4 n7"), 120, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if bad := rep.Violations; len(bad) > 0 {
 		fmt.Printf("ring still healing: %v\n", bad)
 	} else {
 		fmt.Println("ring healed around the failed nodes")
@@ -81,8 +82,13 @@ func main() {
 	if len(alarms) == 0 {
 		fmt.Println("no alarms (healthy run)")
 	}
-	for name, n := range alarms {
-		fmt.Printf("%-18s %d\n", name, n)
+	names := make([]string, 0, len(alarms))
+	for name := range alarms {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("%-18s %d\n", name, alarms[name])
 	}
 }
 

@@ -14,10 +14,13 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"p2go/internal/chord"
 	"p2go/internal/engine"
+	"p2go/internal/faults"
 	"p2go/internal/metrics"
 	"p2go/internal/monitor"
 	"p2go/internal/overlog"
@@ -334,7 +337,9 @@ type DeadGuardResult struct {
 // guard, entries for crashed nodes are swept and stay out, so the ring
 // heals quickly; without it (the paper's buggy implementation), gossip
 // keeps recycling the deceased neighbors, which the os-detectors observe
-// and which shows up as stale routing state lingering far longer.
+// and which shows up as stale routing state lingering far longer. The
+// crash is the scenario `at 0 crash n5 n9`, played for 150 s after
+// convergence; the probe samples the members' succ rows every 5 s.
 func AblationDeadGuard(seed int64) (guard, buggy DeadGuardResult, err error) {
 	run := func(isBuggy bool) (DeadGuardResult, error) {
 		r, err := chord.NewRing(chord.RingConfig{
@@ -345,27 +350,29 @@ func AblationDeadGuard(seed int64) (guard, buggy DeadGuardResult, err error) {
 			return DeadGuardResult{}, err
 		}
 		r.Run(ConvergeTime)
-		dead := map[string]bool{"n5": true, "n9": true}
-		r.Net.Crash("n5")
-		r.Net.Crash("n9")
 		res := DeadGuardResult{HealTime: -1}
-		members := r.Alive(dead)
-		const step, window = 5.0, 150.0
-		for t := step; t <= window; t += step {
-			r.Run(step)
+		const step, window = 5, 150
+		start := r.Sim.Now()
+		probe := func(now float64, members []string) {
+			t := math.Round(now - start)
+			if int(t)%step != 0 {
+				return
+			}
 			stale := 0
 			for _, a := range members {
-				tb := r.Node(a).Store().Get("succ")
-				tb.Scan(r.Sim.Now(), func(row tuple.Tuple) {
-					if dead[row.Field(2).AsStr()] {
+				r.Node(a).Store().Get("succ").Scan(now, func(row tuple.Tuple) {
+					if !slices.Contains(members, row.Field(2).AsStr()) {
 						stale++
 					}
 				})
 			}
-			res.StaleSeconds += float64(stale) * step
+			res.StaleSeconds += float64(stale * step)
 			if res.HealTime < 0 && stale == 0 && len(r.CheckRing(members)) == 0 {
 				res.HealTime = t
 			}
+		}
+		if _, err := r.RunFaults(faults.MustParse("at 0 crash n5 n9"), window, probe); err != nil {
+			return DeadGuardResult{}, err
 		}
 		for _, w := range r.Watched {
 			if w.T.Name == "oscill" {

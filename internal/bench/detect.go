@@ -41,7 +41,7 @@ func runFaults(cfg chord.RingConfig, converge float64, sc faults.Scenario, horiz
 		return nil, chord.FaultReport{}, err
 	}
 	r.Run(converge)
-	rep, err := r.RunFaults(sc, horizon, churnAlarms...)
+	rep, err := r.RunFaults(sc, horizon, nil, churnAlarms...)
 	return r, rep, err
 }
 

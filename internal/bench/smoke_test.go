@@ -61,3 +61,21 @@ func TestLifecycleSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationDeadGuard pins the §3.1.3 ablation at seed 42: the guarded
+// ring heals 25 s after the crash and sees two oscillation events; the
+// buggy ring never heals within the 150 s window and oscillates hundreds
+// of times. A run is a pure function of its seed, so every number is
+// exact.
+func TestAblationDeadGuard(t *testing.T) {
+	guard, buggy, err := AblationDeadGuard(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (DeadGuardResult{HealTime: 25, StaleSeconds: 300, Oscillations: 2}); guard != want {
+		t.Errorf("guard = %+v, want %+v", guard, want)
+	}
+	if want := (DeadGuardResult{HealTime: -1, StaleSeconds: 2490, Oscillations: 372}); buggy != want {
+		t.Errorf("no guard = %+v, want %+v", buggy, want)
+	}
+}

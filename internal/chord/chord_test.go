@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"p2go/internal/faults"
 	"p2go/internal/overlog"
 	"p2go/internal/tuple"
 )
@@ -128,13 +129,12 @@ func TestFailureRecovery(t *testing.T) {
 		t.Fatalf("ring not converged before failure: %v", bad)
 	}
 	// Kill two non-landmark nodes.
-	dead := map[string]bool{"n4": true, "n6": true}
-	r.Net.Crash("n4")
-	r.Net.Crash("n6")
-	r.Run(120)
-	members := r.Alive(dead)
-	if bad := r.CheckRing(members); len(bad) > 0 {
-		t.Fatalf("ring did not heal after failures: %v", bad)
+	rep, err := r.RunFaults(faults.MustParse("at 0 crash n4 n6"), 120, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Members) != 6 || len(rep.Violations) > 0 {
+		t.Fatalf("ring of %d did not heal after failures: %v", len(rep.Members), rep.Violations)
 	}
 }
 
@@ -237,7 +237,7 @@ func TestPartitionHealRejoin(t *testing.T) {
 		}
 	}
 	r.Run(120)
-	members := r.Alive(map[string]bool{"n4": true})
+	members := r.alive(map[string]bool{"n4": true})
 	if bad := r.CheckRing(members); len(bad) > 0 {
 		t.Fatalf("ring did not heal around partitioned node: %v", bad)
 	}

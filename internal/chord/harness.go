@@ -183,8 +183,8 @@ func (r *Ring) Run(d float64) { r.Net.RunFor(d) }
 // Node returns the node with the given address.
 func (r *Ring) Node(addr string) *engine.Node { return r.Net.Node(addr) }
 
-// Alive returns the addresses the harness still considers ring members.
-func (r *Ring) Alive(dead map[string]bool) []string {
+// alive returns the ring's addresses that are not in dead.
+func (r *Ring) alive(dead map[string]bool) []string {
 	var out []string
 	for _, a := range r.Addrs {
 		if !dead[a] {

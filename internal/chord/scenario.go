@@ -72,10 +72,12 @@ type FaultReport struct {
 // RunFaults arms sc on a ring the caller has built and converged, with
 // its times taken from the ring's now, and steps virtual time one
 // second at a time for horizon seconds, polling the ring oracle after
-// each step for the latest fault's repair. It then scores the watched
-// tuples named in alarms (read from Ring.Watched, so the ring has no
-// OnWatch) and audits the ring over the members left alive.
-func (r *Ring) RunFaults(sc faults.Scenario, horizon float64, alarms ...string) (FaultReport, error) {
+// each step for the latest fault's repair. After each step it also calls
+// probe, unless nil, with the time and the members the applied log
+// leaves alive (the report's own slice, read-only). It then scores the
+// watched tuples named in alarms (read from Ring.Watched, so the ring
+// has no OnWatch) and audits the ring over the members left alive.
+func (r *Ring) RunFaults(sc faults.Scenario, horizon float64, probe func(now float64, members []string), alarms ...string) (FaultReport, error) {
 	start := r.Sim.Now()
 	inj, err := faults.Arm(r.Net, sc.Shift(start))
 	if err != nil {
@@ -83,6 +85,7 @@ func (r *Ring) RunFaults(sc faults.Scenario, horizon float64, alarms ...string) 
 	}
 	rep := FaultReport{Start: start, End: start + horizon, Detection: -1, LastAlarm: -1}
 	dead := map[string]bool{}
+	members := r.alive(dead)
 	for r.Sim.Now() < rep.End {
 		r.Run(math.Min(1, rep.End-r.Sim.Now()))
 		now := r.Sim.Now()
@@ -95,7 +98,11 @@ func (r *Ring) RunFaults(sc faults.Scenario, horizon float64, alarms ...string) 
 					delete(dead, a)
 				}
 			}
-			rep.Repairs = append(rep.Repairs, Repair{Applied: e, Members: r.Alive(dead), Broken: -1, Latency: -1})
+			members = r.alive(dead)
+			rep.Repairs = append(rep.Repairs, Repair{Applied: e, Members: members, Broken: -1, Latency: -1})
+		}
+		if probe != nil {
+			probe(now, members)
 		}
 		for i := range rep.Repairs {
 			p := &rep.Repairs[i]
@@ -138,7 +145,7 @@ func (r *Ring) RunFaults(sc faults.Scenario, horizon float64, alarms ...string) 
 		}
 	}
 	rep.Faults = inj.Stats()
-	rep.Members = r.Alive(dead)
+	rep.Members = members
 	rep.Violations = r.CheckRing(rep.Members)
 	return rep, nil
 }

@@ -52,7 +52,7 @@ func TestChurnDeterminism21(t *testing.T) {
 	}
 	build := func() (FaultReport, string) {
 		r := convergedRing(t, RingConfig{N: 21, Seed: 42, LossProb: 0.02}, 300)
-		rep, err := r.RunFaults(ChurnScenario(21), 300)
+		rep, err := r.RunFaults(ChurnScenario(21), 300, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ y1 succLog@N(SAddr) :- bestSucc@N(SID, SAddr).
 				}
 			}
 		}
-		rep, err := r.RunFaults(ChurnScenario(21), 300)
+		rep, err := r.RunFaults(ChurnScenario(21), 300, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestFaultRepairs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := convergedRing(t, RingConfig{N: 8, Seed: 13}, 200)
-			rep, err := r.RunFaults(faults.MustParse(tc.text), 250)
+			rep, err := r.RunFaults(faults.MustParse(tc.text), 250, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +256,7 @@ func TestFaultRepairs(t *testing.T) {
 func TestFaultOrderIsVirtualTime(t *testing.T) {
 	run := func(text string) FaultReport {
 		r := convergedRing(t, RingConfig{N: 21, Seed: 42}, 300)
-		rep, err := r.RunFaults(faults.MustParse(text), 240)
+		rep, err := r.RunFaults(faults.MustParse(text), 240, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

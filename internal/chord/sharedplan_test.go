@@ -7,6 +7,7 @@ import (
 
 	"p2go/internal/dataflow"
 	"p2go/internal/engine"
+	"p2go/internal/faults"
 )
 
 // planSignature dumps the structure of a node's compiled plans: every
@@ -66,8 +67,9 @@ func TestSharedPlanIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.Net.Crash("n3")
-	r.Run(60)
+	if _, err := r.RunFaults(faults.MustParse("at 0 crash n3"), 60, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	// (a) one shared plan set across all nodes, late joiner included.
 	ref := r.Node("n1").Plans()

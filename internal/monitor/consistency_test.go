@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"p2go/internal/chord"
+	"p2go/internal/faults"
 	"p2go/internal/overlog"
 	"p2go/internal/tuple"
 )
@@ -80,8 +81,12 @@ func TestConsistencyProbeDetectsFailures(t *testing.T) {
 	if victim == "" {
 		t.Fatal("prober has no remote fingers")
 	}
-	r.Net.Crash(victim)
-	r.Run(60)
+	crash := faults.Scenario{Name: "crash-finger", Events: []faults.Event{
+		{Kind: faults.Crash, Nodes: []string{victim}},
+	}}
+	if _, err := r.RunFaults(crash, 60, nil); err != nil {
+		t.Fatal(err)
+	}
 	sawDegraded := false
 	for _, w := range r.Watched {
 		if w.T.Name == "consistency" && w.T.Field(2).AsFloat() < 1.0 {

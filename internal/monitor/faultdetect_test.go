@@ -42,7 +42,7 @@ func TestChurnDetection(t *testing.T) {
 	// a secondary stabilization burst ~2 min after the rejoin before
 	// going quiet for good.
 	r := convergedRing(t, chord.RingConfig{N: 11, Seed: 42, ExtraPrograms: ringDetectors(5)}, 240)
-	res, err := r.RunFaults(chord.ChurnScenario(11), 480, ringAlarms...)
+	res, err := r.RunFaults(chord.ChurnScenario(11), 480, nil, ringAlarms...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPartitionDetection(t *testing.T) {
 			ev.Links = append(ev.Links, [2]string{victim, a})
 		}
 	}
-	res, err := r.RunFaults(faults.Scenario{Name: "isolate", Events: []faults.Event{ev}}, 180, ringAlarms...)
+	res, err := r.RunFaults(faults.Scenario{Name: "isolate", Events: []faults.Event{ev}}, 180, nil, ringAlarms...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPartitionDetection(t *testing.T) {
 func TestOscillationDetectsInjectedCrash(t *testing.T) {
 	r := convergedRing(t, chord.RingConfig{N: 8, Seed: 13, Buggy: true,
 		ExtraPrograms: []*overlog.Program{OscillationProgram()}}, 200)
-	res, err := r.RunFaults(faults.MustParse("scenario kill-n5\nat 5 crash n5"), 120, "oscill")
+	res, err := r.RunFaults(faults.MustParse("scenario kill-n5\nat 5 crash n5"), 120, nil, "oscill")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"p2go/internal/chord"
+	"p2go/internal/faults"
 	"p2go/internal/overlog"
 	"p2go/internal/tuple"
 )
@@ -118,8 +119,9 @@ func TestOscillationOnBuggyChord(t *testing.T) {
 	if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
 		t.Fatalf("buggy ring did not converge while healthy: %v", bad)
 	}
-	r.Net.Crash("n5")
-	r.Run(120)
+	if _, err := r.RunFaults(faults.MustParse("at 0 crash n5"), 120, nil); err != nil {
+		t.Fatal(err)
+	}
 	oscills := 0
 	for _, w := range r.Watched {
 		if w.T.Name == "oscill" && w.T.Field(1).AsStr() == "n5" {
@@ -145,11 +147,12 @@ func TestGuardedChordSuppressesRecycling(t *testing.T) {
 	if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
 		t.Fatalf("not converged: %v", bad)
 	}
-	r.Net.Crash("n5")
-	r.Run(120)
-	members := r.Alive(map[string]bool{"n5": true})
-	if bad := r.CheckRing(members); len(bad) > 0 {
-		t.Fatalf("guarded ring did not heal: %v", bad)
+	rep, err := r.RunFaults(faults.MustParse("at 0 crash n5"), 120, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) > 0 {
+		t.Fatalf("guarded ring did not heal: %v", rep.Violations)
 	}
 	// No repeat oscillator should be declared on the guarded variant.
 	for _, w := range r.Watched {
@@ -172,8 +175,9 @@ func TestBuggyChordOscillatesPersistently(t *testing.T) {
 	if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
 		t.Fatalf("buggy ring did not converge while healthy: %v", bad)
 	}
-	r.Net.Crash("n5")
-	r.Run(150)
+	if _, err := r.RunFaults(faults.MustParse("at 0 crash n5"), 150, nil); err != nil {
+		t.Fatal(err)
+	}
 	oscills, repeats := 0, 0
 	for _, w := range r.Watched {
 		switch w.T.Name {

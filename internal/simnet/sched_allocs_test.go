@@ -50,8 +50,10 @@ func TestSchedulerAllocs(t *testing.T) {
 		// background scavenger returned memory (its sleep can grow a
 		// P's timer heap, one 16-byte object) is measured again, on a
 		// freshly warmed network. Returning freed memory before the
-		// window leaves the scavenger little to do in it.
+		// window leaves the scavenger little to do in it. A failure logs
+		// what the runtime did in each window measured.
 		threads := pprof.Lookup("threadcreate")
+		var windows []string
 		for retries := 0; ; retries++ {
 			net := pingPong(t)
 			sim := net.Sim()
@@ -74,17 +76,23 @@ func TestSchedulerAllocs(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			net.RunFor(20)
 			runtime.ReadMemStats(&after)
+			total := after.Mallocs - before.Mallocs
+			windows = append(windows, fmt.Sprintf("window %d: NumGC %+d, threadcreate %+d, HeapReleased %+d B, %d objects",
+				retries, after.NumGC-before.NumGC, threads.Count()-started,
+				int64(after.HeapReleased)-int64(before.HeapReleased), total))
 			runtimeWork := after.NumGC != before.NumGC || threads.Count() != started ||
 				after.HeapReleased != before.HeapReleased
 			if runtimeWork && retries < 5 {
 				continue
 			}
-			total := after.Mallocs - before.Mallocs
 			events, msgs := sim.Executed()-events0, recv()-msgs0
 			if msgs < 5000 || events <= uint64(msgs) {
 				t.Fatalf("weak run: %v messages in %v events (want kick retries among them)", msgs, events)
 			}
 			if total != 0 {
+				for _, w := range windows {
+					t.Log(w)
+				}
 				t.Errorf("%v allocs over %v events carrying %v messages, want 0", total, events, msgs)
 			}
 			return
