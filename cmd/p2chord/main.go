@@ -17,6 +17,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"sort"
 	"strings"
 
 	"p2go"
@@ -179,8 +180,13 @@ func main() {
 	}
 	if len(alarms) > 0 {
 		fmt.Println("\nwatched-tuple counts:")
-		for name, c := range alarms {
-			fmt.Printf("  %-20s %d\n", name, c)
+		names := make([]string, 0, len(alarms))
+		for name := range alarms {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Printf("  %-20s %d\n", name, alarms[name])
 		}
 	}
 	if snapshots {

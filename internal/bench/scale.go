@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/chord"
 	"p2go/internal/dataflow"
 	"p2go/internal/engine"
@@ -99,14 +100,6 @@ type ScaleResult struct {
 	Points             []ScalePoint
 }
 
-// heapAlloc returns the live heap after a GC settle.
-func heapAlloc() int64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapAlloc)
-}
-
 // installBytesPerHost measures program instantiation alone: m bare
 // nodes are built first, then Chord is installed on each, and only the
 // install phase is under the heap meter. private installs the program
@@ -129,7 +122,7 @@ func installBytesPerHost(m int, private bool) (int64, error) {
 		}
 		nodes[i] = n
 	}
-	base := heapAlloc()
+	base := int64(allocwin.LiveBytes())
 	for _, n := range nodes {
 		var err error
 		if private {
@@ -141,7 +134,7 @@ func installBytesPerHost(m int, private bool) (int64, error) {
 			return 0, err
 		}
 	}
-	delta := heapAlloc() - base
+	delta := int64(allocwin.LiveBytes()) - base
 	runtime.KeepAlive(net)
 	runtime.KeepAlive(nodes)
 	return delta / int64(m), nil
@@ -155,7 +148,7 @@ func planBytesPerHost(m int, private bool) (int64, error) {
 	prog := chord.Program()
 	if private {
 		cqs := make([]*engine.CompiledQuery, m)
-		base := heapAlloc()
+		base := int64(allocwin.LiveBytes())
 		for i := range cqs {
 			cq, err := engine.CompileQuery(prog)
 			if err != nil {
@@ -163,7 +156,7 @@ func planBytesPerHost(m int, private bool) (int64, error) {
 			}
 			cqs[i] = cq
 		}
-		delta := heapAlloc() - base
+		delta := int64(allocwin.LiveBytes()) - base
 		runtime.KeepAlive(cqs)
 		return delta / int64(m), nil
 	}
@@ -173,7 +166,7 @@ func planBytesPerHost(m int, private bool) (int64, error) {
 	}
 	plans := cq.Plans()
 	strands := make([][]*dataflow.Strand, m)
-	base := heapAlloc()
+	base := int64(allocwin.LiveBytes())
 	for i := range strands {
 		ss := make([]*dataflow.Strand, len(plans))
 		for j, p := range plans {
@@ -181,7 +174,7 @@ func planBytesPerHost(m int, private bool) (int64, error) {
 		}
 		strands[i] = ss
 	}
-	delta := heapAlloc() - base
+	delta := int64(allocwin.LiveBytes()) - base
 	runtime.KeepAlive(strands)
 	return delta / int64(m), nil
 }
@@ -264,7 +257,7 @@ func Scale(seed int64, quick bool) (*ScaleResult, error) {
 	// workload soft state on top of the install footprint, so it gets
 	// the roomier ScaleBudgetBytes.
 	for _, h := range hosts {
-		base := heapAlloc()
+		base := int64(allocwin.LiveBytes())
 		start := time.Now()
 		r, err := chord.NewRing(chord.RingConfig{N: h, Seed: seed})
 		if err != nil {
@@ -276,7 +269,7 @@ func Scale(seed int64, quick bool) (*ScaleResult, error) {
 		r.Run(simSecs)
 		runSec := time.Since(start).Seconds()
 		events := r.Sim.Executed() - startEvents
-		perHost := (heapAlloc() - base) / int64(h)
+		perHost := (int64(allocwin.LiveBytes()) - base) / int64(h)
 		runtime.KeepAlive(r)
 		p := ScalePoint{
 			Hosts: h, BuildSec: build, RunSec: runSec,

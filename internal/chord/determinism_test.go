@@ -3,11 +3,12 @@ package chord
 import (
 	"fmt"
 	"runtime"
-	"runtime/pprof"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/trace"
 	"p2go/internal/tracestore"
 	"p2go/internal/tuple"
@@ -145,13 +146,14 @@ func TestTracedRunsRepeat(t *testing.T) {
 // aggregation states) is kept by its network, not in process-global
 // pools a collection empties, so the objects a run allocates follow from
 // its seed. Two runs at one seed, one with two forced collections
-// partway through, allocate the same count within 3 objects. A first run
-// warms what the process keeps across runs (shared plans, interned
-// strings). MemStats counts the runtime's objects too, and an OS thread
-// the runtime starts costs a few, so a pair of runs during which one
-// started is measured again.
+// partway through, allocate the same count within one object: no window
+// is Quiet, and the runtime's own work costs the run without forced
+// collections one 32- or 96-byte object in about 3 pairs in 100 (1 in
+// 10 without freeing memory to the OS first). A first run warms what
+// the process keeps across runs (shared plans, interned strings). A
+// pair during which the runtime started an OS thread is run again.
 func TestRunAllocsPureFunctionOfSeed(t *testing.T) {
-	run := func(collect bool) uint64 {
+	run := func(collect bool) allocwin.Window {
 		r, err := NewRing(RingConfig{N: 21, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
@@ -162,26 +164,22 @@ func TestRunAllocsPureFunctionOfSeed(t *testing.T) {
 				runtime.GC()
 			}
 		})
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r.Run(60)
-		runtime.ReadMemStats(&after)
+		debug.FreeOSMemory()
+		w := allocwin.Measure(func() { r.Run(60) })
 		if bad := r.CheckRing(r.Addrs); len(bad) > 0 {
 			t.Fatalf("ring not converged after 60s: %v", bad)
 		}
-		return after.Mallocs - before.Mallocs
+		return w
 	}
-	threads := pprof.Lookup("threadcreate")
 	run(true)
 	for attempt := 1; ; attempt++ {
-		started := threads.Count()
 		plain, collected := run(false), run(true)
-		if threads.Count() != started && attempt < 5 {
+		if (plain.Threads != 0 || collected.Threads != 0) && attempt < 5 {
 			continue
 		}
-		t.Logf("%d objects without a collection, %d with two", plain, collected)
-		if d := int64(collected) - int64(plain); d < -3 || d > 3 {
-			t.Errorf("two runs at one seed allocated %d and %d objects (%+d); want them within 3", plain, collected, d)
+		t.Logf("without a collection: %v; with two: %v", plain, collected)
+		if d := int64(collected.Objects) - int64(plain.Objects); d < -1 || d > 1 {
+			t.Errorf("two runs at one seed allocated %d and %d objects (%+d); want them within 1", plain.Objects, collected.Objects, d)
 		}
 		return
 	}

@@ -89,7 +89,7 @@ func (r *Ring) RunFaults(sc faults.Scenario, horizon float64, probe func(now flo
 	for r.Sim.Now() < rep.End {
 		r.Run(math.Min(1, rep.End-r.Sim.Now()))
 		now := r.Sim.Now()
-		for _, e := range inj.Log()[len(rep.Repairs):] {
+		for _, e := range inj.Since(len(rep.Repairs)) {
 			for _, a := range e.Nodes {
 				switch e.Kind {
 				case faults.Crash:

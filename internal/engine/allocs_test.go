@@ -1,10 +1,9 @@
 package engine_test
 
 import (
-	"runtime"
-	"runtime/pprof"
 	"testing"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/engine"
 	"p2go/internal/overlog"
 	"p2go/internal/tuple"
@@ -142,28 +141,21 @@ d1 delete pair@N(K, V) :- drop@N(K), pair@N(K, V).
 	}
 
 	// Only the delete is measured: the rows it removes are stored first.
-	// MemStats counts the whole process, so a window in which a
-	// collection ran or the runtime started a thread (its workers and
-	// their bookkeeping allocate) is measured again.
 	pairTbl := n.Store().Get("pair")
-	threads := pprof.Lookup("threadcreate")
-	var before, after runtime.MemStats
 	var mallocs uint64
 	const rounds = 100
-	for i, retries := 0, 0; i < rounds; i++ {
-		for _, p := range pairs[:2] {
-			n.HandleLocal(p)
+	for i := 0; i < rounds; i++ {
+		w, all := allocwin.Exact(func() {
+			for _, p := range pairs[:2] {
+				n.HandleLocal(p)
+			}
+		}, func() { n.HandleLocal(drop) })
+		if w.Objects != 0 {
+			for _, w := range all {
+				t.Log(w)
+			}
 		}
-		started := threads.Count()
-		runtime.ReadMemStats(&before)
-		n.HandleLocal(drop)
-		runtime.ReadMemStats(&after)
-		if (after.NumGC != before.NumGC || threads.Count() != started) && retries < rounds {
-			retries++
-			i--
-			continue
-		}
-		mallocs += after.Mallocs - before.Mallocs
+		mallocs += w.Objects
 		if c := pairTbl.Count(); c != 1 {
 			t.Fatalf("pair table holds %d rows after the delete, want 1", c)
 		}

@@ -1,9 +1,9 @@
 package engine_test
 
 import (
-	"runtime"
 	"testing"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/chord"
 	"p2go/internal/engine"
 	"p2go/internal/overlog"
@@ -87,15 +87,14 @@ func BenchmarkDispatch(b *testing.B) {
 			for _, t := range c.in { // warm the arena, scratch and tables
 				n.HandleLocal(t)
 			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
 			tuples := n.Metrics().TuplesProcessed
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.HandleLocal(c.in[i%len(c.in)])
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
+			w := allocwin.Measure(func() {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					n.HandleLocal(c.in[i%len(c.in)])
+				}
+				b.StopTimer()
+			})
 			m := n.Metrics()
 			if m.RuleErrors > 0 {
 				b.Fatalf("%d rule errors", m.RuleErrors)
@@ -105,7 +104,7 @@ func BenchmarkDispatch(b *testing.B) {
 			}
 			per := float64(m.TuplesProcessed - tuples)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/tuple")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/tuple")
+			b.ReportMetric(float64(w.Objects)/per, "allocs/tuple")
 		})
 	}
 }

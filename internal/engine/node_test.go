@@ -2,10 +2,10 @@ package engine_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/engine"
 	"p2go/internal/overlog"
 	"p2go/internal/simnet"
@@ -444,20 +444,18 @@ r1 hop@N(A, J) :- hop@N(A, K), K > 0, J := K - 1.
 	for j := 0; j < seedRows; j++ {
 		n.HandleLocal(tuple.New("seedt", tuple.Str("n1"), tuple.Int(int64(j))))
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	// One kick floods the queue with seedRows hop chains that count
 	// down in lockstep: the queue holds ~seedRows entries for
 	// seedRows*hops pops — the exact shape that made the old pop
 	// quadratic in total bytes allocated.
-	n.HandleLocal(tuple.New("kick", tuple.Str("n1"), tuple.Int(0)))
-	runtime.ReadMemStats(&after)
+	kick := tuple.New("kick", tuple.Str("n1"), tuple.Int(0))
+	w := allocwin.Measure(func() { n.HandleLocal(kick) })
 
 	pops := n.Metrics().TuplesProcessed
 	if pops < seedRows*hops {
 		t.Fatalf("cascade too short: processed %d tuples, want >= %d", pops, seedRows*hops)
 	}
-	perPop := float64(after.TotalAlloc-before.TotalAlloc) / float64(pops)
+	perPop := float64(w.Bytes) / float64(pops)
 	// The emitted hop tuple itself costs ~175 B/pop; the ring-buffer
 	// drain adds nothing on top (measured ~178 B/pop). The old reslice
 	// pop leaked the queue's backing array — capacity shrank by one per

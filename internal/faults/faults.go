@@ -21,7 +21,7 @@ package faults
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"p2go/internal/metrics"
@@ -271,13 +271,14 @@ func describe(ev Event, revert bool) string {
 	return b.String()
 }
 
-// Log returns the applied-event log in virtual-time order.
-func (inj *Injector) Log() []Applied {
-	out := make([]Applied, len(inj.log))
-	copy(out, inj.log)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
+// Log returns a copy of the applied-event log. Each entry is appended
+// as its event runs on the scheduler, so the log is in virtual-time
+// order, and events at one time are in the order they were applied.
+func (inj *Injector) Log() []Applied { return inj.Since(0) }
+
+// Since returns a copy of the log's entries from the i-th on; it
+// allocates nothing when there are none.
+func (inj *Injector) Since(i int) []Applied { return slices.Clone(inj.log[i:]) }
 
 // Stats merges the network's fault counters with the injector's applied
 // count.

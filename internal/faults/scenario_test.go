@@ -127,3 +127,43 @@ func TestAutoReversion(t *testing.T) {
 		t.Errorf("partition not auto-healed: %+v", ft)
 	}
 }
+
+// TestLogInApplyOrder: the log reads in virtual-time order, events at
+// one time in the order Arm scheduled them (the delay's reversion at 25
+// before the heal at 25), whatever order the scenario lists them in.
+func TestLogInApplyOrder(t *testing.T) {
+	r, err := chord.NewRing(chord.RingConfig{N: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.Arm(r.Net, faults.MustParse(`
+at 30 crash n4
+at 20 drop n2->n3 p 0.5
+at 10 delay n1->n2 0.05 dur 15
+at 20 partition n1-n3
+at 25 heal n1-n3`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run(40)
+	log := inj.Log()
+	var got strings.Builder
+	for i, e := range log {
+		fmt.Fprintf(&got, "t=%g %s\n", e.At, e.What)
+		if i > 0 && e.At < log[i-1].At {
+			t.Errorf("entry %d at t=%g follows one at t=%g", i, e.At, log[i-1].At)
+		}
+	}
+	if want := `t=10 delay n1->n2 delay=0.05s
+t=20 drop n2->n3 p=0.5
+t=20 partition n1->n3
+t=25 clear delay n1->n2 delay=0.05s
+t=25 heal n1->n3
+t=30 crash n4
+`; got.String() != want {
+		t.Errorf("log:\n%swant:\n%s", got.String(), want)
+	}
+	if rest := inj.Since(len(log)); len(rest) != 0 {
+		t.Errorf("Since(%d) returned %d entries, want none", len(log), len(rest))
+	}
+}

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/engine"
 	"p2go/internal/tuple"
 )
@@ -146,8 +146,8 @@ func GenerateTraffic(cfg GenConfig) (GenStats, error) {
 // on the reader hot path (decode + accounting + enqueue, i.e.
 // UDPNode.dispatch) by pushing n pre-framed datagrams through an
 // unstarted node and recycling each task inline, exactly as the
-// executor would. The ISSUE-10 budget is ≤1 alloc/datagram; in steady
-// state (interned source, warm buffer pool) the path measures 0.
+// executor would. The budget is ≤1 alloc/datagram; in steady state
+// (interned source, warm buffer pool) the path measures 0.
 func MeasureReaderAllocs(n int) (float64, error) {
 	u, err := NewUDPNode(UDPNodeConfig{
 		Addr: "allocprobe", Listen: "127.0.0.1:0", QueueDepth: 16, MaxDatagram: 2048,
@@ -172,12 +172,10 @@ func MeasureReaderAllocs(n int) (float64, error) {
 	for i := 0; i < 64; i++ {
 		push()
 	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < n; i++ {
-		push()
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / float64(n), nil
+	w, _ := allocwin.Exact(nil, func() {
+		for i := 0; i < n; i++ {
+			push()
+		}
+	})
+	return float64(w.Objects) / float64(n), nil
 }

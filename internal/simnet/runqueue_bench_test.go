@@ -1,9 +1,9 @@
 package simnet
 
 import (
-	"runtime"
 	"testing"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/engine"
 )
 
@@ -53,22 +53,6 @@ func (l *refLoad) reset() { l.q.clearQueue() }
 
 var sinkRaw []byte
 
-// liveHeap is the heap in use after two collections (the second empties
-// the standard library's sync.Pool victim caches).
-func liveHeap() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
-}
-
-func allocatedBytes() uint64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.TotalAlloc
-}
-
 // BenchmarkRunQueue moves messages through a host's run queue the way
 // the 1000-host join does: a 37-byte payload (the join's mean) from a
 // sender whose index takes two uvarint bytes. flowing keeps 16 messages
@@ -104,9 +88,9 @@ func BenchmarkRunQueue(b *testing.B) {
 					l.push(src, env, now)
 				}
 			}
-			empty := liveHeap()
+			empty := allocwin.LiveBytes()
 			fill()
-			heapPerMsg := float64(liveHeap()-empty) / float64(c.depth)
+			heapPerMsg := float64(allocwin.LiveBytes()-empty) / float64(c.depth)
 			if c.burst {
 				for k := 0; k < c.depth; k++ {
 					l.pop(now)
@@ -114,27 +98,27 @@ func BenchmarkRunQueue(b *testing.B) {
 			}
 			msgs := b.N
 			b.ReportAllocs()
-			allocated := allocatedBytes()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if c.burst {
-					fill()
-					for k := 0; k < c.depth; k++ {
+			w := allocwin.Measure(func() {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if c.burst {
+						fill()
+						for k := 0; k < c.depth; k++ {
+							l.pop(now)
+						}
+					} else {
+						now++
+						l.push(src, env, now)
 						l.pop(now)
 					}
-				} else {
-					now++
-					l.push(src, env, now)
-					l.pop(now)
 				}
-			}
-			b.StopTimer()
-			allocated = allocatedBytes() - allocated
+				b.StopTimer()
+			})
 			if c.burst {
 				msgs *= c.depth
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/message")
-			b.ReportMetric(float64(allocated)/float64(msgs), "B/message")
+			b.ReportMetric(float64(w.Bytes)/float64(msgs), "B/message")
 			b.ReportMetric(heapPerMsg, "heapB/queued-msg")
 			l.reset()
 		})

@@ -3,11 +3,10 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"testing"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/engine"
 	"p2go/internal/overlog"
 	"p2go/internal/tuple"
@@ -17,12 +16,6 @@ import (
 const pingPongProgram = `
 p1 ping@Other(N, K) :- ping@N(Other, K).
 `
-
-func mallocs() uint64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.Mallocs
-}
 
 // TestSchedulerAllocs: with heap, queues and the record list warm, an
 // event allocates nothing. A func event is checked alone; a message event
@@ -45,19 +38,13 @@ func TestSchedulerAllocs(t *testing.T) {
 	})
 
 	t.Run("message", func(t *testing.T) {
-		// MemStats counts the whole process, so a window in which a
-		// collection ran, the runtime started a thread or the
-		// background scavenger returned memory (its sleep can grow a
-		// P's timer heap, one 16-byte object) is measured again, on a
-		// freshly warmed network. Returning freed memory before the
-		// window leaves the scavenger little to do in it. A failure logs
-		// what the runtime did in each window measured.
-		threads := pprof.Lookup("threadcreate")
-		var windows []string
-		for retries := 0; ; retries++ {
-			net := pingPong(t)
-			sim := net.Sim()
-			recv := func() int64 { return net.Node("a").Metrics().MsgsRecv + net.Node("b").Metrics().MsgsRecv }
+		// Each window runs on a freshly warmed network.
+		var net *Network
+		var events0 uint64
+		var msgs0 int64
+		recv := func() int64 { return net.Node("a").Metrics().MsgsRecv + net.Node("b").Metrics().MsgsRecv }
+		w, all := allocwin.Exact(func() {
+			net = pingPong(t)
 			// Warm heap, run queues, record list and link state. The
 			// window draws from two RNG streams only, the links a->b and
 			// b->a (one delay draw a message; neither host has a periodic
@@ -69,33 +56,17 @@ func TestSchedulerAllocs(t *testing.T) {
 					t.Fatalf("warm-up too short: %s's link drew %d values, not yet past its 607th", a, sent)
 				}
 			}
-			debug.FreeOSMemory()
-			var before, after runtime.MemStats
-			started := threads.Count()
-			events0, msgs0 := sim.Executed(), recv()
-			runtime.ReadMemStats(&before)
-			net.RunFor(20)
-			runtime.ReadMemStats(&after)
-			total := after.Mallocs - before.Mallocs
-			windows = append(windows, fmt.Sprintf("window %d: NumGC %+d, threadcreate %+d, HeapReleased %+d B, %d objects",
-				retries, after.NumGC-before.NumGC, threads.Count()-started,
-				int64(after.HeapReleased)-int64(before.HeapReleased), total))
-			runtimeWork := after.NumGC != before.NumGC || threads.Count() != started ||
-				after.HeapReleased != before.HeapReleased
-			if runtimeWork && retries < 5 {
-				continue
+			events0, msgs0 = net.Sim().Executed(), recv()
+		}, func() { net.RunFor(20) })
+		events, msgs := net.Sim().Executed()-events0, recv()-msgs0
+		if msgs < 5000 || events <= uint64(msgs) {
+			t.Fatalf("weak run: %v messages in %v events (want kick retries among them)", msgs, events)
+		}
+		if w.Objects != 0 {
+			for _, w := range all {
+				t.Log(w)
 			}
-			events, msgs := sim.Executed()-events0, recv()-msgs0
-			if msgs < 5000 || events <= uint64(msgs) {
-				t.Fatalf("weak run: %v messages in %v events (want kick retries among them)", msgs, events)
-			}
-			if total != 0 {
-				for _, w := range windows {
-					t.Log(w)
-				}
-				t.Errorf("%v allocs over %v events carrying %v messages, want 0", total, events, msgs)
-			}
-			return
+			t.Errorf("%v allocs over %v events carrying %v messages, want 0", w.Objects, events, msgs)
 		}
 	})
 
@@ -177,17 +148,18 @@ func backlogAllocs(t *testing.T, net *Network, pings [][]byte) (allocs uint64, p
 	t.Helper()
 	a, b := net.hosts["a"], net.hosts["b"]
 	now := net.Sim().Now()
-	before := mallocs()
-	for k, raw := range pings {
-		net.deliver(a, "b", engine.Envelope{Src: "a", SrcTupleID: uint64(k), Raw: raw}, now)
-	}
-	for net.Sim().Step() {
-		peak = max(peak, a.inbox.n, b.inbox.n)
-		if net.Sim().Now() > now+1 && a.inbox.n == 0 && b.inbox.n == 0 && net.Sim().Pending() <= 2 {
-			break
+	w := allocwin.Measure(func() {
+		for k, raw := range pings {
+			net.deliver(a, "b", engine.Envelope{Src: "a", SrcTupleID: uint64(k), Raw: raw}, now)
 		}
-	}
-	return mallocs() - before, peak
+		for net.Sim().Step() {
+			peak = max(peak, a.inbox.n, b.inbox.n)
+			if net.Sim().Now() > now+1 && a.inbox.n == 0 && b.inbox.n == 0 && net.Sim().Pending() <= 2 {
+				break
+			}
+		}
+	})
+	return w.Objects, peak
 }
 
 // TestNewLinkAllocs: a link's state is one record with its RNG stream

@@ -6,17 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/tuple"
 )
-
-// mallocs counts the heap allocations fn makes.
-func mallocs(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
 
 // TestReadAfterWritesAllocs: a read never copies a bucket or a row
 // snapshot, so MatchIndexed and Scan allocate nothing, also right after
@@ -39,11 +31,11 @@ func TestReadAfterWritesAllocs(t *testing.T) {
 		case 2: // let the rows inserted 50 s ago expire
 			tb.Expire(now)
 		}
-		if n := mallocs(func() { tb.MatchIndexed(now, pos, vals, func(tuple.Tuple) {}) }); n != 0 {
-			t.Fatalf("round %d: MatchIndexed allocated %d objects, want 0", round, n)
+		if w, _ := allocwin.Exact(nil, func() { tb.MatchIndexed(now, pos, vals, func(tuple.Tuple) {}) }); w.Objects != 0 {
+			t.Fatalf("round %d: MatchIndexed allocated %v, want 0 objects", round, w)
 		}
-		if n := mallocs(func() { tb.Scan(now, func(tuple.Tuple) {}) }); n != 0 {
-			t.Fatalf("round %d: Scan allocated %d objects, want 0", round, n)
+		if w, _ := allocwin.Exact(nil, func() { tb.Scan(now, func(tuple.Tuple) {}) }); w.Objects != 0 {
+			t.Fatalf("round %d: Scan allocated %v, want 0 objects", round, w)
 		}
 	}
 }
@@ -53,20 +45,22 @@ func TestReadAfterWritesAllocs(t *testing.T) {
 // buckets grow amortised.
 func TestInsertNewKeyAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	tb := fingers(1000, Infinity)
-	tb.EnsureIndex([]int{0})
-	tb.EnsureIndex([]int{2})
 	rows := make([]tuple.Tuple, 4000)
 	for i := range rows {
 		rows[i] = finger(1000+i, "f")
 	}
-	n := mallocs(func() {
+	var tb *Table
+	w, _ := allocwin.Exact(func() {
+		tb = fingers(1000, Infinity)
+		tb.EnsureIndex([]int{0})
+		tb.EnsureIndex([]int{2})
+	}, func() {
 		for _, r := range rows {
 			tb.Insert(r, 0) //nolint:errcheck
 		}
 	})
 	// testing.AllocsPerRun would truncate the mean to a whole number.
-	if got := float64(n) / float64(len(rows)); got > 1.05 {
+	if got := float64(w.Objects) / float64(len(rows)); got > 1.05 {
 		t.Errorf("new-key Insert allocates %v objects, want <= 1.05", got)
 	}
 }
@@ -125,7 +119,7 @@ func TestInsertAllocs(t *testing.T) {
 	tb := New(spec)
 	tb.Insert(rows[0], 0) //nolint:errcheck
 	tb.DeleteKey(rows[0])
-	if n := mallocs(func() { tb.Clear(); tb.Insert(rows[1], 0) }); n == 0 { //nolint:errcheck
+	if w := allocwin.Measure(func() { tb.Clear(); tb.Insert(rows[1], 0) }); w.Objects == 0 { //nolint:errcheck
 		t.Error("a row after Clear refilled the array of one removed before it")
 	}
 	if got := testing.AllocsPerRun(100, func() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"p2go/internal/allocwin"
 	"p2go/internal/tuple"
 )
 
@@ -47,16 +48,13 @@ func TestTableHoldsNoMaps(t *testing.T) {
 // liveBytes returns the heap bytes each of n values mk builds keeps live.
 func liveBytes(n int, mk func() any) float64 {
 	keep := make([]any, n)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := allocwin.LiveBytes()
 	for i := range keep {
 		keep[i] = mk()
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := allocwin.LiveBytes()
 	runtime.KeepAlive(keep)
-	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+	return float64(int64(after)-int64(before)) / float64(n)
 }
 
 // TestOneRowFootprint: a table holding one succ row costs its header,
@@ -145,15 +143,14 @@ func BenchmarkFootprint(b *testing.B) {
 		return s
 	}
 	perRow := liveBytes(200, func() any { return build() }) / float64(total)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchRows += build().LiveTuples()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
+	w := allocwin.Measure(func() {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchRows += build().LiveTuples()
+		}
+		b.StopTimer()
+	})
 	b.ReportMetric(perRow, "B/row")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*total), "allocs/row")
+	b.ReportMetric(float64(w.Objects)/float64(b.N*total), "allocs/row")
 }

@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
+
+	"p2go/internal/allocwin"
 )
 
 func exec(rule string, in, out uint64, inT, outT float64, ev bool) Exec {
@@ -236,15 +237,13 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	// arbitrary bytes.
 	huge := binary.AppendUvarint([]byte{0x00}, 1<<27) // window 0, 2^27 execs
 	huge = append(huge, 0x00, 0x00, 0x00)             // no hops, no events, no flags
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := decodeSegment(huge)
-	runtime.ReadMemStats(&after)
+	var err error
+	w := allocwin.Measure(func() { _, err = decodeSegment(huge) })
 	if err == nil {
 		t.Fatal("a 2^27-record header over 8 bytes decoded without error")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Fatalf("decoding an 8-byte corrupt header allocated %d bytes", got)
+	if w.Bytes > 1<<20 {
+		t.Fatalf("decoding an 8-byte corrupt header allocated %d bytes", w.Bytes)
 	}
 }
 
@@ -443,18 +442,17 @@ func BenchmarkSeal(b *testing.B) {
 		st.seal()
 	}
 	seal() // the scratch grows
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seal()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
+	w := allocwin.Measure(func() {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			seal()
+		}
+		b.StopTimer()
+	})
 	records := float64(b.N * seg.records())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
+	b.ReportMetric(float64(w.Objects)/records, "allocs/record")
 }
 
 // TestDictNumbersByContent: a Dict numbers strings by their bytes in
