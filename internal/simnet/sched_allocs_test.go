@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime/debug"
 	"testing"
 
@@ -109,6 +110,82 @@ func TestSchedulerAllocs(t *testing.T) {
 		t.Logf("%d allocs warming, %d for %d queued pings (%d growth steps and %d chunks an inbox)", warm, total, burst, growth, chunks)
 		if total > uint64(2*(growth+chunks)) {
 			t.Errorf("%v allocs for a backlog of %d pings, want at most the inboxes' growth and chunks, %d", total, burst, 2*(growth+chunks))
+		}
+	})
+}
+
+// TestRepeatAllocs: a message that repeats the one queued before it from
+// the same sender, as Chord's l3 lookups do, is a 10-byte record. Once
+// warm, a flowing inbox moves repeats without allocating (a lone chunk
+// regrown for an odd number of bytes must compact in place when they
+// come again); a backlog of
+// them allocates the lone chunk's growth steps, one chunk per inboxChunk
+// bytes of 10-byte records, the slice that lists the chunks, and, as the
+// last chunk drains, the buffers of at least halving size its live bytes
+// move to.
+func TestRepeatAllocs(t *testing.T) {
+	raw := make([]byte, 37) // the 1000-host join's mean frame
+	var q inbox
+	now, id := 0.0, uint64(0)
+	push := func() {
+		now, id = now+1, id+1
+		q.pushMessage(now, 500, id, raw)
+	}
+	pop := func() {
+		q.pop(now)
+		if q.n == 0 {
+			q.trim()
+		}
+	}
+
+	t.Run("flowing", func(t *testing.T) {
+		w, all := allocwin.Exact(func() {
+			q.reset()
+			now, id = 0, 1<<20 // a 3-byte uvarint in the full record, as on a busy node
+			for range 16 {
+				push()
+			}
+			for range 1000 {
+				push()
+				pop()
+			}
+		}, func() {
+			for range 10000 {
+				push()
+				pop()
+			}
+		})
+		if w.Objects != 0 {
+			for _, w := range all {
+				t.Log(w)
+			}
+			t.Errorf("%v allocs moving 10 000 repeats through a flowing inbox, want 0", w.Objects)
+		}
+	})
+
+	t.Run("backlog", func(t *testing.T) {
+		const burst = 100000
+		peak := 0
+		backlog := func() {
+			for range burst {
+				push()
+			}
+			peak, _ = q.heldBytes()
+			for q.n > 0 {
+				pop()
+			}
+		}
+		q.reset()
+		backlog()
+		w := allocwin.Measure(backlog)
+		growth := int(math.Ceil(math.Log(inboxChunk/inboxMinCap) / math.Log(1.5)))
+		shrink := bits.Len(inboxChunk/inboxMinCap) - 1
+		chunks := (burst*10 + inboxChunk - 1) / inboxChunk
+		lists := bits.Len(uint(chunks)) + 1 // next grows by doubling
+		t.Logf("%d allocs, %d B, for %d queued repeats held in %d B", w.Objects, w.Bytes, burst, peak)
+		if want := growth + shrink + chunks + lists; w.Objects > uint64(want) {
+			t.Errorf("%v allocs for a backlog of %d repeats, want at most %d growth steps, %d shrink steps, %d chunks and %d lists",
+				w.Objects, burst, growth, shrink, chunks, lists)
 		}
 	})
 }
